@@ -64,7 +64,7 @@ func main() {
 		netURL     = flag.String("net", "", "drive network clients against a live dsistation at this base URL instead of replaying in-process")
 		netClients = flag.Int("netclients", 1000, "concurrent network clients with -net")
 		netQueries = flag.Int("queries", 4, "queries per network client with -net")
-		netTrans   = flag.String("transport", "http", "network transport with -net: http | sse | udp")
+		netTrans   = flag.String("transport", "http", "network transport with -net: http | udp")
 		netRing    = flag.Int("ring", 2048, "per-client reassembly ring in slots with -net")
 		netRamp    = flag.Int("ramp", 100, "subscription ramp with -net: at most this many clients connecting at once")
 	)
@@ -254,7 +254,7 @@ func runNet(baseURL, transport string, clients, queries int, knnFrac float64, k 
 	// station make stream start-up contended, and a stalled stream is
 	// better reported as losses than as a failed construction.
 	opt := netrecv.Options{
-		Registry: reg, RingSlots: ring, SSE: transport == "sse",
+		Registry: reg, RingSlots: ring,
 		WaitTimeout: 15 * time.Second,
 	}
 	cat, err := netrecv.Bootstrap(baseURL, opt)
@@ -332,12 +332,12 @@ func runNetClient(baseURL, transport string, cat *netrecv.Catalog, opt netrecv.O
 	var rx netRX
 	var err error
 	switch transport {
-	case "http", "sse":
+	case "http":
 		rx, err = netrecv.NewHTTPReceiver(baseURL, cat, opt)
 	case "udp":
 		rx, err = netrecv.NewUDPReceiver(cat.Meta.UDP, -1, cat, opt)
 	default:
-		err = fmt.Errorf("unknown transport %q (have http, sse, udp)", transport)
+		err = fmt.Errorf("unknown transport %q (have http, udp)", transport)
 	}
 	<-sem
 	if err != nil {

@@ -46,7 +46,7 @@ func main() {
 		channels = flag.Int("channels", 1, "parallel broadcast channels (>1 uses the split scheduler)")
 		switchC  = flag.Int("switch", 2, "channel-switch cost in slots (multi-channel only)")
 		netURL   = flag.String("net", "", "query a live dsistation at this base URL instead of simulating (e.g. http://localhost:8345)")
-		netTrans = flag.String("transport", "http", "network transport with -net: http | sse | udp | mcast")
+		netTrans = flag.String("transport", "http", "network transport with -net: http | udp | mcast")
 	)
 	flag.Parse()
 
@@ -101,7 +101,7 @@ func main() {
 // receiver over the chosen transport, and returns a session tuned at
 // the live edge of the broadcast.
 func openNet(baseURL, transport string) (*dsi.Session, *dataset.Dataset, func()) {
-	opt := netrecv.Options{SSE: transport == "sse"}
+	var opt netrecv.Options
 	cat, err := netrecv.Bootstrap(baseURL, opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsiquery: %v\n", err)
@@ -113,7 +113,7 @@ func openNet(baseURL, transport string) (*dsi.Session, *dataset.Dataset, func())
 		Close()
 	}
 	switch transport {
-	case "http", "sse":
+	case "http":
 		rx, err = netrecv.NewHTTPReceiver(baseURL, cat, opt)
 	case "udp":
 		if cat.Meta.UDP == "" {
@@ -128,7 +128,7 @@ func openNet(baseURL, transport string) (*dsi.Session, *dataset.Dataset, func())
 			rx, err = netrecv.NewMulticastReceiver(cat.Meta.Multicast, cat, opt)
 		}
 	default:
-		err = fmt.Errorf("unknown transport %q (have http, sse, udp, mcast)", transport)
+		err = fmt.Errorf("unknown transport %q (have http, udp, mcast)", transport)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsiquery: %v\n", err)

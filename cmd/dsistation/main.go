@@ -1,10 +1,10 @@
 // Command dsistation serves a DSI broadcast over real transports: the
 // wire byte cycles every receiver decodes stream out as
-// position-stamped net frames over HTTP chunked streams (plus an SSE
-// variant), UDP unicast subscriptions, and UDP multicast groups (one
-// group per broadcast channel). The daemon also serves the catalog
-// document (/v1/meta) clients bootstrap from, and the obs /metrics and
-// /debug/pprof surfaces.
+// position-stamped net frames over HTTP chunked streams, UDP unicast
+// subscriptions, and UDP multicast groups (one group per broadcast
+// channel). The daemon also serves the catalog document (/v1/meta)
+// clients bootstrap from, and the obs /metrics and /debug/pprof
+// surfaces.
 //
 // Usage:
 //
@@ -39,7 +39,7 @@ import (
 
 func main() {
 	var (
-		httpAddr = flag.String("http", ":8345", "HTTP listen address (/v1/meta, /v1/stream, /v1/sse, /metrics, /debug/pprof)")
+		httpAddr = flag.String("http", ":8345", "HTTP listen address (/v1/meta, /v1/stream, /metrics, /debug/pprof)")
 		udpAddr  = flag.String("udp", "", "UDP subscribe address (e.g. :8346; empty = datagram transport off)")
 		mcast    = flag.String("mcast", "", "multicast base group; channel c emits on port+c (e.g. 239.1.9.0:8400; requires -udp)")
 		rate     = flag.Int("rate", 20000, "broadcast pace in slots/sec (<= 0 streams flat out; never do that on a shared daemon)")
@@ -259,7 +259,7 @@ func parseFEC(obj, table string) (wire.FECConfig, error) {
 	return cfg, nil
 }
 
-// buildSource assembles the packet source: a plain transmitter, or —
+// buildSource assembles the packet source: the static transmitter, or —
 // for the swap demo — a rebroadcaster whose Tick hook periodically
 // stages a re-cut shard directory and commits it at the cycle seam,
 // exercising live directory bumps over the network.
@@ -294,10 +294,6 @@ func buildSource(x *dsi.Index, lay *dsi.Layout, sched string, switchC int, fcfg 
 		}
 		return rb, tick, nil
 	}
-	if fcfg.Enabled() {
-		src, err := station.NewMultiTransmitterFEC(lay, fcfg)
-		return src, nil, err
-	}
-	src, err := station.NewMultiTransmitter(lay)
+	src, err := station.NewMultiTransmitterFEC(lay, fcfg)
 	return src, nil, err
 }

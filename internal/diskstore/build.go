@@ -78,13 +78,9 @@ type BuildOptions struct {
 	// Budget is the maximum number of object records held in heap by
 	// the sort (16 bytes each); 0 selects DefaultBudget.
 	Budget int
-	// TmpDir hosts the sort spill runs and the object/frame sidecar
-	// files; empty uses the image's directory.
+	// TmpDir hosts the sort spill runs and the temporary sorted
+	// object/frame files; empty uses the image's directory.
 	TmpDir string
-	// KeepSidecars leaves the sorted object file and the frame minHC
-	// file beside the image as <image>.objects / <image>.frames
-	// instead of deleting them — inputs for disk-backed index builds.
-	KeepSidecars bool
 }
 
 // BuildStats reports what a streaming image build produced.
@@ -92,8 +88,6 @@ type BuildStats struct {
 	Geo         dsi.Geometry
 	Checksum    uint64
 	SpilledRuns int
-	ObjectsPath string // set when KeepSidecars
-	FramesPath  string // set when KeepSidecars
 }
 
 // BuildImage builds the wire-cycle image of the single-channel DSI
@@ -101,9 +95,9 @@ type BuildStats struct {
 // in heap: points stream through the external sorter into a sorted
 // object file and a per-frame minHC file, which are then mmap'd and
 // replayed as the exact transmitter byte stream. The result is
-// byte-identical to WriteImage over station.NewTransmitter(dsi.Build(
-// dataset, cfg)) — regression-enforced — without ever materializing
-// the dataset, the index, or the cycle.
+// byte-identical to WriteImage over station.NewMultiTransmitter(
+// dsi.Build(dataset, cfg).SingleLayout()) — regression-enforced —
+// without ever materializing the dataset, the index, or the cycle.
 //
 // Multi-channel and erasure-coded broadcasts are imaged from their
 // in-memory transmitters via WriteImage; the streaming path covers the
@@ -148,14 +142,10 @@ func BuildImage(imgPath string, ps PointStream, cfg dsi.Config, opt BuildOptions
 	}
 	stats.SpilledRuns = sorter.Spilled()
 
-	objPath := imgPath + ".objects"
-	framesPath := imgPath + ".frames"
-	if !opt.KeepSidecars {
-		objPath = filepath.Join(tmp, filepath.Base(imgPath)+".objects.tmp")
-		framesPath = filepath.Join(tmp, filepath.Base(imgPath)+".frames.tmp")
-		defer os.Remove(objPath)
-		defer os.Remove(framesPath)
-	}
+	objPath := filepath.Join(tmp, filepath.Base(imgPath)+".objects.tmp")
+	framesPath := filepath.Join(tmp, filepath.Base(imgPath)+".frames.tmp")
+	defer os.Remove(objPath)
+	defer os.Remove(framesPath)
 	sum, err := spillSorted(st, geo, ps.Order, objPath, framesPath)
 	if err != nil {
 		return stats, err
@@ -179,13 +169,7 @@ func BuildImage(imgPath string, ps PointStream, cfg dsi.Config, opt BuildOptions
 		Channels: 1, Scheduler: "single",
 	}
 	info := ImageInfo{Capacity: cfg.Capacity, ChanSlots: []int{geo.CycleSlots()}, Meta: meta}
-	if err := WriteImageFile(imgPath, src, info); err != nil {
-		return stats, err
-	}
-	if opt.KeepSidecars {
-		stats.ObjectsPath, stats.FramesPath = objPath, framesPath
-	}
-	return stats, nil
+	return stats, WriteImageFile(imgPath, src, info)
 }
 
 func newBufWriter(f *os.File) *bufio.Writer { return bufio.NewWriterSize(f, runReadBuf) }
@@ -257,10 +241,13 @@ func spillSorted(st *Stream[objRec], geo dsi.Geometry, order uint, objPath, fram
 
 // StreamSource replays the single-channel broadcast of a disk-resident
 // sorted dataset as a station.PacketSource: packet for packet what
-// station.Transmitter emits over the in-memory build, but backed by
-// the mmap'd object and frame files. It is the byte producer behind
-// BuildImage; serving should use the image (ImageSource), whose
-// packets need no per-call encoding.
+// station.MultiTransmitter emits over the in-memory build's
+// SingleLayout (regression-pinned), but backed by the mmap'd object and
+// frame files. It knows only a dsi.Geometry — no index, no layout — so
+// it keeps its own slot arithmetic and encodes the classic table format
+// a single channel airs directly. It is the byte producer behind
+// BuildImage; serving should use the image (ImageSource), whose packets
+// need no per-call encoding.
 type StreamSource struct {
 	geo dsi.Geometry
 	cfg dsi.Config
@@ -274,8 +261,9 @@ type StreamSource struct {
 	objBytes []byte
 }
 
-// OpenStreamSource maps the sidecar files of a streaming build. geo
-// and cfg must be the PlanGeometry results the files were built under.
+// OpenStreamSource maps the sorted object and frame files of a
+// streaming build. geo and cfg must be the PlanGeometry results the
+// files were built under.
 func OpenStreamSource(objPath, framesPath string, geo dsi.Geometry, cfg dsi.Config) (*StreamSource, error) {
 	obj, err := openMapping(objPath)
 	if err != nil {
@@ -299,7 +287,7 @@ func OpenStreamSource(objPath, framesPath string, geo dsi.Geometry, cfg dsi.Conf
 	return &StreamSource{geo: geo, cfg: cfg, obj: obj, min: min, tabPos: -1, objIdx: -1}, nil
 }
 
-// Close unmaps the sidecar files.
+// Close unmaps the object and frame files.
 func (s *StreamSource) Close() error {
 	err := s.obj.close()
 	if e := s.min.close(); err == nil {
@@ -320,7 +308,8 @@ func (s *StreamSource) object(i int) objRec {
 func (s *StreamSource) CycleSlots() int { return s.geo.CycleSlots() }
 
 // PacketAt implements station.PacketSource; the slot arithmetic and
-// payload bytes mirror station.Transmitter exactly.
+// payload bytes mirror station.MultiTransmitter over a single-channel
+// layout exactly.
 func (s *StreamSource) PacketAt(ch int, abs int64) (station.Packet, uint32) {
 	if ch != 0 {
 		panic(fmt.Sprintf("diskstore: packet request for channel %d of a single-channel stream source", ch))

@@ -10,12 +10,11 @@
 //     streams the globally sorted record sequence back. It is generic
 //     over fixed-width records, the only record shape the broadcast
 //     pipeline needs (objects, keys, STR items).
-//   - Disk-backed index builds: BuildImage streams a generated dataset
+//   - The disk-backed build: BuildImage streams a generated dataset
 //     through the sorter into a sorted object file (the HC broadcast
-//     order), from which BuildBPTreeFile and BuildRTreeFile bulk-load
-//     the paper's index baselines without materializing the object
-//     set.
-//   - The wire-cycle image (WriteImage / WriteImageStream / OpenImage):
+//     order) and replays it as the single-channel byte stream without
+//     materializing the object set or the index.
+//   - The wire-cycle image (WriteImage / OpenImage):
 //     the exact transmitter byte stream of a broadcast, one
 //     fixed-stride record per slot, with a slot-offset footer. A
 //     station mmaps the image and serves PacketAt(ch, abs) as a pure
@@ -26,7 +25,6 @@
 //
 // Every disk-built artifact is regression-enforced bit-identical to
 // its in-memory counterpart: the image matches the transmitter's
-// packets on all layouts (FEC included), the sorted object file
-// matches dataset.Uniform/Clustered, and the tree builds match
-// bptree.Build/rtree.Build.
+// packets on all layouts (FEC included), and the sorted object file
+// matches dataset.Uniform/Clustered.
 package diskstore

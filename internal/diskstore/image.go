@@ -76,29 +76,23 @@ type ImageInfo struct {
 	Meta      wire.StationMeta // catalog document (static fields)
 }
 
-// InfoFor derives ImageInfo for the known static transmitter types.
-// The second result is false for sources whose cycle geometry the
-// image layer cannot determine (e.g. a live Rebroadcaster, whose
-// stream is not a fixed cycle). A coded source (non-nil FEC
-// descriptor) widens the slot records for its parity packets.
+// InfoFor derives ImageInfo for the static transmitter. The second
+// result is false for sources whose cycle geometry the image layer
+// cannot determine (e.g. a live Rebroadcaster, whose stream is not a
+// fixed cycle). A coded transmitter (non-nil FEC descriptor) widens the
+// slot records for its parity packets.
 func InfoFor(src station.PacketSource, meta wire.StationMeta) (ImageInfo, bool) {
-	var info ImageInfo
-	switch t := src.(type) {
-	case *station.MultiTransmitter:
-		slots := make([]int, t.Lay.Channels())
-		for ch := range slots {
-			slots[ch] = t.ChanSlots(ch)
-		}
-		info = ImageInfo{Capacity: t.Lay.X.Cfg.Capacity, ChanSlots: slots, Meta: meta}
-	case *station.Transmitter:
-		info = ImageInfo{Capacity: t.Capacity(), ChanSlots: []int{t.CycleSlots()}, Meta: meta}
-	default:
+	t, ok := src.(*station.MultiTransmitter)
+	if !ok {
 		return ImageInfo{}, false
 	}
-	if fs, ok := src.(station.FECSource); ok {
-		if desc, _ := fs.FECDescAt(0); desc != nil {
-			info.SlotBytes = info.Capacity + wire.ParityHeaderSize
-		}
+	slots := make([]int, t.Lay.Channels())
+	for ch := range slots {
+		slots[ch] = t.ChanSlots(ch)
+	}
+	info := ImageInfo{Capacity: t.Lay.X.Cfg.Capacity, ChanSlots: slots, Meta: meta}
+	if desc, _ := t.FECDescAt(0); desc != nil {
+		info.SlotBytes = info.Capacity + wire.ParityHeaderSize
 	}
 	return info, true
 }

@@ -43,9 +43,10 @@ func comparePackets(t *testing.T, want, got station.PacketSource, chanSlots []in
 }
 
 // TestStreamImageIdentity is the tentpole regression: the image built
-// out-of-core (external sort, sidecar files, streaming source) must be
-// byte-identical to the image of the in-memory transmitter over the
-// same dataset — and its packets identical to the transmitter's.
+// out-of-core (external sort, sorted object file, geometry-only
+// streaming source) must be byte-identical to the image of the one
+// static transmitter over the in-memory build's SingleLayout — and its
+// packets identical to the transmitter's.
 func TestStreamImageIdentity(t *testing.T) {
 	cases := []struct {
 		n        int
@@ -67,7 +68,7 @@ func TestStreamImageIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := station.NewTransmitter(x)
+		tr, err := station.NewMultiTransmitter(x.SingleLayout())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func TestStreamImageIdentity(t *testing.T) {
 		memPath := filepath.Join(dir, "mem.img")
 		info, ok := InfoFor(tr, meta)
 		if !ok {
-			t.Fatal("InfoFor failed for a Transmitter")
+			t.Fatal("InfoFor failed for the single-layout transmitter")
 		}
 		if err := WriteImageFile(memPath, tr, info); err != nil {
 			t.Fatal(err)
@@ -117,7 +118,7 @@ func TestStreamImageIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comparePackets(t, tr, src, []int{tr.CycleSlots()})
+		comparePackets(t, tr, src, info.ChanSlots)
 		if got := src.Meta(); got.Dataset.Sum != ds.Checksum() {
 			t.Fatalf("image meta checksum %#x != %#x", got.Dataset.Sum, ds.Checksum())
 		}
@@ -234,7 +235,7 @@ func TestImageRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := station.NewTransmitter(x)
+	tr, err := station.NewMultiTransmitter(x.SingleLayout())
 	if err != nil {
 		t.Fatal(err)
 	}

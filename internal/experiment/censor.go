@@ -29,7 +29,6 @@ import (
 
 	"dsi/internal/broadcast"
 	"dsi/internal/dsi"
-	"dsi/internal/station"
 )
 
 // censorHorizonCycles bounds the censored replay: every query is
@@ -98,16 +97,12 @@ func (r *censorReceiver) Poll() (*dsi.Layout, bool) {
 // (an aborted query leaves them unusable) and skip instrumentation
 // (partial costs from abandoned queries would pollute the registry's
 // replay counters).
-func (s *fecSystem) mintCensored(horizon int64) *sessionAdapter {
-	frx, err := station.NewFECReceiver(s.lay, 1, s.src, s.cfg, 0, nil)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: FEC receiver: %v", err))
+func (s *fecArm) mintCensored(horizon int64) *sessionAdapter {
+	frx := s.receiver()
+	return &sessionAdapter{
+		s:      openOver(s.lay.X, &censorReceiver{Receiver: frx, limit: horizon}),
+		forget: frx.Forget,
 	}
-	sess, err := dsi.Open(s.x, dsi.WithReceiver(&censorReceiver{Receiver: frx, limit: horizon}))
-	if err != nil {
-		panic(fmt.Sprintf("experiment: opening censored session: %v", err))
-	}
-	return &sessionAdapter{s: sess}
 }
 
 // censorObs is one query's contribution to the censored fit: its
@@ -135,7 +130,7 @@ type CensoredDist struct {
 // workload verifies; censored queries cannot (they have no result).
 // Tuning time is reported as the completed-query observed mean, not
 // extrapolated — the paper-size figures only plot latency.
-func (wl *Workload) RunWindowCensored(sys *fecSystem, ratio float64, horizonCycles int) CensoredDist {
+func (wl *Workload) RunWindowCensored(sys *fecArm, ratio float64, horizonCycles int) CensoredDist {
 	qs := wl.genWindows(ratio)
 	cycle := int64(sys.CycleLen())
 	horizon := cycle * int64(horizonCycles)
@@ -179,7 +174,7 @@ func (wl *Workload) RunWindowCensored(sys *fecSystem, ratio float64, horizonCycl
 			<-toks
 		}
 	})
-	return fitCensoredGeometric(obs, cycle, int64(sys.x.Cfg.Capacity))
+	return fitCensoredGeometric(obs, cycle, int64(sys.lay.X.Cfg.Capacity))
 }
 
 // fitCensoredGeometric fits the geometric completion law to the

@@ -458,7 +458,7 @@ func AblationIndexBase(p Params) Result {
 		if err != nil {
 			panic(err)
 		}
-		sys := &DSISystem{Label: fmt.Sprintf("r=%d", r), Index: x, Strategy: dsi.Conservative}
+		sys := newSimSystem(fmt.Sprintf("r=%d", r), x.SingleLayout(), dsi.Conservative)
 		w := wl.RunWindow(sys, DefaultWinSideRatio)
 		k := wl.RunKNN(sys, 10)
 		return []string{

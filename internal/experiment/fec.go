@@ -23,10 +23,8 @@ import (
 	"fmt"
 	"math"
 
-	"dsi/internal/broadcast"
 	"dsi/internal/dsi"
 	"dsi/internal/obs"
-	"dsi/internal/spatial"
 	"dsi/internal/station"
 	"dsi/internal/wire"
 )
@@ -74,95 +72,70 @@ func fecHeavyCode(x *dsi.Index, theta float64) wire.FECConfig {
 	return wire.FECConfig{Table: size(x.TablePackets), Object: size(x.ObjPackets)}
 }
 
-// fecSystem runs queries through station.FECReceiver over a coded
-// single-channel transmitter, one receiver+session pinned per worker.
-// The zero code is exactly the retry baseline: a plain transmitter
-// decoded by the plain byte-level receiver.
-type fecSystem struct {
-	label string
-	x     *dsi.Index
-	lay   *dsi.Layout
-	src   station.PacketSource
-	cfg   wire.FECConfig
-	cycle int // physical slots per cycle — what probe positions scale to
-	reg   *obs.Registry
-
-	sessions sessionArena
+// fecArm is one arm of the fec experiment: the session-backed system
+// running station.FECReceiver sessions, plus the coded air it runs over
+// (what the rate table and the censored replay need). The zero code is
+// exactly the retry baseline: a plain transmitter decoded by the plain
+// byte-level receiver.
+type fecArm struct {
+	*DSISystem
+	lay *dsi.Layout
+	src station.PacketSource
+	cfg wire.FECConfig
 }
 
-// newFECSystem builds the coded transmitter and its system wrapper.
-func newFECSystem(label string, x *dsi.Index, cfg wire.FECConfig, reg *obs.Registry) *fecSystem {
-	tx, err := station.NewTransmitterFEC(x, cfg)
+// receiver mints a coded receiver over the arm's air.
+func (s *fecArm) receiver() *station.FECReceiver {
+	rx, err := station.NewFECReceiver(s.lay, 1, s.src, s.cfg, 0, nil)
+	if err != nil {
+		panic(fmt.Sprintf("experiment: FEC receiver: %v", err))
+	}
+	return rx
+}
+
+// newFECSystem builds the coded single-channel transmitter and the
+// system over it. Probe positions scale to the physical (parity-
+// bearing) cycle.
+func newFECSystem(label string, x *dsi.Index, cfg wire.FECConfig, reg *obs.Registry) *fecArm {
+	lay := x.SingleLayout()
+	tx, err := station.NewMultiTransmitterFEC(lay, cfg)
 	if err != nil {
 		panic(fmt.Sprintf("experiment: coded transmitter: %v", err))
 	}
 	if reg != nil {
 		tx.SetObs(obs.NewStationMetrics(reg, 1))
 	}
-	s := &fecSystem{label: label, x: x, lay: x.SingleLayout(), src: tx, cfg: cfg, reg: reg}
-	rx, err := station.NewFECReceiver(s.lay, 1, s.src, s.cfg, 0, nil)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: FEC receiver: %v", err))
-	}
-	s.cycle = rx.CycleSlots()
+	s := &fecArm{lay: lay, src: tx, cfg: cfg}
+	s.DSISystem = &DSISystem{Label: label, cycle: s.receiver().CycleSlots(),
+		mint: func() *sessionAdapter {
+			frx := s.receiver()
+			var rx dsi.Receiver = frx
+			if reg != nil {
+				frx.SetObs(obs.NewFECMetrics(reg))
+				rx = obs.InstrumentReceiver(rx, obs.NewReceiverMetrics(reg, 1))
+			}
+			// The recovered-unit cache survives a re-tune by design; a
+			// harness query must not depend on the worker's earlier ones.
+			return &sessionAdapter{s: openOver(x, rx), forget: frx.Forget}
+		}}
 	return s
 }
 
-func (s *fecSystem) Name() string { return s.label }
-
-func (s *fecSystem) CycleLen() int { return s.cycle }
-
 // Rate returns the code rate: the fraction of the physical cycle
 // carrying content.
-func (s *fecSystem) Rate() float64 { return float64(s.lay.ProbeCycle()) / float64(s.cycle) }
-
-func (s *fecSystem) mint() *sessionAdapter {
-	frx, err := station.NewFECReceiver(s.lay, 1, s.src, s.cfg, 0, nil)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: FEC receiver: %v", err))
-	}
-	var rx dsi.Receiver = frx
-	if s.reg != nil {
-		frx.SetObs(obs.NewFECMetrics(s.reg))
-		rx = obs.InstrumentReceiver(rx, obs.NewReceiverMetrics(s.reg, 1))
-	}
-	sess, err := dsi.Open(s.x, dsi.WithReceiver(rx))
-	if err != nil {
-		panic(fmt.Sprintf("experiment: opening FEC session: %v", err))
-	}
-	return &sessionAdapter{s: sess}
-}
-
-func (s *fecSystem) Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.mint().Window(w, probe, loss)
-}
-
-func (s *fecSystem) KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.mint().KNN(q, k, probe, loss)
-}
-
-// AcquireSession returns worker's pinned coded session.
-func (s *fecSystem) AcquireSession(worker int) QuerySession {
-	return s.sessions.acquire(worker, func() QuerySession {
-		dsiSessionsMinted.Add(1)
-		return s.mint()
-	})
-}
-
-// ReleaseSession checks the session back into its worker slot.
-func (s *fecSystem) ReleaseSession(worker int, q QuerySession) { s.sessions.release(worker, q) }
+func (s *fecArm) Rate() float64 { return float64(s.lay.ProbeCycle()) / float64(s.cycle) }
 
 // fecBed assembles the experiment's arms over one index: the retry
 // baseline (rate 1), the light XOR code, and the heavy Reed-Solomon
 // code sized for the sweep's worst theta.
-func fecBed(p Params) (x *dsi.Index, arms []*fecSystem) {
+func fecBed(p Params) (x *dsi.Index, arms []*fecArm) {
 	ds := p.Dataset()
 	x, err := dsi.Build(ds, dsi.Config{Capacity: 64, ObjectBytes: fecObjectBytes})
 	if err != nil {
 		panic(err)
 	}
 	worst := FECThetas[len(FECThetas)-1]
-	arms = []*fecSystem{
+	arms = []*fecArm{
 		newFECSystem("Retry", x, wire.FECConfig{}, p.Obs),
 		newFECSystem("FEC light", x, fecLightCode(x), p.Obs),
 		newFECSystem("FEC heavy", x, fecHeavyCode(x, worst), p.Obs),
@@ -180,14 +153,14 @@ func fecBed(p Params) (x *dsi.Index, arms []*fecSystem) {
 // full sweep at paper-size objects. FEC puts the retry baseline back
 // onto the 1KB figures anyway — as a horizon-bounded censored
 // estimate (censor.go), not a replay arm.
-func fecBed1024(p Params) (x *dsi.Index, arms []*fecSystem) {
+func fecBed1024(p Params) (x *dsi.Index, arms []*fecArm) {
 	ds := p.Dataset()
 	x, err := dsi.Build(ds, dsi.Config{Capacity: 64, ObjectBytes: p.ObjectBytes})
 	if err != nil {
 		panic(err)
 	}
 	worst := FECThetas[len(FECThetas)-1]
-	arms = []*fecSystem{
+	arms = []*fecArm{
 		newFECSystem("FEC heavy 1KB", x, fecHeavyCode(x, worst), p.Obs),
 	}
 	return x, arms
@@ -230,7 +203,7 @@ func FEC(p Params) Result {
 		wl.LossData = true
 		return wl
 	}
-	run := func(sys *fecSystem, theta float64) DistMetrics {
+	run := func(sys *fecArm, theta float64) DistMetrics {
 		return lossy(theta).RunWindowDist(sys, DefaultWinSideRatio)
 	}
 	pts := sweep(len(FECThetas), func(i int) thetaPoint {
@@ -275,7 +248,7 @@ func FEC(p Params) Result {
 		}
 		return fmt.Sprintf("G=%d R=%d (K=%d)", c.Groups, c.Parity, k)
 	}
-	addRows := func(xr *dsi.Index, systems []*fecSystem) {
+	addRows := func(xr *dsi.Index, systems []*fecArm) {
 		for _, sys := range systems {
 			t.Rows = append(t.Rows, []string{
 				sys.Name(),
@@ -288,6 +261,6 @@ func FEC(p Params) Result {
 	}
 	addRows(x, arms)
 	addRows(x1k, arms1k)
-	addRows(x1k, []*fecSystem{retry1k})
+	addRows(x1k, []*fecArm{retry1k})
 	return Result{Figures: figs, Tables: []Table{t}}
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"dsi/internal/dsi"
 	"dsi/internal/obs"
 	"dsi/internal/wire"
 )
@@ -44,7 +45,7 @@ func TestFECRate1MatchesWireReceiver(t *testing.T) {
 	x, arms := fecBed(p)
 	ds := x.DS
 	base := arms[0]
-	plain := &wireSystem{label: "Wire", x: x, lay: x.SingleLayout(), src: base.src}
+	plain := newWireSystem("Wire", x.SingleLayout(), base.src, dsi.Conservative)
 
 	for _, theta := range []float64{0, 0.3} {
 		wl := p.workload(ds)

@@ -1,72 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-
-	"dsi/internal/broadcast"
-	"dsi/internal/dataset"
-	"dsi/internal/dsi"
-	"dsi/internal/spatial"
-)
-
-// MultiDSISystem runs queries over a multi-channel DSI layout. Like
-// DSISystem it pins reusable sessions per worker; use it by pointer.
-type MultiDSISystem struct {
-	Label    string
-	Lay      *dsi.Layout
-	Strategy dsi.Strategy
-
-	sessions sessionArena // of *multiSession, pinned per worker
-}
-
-// NewMultiDSI builds a DSI broadcast and places it on mc.Channels
-// parallel channels with the configured scheduler.
-func NewMultiDSI(ds *dataset.Dataset, cfg dsi.Config, mc dsi.MultiConfig, strat dsi.Strategy, label string) (*MultiDSISystem, error) {
-	x, err := dsi.Build(ds, cfg)
-	if err != nil {
-		return nil, err
-	}
-	lay, err := dsi.NewLayout(x, mc)
-	if err != nil {
-		return nil, err
-	}
-	if label == "" {
-		label = fmt.Sprintf("DSI/%vx%d", mc.Scheduler, mc.Channels)
-	}
-	return &MultiDSISystem{Label: label, Lay: lay, Strategy: strat}, nil
-}
-
-func (s *MultiDSISystem) Name() string { return s.Label }
-
-func (s *MultiDSISystem) Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return dsi.NewMultiClient(s.Lay, probe, loss).Window(w)
-}
-
-func (s *MultiDSISystem) KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return dsi.NewMultiClient(s.Lay, probe, loss).KNN(q, k, s.Strategy)
-}
-
-// CycleLen returns the range workload probe slots are drawn from: the
-// layout's total slot count across channels (see Layout.ProbeCycle —
-// drawing over just the start channel's short cycle would pin the long
-// data channels near phase zero and bias every measured wait).
-func (s *MultiDSISystem) CycleLen() int { return s.Lay.ProbeCycle() }
-
-// AcquireSession returns worker's pinned session around one long-lived
-// multi-channel dsi.Session built through the Open facade.
-func (s *MultiDSISystem) AcquireSession(worker int) QuerySession {
-	return s.sessions.acquire(worker, func() QuerySession {
-		dsiSessionsMinted.Add(1)
-		sess, err := dsi.Open(s.Lay.X, dsi.WithLayout(s.Lay))
-		if err != nil {
-			panic(fmt.Sprintf("experiment: opening multi-channel session: %v", err))
-		}
-		return &sessionAdapter{s: sess, strat: s.Strategy}
-	})
-}
-
-// ReleaseSession checks the session back into its worker slot.
-func (s *MultiDSISystem) ReleaseSession(worker int, q QuerySession) { s.sessions.release(worker, q) }
+import "dsi/internal/dsi"
 
 // ChannelCounts is the channel sweep of the multi-channel experiment.
 var ChannelCounts = []int{1, 2, 4, 8}

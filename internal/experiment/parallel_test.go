@@ -8,29 +8,26 @@ import (
 )
 
 // TestParallelBitIdentical is the parallel harness's core guarantee:
-// for a fixed seed, the figure series produced on many workers are
-// bit-identical to the fully sequential run.
+// for a fixed seed, every registered experiment produces bit-identical
+// figures and tables on many workers and fully sequentially — each work
+// item is independent of which worker ran which earlier one. massive is
+// the one exclusion: its table carries a wall-clock clients/s column.
 func TestParallelBitIdentical(t *testing.T) {
 	p := Params{N: 300, Order: 6, Seed: 11, Queries: 6, Verify: true}
 	defer SetParallelism(Parallelism())
 
-	cases := []struct {
-		name string
-		fn   func(Params) Result
-	}{
-		{"fig8", Fig8},
-		{"fig10", Fig10},
-		{"table1", Table1},
-		{"costmodel", CostModel},
-	}
-	for _, tc := range cases {
+	for _, name := range Names() {
+		if name == "massive" {
+			continue
+		}
+		fn := Registry[name]
 		SetParallelism(1)
-		seq := tc.fn(p)
+		seq := fn(p)
 		SetParallelism(8)
-		par := tc.fn(p)
+		par := fn(p)
 		if !reflect.DeepEqual(seq, par) {
 			t.Errorf("%s: parallel result differs from sequential:\nseq:\n%s\npar:\n%s",
-				tc.name, seq.Format(), par.Format())
+				name, seq.Format(), par.Format())
 		}
 	}
 }

@@ -162,7 +162,7 @@ func shardedPointAt(x *dsi.Index, wl *Workload, prof *sched.Profile, theta float
 	}
 	uniform.Load = uniformLoads
 
-	shardSys := &MultiDSISystem{Label: "Shard", Lay: lay, Strategy: dsi.Conservative}
+	shardSys := newSimSystem("Shard", lay, dsi.Conservative)
 	// The uniform baseline shares the built index: only the placement
 	// differs (balanced blocks instead of the plan's cuts).
 	splitLay, err := dsi.NewLayout(x, dsi.MultiConfig{
@@ -170,7 +170,7 @@ func shardedPointAt(x *dsi.Index, wl *Workload, prof *sched.Profile, theta float
 	if err != nil {
 		panic(err)
 	}
-	splitSys := &MultiDSISystem{Label: "Split", Lay: splitLay, Strategy: dsi.Conservative}
+	splitSys := newSimSystem("Split", splitLay, dsi.Conservative)
 
 	eval := wl.zipfWindows(theta, DefaultWinSideRatio, 0, wl.Queries)
 	return shardedPoint{

@@ -18,6 +18,7 @@ import (
 	"dsi/internal/dataset"
 	"dsi/internal/dsi"
 	"dsi/internal/spatial"
+	"dsi/internal/station"
 )
 
 // System is an air index under evaluation.
@@ -65,56 +66,120 @@ func (s statelessSession) KNN(q spatial.Point, k int, probe int64, loss *broadca
 	return s.sys.KNN(q, k, probe, loss)
 }
 
-// DSISystem runs queries over a DSI broadcast with a fixed kNN strategy.
-// Use it by pointer: it carries a session arena.
+// DSISystem is the one session-backed DSI system: every way the
+// harness queries a DSI broadcast — the simulator over any layout, the
+// byte-level receivers over a packet source, the coded receiver — is
+// this type with a different mint. It pins one reusable session per
+// worker; use it by pointer.
 type DSISystem struct {
 	Label    string
-	Index    *dsi.Index
 	Strategy dsi.Strategy
 
-	sessions sessionArena // of *dsiSession, pinned per worker
+	cycle int // slots probe positions are drawn from
+	// mint assembles a fresh session over the system's receiver kind.
+	// Arena mints count into dsiSessionsMinted at the acquire site;
+	// stateless throwaway sessions stay uncounted so the reuse tests'
+	// exact bounds hold.
+	mint     func() *sessionAdapter
+	sessions sessionArena // pinned per worker
 }
 
-// NewDSI builds a DSI system. The label defaults to "DSI".
+// newSimSystem runs queries through the simulator (dsi.SimReceiver)
+// over a layout. Probe slots are drawn over the layout's total slot
+// count across channels (see Layout.ProbeCycle — drawing over just the
+// start channel's short cycle would pin the long data channels near
+// phase zero and bias every measured wait).
+func newSimSystem(label string, lay *dsi.Layout, strat dsi.Strategy) *DSISystem {
+	return &DSISystem{Label: label, Strategy: strat, cycle: lay.ProbeCycle(),
+		mint: func() *sessionAdapter {
+			sess, err := dsi.Open(lay.X, dsi.WithLayout(lay))
+			if err != nil {
+				panic(fmt.Sprintf("experiment: opening DSI session: %v", err))
+			}
+			return &sessionAdapter{s: sess}
+		}}
+}
+
+// newWireSystem runs queries through byte-level receivers
+// (station.WireReceiver) over a static packet source: the session
+// facade's WithReceiver path under the standard harness.
+func newWireSystem(label string, lay *dsi.Layout, src station.PacketSource, strat dsi.Strategy) *DSISystem {
+	return &DSISystem{Label: label, Strategy: strat, cycle: lay.ProbeCycle(),
+		mint: func() *sessionAdapter {
+			rx, err := station.NewWireReceiver(lay, 1, src, 0, nil)
+			if err != nil {
+				panic(fmt.Sprintf("experiment: wire receiver: %v", err))
+			}
+			return &sessionAdapter{s: openOver(lay.X, rx)}
+		}}
+}
+
+// openOver opens a session over a prebuilt receiver.
+func openOver(x *dsi.Index, rx dsi.Receiver) *dsi.Session {
+	sess, err := dsi.Open(x, dsi.WithReceiver(rx))
+	if err != nil {
+		panic(fmt.Sprintf("experiment: opening receiver session: %v", err))
+	}
+	return sess
+}
+
+// NewDSI builds a DSI system over the single-channel layout — the N = 1
+// case of NewMultiDSI. The label defaults to "DSI".
 func NewDSI(ds *dataset.Dataset, cfg dsi.Config, strat dsi.Strategy, label string) (*DSISystem, error) {
+	if label == "" {
+		label = "DSI"
+	}
+	return NewMultiDSI(ds, cfg, dsi.MultiConfig{Channels: 1}, strat, label)
+}
+
+// NewMultiDSI builds a DSI broadcast and places it on mc.Channels
+// parallel channels with the configured scheduler.
+func NewMultiDSI(ds *dataset.Dataset, cfg dsi.Config, mc dsi.MultiConfig, strat dsi.Strategy, label string) (*DSISystem, error) {
 	x, err := dsi.Build(ds, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if label == "" {
-		label = "DSI"
+	lay, err := dsi.NewLayout(x, mc)
+	if err != nil {
+		return nil, err
 	}
-	return &DSISystem{Label: label, Index: x, Strategy: strat}, nil
+	if label == "" {
+		label = fmt.Sprintf("DSI/%vx%d", mc.Scheduler, mc.Channels)
+	}
+	return newSimSystem(label, lay, strat), nil
 }
 
 func (s *DSISystem) Name() string { return s.Label }
 
+func (s *DSISystem) CycleLen() int { return s.cycle }
+
+// session mints a fresh session running kNN with the system's strategy.
+func (s *DSISystem) session() *sessionAdapter {
+	a := s.mint()
+	a.strat = s.Strategy
+	return a
+}
+
 func (s *DSISystem) Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return dsi.NewClient(s.Index, probe, loss).Window(w)
+	return s.session().Window(w, probe, loss)
 }
 
 func (s *DSISystem) KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return dsi.NewClient(s.Index, probe, loss).KNN(q, k, s.Strategy)
+	return s.session().KNN(q, k, probe, loss)
 }
-
-func (s *DSISystem) CycleLen() int { return s.Index.Prog.Len() }
 
 // dsiSessionsMinted counts sessions constructed from scratch, so tests
 // can assert that workloads reuse sessions instead of re-minting them.
 var dsiSessionsMinted atomic.Int64
 
 // AcquireSession returns worker's pinned session around one long-lived
-// dsi.Session (built through the Open facade) that is re-tuned between
-// queries: identical results and metrics to fresh clients, without the
-// per-query dataset-sized allocations.
+// dsi.Session that is re-tuned between queries: identical results and
+// metrics to fresh clients, without the per-query dataset-sized
+// allocations.
 func (s *DSISystem) AcquireSession(worker int) QuerySession {
 	return s.sessions.acquire(worker, func() QuerySession {
 		dsiSessionsMinted.Add(1)
-		sess, err := dsi.Open(s.Index)
-		if err != nil {
-			panic(fmt.Sprintf("experiment: opening DSI session: %v", err))
-		}
-		return &sessionAdapter{s: sess, strat: s.Strategy}
+		return s.session()
 	})
 }
 
@@ -123,25 +188,33 @@ func (s *DSISystem) ReleaseSession(worker int, q QuerySession) { s.sessions.rele
 
 // sessionAdapter adapts a dsi.Session to the harness's QuerySession:
 // re-tune per query, recycle the result buffer, run kNN with the
-// system's strategy. All session systems (classic, multi-channel,
-// wire) share it. Arena mints count into dsiSessionsMinted at the
-// mint site; stateless throwaway adapters stay uncounted so the
-// reuse tests' exact bounds hold.
+// system's strategy. forget, when set, drops receiver state that
+// outlives a re-tune (the coded receiver's recovered-unit cache), so
+// every query is independent of which worker ran which earlier one and
+// figures are bit-identical at any parallelism.
 type sessionAdapter struct {
-	s     *dsi.Session
-	strat dsi.Strategy
-	buf   []int
+	s      *dsi.Session
+	strat  dsi.Strategy
+	forget func()
+	buf    []int
+}
+
+func (a *sessionAdapter) tune(probe int64, loss *broadcast.LossModel) {
+	if a.forget != nil {
+		a.forget()
+	}
+	a.s.Tune(probe, loss)
 }
 
 func (a *sessionAdapter) Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	a.s.Tune(probe, loss)
+	a.tune(probe, loss)
 	ids, st := a.s.WindowAppend(a.buf[:0], w)
 	a.buf = ids
 	return ids, st
 }
 
 func (a *sessionAdapter) KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	a.s.Tune(probe, loss)
+	a.tune(probe, loss)
 	ids, st := a.s.KNNAppend(a.buf[:0], q, k, a.strat)
 	a.buf = ids
 	return ids, st

@@ -37,56 +37,6 @@ const WireLossChannels = 4
 // has swapped to.
 const WireLossTheta = 1.2
 
-// wireSystem runs queries through byte-level receivers over a static
-// packet source, with one receiver+session pinned per worker: the
-// session facade's WithReceiver path under the standard harness.
-type wireSystem struct {
-	label string
-	x     *dsi.Index
-	lay   *dsi.Layout
-	src   station.PacketSource
-	strat dsi.Strategy
-
-	sessions sessionArena
-}
-
-func (s *wireSystem) Name() string { return s.label }
-
-func (s *wireSystem) CycleLen() int { return s.lay.ProbeCycle() }
-
-// mint assembles a throwaway byte-level session (uncounted: arena
-// mints count at the acquire site).
-func (s *wireSystem) mint() *sessionAdapter {
-	rx, err := station.NewWireReceiver(s.lay, 1, s.src, 0, nil)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: wire receiver: %v", err))
-	}
-	sess, err := dsi.Open(s.x, dsi.WithReceiver(rx))
-	if err != nil {
-		panic(fmt.Sprintf("experiment: opening wire session: %v", err))
-	}
-	return &sessionAdapter{s: sess, strat: s.strat}
-}
-
-func (s *wireSystem) Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.mint().Window(w, probe, loss)
-}
-
-func (s *wireSystem) KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.mint().KNN(q, k, probe, loss)
-}
-
-// AcquireSession returns worker's pinned byte-level session.
-func (s *wireSystem) AcquireSession(worker int) QuerySession {
-	return s.sessions.acquire(worker, func() QuerySession {
-		dsiSessionsMinted.Add(1)
-		return s.mint()
-	})
-}
-
-// ReleaseSession checks the session back into its worker slot.
-func (s *wireSystem) ReleaseSession(worker int, q QuerySession) { s.sessions.release(worker, q) }
-
 // staleWireSystem tunes every query in with a catalog one directory
 // version behind the source's committed swap: a fresh receiver per
 // query, which must fetch the current directory over the lossy air
@@ -105,28 +55,21 @@ func (s *staleWireSystem) Name() string { return s.label }
 
 func (s *staleWireSystem) CycleLen() int { return s.onAir.ProbeCycle() }
 
-func (s *staleWireSystem) Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
+// open tunes a fresh stale-catalog session in at the probe slot.
+func (s *staleWireSystem) open(probe int64, loss *broadcast.LossModel) *dsi.Session {
 	rx, err := station.NewWireReceiver(s.stale, 1, s.src, probe, loss)
 	if err != nil {
 		panic(fmt.Sprintf("experiment: stale wire receiver: %v", err))
 	}
-	sess, err := dsi.Open(s.x, dsi.WithReceiver(rx))
-	if err != nil {
-		panic(fmt.Sprintf("experiment: opening stale wire session: %v", err))
-	}
-	return sess.Window(w)
+	return openOver(s.x, rx)
+}
+
+func (s *staleWireSystem) Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
+	return s.open(probe, loss).Window(w)
 }
 
 func (s *staleWireSystem) KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	rx, err := station.NewWireReceiver(s.stale, 1, s.src, probe, loss)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: stale wire receiver: %v", err))
-	}
-	sess, err := dsi.Open(s.x, dsi.WithReceiver(rx))
-	if err != nil {
-		panic(fmt.Sprintf("experiment: opening stale wire session: %v", err))
-	}
-	return sess.KNN(q, k, s.strat)
+	return s.open(probe, loss).KNN(q, k, s.strat)
 }
 
 // wireLossBed assembles the experiment's fixed infrastructure: the
@@ -190,8 +133,8 @@ func WireLoss(p Params) Result {
 	ds := p.Dataset()
 	x, lay0, lay1, mt, rb := wireLossBed(p)
 
-	sim := &MultiDSISystem{Label: "Sim", Lay: lay0, Strategy: dsi.Conservative}
-	wire := &wireSystem{label: "Wire", x: x, lay: lay0, src: mt, strat: dsi.Conservative}
+	sim := newSimSystem("Sim", lay0, dsi.Conservative)
+	wire := newWireSystem("Wire", lay0, mt, dsi.Conservative)
 	stale := &staleWireSystem{label: "Wire stale", x: x, stale: lay0, onAir: lay1, src: rb, strat: dsi.Conservative}
 
 	mk := func(id, title, y string) Figure {

@@ -15,8 +15,8 @@ func TestWireLossSimWireBitIdentical(t *testing.T) {
 	x, lay0, _, mt, _ := wireLossBed(p)
 	ds := x.DS
 
-	sim := &MultiDSISystem{Label: "Sim", Lay: lay0, Strategy: dsi.Conservative}
-	wire := &wireSystem{label: "Wire", x: x, lay: lay0, src: mt, strat: dsi.Conservative}
+	sim := newSimSystem("Sim", lay0, dsi.Conservative)
+	wire := newWireSystem("Wire", lay0, mt, dsi.Conservative)
 
 	defer SetParallelism(Parallelism())
 	for _, theta := range []float64{0, 0.25} {

@@ -146,15 +146,15 @@ func NewTestbed(cfg BedConfig) (*Testbed, error) {
 	shard := &Arm{Name: "shard", Lay: shardLay, cycle: shardLay.ProbeCycle()}
 
 	code := lightCode(x)
-	tx, err := station.NewTransmitterFEC(x, code)
+	tx, err := station.NewMultiTransmitterFEC(classic.Lay, code)
 	if err != nil {
 		return nil, fmt.Errorf("massive: coded transmitter: %w", err)
 	}
-	geos, err := station.CodedGeometry(x.SingleLayout(), code)
+	geos, err := station.CodedGeometry(classic.Lay, code)
 	if err != nil {
 		return nil, fmt.Errorf("massive: coded geometry: %w", err)
 	}
-	fec := &Arm{Name: "fec", Lay: x.SingleLayout(), cfg: code, geo: geos[0], src: tx}
+	fec := &Arm{Name: "fec", Lay: classic.Lay, cfg: code, geo: geos[0], src: tx}
 	fec.cycle = geos[0].PhysLen
 
 	return &Testbed{DS: ds, X: x, Arms: []*Arm{classic, split, shard, fec}}, nil

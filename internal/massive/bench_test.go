@@ -4,8 +4,8 @@ import "testing"
 
 // BenchmarkReplay measures the event-driven engine per arm: one
 // iteration replays the whole population, and the custom metrics carry
-// the percentile surface into the bench artifact (clients/op plus
-// pNN-prefixed units cmd/benchjson promotes).
+// the percentile surface into the benchmark output (clients/s plus
+// pNN-prefixed units).
 func BenchmarkReplay(b *testing.B) {
 	bed, err := NewTestbed(BedConfig{N: 2000, Order: 8, Seed: 1})
 	if err != nil {

@@ -68,9 +68,6 @@ type Options struct {
 	// DialTimeout bounds transport dials and the bootstrap fetch
 	// (default 5s).
 	DialTimeout time.Duration
-	// SSE subscribes an HTTP receiver via /v1/sse (base64 events)
-	// instead of the raw /v1/stream bytes.
-	SSE bool
 	// Registry, when set, registers the netrecv_* metric families.
 	Registry *obs.Registry
 }

@@ -1,19 +1,14 @@
-// The HTTP transports: a chunked binary stream of net frames
-// (/v1/stream) or its Server-Sent-Events wrapping (/v1/sse, base64
-// data lines for proxies that mangle binary bodies). TCP makes a live
-// stream lossless; a severed stream is reconnected with exponential
-// backoff, and the slots broadcast during the gap surface as ordinary
-// channel losses — the absolute slot clock is global, so no
-// re-anchoring is needed beyond what a directory swap in the gap
-// already triggers through the in-band control frames.
+// The HTTP transport: a chunked binary stream of net frames
+// (/v1/stream). TCP makes a live stream lossless; a severed stream is
+// reconnected with exponential backoff, and the slots broadcast during
+// the gap surface as ordinary channel losses — the absolute slot clock
+// is global, so no re-anchoring is needed beyond what a directory swap
+// in the gap already triggers through the in-band control frames.
 
 package netrecv
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/base64"
 	"net/http"
 	"time"
 
@@ -27,7 +22,7 @@ type HTTPReceiver struct {
 
 // NewHTTPReceiver bootstraps (or reuses) a catalog and subscribes to
 // the station's chunked frame stream. cat may be nil to bootstrap from
-// baseURL/v1/meta. Set opt.SSE to subscribe via /v1/sse instead.
+// baseURL/v1/meta.
 func NewHTTPReceiver(baseURL string, cat *Catalog, opt Options) (*HTTPReceiver, error) {
 	opt = opt.withDefaults()
 	if cat == nil {
@@ -40,7 +35,7 @@ func NewHTTPReceiver(baseURL string, cat *Catalog, opt Options) (*HTTPReceiver, 
 	feed := NewFeed(cat.Lay.Channels(), opt, met)
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &HTTPReceiver{Receiver: Receiver{feed: feed, met: met, cancel: cancel}}
-	go h.streamLoop(ctx, baseURL, opt)
+	go h.streamLoop(ctx, baseURL)
 	dec, err := newDecoder(cat, feed, opt)
 	if err != nil {
 		h.Close()
@@ -52,11 +47,7 @@ func NewHTTPReceiver(baseURL string, cat *Catalog, opt Options) (*HTTPReceiver, 
 
 // streamLoop keeps one subscription alive for the receiver's lifetime,
 // reconnecting with exponential backoff after any transport failure.
-func (h *HTTPReceiver) streamLoop(ctx context.Context, baseURL string, opt Options) {
-	path := "/v1/stream"
-	if opt.SSE {
-		path = "/v1/sse"
-	}
+func (h *HTTPReceiver) streamLoop(ctx context.Context, baseURL string) {
 	backoff := 50 * time.Millisecond
 	first := true
 	for ctx.Err() == nil {
@@ -75,7 +66,7 @@ func (h *HTTPReceiver) streamLoop(ctx context.Context, baseURL string, opt Optio
 			}
 		}
 		first = false
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+path, nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/stream", nil)
 		if err != nil {
 			return
 		}
@@ -87,11 +78,7 @@ func (h *HTTPReceiver) streamLoop(ctx context.Context, baseURL string, opt Optio
 			resp.Body.Close()
 			continue
 		}
-		if opt.SSE {
-			h.drainSSE(resp)
-		} else {
-			h.drainStream(resp)
-		}
+		h.drainStream(resp)
 		resp.Body.Close()
 		backoff = 50 * time.Millisecond
 	}
@@ -113,29 +100,6 @@ func (h *HTTPReceiver) drainStream(resp *http.Response) {
 			}
 		}
 		if err != nil {
-			return
-		}
-	}
-}
-
-// drainSSE feeds the event stream until it breaks. Only the data lines
-// matter; each carries one whole batch, so no carry is needed.
-func (h *HTTPReceiver) drainSSE(resp *http.Response) {
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if !bytes.HasPrefix(line, []byte("data: ")) {
-			continue
-		}
-		raw, err := base64.StdEncoding.DecodeString(string(line[len("data: "):]))
-		if err != nil {
-			if h.met != nil {
-				h.met.Garbage.Inc()
-			}
-			return
-		}
-		if _, err := h.feed.Consume(raw); err != nil {
 			return
 		}
 	}

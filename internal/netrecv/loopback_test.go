@@ -12,6 +12,7 @@ import (
 	"context"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -148,77 +149,78 @@ func runBitIdentical(t *testing.T, ds *dataset.Dataset, netSess, refSess *dsi.Se
 
 // TestHTTPReceiverBitIdenticalLoopback is the tentpole regression:
 // window and kNN suites through an HTTP network receiver over a
-// loss-free loopback stream are bit-identical to the in-process
-// WireReceiver over the same transmitter.
+// loss-free loopback stream are bit-identical to an in-process
+// reference. The shard row's reference is the WireReceiver over the
+// same transmitter (the transport adds no broadcast-clock cost); the
+// single row's reference is the simulator session itself, so it also
+// pins that the station's single-scheduler stream and the client's
+// single-layout decoder agree on the table format — an undecodable
+// table degrades to a scan and inflates tuning.
 func TestHTTPReceiverBitIdenticalLoopback(t *testing.T) {
 	const n, seed = 240, 1201
-	ds, x, lay := netTestBed(t, n, seed)
-	mt, err := station.NewMultiTransmitter(lay)
-	if err != nil {
-		t.Fatal(err)
+	run := func(t *testing.T, ds *dataset.Dataset, lay *dsi.Layout, meta wire.StationMeta, ref func(*station.MultiTransmitter) *dsi.Session) {
+		mt, err := station.NewMultiTransmitter(lay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		url := startBlockStation(t, mt, lay, meta, nil)
+		cat, err := netrecv.Bootstrap(url, netrecv.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cat.X.NF != lay.X.NF || cat.Lay.Channels() != lay.Channels() ||
+			!reflect.DeepEqual(cat.Lay.ShardBounds(), lay.ShardBounds()) {
+			t.Fatalf("bootstrap rebuilt a different catalog: NF=%d channels=%d bounds=%v",
+				cat.X.NF, cat.Lay.Channels(), cat.Lay.ShardBounds())
+		}
+		rx, err := netrecv.NewHTTPReceiver(url, cat, losslessOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rx.Close()
+		netSess, err := dsi.Open(cat.X, dsi.WithReceiver(rx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runBitIdentical(t, ds, netSess, ref(mt), rx.LiveSlot()+1, lay, 9)
+		if lost := rx.Feed().LostSlots(); lost != 0 {
+			t.Fatalf("lossless loopback stream declared %d lost slots", lost)
+		}
 	}
-	url := startBlockStation(t, mt, lay, metaFor(t, ds, n, seed, lay, wire.FECConfig{}), nil)
 
-	cat, err := netrecv.Bootstrap(url, netrecv.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cat.X.NF != x.NF || cat.Lay.ShardBounds()[1] != lay.ShardBounds()[1] {
-		t.Fatalf("bootstrap rebuilt a different catalog: NF=%d bounds=%v", cat.X.NF, cat.Lay.ShardBounds())
-	}
-	rx, err := netrecv.NewHTTPReceiver(url, cat, losslessOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rx.Close()
-	netSess, err := dsi.Open(cat.X, dsi.WithReceiver(rx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := station.NewWireReceiver(lay, 1, mt, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSess, err := dsi.Open(x, dsi.WithReceiver(ref))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runBitIdentical(t, ds, netSess, refSess, rx.LiveSlot()+1, lay, 9)
-	if lost := rx.Feed().LostSlots(); lost != 0 {
-		t.Fatalf("lossless loopback stream declared %d lost slots", lost)
-	}
-}
+	t.Run("shard", func(t *testing.T) {
+		ds, x, lay := netTestBed(t, n, seed)
+		run(t, ds, lay, metaFor(t, ds, n, seed, lay, wire.FECConfig{}), func(mt *station.MultiTransmitter) *dsi.Session {
+			ref, err := station.NewWireReceiver(lay, 1, mt, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refSess, err := dsi.Open(x, dsi.WithReceiver(ref))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return refSess
+		})
+	})
 
-// TestHTTPReceiverSSEBitIdentical runs the same regression over the
-// Server-Sent-Events wrapping of the stream.
-func TestHTTPReceiverSSEBitIdentical(t *testing.T) {
-	const n, seed = 200, 1301
-	ds, x, lay := netTestBed(t, n, seed)
-	mt, err := station.NewMultiTransmitter(lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	url := startBlockStation(t, mt, lay, metaFor(t, ds, n, seed, lay, wire.FECConfig{}), nil)
-	opt := losslessOpts()
-	opt.SSE = true
-	rx, err := netrecv.NewHTTPReceiver(url, nil, opt) // nil catalog: bootstrap inside
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rx.Close()
-	netSess, err := dsi.Open(rx.Layout().X, dsi.WithReceiver(rx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := station.NewWireReceiver(lay, 1, mt, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSess, err := dsi.Open(x, dsi.WithReceiver(ref))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runBitIdentical(t, ds, netSess, refSess, rx.LiveSlot()+1, lay, 6)
+	t.Run("single", func(t *testing.T) {
+		ds := dataset.Uniform(n, 7, seed)
+		x, err := dsi.Build(ds, dsi.Config{Capacity: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := wire.StationMeta{
+			Dataset:  wire.StationDataset{Kind: "uniform", N: n, Order: 7, Seed: seed, Sum: ds.Checksum()},
+			Capacity: 64, Channels: 1, Scheduler: "single", Version: 1,
+		}
+		run(t, ds, x.SingleLayout(), meta, func(*station.MultiTransmitter) *dsi.Session {
+			sim, err := dsi.Open(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sim
+		})
+	})
 }
 
 // TestHTTPReceiverFECBitIdentical streams a coded broadcast: the

@@ -1,14 +1,11 @@
-// The HTTP transports: /v1/meta serves the catalog document, /v1/stream
-// serves the raw net-frame byte stream over chunked transfer encoding,
-// and /v1/sse wraps the same bytes in Server-Sent Events (base64 data
-// lines) for clients behind proxies that mangle binary streams. When a
-// registry is configured the handler also carries /metrics and
-// /debug/pprof.
+// The HTTP transport: /v1/meta serves the catalog document and
+// /v1/stream serves the raw net-frame byte stream over chunked transfer
+// encoding. When a registry is configured the handler also carries
+// /metrics and /debug/pprof.
 
 package netsrv
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -47,7 +44,6 @@ func (s *Server) Handler() http.Handler {
 	}
 	mux.HandleFunc("/v1/meta", s.handleMeta)
 	mux.HandleFunc("/v1/stream", s.handleStream)
-	mux.HandleFunc("/v1/sse", s.handleSSE)
 	return mux
 }
 
@@ -170,45 +166,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				if err := s.emit(w, b); err != nil {
 					return
 				}
-			}
-			fl.Flush()
-		}
-	}
-}
-
-func (s *Server) handleSSE(w http.ResponseWriter, r *http.Request) {
-	ch, err := s.parseCh(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	c, unsub := s.subscribe(ch)
-	defer unsub()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case fs := <-c.q:
-			for _, b := range fs.batches {
-				if !c.wants(b.ch) {
-					continue
-				}
-				if len(b.buf) == 0 {
-					continue
-				}
-				if _, err := fmt.Fprintf(w, "event: frames\ndata: %s\n\n",
-					base64.StdEncoding.EncodeToString(b.buf)); err != nil {
-					return
-				}
-				s.bookEmit(s.httpMet, b)
 			}
 			fl.Flush()
 		}

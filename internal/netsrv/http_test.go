@@ -52,15 +52,13 @@ func TestStreamChValidation(t *testing.T) {
 	for _, q := range []string{
 		"ch=3", "ch=-1", "ch=abc", "ch=1,3", "ch=1,,2", "ch=0&ch=9",
 	} {
-		for _, ep := range []string{"/v1/stream", "/v1/sse"} {
-			resp, err := http.Get(hs.URL + ep + "?" + q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s?%s: status %d, want 400", ep, q, resp.StatusCode)
-			}
+		resp, err := http.Get(hs.URL + "/v1/stream?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/v1/stream?%s: status %d, want 400", q, resp.StatusCode)
 		}
 	}
 }

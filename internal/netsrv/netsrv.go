@@ -1,10 +1,10 @@
 // Package netsrv is the transmit side of the broadcast station as a
 // network service: it walks a station.PacketSource on a paced absolute
 // slot clock and emits every packet as a position-stamped net frame
-// (wire.NetFrame) over real transports — HTTP chunked streams (and an
-// SSE variant) for firewall-friendly reliable delivery, UDP unicast
-// with a datagram subscribe protocol, and UDP multicast groups (one
-// group per broadcast channel) for the true shared-medium metaphor.
+// (wire.NetFrame) over real transports — HTTP chunked streams for
+// firewall-friendly reliable delivery, UDP unicast with a datagram
+// subscribe protocol, and UDP multicast groups (one group per broadcast
+// channel) for the true shared-medium metaphor.
 //
 // Invariants the receiving side (internal/netrecv) relies on:
 //

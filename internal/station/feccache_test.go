@@ -21,7 +21,7 @@ func cacheBed(t testing.TB) (rx *FECReceiver, pos, ts int, want []dsi.TableEntry
 		t.Fatal(err)
 	}
 	cfg := rsCode()
-	tx, err := NewTransmitterFEC(x, cfg)
+	tx, err := NewMultiTransmitterFEC(x.SingleLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

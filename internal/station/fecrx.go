@@ -77,6 +77,13 @@ func (r *FECReceiver) SetObs(m *obs.FECMetrics) { r.met = m }
 // rebroadcast wait.
 func (r *FECReceiver) Recovered() int { return r.recovered }
 
+// Forget empties the recovered-unit cache, as if the client had just
+// powered on. The cache deliberately survives Reset (a real client
+// keeps what it recovered across queries); a harness that needs every
+// query independent of the ones its receiver served before calls this
+// between queries.
+func (r *FECReceiver) Forget() { r.cache.drop() }
+
 // CacheHits returns the number of Table reads served entirely from the
 // recovered-unit cache — re-reads that cost zero air slots.
 func (r *FECReceiver) CacheHits() int { return r.cacheHits }
@@ -252,11 +259,7 @@ func (r *FECReceiver) expLen(u *fecUnit, i int) int {
 	capacity := x.Cfg.Capacity
 	var total int
 	if u.table {
-		if r.w.single {
-			total = x.TableBytes()
-		} else {
-			total = wire.MCTableSize(x.E)
-		}
+		total = wire.LayoutTableSize(r.w.lay)
 	} else {
 		_, num := x.FrameObjects(x.PosToFrame(u.pos))
 		if u.obj < num {
@@ -633,7 +636,7 @@ func (r *FECReceiver) Poll() (*dsi.Layout, bool) {
 	w := r.w
 	now := w.tu.Now()
 	dir, over := w.src.DirectoryAt(now)
-	if dir == nil || over <= w.ver || w.single {
+	if dir == nil || over <= w.ver || w.classic {
 		return nil, false
 	}
 	desc, dver := r.fsrc.FECDescAt(now)

@@ -171,7 +171,7 @@ func TestFECReceiverRate1BitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	singleLay := x.SingleLayout()
-	tx, err := NewTransmitter(x)
+	tx, err := NewMultiTransmitter(singleLay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestFECReceiverRecoversSingleChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []wire.FECConfig{xorCode(), rsCode()} {
-		tx, err := NewTransmitterFEC(x, cfg)
+		tx, err := NewMultiTransmitterFEC(x.SingleLayout(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func TestFECReceiverBurstBeyondDistance(t *testing.T) {
 		Table:  wire.FECCode{Groups: 1, Parity: 1},
 		Object: wire.FECCode{Groups: 4, Parity: 1},
 	}
-	tx, err := NewTransmitterFEC(x, cfg)
+	tx, err := NewMultiTransmitterFEC(x.SingleLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestFECReceiverLostParityPackets(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := rsCode()
-	tx, err := NewTransmitterFEC(x, cfg)
+	tx, err := NewMultiTransmitterFEC(x.SingleLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

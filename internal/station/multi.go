@@ -1,10 +1,9 @@
-// Multi-channel transmission: the station side of the channel
-// abstraction layer. A MultiTransmitter materializes one byte stream
-// per channel of a dsi.Layout — index tables in the multi-channel wire
-// format (whose pointers carry channel ids), object payloads on their
-// data channels — and ScanMulti proves the streams are self-describing
-// by rebuilding the complete broadcast metadata from one cycle of every
-// channel.
+// Static transmission: the station side of the channel abstraction
+// layer. A MultiTransmitter materializes one byte stream per channel of
+// a dsi.Layout — index tables in the wire format the layout calls for
+// (wire.EncodeLayoutTables), object payloads on their data channels —
+// and ScanMulti proves the streams are self-describing by rebuilding
+// the complete broadcast metadata from one cycle of every channel.
 
 package station
 
@@ -17,20 +16,14 @@ import (
 	"dsi/internal/wire"
 )
 
-// slotRef describes what one per-channel slot carries.
-type slotRef struct {
-	pos  int  // cycle position of the owning frame
-	obj  int  // object index within the frame (data slots)
-	part int  // packet index within the table or object
-	data bool // data packet (as opposed to index table packet)
-}
-
-// MultiTransmitter materializes the per-channel byte streams of a
-// multi-channel DSI broadcast.
+// MultiTransmitter materializes the per-channel byte streams of a DSI
+// broadcast under any layout, the single-channel one included. What a
+// slot carries is asked of the layout (SlotTable/SlotData) per packet:
+// the transmitter keeps no per-slot state beyond the encoded tables
+// and, when coded, the parity payloads.
 type MultiTransmitter struct {
 	Lay    *dsi.Layout
-	tables [][]byte    // per cycle position, multi-channel wire format
-	plan   [][]slotRef // per channel, per slot
+	tables [][]byte // per cycle position, in the layout's wire format
 
 	// Cached DirectoryAt encoding (version 1, anchored at slot 0).
 	dirOnce sync.Once
@@ -48,39 +41,13 @@ type MultiTransmitter struct {
 // SetObs installs the station metric bundle (nil counts nothing).
 func (t *MultiTransmitter) SetObs(m *obs.StationMetrics) { t.met = m }
 
-// NewMultiTransmitter prepares the table encodings and the per-channel
-// slot plans for the layout.
+// NewMultiTransmitter prepares the table encodings for the layout.
 func NewMultiTransmitter(lay *dsi.Layout) (*MultiTransmitter, error) {
 	tables, err := wire.EncodeLayoutTables(lay)
 	if err != nil {
 		return nil, err
 	}
-	x := lay.X
-	plan := make([][]slotRef, lay.Channels())
-	for ch := range plan {
-		plan[ch] = make([]slotRef, lay.ChanLen(ch))
-	}
-	for pos := 0; pos < x.NF; pos++ {
-		tc, ts := lay.TablePlace(pos)
-		for p := 0; p < x.TablePackets; p++ {
-			// Phase-staggered stripe channels may wrap a frame across
-			// the cycle seam, so slot indices are reduced modulo the
-			// channel length.
-			plan[tc][(ts+p)%len(plan[tc])] = slotRef{pos: pos, part: p}
-		}
-		dc, dsl := lay.DataPlace(pos)
-		_, num := x.FrameObjects(x.PosToFrame(pos))
-		for o := 0; o < x.NO; o++ {
-			for p := 0; p < x.ObjPackets; p++ {
-				ref := slotRef{pos: pos, obj: o, part: p, data: true}
-				if o >= num {
-					ref.obj = -1 // padding slot of a partial last frame
-				}
-				plan[dc][(dsl+o*x.ObjPackets+p)%len(plan[dc])] = ref
-			}
-		}
-	}
-	return &MultiTransmitter{Lay: lay, tables: tables, plan: plan}, nil
+	return &MultiTransmitter{Lay: lay, tables: tables}, nil
 }
 
 // Directory returns the encoded on-air channel directory of the
@@ -113,35 +80,43 @@ func (t *MultiTransmitter) ChanSlots(ch int) int {
 	if t.fec != nil {
 		return t.fec.chs[ch].physLen
 	}
-	return len(t.plan[ch])
+	return t.Lay.ChanLen(ch)
 }
 
+// logicalPacket returns the content packet at a logical (parity-free)
+// slot of channel ch. Object payloads are the wire header followed by
+// deterministic filler (a real deployment would carry the application
+// payload).
 func (t *MultiTransmitter) logicalPacket(ch, slot int) Packet {
-	x := t.Lay.X
-	slot %= len(t.plan[ch])
-	ref := t.plan[ch][slot]
+	lay := t.Lay
+	x := lay.X
+	if n := lay.ChanLen(ch); slot >= n {
+		slot %= n // PacketAt and the coded path arrive reduced: skip the divide
+	}
 	p := Packet{Ch: uint8(ch), Slot: uint32(slot)}
 
-	if !ref.data {
+	if pos, part, ok := lay.SlotTable(ch, slot); ok {
 		p.Flags = flagIndex
-		tab := t.tables[ref.pos]
-		from := ref.part * x.Cfg.Capacity
+		tab := t.tables[pos]
+		from := part * x.Cfg.Capacity
 		if from < len(tab) {
 			to := min(from+x.Cfg.Capacity, len(tab))
 			p.Payload = tab[from:to]
 		}
 		return p
 	}
-	if ref.obj < 0 {
+	pos, off, _ := lay.SlotData(ch, slot)
+	o, part := off/x.ObjPackets, off%x.ObjPackets
+	first, num := x.FrameObjects(x.PosToFrame(pos))
+	if o >= num {
 		return p // padding slot of a partial last frame
 	}
-	first, _ := x.FrameObjects(x.PosToFrame(ref.pos))
-	obj := x.DS.Objects[first+ref.obj]
-	payload := objectBytes(wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC},
+	obj := x.DS.Objects[first+o]
+	payload := ObjectPayload(wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC},
 		obj.ID, x.Cfg.ObjectBytes)
-	from := ref.part * x.Cfg.Capacity
+	from := part * x.Cfg.Capacity
 	to := min(from+x.Cfg.Capacity, len(payload))
-	if ref.part == 0 {
+	if part == 0 {
 		p.Flags = flagObjectStart
 	}
 	if from < len(payload) {
@@ -168,10 +143,12 @@ type MultiFrameInfo struct {
 
 // ScanMulti consumes one cycle of every channel (streams[ch] carries
 // channel ch, which must match the layout's channel count) and
-// reconstructs the broadcast metadata: every multi-channel index table
-// (validated against the catalog geometry, channel ids included) and
-// every object header. It fails on any inconsistency between the
-// streams and the layout a receiver would know a priori.
+// reconstructs the broadcast metadata: every index table (validated
+// against the catalog geometry, channel ids included; a single-channel
+// layout's classic forward-distance pointers are reported as the
+// (channel 0, frame index) pairs they denote) and every object header.
+// It fails on any inconsistency between the streams and the layout a
+// receiver would know a priori.
 func ScanMulti(lay *dsi.Layout, streams []<-chan Packet) ([]MultiFrameInfo, error) {
 	framesOn := make([]int, lay.Channels())
 	for ch := range framesOn {
@@ -204,6 +181,25 @@ func ScanMultiDir(lay *dsi.Layout, dir []byte, streams []<-chan Packet) ([]Multi
 	return scanMulti(lay, wire.FramesOnDir(entries), streams)
 }
 
+// scanTable decodes the assembled index table of cycle position pos
+// into its pointer view. A classic table's forward distances are
+// reported as the (channel, frame index) pairs they denote.
+func scanTable(lay *dsi.Layout, framesOn []int, buf []byte, pos int) (uint64, []wire.MCEntry, error) {
+	if !wire.ClassicTables(lay) {
+		return wire.DecodeTableMC(buf, framesOn)
+	}
+	tab, err := wire.DecodeTable(buf, pos, lay.X.NF)
+	if err != nil {
+		return 0, nil, err
+	}
+	entries := make([]wire.MCEntry, len(tab.Entries))
+	for i, e := range tab.Entries {
+		ch, idx := lay.DataFrameIndex(e.TargetPos)
+		entries[i] = wire.MCEntry{MinHC: e.MinHC, Ch: uint8(ch), Frame: uint16(idx)}
+	}
+	return tab.OwnHC, entries, nil
+}
+
 func scanMulti(lay *dsi.Layout, framesOn []int, streams []<-chan Packet) ([]MultiFrameInfo, error) {
 	if len(streams) != lay.Channels() {
 		return nil, fmt.Errorf("station: %d streams for %d channels", len(streams), lay.Channels())
@@ -219,7 +215,7 @@ func scanMulti(lay *dsi.Layout, framesOn []int, streams []<-chan Packet) ([]Mult
 	// stripe channels can wrap a frame — table included — across the
 	// cycle seam, and shard channels of unequal cycles interleave
 	// arbitrarily with the index channel.
-	tabSize := wire.MCTableSize(x.E)
+	tabSize := wire.LayoutTableSize(lay)
 	tabBuf := make([]byte, x.NF*tabSize)
 	tabParts := make([]int, x.NF)
 
@@ -238,19 +234,14 @@ func scanMulti(lay *dsi.Layout, framesOn []int, streams []<-chan Packet) ([]Mult
 					ch, p.Slot, len(p.Payload))
 			}
 
+			pos, part, isTable := lay.SlotTable(ch, int(p.Slot))
 			switch {
-			case p.Flags&flagIndex != 0:
-				pos, part, ok := lay.SlotTable(ch, int(p.Slot))
-				if !ok {
-					return nil, fmt.Errorf("station: channel %d slot %d: unexpected table packet", ch, p.Slot)
-				}
-				exp := tabSize - part*x.Cfg.Capacity
-				if exp < 0 {
-					exp = 0
-				}
-				if exp > x.Cfg.Capacity {
-					exp = x.Cfg.Capacity
-				}
+			case isTable && p.Flags&flagIndex == 0:
+				return nil, fmt.Errorf("station: channel %d slot %d: table packet not flagged", ch, p.Slot)
+			case !isTable && p.Flags&flagIndex != 0:
+				return nil, fmt.Errorf("station: channel %d slot %d: unexpected table packet", ch, p.Slot)
+			case isTable:
+				exp := min(max(tabSize-part*x.Cfg.Capacity, 0), x.Cfg.Capacity)
 				if len(p.Payload) != exp {
 					return nil, fmt.Errorf("station: position %d: table part %d truncated to %dB, want %dB",
 						pos, part, len(p.Payload), exp)
@@ -258,7 +249,7 @@ func scanMulti(lay *dsi.Layout, framesOn []int, streams []<-chan Packet) ([]Mult
 				copy(tabBuf[pos*tabSize+part*x.Cfg.Capacity:], p.Payload)
 				tabParts[pos]++
 				if tabParts[pos] == x.TablePackets {
-					own, entries, err := wire.DecodeTableMC(tabBuf[pos*tabSize:(pos+1)*tabSize], framesOn)
+					own, entries, err := scanTable(lay, framesOn, tabBuf[pos*tabSize:(pos+1)*tabSize], pos)
 					if err != nil {
 						return nil, fmt.Errorf("station: position %d: %w", pos, err)
 					}
@@ -266,10 +257,8 @@ func scanMulti(lay *dsi.Layout, framesOn []int, streams []<-chan Packet) ([]Mult
 					frames[pos].Entries = entries
 				}
 			case p.Flags&flagObjectStart != 0:
-				pos, _, ok := lay.SlotData(ch, int(p.Slot))
-				if !ok {
-					return nil, fmt.Errorf("station: channel %d slot %d: object start outside data slots", ch, p.Slot)
-				}
+				// Not a table slot, so a data slot: the two tile every channel.
+				pos, _, _ := lay.SlotData(ch, int(p.Slot))
 				h, err := wire.DecodeHeader(p.Payload)
 				if err != nil {
 					return nil, fmt.Errorf("station: channel %d slot %d: %w", ch, p.Slot, err)

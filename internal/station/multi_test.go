@@ -6,6 +6,7 @@ import (
 
 	"dsi/internal/dataset"
 	"dsi/internal/dsi"
+	"dsi/internal/wire"
 )
 
 func buildLayout(t *testing.T, cfg dsi.Config, mc dsi.MultiConfig) *dsi.Layout {
@@ -55,6 +56,20 @@ func TestMultiStreamIsSelfDescribing(t *testing.T) {
 		frames, err := scanAll(t, tx)
 		if err != nil {
 			t.Fatalf("%v x%d: %v", mc.Scheduler, mc.Channels, err)
+		}
+		// The table format is a function of the layout: one channel
+		// carries the classic 2-byte pointers, more carry channel ids.
+		wantTab := wire.MCTableSize(x.E)
+		if mc.Channels == 1 {
+			wantTab = x.TableBytes()
+		}
+		tc, ts := lay.TablePlace(0)
+		gotTab := 0
+		for p := 0; p < x.TablePackets; p++ {
+			gotTab += len(tx.Packet(tc, ts+p).Payload)
+		}
+		if gotTab != wantTab {
+			t.Fatalf("%v x%d: table on air is %dB, want %dB", mc.Scheduler, mc.Channels, gotTab, wantTab)
 		}
 		total := 0
 		for pos, fi := range frames {
@@ -179,34 +194,31 @@ func TestScanMultiErrorPaths(t *testing.T) {
 	}
 }
 
-// TestScanSingleErrorPaths extends the classic single-channel Scan with
-// the error paths it never had tests for: mid-cycle start, oversized
-// payloads, and nonzero channel ids.
+// TestScanSingleErrorPaths runs the scan's error paths over the
+// single-channel layout: mid-cycle start, oversized payloads, nonzero
+// channel ids, unflagged and truncated table packets.
 func TestScanSingleErrorPaths(t *testing.T) {
 	ds := dataset.Uniform(120, 6, 13)
 	x, err := dsi.Build(ds, dsi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := NewTransmitter(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tx := singleTx(t, x)
 	stream := func(fn func(p Packet) Packet) error {
 		c := make(chan Packet, 64)
 		go func() {
 			for slot := 0; slot < x.Prog.Len(); slot++ {
-				c <- fn(tx.Packet(slot))
+				c <- fn(tx.Packet(0, slot))
 			}
 			close(c)
 		}()
-		_, err := Scan(x, c)
+		_, err := ScanMulti(tx.Lay, []<-chan Packet{c})
 		return err
 	}
 
 	if err := stream(func(p Packet) Packet { p.Slot += 7; return p }); err == nil ||
 		!strings.Contains(err.Error(), "want 0") {
-		t.Errorf("mid-cycle Scan start accepted: %v", err)
+		t.Errorf("mid-cycle scan start accepted: %v", err)
 	}
 	if err := stream(func(p Packet) Packet {
 		p.Payload = make([]byte, 100)
@@ -216,10 +228,11 @@ func TestScanSingleErrorPaths(t *testing.T) {
 	}
 	if err := stream(func(p Packet) Packet { p.Ch = 1; return p }); err == nil ||
 		!strings.Contains(err.Error(), "channel") {
-		t.Errorf("nonzero channel accepted by single-channel Scan: %v", err)
+		t.Errorf("nonzero channel accepted by the single-channel scan: %v", err)
 	}
-	if err := stream(func(p Packet) Packet { p.Flags &^= flagIndex; return p }); err == nil {
-		t.Error("unflagged table packet accepted")
+	if err := stream(func(p Packet) Packet { p.Flags &^= flagIndex; return p }); err == nil ||
+		!strings.Contains(err.Error(), "not flagged") {
+		t.Errorf("unflagged table packet accepted: %v", err)
 	}
 	if err := stream(func(p Packet) Packet {
 		if p.Flags&flagIndex != 0 && len(p.Payload) > 0 {
@@ -227,6 +240,6 @@ func TestScanSingleErrorPaths(t *testing.T) {
 		}
 		return p
 	}); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Errorf("truncated table payload accepted by single-channel Scan: %v", err)
+		t.Errorf("truncated table payload accepted by the single-channel scan: %v", err)
 	}
 }

@@ -6,8 +6,15 @@
 // internal/wire, framed with the position header clients use to
 // synchronize.
 //
+// There is one static cycle producer, MultiTransmitter, for every
+// dsi.Layout — the paper's single channel is the layout with one
+// channel, not a transmitter of its own — and one live one, the
+// Rebroadcaster, which swaps shard directories at cycle seams. The
+// index-table format on air is a function of the layout decided in one
+// place, wire.ClassicTables; nothing in this package re-derives it.
+//
 // The package also provides the receiving side needed to prove the
-// stream is self-describing: Scan rebuilds the complete broadcast
+// stream is self-describing: ScanMulti rebuilds the complete broadcast
 // metadata (frame boundaries, minimum HC values, object headers) from
 // one cycle of raw packets alone, which is the property all of DSI's
 // client algorithms rest on.
@@ -15,10 +22,7 @@ package station
 
 import (
 	"encoding/binary"
-	"fmt"
 
-	"dsi/internal/dsi"
-	"dsi/internal/obs"
 	"dsi/internal/wire"
 )
 
@@ -35,7 +39,7 @@ const (
 
 // The flag values, exported for byte-exact packet producers outside
 // the package — the diskstore image pipeline synthesizes the same
-// framing a Transmitter emits.
+// framing a MultiTransmitter emits.
 const (
 	FlagIndex       = flagIndex
 	FlagObjectStart = flagObjectStart
@@ -43,123 +47,12 @@ const (
 )
 
 // Packet is one on-air packet: framing plus payload. Ch identifies the
-// broadcast channel on multi-channel airs; the classic single-channel
-// transmitter always emits channel 0, and Scan rejects anything else.
+// broadcast channel (always 0 on a single-channel layout).
 type Packet struct {
 	Ch      uint8  // broadcast channel
 	Slot    uint32 // per-channel cycle slot
 	Flags   byte
 	Payload []byte // at most Capacity bytes
-}
-
-// Transmitter materializes the byte stream of a DSI broadcast. A
-// transmitter built by NewTransmitterFEC additionally interleaves
-// parity packets and runs in the physical slot domain (see fec.go).
-type Transmitter struct {
-	x      *dsi.Index
-	tables [][]byte
-
-	fec     *fecGeom
-	parity  [][]byte // per physical slot; nil for content slots
-	fecDesc []byte
-
-	// met, when set, counts packets served via PacketAt.
-	met *obs.StationMetrics
-}
-
-// SetObs installs the station metric bundle (nil counts nothing).
-func (t *Transmitter) SetObs(m *obs.StationMetrics) { t.met = m }
-
-// NewTransmitter prepares the per-frame table encodings.
-func NewTransmitter(x *dsi.Index) (*Transmitter, error) {
-	tables, err := wire.EncodeFrameTables(x)
-	if err != nil {
-		return nil, err
-	}
-	return &Transmitter{x: x, tables: tables}, nil
-}
-
-// Packet returns the packet broadcast at the given cycle slot. Object
-// payloads are the wire header followed by deterministic filler (a real
-// deployment would carry the application payload). On a coded
-// transmitter the slot is physical and parity slots carry their
-// encoded parity frames.
-func (t *Transmitter) Packet(slot int) Packet {
-	if t.fec == nil {
-		return t.logicalPacket(slot)
-	}
-	c := &t.fec.chs[0]
-	slot %= c.physLen
-	if par := t.parity[slot]; par != nil {
-		return Packet{Slot: uint32(slot), Flags: flagParity, Payload: par}
-	}
-	p := t.logicalPacket(int(c.logOf[slot]))
-	p.Slot = uint32(slot)
-	return p
-}
-
-// Capacity returns the transmitter's packet capacity in bytes.
-func (t *Transmitter) Capacity() int { return t.x.Cfg.Capacity }
-
-// CycleSlots returns the broadcast cycle length in packet slots —
-// physical slots on a coded transmitter.
-func (t *Transmitter) CycleSlots() int {
-	if t.fec != nil {
-		return t.fec.chs[0].physLen
-	}
-	return t.x.Prog.Len()
-}
-
-func (t *Transmitter) logicalPacket(slot int) Packet {
-	x := t.x
-	slot %= x.Prog.Len()
-	pos := slot / x.FramePackets
-	within := slot % x.FramePackets
-	p := Packet{Slot: uint32(slot)}
-
-	if within < x.TablePackets {
-		p.Flags = flagIndex
-		tab := t.tables[pos]
-		from := within * x.Cfg.Capacity
-		if from < len(tab) {
-			to := from + x.Cfg.Capacity
-			if to > len(tab) {
-				to = len(tab)
-			}
-			p.Payload = tab[from:to]
-		}
-		return p
-	}
-
-	o := (within - x.TablePackets) / x.ObjPackets
-	part := (within - x.TablePackets) % x.ObjPackets
-	first, num := x.FrameObjects(x.PosToFrame(pos))
-	if o >= num {
-		return p // padding slot of a partial last frame
-	}
-	obj := x.DS.Objects[first+o]
-	payload := objectBytes(wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC},
-		obj.ID, x.Cfg.ObjectBytes)
-	from := part * x.Cfg.Capacity
-	to := from + x.Cfg.Capacity
-	if to > len(payload) {
-		to = len(payload)
-	}
-	if part == 0 {
-		p.Flags = flagObjectStart
-	}
-	if from < len(payload) {
-		p.Payload = payload[from:to]
-	}
-	return p
-}
-
-// Cycle streams one full broadcast cycle into the channel and closes it.
-func (t *Transmitter) Cycle(out chan<- Packet) {
-	for slot := 0; slot < t.CycleSlots(); slot++ {
-		out <- t.Packet(slot)
-	}
-	close(out)
 }
 
 // ObjectPayload builds the on-air payload of one data object exactly
@@ -168,85 +61,10 @@ func (t *Transmitter) Cycle(out chan<- Packet) {
 // diskstore image pipeline reproduces the byte stream without a
 // transmitter.
 func ObjectPayload(h wire.ObjectHeader, id, size int) []byte {
-	return objectBytes(h, id, size)
-}
-
-// objectBytes builds an object payload: wire header + deterministic
-// filler derived from the object ID, padded to size.
-func objectBytes(h wire.ObjectHeader, id, size int) []byte {
 	buf := make([]byte, size)
 	copy(buf, wire.EncodeHeader(h))
 	for at := wire.HeaderSize; at+8 <= size; at += 8 {
 		binary.BigEndian.PutUint64(buf[at:], uint64(id)*0x9e3779b97f4a7c15+uint64(at))
 	}
 	return buf
-}
-
-// FrameInfo is what Scan reconstructs per frame from the raw stream.
-type FrameInfo struct {
-	Pos     int
-	MinHC   uint64
-	Headers []wire.ObjectHeader
-}
-
-// Scan consumes one cycle of packets and reconstructs the broadcast
-// metadata: per-position index tables (validated) and every object
-// header. It fails on any inconsistency between the stream and the
-// catalog geometry (capacity, frame packets) — the checks a receiver
-// would apply.
-func Scan(x *dsi.Index, in <-chan Packet) ([]FrameInfo, error) {
-	frames := make([]FrameInfo, 0, x.NF)
-	var cur *FrameInfo
-	var tableBuf []byte
-	expect := 0
-
-	for p := range in {
-		if p.Ch != 0 {
-			return nil, fmt.Errorf("station: packet on channel %d in a single-channel scan", p.Ch)
-		}
-		if int(p.Slot) != expect {
-			return nil, fmt.Errorf("station: slot %d arrived, want %d", p.Slot, expect)
-		}
-		expect++
-		if len(p.Payload) > x.Cfg.Capacity {
-			return nil, fmt.Errorf("station: slot %d payload %dB exceeds capacity", p.Slot, len(p.Payload))
-		}
-		slot := int(p.Slot)
-		pos := slot / x.FramePackets
-		within := slot % x.FramePackets
-
-		if within == 0 {
-			frames = append(frames, FrameInfo{Pos: pos})
-			cur = &frames[len(frames)-1]
-			tableBuf = tableBuf[:0]
-		}
-		switch {
-		case within < x.TablePackets:
-			if p.Flags&flagIndex == 0 {
-				return nil, fmt.Errorf("station: slot %d: table packet not flagged", p.Slot)
-			}
-			tableBuf = append(tableBuf, p.Payload...)
-			if within == x.TablePackets-1 {
-				if want := x.TableBytes(); len(tableBuf) < want {
-					return nil, fmt.Errorf("station: position %d: table truncated to %dB, want %dB",
-						pos, len(tableBuf), want)
-				}
-				tab, err := wire.DecodeTable(tableBuf[:x.TableBytes()], pos, x.NF)
-				if err != nil {
-					return nil, fmt.Errorf("station: position %d: %w", pos, err)
-				}
-				cur.MinHC = tab.OwnHC
-			}
-		case p.Flags&flagObjectStart != 0:
-			h, err := wire.DecodeHeader(p.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("station: slot %d: %w", p.Slot, err)
-			}
-			cur.Headers = append(cur.Headers, h)
-		}
-	}
-	if len(frames) != x.NF {
-		return nil, fmt.Errorf("station: scanned %d frames, want %d", len(frames), x.NF)
-	}
-	return frames, nil
 }

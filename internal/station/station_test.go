@@ -18,15 +18,20 @@ func buildIdx(t *testing.T, cfg dsi.Config) *dsi.Index {
 	return x
 }
 
-func streamCycle(t *testing.T, x *dsi.Index) []FrameInfo {
+// singleTx builds the one static transmitter over the index's
+// single-channel layout.
+func singleTx(t *testing.T, x *dsi.Index) *MultiTransmitter {
 	t.Helper()
-	tx, err := NewTransmitter(x)
+	tx, err := NewMultiTransmitter(x.SingleLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := make(chan Packet, 64)
-	go tx.Cycle(ch)
-	frames, err := Scan(x, ch)
+	return tx
+}
+
+func streamCycle(t *testing.T, x *dsi.Index) []MultiFrameInfo {
+	t.Helper()
+	frames, err := scanAll(t, singleTx(t, x))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +77,9 @@ func TestStreamIsSelfDescribing(t *testing.T) {
 
 func TestPacketFraming(t *testing.T) {
 	x := buildIdx(t, dsi.Config{})
-	tx, err := NewTransmitter(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tx := singleTx(t, x)
 	for slot := 0; slot < 3*x.FramePackets; slot++ {
-		p := tx.Packet(slot)
+		p := tx.Packet(0, slot)
 		if int(p.Slot) != slot {
 			t.Fatalf("slot %d framed as %d", slot, p.Slot)
 		}
@@ -94,17 +96,17 @@ func TestPacketFraming(t *testing.T) {
 		}
 	}
 	// Packet is cyclic.
-	if got := tx.Packet(x.Prog.Len()); got.Slot != 0 {
+	if got := tx.Packet(0, x.Prog.Len()); got.Slot != 0 {
 		t.Error("Packet must wrap around the cycle")
 	}
 }
 
 func TestObjectPayloadDeterministic(t *testing.T) {
 	x := buildIdx(t, dsi.Config{})
-	tx, _ := NewTransmitter(x)
+	tx := singleTx(t, x)
 	slot := x.TablePackets // first data packet of position 0
-	a := tx.Packet(slot)
-	b := tx.Packet(slot)
+	a := tx.Packet(0, slot)
+	b := tx.Packet(0, slot)
 	if string(a.Payload) != string(b.Payload) {
 		t.Error("object payload not deterministic")
 	}
@@ -112,7 +114,11 @@ func TestObjectPayloadDeterministic(t *testing.T) {
 
 func TestScanRejectsCorruptStream(t *testing.T) {
 	x := buildIdx(t, dsi.Config{})
-	tx, _ := NewTransmitter(x)
+	tx := singleTx(t, x)
+	scan := func(in <-chan Packet) error {
+		_, err := ScanMulti(tx.Lay, []<-chan Packet{in})
+		return err
+	}
 
 	// Each corrupted stream gets its own channel, passed into its
 	// producer goroutine by value: reusing one captured variable across
@@ -128,41 +134,41 @@ func TestScanRejectsCorruptStream(t *testing.T) {
 
 	// Out-of-order slots.
 	in := stream(func(out chan<- Packet) {
-		p := tx.Packet(0)
+		p := tx.Packet(0, 0)
 		p.Slot = 5
 		out <- p
 	})
-	if _, err := Scan(x, in); err == nil {
+	if scan(in) == nil {
 		t.Error("out-of-order stream accepted")
 	}
 
 	// Truncated cycle.
 	in = stream(func(out chan<- Packet) {
 		for slot := 0; slot < x.FramePackets; slot++ {
-			out <- tx.Packet(slot)
+			out <- tx.Packet(0, slot)
 		}
 	})
-	if _, err := Scan(x, in); err == nil {
+	if scan(in) == nil {
 		t.Error("truncated stream accepted")
 	}
 
 	// Oversized payload.
 	in = stream(func(out chan<- Packet) {
-		p := tx.Packet(0)
+		p := tx.Packet(0, 0)
 		p.Payload = make([]byte, x.Cfg.Capacity+1)
 		out <- p
 	})
-	if _, err := Scan(x, in); err == nil {
+	if scan(in) == nil {
 		t.Error("oversized payload accepted")
 	}
 
 	// Missing index flag.
 	in = stream(func(out chan<- Packet) {
-		p := tx.Packet(0)
+		p := tx.Packet(0, 0)
 		p.Flags = 0
 		out <- p
 	})
-	if _, err := Scan(x, in); err == nil {
+	if scan(in) == nil {
 		t.Error("unflagged table packet accepted")
 	}
 }
@@ -176,18 +182,8 @@ func TestPaddingSlotsOfPartialLastFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := NewTransmitter(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := make(chan Packet, 64)
-	go tx.Cycle(ch)
-	frames, err := Scan(x, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
 	total := 0
-	for _, fi := range frames {
+	for _, fi := range streamCycle(t, x) {
 		total += len(fi.Headers)
 	}
 	if total != 103 {

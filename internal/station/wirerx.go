@@ -34,7 +34,7 @@ import (
 // receiver: the packet each channel transmits at an absolute slot,
 // tagged with the directory version governing it, and the versioned
 // shard directory on air. Rebroadcaster implements it directly;
-// MultiTransmitter and Transmitter are static single-version sources.
+// MultiTransmitter is the static single-version source.
 type PacketSource interface {
 	// PacketAt returns the packet channel ch transmits at absolute
 	// slot abs and the directory version its encoding belongs to.
@@ -67,34 +67,18 @@ func (t *MultiTransmitter) DirectoryAt(int64) ([]byte, uint32) {
 	return t.dir, 1
 }
 
-// PacketAt implements PacketSource for the classic single-channel
-// transmitter.
-func (t *Transmitter) PacketAt(ch int, abs int64) (Packet, uint32) {
-	if ch != 0 {
-		panic(fmt.Sprintf("station: packet request for channel %d of a single-channel transmitter", ch))
-	}
-	t.met.PacketEmitted(0)
-	return t.Packet(int(abs % int64(t.CycleSlots()))), 1
-}
-
-// DirectoryAt implements PacketSource: a single-channel broadcast
-// ships no shard directory.
-func (t *Transmitter) DirectoryAt(int64) ([]byte, uint32) { return nil, 1 }
-
-// FECDescAt implements FECSource: the transmitter's code encoded as
-// version 1, nil for an uncoded broadcast.
-func (t *Transmitter) FECDescAt(int64) ([]byte, uint32) { return t.fecDesc, 1 }
-
 // WireReceiver implements dsi.Receiver over a PacketSource. It is
 // constructed with the layout (and directory version) the client knows
 // a priori — its catalog — which may be stale with respect to the
 // source: the first navigation steps then pay for receiving the
 // current directory over the air before content decodes again.
 //
-// Supported layouts: the classic single channel (wire.DecodeTable) and
-// the index/data split and sharded multi-channel layouts
-// (wire.DecodeTableMC plus the shard directory). Stripe layouts have
-// no dedicated index channel and no directory; they are rejected.
+// Supported layouts: the single channel (classic tables,
+// wire.DecodeTable) and the index/data split and sharded multi-channel
+// layouts (wire.DecodeTableMC plus the shard directory); which format a
+// layout's tables use is wire.ClassicTables' call, not the receiver's.
+// Stripe layouts have no dedicated index channel and no directory; they
+// are rejected.
 type WireReceiver struct {
 	x   *dsi.Index
 	lay *dsi.Layout
@@ -102,7 +86,7 @@ type WireReceiver struct {
 	src PacketSource
 
 	ver        uint32
-	single     bool
+	classic    bool // wire.ClassicTables(lay): no channel ids, no directory
 	dirPackets int
 	framesOn   []int
 	startPos   []int    // per data channel: first cycle position carried
@@ -129,17 +113,17 @@ type WireReceiver struct {
 // directory — a catalog more than one version stale cannot recover
 // the air's cycle anchors and panics at the first Poll).
 func NewWireReceiver(lay *dsi.Layout, version uint32, src PacketSource, probeSlot int64, loss *broadcast.LossModel) (*WireReceiver, error) {
-	single := lay.Channels() == 1
-	if !single && (lay.Sched != dsi.SchedSplit && lay.Sched != dsi.SchedShard) {
+	classic := wire.ClassicTables(lay)
+	if !classic && lay.Sched != dsi.SchedSplit && lay.Sched != dsi.SchedShard {
 		return nil, fmt.Errorf("station: byte-level reception needs a dedicated index channel; %v layouts are unsupported", lay.Sched)
 	}
 	r := &WireReceiver{
-		x:      lay.X,
-		lay:    lay,
-		tu:     broadcast.NewAirTuner(lay.Air, lay.StartCh, probeSlot, loss),
-		src:    src,
-		ver:    version,
-		single: single,
+		x:       lay.X,
+		lay:     lay,
+		tu:      broadcast.NewAirTuner(lay.Air, lay.StartCh, probeSlot, loss),
+		src:     src,
+		ver:     version,
+		classic: classic,
 	}
 	r.adoptGeometry(lay)
 	return r, nil
@@ -150,7 +134,7 @@ func (r *WireReceiver) adoptGeometry(lay *dsi.Layout) {
 	r.lay = lay
 	n := lay.Channels()
 	r.dirPackets = broadcast.PacketsFor(wire.DirVSize(n), r.x.Cfg.Capacity)
-	if r.single {
+	if r.classic {
 		return
 	}
 	if r.framesOn == nil {
@@ -260,7 +244,7 @@ func (r *WireReceiver) Table(pos int) (*dsi.Table, bool) {
 // exactly the validation a cleanly received one does.
 func (r *WireReceiver) decodeTable(buf []byte, pos int) (*dsi.Table, bool) {
 	x := r.x
-	if r.single {
+	if r.classic {
 		t, err := wire.DecodeTableAppend(buf, pos, x.NF, r.entryScratch[:0])
 		if err != nil {
 			return nil, false
@@ -338,7 +322,7 @@ func (r *WireReceiver) Poll() (*dsi.Layout, bool) {
 	// Only a NEWER version is a bump: a reused receiver re-tuned to a
 	// slot before an in-flight swap's seam legitimately sees the older
 	// directory still on air there and keeps the catalog it holds.
-	if dir == nil || over <= r.ver || r.single {
+	if dir == nil || over <= r.ver || r.classic {
 		return nil, false
 	}
 	ok := true

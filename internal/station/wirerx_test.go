@@ -107,44 +107,65 @@ func TestWireReceiverBitIdenticalToSim(t *testing.T) {
 	}
 }
 
-// TestWireReceiverSingleChannelBitIdentical runs the classic single-
-// channel byte stream (Transmitter, wire.DecodeTable) against the
-// classic simulator client.
+// TestWireReceiverSingleChannelBitIdentical runs the single-channel
+// byte stream — the one static transmitter over x.SingleLayout(), whose
+// tables go on air in the classic format — against the simulator
+// session (dsi.Open) at the same probe slots: windows and kNN, plain and
+// reorganized (m=2) broadcasts, with and without loss. IDs and
+// broadcast.Stats must be equal, which they are only when every index
+// table on air decodes (an undecodable table degrades to a scan and
+// inflates tuning).
 func TestWireReceiverSingleChannelBitIdentical(t *testing.T) {
 	ds := dataset.Uniform(220, 7, 11)
-	x, err := dsi.Build(ds, dsi.Config{Capacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, err := NewTransmitter(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	side := int(ds.Curve.Side())
-	for trial := 0; trial < 10; trial++ {
-		probe := rng.Int63n(int64(x.Prog.Len()))
-		seed := rng.Int63()
-		mkLoss := func() *broadcast.LossModel {
-			if trial%2 == 0 {
-				return nil
+	for _, m := range []int{1, 2} {
+		x, err := dsi.Build(ds, dsi.Config{Capacity: 64, Segments: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lay := x.SingleLayout()
+		tx, err := NewMultiTransmitter(lay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(6))
+		side := int(ds.Curve.Side())
+		for trial := 0; trial < 10; trial++ {
+			probe := rng.Int63n(int64(x.Prog.Len()))
+			seed := rng.Int63()
+			mkLoss := func() *broadcast.LossModel {
+				if trial%2 == 0 {
+					return nil
+				}
+				return broadcast.NewLossModel(0.4, seed)
 			}
-			return broadcast.NewLossModel(0.4, seed)
-		}
-		rx, err := NewWireReceiver(x.SingleLayout(), 1, tx, probe, mkLoss())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wireSess, err := dsi.Open(x, dsi.WithReceiver(rx))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim := dsi.NewMultiClient(x.SingleLayout(), probe, mkLoss())
-		w := spatial.ClampedWindow(uint32(rng.Intn(side)), uint32(rng.Intn(side)), 35, ds.Curve.Side())
-		wantIDs, wantSt := sim.Window(w)
-		gotIDs, gotSt := wireSess.Window(w)
-		if !equalIDs(gotIDs, wantIDs) || gotSt != wantSt {
-			t.Fatalf("trial %d: wire (%v,%+v) != sim (%v,%+v)", trial, gotIDs, gotSt, wantIDs, wantSt)
+			rx, err := NewWireReceiver(lay, 1, tx, probe, mkLoss())
+			if err != nil {
+				t.Fatal(err)
+			}
+			wireSess, err := dsi.Open(x, dsi.WithReceiver(rx))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := dsi.Open(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.Tune(probe, mkLoss())
+			w := spatial.ClampedWindow(uint32(rng.Intn(side)), uint32(rng.Intn(side)), 35, ds.Curve.Side())
+			wantIDs, wantSt := sim.Window(w)
+			gotIDs, gotSt := wireSess.Window(w)
+			if !equalIDs(gotIDs, wantIDs) || gotSt != wantSt {
+				t.Fatalf("m=%d trial %d window: wire (%v,%+v) != sim (%v,%+v)", m, trial, gotIDs, gotSt, wantIDs, wantSt)
+			}
+
+			q := spatial.Point{X: uint32(rng.Intn(side)), Y: uint32(rng.Intn(side))}
+			sim.Tune(probe, mkLoss())
+			wireSess.Tune(probe, mkLoss())
+			wantIDs, wantSt = sim.KNN(q, 5, dsi.Conservative)
+			gotIDs, gotSt = wireSess.KNN(q, 5, dsi.Conservative)
+			if !equalIDs(gotIDs, wantIDs) || gotSt != wantSt {
+				t.Fatalf("m=%d trial %d kNN: wire (%v,%+v) != sim (%v,%+v)", m, trial, gotIDs, gotSt, wantIDs, wantSt)
+			}
 		}
 	}
 }

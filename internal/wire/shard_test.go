@@ -166,7 +166,7 @@ func TestReserveMCPtrLiftsTightBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The plain build's own (narrow) tables fit...
-	if _, err := EncodeFrameTables(x); err != nil {
+	if _, err := EncodeLayoutTables(x.SingleLayout()); err != nil {
 		t.Fatalf("narrow tables rejected: %v", err)
 	}
 	lay, err := dsi.NewLayout(x, dsi.MultiConfig{Channels: 2, Scheduler: dsi.SchedSplit})
@@ -197,7 +197,7 @@ func TestReserveMCPtrLiftsTightBudget(t *testing.T) {
 	}
 	// The reservation also keeps the narrow format valid (it only adds
 	// headroom).
-	if _, err := EncodeFrameTables(xr); err != nil {
+	if _, err := EncodeLayoutTables(xr.SingleLayout()); err != nil {
 		t.Fatalf("narrow tables rejected after reservation: %v", err)
 	}
 	// Sharded layouts go through the same budget check.

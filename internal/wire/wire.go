@@ -207,46 +207,40 @@ func DecodeTableMC(buf []byte, framesOn []int) (ownHC uint64, entries []MCEntry,
 	return ownHC, entries, nil
 }
 
-// EncodeLayoutTables materializes every multi-channel index table of a
-// layout, verifying that each fits the frame sizing's packet budget
-// (the wider pointers must still leave the table within its packets —
-// checked here, exactly as EncodeFrameTables checks the single-channel
-// format).
+// ClassicTables reports whether the layout's index tables go on air in
+// the classic format (EncodeTable: 2-byte forward-distance pointers)
+// rather than the multi-channel one (EncodeTableMC: channel id plus
+// per-channel frame index). Single-channel is a layout, not a type: one
+// channel needs no channel ids, so its tables keep the paper's pointer
+// width and the N=1 broadcast stays the classic byte stream. This is
+// the only place the choice is made — the transmitter encodes through
+// EncodeLayoutTables, and every receiver asks here.
+func ClassicTables(lay *dsi.Layout) bool { return lay.Channels() == 1 }
+
+// LayoutTableSize returns the encoded size of each index table of the
+// layout, in the format ClassicTables selects.
+func LayoutTableSize(lay *dsi.Layout) int {
+	if ClassicTables(lay) {
+		return TableSize(lay.X.E)
+	}
+	return MCTableSize(lay.X.E)
+}
+
+// EncodeLayoutTables materializes every index table of a layout in the
+// format ClassicTables selects, verifying that each fits the frame
+// sizing's packet budget.
 //
-// dsi.Build sizes TablePackets for the single-channel entry width, so
-// an index whose tables fill their packets to within E bytes of the
-// budget cannot carry the 1-byte-wider multi-channel pointers; this
-// function then fails rather than overflow. Re-sizing frames for wide
-// pointers at Build would change the N=1 broadcast (which must stay
-// bit-identical to the classic engine), so such layouts are rejected
-// at transmission time instead — see ROADMAP for the sizing follow-up.
+// dsi.Build sizes TablePackets for the classic entry width unless
+// Config.ReserveMCPtr is set, so an index whose tables fill their
+// packets to within E bytes of the budget cannot carry the 1-byte-wider
+// multi-channel pointers; this function then fails rather than
+// overflow.
 func EncodeLayoutTables(lay *dsi.Layout) ([][]byte, error) {
 	x := lay.X
 	out := make([][]byte, x.NF)
 	budget := x.TablePackets * x.Cfg.Capacity
 	for pos := 0; pos < x.NF; pos++ {
-		own, entries, err := TableMC(lay, pos)
-		if err != nil {
-			return nil, fmt.Errorf("wire: position %d: %w", pos, err)
-		}
-		buf := EncodeTableMC(own, entries)
-		if len(buf) > budget {
-			return nil, fmt.Errorf("wire: position %d: multi-channel table %dB exceeds %d packet budget %dB",
-				pos, len(buf), x.TablePackets, budget)
-		}
-		out[pos] = buf
-	}
-	return out, nil
-}
-
-// EncodeFrameTables materializes every index table of the broadcast,
-// verifying that each fits the frame sizing's packet budget. It returns
-// the per-position payloads (used by tests and by a real transmitter).
-func EncodeFrameTables(x *dsi.Index) ([][]byte, error) {
-	out := make([][]byte, x.NF)
-	budget := x.TablePackets * x.Cfg.Capacity
-	for pos := 0; pos < x.NF; pos++ {
-		buf, err := EncodeTable(x.TableAt(pos), x.NF)
+		buf, err := encodeLayoutTable(lay, pos)
 		if err != nil {
 			return nil, fmt.Errorf("wire: position %d: %w", pos, err)
 		}
@@ -257,4 +251,15 @@ func EncodeFrameTables(x *dsi.Index) ([][]byte, error) {
 		out[pos] = buf
 	}
 	return out, nil
+}
+
+func encodeLayoutTable(lay *dsi.Layout, pos int) ([]byte, error) {
+	if ClassicTables(lay) {
+		return EncodeTable(lay.X.TableAt(pos), lay.X.NF)
+	}
+	own, entries, err := TableMC(lay, pos)
+	if err != nil {
+		return nil, err
+	}
+	return EncodeTableMC(own, entries), nil
 }

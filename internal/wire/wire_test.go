@@ -59,7 +59,10 @@ func TestTableSizeMatchesIndexAccounting(t *testing.T) {
 	}
 }
 
-func TestEncodeFrameTablesFitBudget(t *testing.T) {
+// TestEncodeLayoutTablesFitBudget: the single-channel layout's tables go
+// on air in the classic format, at exactly the size the frame sizing
+// accounts for.
+func TestEncodeLayoutTablesFitBudget(t *testing.T) {
 	ds := dataset.Uniform(500, 6, 3)
 	for _, cfg := range []dsi.Config{{}, {Capacity: 32}, {Capacity: 512, Segments: 2},
 		{Sizing: dsi.SizingPaperTable, Capacity: 64}} {
@@ -67,12 +70,22 @@ func TestEncodeFrameTablesFitBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables, err := EncodeFrameTables(x)
+		lay := x.SingleLayout()
+		tables, err := EncodeLayoutTables(lay)
 		if err != nil {
 			t.Fatalf("cfg %+v: %v", cfg, err)
 		}
 		if len(tables) != x.NF {
 			t.Fatalf("cfg %+v: %d tables for %d frames", cfg, len(tables), x.NF)
+		}
+		for pos, tab := range tables {
+			if len(tab) != x.TableBytes() || len(tab) != LayoutTableSize(lay) {
+				t.Fatalf("cfg %+v pos %d: table %dB, accounting %dB, LayoutTableSize %dB",
+					cfg, pos, len(tab), x.TableBytes(), LayoutTableSize(lay))
+			}
+			if _, err := DecodeTable(tab, pos, x.NF); err != nil {
+				t.Fatalf("cfg %+v pos %d: classic decode: %v", cfg, pos, err)
+			}
 		}
 	}
 }
