@@ -212,8 +212,10 @@ func (b *HCIBroadcast) KNN(q spatial.Point, k int, probeSlot int64, loss *broadc
 	// between grid cells are integers (exact in float64), while
 	// sqrt-then-resquare can round below r2 and exclude the k-th
 	// phase-1 object sitting exactly on the boundary.
-	disk := hilbert.DiskRegion{QX: float64(q.X), QY: float64(q.Y), R2: r2}
-	targets = curve.RangesFunc(disk.Classify)
+	var disk hilbert.DiskCover
+	disk.Reset(curve, float64(q.X), float64(q.Y))
+	targets = disk.Shrink(nil, r2)
+	disk.Release()
 
 	// Phase 2: retrieve everything inside the fixed bound (re-expanding
 	// cached path nodes is free).

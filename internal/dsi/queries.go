@@ -166,10 +166,12 @@ type knnScratch struct {
 	curR2 float64
 	heap  []knnCand
 	full  [1]hilbert.Range
-	disk  hilbert.DiskRegion
+	// cover is the search disk's decomposition, refined in place each
+	// time the radius shrinks. It holds pooled buffers only while a
+	// query runs.
+	cover hilbert.DiskCover
 
-	fn     func() []hilbert.Range
-	diskFn hilbert.RegionFunc
+	fn func() []hilbert.Range
 }
 
 // push offers a candidate to the bounded heap.
@@ -227,8 +229,7 @@ func (c *Client) knnTargets() []hilbert.Range {
 	}
 	if d2 := ks.heap[0].d2; d2 != ks.curR2 {
 		ks.curR2 = d2
-		ks.disk.R2 = d2
-		c.scr.targets = curve.AppendRangesFunc(c.scr.targets[:0], ks.diskFn)
+		c.scr.targets = ks.cover.Shrink(c.scr.targets[:0], d2)
 		c.scr.targetsVer++
 	}
 	return c.scr.targets
@@ -259,12 +260,7 @@ func (c *Client) KNNAppend(dst []int, q spatial.Point, k int, strat Strategy) ([
 	ks.curR2 = math.Inf(1)
 	ks.heap = ks.heap[:0]
 	ks.full[0] = hilbert.Range{Lo: 0, Hi: curve.Size()}
-	ks.disk = hilbert.DiskRegion{QX: float64(q.X), QY: float64(q.Y), R2: math.Inf(1)}
-	if ks.diskFn == nil {
-		ks.diskFn = func(x0, y0, x1, y1 uint32) hilbert.Region {
-			return c.scr.knn.disk.Classify(x0, y0, x1, y1)
-		}
-	}
+	ks.cover.Reset(curve, float64(q.X), float64(q.Y))
 	if ks.fn == nil {
 		ks.fn = c.knnTargets
 	}
@@ -329,6 +325,7 @@ func (c *Client) KNNAppend(dst []int, q spatial.Point, k int, strat Strategy) ([
 	start := c.probe()
 	c.retrieveAll(start, ks.fn, hook)
 	c.knnTargets() // absorb anything located by the final visit
+	ks.cover.Release()
 
 	// The search space is resolved: every object within the k-th
 	// candidate distance has been retrieved, so the heap holds the
@@ -348,22 +345,9 @@ func (c *Client) KNNAppend(dst []int, q spatial.Point, k int, strat Strategy) ([
 	return dst, c.Stats()
 }
 
-// hcDist2 returns the squared distance from q to the cell with the
-// given HC value, decoding the HC value on the spot. The aggressive hop
-// rule used to call this per table entry per hop; it now uses
-// frameDist2, which reads the coordinates precomputed at Build (see
-// BenchmarkFrameDist2 for the difference). hcDist2 remains for values
-// that are not frame minima.
-func (c *Client) hcDist2(q spatial.Point, hc uint64) float64 {
-	x, y := c.x.DS.Curve.Decode(hc)
-	return q.Dist2(spatial.Point{X: x, Y: y})
-}
-
 // frameDist2 returns the squared distance from q to the cell of frame
 // f's minimum HC value, using the per-frame coordinates precomputed at
-// Build. For table entries (whose MinHC values are exactly the frame
-// minima) it is equivalent to hcDist2(q, minHC[f]) without the per-hop
-// Hilbert decode.
+// Build: no Hilbert decode per table entry per hop.
 func (c *Client) frameDist2(q spatial.Point, f int) float64 {
 	return q.Dist2(spatial.Point{X: c.x.cellX[f], Y: c.x.cellY[f]})
 }

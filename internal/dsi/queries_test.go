@@ -404,11 +404,13 @@ func BenchmarkWindowQuery(b *testing.B) {
 	ds := dataset.Uniform(1000, 7, 1)
 	x, _ := Build(ds, Config{})
 	rng := rand.New(rand.NewSource(1))
+	c := NewClient(x, 0, nil)
+	var buf []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := spatial.ClampedWindow(uint32(rng.Intn(128)), uint32(rng.Intn(128)), 13, 128)
-		c := NewClient(x, rng.Int63n(int64(x.Prog.Len())), nil)
-		_, sinkStats = c.Window(w)
+		c.Reset(rng.Int63n(int64(x.Prog.Len())), nil)
+		buf, sinkStats = c.WindowAppend(buf[:0], w)
 	}
 }
 
@@ -416,11 +418,13 @@ func BenchmarkKNNConservative(b *testing.B) {
 	ds := dataset.Uniform(1000, 7, 1)
 	x, _ := Build(ds, Config{})
 	rng := rand.New(rand.NewSource(1))
+	c := NewClient(x, 0, nil)
+	var buf []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
-		c := NewClient(x, rng.Int63n(int64(x.Prog.Len())), nil)
-		_, sinkStats = c.KNN(q, 10, Conservative)
+		c.Reset(rng.Int63n(int64(x.Prog.Len())), nil)
+		buf, sinkStats = c.KNNAppend(buf[:0], q, 10, Conservative)
 	}
 }
 
@@ -443,11 +447,8 @@ func BenchmarkKNNAggressive(b *testing.B) {
 
 var sinkDist float64
 
-// BenchmarkFrameDist2 and BenchmarkHCDist2Decode compare the two ways
-// of measuring a frame's distance to the query point: the Build-time
-// precomputed cell coordinates versus decoding the frame's minimum HC
-// value on the spot (what the aggressive hop rule used to do per entry
-// per hop).
+// BenchmarkFrameDist2 measures a frame's distance to the query point
+// from the cell coordinates precomputed at Build.
 func BenchmarkFrameDist2(b *testing.B) {
 	ds := dataset.Uniform(1000, 7, 1)
 	x, _ := Build(ds, Config{})
@@ -456,16 +457,5 @@ func BenchmarkFrameDist2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkDist += c.frameDist2(q, i%x.NF)
-	}
-}
-
-func BenchmarkHCDist2Decode(b *testing.B) {
-	ds := dataset.Uniform(1000, 7, 1)
-	x, _ := Build(ds, Config{})
-	c := NewClient(x, 0, nil)
-	q := spatial.Point{X: 77, Y: 19}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkDist += c.hcDist2(q, x.MinHC(i%x.NF))
 	}
 }

@@ -94,6 +94,61 @@ func TestResetClientMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestReusedSessionKNNCoverIsPerQuery holds one session through kNN
+// queries whose centre and k change every time, with a window query in
+// between, against a fresh session per query: the
+// search disk cover a query leaves behind (blocks, centre, last radius)
+// must not reach the next one, in IDs or in cost.
+func TestReusedSessionKNNCoverIsPerQuery(t *testing.T) {
+	for ci, cfg := range []Config{{}, {Capacity: 64, Segments: 2}} {
+		ds := dataset.Uniform(600, 7, int64(300+ci))
+		x, err := Build(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, err := Open(x, WithProbeSlot(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(2000 + ci)))
+		side := int(ds.Curve.Side())
+		var buf []int
+		for trial := 0; trial < 24; trial++ {
+			probe := rng.Int63n(int64(x.Prog.Len()))
+			fresh, err := Open(x, WithProbeSlot(probe))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused.Tune(probe, nil)
+			var wantIDs []int
+			var wantSt, gotSt broadcast.Stats
+			what := "window"
+			if trial%3 == 2 {
+				w := randWindow(rng, side)
+				wantIDs, wantSt = fresh.Window(w)
+				buf, gotSt = reused.WindowAppend(buf[:0], w)
+			} else {
+				// Alternate a far corner with the middle of the grid, and a
+				// small k with a large one, so consecutive covers differ in
+				// centre, size and final radius.
+				q := spatial.Point{X: uint32(rng.Intn(side / 8)), Y: uint32(rng.Intn(side / 8))}
+				k := 1 + rng.Intn(3)
+				if trial%2 == 1 {
+					q = spatial.Point{X: uint32(side/2 + rng.Intn(side/4)), Y: uint32(side/2 + rng.Intn(side/4))}
+					k = 8 + rng.Intn(8)
+				}
+				what = "kNN"
+				wantIDs, wantSt = fresh.KNN(q, k, Conservative)
+				buf, gotSt = reused.KNNAppend(buf[:0], q, k, Conservative)
+			}
+			if !equalInts(buf, wantIDs) || gotSt != wantSt {
+				t.Fatalf("cfg %d trial %d: reused %s (%v, %+v) != fresh (%v, %+v)",
+					ci, trial, what, buf, gotSt, wantIDs, wantSt)
+			}
+		}
+	}
+}
+
 // TestResetClientMatchesFreshEEF extends the reuse contract to the
 // point-query forwarding path.
 func TestResetClientMatchesFreshEEF(t *testing.T) {

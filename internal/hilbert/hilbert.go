@@ -8,13 +8,14 @@
 // has HC value 2.
 //
 // The package also provides exact decompositions of query regions into
-// maximal contiguous HC ranges (Ranges and RangesFunc), which both the
-// DSI window/kNN algorithms and the HCI baseline rely on.
+// maximal contiguous HC ranges (Ranges and RangesFunc for rectangles
+// and caller-defined regions, DiskCover for the shrinking disk of a kNN
+// search), which both the DSI window/kNN algorithms and the HCI
+// baseline rely on.
 package hilbert
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -256,17 +257,6 @@ func appendRun(dst []Range, base int, lo, hi uint64) []Range {
 	return append(dst, Range{Lo: lo, Hi: hi})
 }
 
-// blockBase returns the smallest HC value within the size-s aligned block
-// whose lower-left corner is (x0, y0). Because an aligned block is visited
-// contiguously by the curve, the smallest value is the block's entry point;
-// it equals the HC value of any cell in the block with the low 2*log2(s)
-// bits cleared.
-func (c Curve) blockBase(x0, y0, s uint32) uint64 {
-	v := c.Encode(x0, y0)
-	mask := uint64(s)*uint64(s) - 1
-	return v &^ mask
-}
-
 // Ranges decomposes the inclusive cell rectangle [x0,x1] x [y0,y1] into
 // maximal contiguous HC ranges, sorted ascending. Bounds are clamped to
 // the grid; an empty rectangle yields nil.
@@ -285,9 +275,9 @@ func (c Curve) AppendRanges(dst []Range, x0, y0, x1, y1 uint32) []Range {
 }
 
 // RectRegion classifies cell blocks against the inclusive rectangle
-// [X0,X1] x [Y0,Y1]. Like DiskRegion, it lets a caller hold one
-// long-lived RegionFunc and re-parameterize the rectangle without
-// allocating a new closure per query.
+// [X0,X1] x [Y0,Y1]. A caller can hold one long-lived RegionFunc over
+// a RectRegion and re-parameterize the rectangle without allocating a
+// new closure per query.
 type RectRegion struct {
 	X0, Y0, X1, Y1 uint32
 }
@@ -324,119 +314,4 @@ func (c Curve) ClampRect(x0, y0, x1, y1 uint32) (RectRegion, bool) {
 		return RectRegion{}, false
 	}
 	return RectRegion{X0: x0, Y0: y0, X1: x1, Y1: y1}, true
-}
-
-// RangesDisk decomposes the set of cells whose coordinates lie within
-// Euclidean distance r of (qx, qy) into maximal contiguous HC ranges.
-// Distance is measured between cell coordinates (objects live exactly on
-// cells), and the disk is closed: cells at distance exactly r are inside.
-func (c Curve) RangesDisk(qx, qy float64, r float64) []Range {
-	return c.AppendRangesDisk(nil, qx, qy, r)
-}
-
-// AppendRangesDisk is RangesDisk appending into dst (which may be nil
-// or a recycled buffer).
-func (c Curve) AppendRangesDisk(dst []Range, qx, qy float64, r float64) []Range {
-	if r < 0 {
-		return dst
-	}
-	r2 := r * r
-	return c.AppendRangesFunc(dst, func(x0, y0, x1, y1 uint32) Region {
-		min := rectPointMinDist2(float64(x0), float64(y0), float64(x1), float64(y1), qx, qy)
-		if min > r2 {
-			return Outside
-		}
-		max := rectPointMaxDist2(float64(x0), float64(y0), float64(x1), float64(y1), qx, qy)
-		if max <= r2 {
-			return Inside
-		}
-		return Partial
-	})
-}
-
-// DiskRegion classifies cell blocks against the closed Euclidean disk
-// of squared radius R2 around (QX, QY). It is the reusable form of
-// RangesDisk's classifier: a caller holding a long-lived RegionFunc
-// over a DiskRegion can grow or shrink the disk by updating R2 without
-// allocating a new closure per radius.
-type DiskRegion struct {
-	QX, QY, R2 float64
-}
-
-// Classify implements RegionFunc semantics for the disk.
-func (d *DiskRegion) Classify(x0, y0, x1, y1 uint32) Region {
-	min := rectPointMinDist2(float64(x0), float64(y0), float64(x1), float64(y1), d.QX, d.QY)
-	if min > d.R2 {
-		return Outside
-	}
-	max := rectPointMaxDist2(float64(x0), float64(y0), float64(x1), float64(y1), d.QX, d.QY)
-	if max <= d.R2 {
-		return Inside
-	}
-	return Partial
-}
-
-// rectPointMinDist2 returns the squared distance from (qx,qy) to the
-// closest point of the rectangle [x0,x1]x[y0,y1].
-func rectPointMinDist2(x0, y0, x1, y1, qx, qy float64) float64 {
-	dx := 0.0
-	switch {
-	case qx < x0:
-		dx = x0 - qx
-	case qx > x1:
-		dx = qx - x1
-	}
-	dy := 0.0
-	switch {
-	case qy < y0:
-		dy = y0 - qy
-	case qy > y1:
-		dy = qy - y1
-	}
-	return dx*dx + dy*dy
-}
-
-// rectPointMaxDist2 returns the squared distance from (qx,qy) to the
-// farthest corner of the rectangle [x0,x1]x[y0,y1].
-func rectPointMaxDist2(x0, y0, x1, y1, qx, qy float64) float64 {
-	dx := qx - x0
-	if d := x1 - qx; d > dx {
-		dx = d
-	}
-	dy := qy - y0
-	if d := y1 - qy; d > dy {
-		dy = d
-	}
-	return dx*dx + dy*dy
-}
-
-// mergeRangesTail sorts dst[base:] in place and coalesces adjacent or
-// overlapping ranges, truncating dst accordingly. It allocates nothing.
-func mergeRangesTail(dst []Range, base int) []Range {
-	rs := dst[base:]
-	if len(rs) == 0 {
-		return dst
-	}
-	slices.SortFunc(rs, func(a, b Range) int {
-		switch {
-		case a.Lo < b.Lo:
-			return -1
-		case a.Lo > b.Lo:
-			return 1
-		}
-		return 0
-	})
-	w := 0
-	for _, r := range rs[1:] {
-		last := &rs[w]
-		if r.Lo <= last.Hi {
-			if r.Hi > last.Hi {
-				last.Hi = r.Hi
-			}
-			continue
-		}
-		w++
-		rs[w] = r
-	}
-	return dst[:base+w+1]
 }

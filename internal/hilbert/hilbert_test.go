@@ -1,7 +1,6 @@
 package hilbert
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -267,40 +266,6 @@ func TestRangeHelpers(t *testing.T) {
 	}
 	if r.String() != "[10,20)" {
 		t.Errorf("String = %q", r.String())
-	}
-}
-
-func TestBlockBaseMatchesMinimum(t *testing.T) {
-	c := New(4)
-	for _, s := range []uint32{1, 2, 4, 8} {
-		for x0 := uint32(0); x0 < c.Side(); x0 += s {
-			for y0 := uint32(0); y0 < c.Side(); y0 += s {
-				min := uint64(math.MaxUint64)
-				for x := x0; x < x0+s; x++ {
-					for y := y0; y < y0+s; y++ {
-						if v := c.Encode(x, y); v < min {
-							min = v
-						}
-					}
-				}
-				if got := c.blockBase(x0, y0, s); got != min {
-					t.Fatalf("blockBase(%d,%d,%d) = %d, want %d", x0, y0, s, got, min)
-				}
-			}
-		}
-	}
-}
-
-func TestMergeRanges(t *testing.T) {
-	got := mergeRangesTail([]Range{{5, 7}, {0, 2}, {2, 4}, {6, 9}, {12, 13}}, 0)
-	want := []Range{{0, 4}, {5, 9}, {12, 13}}
-	if len(got) != len(want) {
-		t.Fatalf("mergeRanges = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mergeRanges = %v, want %v", got, want)
-		}
 	}
 }
 
