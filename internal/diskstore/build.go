@@ -112,6 +112,9 @@ func BuildImage(imgPath string, ps PointStream, cfg dsi.Config, opt BuildOptions
 	if err != nil {
 		return stats, err
 	}
+	if err := wire.CheckHeaderFits(cfg.Capacity, cfg.ObjectBytes); err != nil {
+		return stats, err // before the sort: the stream source would refuse it after
+	}
 	stats.Geo = geo
 
 	tmp := opt.TmpDir
@@ -265,6 +268,9 @@ type StreamSource struct {
 // streaming build. geo and cfg must be the PlanGeometry results the
 // files were built under.
 func OpenStreamSource(objPath, framesPath string, geo dsi.Geometry, cfg dsi.Config) (*StreamSource, error) {
+	if err := wire.CheckHeaderFits(cfg.Capacity, cfg.ObjectBytes); err != nil {
+		return nil, err
+	}
 	obj, err := openMapping(objPath)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"dsi/internal/dataset"
@@ -286,4 +287,32 @@ func TestImageRejectsCorruption(t *testing.T) {
 		t.Fatalf("pristine image rejected: %v", err)
 	}
 	src.Close()
+}
+
+// TestBuildRefusesHeaderlessObjects: a configuration whose objects'
+// first packets cannot hold the wire header images a stream no receiver
+// can decode; the streaming build refuses it before sorting a record.
+func TestBuildRefusesHeaderlessObjects(t *testing.T) {
+	for _, cfg := range []dsi.Config{
+		{Capacity: 64, ObjectBytes: 16},
+		{Capacity: 16, ObjectBytes: 64},
+	} {
+		dir := t.TempDir()
+		imgPath := filepath.Join(dir, "cycle.img")
+		_, err := BuildImage(imgPath, UniformStream(300, 7, 11), cfg, BuildOptions{})
+		if err == nil || !strings.Contains(err.Error(), "16-byte") || !strings.Contains(err.Error(), "32-byte") {
+			t.Fatalf("%+v: BuildImage error %v, want one naming both sizes", cfg, err)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Fatalf("%+v: refused build left %d files behind", cfg, len(left))
+		}
+		geo, planned, err := dsi.PlanGeometry(300, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenStreamSource(filepath.Join(dir, "none"), filepath.Join(dir, "none"), geo, planned); err == nil ||
+			!strings.Contains(err.Error(), "32-byte") {
+			t.Fatalf("%+v: OpenStreamSource error %v, want the header refusal", cfg, err)
+		}
+	}
 }

@@ -94,6 +94,9 @@ func buildCatalog(m wire.StationMeta, ds *dataset.Dataset) (*Catalog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netrecv: catalog index build: %w", err)
 	}
+	if err := wire.CheckHeaderFits(x.Cfg.Capacity, x.Cfg.ObjectBytes); err != nil {
+		return nil, fmt.Errorf("netrecv: station meta describes an undecodable stream: %w", err)
+	}
 	var lay *dsi.Layout
 	switch m.Scheduler {
 	case "", "single":

@@ -1,6 +1,10 @@
 package netrecv
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -127,6 +131,28 @@ func TestCatalogCacheChecksumMismatch(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if _, err := BuildCatalog(m, nil); err == nil {
 			t.Fatalf("call %d: checksum mismatch accepted", i)
+		}
+	}
+}
+
+// TestBootstrapRefusesHeaderlessObjects: a /v1/meta that describes
+// objects (or packets) too small to carry the wire header describes a
+// stream whose every header read would fail forever; the client refuses
+// the catalog instead of hanging on it.
+func TestBootstrapRefusesHeaderlessObjects(t *testing.T) {
+	for _, lie := range []func(m *wire.StationMeta){
+		func(m *wire.StationMeta) { m.ObjectBytes = 16 },
+		func(m *wire.StationMeta) { m.Capacity, m.ObjectBytes = 16, 64 },
+	} {
+		m := cacheMeta(300, 97)
+		lie(&m)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_ = json.NewEncoder(w).Encode(m)
+		}))
+		_, err := Bootstrap(srv.URL, Options{})
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), "16-byte") || !strings.Contains(err.Error(), "32-byte") {
+			t.Fatalf("meta %+v: Bootstrap error %v, want one naming both sizes", m, err)
 		}
 	}
 }

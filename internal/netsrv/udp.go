@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -195,7 +196,16 @@ func (u *udpEmitter) sendBounded(send func([]byte), b slotBatch) {
 
 // sendLoop drains published flushes to every live subscriber and every
 // multicast group.
+//
+// It holds one OS thread for its lifetime. The loop is one system call
+// per datagram, and each one wakes the subscriber's reader; left to the
+// runtime, the goroutine resumes on whichever thread picked it up this
+// flush, so the kernel sees the waker change identity and CPU from one
+// flush to the next and a paced station's cost — and its subscribers' —
+// differs from run to run. The price is one thread hand-off per flush.
 func (u *udpEmitter) sendLoop(ctx context.Context) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	for {
 		var fs flushSet
 		select {

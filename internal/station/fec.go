@@ -147,17 +147,13 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 	return g, nil
 }
 
-// unitAt returns the unit containing a logical slot of a channel.
-func (g *fecGeom) unitAt(ch, logSlot int) *fecUnit {
-	c := &g.chs[ch]
-	return &c.units[c.unitOf[c.log2phys[logSlot]]]
-}
-
 // buildParity precomputes every parity packet payload of one channel,
 // indexed by physical slot (nil for content slots). logical serves the
 // channel's logical packets.
 func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(log int) Packet) [][]byte {
 	out := make([][]byte, c.physLen)
+	var arena []byte // member symbols of the unit at hand; nothing below retains them
+	var syms, data [][]byte
 	for _, u := range c.units {
 		code := cfg.Table
 		if !u.table {
@@ -169,15 +165,19 @@ func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(log 
 		// Member symbols: payloads zero-padded to capacity. Short and
 		// absent payloads (table tails, padding objects) pad to all-zero
 		// symbols, which the receiver reproduces from catalog geometry.
-		syms := make([][]byte, u.n)
-		for i := range syms {
-			sym := make([]byte, capacity)
+		if len(arena) < u.n*capacity {
+			arena = make([]byte, u.n*capacity)
+		}
+		clear(arena[:u.n*capacity])
+		syms = syms[:0]
+		for i := 0; i < u.n; i++ {
+			sym := arena[i*capacity : (i+1)*capacity]
 			copy(sym, logical(u.logStart+i).Payload)
-			syms[i] = sym
+			syms = append(syms, sym)
 		}
 		for grp := 0; grp < code.Groups; grp++ {
 			members, k := code.GroupMembers(u.n, grp)
-			data := make([][]byte, 0, k)
+			data = data[:0]
 			for i := grp; i < u.n; i += code.Groups {
 				data = append(data, syms[i])
 			}

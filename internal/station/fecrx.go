@@ -54,8 +54,9 @@ type FECReceiver struct {
 		pay  [][]byte
 	}
 
-	payBuf  [][]byte // member scratch
-	tailBuf [][]byte // parity-tail scratch
+	payBuf  [][]byte  // member scratch
+	tailBuf [][]byte  // parity-tail scratch
+	solve   fecSolver // erasure-solve scratch
 
 	// cache keeps recently recovered units across queries (feccache.go):
 	// Table re-reads of a unit that cost a recovery decode from it with
@@ -320,6 +321,14 @@ func (r *FECReceiver) readTail(u *fecUnit, code wire.FECCode) [][]byte {
 	return tail
 }
 
+// fecSolver is the receiver-owned scratch of the erasure solve, reused
+// across recoveries like payBuf and tailBuf.
+type fecSolver struct {
+	arena           []byte // zero-padded copies of short good members
+	out, data, rows [][]byte
+	idx             []int
+}
+
 // recoverUnit solves the erasures of one unit from its parity tail.
 // pay[i]/okMask describe the members (okMask bit i set when member i
 // was received good; empty payloads are legitimate), tail is
@@ -329,8 +338,14 @@ func (r *FECReceiver) readTail(u *fecUnit, code wire.FECCode) [][]byte {
 // determine its erasures fails the whole recovery. On success the
 // returned slice carries a capacity-sized symbol for every recovered
 // member (nil for members that were already good or were skipped).
-func recoverUnit(code wire.FECCode, n, capacity int, pay [][]byte, okMask uint64, tail [][]byte, need uint64) ([][]byte, bool) {
-	out := make([][]byte, n)
+// The slice itself is scratch, valid until the next solve; the
+// recovered symbols in it are freshly allocated and the caller's to
+// keep — nothing a caller may retain aliases the arena.
+func (s *fecSolver) recoverUnit(code wire.FECCode, n, capacity int, pay [][]byte, okMask uint64, tail [][]byte, need uint64) ([][]byte, bool) {
+	if len(s.arena) < n*capacity {
+		s.arena = make([]byte, n*capacity)
+	}
+	s.out = append(s.out[:0], make([][]byte, n)...)
 	for g := 0; g < code.Groups; g++ {
 		missing := uint64(0)
 		for i := g; i < n; i += code.Groups {
@@ -341,32 +356,35 @@ func recoverUnit(code wire.FECCode, n, capacity int, pay [][]byte, okMask uint64
 		if missing == 0 || missing&need == 0 {
 			continue
 		}
-		var data [][]byte
-		var idx []int
+		data, idx := s.data[:0], s.idx[:0]
 		for i := g; i < n; i += code.Groups {
-			if okMask&(1<<uint(i)) != 0 {
-				sym := make([]byte, capacity)
-				copy(sym, pay[i])
-				data = append(data, sym)
-			} else {
+			switch {
+			case okMask&(1<<uint(i)) == 0:
 				data = append(data, nil)
+			case len(pay[i]) == capacity:
+				data = append(data, pay[i]) // already a whole symbol: read, never written
+			default:
+				sym := s.arena[i*capacity : (i+1)*capacity]
+				clear(sym[copy(sym, pay[i]):])
+				data = append(data, sym)
 			}
 			idx = append(idx, i)
 		}
-		rows := make([][]byte, code.Parity)
-		for j := range rows {
-			rows[j] = tail[j*code.Groups+g]
+		rows := s.rows[:0]
+		for j := 0; j < code.Parity; j++ {
+			rows = append(rows, tail[j*code.Groups+g])
 		}
+		s.data, s.idx, s.rows = data, idx, rows
 		if !wire.RSRecover(data, rows) {
 			return nil, false
 		}
 		for m, i := range idx {
 			if okMask&(1<<uint(i)) == 0 {
-				out[i] = data[m]
+				s.out[i] = data[m]
 			}
 		}
 	}
-	return out, true
+	return s.out, true
 }
 
 // setWindow records a unit occurrence's member payloads for later
@@ -438,7 +456,7 @@ func (r *FECReceiver) Table(pos int) (*dsi.Table, bool) {
 			return nil, false
 		}
 		tail := r.readTail(u, code)
-		syms, ok := recoverUnit(code, n, w.x.Cfg.Capacity, pay, okm, tail, allMask(n))
+		syms, ok := r.solve.recoverUnit(code, n, w.x.Cfg.Capacity, pay, okm, tail, allMask(n))
 		r.countSolve(ok)
 		if !ok {
 			return nil, false
@@ -530,7 +548,7 @@ func (r *FECReceiver) Header(pos, o int) (uint64, bool) {
 		}
 	}
 	tail := r.readTail(u, code)
-	syms, ok := recoverUnit(code, n, w.x.Cfg.Capacity, pay, okm, tail, allMask(n))
+	syms, ok := r.solve.recoverUnit(code, n, w.x.Cfg.Capacity, pay, okm, tail, allMask(n))
 	r.countSolve(ok)
 	if !ok {
 		r.setWindow(ch, ui, base, pay, okm)
@@ -607,7 +625,7 @@ func (r *FECReceiver) Object(pos, o, skip int) bool {
 		return false
 	}
 	tail := r.readTail(u, code)
-	syms, ok := recoverUnit(code, n, w.x.Cfg.Capacity, pay, okm, tail, lost)
+	syms, ok := r.solve.recoverUnit(code, n, w.x.Cfg.Capacity, pay, okm, tail, lost)
 	r.countSolve(ok)
 	if !ok {
 		return false

@@ -18,9 +18,10 @@ import (
 
 // MultiTransmitter materializes the per-channel byte streams of a DSI
 // broadcast under any layout, the single-channel one included. What a
-// slot carries is asked of the layout (SlotTable/SlotData) per packet:
-// the transmitter keeps no per-slot state beyond the encoded tables
-// and, when coded, the parity payloads.
+// slot carries is asked of the layout (SlotTable/SlotData) per packet,
+// or read from the coded geometry's unit covering the slot: the
+// transmitter keeps no per-slot state beyond the encoded tables and,
+// when coded, the geometry and the parity payloads.
 type MultiTransmitter struct {
 	Lay    *dsi.Layout
 	tables [][]byte // per cycle position, in the layout's wire format
@@ -41,8 +42,13 @@ type MultiTransmitter struct {
 // SetObs installs the station metric bundle (nil counts nothing).
 func (t *MultiTransmitter) SetObs(m *obs.StationMetrics) { t.met = m }
 
-// NewMultiTransmitter prepares the table encodings for the layout.
+// NewMultiTransmitter prepares the table encodings for the layout. It
+// refuses a layout whose objects' first packets cannot hold the wire
+// header (wire.CheckHeaderFits).
 func NewMultiTransmitter(lay *dsi.Layout) (*MultiTransmitter, error) {
+	if err := wire.CheckHeaderFits(lay.X.Cfg.Capacity, lay.X.Cfg.ObjectBytes); err != nil {
+		return nil, err
+	}
 	tables, err := wire.EncodeLayoutTables(lay)
 	if err != nil {
 		return nil, err
@@ -61,17 +67,29 @@ func (t *MultiTransmitter) Directory() ([]byte, error) { return wire.EncodeShard
 // slot of channel ch. On a coded transmitter the slot is physical and
 // parity slots carry their encoded parity frames.
 func (t *MultiTransmitter) Packet(ch, slot int) Packet {
+	return t.packet(ch, slot%t.ChanSlots(ch))
+}
+
+// packet is Packet for a slot already reduced into [0, ChanSlots(ch)):
+// the exported entry points (Packet, PacketAt, Rebroadcaster.PacketAt)
+// each reduce once. The coded path reads what the slot carries from the
+// geometry unit covering it rather than re-inverting the layout.
+func (t *MultiTransmitter) packet(ch, slot int) Packet {
 	if t.fec == nil {
 		return t.logicalPacket(ch, slot)
 	}
 	c := &t.fec.chs[ch]
-	slot %= c.physLen
-	if par := t.parity[ch][slot]; par != nil {
-		return Packet{Ch: uint8(ch), Slot: uint32(slot), Flags: flagParity, Payload: par}
+	p := Packet{Ch: uint8(ch), Slot: uint32(slot)}
+	m := int(c.member[slot])
+	if m < 0 {
+		p.Flags, p.Payload = flagParity, t.parity[ch][slot]
+		return p
 	}
-	p := t.logicalPacket(ch, int(c.logOf[slot]))
-	p.Slot = uint32(slot)
-	return p
+	u := &c.units[c.unitOf[slot]]
+	if u.table {
+		return t.tablePart(p, u.pos, m)
+	}
+	return t.objectPart(p, u.pos, u.obj, m)
 }
 
 // ChanSlots returns channel ch's cycle length in packet slots —
@@ -84,44 +102,52 @@ func (t *MultiTransmitter) ChanSlots(ch int) int {
 }
 
 // logicalPacket returns the content packet at a logical (parity-free)
-// slot of channel ch. Object payloads are the wire header followed by
-// deterministic filler (a real deployment would carry the application
-// payload).
+// slot of channel ch, reduced into [0, ChanLen(ch)).
 func (t *MultiTransmitter) logicalPacket(ch, slot int) Packet {
-	lay := t.Lay
-	x := lay.X
-	if n := lay.ChanLen(ch); slot >= n {
-		slot %= n // PacketAt and the coded path arrive reduced: skip the divide
-	}
 	p := Packet{Ch: uint8(ch), Slot: uint32(slot)}
-
-	if pos, part, ok := lay.SlotTable(ch, slot); ok {
-		p.Flags = flagIndex
-		tab := t.tables[pos]
-		from := part * x.Cfg.Capacity
-		if from < len(tab) {
-			to := min(from+x.Cfg.Capacity, len(tab))
-			p.Payload = tab[from:to]
-		}
-		return p
+	if pos, part, ok := t.Lay.SlotTable(ch, slot); ok {
+		return t.tablePart(p, pos, part)
 	}
-	pos, off, _ := lay.SlotData(ch, slot)
-	o, part := off/x.ObjPackets, off%x.ObjPackets
+	pos, off, _ := t.Lay.SlotData(ch, slot)
+	objPackets := t.Lay.X.ObjPackets
+	return t.objectPart(p, pos, off/objPackets, off%objPackets)
+}
+
+// tablePart completes p as packet `part` of position pos's index table:
+// a slice of the pre-encoded table, empty past its end.
+func (t *MultiTransmitter) tablePart(p Packet, pos, part int) Packet {
+	p.Flags = flagIndex
+	tab := t.tables[pos]
+	capacity := t.Lay.X.Cfg.Capacity
+	if from := part * capacity; from < len(tab) {
+		p.Payload = tab[from:min(from+capacity, len(tab))]
+	}
+	return p
+}
+
+// objectPart completes p as packet `part` of the o-th object of the
+// frame at position pos. The payload is that packet's byte range of the
+// object and nothing more (AppendObjectPart): one allocation of at most
+// Capacity bytes, owned by the caller. The bytes are the wire header
+// followed by deterministic filler (a real deployment would carry the
+// application payload).
+func (t *MultiTransmitter) objectPart(p Packet, pos, o, part int) Packet {
+	x := t.Lay.X
 	first, num := x.FrameObjects(x.PosToFrame(pos))
 	if o >= num {
 		return p // padding slot of a partial last frame
 	}
-	obj := x.DS.Objects[first+o]
-	payload := ObjectPayload(wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC},
-		obj.ID, x.Cfg.ObjectBytes)
-	from := part * x.Cfg.Capacity
-	to := min(from+x.Cfg.Capacity, len(payload))
 	if part == 0 {
 		p.Flags = flagObjectStart
 	}
-	if from < len(payload) {
-		p.Payload = payload[from:to]
-	}
+	// ObjPackets is ceil(ObjectBytes/Capacity), so every part starts
+	// inside the object.
+	size := x.Cfg.ObjectBytes
+	from := part * x.Cfg.Capacity
+	to := min(from+x.Cfg.Capacity, size)
+	obj := &x.DS.Objects[first+o]
+	p.Payload = AppendObjectPart(make([]byte, 0, to-from),
+		wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC}, obj.ID, size, from, to)
 	return p
 }
 

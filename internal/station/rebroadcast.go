@@ -274,14 +274,14 @@ func (r *Rebroadcaster) PacketAt(ch int, abs int64) (Packet, uint32) {
 	r.met.PacketEmitted(ch)
 	if r.next != nil && abs >= r.seam[ch] {
 		l := int64(r.next.ChanSlots(ch))
-		return r.next.Packet(ch, int((abs-r.seam[ch])%l)), r.version + 1
+		return r.next.packet(ch, int((abs-r.seam[ch])%l)), r.version + 1
 	}
 	l := int64(r.cur.ChanSlots(ch))
 	rel := (abs - r.phase[ch]) % l
 	if rel < 0 {
 		rel += l
 	}
-	return r.cur.Packet(ch, int(rel)), r.version
+	return r.cur.packet(ch, int(rel)), r.version
 }
 
 // DirectoryAt returns the versioned shard directory on air at absolute

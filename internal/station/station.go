@@ -22,6 +22,8 @@ package station
 
 import (
 	"encoding/binary"
+	"fmt"
+	"slices"
 
 	"dsi/internal/wire"
 )
@@ -52,19 +54,51 @@ type Packet struct {
 	Ch      uint8  // broadcast channel
 	Slot    uint32 // per-channel cycle slot
 	Flags   byte
-	Payload []byte // at most Capacity bytes
+	Payload []byte // at most Capacity bytes (plus wire.ParityHeaderSize on a parity frame); immutable
 }
 
-// ObjectPayload builds the on-air payload of one data object exactly
-// as every transmitter does: wire header + deterministic filler
-// derived from the object ID, padded to size. Exported so the
-// diskstore image pipeline reproduces the byte stream without a
-// transmitter.
-func ObjectPayload(h wire.ObjectHeader, id, size int) []byte {
-	buf := make([]byte, size)
-	copy(buf, wire.EncodeHeader(h))
-	for at := wire.HeaderSize; at+8 <= size; at += 8 {
-		binary.BigEndian.PutUint64(buf[at:], uint64(id)*0x9e3779b97f4a7c15+uint64(at))
+// AppendObjectPart appends bytes [from, to) of one data object's on-air
+// payload to dst and returns the extended slice. It is the one
+// definition of those bytes: the wire header over [0, wire.HeaderSize),
+// then big-endian filler words id·φ + at, each addressed by its own
+// offset at — so any range, including one that starts or ends inside a
+// word, is computable without the bytes before it — and zero from the
+// last whole word to size. It requires 0 <= from <= to <= size.
+func AppendObjectPart(dst []byte, h wire.ObjectHeader, id, size, from, to int) []byte {
+	if from < 0 || from > to || to > size {
+		panic(fmt.Sprintf("station: object part [%d,%d) outside a %d-byte object", from, to, size))
 	}
-	return buf
+	n := len(dst)
+	dst = slices.Grow(dst, to-from)[:n+to-from]
+	out := dst[n:] // out[i] is object byte from+i
+	at := from
+	if at < wire.HeaderSize {
+		var hdr [wire.HeaderSize]byte
+		wire.PutHeader(hdr[:], h)
+		at += copy(out, hdr[at:min(to, wire.HeaderSize)])
+	}
+	// Filler words are 8-aligned (HeaderSize is) and stop at the last
+	// one that fits whole inside size.
+	fillEnd := min(to, wire.HeaderSize+(size-wire.HeaderSize)&^7)
+	base := uint64(id) * 0x9e3779b97f4a7c15
+	for at < fillEnd {
+		w := at &^ 7
+		if at == w && w+8 <= to {
+			binary.BigEndian.PutUint64(out[at-from:], base+uint64(w))
+			at += 8
+			continue
+		}
+		var word [8]byte // a range edge inside a word
+		binary.BigEndian.PutUint64(word[:], base+uint64(w))
+		at += copy(out[at-from:], word[at-w:min(to, w+8)-w])
+	}
+	clear(out[at-from:])
+	return dst
+}
+
+// ObjectPayload returns the whole on-air payload of one data object:
+// the [0, size) case of AppendObjectPart, for producers that hold an
+// object across its packets (the diskstore stream source).
+func ObjectPayload(h wire.ObjectHeader, id, size int) []byte {
+	return AppendObjectPart(make([]byte, 0, size), h, id, size, 0, size)
 }

@@ -38,6 +38,16 @@ import (
 type PacketSource interface {
 	// PacketAt returns the packet channel ch transmits at absolute
 	// slot abs and the directory version its encoding belongs to.
+	//
+	// The returned Payload is immutable and the caller's to retain:
+	// the source never writes those bytes again, so a receiver may keep
+	// them across calls (FECReceiver's group window does) and one
+	// source may serve many readers. A content payload is at most
+	// Capacity bytes; a parity frame adds wire.ParityHeaderSize. How a
+	// source meets this is its own business: MultiTransmitter builds
+	// each object packet's bytes fresh and slices pre-encoded tables
+	// and parity, netrecv.Feed copies every frame it is offered, and
+	// diskstore.ImageSource slices a read-only mapping.
 	PacketAt(ch int, abs int64) (Packet, uint32)
 	// DirectoryAt returns the versioned shard directory on air at abs
 	// (nil when the broadcast ships none, e.g. single-channel layouts).
@@ -48,7 +58,7 @@ type PacketSource interface {
 // schedule forever, anchored at slot 0 as directory version 1.
 func (t *MultiTransmitter) PacketAt(ch int, abs int64) (Packet, uint32) {
 	t.met.PacketEmitted(ch)
-	return t.Packet(ch, int(abs%int64(t.ChanSlots(ch)))), 1
+	return t.packet(ch, int(abs%int64(t.ChanSlots(ch)))), 1
 }
 
 // FECDescAt implements FECSource: the transmitter's code encoded as
@@ -113,6 +123,9 @@ type WireReceiver struct {
 // directory — a catalog more than one version stale cannot recover
 // the air's cycle anchors and panics at the first Poll).
 func NewWireReceiver(lay *dsi.Layout, version uint32, src PacketSource, probeSlot int64, loss *broadcast.LossModel) (*WireReceiver, error) {
+	if err := wire.CheckHeaderFits(lay.X.Cfg.Capacity, lay.X.Cfg.ObjectBytes); err != nil {
+		return nil, err
+	}
 	classic := wire.ClassicTables(lay)
 	if !classic && lay.Sched != dsi.SchedSplit && lay.Sched != dsi.SchedShard {
 		return nil, fmt.Errorf("station: byte-level reception needs a dedicated index channel; %v layouts are unsupported", lay.Sched)

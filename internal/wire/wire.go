@@ -102,12 +102,36 @@ type ObjectHeader struct {
 // coordinate pair plus the 16-byte HC value.
 const HeaderSize = broadcast.CoordBytes + broadcast.HCBytes
 
-// EncodeHeader serializes an object header.
+// CheckHeaderFits reports whether a byte-level path can identify the
+// objects of a broadcast with these packet and object sizes: a receiver
+// decodes the header from an object's first packet alone, so that
+// packet — min(capacity, objectBytes) bytes — must hold all of it. The
+// simulator accepts smaller sizes (it never decodes a header); every
+// producer or consumer of real bytes must refuse them, or each header
+// read fails forever and a query never returns.
+func CheckHeaderFits(capacity, objectBytes int) error {
+	if objectBytes < HeaderSize {
+		return fmt.Errorf("wire: a %d-byte object cannot carry its %d-byte header", objectBytes, HeaderSize)
+	}
+	if capacity < HeaderSize {
+		return fmt.Errorf("wire: a %d-byte packet cannot carry the %d-byte object header", capacity, HeaderSize)
+	}
+	return nil
+}
+
+// PutHeader serializes an object header into dst[:HeaderSize] without
+// allocating.
+func PutHeader(dst []byte, h ObjectHeader) {
+	_ = dst[HeaderSize-1]
+	binary.BigEndian.PutUint64(dst[0:8], uint64(h.X))
+	binary.BigEndian.PutUint64(dst[8:16], uint64(h.Y))
+	putHC(dst[16:], h.HC)
+}
+
+// EncodeHeader serializes an object header into a fresh slice.
 func EncodeHeader(h ObjectHeader) []byte {
 	buf := make([]byte, HeaderSize)
-	binary.BigEndian.PutUint64(buf[0:8], uint64(h.X))
-	binary.BigEndian.PutUint64(buf[8:16], uint64(h.Y))
-	putHC(buf[16:], h.HC)
+	PutHeader(buf, h)
 	return buf
 }
 
