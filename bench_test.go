@@ -164,8 +164,8 @@ func BenchmarkQueryThroughput(b *testing.B) {
 }
 
 // BenchmarkClientReuse isolates the zero-allocation client engine: the
-// same query answered by a freshly constructed client per iteration
-// versus one long-lived client Reset between iterations. The reused
+// same query answered by a freshly opened session per iteration versus
+// one long-lived session re-tuned between iterations. The reused
 // variant must report zero dataset-sized bytes per query.
 func BenchmarkClientReuse(b *testing.B) {
 	p := experiment.Params{Queries: 1, Verify: false}
@@ -179,35 +179,42 @@ func BenchmarkClientReuse(b *testing.B) {
 	w := spatial.ClampedWindow(side/3, side/2, side/10, side)
 	q := spatial.Point{X: side / 2, Y: side / 3}
 	probe := func(i int) int64 { return int64((i * 7919) % x.Prog.Len()) }
+	open := func(probe int64) *dsi.Session {
+		s, err := dsi.Open(x, dsi.WithProbeSlot(probe))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
 
 	b.Run("window/fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dsi.NewClient(x, probe(i), nil).Window(w)
+			open(probe(i)).Window(w)
 		}
 	})
 	b.Run("window/reused", func(b *testing.B) {
 		b.ReportAllocs()
-		c := dsi.NewClient(x, 0, nil)
+		s := open(0)
 		var buf []int
 		for i := 0; i < b.N; i++ {
-			c.Reset(probe(i), nil)
-			buf, _ = c.WindowAppend(buf[:0], w)
+			s.Tune(probe(i), nil)
+			buf, _ = s.WindowAppend(buf[:0], w)
 		}
 	})
 	b.Run("knn10/fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dsi.NewClient(x, probe(i), nil).KNN(q, 10, dsi.Conservative)
+			open(probe(i)).KNN(q, 10, dsi.Conservative)
 		}
 	})
 	b.Run("knn10/reused", func(b *testing.B) {
 		b.ReportAllocs()
-		c := dsi.NewClient(x, 0, nil)
+		s := open(0)
 		var buf []int
 		for i := 0; i < b.N; i++ {
-			c.Reset(probe(i), nil)
-			buf, _ = c.KNNAppend(buf[:0], q, 10, dsi.Conservative)
+			s.Tune(probe(i), nil)
+			buf, _ = s.KNNAppend(buf[:0], q, 10, dsi.Conservative)
 		}
 	})
 }

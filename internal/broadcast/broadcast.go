@@ -378,6 +378,16 @@ func (t *Tuner) PhaseOf(ch int) int64 {
 	return t.phase[ch]
 }
 
+// lossNow returns the loss model in effect on the current channel: its
+// per-channel override when one is installed, the tuner-wide model
+// otherwise.
+func (t *Tuner) lossNow() *LossModel {
+	if t.chLoss != nil && t.chLoss[t.ch] != nil {
+		return t.chLoss[t.ch]
+	}
+	return t.loss
+}
+
 // Read receives the packet at the current slot of the current channel.
 // It advances the clock by one slot and accounts one packet of tuning
 // time. The returned slot describes the packet; ok is false when the
@@ -387,14 +397,38 @@ func (t *Tuner) Read() (s Slot, ok bool) {
 	s = t.prog.At(t.Pos())
 	t.now++
 	t.read++
-	loss := t.loss
 	if t.chRead != nil {
 		t.chRead[t.ch]++
-		if t.chLoss != nil && t.chLoss[t.ch] != nil {
-			loss = t.chLoss[t.ch]
+	}
+	return s, !t.lossNow().Lost(s.Kind)
+}
+
+// ReadN receives the n packets starting at the current slot and reports
+// whether every one arrived intact: by definition n calls of Read, the
+// same loss draws in the same order. On a channel that cannot lose a
+// packet (no loss model in effect, or one with Theta 0) nothing is
+// drawn and no slot is looked at, so the batch is three additions —
+// which is what lets an error-free replay read a table or an object in
+// constant time.
+func (t *Tuner) ReadN(n int) bool {
+	if n <= 0 {
+		return true
+	}
+	if loss := t.lossNow(); loss == nil || loss.Theta == 0 {
+		t.now += int64(n)
+		t.read += int64(n)
+		if t.chRead != nil {
+			t.chRead[t.ch] += int64(n)
+		}
+		return true
+	}
+	ok := true
+	for i := 0; i < n; i++ {
+		if _, good := t.Read(); !good {
+			ok = false
 		}
 	}
-	return s, !loss.Lost(s.Kind)
+	return ok
 }
 
 // Doze advances the clock by n slots without receiving anything (the

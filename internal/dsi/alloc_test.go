@@ -27,7 +27,7 @@ func TestWindowAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(x, 0, nil)
+	c := openClient(x.single, 0, nil)
 	w := spatial.ClampedWindow(100, 140, 25, ds.Curve.Side())
 	var buf []int
 	// Warm up: grow every reusable buffer to steady state.
@@ -60,7 +60,7 @@ func TestKNNAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(x, 0, nil)
+	c := openClient(x.single, 0, nil)
 	q := spatial.Point{X: 77, Y: 190}
 	var buf []int
 	for i := 0; i < 3; i++ {

@@ -647,12 +647,13 @@ func ArrivalDelta(nowPos, posLo, posHi, stride, nf int) int {
 }
 
 // Client is a mobile client executing queries over a DSI broadcast.
-// Create one with Open (or the legacy NewClient/NewMultiClient
-// wrappers); a client answers one query per (construction or Reset),
-// and Reset is cheap — proportional to what the previous query
-// learned, not to the dataset — so long-running simulations reuse one
-// client per worker instead of allocating dataset-sized state per
-// query.
+// Open is the one constructor: it returns a Session, which re-tunes
+// its client between queries; Session.Client hands out the client
+// itself for what the facade does not wrap. A client answers one query
+// per Open or Reset, and Reset is cheap — proportional to what the
+// previous query learned, not to the dataset — so long-running
+// simulations reuse one session per worker instead of allocating
+// dataset-sized state per query.
 //
 // All air access goes through the client's Receiver: the same query
 // engine runs over the in-memory simulator (SimReceiver) and over real
@@ -700,33 +701,6 @@ func newReceiverClient(rx Receiver) *Client {
 		kb = newKnowledge(lay.X)
 	}
 	return &Client{x: lay.X, lay: lay, rx: rx, kb: kb}
-}
-
-// NewClient returns a client that tunes into the single-channel
-// broadcast at the given absolute slot. A nil loss model means an
-// error-free channel.
-//
-// NewClient is a thin wrapper kept for compatibility: new code should
-// use Open, which reaches every layout and receiver through options.
-func NewClient(x *Index, probeSlot int64, loss *broadcast.LossModel) *Client {
-	return newReceiverClient(NewSimReceiver(x.single, probeSlot, loss))
-}
-
-// NewMultiClient returns a client executing queries over a
-// multi-channel layout: it tunes into the layout's start channel at the
-// given absolute slot, follows (channel, slot) navigation pointers, and
-// pays the air's switch cost whenever retrieval moves across channels.
-// On a sharded layout the client's knowledge base is per-channel (one
-// span per shard). On a one-channel layout it behaves bit-identically
-// to NewClient.
-//
-// NewMultiClient is a thin wrapper kept for compatibility: new code
-// should use Open with WithLayout or WithMultiConfig.
-func NewMultiClient(lay *Layout, probeSlot int64, loss *broadcast.LossModel) *Client {
-	return newReceiverClient(&SimReceiver{
-		lay: lay,
-		tu:  broadcast.NewAirTuner(lay.Air, lay.StartCh, probeSlot, loss),
-	})
 }
 
 // Layout returns the channel layout the client executes over.

@@ -265,7 +265,7 @@ func TestProbeSyncsToFrameStart(t *testing.T) {
 	x, _ := Build(ds, Config{})
 	for _, probe := range []int64{0, 1, int64(x.FramePackets) - 1, int64(x.FramePackets),
 		int64(x.Prog.Len()) - 1, 12345} {
-		c := NewClient(x, probe, nil)
+		c := openClient(x.single, probe, nil)
 		p := c.probe()
 		if p < 0 || p >= x.NF {
 			t.Fatalf("probe from %d landed on position %d", probe, p)
@@ -284,7 +284,7 @@ func TestProbeSyncsToFrameStart(t *testing.T) {
 func TestWantTable(t *testing.T) {
 	ds := dataset.Uniform(50, 6, 85)
 	x, _ := Build(ds, Config{})
-	c := NewClient(x, 0, nil)
+	c := openClient(x.single, 0, nil)
 	p := 10
 	f := x.PosToFrame(p)
 	if !c.wantTable(p) {
@@ -363,7 +363,7 @@ func TestEngineTerminatesFromRandomKnowledge(t *testing.T) {
 	x, _ := Build(ds, Config{Segments: 2})
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 20; i++ {
-		c := NewClient(x, rng.Int63n(int64(x.Prog.Len())), nil)
+		c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
 		// Pre-seed arbitrary facts (a client that watched earlier
 		// traffic).
 		for j := 0; j < rng.Intn(20); j++ {

@@ -204,8 +204,8 @@ type Index struct {
 	// Hilbert decoding.
 	cellX, cellY []uint32
 
-	// single is the canonical one-channel layout over Prog; clients
-	// constructed with NewClient run on it.
+	// single is the canonical one-channel layout over Prog; sessions
+	// opened without a layout option run on it.
 	single *Layout
 
 	// Splits[j] = minHC[segStart[j]], the first HC value of broadcast
@@ -368,10 +368,6 @@ func Build(ds *dataset.Dataset, cfg Config) (*Index, error) {
 // SingleLayout returns the canonical one-channel layout over Prog.
 func (x *Index) SingleLayout() *Layout { return x.single }
 
-// FrameCell returns the grid coordinates of the cell holding frame f's
-// minimum HC value, precomputed at Build.
-func (x *Index) FrameCell(f int) (cx, cy uint32) { return x.cellX[f], x.cellY[f] }
-
 // entriesToCover returns the smallest E with base^E >= nf, at least 1:
 // an index table with E entries (pointing 1, r, ..., r^(E-1) frames
 // ahead) covers a cycle of nf frames.
@@ -414,12 +410,6 @@ func (g *Geometry) TableBytes() int {
 func (g *Geometry) segLen(j int) int {
 	return (g.NF - j + g.Segments - 1) / g.Segments
 }
-
-// SegLen returns the number of frames in broadcast segment j.
-func (g *Geometry) SegLen(j int) int { return g.segStart[j+1] - g.segStart[j] }
-
-// SegStart returns the first frame id of broadcast segment j.
-func (g *Geometry) SegStart(j int) int { return g.segStart[j] }
 
 // PosToFrame returns the frame id broadcast at cycle position pos.
 // Position p carries the (p div m)-th frame of segment (p mod m), so
@@ -476,12 +466,6 @@ func (g *Geometry) FrameObjects(f int) (first, num int) {
 // FrameStartSlot returns the cycle slot of the first packet of the frame
 // at position pos.
 func (g *Geometry) FrameStartSlot(pos int) int { return pos * g.FramePackets }
-
-// ObjectSlot returns the cycle slot of the first packet of the o-th
-// object (0-based within the frame) of the frame at position pos.
-func (g *Geometry) ObjectSlot(pos, o int) int {
-	return pos*g.FramePackets + g.TablePackets + o*g.ObjPackets
-}
 
 // CycleSlots returns the number of slots in one broadcast cycle.
 func (g *Geometry) CycleSlots() int { return g.NF * g.FramePackets }

@@ -17,7 +17,7 @@ func TestEEFReachesCoveringFrame(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 30; i++ {
 			o := ds.Objects[rng.Intn(ds.N())]
-			c := NewClient(x, rng.Int63n(int64(x.Prog.Len())), nil)
+			c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
 			frame, exists, st := c.EEF(o.HC)
 			if !exists {
 				t.Fatalf("cfg %+v: EEF(%d) missed existing object", cfg, o.HC)
@@ -53,7 +53,7 @@ func TestEEFNonexistentValue(t *testing.T) {
 		if occupied[hc] {
 			continue
 		}
-		c := NewClient(x, rng.Int63n(int64(x.Prog.Len())), nil)
+		c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
 		frame, exists, _ := c.EEF(hc)
 		if exists {
 			t.Fatalf("EEF(%d) claims a nonexistent object exists", hc)
@@ -69,7 +69,7 @@ func TestEEFNonexistentValue(t *testing.T) {
 func TestEEFPanicsOutsideCurve(t *testing.T) {
 	ds := dataset.Uniform(50, 5, 65)
 	x, _ := Build(ds, Config{})
-	c := NewClient(x, 0, nil)
+	c := openClient(x.single, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("EEF outside curve did not panic")
@@ -91,7 +91,7 @@ func TestEEFHopCountLogarithmic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 10; i++ {
 		o := ds.Objects[rng.Intn(ds.N())]
-		c := NewClient(x, rng.Int63n(int64(x.Prog.Len())), nil)
+		c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
 		_, _, st := c.EEF(o.HC)
 		// Tables are 3 packets here; allow probe + object + generous
 		// slack: 100 packets is still far below linear scanning

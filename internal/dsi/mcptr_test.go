@@ -63,8 +63,8 @@ func TestReserveMCPtrDefaultBitIdentical(t *testing.T) {
 	}
 	// And the two engines answer identically.
 	w := hilbertWindow(40, 40)
-	ids1, st1 := NewClient(plain, 7, nil).Window(w)
-	ids2, st2 := NewClient(reserved, 7, nil).Window(w)
+	ids1, st1 := openClient(plain.single, 7, nil).Window(w)
+	ids2, st2 := openClient(reserved.single, 7, nil).Window(w)
 	if !equalInts(ids1, ids2) || st1 != st2 {
 		t.Fatalf("query results differ: (%v,%+v) vs (%v,%+v)", ids1, st1, ids2, st2)
 	}

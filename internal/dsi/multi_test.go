@@ -41,8 +41,8 @@ func TestSingleChannelLayoutBitIdentical(t *testing.T) {
 					}
 					return broadcast.NewLossModel(theta, lossSeed)
 				}
-				single := NewClient(x, probe, mkLoss())
-				multi := NewMultiClient(lay, probe, mkLoss())
+				single := openClient(x.single, probe, mkLoss())
+				multi := openClient(lay, probe, mkLoss())
 				if trial%2 == 0 {
 					w := randWindow(rng, side)
 					wantIDs, wantSt := single.Window(w)
@@ -94,7 +94,7 @@ func TestMultiChannelCorrectness(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(int64(50 + ci)))
 			side := int(ds.Curve.Side())
-			c := NewMultiClient(lay, 0, nil)
+			c := openClient(lay, 0, nil)
 			for trial := 0; trial < 12; trial++ {
 				probe := rng.Int63n(int64(lay.ProbeCycle()))
 				var loss *broadcast.LossModel
@@ -143,7 +143,7 @@ func TestMultiClientResetMatchesFresh(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(31))
 		side := int(ds.Curve.Side())
-		reused := NewMultiClient(lay, 0, nil)
+		reused := openClient(lay, 0, nil)
 		for trial := 0; trial < 10; trial++ {
 			probe := rng.Int63n(int64(lay.ProbeCycle()))
 			lossSeed := rng.Int63()
@@ -158,7 +158,7 @@ func TestMultiClientResetMatchesFresh(t *testing.T) {
 			reused.KNN(spatial.Point{X: uint32(rng.Intn(side)), Y: uint32(rng.Intn(side))}, 2, Conservative)
 
 			w := randWindow(rng, side)
-			fresh := NewMultiClient(lay, probe, mkLoss())
+			fresh := openClient(lay, probe, mkLoss())
 			wantIDs, wantSt := fresh.Window(w)
 			reused.Reset(probe, mkLoss())
 			gotIDs, gotSt := reused.Window(w)
@@ -187,8 +187,8 @@ func TestSplitLayoutSwitchesAndImproves(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	side := int(ds.Curve.Side())
 	var singleLat, multiLat, switches int64
-	single := NewClient(x, 0, nil)
-	multi := NewMultiClient(lay, 0, nil)
+	single := openClient(x.single, 0, nil)
+	multi := openClient(lay, 0, nil)
 	for trial := 0; trial < 40; trial++ {
 		w := randWindow(rng, side)
 		u := rng.Float64()

@@ -58,7 +58,7 @@ func TestPaperRunningExampleKNN(t *testing.T) {
 			// The paper's client tunes in just before the frame of O6;
 			// also sweep every other frame boundary.
 			for pos := 0; pos < x.NF; pos++ {
-				c := NewClient(x, int64(x.FrameStartSlot(pos)), nil)
+				c := openClient(x.single, int64(x.FrameStartSlot(pos)), nil)
 				ids, _ := c.KNN(q, 3, strat)
 				check(x.String()+"/"+strat.String(), ids)
 			}
@@ -88,7 +88,7 @@ func TestPaperRunningExampleEEF(t *testing.T) {
 	}
 	// EEF from anywhere must reach each object's frame.
 	for _, o := range ds.Objects {
-		c := NewClient(x, 3, nil)
+		c := openClient(x.single, 3, nil)
 		frame, exists, _ := c.EEF(o.HC)
 		if !exists || frame != o.ID {
 			t.Fatalf("EEF(O%d) = (frame %d, %v)", o.HC, frame, exists)
@@ -96,7 +96,7 @@ func TestPaperRunningExampleEEF(t *testing.T) {
 	}
 	// O28 and O31 do not exist (the aggressive example rules them out).
 	for _, hc := range []uint64{28, 31} {
-		c := NewClient(x, 5, nil)
+		c := openClient(x.single, 5, nil)
 		if _, exists, _ := c.EEF(hc); exists {
 			t.Fatalf("EEF(O%d) found a nonexistent object", hc)
 		}
@@ -152,7 +152,7 @@ func TestTorture(t *testing.T) {
 			case 0:
 				w := spatial.ClampedWindow(uint32(rng.Intn(side)), uint32(rng.Intn(side)),
 					uint32(rng.Intn(side/3)+1), uint32(side))
-				got, st := NewClient(x, probe, loss).Window(w)
+				got, st := openClient(x.single, probe, loss).Window(w)
 				if !equalInts(got, ds.WindowBrute(w)) {
 					t.Fatalf("round %d: window mismatch (cfg %+v theta %v)", round, cfg, theta)
 				}
@@ -161,7 +161,7 @@ func TestTorture(t *testing.T) {
 				pt := spatial.Point{X: uint32(rng.Intn(side)), Y: uint32(rng.Intn(side))}
 				k := rng.Intn(8) + 1
 				strat := Strategy(rng.Intn(2))
-				got, st := NewClient(x, probe, loss).KNN(pt, k, strat)
+				got, st := openClient(x.single, probe, loss).KNN(pt, k, strat)
 				want, _ := ds.KNNBrute(pt, k)
 				if !equalFloats(knnDistances(ds, pt, got), knnDistances(ds, pt, want)) {
 					t.Fatalf("round %d: kNN mismatch (cfg %+v theta %v)", round, cfg, theta)
@@ -169,7 +169,7 @@ func TestTorture(t *testing.T) {
 				checkStats(t, st)
 			default:
 				o := ds.Objects[rng.Intn(n)]
-				id, found, st := NewClient(x, probe, loss).Point(o.P)
+				id, found, st := openClient(x.single, probe, loss).Point(o.P)
 				if !found || id != o.ID {
 					t.Fatalf("round %d: point query missed (cfg %+v theta %v)", round, cfg, theta)
 				}

@@ -55,7 +55,7 @@ func TestWindowMatchesBruteForce(t *testing.T) {
 				uint32(rng.Intn(64)), uint32(rng.Intn(64)),
 				uint32(rng.Intn(20)+1), 64)
 			probe := rng.Int63n(int64(x.Prog.Len()))
-			c := NewClient(x, probe, nil)
+			c := openClient(x.single, probe, nil)
 			got, st := c.Window(w)
 			want := ds.WindowBrute(w)
 			if !equalInts(got, want) {
@@ -74,7 +74,7 @@ func TestWindowMatchesBruteForce(t *testing.T) {
 func TestWindowWholeGrid(t *testing.T) {
 	ds := dataset.Uniform(100, 6, 3)
 	x, _ := Build(ds, Config{})
-	c := NewClient(x, 0, nil)
+	c := openClient(x.single, 0, nil)
 	got, _ := c.Window(spatial.Rect{MinX: 0, MinY: 0, MaxX: 63, MaxY: 63})
 	if len(got) != 100 {
 		t.Errorf("whole-grid window returned %d objects, want 100", len(got))
@@ -98,7 +98,7 @@ func TestWindowEmptyResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(x, 7, nil)
+	c := openClient(x.single, 7, nil)
 	got, st := c.Window(spatial.Rect{MinX: 40, MinY: 0, MaxX: 63, MaxY: 63})
 	if len(got) != 0 {
 		t.Errorf("got %d objects, want none", len(got))
@@ -117,7 +117,7 @@ func TestPointQuery(t *testing.T) {
 		}
 		// Existing point.
 		o := ds.Objects[57]
-		c := NewClient(x, 123, nil)
+		c := openClient(x.single, 123, nil)
 		id, found, _ := c.Point(o.P)
 		if !found || id != o.ID {
 			t.Errorf("cfg %+v: Point(%v) = (%d,%v), want (%d,true)", cfg, o.P, id, found, o.ID)
@@ -135,7 +135,7 @@ func TestPointQuery(t *testing.T) {
 				break
 			}
 		}
-		c = NewClient(x, 55, nil)
+		c = openClient(x.single, 55, nil)
 		if _, found, _ := c.Point(miss); found {
 			t.Errorf("cfg %+v: Point(%v) found a nonexistent object", cfg, miss)
 		}
@@ -164,7 +164,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 				q := spatial.Point{X: uint32(rng.Intn(64)), Y: uint32(rng.Intn(64))}
 				k := rng.Intn(12) + 1
 				probe := rng.Int63n(int64(x.Prog.Len()))
-				c := NewClient(x, probe, nil)
+				c := openClient(x.single, probe, nil)
 				got, st := c.KNN(q, k, strat)
 				if len(got) != k {
 					t.Fatalf("cfg %d %v: got %d ids, want %d", ci, strat, len(got), k)
@@ -189,17 +189,17 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 func TestKNNEdgeCases(t *testing.T) {
 	ds := dataset.Uniform(50, 6, 19)
 	x, _ := Build(ds, Config{})
-	c := NewClient(x, 3, nil)
+	c := openClient(x.single, 3, nil)
 	if got, _ := c.KNN(spatial.Point{X: 1, Y: 1}, 0, Conservative); got != nil {
 		t.Error("k=0 must return nil")
 	}
-	c = NewClient(x, 3, nil)
+	c = openClient(x.single, 3, nil)
 	got, _ := c.KNN(spatial.Point{X: 1, Y: 1}, 100, Conservative)
 	if len(got) != 50 {
 		t.Errorf("k>n returned %d, want all 50", len(got))
 	}
 	// k = n exactly.
-	c = NewClient(x, 900, nil)
+	c = openClient(x.single, 900, nil)
 	got, _ = c.KNN(spatial.Point{X: 60, Y: 60}, 50, Aggressive)
 	if len(got) != 50 {
 		t.Errorf("k=n returned %d", len(got))
@@ -210,7 +210,7 @@ func TestKNNQueryAtObjectLocation(t *testing.T) {
 	ds := dataset.Uniform(200, 6, 23)
 	x, _ := Build(ds, Config{Segments: 2})
 	o := ds.Objects[100]
-	c := NewClient(x, 42, nil)
+	c := openClient(x.single, 42, nil)
 	got, _ := c.KNN(o.P, 1, Conservative)
 	if len(got) != 1 || got[0] != o.ID {
 		t.Errorf("1NN at object location = %v, want [%d]", got, o.ID)
@@ -233,12 +233,12 @@ func TestQueriesFromEveryProbePosition(t *testing.T) {
 		wd := knnDistances(ds, q, wantKNN)
 		step := x.FramePackets/3 + 1
 		for probe := 0; probe < x.Prog.Len(); probe += step {
-			c := NewClient(x, int64(probe), nil)
+			c := openClient(x.single, int64(probe), nil)
 			got, _ := c.Window(w)
 			if !equalInts(got, want) {
 				t.Fatalf("cfg %+v probe %d: window mismatch", cfg, probe)
 			}
-			c = NewClient(x, int64(probe), nil)
+			c = openClient(x.single, int64(probe), nil)
 			gotKNN, _ := c.KNN(q, 5, Conservative)
 			if gd := knnDistances(ds, q, gotKNN); !equalFloats(gd, wd) {
 				t.Fatalf("cfg %+v probe %d: kNN mismatch", cfg, probe)
@@ -267,7 +267,7 @@ func TestLatencyBoundedByFewCycles(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 10; i++ {
 			q := spatial.Point{X: uint32(rng.Intn(64)), Y: uint32(rng.Intn(64))}
-			c := NewClient(x, rng.Int63n(int64(x.Prog.Len())), nil)
+			c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
 			_, st := c.KNN(q, 10, Conservative)
 			if st.LatencyPackets > 3*int64(x.Prog.Len()) {
 				t.Errorf("cfg %+v: kNN took %d packets (> 3 cycles of %d)",
@@ -288,14 +288,14 @@ func TestClusteredDatasetQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 10; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
-		c := NewClient(x, rng.Int63n(int64(x.Prog.Len())), nil)
+		c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
 		got, _ := c.KNN(q, 7, Conservative)
 		want, _ := ds.KNNBrute(q, 7)
 		if !equalFloats(knnDistances(ds, q, got), knnDistances(ds, q, want)) {
 			t.Fatalf("clustered kNN mismatch at %v", q)
 		}
 		w := spatial.ClampedWindow(uint32(rng.Intn(128)), uint32(rng.Intn(128)), 25, 128)
-		c = NewClient(x, rng.Int63n(int64(x.Prog.Len())), nil)
+		c = openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
 		gotW, _ := c.Window(w)
 		if !equalInts(gotW, ds.WindowBrute(w)) {
 			t.Fatalf("clustered window mismatch at %v", w)
@@ -315,11 +315,11 @@ func TestConservativeVsAggressiveTradeoff(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
 		probe := rng.Int63n(int64(x.Prog.Len()))
-		c := NewClient(x, probe, nil)
+		c := openClient(x.single, probe, nil)
 		_, st := c.KNN(q, 10, Conservative)
 		consLat += float64(st.LatencyPackets)
 		consTune += float64(st.TuningPackets)
-		c = NewClient(x, probe, nil)
+		c = openClient(x.single, probe, nil)
 		_, st = c.KNN(q, 10, Aggressive)
 		aggLat += float64(st.LatencyPackets)
 		aggTune += float64(st.TuningPackets)
@@ -346,11 +346,11 @@ func TestReorganizedImprovesKNN(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
 		probe := rng.Int63n(int64(orig.Prog.Len()))
-		c := NewClient(orig, probe, nil)
+		c := openClient(orig.single, probe, nil)
 		_, st := c.KNN(q, 10, Conservative)
 		oLat += float64(st.LatencyPackets)
 		oTune += float64(st.TuningPackets)
-		c = NewClient(reorg, probe%int64(reorg.Prog.Len()), nil)
+		c = openClient(reorg.single, probe%int64(reorg.Prog.Len()), nil)
 		_, st = c.KNN(q, 10, Conservative)
 		rLat += float64(st.LatencyPackets)
 		rTune += float64(st.TuningPackets)
@@ -366,7 +366,7 @@ func TestReorganizedImprovesKNN(t *testing.T) {
 func TestStatsProbeSlotRecorded(t *testing.T) {
 	ds := dataset.Uniform(100, 6, 43)
 	x, _ := Build(ds, Config{})
-	c := NewClient(x, 777, nil)
+	c := openClient(x.single, 777, nil)
 	_, st := c.Window(spatial.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10})
 	if st.ProbeSlot != 777 {
 		t.Errorf("ProbeSlot = %d, want 777", st.ProbeSlot)
@@ -384,7 +384,7 @@ func TestKNNRadiusNeverBelowTrueKth(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 20; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
-		c := NewClient(x, rng.Int63n(int64(x.Prog.Len())), nil)
+		c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
 		got, _ := c.KNN(q, 10, Conservative)
 		maxD := 0.0
 		for _, id := range got {
@@ -404,7 +404,7 @@ func BenchmarkWindowQuery(b *testing.B) {
 	ds := dataset.Uniform(1000, 7, 1)
 	x, _ := Build(ds, Config{})
 	rng := rand.New(rand.NewSource(1))
-	c := NewClient(x, 0, nil)
+	c := openClient(x.single, 0, nil)
 	var buf []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -418,7 +418,7 @@ func BenchmarkKNNConservative(b *testing.B) {
 	ds := dataset.Uniform(1000, 7, 1)
 	x, _ := Build(ds, Config{})
 	rng := rand.New(rand.NewSource(1))
-	c := NewClient(x, 0, nil)
+	c := openClient(x.single, 0, nil)
 	var buf []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -435,7 +435,7 @@ func BenchmarkKNNAggressive(b *testing.B) {
 	ds := dataset.Uniform(1000, 7, 1)
 	x, _ := Build(ds, Config{})
 	rng := rand.New(rand.NewSource(1))
-	c := NewClient(x, 0, nil)
+	c := openClient(x.single, 0, nil)
 	var buf []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -452,7 +452,7 @@ var sinkDist float64
 func BenchmarkFrameDist2(b *testing.B) {
 	ds := dataset.Uniform(1000, 7, 1)
 	x, _ := Build(ds, Config{})
-	c := NewClient(x, 0, nil)
+	c := openClient(x.single, 0, nil)
 	q := spatial.Point{X: 77, Y: 19}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

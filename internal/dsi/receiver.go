@@ -146,13 +146,7 @@ func (r *SimReceiver) Next() (broadcast.Slot, bool) { return r.tu.Read() }
 // and serves the precomputed decoded table. ok is false when any packet
 // was corrupted; no knowledge is gained but the cost is paid.
 func (r *SimReceiver) Table(pos int) (*Table, bool) {
-	ok := true
-	for i := 0; i < r.lay.X.TablePackets; i++ {
-		if _, good := r.tu.Read(); !good {
-			ok = false
-		}
-	}
-	if !ok {
+	if !r.tu.ReadN(r.lay.X.TablePackets) {
 		return nil, false
 	}
 	return &r.lay.X.tables[pos], true
@@ -171,13 +165,7 @@ func (r *SimReceiver) Header(pos, o int) (uint64, bool) {
 
 // Object receives the object's remaining ObjPackets-skip packets.
 func (r *SimReceiver) Object(pos, o, skip int) bool {
-	ok := true
-	for i := skip; i < r.lay.X.ObjPackets; i++ {
-		if _, good := r.tu.Read(); !good {
-			ok = false
-		}
-	}
-	return ok
+	return r.tu.ReadN(r.lay.X.ObjPackets - skip)
 }
 
 // Poll never reports a bump: the simulator drives swaps through

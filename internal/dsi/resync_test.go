@@ -40,13 +40,13 @@ func TestResyncMidQueryCorrectness(t *testing.T) {
 	ds := x.DS
 	rng := rand.New(rand.NewSource(7))
 	side := int(ds.Curve.Side())
-	c := NewMultiClient(old, 0, nil)
+	c := openClient(old, 0, nil)
 	fired := 0
 	for trial := 0; trial < 60; trial++ {
 		// Recreate the old-directory client when the previous trial's
 		// swap went through (a resynced client is a new-layout client).
 		if c.Layout() != old {
-			c = NewMultiClient(old, 0, nil)
+			c = openClient(old, 0, nil)
 			fired++
 		}
 		probe := rng.Int63n(int64(old.ProbeCycle()))
@@ -105,8 +105,8 @@ func TestResyncIdenticalDirectoryBitIdentical(t *testing.T) {
 	layA, layA2 := mk(), mk()
 	rng := rand.New(rand.NewSource(3))
 	side := int(ds.Curve.Side())
-	plain := NewMultiClient(layA, 0, nil)
-	bumped := NewMultiClient(layA, 0, nil)
+	plain := openClient(layA, 0, nil)
+	bumped := openClient(layA, 0, nil)
 	for trial := 0; trial < 25; trial++ {
 		probe := rng.Int63n(int64(layA.ProbeCycle()))
 		delay := rng.Int63n(int64(layA.ChanLen(0)) * 2)
@@ -135,7 +135,7 @@ func TestResyncIdenticalDirectoryBitIdentical(t *testing.T) {
 // bounds, and the new directory's splits are seeded as catalog facts.
 func TestResyncPreservesKnowledge(t *testing.T) {
 	x, old, new_ := resyncFixture(t, 450, 47)
-	c := NewMultiClient(old, 0, nil)
+	c := openClient(old, 0, nil)
 	kb := c.kb
 
 	rng := rand.New(rand.NewSource(11))
@@ -221,7 +221,7 @@ func TestResyncStaleTuneIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	side := int(ds.Curve.Side())
 	for trial := 0; trial < 20; trial++ {
-		stale := NewMultiClient(old, 0, nil)
+		stale := openClient(old, 0, nil)
 		probe := rng.Int63n(int64(new_.ProbeCycle()))
 		stale.Reset(probe, nil)
 		if err := stale.Resync(new_); err != nil {
@@ -239,7 +239,7 @@ func TestResyncStaleTuneIn(t *testing.T) {
 // Reset discards a pending bump.
 func TestResyncValidation(t *testing.T) {
 	x, old, new_ := resyncFixture(t, 300, 59)
-	c := NewMultiClient(old, 0, nil)
+	c := openClient(old, 0, nil)
 
 	otherDS := dataset.Uniform(300, 7, 60)
 	otherX, err := Build(otherDS, Config{})
@@ -262,7 +262,7 @@ func TestResyncValidation(t *testing.T) {
 	if err := c.Resync(split); err == nil {
 		t.Error("resync onto a split layout accepted")
 	}
-	splitClient := NewMultiClient(split, 0, nil)
+	splitClient := openClient(split, 0, nil)
 	if err := splitClient.Resync(new_); err == nil {
 		t.Error("resync of a split client accepted")
 	}

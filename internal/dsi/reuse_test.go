@@ -33,7 +33,7 @@ func TestResetClientMatchesFresh(t *testing.T) {
 		// One long-lived client replays every trial; dirty it with an
 		// unrelated query before each comparison so Reset has real state
 		// to clear.
-		reused := NewClient(x, 0, nil)
+		reused := openClient(x.single, 0, nil)
 		var buf []int
 
 		for trial := 0; trial < 30; trial++ {
@@ -58,7 +58,7 @@ func TestResetClientMatchesFresh(t *testing.T) {
 			switch trial % 2 {
 			case 0:
 				w := randWindow(rng, side)
-				fresh := NewClient(x, probe, mkLoss())
+				fresh := openClient(x.single, probe, mkLoss())
 				wantIDs, wantSt := fresh.Window(w)
 
 				reused.Reset(probe, mkLoss())
@@ -77,7 +77,7 @@ func TestResetClientMatchesFresh(t *testing.T) {
 				if cfg.Segments <= 1 && trial%4 == 1 {
 					strat = Aggressive
 				}
-				fresh := NewClient(x, probe, mkLoss())
+				fresh := openClient(x.single, probe, mkLoss())
 				wantIDs, wantSt := fresh.KNN(q, k, strat)
 
 				reused.Reset(probe, mkLoss())
@@ -158,12 +158,12 @@ func TestResetClientMatchesFreshEEF(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(77))
-	reused := NewClient(x, 0, nil)
+	reused := openClient(x.single, 0, nil)
 	for trial := 0; trial < 20; trial++ {
 		probe := rng.Int63n(int64(x.Prog.Len()))
 		hc := ds.Objects[rng.Intn(ds.N())].HC
 
-		fresh := NewClient(x, probe, nil)
+		fresh := openClient(x.single, probe, nil)
 		wantF, wantEx, wantSt := fresh.EEF(hc)
 
 		reused.Reset(probe, nil)

@@ -1,23 +1,18 @@
 // The session facade: one constructor for every client the package
-// knows how to assemble. The historical entry points — NewClient,
-// NewMultiClient, and the per-harness wrappers around them — each
-// hard-coded one (layout, receiver) pair and took positional probe and
-// loss arguments, so every new capability (multi-channel layouts,
-// shards, per-channel loss, byte-level receivers) widened every
-// signature. Open replaces them: functional options select the layout
-// (or a prebuilt receiver), the tune-in slot, and the loss processes,
-// and the returned Session answers any number of queries with reusable
-// state, keeping the zero-allocation append contracts of the client
-// underneath.
+// knows how to assemble. Functional options select the layout (or a
+// prebuilt receiver), the tune-in slot, and the loss processes, so a
+// new capability (multi-channel layouts, shards, per-channel loss,
+// byte-level receivers) adds an option instead of widening a
+// signature; the returned Session answers any number of queries with
+// reusable state, keeping the zero-allocation append contracts of the
+// client underneath.
 //
-// Migration from the legacy constructors:
-//
-//	NewClient(x, probe, loss)            -> Open(x, WithProbeSlot(probe), WithLoss(loss))
-//	NewMultiClient(lay, probe, loss)     -> Open(lay.X, WithLayout(lay), WithProbeSlot(probe), WithLoss(loss))
-//	build-your-own layout                -> Open(x, WithMultiConfig(mc), ...)
-//	sharded plan (sched.Plan)            -> Open(x, WithMultiConfig(plan.MultiConfig(sw)), ...)
-//	                                        or Open(x, WithShardBounds(bounds...), WithSwitchSlots(sw), ...)
-//	byte-level reception (station)       -> Open(x, WithReceiver(station.NewWireReceiver(...)))
+//	single channel, error-free        Open(x)
+//	prebuilt layout                   Open(lay.X, WithLayout(lay), WithProbeSlot(probe), WithLoss(loss))
+//	build-your-own layout             Open(x, WithMultiConfig(mc), ...)
+//	sharded plan (sched.Plan)         Open(x, WithMultiConfig(plan.MultiConfig(sw)), ...)
+//	                                  or Open(x, WithShardBounds(bounds...), WithSwitchSlots(sw), ...)
+//	byte-level reception (station)    Open(x, WithReceiver(station.NewWireReceiver(...)))
 
 package dsi
 

@@ -10,12 +10,12 @@ import (
 	"dsi/internal/spatial"
 )
 
-// TestOpenBitIdenticalToLegacyConstructors is the facade's regression
-// contract: a Session opened over any layout must answer every query
-// with exactly the results and cost metrics of the legacy constructor
-// it replaces — including across Tune cycles, which must behave like
-// the legacy Reset.
-func TestOpenBitIdenticalToLegacyConstructors(t *testing.T) {
+// TestSessionTuneMatchesFreshOpen is the facade's regression contract:
+// every spelling of a layout option reaches the same session, and a
+// session re-tuned with Tune answers every query with exactly the
+// results and cost metrics of one freshly opened at that probe slot
+// and loss model over the prebuilt layout.
+func TestSessionTuneMatchesFreshOpen(t *testing.T) {
 	ds := dataset.Uniform(320, 7, 611)
 	x, err := Build(ds, Config{Capacity: 64})
 	if err != nil {
@@ -27,9 +27,9 @@ func TestOpenBitIdenticalToLegacyConstructors(t *testing.T) {
 	}
 
 	type arm struct {
-		name   string
-		legacy func(probe int64, loss *broadcast.LossModel) *Client
-		open   func() (*Session, error)
+		name string
+		lay  *Layout // what a fresh session opens over
+		open func() (*Session, error)
 	}
 	mkLay := func(x *Index, mc MultiConfig) *Layout {
 		lay, err := NewLayout(x, mc)
@@ -43,28 +43,12 @@ func TestOpenBitIdenticalToLegacyConstructors(t *testing.T) {
 		ShardBounds: []int{0, x.NF / 3, x.NF}}
 	shard := mkLay(x, shardMC)
 	arms := []arm{
-		{
-			"single",
-			func(p int64, l *broadcast.LossModel) *Client { return NewClient(x, p, l) },
-			func() (*Session, error) { return Open(x) },
-		},
-		{
-			"split layout",
-			func(p int64, l *broadcast.LossModel) *Client { return NewMultiClient(split, p, l) },
-			func() (*Session, error) { return Open(x2, WithLayout(split)) },
-		},
-		{
-			"shard via multiconfig",
-			func(p int64, l *broadcast.LossModel) *Client { return NewMultiClient(shard, p, l) },
-			func() (*Session, error) { return Open(x, WithMultiConfig(shardMC)) },
-		},
-		{
-			"shard via bounds",
-			func(p int64, l *broadcast.LossModel) *Client { return NewMultiClient(shard, p, l) },
-			func() (*Session, error) {
-				return Open(x, WithShardBounds(0, x.NF/3, x.NF), WithSwitchSlots(2))
-			},
-		},
+		{"single", x.single, func() (*Session, error) { return Open(x) }},
+		{"split layout", split, func() (*Session, error) { return Open(x2, WithLayout(split)) }},
+		{"shard via multiconfig", shard, func() (*Session, error) { return Open(x, WithMultiConfig(shardMC)) }},
+		{"shard via bounds", shard, func() (*Session, error) {
+			return Open(x, WithShardBounds(0, x.NF/3, x.NF), WithSwitchSlots(2))
+		}},
 	}
 
 	side := int(ds.Curve.Side())
@@ -83,23 +67,23 @@ func TestOpenBitIdenticalToLegacyConstructors(t *testing.T) {
 				mk = func() *broadcast.LossModel { return broadcast.NewLossModel(0.3, seed) }
 			}
 			loss = mk()
-			legacy := a.legacy(probe, mk())
+			fresh := openClient(a.lay, probe, mk())
 			s.Tune(probe, loss)
 			if trial%2 == 0 {
 				w := randWindow(rng, side)
-				wantIDs, wantSt := legacy.Window(w)
+				wantIDs, wantSt := fresh.Window(w)
 				gotIDs, gotSt := s.Window(w)
 				if !equalInts(gotIDs, wantIDs) || gotSt != wantSt {
-					t.Fatalf("%s trial %d: session window (%v,%+v) != legacy (%v,%+v)",
+					t.Fatalf("%s trial %d: re-tuned session window (%v,%+v) != fresh (%v,%+v)",
 						a.name, trial, gotIDs, gotSt, wantIDs, wantSt)
 				}
 			} else {
 				q := spatial.Point{X: uint32(rng.Intn(side)), Y: uint32(rng.Intn(side))}
 				k := 1 + rng.Intn(6)
-				wantIDs, wantSt := legacy.KNN(q, k, Conservative)
+				wantIDs, wantSt := fresh.KNN(q, k, Conservative)
 				gotIDs, gotSt := s.KNN(q, k, Conservative)
 				if !equalInts(gotIDs, wantIDs) || gotSt != wantSt {
-					t.Fatalf("%s trial %d: session kNN (%v,%+v) != legacy (%v,%+v)",
+					t.Fatalf("%s trial %d: re-tuned session kNN (%v,%+v) != fresh (%v,%+v)",
 						a.name, trial, gotIDs, gotSt, wantIDs, wantSt)
 				}
 			}
@@ -109,7 +93,7 @@ func TestOpenBitIdenticalToLegacyConstructors(t *testing.T) {
 
 // TestSessionAutoRetune verifies that a query issued without an
 // intervening Tune behaves like an explicit re-tune at the previous
-// parameters (the legacy Reset-per-query pattern).
+// parameters.
 func TestSessionAutoRetune(t *testing.T) {
 	ds := dataset.Uniform(200, 7, 77)
 	x, err := Build(ds, Config{})
@@ -127,7 +111,7 @@ func TestSessionAutoRetune(t *testing.T) {
 	if !equalInts(ids2, want) || st1 != st2 {
 		t.Fatalf("repeat query diverged: (%v,%+v) then (%v,%+v)", want, st1, ids2, st2)
 	}
-	c := NewClient(x, 1234, nil)
+	c := openClient(x.single, 1234, nil)
 	wantIDs, wantSt := c.Window(w)
 	if !equalInts(ids2, wantIDs) || st2 != wantSt {
 		t.Fatalf("auto-retuned session != fresh client")
@@ -227,7 +211,7 @@ func TestSessionChannelLossPersists(t *testing.T) {
 	}
 	w := spatial.ClampedWindow(10, 10, 40, ds.Curve.Side())
 
-	c := NewMultiClient(lay, 500, nil)
+	c := openClient(lay, 500, nil)
 	for trial := 0; trial < 2; trial++ {
 		c.Reset(500, nil)
 		if err := c.SetChannelLoss(0, refLoss); err != nil {
@@ -268,7 +252,7 @@ func TestSessionSetChannelLossSurvivesAutoRetune(t *testing.T) {
 	}
 	_, got := s.Window(w) // must run with the override despite the auto re-tune
 
-	ref := NewMultiClient(lay, 500, nil)
+	ref := openClient(lay, 500, nil)
 	if err := ref.SetChannelLoss(0, broadcast.NewLossModel(0.2, 99)); err != nil {
 		t.Fatal(err)
 	}
@@ -312,4 +296,15 @@ func TestSessionAllocsSteadyState(t *testing.T) {
 	if len(buf) == 0 {
 		t.Fatal("window query returned nothing")
 	}
+}
+
+// openClient is the tests' way to a bare client: the one behind a
+// session opened over lay, tuned in at probe under loss. A client
+// answers one query per Open or Reset.
+func openClient(lay *Layout, probe int64, loss *broadcast.LossModel) *Client {
+	s, err := Open(lay.X, WithLayout(lay), WithProbeSlot(probe), WithLoss(loss))
+	if err != nil {
+		panic(err)
+	}
+	return s.Client()
 }

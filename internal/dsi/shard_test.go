@@ -53,8 +53,8 @@ func TestShardMatchesSplitOneShard(t *testing.T) {
 				}
 				return broadcast.NewLossModel(theta, lossSeed)
 			}
-			a := NewMultiClient(split, probe, mkLoss())
-			b := NewMultiClient(shard, probe, mkLoss())
+			a := openClient(split, probe, mkLoss())
+			b := openClient(shard, probe, mkLoss())
 			if trial%2 == 0 {
 				w := randWindow(rng, side)
 				wantIDs, wantSt := a.Window(w)
@@ -108,7 +108,7 @@ func TestShardLayoutCorrectness(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(len(bounds))))
 		side := int(ds.Curve.Side())
-		c := NewMultiClient(lay, 0, nil)
+		c := openClient(lay, 0, nil)
 		if c.kb.nspan != len(bounds)-1 {
 			t.Fatalf("bounds %v: client has %d knowledge spans, want %d", bounds, c.kb.nspan, len(bounds)-1)
 		}
@@ -247,7 +247,7 @@ func TestShardClientResetMatchesFresh(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(31))
 	side := int(ds.Curve.Side())
-	reused := NewMultiClient(lay, 0, nil)
+	reused := openClient(lay, 0, nil)
 	for trial := 0; trial < 10; trial++ {
 		probe := rng.Int63n(int64(lay.ProbeCycle()))
 		lossSeed := rng.Int63()
@@ -261,7 +261,7 @@ func TestShardClientResetMatchesFresh(t *testing.T) {
 		reused.KNN(spatial.Point{X: uint32(rng.Intn(side)), Y: uint32(rng.Intn(side))}, 2, Conservative)
 
 		w := randWindow(rng, side)
-		fresh := NewMultiClient(lay, probe, mkLoss())
+		fresh := openClient(lay, probe, mkLoss())
 		wantIDs, wantSt := fresh.Window(w)
 		reused.Reset(probe, mkLoss())
 		gotIDs, gotSt := reused.Window(w)
@@ -294,8 +294,8 @@ func TestShardHotQueriesFaster(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	var shardLat, splitLat int64
-	cs := NewMultiClient(shard, 0, nil)
-	cu := NewMultiClient(split, 0, nil)
+	cs := openClient(shard, 0, nil)
+	cu := openClient(split, 0, nil)
 	for trial := 0; trial < 60; trial++ {
 		// Query a random hot object's cell neighborhood.
 		o := ds.Objects[rng.Intn(hot)]

@@ -12,7 +12,7 @@ import (
 func TestTraceRecordsQuerySteps(t *testing.T) {
 	ds := dataset.Uniform(100, 6, 95)
 	x, _ := Build(ds, Config{})
-	c := NewClient(x, 7, nil)
+	c := openClient(x.single, 7, nil)
 	var events []Event
 	c.SetTracer(func(e Event) { events = append(events, e) })
 	ids, st := c.Window(spatial.Rect{MinX: 10, MinY: 10, MaxX: 30, MaxY: 30})
@@ -62,7 +62,7 @@ func TestTraceLossMarksEvents(t *testing.T) {
 	ds := dataset.Uniform(100, 6, 97)
 	x, _ := Build(ds, Config{})
 	loss := broadcast.NewLossModel(0.5, 11)
-	c := NewClient(x, 3, loss)
+	c := openClient(x.single, 3, loss)
 	lost := 0
 	c.SetTracer(func(e Event) {
 		if !e.OK {
@@ -78,10 +78,10 @@ func TestTraceLossMarksEvents(t *testing.T) {
 func TestTraceDisabledByDefault(t *testing.T) {
 	ds := dataset.Uniform(50, 6, 99)
 	x, _ := Build(ds, Config{})
-	c := NewClient(x, 0, nil)
+	c := openClient(x.single, 0, nil)
 	// Must not panic with no tracer installed.
 	c.Window(spatial.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10})
-	c2 := NewClient(x, 0, nil)
+	c2 := openClient(x.single, 0, nil)
 	c2.SetTracer(func(Event) {})
 	c2.SetTracer(nil) // disable again
 	c2.Window(spatial.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10})

@@ -31,21 +31,27 @@ func chanLossScenarios() []chanLossScenario {
 }
 
 // chanLossRun replays the window workload with per-channel
-// Gilbert-Elliott loss installed through Client.SetChannelLoss — the
+// Gilbert-Elliott loss installed through Session.SetChannelLoss — the
 // per-channel override the tuner has always supported but no experiment
 // exercised. Each (query, channel) pair draws its own deterministic
 // seed, so results are reproducible and independent of execution order.
 func chanLossRun(lay *dsi.Layout, wl *Workload, theta float64, sc chanLossScenario) Metrics {
 	qs := wl.genWindows(DefaultWinSideRatio)
 	return replay(len(qs),
-		// One reusable client per worker; Reset re-tunes it per query
+		// One reusable session per worker; Tune re-tunes it per query
 		// and clears the per-channel loss overrides, which are then
 		// reinstalled with the query's own seeds.
-		func(int) *dsi.Client { return dsi.NewMultiClient(lay, 0, nil) },
+		func(int) *dsi.Session {
+			s, err := dsi.Open(lay.X, dsi.WithLayout(lay))
+			if err != nil {
+				panic(fmt.Sprintf("experiment: chanloss: %v", err))
+			}
+			return s
+		},
 		nil,
-		func(c *dsi.Client, i int) broadcast.Stats {
+		func(c *dsi.Session, i int) broadcast.Stats {
 			q := qs[i]
-			c.Reset(int64(q.uProb*float64(lay.ProbeCycle())), nil)
+			c.Tune(int64(q.uProb*float64(lay.ProbeCycle())), nil)
 			for ch := 0; ch < lay.Channels(); ch++ {
 				if theta > 0 && sc.lossy(ch) {
 					m := broadcast.GilbertForTheta(theta, Table1GEBurstLen, q.seed+int64(ch))

@@ -493,16 +493,15 @@ func CostModel(p Params) Result {
 		// Each capacity draws from its own deterministic stream so the
 		// sweep can run its data points in any order (or in parallel).
 		rng := newWorkloadRNG(p.Seed + 7 + 1000*int64(ci))
-		var c *dsi.Client
+		sess, err := dsi.Open(x)
+		if err != nil {
+			panic(err)
+		}
+		c := sess.Client() // EEF is a client capability the session does not wrap
 		var lat, tun float64
 		for i := 0; i < p.Queries; i++ {
 			o := ds.Objects[rng.IntN(ds.N())]
-			probe := rng.Int64N(int64(x.Prog.Len()))
-			if c == nil {
-				c = dsi.NewClient(x, probe, nil)
-			} else {
-				c.Reset(probe, nil)
-			}
+			c.Reset(rng.Int64N(int64(x.Prog.Len())), nil)
 			_, _, st := c.EEF(o.HC)
 			lat += float64(st.LatencyBytes())
 			tun += float64(st.TuningBytes())

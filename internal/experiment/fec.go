@@ -73,7 +73,7 @@ func fecHeavyCode(x *dsi.Index, theta float64) wire.FECConfig {
 }
 
 // fecArm is one arm of the fec experiment: the session-backed system
-// running station.FECReceiver sessions, plus the coded air it runs over
+// running station.WireReceiver sessions, plus the coded air it runs over
 // (what the rate table and the censored replay need). The zero code is
 // exactly the retry baseline: a plain transmitter decoded by the plain
 // byte-level receiver.
@@ -85,7 +85,7 @@ type fecArm struct {
 }
 
 // receiver mints a coded receiver over the arm's air.
-func (s *fecArm) receiver() *station.FECReceiver {
+func (s *fecArm) receiver() *station.WireReceiver {
 	rx, err := station.NewFECReceiver(s.lay, 1, s.src, s.cfg, 0, nil)
 	if err != nil {
 		panic(fmt.Sprintf("experiment: FEC receiver: %v", err))

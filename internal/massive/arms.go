@@ -4,11 +4,12 @@
 // and the erasure-coded single channel (light interleaved-XOR code,
 // whose parity tail lengthens the physical cycle the same way it does
 // on a real coded station). Every arm exposes two ways to mint a
-// receiver over the same air: the flat batched receiver the
-// event-driven engine runs on, and the reference receiver of the
-// step-wise replay path (SimReceiver, or the byte-level
-// station.FECReceiver for the coded arm) that the equivalence suite
-// pins it against.
+// receiver over the same air: the one the event-driven engine runs on
+// and the reference receiver of the step-wise replay path. On the
+// plain arms both are dsi.SimReceiver; on the coded arm the reference
+// is the byte-level station.WireReceiver and the engine runs on the
+// flat receiver (receiver.go) that the equivalence suite pins against
+// it.
 
 package massive
 
@@ -73,26 +74,27 @@ func (a *Arm) CycleSlots() int { return a.cycle }
 
 func (a *Arm) coded() bool { return a.cfg.Enabled() }
 
-// newFlat mints the event-driven engine's receiver over the arm.
+// newFlat mints the event-driven engine's receiver over the arm: the
+// flat receiver on the coded arm, the simulator's everywhere else.
 func (a *Arm) newFlat() dsi.Receiver {
 	if a.coded() {
 		return newFlatFECReceiver(a.Lay, a.geo, 0)
 	}
-	return newFlatReceiver(a.Lay, 0)
+	return dsi.NewSimReceiver(a.Lay, 0, nil)
 }
 
 // newReference mints the step-wise reference receiver over the arm:
-// the tuner-stepping SimReceiver, or the byte-level recovering
-// receiver on the coded arm.
+// the byte-level receiver over the arm's transmitter when it has one
+// (the coded arm), the simulator's otherwise.
 func (a *Arm) newReference() dsi.Receiver {
-	if a.coded() {
-		rx, err := station.NewFECReceiver(a.Lay, 1, a.src, a.cfg, 0, nil)
-		if err != nil {
-			panic(fmt.Sprintf("massive: reference FEC receiver: %v", err))
-		}
-		return rx
+	if a.src == nil {
+		return dsi.NewSimReceiver(a.Lay, 0, nil)
 	}
-	return dsi.NewSimReceiver(a.Lay, 0, nil)
+	rx, err := station.NewFECReceiver(a.Lay, 1, a.src, a.cfg, 0, nil)
+	if err != nil {
+		panic(fmt.Sprintf("massive: reference receiver: %v", err))
+	}
+	return rx
 }
 
 // Testbed is the shared immutable air of one massive run: the index

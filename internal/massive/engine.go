@@ -5,8 +5,10 @@
 // one shared immutable air snapshot (the testbed arm). Workers own
 // contiguous client-id ranges; within a range, clients are ordered on
 // the slot clock by a calendar/bucket queue over their tune-in slots
-// and each activation runs its query to completion through a flat
-// receiver that skips between tune-in slots with batched arithmetic
+// and each activation runs its query to completion through a receiver
+// that skips between tune-in slots and reads whole tables and objects
+// with batched arithmetic — dsi.SimReceiver on the plain arms, the
+// flat receiver on the coded one
 // (broadcast clients never interact, so slot-clock order is a locality
 // choice, not a correctness one — which is exactly why replay is
 // deterministic at any parallelism: every client's outcome is a
@@ -140,8 +142,8 @@ func queryOf(cfg Config, side uint32, cycle int, id int) clientQuery {
 // runPopulation replays every client of cfg against the arm, one
 // session per worker over contiguous client-id ranges. The evented
 // engine activates a worker's clients in slot-clock order through the
-// calendar/bucket queue over flat receivers; the reference engine
-// scans ids in order over the step-wise receivers.
+// calendar/bucket queue over the arm's newFlat receivers; the reference
+// engine scans ids in order over its newReference receivers.
 func runPopulation(bed *Testbed, arm *Arm, cfg Config, evented bool) *Result {
 	cfg = cfg.withDefaults()
 	if cfg.Clients <= 0 {
@@ -291,15 +293,16 @@ func runPopulation(bed *Testbed, arm *Arm, cfg Config, evented bool) *Result {
 }
 
 // Run replays cfg's population against the arm on the event-driven
-// flat engine.
+// engine.
 func Run(bed *Testbed, arm *Arm, cfg Config) *Result {
 	return runPopulation(bed, arm, cfg, true)
 }
 
-// RunReference replays the identical population through the step-wise
-// reference receivers (broadcast.Tuner stepping under SimReceiver, or
-// the byte-level coded receiver) — the correctness anchor the
-// event-driven engine is pinned against.
+// RunReference replays the identical population in id order through
+// the reference receivers — SimReceiver again on the plain arms, where
+// the two engines differ in activation order only, and the byte-level
+// receiver on the coded arm, the correctness anchor its flat receiver
+// is pinned against.
 func RunReference(bed *Testbed, arm *Arm, cfg Config) *Result {
 	return runPopulation(bed, arm, cfg, false)
 }

@@ -1,23 +1,27 @@
-// Flat receivers: the event-driven engine's radios. The reference
-// engine charges every slot through a broadcast.Tuner — per packet it
-// looks up the program slot, draws from the loss model, and bumps
-// per-channel counters. At a million clients that bookkeeping is the
-// simulation; none of it affects an error-free replay's outcome. The
-// flat receiver implements the same dsi.Receiver contract with O(1)
-// batched arithmetic per operation over the shared immutable layout:
-// a table read is two integer additions, a doze is one modular
-// subtraction, and no per-client air, program, or tuner state exists
-// at all. Every client in the engine shares one immutable air
-// snapshot (the Layout placement arrays and the index's precomputed
-// tables); the per-receiver state is five integers and one cached
-// table value.
+// The flat receiver: the event-driven engine's radio on the coded arm.
+// The coded arm's reference is the byte-level station.WireReceiver,
+// which per packet asks the transmitter for bytes, looks up the
+// program slot, draws from the loss model and bumps per-channel
+// counters. At a million clients that bookkeeping is the simulation;
+// none of it affects an error-free replay's outcome. The flat receiver
+// implements the same dsi.Receiver contract with O(1) batched
+// arithmetic per operation over the shared immutable layout and the
+// coded slot maps: a table read is two integer additions, a doze is
+// one table lookup and a modular subtraction, and no per-client air,
+// program, or tuner state exists at all; the per-receiver state is
+// three integers and one cached table value.
 //
-// The cost arithmetic replicates broadcast.Tuner exactly — same
-// clock, same tuning accounting, same switch charging, same modular
-// position math — which the equivalence suite pins per client against
-// the step-wise SimReceiver path. Loss is out of scope by design:
-// these receivers model error-free channels only, and refuse loss
-// models loudly rather than silently ignoring them.
+// The plain arms need no such thing: dsi.SimReceiver builds no bytes,
+// and broadcast.Tuner.ReadN makes its table and object reads the same
+// constant-time additions on an error-free channel, so both engines
+// replay those arms through it.
+//
+// The cost arithmetic replicates the coded receiver's tuner exactly —
+// same clock, same tuning accounting, same modular position math —
+// which the equivalence suite pins per client against the step-wise
+// path. Loss is out of scope by design: the flat receiver models
+// error-free channels only, and refuses loss models loudly rather than
+// silently ignoring them.
 
 package massive
 
@@ -29,138 +33,10 @@ import (
 	"dsi/internal/station"
 )
 
-// flatReceiver is the event-driven engine's radio over a plain
-// (uncoded) layout: classic single-channel, index/data split, or
-// sharded. It implements dsi.Receiver with batched clock arithmetic
-// and zero per-packet work.
-type flatReceiver struct {
-	lay         *dsi.Layout
-	x           *dsi.Index
-	chanLen     []int64 // per-channel cycle lengths
-	switchSlots int64
-	capacity    int
-
-	ch       int
-	now      int64
-	start    int64
-	read     int64
-	switches int64
-
-	// tab is the receiver's single table buffer: Table copies the
-	// index's precomputed table value here and returns its address,
-	// honoring the "valid until the next Table call" contract without
-	// exposing the index's private table storage.
-	tab dsi.Table
-}
-
-// newFlatReceiver returns a flat receiver tuned to the layout's start
-// channel at slot probe.
-func newFlatReceiver(lay *dsi.Layout, probe int64) *flatReceiver {
-	r := &flatReceiver{
-		lay:         lay,
-		x:           lay.X,
-		chanLen:     make([]int64, lay.Channels()),
-		switchSlots: int64(lay.Air.SwitchSlots),
-		capacity:    lay.X.Cfg.Capacity,
-	}
-	for ch := range r.chanLen {
-		r.chanLen[ch] = int64(lay.ChanLen(ch))
-	}
-	r.Reset(probe, nil)
-	return r
-}
-
-func (r *flatReceiver) Layout() *dsi.Layout { return r.lay }
-func (r *flatReceiver) Now() int64          { return r.now }
-func (r *flatReceiver) Channel() int        { return r.ch }
-func (r *flatReceiver) PhaseOf(int) int64   { return 0 }
-
-func (r *flatReceiver) Pos() int { return int(r.now % r.chanLen[r.ch]) }
-
-func (r *flatReceiver) Stats() broadcast.Stats {
-	return broadcast.Stats{
-		ProbeSlot:      r.start,
-		LatencyPackets: r.now - r.start,
-		TuningPackets:  r.read,
-		Switches:       r.switches,
-		Capacity:       r.capacity,
-	}
-}
-
-func (r *flatReceiver) Tune(ch int) {
-	if ch == r.ch {
-		return
-	}
-	r.ch = ch
-	r.now += r.switchSlots
-	r.switches++
-}
-
-func (r *flatReceiver) DozeUntilPos(pos int) {
-	l := r.chanLen[r.ch]
-	delta := (int64(pos) - r.now) % l
-	if delta < 0 {
-		delta += l
-	}
-	r.now += delta
-}
-
-// Next receives the probe packet. The returned slot is zero — the
-// client discards it (only the position after the read matters) — and
-// the cost is one packet, exactly like a tuner read.
-func (r *flatReceiver) Next() (broadcast.Slot, bool) {
-	r.now++
-	r.read++
-	return broadcast.Slot{}, true
-}
-
-func (r *flatReceiver) Table(pos int) (*dsi.Table, bool) {
-	n := int64(r.x.TablePackets)
-	r.now += n
-	r.read += n
-	r.tab = r.x.TableAt(pos)
-	return &r.tab, true
-}
-
-func (r *flatReceiver) Header(pos, o int) (uint64, bool) {
-	r.now++
-	r.read++
-	first, _ := r.x.FrameObjects(r.x.PosToFrame(pos))
-	return r.x.DS.Objects[first+o].HC, true
-}
-
-func (r *flatReceiver) Object(pos, o, skip int) bool {
-	n := int64(r.x.ObjPackets - skip)
-	r.now += n
-	r.read += n
-	return true
-}
-
-func (r *flatReceiver) Poll() (*dsi.Layout, bool) { return nil, false }
-
-func (r *flatReceiver) Follow(*dsi.Layout) {
-	panic("massive: flat receivers model static schedules; Follow is unsupported")
-}
-
-func (r *flatReceiver) Reset(probeSlot int64, loss *broadcast.LossModel) {
-	if loss != nil {
-		panic("massive: flat receivers are error-free; loss models are unsupported")
-	}
-	r.now = probeSlot
-	r.start = probeSlot
-	r.read = 0
-	r.switches = 0
-	r.ch = r.lay.StartCh
-}
-
-func (r *flatReceiver) SetChannelLoss(int, *broadcast.LossModel) error {
-	return errors.New("massive: flat receivers are error-free; per-channel loss is unsupported")
-}
-
 // flatFECReceiver is the flat receiver over a coded single-channel
 // broadcast: the clock runs in the physical (parity-bearing) slot
 // domain while Pos and DozeUntilPos speak logical cycle positions,
-// exactly like station.FECReceiver's facade. On an error-free channel
+// exactly like station.WireReceiver's facade. On an error-free channel
 // a coded read never touches the parity tail — every unit read costs
 // its content packets and parity is dozed past — so the batched cost
 // model is the plain one with the two slot maps spliced in.

@@ -7,10 +7,12 @@ import (
 )
 
 // TestFlatSkipMatchesBruteForceStepping checks the skip arithmetic at
-// the bottom of the event-driven engine against brute force: after
-// DozeUntilPos the flat receiver's clock must sit on the first slot at
-// or after the probe whose broadcast position is the target — exactly
-// where stepping one slot at a time would land.
+// the bottom of the event-driven engine against brute force, on the
+// receiver each arm's newFlat mints (SimReceiver's tuner doze on the
+// plain arms, the flat receiver's slot maps on the coded one): after
+// DozeUntilPos the clock must sit on the first slot at or after the
+// probe whose broadcast position is the target — exactly where
+// stepping one slot at a time would land.
 func TestFlatSkipMatchesBruteForceStepping(t *testing.T) {
 	bed := testBed(t)
 	rng := rand.New(rand.NewPCG(21, 23))
@@ -20,13 +22,9 @@ func TestFlatSkipMatchesBruteForceStepping(t *testing.T) {
 			probe := rng.Int64N(3 * cycle) // clocks beyond one cycle must wrap too
 			var posAt func(t int64) int
 			var landed func(t int64, target int) bool
-			var rx interface {
-				DozeUntilPos(int)
-				Now() int64
-				Pos() int
-			}
+			rx := arm.newFlat()
+			rx.Reset(probe, nil)
 			if arm.coded() {
-				r := newFlatFECReceiver(arm.Lay, arm.geo, probe)
 				phys := int64(arm.geo.PhysLen)
 				posAt = func(t int64) int { return int(arm.geo.LogOf[t%phys]) }
 				// Parity slots map forward to the next content position,
@@ -36,13 +34,10 @@ func TestFlatSkipMatchesBruteForceStepping(t *testing.T) {
 				landed = func(t int64, target int) bool {
 					return posAt(t) == target && posAt(t+1) != target
 				}
-				rx = r
 			} else {
-				r := newFlatReceiver(arm.Lay, probe)
-				l := int64(arm.Lay.ChanLen(r.Channel()))
+				l := int64(arm.Lay.ChanLen(rx.Channel()))
 				posAt = func(t int64) int { return int(t % l) }
 				landed = func(t int64, target int) bool { return posAt(t) == target }
-				rx = r
 			}
 			// Target: the position of a random future slot, so every
 			// logical position (tables, headers, parity-adjacent data)

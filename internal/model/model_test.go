@@ -36,8 +36,11 @@ func measurePoint(x *dsi.Index, ds *dataset.Dataset, trials int, seed int64) (la
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < trials; i++ {
 		o := ds.Objects[rng.Intn(ds.N())]
-		c := dsi.NewClient(x, rng.Int63n(int64(x.Prog.Len())), nil)
-		_, _, st := c.EEF(o.HC)
+		sess, err := dsi.Open(x, dsi.WithProbeSlot(rng.Int63n(int64(x.Prog.Len()))))
+		if err != nil {
+			panic(err)
+		}
+		_, _, st := sess.Client().EEF(o.HC)
 		lat += float64(st.LatencyPackets)
 		tun += float64(st.TuningPackets)
 	}

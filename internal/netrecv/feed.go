@@ -7,7 +7,7 @@
 // position-stamped net frames (wire.NetFrame); a Feed reassembles them
 // into per-channel ring buffers and presents the result as a
 // station.PacketSource — the exact interface the in-process
-// WireReceiver and FECReceiver already decode from. All byte-level
+// WireReceiver already decodes from. All byte-level
 // machinery (index-table decoding, versioned directory adoption,
 // FEC recovery, phased re-tuning) therefore runs unchanged on top of a
 // network link, and a loss-free link is regression-enforced
@@ -26,8 +26,8 @@
 // Invariants:
 //
 //   - Offer copies every payload: ring eviction never invalidates a
-//     slice an upper layer still aliases (the FEC receiver holds
-//     payload references for up to a cycle).
+//     slice an upper layer still aliases (the receiver's group window
+//     holds payload references for up to a cycle).
 //   - PacketAt never blocks forever in lossy mode: a slot is declared
 //     lost when the channel clock passes it, the global clock outruns
 //     it by LagSlack, the wait times out, or the feed closes.

@@ -2,7 +2,7 @@
 // Queries answered through a real transport (HTTP chunked stream, UDP
 // datagrams) over a loss-free loopback link must be bit-identical —
 // same result IDs, same slot-level cost stats — to the same queries
-// answered through the in-process WireReceiver/FECReceiver over the
+// answered through the in-process WireReceiver over the
 // same transmitter. The transport may add wall-clock time, never
 // broadcast-clock cost.
 
@@ -225,7 +225,7 @@ func TestHTTPReceiverBitIdenticalLoopback(t *testing.T) {
 
 // TestHTTPReceiverFECBitIdentical streams a coded broadcast: the
 // network receiver must build the FEC decode path from the in-band
-// descriptor and stay bit-identical to the in-process FECReceiver.
+// descriptor and stay bit-identical to the in-process coded receiver.
 func TestHTTPReceiverFECBitIdentical(t *testing.T) {
 	const n, seed = 220, 1409
 	ds, x, lay := netTestBed(t, n, seed)
@@ -345,7 +345,24 @@ func TestUDPReceiverLoopback(t *testing.T) {
 // the in-band control frames, the client adopts version 2 mid-stream
 // with zero client changes, and every answer stays exact.
 func TestSeamSwapMidQueryOverNetwork(t *testing.T) {
-	const n, seed = 240, 1601
+	seamSwapOverNetwork(t, 1601, wire.FECConfig{})
+}
+
+// TestCodeTurnedOnAtSeamOverNetwork is the same swap with the station
+// turning erasure coding on at the seam: a client that bootstrapped
+// from an uncoded catalog must follow the descriptor onto the
+// parity-bearing stream and keep answering exactly. (While the uncoded
+// decoder was its own type it never returned from the first query
+// past the seam.)
+func TestCodeTurnedOnAtSeamOverNetwork(t *testing.T) {
+	seamSwapOverNetwork(t, 1603, xorCode())
+}
+
+// seamSwapOverNetwork runs an uncoded loopback station, bootstraps a
+// client, stages a swap to the skewed shard map under code to, and
+// queries across the seam.
+func seamSwapOverNetwork(t *testing.T, seed int64, to wire.FECConfig) {
+	const n = 240
 	ds, x, lay0 := netTestBed(t, n, seed)
 	lay1, err := dsi.NewLayout(x, dsi.MultiConfig{
 		Channels: 4, Scheduler: dsi.SchedShard, SwitchSlots: 2, ShardBounds: skewedBounds(x.NF),
@@ -387,7 +404,7 @@ func TestSeamSwapMidQueryOverNetwork(t *testing.T) {
 		}
 	}
 	query() // version 1, pre-swap
-	if _, err := rb.Stage(lay1, rx.LiveSlot()+1); err != nil {
+	if _, err := rb.StageFEC(lay1, to, rx.LiveSlot()+1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 24 && rx.DirVersion() != 2; i++ {

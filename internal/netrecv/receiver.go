@@ -1,8 +1,8 @@
 // The receiver core shared by every transport: once a Feed is being
-// filled, the existing byte-level decoders (station.WireReceiver for
-// plain broadcasts, station.FECReceiver for coded ones) are
-// constructed directly over it — the network adds a transport layer
-// under the decode seam, not a new decode path.
+// filled, the byte-level decoder (station.WireReceiver, which recovers
+// when the stream carries parity) is constructed directly over it —
+// the network adds a transport layer under the decode seam, not a new
+// decode path.
 
 package netrecv
 
@@ -71,8 +71,5 @@ func newDecoder(cat *Catalog, feed *Feed, opt Options) (dsi.Receiver, error) {
 	if !ok {
 		return nil, fmt.Errorf("netrecv: no frames heard within %v; station down?", wait)
 	}
-	if cat.FEC.Enabled() {
-		return station.NewFECReceiver(cat.Lay, cat.Version(), feed, cat.FEC, live, nil)
-	}
-	return station.NewWireReceiver(cat.Lay, cat.Version(), feed, live, nil)
+	return station.NewFECReceiver(cat.Lay, cat.Version(), feed, cat.FEC, live, nil)
 }

@@ -261,20 +261,22 @@ func (s *Server) appendCtrl(fs *flushSet, abs int64) {
 	}
 }
 
-// appendCtrlFrames appends the control frames for one stream: the
-// versioned directory (multi-channel broadcasts) and the FEC
-// descriptor (coded broadcasts). Each control frame gets its own
-// datagram bound.
+// appendCtrlFrames appends the control frames for one stream: the FEC
+// descriptor (sources that ship one) and the versioned directory
+// (multi-channel broadcasts). Each control frame gets its own datagram
+// bound. The descriptor goes first: a receiver acts on a directory
+// bump only once the descriptor of the same version is in hand, so on
+// an ordered transport it never sees the bump ahead of its code.
 func appendCtrlFrames(b *slotBatch, abs int64, dir []byte, dver uint32, desc []byte, fver uint32) {
-	if dir != nil {
-		if buf, err := wire.AppendNetFrame(b.buf, wire.NetFrame{Kind: wire.NetDir, Ver: dver, Abs: abs, Payload: dir}); err == nil {
+	if desc != nil {
+		if buf, err := wire.AppendNetFrame(b.buf, wire.NetFrame{Kind: wire.NetFECDesc, Ver: fver, Abs: abs, Payload: desc}); err == nil {
 			b.buf = buf
 			b.bounds = append(b.bounds, len(buf))
 			b.ctrl++
 		}
 	}
-	if desc != nil {
-		if buf, err := wire.AppendNetFrame(b.buf, wire.NetFrame{Kind: wire.NetFECDesc, Ver: fver, Abs: abs, Payload: desc}); err == nil {
+	if dir != nil {
+		if buf, err := wire.AppendNetFrame(b.buf, wire.NetFrame{Kind: wire.NetDir, Ver: dver, Abs: abs, Payload: dir}); err == nil {
 			b.buf = buf
 			b.bounds = append(b.bounds, len(buf))
 			b.ctrl++

@@ -47,9 +47,6 @@ func InstrumentReceiver(inner dsi.Receiver, m *ReceiverMetrics) *InstrumentedRec
 	return &InstrumentedReceiver{inner: inner, m: m}
 }
 
-// Inner returns the wrapped receiver.
-func (r *InstrumentedReceiver) Inner() dsi.Receiver { return r.inner }
-
 // Begin arms the tracer: subsequent operations append to rec.Events
 // until End. The caller emits the finished record.
 func (r *InstrumentedReceiver) Begin(rec *TraceRecord) { r.rec = rec }

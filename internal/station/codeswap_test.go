@@ -13,9 +13,10 @@ import (
 
 // TestFECReceiverCodeSwapAcrossSeam stages a swap that changes the FEC
 // code along with the directory — an adaptive station retuning its
-// rate. The coded receiver must re-adopt the new geometry from the
-// descriptor (this used to panic), keep answering windows correctly on
-// both sides of the seam, and count exactly one code swap per crossing.
+// rate, or turning coding on or off. The receiver must re-adopt the new
+// geometry from the descriptor (this used to panic), keep answering
+// windows correctly on both sides of the seam, and count exactly one
+// code swap per crossing.
 func TestFECReceiverCodeSwapAcrossSeam(t *testing.T) {
 	ds, x, lay0 := wireTestBed(t, 260, 617, quarterBounds)
 	lay1, err := dsi.NewLayout(x, dsi.MultiConfig{
@@ -32,6 +33,12 @@ func TestFECReceiverCodeSwapAcrossSeam(t *testing.T) {
 	}{
 		{"xor-to-rs", xorCode(), rsCode()},
 		{"rs-to-xor", rsCode(), xorCode()},
+		// Coding turned on or off at the seam: a client that tuned in
+		// uncoded follows the swap onto the parity-bearing air (this row
+		// never returned while the uncoded receiver was its own type), and
+		// a coded one drops back to the stream without slot maps.
+		{"off-to-xor", wire.FECConfig{}, xorCode()},
+		{"xor-to-off", xorCode(), wire.FECConfig{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(12))
@@ -72,6 +79,9 @@ func TestFECReceiverCodeSwapAcrossSeam(t *testing.T) {
 					swapped++
 					if rx.cfg != tc.to {
 						t.Fatalf("trial %d: resynced receiver still on old code %+v", trial, rx.cfg)
+					}
+					if (rx.geo != nil) != tc.to.Enabled() {
+						t.Fatalf("trial %d: slot maps present=%v under code %+v", trial, rx.geo != nil, tc.to)
 					}
 					if swaps != 1 {
 						t.Fatalf("trial %d: code swap counter = %v, want 1", trial, swaps)

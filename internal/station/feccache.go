@@ -28,7 +28,7 @@ const fecCacheUnits = 4
 // fecCacheEntry is one fully-known unit occurrence.
 type fecCacheEntry struct {
 	ch   int
-	unit int32
+	unit int
 	abs  int64 // absolute physical slot of member 0 when recorded
 	ver  uint32
 	pay  [][]byte // owned copies, every member known good
@@ -44,7 +44,7 @@ type fecCache struct {
 // lookup returns the payloads of the cached unit occurrence congruent
 // with abs (a whole number of cycles apart on a physLen-slot channel,
 // same adopted version), or nil.
-func (c *fecCache) lookup(ch int, unit int32, ver uint32, abs int64, physLen int) [][]byte {
+func (c *fecCache) lookup(ch int, unit int, ver uint32, abs int64, physLen int) [][]byte {
 	for i := range c.entries {
 		e := &c.entries[i]
 		if e.ch != ch || e.unit != unit || e.ver != ver {
@@ -63,7 +63,7 @@ func (c *fecCache) lookup(ch int, unit int32, ver uint32, abs int64, physLen int
 // store records a fully-known unit occurrence, copying the payloads
 // (callers recycle their member scratch). An existing entry for the
 // unit is replaced; otherwise the least recently used slot is evicted.
-func (c *fecCache) store(ch int, unit int32, ver uint32, abs int64, pay [][]byte) {
+func (c *fecCache) store(ch int, unit int, ver uint32, abs int64, pay [][]byte) {
 	c.clock++
 	var slot *fecCacheEntry
 	for i := range c.entries {

@@ -13,7 +13,7 @@ import (
 // loss draw under which the first read of table pos costs a recovery,
 // returning the primed receiver, the table position and slot, and the
 // recovered content.
-func cacheBed(t testing.TB) (rx *FECReceiver, pos, ts int, want []dsi.TableEntry) {
+func cacheBed(t testing.TB) (rx *WireReceiver, pos, ts int, want []dsi.TableEntry) {
 	t.Helper()
 	ds := dataset.Uniform(220, 7, 521)
 	x, err := dsi.Build(ds, dsi.Config{Capacity: 64})

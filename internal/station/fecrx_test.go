@@ -11,7 +11,7 @@ import (
 	"dsi/internal/wire"
 )
 
-var _ dsi.Receiver = (*FECReceiver)(nil)
+var _ dsi.Receiver = (*WireReceiver)(nil)
 
 // Codes the tests sweep: a light interleaved XOR and a heavier
 // Reed-Solomon configuration.
@@ -561,7 +561,9 @@ func TestFECReceiverStaleTuneIn(t *testing.T) {
 }
 
 // TestNewFECReceiverHandshake rejects a code mismatch between receiver
-// catalog and broadcast, and a coded receiver over an uncoded station.
+// catalog and broadcast, a coded receiver over an uncoded station, and
+// — through either constructor — an uncoded receiver over a coded one
+// (which would decode a physical stream with logical arithmetic).
 func TestNewFECReceiverHandshake(t *testing.T) {
 	_, _, lay := wireTestBed(t, 240, 541, quarterBounds)
 	coded, err := NewMultiTransmitterFEC(lay, xorCode())
@@ -577,6 +579,15 @@ func TestNewFECReceiverHandshake(t *testing.T) {
 	}
 	if _, err := NewFECReceiver(lay, 1, plain, xorCode(), 0, nil); err == nil {
 		t.Fatal("coded receiver accepted an uncoded broadcast")
+	}
+	if _, err := NewWireReceiver(lay, 1, coded, 0, nil); err == nil {
+		t.Fatal("NewWireReceiver accepted a coded broadcast")
+	}
+	if _, err := NewFECReceiver(lay, 1, coded, wire.FECConfig{}, 0, nil); err == nil {
+		t.Fatal("zero-config receiver accepted a coded broadcast")
+	}
+	if _, err := NewWireReceiver(lay, 1, plain, 0, nil); err != nil {
+		t.Fatalf("uncoded receiver over an uncoded broadcast: %v", err)
 	}
 }
 

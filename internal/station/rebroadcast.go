@@ -131,13 +131,6 @@ func (r *Rebroadcaster) Version() uint32 {
 	return r.version
 }
 
-// InTransition reports whether a staged swap has not been committed.
-func (r *Rebroadcaster) InTransition() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.next != nil
-}
-
 // Stage schedules a swap to a new layout of the same broadcast: the
 // global seam is the first index-channel cycle boundary strictly after
 // now, and each channel cuts over at its first own-cycle boundary at or

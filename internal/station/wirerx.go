@@ -10,15 +10,28 @@
 // simulator — and, unlike the simulator, the shard directory itself
 // must cross the lossy air before a client can follow a schedule swap.
 //
-// Over a static transmitter the wire path is bit-identical to the
-// simulator fast path: both read the same slots under the same loss
-// process, and a well-formed stream decodes to exactly the precomputed
-// content (regression-enforced by the wireloss experiment). The paths
-// diverge only where bytes carry information the simulator hands out
-// for free: directory swaps cost directory packets, stale or
-// mid-transition channels serve payloads the receiver cannot interpret
-// yet, and the receiver's clock follows the transmitter's true cycle
-// anchors after a seam cutover.
+// Whether the stream carries parity is a property of the stream, not
+// of the receiver's type: the uncoded stream is the zero code. Over a
+// coded stream the tuner runs on the physical (parity-bearing) air and
+// the receiver presents the client a logical facade — Pos and
+// DozeUntilPos speak logical cycle positions (parity slots map forward
+// to the next content slot), while Now, PhaseOf and Stats stay
+// physical, because parity slots are real air time. Over an uncoded
+// stream the two domains coincide and no slot map exists. A directory
+// swap announces the code of the generation it starts, and the
+// receiver follows it in either direction (Poll). The recovery half —
+// units, the group window, parity tails, the erasure solve — is in
+// fecrx.go.
+//
+// Over a static uncoded transmitter the wire path is bit-identical to
+// the simulator fast path: both read the same slots under the same
+// loss process, and a well-formed stream decodes to exactly the
+// precomputed content (regression-enforced by the wireloss
+// experiment). The paths diverge only where bytes carry information
+// the simulator hands out for free: directory swaps cost directory
+// packets, stale or mid-transition channels serve payloads the
+// receiver cannot interpret yet, and the receiver's clock follows the
+// transmitter's true cycle anchors after a seam cutover.
 
 package station
 
@@ -27,6 +40,7 @@ import (
 
 	"dsi/internal/broadcast"
 	"dsi/internal/dsi"
+	"dsi/internal/obs"
 	"dsi/internal/wire"
 )
 
@@ -41,7 +55,7 @@ type PacketSource interface {
 	//
 	// The returned Payload is immutable and the caller's to retain:
 	// the source never writes those bytes again, so a receiver may keep
-	// them across calls (FECReceiver's group window does) and one
+	// them across calls (the receiver's group window does) and one
 	// source may serve many readers. A content payload is at most
 	// Capacity bytes; a parity frame adds wire.ParityHeaderSize. How a
 	// source meets this is its own business: MultiTransmitter builds
@@ -78,10 +92,11 @@ func (t *MultiTransmitter) DirectoryAt(int64) ([]byte, uint32) {
 }
 
 // WireReceiver implements dsi.Receiver over a PacketSource. It is
-// constructed with the layout (and directory version) the client knows
-// a priori — its catalog — which may be stale with respect to the
-// source: the first navigation steps then pay for receiving the
-// current directory over the air before content decodes again.
+// constructed with the layout, directory version and code the client
+// knows a priori — its catalog — which may be one version stale with
+// respect to the source: the first navigation steps then pay for
+// receiving the current directory over the air before content decodes
+// again.
 //
 // Supported layouts: the single channel (classic tables,
 // wire.DecodeTable) and the index/data split and sharded multi-channel
@@ -103,6 +118,17 @@ type WireReceiver struct {
 	spanLo     []uint64 // per channel: HC span low bound (shard layouts)
 	spanHi     []uint64
 
+	// The code on air, and what follows from it. air is what the tuner
+	// runs on: the layout's own air for the zero code, the parity-bearing
+	// physical air otherwise. geo holds the logical/physical slot maps of
+	// a coded stream and is nil for an uncoded one, whose two domains
+	// coincide — an uncoded receiver carries no per-slot state.
+	cfg         wire.FECConfig
+	geo         *fecGeom
+	air         *broadcast.Air
+	fsrc        FECSource // src's descriptor feed; nil when it has none
+	descPackets int
+
 	// Decode scratch. tab is overwritten only by a fully validated
 	// table read — the client caches the returned pointer (lastTable)
 	// beyond the next call, so a failed read must leave the previous
@@ -112,17 +138,42 @@ type WireReceiver struct {
 	tab          dsi.Table
 	entryScratch []dsi.TableEntry
 	tabBuf       []byte
+
+	// Recovery state (fecrx.go); idle on an uncoded stream.
+	win     groupWindow
+	payBuf  [][]byte  // member scratch
+	tailBuf [][]byte  // parity-tail scratch
+	solve   fecSolver // erasure-solve scratch
+
+	// cache keeps recently recovered units across queries (feccache.go):
+	// Table re-reads of a unit that cost a recovery decode from it with
+	// zero air slots. Survives Reset; dropped on schedule adoption.
+	cache fecCache
+
+	recovered int // packets reconstructed from parity since construction
+	cacheHits int // table reads served from the recovered-unit cache
+
+	met *obs.FECMetrics // optional coding-event counters; nil when unobserved
 }
 
-// NewWireReceiver returns a byte-level receiver tuned to the layout's
-// start channel at the given absolute slot. lay and version are the
-// client's a-priori catalog: the channel layout it believes is on air
-// and the directory version that layout corresponds to (1 for a static
-// transmitter; one version behind the air models a stale tune-in,
-// which converges once the receiver has received the current
-// directory — a catalog more than one version stale cannot recover
-// the air's cycle anchors and panics at the first Poll).
+// NewWireReceiver is NewFECReceiver for an uncoded stream: the zero
+// code.
 func NewWireReceiver(lay *dsi.Layout, version uint32, src PacketSource, probeSlot int64, loss *broadcast.LossModel) (*WireReceiver, error) {
+	return NewFECReceiver(lay, version, src, wire.FECConfig{}, probeSlot, loss)
+}
+
+// NewFECReceiver returns a byte-level receiver tuned to the layout's
+// start channel at the given absolute slot of the stream as
+// transmitted (physical slots when it carries parity). lay, version
+// and cfg are the client's a-priori catalog: the channel layout it
+// believes is on air, the directory version that layout corresponds to
+// (1 for a static transmitter; one version behind the air models a
+// stale tune-in, which converges once the receiver has received the
+// current directory — a catalog more than one version stale cannot
+// recover the air's cycle anchors and panics at the first Poll), and
+// the code the source transmits, checked against the source's FEC
+// descriptor: a source that ships none transmits the zero code.
+func NewFECReceiver(lay *dsi.Layout, version uint32, src PacketSource, cfg wire.FECConfig, probeSlot int64, loss *broadcast.LossModel) (*WireReceiver, error) {
 	if err := wire.CheckHeaderFits(lay.X.Cfg.Capacity, lay.X.Cfg.ObjectBytes); err != nil {
 		return nil, err
 	}
@@ -130,16 +181,59 @@ func NewWireReceiver(lay *dsi.Layout, version uint32, src PacketSource, probeSlo
 	if !classic && lay.Sched != dsi.SchedSplit && lay.Sched != dsi.SchedShard {
 		return nil, fmt.Errorf("station: byte-level reception needs a dedicated index channel; %v layouts are unsupported", lay.Sched)
 	}
+	geo, air, err := streamGeom(lay, cfg)
+	if err != nil {
+		return nil, err
+	}
 	r := &WireReceiver{
-		x:       lay.X,
-		lay:     lay,
-		tu:      broadcast.NewAirTuner(lay.Air, lay.StartCh, probeSlot, loss),
-		src:     src,
-		ver:     version,
-		classic: classic,
+		x:           lay.X,
+		lay:         lay,
+		tu:          broadcast.NewAirTuner(air, lay.StartCh, probeSlot, loss),
+		src:         src,
+		ver:         version,
+		classic:     classic,
+		cfg:         cfg,
+		geo:         geo,
+		air:         air,
+		descPackets: broadcast.PacketsFor(wire.FECDescSize, lay.X.Cfg.Capacity),
+	}
+	r.fsrc, _ = src.(FECSource)
+	r.win.unit = -1
+	var got wire.FECConfig
+	if desc, _ := r.descAt(probeSlot); desc != nil {
+		if got, _, err = wire.DecodeFECDesc(desc); err != nil {
+			return nil, fmt.Errorf("station: source FEC descriptor: %w", err)
+		}
+	}
+	if got != cfg {
+		return nil, fmt.Errorf("station: source transmits code %+v, receiver configured for %+v", got, cfg)
 	}
 	r.adoptGeometry(lay)
 	return r, nil
+}
+
+// streamGeom returns what a receiver of lay under code cfg runs on:
+// the slot maps (nil for the zero code, which has no parity to map
+// around) and the air its tuner steps through.
+func streamGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, *broadcast.Air, error) {
+	if !cfg.Enabled() {
+		return nil, lay.Air, nil
+	}
+	geo, err := newFECGeom(lay, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return geo, geo.air, nil
+}
+
+// descAt returns the FEC descriptor the source has on air at abs and
+// the version the source files it under; nil when the source ships
+// none, which is how an uncoded station announces the zero code.
+func (r *WireReceiver) descAt(abs int64) ([]byte, uint32) {
+	if r.fsrc == nil {
+		return nil, 0
+	}
+	return r.fsrc.FECDescAt(abs)
 }
 
 // adoptGeometry recomputes the per-channel decode tables for a layout.
@@ -180,6 +274,21 @@ func (r *WireReceiver) adoptGeometry(lay *dsi.Layout) {
 	}
 }
 
+// SetObs installs the FEC counter bundle; nil disables counting. Not
+// safe to call concurrently with reception.
+func (r *WireReceiver) SetObs(m *obs.FECMetrics) { r.met = m }
+
+// CycleSlots returns the slots of one full broadcast cycle across all
+// channels as transmitted, parity included — what probe positions
+// scale against (Layout.ProbeCycle for the zero code).
+func (r *WireReceiver) CycleSlots() int {
+	total := 0
+	for ch := range r.air.Channels {
+		total += r.cycleLen(ch)
+	}
+	return total
+}
+
 // Layout returns the layout the receiver currently assumes on air.
 func (r *WireReceiver) Layout() *dsi.Layout { return r.lay }
 
@@ -187,12 +296,31 @@ func (r *WireReceiver) Layout() *dsi.Layout { return r.lay }
 // recently adopted.
 func (r *WireReceiver) Version() uint32 { return r.ver }
 
-// Now returns the absolute packet clock.
+// Now returns the absolute packet clock (physical slots).
 func (r *WireReceiver) Now() int64 { return r.tu.Now() }
 
-// Pos returns the cycle position on the current channel, relative to
-// the channel's adopted phase anchor.
-func (r *WireReceiver) Pos() int { return r.tu.Pos() }
+// cycleLen returns the slots of one cycle of channel ch as transmitted,
+// parity included.
+func (r *WireReceiver) cycleLen(ch int) int { return r.air.Channels[ch].Len() }
+
+// physOf maps a logical slot of channel ch to the physical slot that
+// carries it.
+func (r *WireReceiver) physOf(ch, log int) int {
+	if r.geo == nil {
+		return log
+	}
+	return int(r.geo.chs[ch].log2phys[log])
+}
+
+// Pos returns the logical cycle position on the current channel,
+// relative to the channel's adopted phase anchor; a radio sitting on a
+// parity slot reports the next content position.
+func (r *WireReceiver) Pos() int {
+	if r.geo == nil {
+		return r.tu.Pos()
+	}
+	return int(r.geo.chs[r.tu.Channel()].logOf[r.tu.Pos()])
+}
 
 // Channel returns the channel the radio is tuned to.
 func (r *WireReceiver) Channel() int { return r.tu.Channel() }
@@ -207,9 +335,12 @@ func (r *WireReceiver) Stats() broadcast.Stats { return r.tu.Stats() }
 // Tune retunes the radio to channel ch.
 func (r *WireReceiver) Tune(ch int) { r.tu.Switch(ch) }
 
-// DozeUntilPos sleeps to the next occurrence of the position under the
-// current channel's phase anchor.
-func (r *WireReceiver) DozeUntilPos(pos int) { r.tu.DozeUntilPos(pos) }
+// DozeUntilPos sleeps to the next occurrence of the logical position
+// under the current channel's phase anchor, dozing past any parity in
+// between.
+func (r *WireReceiver) DozeUntilPos(pos int) {
+	r.tu.DozeUntilPos(r.physOf(r.tu.Channel(), pos))
+}
 
 // Next receives one packet at the current slot (the probe: only the
 // framing matters, which any version serves).
@@ -226,35 +357,59 @@ func (r *WireReceiver) read() (Packet, bool) {
 	return pkt, good && pver == r.ver
 }
 
-// Table receives and decodes the index table of the frame at cycle
-// position pos. All TablePackets packets are consumed (the cost is
-// paid) even when an early one is corrupt; ok is false on any loss,
-// truncation, or a payload that fails the wire format's validation —
-// including pointers whose channel id contradicts the shard catalog.
+// Table receives — and over a coded stream, if necessary reconstructs
+// — the index table of the frame at cycle position pos. All
+// TablePackets packets are consumed (the cost is paid) even when an
+// early one is corrupt. Any loss or truncation continues into the
+// unit's parity tail and solves the erasures; ok is false when the
+// stream carries no table parity, when the losses exceed the code
+// distance, or when the assembled payload fails the wire format's
+// validation — including pointers whose channel id contradicts the
+// shard catalog.
 func (r *WireReceiver) Table(pos int) (*dsi.Table, bool) {
-	x := r.x
-	buf := r.tabBuf[:0]
-	ok := true
-	for i := 0; i < x.TablePackets; i++ {
-		pkt, good := r.read()
-		if !good || pkt.Flags&flagIndex == 0 {
-			ok = false
-			continue
+	u, ch := r.tableUnit(pos)
+	n := u.n
+	base := r.tu.Now()
+	pay := r.cache.lookup(ch, u.physStart, r.ver, base, r.cycleLen(ch))
+	if pay != nil {
+		// The whole unit was recovered at an earlier occurrence: decode
+		// from the cache with zero air slots — the radio stays dozing.
+		r.cacheHits++
+		if r.met != nil {
+			r.met.CacheHits.Inc()
 		}
-		buf = append(buf, pkt.Payload...)
+	} else {
+		pay = r.members(n)
+		okm := uint64(0)
+		for i := 0; i < n; i++ {
+			pkt, good := r.read()
+			if good && pkt.Flags&flagIndex != 0 {
+				pay[i] = pkt.Payload
+				okm |= 1 << uint(i)
+			}
+		}
+		if okm != allMask(n) {
+			if _, ok := r.repair(&u, r.cfg.Table, pay, okm, allMask(n)); !ok {
+				return nil, false
+			}
+			// Only recovered units are cached: a cleanly received unit
+			// re-airs every cycle for free, so the error-free cost model
+			// stays exactly the simulator's.
+			r.cache.store(ch, u.physStart, r.ver, base, pay)
+		}
+	}
+	buf := r.tabBuf[:0]
+	for i := 0; i < n; i++ {
+		buf = append(buf, pay[i]...)
 	}
 	r.tabBuf = buf
-	if !ok {
-		return nil, false
-	}
 	return r.decodeTable(buf, pos)
 }
 
 // decodeTable parses a fully assembled table payload (the concatenated
 // table packets of position pos) and publishes it into the receiver's
-// double-buffered scratch. Shared by the plain packet loop above and
-// the FEC receiver's recovery path, so a reconstructed table passes
-// exactly the validation a cleanly received one does.
+// double-buffered scratch, so a reconstructed table passes exactly the
+// validation a cleanly received one does.
 func (r *WireReceiver) decodeTable(buf []byte, pos int) (*dsi.Table, bool) {
 	x := r.x
 	if r.classic {
@@ -296,59 +451,171 @@ func (r *WireReceiver) decodeTable(buf []byte, pos int) (*dsi.Table, bool) {
 	return &r.tab, true
 }
 
-// Header receives and decodes one object-header packet.
+// Header receives the header packet of the o-th object of the frame at
+// position pos. Over a stream with object parity a lost header
+// triggers whole-unit recovery: the receiver reads the unit's
+// remaining members and its parity tail, reconstructs the first packet
+// (and with it the whole object, which the group window keeps for the
+// Object call that typically follows), and decodes the header from the
+// recovered bytes.
 func (r *WireReceiver) Header(pos, o int) (uint64, bool) {
+	base := r.tu.Now()
+	u, ch := r.dataUnit(pos, o)
+	if r.windowHit(ch, &u, base) && r.win.ok&1 != 0 {
+		// The window already holds this occurrence's first packet
+		// (reconstructed or received earlier): claim it without
+		// receiving — the radio stays dozing.
+		h, err := wire.DecodeHeader(r.win.pay[0])
+		if err != nil {
+			return 0, false
+		}
+		r.win.abs = base
+		return h.HC, true
+	}
 	pkt, good := r.read()
-	if !good || pkt.Flags&flagObjectStart == 0 {
+	if good {
+		// Received bytes are final: an unflagged slot (padding) or an
+		// undecodable payload is not recoverable loss.
+		if pkt.Flags&flagObjectStart == 0 {
+			return 0, false
+		}
+		h, err := wire.DecodeHeader(pkt.Payload)
+		if err != nil {
+			return 0, false
+		}
+		pay := r.members(u.n)
+		pay[0] = pkt.Payload
+		r.setWindow(ch, &u, base, pay, 1)
+		return h.HC, true
+	}
+	if !r.cfg.Object.Enabled() {
 		return 0, false
 	}
-	h, err := wire.DecodeHeader(pkt.Payload)
+	if r.expLen(&u, 0) < wire.HeaderSize {
+		return 0, false // padding object: there is no header to recover
+	}
+	n := u.n
+	pay := r.members(n)
+	okm := uint64(0)
+	for i := 1; i < n; i++ {
+		p, g := r.read()
+		if g {
+			pay[i] = p.Payload
+			okm |= 1 << uint(i)
+		}
+	}
+	if r.windowHit(ch, &u, base) {
+		// Members buffered at an earlier occurrence fill in for fresh
+		// losses before the code has to.
+		for i := 0; i < n; i++ {
+			if okm&(1<<uint(i)) == 0 && r.win.ok&(1<<uint(i)) != 0 {
+				pay[i] = r.win.pay[i]
+				okm |= 1 << uint(i)
+			}
+		}
+	}
+	okm, ok := r.repair(&u, r.cfg.Object, pay, okm, allMask(n))
+	r.setWindow(ch, &u, base, pay, okm)
+	if !ok {
+		return 0, false
+	}
+	h, err := wire.DecodeHeader(pay[0])
 	if err != nil {
 		return 0, false
 	}
 	return h.HC, true
 }
 
-// Object receives the object's remaining packets, reporting whether
-// every one arrived intact under the adopted directory version.
+// Object receives the remaining packets of the o-th object of the
+// frame at position pos, reporting whether every one is in hand under
+// the adopted directory version. Members the group window already
+// holds for this unit — received or reconstructed at an earlier
+// occurrence — are claimed without re-reading; fresh losses continue
+// into the parity tail. Losses beyond the code distance report
+// failure, and the client falls back to the rebroadcast-wait retry.
 func (r *WireReceiver) Object(pos, o, skip int) bool {
-	ok := true
-	for i := skip; i < r.x.ObjPackets; i++ {
-		if _, good := r.read(); !good {
-			ok = false
+	u, ch := r.dataUnit(pos, o)
+	n := u.n
+	base := r.tu.Now() - int64(skip)
+	wanted := allMask(n) &^ allMask(skip)
+	hit := r.windowHit(ch, &u, base)
+	if hit && r.win.ok&wanted == wanted {
+		return true // every needed member already received and kept
+	}
+	pay := r.members(n)
+	okm := uint64(0)
+	if hit {
+		for i := 0; i < skip && i < n; i++ {
+			if r.win.ok&(1<<uint(i)) != 0 {
+				pay[i] = r.win.pay[i]
+				okm |= 1 << uint(i)
+			}
 		}
 	}
-	return ok
+	lost := uint64(0)
+	for i := skip; i < n; i++ {
+		pkt, good := r.read()
+		switch {
+		case good:
+			pay[i] = pkt.Payload
+			okm |= 1 << uint(i)
+		case hit && r.win.ok&(1<<uint(i)) != 0:
+			// Lost on air but buffered from an earlier occurrence of
+			// this unit: the windowed copy stands in for the loss.
+			pay[i] = r.win.pay[i]
+			okm |= 1 << uint(i)
+		default:
+			lost |= 1 << uint(i)
+		}
+	}
+	if lost == 0 {
+		return true
+	}
+	okm, ok := r.repair(&u, r.cfg.Object, pay, okm, lost)
+	if !ok {
+		return false
+	}
+	r.setWindow(ch, &u, base, pay, okm)
+	return true
 }
 
 // Poll checks for a shard-directory version bump and, when one is on
-// air, attempts to receive the directory: dirPackets slots of tuning
-// with the loss process applied — the directory is subject to exactly
-// the link errors everything else is. A lost packet abandons the
-// attempt (the next navigation step retries); an intact, valid
-// directory is adopted: the receiver re-anchors every channel at its
-// cutover seam (computed from its previous geometry plus the announced
-// seam slot, the same arithmetic the transmitter uses) and returns the
-// new layout for the client to re-seed onto.
+// air, attempts to receive the directory — and, when either side of the
+// swap is coded, the FEC descriptor that crosses the air with it:
+// dirPackets (+ descPackets) slots of tuning with the loss process
+// applied, the directory being subject to exactly the link errors
+// everything else is. A lost packet abandons the attempt (the next
+// navigation step retries); an intact, valid directory is adopted: the
+// receiver re-anchors every channel at its cutover seam (computed from
+// its previous geometry plus the announced seam slot, the same
+// arithmetic the transmitter uses) and returns the new layout for the
+// client to re-seed onto.
 func (r *WireReceiver) Poll() (*dsi.Layout, bool) {
-	dir, over := r.src.DirectoryAt(r.tu.Now())
+	now := r.tu.Now()
+	dir, over := r.src.DirectoryAt(now)
 	// Only a NEWER version is a bump: a reused receiver re-tuned to a
 	// slot before an in-flight swap's seam legitimately sees the older
 	// directory still on air there and keeps the catalog it holds.
 	if dir == nil || over <= r.ver || r.classic {
 		return nil, false
 	}
-	ok := true
-	for i := 0; i < r.dirPackets; i++ {
-		if _, good := r.tu.Read(); !good {
-			ok = false
-		}
-	}
-	if !ok {
-		return nil, false
-	}
 	ver, seam, entries, err := wire.DecodeDirV(dir)
-	if err != nil || len(entries) != r.lay.Channels() || ver <= r.ver {
+	dirOK := err == nil && len(entries) == r.lay.Channels() && ver > r.ver
+	var cfg wire.FECConfig
+	descOK := true
+	if desc, dver := r.descAt(now); desc != nil {
+		var fver uint32
+		cfg, fver, err = wire.DecodeFECDesc(desc)
+		descOK = err == nil && fver == ver && dver == over
+	}
+	// The descriptor's packets are received with the directory's when
+	// either side of the swap is coded; an uncoded broadcast staying
+	// uncoded has only the directory to receive.
+	n := r.dirPackets
+	if r.cfg.Enabled() || cfg.Enabled() {
+		n += r.descPackets
+	}
+	if !r.tu.ReadN(n) || !dirOK {
 		return nil, false
 	}
 	if ver != r.ver+1 {
@@ -361,6 +628,9 @@ func (r *WireReceiver) Poll() (*dsi.Layout, bool) {
 		// all future decodes, so fail loudly instead.
 		panic(fmt.Sprintf("station: wire receiver at directory version %d cannot follow version %d; re-tune with a current catalog", r.ver, ver))
 	}
+	if !descOK {
+		return nil, false // descriptor not (yet) consistent with the directory
+	}
 	lay, err := dsi.NewLayout(r.x, dsi.MultiConfig{
 		Channels:    r.lay.Channels(),
 		Scheduler:   dsi.SchedShard,
@@ -370,11 +640,20 @@ func (r *WireReceiver) Poll() (*dsi.Layout, bool) {
 	if err != nil {
 		return nil, false
 	}
+	// The descriptor is authoritative: a swap may change the code along
+	// with the directory (an adaptive station retuning its rate, or
+	// turning coding on or off), so the new geometry is built under the
+	// decoded cfg.
+	geo, air, err := streamGeom(lay, cfg)
+	if err != nil {
+		return nil, false
+	}
 	// Each channel's new cycle is anchored at its first old-cycle
-	// boundary at or after the announced seam.
+	// boundary at or after the announced seam — old physical lengths,
+	// matching the transmitter's seam arithmetic.
 	phase := make([]int64, r.lay.Channels())
 	for ch := range phase {
-		l := int64(r.lay.ChanLen(ch))
+		l := int64(r.cycleLen(ch))
 		ph := r.tu.PhaseOf(ch)
 		rel := seam - ph
 		k := rel / l
@@ -384,8 +663,19 @@ func (r *WireReceiver) Poll() (*dsi.Layout, bool) {
 		phase[ch] = ph + k*l
 	}
 	r.ver = ver
-	r.tu.RetunePhased(lay.Air, phase)
+	r.tu.RetunePhased(air, phase)
 	r.adoptGeometry(lay)
+	if cfg != r.cfg {
+		r.cfg = cfg
+		if r.met != nil {
+			r.met.CodeSwaps.Inc()
+		}
+	}
+	r.geo, r.air = geo, air
+	// The group window and the recovered-unit cache are keyed to the old
+	// unit geometry.
+	r.win.unit = -1
+	r.cache.drop()
 	return lay, true
 }
 
@@ -395,14 +685,18 @@ func (r *WireReceiver) Follow(lay *dsi.Layout) {
 	if lay != r.lay {
 		panic("station: wire receiver follows its own directory; Resync targets must come from Poll")
 	}
+	r.cache.drop()
 }
 
 // Reset re-tunes the receiver at the given absolute slot with fresh
-// metrics. The adopted directory (layout, version, phase anchors) is
-// schedule knowledge, not query state: it persists, so a reused
-// session keeps decoding the stream it has already synchronized with.
+// metrics, dropping the group window (its occurrence anchors are
+// meaningless after a re-tune). The adopted directory (layout,
+// version, code, phase anchors) is schedule knowledge, not query
+// state: it persists, so a reused session keeps decoding the stream it
+// has already synchronized with.
 func (r *WireReceiver) Reset(probeSlot int64, loss *broadcast.LossModel) {
 	r.tu.Reset(probeSlot, loss)
+	r.win.unit = -1
 }
 
 // SetChannelLoss installs a per-channel loss model (validated by

@@ -66,9 +66,6 @@ func (c FECCode) Validate(n int) error {
 	return nil
 }
 
-// GroupOf returns the subgroup member i of a unit belongs to.
-func (c FECCode) GroupOf(i int) int { return i % c.Groups }
-
 // GroupMembers returns the member bitmap and count of group g of an
 // n-packet unit.
 func (c FECCode) GroupMembers(n, g int) (members uint64, k int) {

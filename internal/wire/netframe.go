@@ -9,7 +9,7 @@
 // position of its payload — channel, per-channel cycle slot, absolute
 // slot, and the directory version governing its encoding — so a
 // client-side feed can slot it into a positional buffer and the
-// existing WireReceiver/FECReceiver decode machinery runs unchanged.
+// existing WireReceiver decode machinery runs unchanged.
 //
 // Three frame kinds share the envelope:
 //
