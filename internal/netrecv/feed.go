@@ -13,8 +13,9 @@
 // network link, and a loss-free link is regression-enforced
 // bit-identical to in-process replay.
 //
-// Loss translates naturally: a UDP datagram that never arrives leaves
-// a hole in the ring; when the channel's high-water mark passes the
+// Loss translates naturally: a UDP datagram — one slot of the
+// subscription — that never arrives leaves a hole in each channel's
+// ring; when the channel's high-water mark passes the
 // hole the Feed serves the zero packet with version 0, which the
 // decoding layer treats exactly like a simulator-injected slot loss —
 // and FEC recovers it the same way. A severed HTTP stream is a burst
@@ -25,9 +26,19 @@
 //
 // Invariants:
 //
-//   - Offer copies every payload: ring eviction never invalidates a
-//     slice an upper layer still aliases (the receiver's group window
-//     holds payload references for up to a cycle).
+//   - The ring owns its bytes and PacketAt copies on read: an arriving
+//     frame is copied into its ring entry's own buffer (so the caller
+//     may reuse its read buffer, and a frame nobody reads costs a
+//     memcpy and no allocation), and PacketAt returns a fresh copy, so
+//     ring eviction never invalidates a slice an upper layer still
+//     aliases (the receiver's group window holds payload references
+//     for up to a cycle). Reads are about one frame in a hundred; the
+//     allocation belongs there.
+//   - A frame wakes a blocked PacketAt only once the global clock has
+//     reached the earliest slot anyone waits on: every rule that ends
+//     a wait (arrival, eviction, reorderSlack, LagSlack) needs a frame
+//     at or past it. Close, time-outs and a consumer advancing past a
+//     full lossless ring wake unconditionally.
 //   - PacketAt never blocks forever in lossy mode: a slot is declared
 //     lost when the channel clock passes it, the global clock outruns
 //     it by LagSlack, the wait times out, or the feed closes.
@@ -38,6 +49,8 @@
 package netrecv
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -45,6 +58,9 @@ import (
 	"dsi/internal/station"
 	"dsi/internal/wire"
 )
+
+// noWaiter is Feed.awaited when no reader is blocked: no clock reaches it.
+const noWaiter = math.MaxInt64
 
 // reorderSlack is how many slots past a pending position the channel
 // clock may run before the position is declared lost — headroom for
@@ -88,6 +104,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// feedEntry is one ring position. pkt.Payload is the entry's own buffer,
+// overwritten in place by the next frame that lands here.
 type feedEntry struct {
 	abs int64
 	ver uint32
@@ -110,6 +128,11 @@ type Feed struct {
 	entries [][]feedEntry
 	high    []int64 // per channel: highest offered abs + 1
 	highAll int64
+
+	// awaited is the earliest slot a blocked reader waits on, noWaiter
+	// when nobody does. A wake-up clears it; readers that go back to
+	// waiting register again.
+	awaited int64
 
 	dir     []byte
 	dirVer  uint32
@@ -144,6 +167,7 @@ func NewFeed(nch int, opt Options, met *obs.NetReceiverMetrics) *Feed {
 		f.entries[ch] = make([]feedEntry, opt.RingSlots)
 	}
 	f.lastConsumed = -1
+	f.awaited = noWaiter
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
@@ -168,7 +192,7 @@ func (f *Feed) LostSlots() int64 {
 func (f *Feed) Close() {
 	f.mu.Lock()
 	f.closed = true
-	f.cond.Broadcast()
+	f.wakeAll()
 	f.mu.Unlock()
 }
 
@@ -184,7 +208,50 @@ func (f *Feed) Live() int64 {
 // copied, so the caller may reuse its read buffer.
 func (f *Feed) Offer(fr wire.NetFrame) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
+	took := f.slot(fr)
+	if took && f.met != nil {
+		f.met.Frames.Inc()
+	}
+	f.unlockAndWake(took)
+}
+
+// Consume parses as many complete frames as buf holds, slotting each
+// under one hold of the lock, and returns the number of bytes consumed.
+// A short tail is not an error — the caller carries it into the next
+// read. A malformed frame is: the stream has desynced and the transport
+// must reconnect.
+func (f *Feed) Consume(buf []byte) (int, error) {
+	f.mu.Lock()
+	at, slotted := 0, 0
+	var err error
+	for at < len(buf) {
+		fr, n, derr := wire.DecodeNetFrame(buf[at:])
+		if derr == wire.ErrShortFrame {
+			break
+		}
+		if derr != nil {
+			if f.met != nil {
+				f.met.Garbage.Inc()
+			}
+			err = derr
+			break
+		}
+		if f.slot(fr) {
+			slotted++
+		}
+		at += n
+	}
+	if f.met != nil {
+		f.met.Frames.Add(int64(slotted))
+	}
+	f.unlockAndWake(slotted > 0)
+	return at, err
+}
+
+// slot files one frame under f.mu and reports whether the feed took it:
+// a data frame for a channel the broadcast does not have is garbage, and
+// a closed lossless feed takes nothing.
+func (f *Feed) slot(fr wire.NetFrame) bool {
 	switch fr.Kind {
 	case wire.NetDir:
 		if fr.Ver >= f.dirVer {
@@ -198,36 +265,34 @@ func (f *Feed) Offer(fr wire.NetFrame) {
 		}
 	case wire.NetData:
 		ch := int(fr.Ch)
-		if ch < 0 || ch >= f.nch {
+		if ch >= f.nch {
 			if f.met != nil {
 				f.met.Garbage.Inc()
 			}
-			f.cond.Broadcast()
-			return
+			return false
 		}
 		if f.opt.Lossless {
 			if f.lastConsumed < 0 {
 				f.lastConsumed = fr.Abs
 			}
 			for !f.closed && fr.Abs >= f.lastConsumed+f.ring {
+				// The reader that will make room may be waiting on a
+				// frame slotted earlier under this same hold of the lock.
+				f.wake()
 				f.cond.Wait()
 			}
 			if f.closed {
-				return
+				return false
 			}
 		}
 		e := &f.entries[ch][fr.Abs%f.ring]
 		if !e.set || e.abs < fr.Abs {
-			*e = feedEntry{
-				abs: fr.Abs,
-				ver: fr.Ver,
-				set: true,
-				pkt: station.Packet{
-					Ch:      uint8(ch),
-					Slot:    fr.Slot,
-					Flags:   fr.Flags,
-					Payload: append([]byte(nil), fr.Payload...),
-				},
+			e.abs, e.ver, e.set = fr.Abs, fr.Ver, true
+			e.pkt = station.Packet{
+				Ch:      uint8(ch),
+				Slot:    fr.Slot,
+				Flags:   fr.Flags,
+				Payload: append(e.pkt.Payload[:0], fr.Payload...),
 			}
 		}
 		if fr.Abs+1 > f.high[ch] {
@@ -237,33 +302,37 @@ func (f *Feed) Offer(fr wire.NetFrame) {
 			f.highAll = fr.Abs + 1
 		}
 	}
-	if f.met != nil {
-		f.met.Frames.Inc()
-	}
+	return true
+}
+
+// wakeAll wakes every waiter; those that go back to waiting register
+// the slot they wait on again.
+func (f *Feed) wakeAll() {
+	f.awaited = noWaiter
 	f.cond.Broadcast()
 }
 
-// Consume parses as many complete frames as buf holds, offering each,
-// and returns the number of bytes consumed. A short tail is not an
-// error — the caller carries it into the next read. A malformed frame
-// is: the stream has desynced and the transport must reconnect.
-func (f *Feed) Consume(buf []byte) (int, error) {
-	at := 0
-	for at < len(buf) {
-		fr, n, err := wire.DecodeNetFrame(buf[at:])
-		if err == wire.ErrShortFrame {
-			break
-		}
-		if err != nil {
-			if f.met != nil {
-				f.met.Garbage.Inc()
-			}
-			return at, err
-		}
-		f.Offer(fr)
-		at += n
+// wake wakes the blocked readers once the clock has reached the earliest
+// slot any of them waits on, and reports whether it did.
+func (f *Feed) wake() bool {
+	if f.highAll <= f.awaited {
+		return false
 	}
-	return at, nil
+	f.wakeAll()
+	return true
+}
+
+// unlockAndWake ends a transport's hold of the lock, waking the readers
+// its frames (if it slotted any) may have served. After a wake-up that
+// woke someone it yields: a stream that never runs dry never blocks,
+// and the woken reader would otherwise sit in this P's runnext slot
+// until sysmon preempts the stream, some 10 ms later.
+func (f *Feed) unlockAndWake(slotted bool) {
+	woke := slotted && f.wake()
+	f.mu.Unlock()
+	if woke {
+		runtime.Gosched()
+	}
 }
 
 // PacketAt implements station.PacketSource: the frame broadcast on
@@ -278,7 +347,9 @@ func (f *Feed) PacketAt(ch int, abs int64) (station.Packet, uint32) {
 	}
 	if abs > f.lastConsumed {
 		f.lastConsumed = abs
-		f.cond.Broadcast() // lossless Offer may be waiting for ring space
+		if f.opt.Lossless {
+			f.wakeAll() // a transport may be waiting for ring space
+		}
 	}
 	var timedOut bool
 	var tm *time.Timer
@@ -290,7 +361,10 @@ func (f *Feed) PacketAt(ch int, abs int64) (station.Packet, uint32) {
 	for {
 		e := &f.entries[ch][abs%f.ring]
 		if e.set && e.abs == abs {
-			return e.pkt, e.ver
+			// The ring keeps its buffer; the caller gets bytes of its own.
+			pkt := e.pkt
+			pkt.Payload = append([]byte(nil), pkt.Payload...)
+			return pkt, e.ver
 		}
 		lost := f.closed ||
 			(e.set && e.abs > abs) // evicted: the window moved past
@@ -311,9 +385,12 @@ func (f *Feed) PacketAt(ch int, abs int64) (station.Packet, uint32) {
 			tm = time.AfterFunc(f.opt.WaitTimeout, func() {
 				f.mu.Lock()
 				timedOut = true
-				f.cond.Broadcast()
+				f.wakeAll()
 				f.mu.Unlock()
 			})
+		}
+		if abs < f.awaited {
+			f.awaited = abs
 		}
 		f.cond.Wait()
 	}
@@ -354,7 +431,7 @@ func (f *Feed) waitFor(timeout time.Duration, ready func() bool) (int64, bool) {
 	tm := time.AfterFunc(timeout, func() {
 		f.mu.Lock()
 		timedOut = true
-		f.cond.Broadcast()
+		f.wakeAll()
 		f.mu.Unlock()
 	})
 	defer tm.Stop()
@@ -362,6 +439,7 @@ func (f *Feed) waitFor(timeout time.Duration, ready func() bool) (int64, bool) {
 		if f.closed || timedOut {
 			return 0, false
 		}
+		f.awaited = -1 // any frame may be the one: below every clock
 		f.cond.Wait()
 	}
 	return f.highAll - 1, true

@@ -1,0 +1,347 @@
+// The batched feed: Consume slots a whole buffer under one hold of the
+// lock and must be indistinguishable from offering frame by frame; the
+// ring owns its bytes, so what PacketAt hands out has to survive the
+// ring; and a reader is woken only for the slot it waits on, so no
+// combination of transports, readers and Close may miss a wake-up.
+
+package netrecv_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"dsi/internal/netrecv"
+	"dsi/internal/obs"
+	"dsi/internal/wire"
+)
+
+// frameScript turns fuzz bytes into a frame sequence a hostile or lossy
+// link could deliver: data frames that step the clock forwards or
+// backwards (reordering), duplicates, frames for a channel the
+// broadcast does not have, and control frames of rising and falling
+// versions. Six bytes make one frame.
+func frameScript(script []byte, nch int) []wire.NetFrame {
+	var frames []wire.NetFrame
+	abs := int64(0)
+	for ; len(script) >= 6; script = script[6:] {
+		op, step, ch, ver, plen, fill := script[0], script[1], script[2], script[3], script[4], script[5]
+		payload := bytes.Repeat([]byte{fill}, int(plen%40))
+		switch op % 8 {
+		case 0: // duplicate of the previous frame
+			if len(frames) > 0 {
+				frames = append(frames, frames[len(frames)-1])
+				continue
+			}
+			fallthrough
+		default: // data, the clock moving by -3..+12
+			if abs += int64(step%16) - 3; abs < 0 {
+				abs = 0
+			}
+			frames = append(frames, wire.NetFrame{
+				Kind: wire.NetData, Flags: fill & 3, Ch: uint16(int(ch) % nch), Slot: uint32(step),
+				Ver: 1 + uint32(ver%3), Abs: abs, Payload: payload,
+			})
+		case 1: // a channel out of range
+			frames = append(frames, wire.NetFrame{Kind: wire.NetData, Ch: uint16(nch + int(ch)), Ver: 1, Abs: abs, Payload: payload})
+		case 2:
+			frames = append(frames, wire.NetFrame{Kind: wire.NetDir, Ver: uint32(ver % 4), Abs: abs, Payload: payload})
+		case 3:
+			frames = append(frames, wire.NetFrame{Kind: wire.NetFECDesc, Ver: uint32(ver % 4), Abs: abs, Payload: payload})
+		}
+	}
+	return frames
+}
+
+// FuzzFeedConsume: for any frame sequence, cut into any chunks, with
+// any truncated tail, a feed fed through Consume (the way a transport
+// carries partial frames across reads) and a twin offered the same
+// frames one by one agree on every packet, the loss count, the clock,
+// the control state and what they counted.
+func FuzzFeedConsume(f *testing.F) {
+	f.Add([]byte{4, 4, 0, 0, 9, 1, 4, 4, 1, 0, 9, 2, 4, 4, 2, 0, 9, 3, 2, 0, 0, 1, 5, 7, 3, 0, 0, 2, 5, 8}, []byte{7, 30, 200}, uint8(0))
+	f.Add([]byte{5, 15, 0, 0, 3, 1, 0, 0, 0, 0, 0, 0, 5, 0, 1, 0, 3, 2, 1, 0, 9, 0, 3, 3, 5, 15, 2, 1, 39, 4}, []byte{1}, uint8(5))
+	f.Add([]byte{6, 15, 0, 0, 1, 1, 6, 15, 0, 0, 1, 2, 6, 15, 0, 0, 1, 3, 6, 15, 0, 0, 1, 4, 6, 1, 0, 0, 1, 5}, []byte{255, 255}, uint8(30))
+	f.Fuzz(func(t *testing.T, script, cuts []byte, tail uint8) {
+		const nch, ring = 3, 16
+		frames := frameScript(script, nch)
+		var stream []byte
+		var ends []int // stream offset one past each frame
+		for _, fr := range frames {
+			var err error
+			if stream, err = wire.AppendNetFrame(stream, fr); err != nil {
+				t.Fatal(err)
+			}
+			ends = append(ends, len(stream))
+		}
+		// The link cuts the last bytes off: frames that end past the cut
+		// never arrive whole.
+		if int(tail) < len(stream) {
+			stream = stream[:len(stream)-int(tail)]
+		} else {
+			stream = nil
+		}
+		whole := 0
+		for whole < len(ends) && ends[whole] <= len(stream) {
+			whole++
+		}
+
+		opt := netrecv.Options{RingSlots: ring, LagSlack: 6}
+		metC := obs.NewNetReceiverMetrics(obs.NewRegistry(), "fuzz")
+		metO := obs.NewNetReceiverMetrics(obs.NewRegistry(), "fuzz")
+		batched := netrecv.NewFeed(nch, opt, metC)
+		single := netrecv.NewFeed(nch, opt, metO)
+		for _, fr := range frames[:whole] {
+			single.Offer(fr)
+		}
+		var carry []byte
+		for i := 0; len(stream) > 0; i++ {
+			n := 1
+			if len(cuts) > 0 {
+				n += int(cuts[i%len(cuts)])
+			}
+			if n > len(stream) {
+				n = len(stream)
+			}
+			carry = append(carry, stream[:n]...)
+			stream = stream[n:]
+			used, err := batched.Consume(carry)
+			if err != nil {
+				t.Fatalf("well-formed stream refused: %v", err)
+			}
+			carry = carry[used:]
+		}
+
+		// A closed feed answers every read at once: resident or lost.
+		batched.Close()
+		single.Close()
+		if b, s := batched.Live(), single.Live(); b != s {
+			t.Fatalf("live slot %d, frame by frame %d", b, s)
+		}
+		for ch := 0; ch < nch; ch++ {
+			for abs := int64(0); abs <= single.Live()+1; abs++ {
+				bp, bv := batched.PacketAt(ch, abs)
+				sp, sv := single.PacketAt(ch, abs)
+				if bv != sv || !reflect.DeepEqual(bp, sp) {
+					t.Fatalf("channel %d slot %d: batched (%+v, v%d), frame by frame (%+v, v%d)", ch, abs, bp, bv, sp, sv)
+				}
+			}
+		}
+		if b, s := batched.LostSlots(), single.LostSlots(); b != s {
+			t.Fatalf("%d lost slots, frame by frame %d", b, s)
+		}
+		bd, bdv := batched.DirectoryAt(0)
+		sd, sdv := single.DirectoryAt(0)
+		bf, bfv := batched.FECDescAt(0)
+		sf, sfv := single.FECDescAt(0)
+		if bdv != sdv || bfv != sfv || !bytes.Equal(bd, sd) || !bytes.Equal(bf, sf) {
+			t.Fatalf("control state: batched dir v%d %q desc v%d %q, frame by frame dir v%d %q desc v%d %q",
+				bdv, bd, bfv, bf, sdv, sd, sfv, sf)
+		}
+		if metC.Frames.Value() != metO.Frames.Value() || metC.Garbage.Value() != metO.Garbage.Value() {
+			t.Fatalf("counted %d frames and %d garbage, frame by frame %d and %d",
+				metC.Frames.Value(), metC.Garbage.Value(), metO.Frames.Value(), metO.Garbage.Value())
+		}
+	})
+}
+
+// slotFrames encodes every channel's frame of slots [from, to) in air
+// order, each payload naming its own position.
+func slotFrames(t testing.TB, nch int, from, to int64) []byte {
+	t.Helper()
+	var buf []byte
+	for abs := from; abs < to; abs++ {
+		for ch := 0; ch < nch; ch++ {
+			var err error
+			buf, err = wire.AppendNetFrame(buf, wire.NetFrame{
+				Kind: wire.NetData, Ch: uint16(ch), Slot: uint32(abs), Ver: 1, Abs: abs,
+				Payload: []byte(wantPayload(ch, abs)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return buf
+}
+
+func wantPayload(ch int, abs int64) string {
+	return fmt.Sprintf("payload of channel %d at slot %06d", ch, abs)
+}
+
+// TestPacketAtPayloadOutlivesTheRing: the ring overwrites its entries in
+// place, so what PacketAt returned must be the caller's own bytes —
+// intact after the ring has lapped the slot twice.
+func TestPacketAtPayloadOutlivesTheRing(t *testing.T) {
+	const nch, ring = 2, 8
+	feed := netrecv.NewFeed(nch, netrecv.Options{RingSlots: ring}, nil)
+	if _, err := feed.Consume(slotFrames(t, nch, 0, ring)); err != nil {
+		t.Fatal(err)
+	}
+	held, ver := feed.PacketAt(1, 3)
+	if ver != 1 || string(held.Payload) != wantPayload(1, 3) {
+		t.Fatalf("slot 3 read back as v%d %q", ver, held.Payload)
+	}
+	if _, err := feed.Consume(slotFrames(t, nch, ring, 3*ring)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := feed.PacketAt(1, 3+2*ring); string(got.Payload) != wantPayload(1, 3+2*ring) {
+		t.Fatalf("the ring position was not lapped: %q", got.Payload)
+	}
+	if string(held.Payload) != wantPayload(1, 3) {
+		t.Fatalf("a payload handed out by PacketAt was rewritten under its holder: %q", held.Payload)
+	}
+}
+
+// TestWarmConsumeAllocatesNothing: once every ring entry owns a buffer,
+// slotting a 64-frame read allocates nothing — a frame nobody reads
+// costs a memcpy.
+func TestWarmConsumeAllocatesNothing(t *testing.T) {
+	const nch, slots = 4, 16 // 64 frames
+	feed := netrecv.NewFeed(nch, netrecv.Options{RingSlots: slots}, obs.NewNetReceiverMetrics(obs.NewRegistry(), "test"))
+	buf := slotFrames(t, nch, 0, slots)
+	frame := len(buf) / (nch * slots)
+	next := int64(0)
+	step := func() {
+		if _, err := feed.Consume(buf); err != nil {
+			t.Fatal(err)
+		}
+		// The same read, one ring further on: restamp the absolute slots
+		// in place (bytes 14..22 of each frame).
+		next += slots
+		for i := 0; i < nch*slots; i++ {
+			binary.BigEndian.PutUint64(buf[i*frame+14:], uint64(next+int64(i/nch)))
+		}
+	}
+	step()
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("a warm Consume of 64 frames allocates %.0f times, want 0", n)
+	}
+	if live := feed.Live(); live != next-1 {
+		t.Fatalf("live slot %d after consuming up to %d", live, next-1)
+	}
+}
+
+// within fails the test if fn has not returned by the deadline: a
+// missed wake-up shows as a hang, never as a wrong answer.
+func within(t *testing.T, d time.Duration, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still blocked after %v: a wake-up was missed", what, d)
+	}
+}
+
+// TestFeedNeverMissesAWakeUp drives transports, readers, WaitLive and
+// Close against one feed at once, lossless and lossy.
+func TestFeedNeverMissesAWakeUp(t *testing.T) {
+	const nch = 3
+
+	// One read of many more slots than the ring holds: Consume slots
+	// what fits and then blocks for room — which only the reader can
+	// make, and the reader is asleep on a frame this very call slotted.
+	t.Run("lossless, ring full inside one Consume", func(t *testing.T) {
+		const ring, slots = 8, 400
+		feed := netrecv.NewFeed(nch, netrecv.Options{Lossless: true, RingSlots: ring}, nil)
+		within(t, 20*time.Second, "lossless stream", func() {
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				if _, ok := feed.WaitLive(10 * time.Second); !ok {
+					t.Error("WaitLive gave up on a live feed")
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for abs := int64(0); abs < slots; abs++ {
+					for ch := 0; ch < nch; ch++ {
+						if p, ver := feed.PacketAt(ch, abs); ver != 1 || string(p.Payload) != wantPayload(ch, abs) {
+							t.Errorf("channel %d slot %d read back as v%d %q", ch, abs, ver, p.Payload)
+							return
+						}
+					}
+				}
+			}()
+			time.Sleep(10 * time.Millisecond) // let the reader block on slot 0 first
+			if _, err := feed.Consume(slotFrames(t, nch, 0, slots)); err != nil {
+				t.Error(err)
+			}
+			wg.Wait()
+		})
+		if lost := feed.LostSlots(); lost != 0 {
+			t.Fatalf("lossless feed declared %d slots lost", lost)
+		}
+	})
+
+	// Datagram-sized reads through Consume and single frames through
+	// Offer, two readers on different slots, a reader parked on a slot
+	// that never comes, and Close to end it.
+	t.Run("lossy, two transports and two readers", func(t *testing.T) {
+		const ring, slots = 64, 3000
+		feed := netrecv.NewFeed(nch, netrecv.Options{RingSlots: ring, WaitTimeout: time.Minute}, nil)
+		within(t, 20*time.Second, "lossy stream", func() {
+			var readers, parked sync.WaitGroup
+			read := func(from int64) {
+				defer readers.Done()
+				for abs := from; abs < slots; abs++ {
+					for ch := 0; ch < nch; ch++ {
+						// A reader that falls a ring behind is served losses;
+						// what it is served as present must be right.
+						if p, ver := feed.PacketAt(ch, abs); ver != 0 && string(p.Payload) != wantPayload(ch, abs) {
+							t.Errorf("channel %d slot %d read back as %q", ch, abs, p.Payload)
+							return
+						}
+					}
+				}
+			}
+			readers.Add(2)
+			go read(0)
+			go read(7)
+			parked.Add(1)
+			go func() {
+				defer parked.Done()
+				if _, ver := feed.PacketAt(0, 1<<40); ver != 0 {
+					t.Error("a slot that never aired was served")
+				}
+			}()
+			var transports sync.WaitGroup
+			transports.Add(2)
+			go func() { // even slots, a slot per read
+				defer transports.Done()
+				for abs := int64(0); abs < slots; abs += 2 {
+					if _, err := feed.Consume(slotFrames(t, nch, abs, abs+1)); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+			go func() { // odd slots, a frame per call
+				defer transports.Done()
+				for abs := int64(1); abs < slots; abs += 2 {
+					for ch := 0; ch < nch; ch++ {
+						feed.Offer(wire.NetFrame{Kind: wire.NetData, Ch: uint16(ch), Ver: 1, Abs: abs, Payload: []byte(wantPayload(ch, abs))})
+					}
+				}
+			}()
+			transports.Wait()
+			// The last slots of one parity may trail the other's: push the
+			// clock on so no reader waits on reorder slack.
+			if _, err := feed.Consume(slotFrames(t, nch, slots, slots+32)); err != nil {
+				t.Error(err)
+			}
+			readers.Wait()
+			feed.Close()
+			parked.Wait()
+		})
+	})
+}

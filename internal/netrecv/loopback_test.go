@@ -10,7 +10,9 @@ package netrecv_test
 
 import (
 	"context"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -89,7 +91,11 @@ func metaFor(t testing.TB, ds *dataset.Dataset, n int, seed int64, lay *dsi.Layo
 }
 
 // startBlockStation runs a lossless (Block-mode) station over src and
-// returns its base URL.
+// returns its base URL. For as long as it runs, a second subscriber
+// keeps tuning in, stalling until the station has queued all it will
+// for it, and hanging up with those flushes queued: the station
+// recycles flush storage, and every test over this station checks the
+// surviving subscriber's stream against the source bit for bit.
 func startBlockStation(t testing.TB, src station.PacketSource, lay *dsi.Layout, meta wire.StationMeta, tick func(int64)) string {
 	t.Helper()
 	srv, err := netsrv.New(netsrv.Config{
@@ -101,8 +107,25 @@ func startBlockStation(t testing.TB, src station.PacketSource, lay *dsi.Layout, 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { _ = srv.Run(ctx) }()
 	hts := httptest.NewServer(srv.Handler())
+	hungUp := make(chan struct{})
+	go func() {
+		defer close(hungUp)
+		for ctx.Err() == nil {
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, hts.URL+"/v1/stream", nil)
+			if err != nil {
+				return
+			}
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				_, _ = io.ReadFull(resp.Body, make([]byte, 4096))
+				time.Sleep(5 * time.Millisecond)
+				resp.Body.Close()
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
 	t.Cleanup(func() {
 		cancel()
+		<-hungUp
 		hts.CloseClientConnections()
 		hts.Close()
 	})
@@ -544,4 +567,73 @@ func TestSeveredStreamReconnects(t *testing.T) {
 	if rx.Reconnects() == 0 {
 		t.Fatal("no reconnect was counted")
 	}
+}
+
+// TestSmallLagSlackOnALossFreeLink reads every packet of a paced
+// station's stream through a feed whose LagSlack (64 slots) is smaller
+// than the station's flush (100 slots at 20 000 slots/s). The station
+// emits in air order, so no frame of a later slot can arrive ahead of
+// one the reader still waits for, and a loss-free link declares nothing
+// lost. (A flush emitted channel by channel runs the global clock a
+// whole flush ahead of the channels still to come, and their pending
+// slots are declared lost.)
+func TestSmallLagSlackOnALossFreeLink(t *testing.T) {
+	const n, seed = 200, 1951
+	ds, _, lay := netTestBed(t, n, seed)
+	mt, err := station.NewMultiTransmitter(lay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := metaFor(t, ds, n, seed, lay, wire.FECConfig{})
+	srv, err := netsrv.New(netsrv.Config{Source: mt, Layout: lay, Meta: meta, SlotsPerSec: 20000, CtrlEvery: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, err := srv.ServeUDP(ctx, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Run(ctx) }()
+	hts := httptest.NewServer(srv.Handler())
+	defer hts.Close()
+	cat, err := netrecv.BuildCatalog(meta, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := netrecv.Options{LagSlack: 64}
+
+	readAll := func(t *testing.T, feed *netrecv.Feed, from int64) {
+		t.Helper()
+		const slots = 6000 // 0.3 s of air
+		for abs := from; abs < from+slots; abs++ {
+			for ch := 0; ch < lay.Channels(); ch++ {
+				got, ver := feed.PacketAt(ch, abs)
+				want, _ := mt.PacketAt(ch, abs)
+				if ver != 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("channel %d slot %d: stream differs from the source", ch, abs)
+				}
+			}
+		}
+		if lost := feed.LostSlots(); lost != 0 {
+			t.Fatalf("%d of %d packet reads served as lost on a loss-free link", lost, slots*lay.Channels())
+		}
+	}
+	t.Run("udp", func(t *testing.T) {
+		rx, err := netrecv.NewUDPReceiver(addr, -1, cat, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rx.Close()
+		readAll(t, rx.Feed(), rx.LiveSlot()+1)
+	})
+	t.Run("http", func(t *testing.T) {
+		rx, err := netrecv.NewHTTPReceiver(hts.URL, cat, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rx.Close()
+		readAll(t, rx.Feed(), rx.LiveSlot()+1)
+	})
 }

@@ -1,11 +1,16 @@
 // The datagram transports. A unicast receiver subscribes with
 // "DSIJOIN <ch>" on the station's UDP port, keeps the lease alive with
-// periodic pings, and reads one net frame per datagram; a multicast
-// receiver just joins each channel's group (base address, port +
-// channel) and listens. A datagram that never arrives is a hole the
-// feed declares lost once the clock passes it — exactly the loss model
-// the FEC framing recovers from, which is what makes UDP the honest
-// transport for the broadcast metaphor.
+// periodic pings, and reads one slot per datagram — the frames of its
+// channels at one absolute slot, control frames ahead of them (several
+// datagrams when a slot outgrows the station's budget; the feed parses
+// however many frames a datagram holds); a multicast receiver just joins
+// each channel's group (base address, port + channel) and listens. A
+// datagram that never arrives is a hole in each of its channels that the
+// feed declares lost once the clock passes it. A radio hears one channel
+// at a time and FEC units are per channel, so that is still one lost
+// slot to the decoder — exactly the loss model the FEC framing recovers
+// from, which is what makes UDP the honest transport for the broadcast
+// metaphor.
 
 package netrecv
 
@@ -139,9 +144,9 @@ func NewMulticastReceiver(base string, cat *Catalog, opt Options) (*UDPReceiver,
 }
 
 // datagramLoop feeds every datagram until the socket closes. Each
-// datagram is self-contained (the station sends one frame per
-// datagram), so a malformed one is discarded alone — datagram streams
-// cannot desync.
+// datagram is self-contained (the station sends whole frames, one slot
+// per datagram), so a malformed one is discarded alone — datagram
+// streams cannot desync.
 func (u *UDPReceiver) datagramLoop(conn *net.UDPConn) {
 	buf := make([]byte, wire.MaxNetPayload+wire.NetFrameHeader)
 	for {

@@ -21,17 +21,12 @@ import (
 const streamQueueDepth = 32
 
 // streamConn is one live HTTP subscription: a bounded queue of flushes
-// the pacer publishes into and the writer goroutine drains.
+// the pacer publishes into and the writer goroutine drains, releasing
+// each once written.
 type streamConn struct {
-	q     chan flushSet
+	q     chan *flush
 	done  chan struct{}
-	chans []bool // per-channel subscription mask; nil subscribes to every channel
-}
-
-// wants reports whether the subscription carries batches of channel
-// ch. Control snapshots (ch < 0) go to everyone.
-func (c *streamConn) wants(ch int) bool {
-	return ch < 0 || c.chans == nil || c.chans[ch]
+	chans chanSet
 }
 
 // Handler returns the station's HTTP surface.
@@ -57,12 +52,12 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 // absent. Every listed channel is validated against the broadcast's
 // channel count — an unknown channel is a client error, never a
 // silent full fan-out. The returned mask is nil for the full set.
-func (s *Server) parseCh(r *http.Request) ([]bool, error) {
+func (s *Server) parseCh(r *http.Request) (chanSet, error) {
 	vals := r.URL.Query()["ch"]
 	if len(vals) == 0 {
 		return nil, nil
 	}
-	mask := make([]bool, s.nch)
+	mask := make(chanSet, s.nch)
 	picked := 0
 	for _, v := range vals {
 		for _, part := range strings.Split(v, ",") {
@@ -89,13 +84,13 @@ func (s *Server) parseCh(r *http.Request) ([]bool, error) {
 // its unregister func. The initial control snapshot is queued as the
 // first flush so the subscription opens with the live directory and
 // FEC descriptor.
-func (s *Server) subscribe(chans []bool) (*streamConn, func()) {
+func (s *Server) subscribe(chans chanSet) (*streamConn, func()) {
 	c := &streamConn{
-		q:     make(chan flushSet, streamQueueDepth),
+		q:     make(chan *flush, streamQueueDepth),
 		done:  make(chan struct{}),
 		chans: chans,
 	}
-	c.q <- flushSet{batches: []slotBatch{s.ctrlSnapshot()}}
+	c.q <- s.ctrlSnapshot()
 	s.mu.Lock()
 	s.conns[c] = struct{}{}
 	s.mu.Unlock()
@@ -109,33 +104,17 @@ func (s *Server) subscribe(chans []bool) (*streamConn, func()) {
 		s.mu.Unlock()
 		close(c.done)
 		s.httpMet.ConnClosed()
+		// Hand back what was queued and never written. A publish already
+		// under way may still queue one more; that one is the collector's.
+		for {
+			select {
+			case fl := <-c.q:
+				s.release(fl)
+			default:
+				return
+			}
+		}
 	}
-}
-
-// emit writes one batch to the subscriber and books the emission
-// metrics. A ch of -1 (the control snapshot) books bytes to channel 0.
-func (s *Server) emit(w http.ResponseWriter, b slotBatch) error {
-	if len(b.buf) == 0 {
-		return nil
-	}
-	if _, err := w.Write(b.buf); err != nil {
-		return err
-	}
-	s.bookEmit(s.httpMet, b)
-	return nil
-}
-
-func (s *Server) bookEmit(met *obs.NetStationMetrics, b slotBatch) {
-	if met == nil {
-		return
-	}
-	ch := b.ch
-	if ch < 0 {
-		ch = 0
-	}
-	met.BytesEmitted(ch, len(b.buf))
-	met.Frames.Add(int64(b.frames))
-	met.CtrlFrames.Add(int64(b.ctrl))
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -144,7 +123,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	fl, ok := w.(http.Flusher)
+	flusher, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
@@ -158,16 +137,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case fs := <-c.q:
-			for _, b := range fs.batches {
-				if !c.wants(b.ch) {
-					continue
-				}
-				if err := s.emit(w, b); err != nil {
-					return
-				}
+		case fl := <-c.q:
+			err := fl.writeTo(w, c.chans)
+			if err == nil {
+				fl.book(s.httpMet, c.chans, 0)
 			}
-			fl.Flush()
+			s.release(fl)
+			if err != nil {
+				return
+			}
+			flusher.Flush()
 		}
 	}
 }

@@ -10,18 +10,24 @@
 //
 //   - The absolute slot clock is global across channels and never goes
 //     backwards: at slot abs, every channel's packet for abs is emitted
-//     before any packet for abs+1. Receivers therefore treat the
+//     before any packet for abs+1, on every transport (a flush is laid
+//     out and written slot-major). Receivers therefore treat the
 //     stream's high-water mark as the live clock.
-//   - One UDP datagram carries exactly one frame, so transport loss is
-//     slot-granular — the loss model the FEC framing was built for.
-//     HTTP streams concatenate frames; TCP makes them lossless but a
-//     severed stream loses the gap between disconnect and reconnect.
+//   - One UDP datagram carries one slot of one subscription: the
+//     frames of the subscribed channels at one absolute slot, control
+//     frames ahead of them, split only past dgramBudget bytes. A radio
+//     listens to one channel at a time and FEC units are per channel,
+//     so transport loss stays slot-granular — the loss model the FEC
+//     framing was built for. HTTP streams concatenate frames; TCP
+//     makes them lossless but a severed stream loses the gap between
+//     disconnect and reconnect.
 //   - The versioned shard directory and FEC descriptor ride in-band:
 //     at the head of every new subscription and every CtrlEvery slots
-//     thereafter, each channel's stream carries NetDir/NetFECDesc
-//     control frames sampled from the source at the emission slot.
-//     A receiver that tunes in stale or reconnects across a seam swap
-//     learns the bump from these frames alone.
+//     thereafter, every subscription carries NetDir/NetFECDesc control
+//     frames sampled from the source at the emission slot, once, ahead
+//     of that slot's data frames. A receiver that tunes in stale or
+//     reconnects across a seam swap learns the bump from these frames
+//     alone.
 //   - The emitted bytes are exactly what the in-process PacketSource
 //     serves: a loss-free network link is bit-identical to reading the
 //     source directly (regression-enforced in netrecv's tests).
@@ -98,25 +104,15 @@ type Server struct {
 
 	udp *udpEmitter // nil until ServeUDP
 
+	pub []*streamConn // publish's subscriber snapshot, reused every flush
+
+	// free holds released flushes for buildFlush to fill again. What is
+	// in flight at once — a queue's worth, the flush being built and one
+	// under each writer — comes back in one burst when stalled
+	// subscribers resume; twice the queue depth keeps all of it.
+	free chan *flush
+
 	mcastAddrs []string // advertised base, set by EnableMulticast
-}
-
-// slotBatch is one flush's frames for one channel: concatenated
-// encoded frames plus the end offset of each (for datagram emission,
-// which sends exactly one frame per datagram) and the frame counts for
-// the emission metrics.
-type slotBatch struct {
-	ch     int
-	buf    []byte
-	bounds []int
-	frames int // data frames in buf
-	ctrl   int // control frames in buf
-}
-
-// flushSet is everything one pacer flush emitted, shared read-only by
-// every subscriber writer.
-type flushSet struct {
-	batches []slotBatch
 }
 
 // New assembles a server over the source. The layout must match the
@@ -144,6 +140,7 @@ func New(cfg Config) (*Server, error) {
 		nch:   nch,
 		ctrl:  cfg.CtrlEvery,
 		conns: make(map[*streamConn]struct{}),
+		free:  make(chan *flush, 2*streamQueueDepth),
 	}
 	if f, ok := cfg.Source.(station.FECSource); ok {
 		s.fsrc = f
@@ -211,123 +208,101 @@ func (s *Server) Run(ctx context.Context) error {
 	}
 }
 
-// buildFlush encodes the next batchSlots slots of every channel,
-// splicing control frames in at the cadence boundaries, and advances
-// the published clock.
-func (s *Server) buildFlush(batchSlots int) flushSet {
-	fs := flushSet{batches: make([]slotBatch, s.nch)}
-	for ch := range fs.batches {
-		fs.batches[ch].ch = ch
-	}
+// buildFlush encodes the next batchSlots slots in air order — each
+// slot's control frames at the cadence boundaries, then every channel's
+// packet — and advances the published clock.
+func (s *Server) buildFlush(batchSlots int) *flush {
+	fl := s.newFlush()
 	abs := s.abs.Load()
 	for i := 0; i < batchSlots; i++ {
 		if abs%int64(s.ctrl) == 0 {
-			s.appendCtrl(&fs, abs)
+			s.appendCtrl(fl, abs)
 		}
 		for ch := 0; ch < s.nch; ch++ {
 			pkt, ver := s.src.PacketAt(ch, abs)
-			b := &fs.batches[ch]
-			buf, err := wire.AppendNetFrame(b.buf, wire.NetFrame{
+			err := fl.add(wire.NetFrame{
 				Kind: wire.NetData, Flags: pkt.Flags, Ch: uint16(ch),
 				Slot: pkt.Slot, Ver: ver, Abs: abs, Payload: pkt.Payload,
-			})
+			}, ch)
 			if err != nil {
 				// Source payloads are bounded by the packet capacity;
 				// an encoding failure is a programming error.
 				panic(fmt.Sprintf("netsrv: slot %d channel %d: %v", abs, ch, err))
 			}
-			b.buf = buf
-			b.bounds = append(b.bounds, len(buf))
-			b.frames++
 		}
+		fl.slots++
 		abs++
 		s.abs.Store(abs)
 	}
-	return fs
+	return fl
 }
 
-// appendCtrl appends the directory and FEC-descriptor control frames
-// (as on air at abs) to every channel's batch, so any single-channel
-// subscription still carries the full control stream.
-func (s *Server) appendCtrl(fs *flushSet, abs int64) {
-	dir, dver := s.src.DirectoryAt(abs)
-	var desc []byte
-	var fver uint32
-	if s.fsrc != nil {
-		desc, fver = s.fsrc.FECDescAt(abs)
-	}
-	for ch := range fs.batches {
-		appendCtrlFrames(&fs.batches[ch], abs, dir, dver, desc, fver)
-	}
-}
-
-// appendCtrlFrames appends the control frames for one stream: the FEC
+// appendCtrl appends the control frames as on air at abs: the FEC
 // descriptor (sources that ship one) and the versioned directory
-// (multi-channel broadcasts). Each control frame gets its own datagram
-// bound. The descriptor goes first: a receiver acts on a directory
-// bump only once the descriptor of the same version is in hand, so on
-// an ordered transport it never sees the bump ahead of its code.
-func appendCtrlFrames(b *slotBatch, abs int64, dir []byte, dver uint32, desc []byte, fver uint32) {
-	if desc != nil {
-		if buf, err := wire.AppendNetFrame(b.buf, wire.NetFrame{Kind: wire.NetFECDesc, Ver: fver, Abs: abs, Payload: desc}); err == nil {
-			b.buf = buf
-			b.bounds = append(b.bounds, len(buf))
-			b.ctrl++
-		}
-	}
-	if dir != nil {
-		if buf, err := wire.AppendNetFrame(b.buf, wire.NetFrame{Kind: wire.NetDir, Ver: dver, Abs: abs, Payload: dir}); err == nil {
-			b.buf = buf
-			b.bounds = append(b.bounds, len(buf))
-			b.ctrl++
-		}
-	}
-}
-
-// ctrlSnapshot encodes the current control frames alone — what a new
-// subscription receives before its first data frame, so receivers can
-// bootstrap FEC validation and stale catalogs without waiting a
-// cadence period.
-func (s *Server) ctrlSnapshot() slotBatch {
-	abs := s.abs.Load()
-	dir, dver := s.src.DirectoryAt(abs)
-	var desc []byte
-	var fver uint32
+// (multi-channel broadcasts). Every subscription carries them, so a
+// single-channel one still hears the full control stream. The
+// descriptor goes first: a receiver acts on a directory bump only once
+// the descriptor of the same version is in hand, so on an ordered
+// transport it never sees the bump ahead of its code. An oversized
+// control payload is left out rather than sent truncated.
+func (s *Server) appendCtrl(fl *flush, abs int64) {
 	if s.fsrc != nil {
-		desc, fver = s.fsrc.FECDescAt(abs)
+		if desc, fver := s.fsrc.FECDescAt(abs); desc != nil {
+			_ = fl.add(wire.NetFrame{Kind: wire.NetFECDesc, Ver: fver, Abs: abs, Payload: desc}, -1)
+		}
 	}
-	b := slotBatch{ch: -1}
-	appendCtrlFrames(&b, abs, dir, dver, desc, fver)
-	return b
+	if dir, dver := s.src.DirectoryAt(abs); dir != nil {
+		_ = fl.add(wire.NetFrame{Kind: wire.NetDir, Ver: dver, Abs: abs, Payload: dir}, -1)
+	}
 }
 
-// publish hands the flush to every subscriber: HTTP batch queues
-// (dropping on lag unless Block), UDP datagrams, multicast groups.
-func (s *Server) publish(ctx context.Context, fs flushSet) {
+// ctrlSnapshot is a flush of the current control frames alone — what a
+// new subscription receives before its first data frame, so receivers
+// can bootstrap FEC validation and stale catalogs without waiting a
+// cadence period. The caller owns its one reference.
+func (s *Server) ctrlSnapshot() *flush {
+	fl := s.newFlush()
+	s.appendCtrl(fl, s.abs.Load())
+	return fl
+}
+
+// publish hands the flush to every subscriber — HTTP queues (dropping
+// on lag unless Block) and the datagram sender — and gives up the
+// pacer's reference. Whoever does not take it releases its share.
+func (s *Server) publish(ctx context.Context, fl *flush) {
+	defer s.release(fl)
 	s.mu.Lock()
-	conns := make([]*streamConn, 0, len(s.conns))
+	s.pub = s.pub[:0]
 	for c := range s.conns {
-		conns = append(conns, c)
+		s.pub = append(s.pub, c)
 	}
+	udp := s.udp
 	s.mu.Unlock()
-	for _, c := range conns {
+	for _, c := range s.pub {
+		fl.refs.Add(1)
 		if s.cfg.Block {
 			select {
-			case c.q <- fs:
+			case c.q <- fl:
+				continue
 			case <-ctx.Done():
+				s.release(fl)
 				return
 			case <-c.done:
 			}
-			continue
+		} else {
+			select {
+			case c.q <- fl:
+				continue
+			default:
+				if m := s.httpMet; m != nil {
+					m.Drops.Inc()
+				}
+			}
 		}
-		select {
-		case c.q <- fs:
-		default:
-			s.httpMet.Drops.Inc()
-		}
+		s.release(fl)
 	}
-	if s.udp != nil {
-		s.udp.publish(fs)
+	if udp != nil {
+		udp.publish(fl)
 	}
 }
 

@@ -1,11 +1,15 @@
 // The datagram transports. Unicast subscribers speak a three-verb text
 // protocol on the station's UDP port — "DSIJOIN <ch>" (ch -1 for every
 // channel), "DSIPING" to refresh the lease, "DSILEAVE" — and then
-// receive one net frame per datagram until their lease expires.
+// receive one slot per datagram, per subscription, until their lease
+// expires: the frames of the subscribed channels at one absolute slot,
+// control frames ahead of them (flush.datagram is the one rule). A
+// single-channel subscription is therefore one data frame per datagram.
 // Multicast needs no subscription at all: each broadcast channel
 // streams to its own group (base address, port + channel), which is the
 // closest a packet network gets to the paper's shared medium — any
-// number of receivers, zero per-client state at the station.
+// number of receivers, zero per-client state at the station. A group is
+// a single-channel subscription that never expires.
 
 package netsrv
 
@@ -24,10 +28,28 @@ import (
 // udpLeaseTTL is how long a unicast subscription lives without a PING.
 const udpLeaseTTL = 30 * time.Second
 
+// udpSub is one datagram destination: a unicast subscriber or a
+// multicast group.
 type udpSub struct {
-	to  net.Addr
-	ch  int // -1 = every channel
-	exp time.Time
+	write func(p []byte) // sends one datagram; made once per subscription
+	chans chanSet
+	exp   time.Time // lease end; zero for a multicast group
+	met   *obs.NetStationMetrics
+}
+
+// send emits the subscription's share of the flush, one slot per
+// datagram, and books it. scratch is the caller's gather buffer.
+func (sub *udpSub) send(fl *flush, scratch []byte) []byte {
+	var p []byte
+	dgrams := 0
+	for i := 0; ; dgrams++ {
+		if p, i, scratch = fl.datagram(sub.chans, i, scratch); p == nil {
+			break
+		}
+		sub.write(p)
+	}
+	fl.book(sub.met, sub.chans, dgrams)
+	return scratch
 }
 
 // udpEmitter owns the unicast socket, the subscriber table, and the
@@ -36,11 +58,15 @@ type udpEmitter struct {
 	srv  *Server
 	pc   net.PacketConn
 	addr string
-	q    chan flushSet
+	q    chan *flush
 
-	subs map[string]*udpSub // keyed by remote addr string
+	// Guarded by srv.mu.
+	subs   map[string]*udpSub // unicast, keyed by remote addr string
+	groups []*udpSub          // per-channel multicast groups, nil when disabled
 
-	mcast []net.Conn // per-channel group sockets, nil when disabled
+	// Owned by the send loop, reused every flush.
+	live    []*udpSub
+	scratch []byte
 }
 
 // ServeUDP opens the station's datagram port and starts the subscriber
@@ -55,7 +81,7 @@ func (s *Server) ServeUDP(ctx context.Context, addr string) (string, error) {
 		srv:  s,
 		pc:   pc,
 		addr: pc.LocalAddr().String(),
-		q:    make(chan flushSet, streamQueueDepth),
+		q:    make(chan *flush, streamQueueDepth),
 		subs: make(map[string]*udpSub),
 	}
 	if s.udpMet == nil {
@@ -85,8 +111,15 @@ func (s *Server) EnableMulticast(base string) error {
 	if err != nil {
 		return fmt.Errorf("netsrv: multicast base %q: %w", base, err)
 	}
+	if s.udp == nil {
+		return fmt.Errorf("netsrv: multicast emission needs ServeUDP first")
+	}
+	if s.mcastMet == nil {
+		s.mcastMet = obs.NewNetStationMetrics(s.cfg.Registry, "mcast", s.nch)
+	}
 	conns := make([]net.Conn, s.nch)
-	for ch := 0; ch < s.nch; ch++ {
+	groups := make([]*udpSub, s.nch)
+	for ch := range groups {
 		c, err := net.Dial("udp", net.JoinHostPort(host, strconv.Itoa(port+ch)))
 		if err != nil {
 			for _, done := range conns[:ch] {
@@ -95,27 +128,26 @@ func (s *Server) EnableMulticast(base string) error {
 			return fmt.Errorf("netsrv: multicast channel %d: %w", ch, err)
 		}
 		conns[ch] = c
+		groups[ch] = &udpSub{write: func(p []byte) { _, _ = c.Write(p) }, chans: only(s.nch, ch), met: s.mcastMet}
 	}
-	if s.udp == nil {
-		return fmt.Errorf("netsrv: multicast emission needs ServeUDP first")
-	}
-	if s.mcastMet == nil {
-		s.mcastMet = obs.NewNetStationMetrics(s.cfg.Registry, "mcast", s.nch)
-	}
-	s.udp.mcast = conns
+	s.mu.Lock()
+	s.udp.groups = groups
+	s.mu.Unlock()
 	s.mcastAddrs = append(s.mcastAddrs, base)
 	return nil
 }
 
 // publish enqueues a flush for datagram emission, dropping it if the
 // send loop is behind (UDP promises nothing anyway).
-func (u *udpEmitter) publish(fs flushSet) {
+func (u *udpEmitter) publish(fl *flush) {
+	fl.refs.Add(1)
 	select {
-	case u.q <- fs:
+	case u.q <- fl:
 	default:
 		if m := u.srv.udpMet; m != nil {
 			m.Drops.Inc()
 		}
+		u.srv.release(fl)
 	}
 }
 
@@ -147,9 +179,17 @@ func (u *udpEmitter) controlLoop() {
 
 func (u *udpEmitter) join(from net.Addr, ch int) {
 	s := u.srv
+	sub := &udpSub{
+		write: func(p []byte) { _, _ = u.pc.WriteTo(p, from) },
+		exp:   time.Now().Add(udpLeaseTTL),
+		met:   s.udpMet,
+	}
+	if ch >= 0 {
+		sub.chans = only(s.nch, ch)
+	}
 	s.mu.Lock()
 	_, known := u.subs[from.String()]
-	u.subs[from.String()] = &udpSub{to: from, ch: ch, exp: time.Now().Add(udpLeaseTTL)}
+	u.subs[from.String()] = sub
 	s.mu.Unlock()
 	if !known {
 		if m := s.udpMet; m != nil {
@@ -157,12 +197,11 @@ func (u *udpEmitter) join(from net.Addr, ch int) {
 		}
 	}
 	// Greet the subscriber with the live control frames so it can
-	// bootstrap without waiting out a control cadence period.
+	// bootstrap without waiting out a control cadence period. They are
+	// adjacent in the flush, so no gather buffer is needed.
 	snap := s.ctrlSnapshot()
-	u.sendBounded(func(b []byte) { _, _ = u.pc.WriteTo(b, from) }, snap)
-	if m := s.udpMet; m != nil {
-		s.bookEmit(m, snap)
-	}
+	sub.send(snap, nil)
+	s.release(snap)
 }
 
 func (u *udpEmitter) refresh(from net.Addr) {
@@ -185,17 +224,8 @@ func (u *udpEmitter) leave(from net.Addr) {
 	}
 }
 
-// sendBounded emits each frame of the batch as its own datagram.
-func (u *udpEmitter) sendBounded(send func([]byte), b slotBatch) {
-	at := 0
-	for _, end := range b.bounds {
-		send(b.buf[at:end])
-		at = end
-	}
-}
-
 // sendLoop drains published flushes to every live subscriber and every
-// multicast group.
+// multicast group, each hearing the flush in air order.
 //
 // It holds one OS thread for its lifetime. The loop is one system call
 // per datagram, and each one wakes the subscriber's reader; left to the
@@ -207,47 +237,38 @@ func (u *udpEmitter) sendLoop(ctx context.Context) {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	for {
-		var fs flushSet
 		select {
 		case <-ctx.Done():
 			return
-		case fs = <-u.q:
-		}
-		s := u.srv
-		now := time.Now()
-		s.mu.Lock()
-		subs := make([]*udpSub, 0, len(u.subs))
-		expired := 0
-		for k, sub := range u.subs {
-			if now.After(sub.exp) {
-				delete(u.subs, k)
-				expired++
-				continue
-			}
-			subs = append(subs, sub)
-		}
-		s.mu.Unlock()
-		if m := s.udpMet; m != nil {
-			for i := 0; i < expired; i++ {
-				m.ConnClosed()
-			}
-		}
-		for _, b := range fs.batches {
-			for _, sub := range subs {
-				if sub.ch >= 0 && b.ch >= 0 && b.ch != sub.ch {
-					continue
-				}
-				u.sendBounded(func(p []byte) { _, _ = u.pc.WriteTo(p, sub.to) }, b)
-				if m := s.udpMet; m != nil {
-					s.bookEmit(m, b)
-				}
-			}
-			if u.mcast != nil && b.ch >= 0 && b.ch < len(u.mcast) {
-				u.sendBounded(func(p []byte) { _, _ = u.mcast[b.ch].Write(p) }, b)
-				if m := s.mcastMet; m != nil {
-					s.bookEmit(m, b)
-				}
-			}
+		case fl := <-u.q:
+			u.emit(fl)
 		}
 	}
+}
+
+// emit sends one flush to everyone listening and releases it.
+func (u *udpEmitter) emit(fl *flush) {
+	s := u.srv
+	now := time.Now()
+	expired := 0
+	s.mu.Lock()
+	u.live = append(u.live[:0], u.groups...)
+	for k, sub := range u.subs {
+		if now.After(sub.exp) {
+			delete(u.subs, k)
+			expired++
+			continue
+		}
+		u.live = append(u.live, sub)
+	}
+	s.mu.Unlock()
+	if m := s.udpMet; m != nil {
+		for i := 0; i < expired; i++ {
+			m.ConnClosed()
+		}
+	}
+	for _, sub := range u.live {
+		u.scratch = sub.send(fl, u.scratch)
+	}
+	s.release(fl)
 }

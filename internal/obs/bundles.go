@@ -152,6 +152,7 @@ type NetStationMetrics struct {
 	Conns      *Gauge   // live subscriber connections
 	Frames     *Counter // net frames emitted across all channels
 	CtrlFrames *Counter // in-band directory/FEC control frames emitted
+	Datagrams  *Counter // datagrams those frames went out in (0 on a stream transport)
 	Drops      *Counter // batches dropped on lagging consumers
 	SubsetSubs *Counter // subscriptions restricted to a channel subset (?ch=)
 	Bytes      []*Counter
@@ -170,6 +171,7 @@ func NewNetStationMetrics(reg *Registry, transport string, channels int) *NetSta
 		Conns:      reg.Gauge("station_net_conns", "live subscriber connections, by transport", TransportLabel(transport)),
 		Frames:     reg.Counter("station_net_frames_total", "net frames emitted, by transport", TransportLabel(transport)),
 		CtrlFrames: reg.Counter("station_net_ctrl_frames_total", "in-band directory/FEC control frames emitted, by transport", TransportLabel(transport)),
+		Datagrams:  reg.Counter("station_net_datagrams_total", "datagrams emitted (one slot of one subscription each), by transport", TransportLabel(transport)),
 		Drops:      reg.Counter("station_net_dropped_batches_total", "frame batches dropped on lagging consumers, by transport", TransportLabel(transport)),
 		SubsetSubs: reg.Counter("station_net_subset_subscriptions_total", "subscriptions restricted to a channel subset, by transport", TransportLabel(transport)),
 		reg:        reg,

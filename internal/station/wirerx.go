@@ -60,8 +60,9 @@ type PacketSource interface {
 	// Capacity bytes; a parity frame adds wire.ParityHeaderSize. How a
 	// source meets this is its own business: MultiTransmitter builds
 	// each object packet's bytes fresh and slices pre-encoded tables
-	// and parity, netrecv.Feed copies every frame it is offered, and
-	// diskstore.ImageSource slices a read-only mapping.
+	// and parity, netrecv.Feed hands out a fresh copy of its ring entry
+	// on every read, and diskstore.ImageSource slices a read-only
+	// mapping.
 	PacketAt(ch int, abs int64) (Packet, uint32)
 	// DirectoryAt returns the versioned shard directory on air at abs
 	// (nil when the broadcast ships none, e.g. single-channel layouts).

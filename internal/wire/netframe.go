@@ -22,11 +22,14 @@
 //     bytes), shipped alongside the directory so coded receivers can
 //     validate the code before decoding.
 //
-// One UDP datagram carries exactly one frame (loss granularity = one
-// slot, the semantics the FEC layer is designed for); HTTP streams
-// concatenate frames back to back, so DecodeNetFrame distinguishes "I
-// need more bytes" (ErrShortFrame) from "this is not a frame"
-// (malformed — a stream desync the reader must treat as fatal).
+// One UDP datagram carries one slot of one subscription — whole frames
+// of one absolute slot, one per subscribed channel, control frames ahead
+// of them (loss granularity = one slot of each channel, the semantics
+// the per-channel FEC layer is designed for); HTTP streams concatenate
+// frames back to back. Either way a reader decodes frame after frame, so
+// DecodeNetFrame distinguishes "I need more bytes" (ErrShortFrame) from
+// "this is not a frame" (malformed — a stream desync the reader must
+// treat as fatal).
 
 package wire
 
