@@ -10,11 +10,13 @@
 package bench
 
 import (
+	"math/rand"
 	"strconv"
 	"testing"
 
 	"dsi/internal/dsi"
 	"dsi/internal/experiment"
+	"dsi/internal/massive"
 	"dsi/internal/spatial"
 )
 
@@ -217,4 +219,81 @@ func BenchmarkClientReuse(b *testing.B) {
 			buf, _ = s.KNNAppend(buf[:0], q, 10, dsi.Conservative)
 		}
 	})
+}
+
+// BenchmarkWindowSplitHop measures what one navigation hop costs the
+// client, in ns, on the index/data split arm of the massive testbed
+// (10 % windows, four channels): one iteration answers a fixed set of
+// window queries on a warm session, and the hops they take — frame
+// visits, counted once from the client's trace — divide the time. The
+// split arm is where hops are most numerous (an index sweep reads one
+// table per hop), so this is the number a change to the navigation
+// moves first.
+func BenchmarkWindowSplitHop(b *testing.B) {
+	cfg := massive.BedConfig{Seed: 1}
+	if testing.Short() {
+		cfg.N = 1000
+	}
+	bed, err := massive.NewTestbed(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var lay *dsi.Layout
+	for _, arm := range bed.Arms {
+		if arm.Name == "split" {
+			lay = arm.Lay
+		}
+	}
+	s, err := dsi.Open(bed.X, dsi.WithLayout(lay))
+	if err != nil {
+		b.Fatal(err)
+	}
+	side := bed.DS.Curve.Side()
+	rng := rand.New(rand.NewSource(1))
+	type query struct {
+		probe int64
+		w     spatial.Rect
+	}
+	queries := make([]query, 50)
+	for i := range queries {
+		queries[i] = query{
+			probe: rng.Int63n(int64(lay.ProbeCycle())),
+			w:     spatial.ClampedWindow(uint32(rng.Intn(int(side))), uint32(rng.Intn(int(side))), side/10, side),
+		}
+	}
+	var buf []int
+	run := func() {
+		for _, q := range queries {
+			s.Tune(q.probe, nil)
+			buf, _ = s.WindowAppend(buf[:0], q.w)
+		}
+	}
+	// Count the hops once, untimed: a hop is a maximal run of trace
+	// events on one frame's table or on one frame's data.
+	hops := 0
+	last := [2]int{-1, -1}
+	s.Client().SetTracer(func(e dsi.Event) {
+		if e.Op == dsi.OpProbe {
+			last = [2]int{-1, -1}
+			return
+		}
+		at := [2]int{e.Pos, 0}
+		if e.Op == dsi.OpTableRead {
+			at[1] = 1
+		}
+		if at != last {
+			hops++
+			last = at
+		}
+	})
+	run()
+	s.Client().SetTracer(nil)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
+	b.ReportMetric(float64(hops)/float64(len(queries)), "hops/query")
 }

@@ -1,7 +1,6 @@
 package dsi
 
 import (
-	"math"
 	"sort"
 
 	"dsi/internal/broadcast"
@@ -37,6 +36,15 @@ import (
 // reset clears the whole base in O(known facts) — it bumps the epoch
 // and recycles the known-frame sets — instead of reallocating six
 // dataset-sized slices per query.
+//
+// Beside the facts the knowledge base keeps the query's pending set
+// (pending.go): the units — known frames with objects to fetch, runs of
+// unknown frames a target range can still reach — the client may have
+// to visit, patched from what each read taught. The invariant every
+// fact recorder and chooser maintains: after sync, the pending sets hold
+// every unit a fresh walk over everything known would visit (the walk in
+// walk_test.go is that definition, executable), and nothing a fresh walk
+// would not visit survives being read by a chooser.
 type knowledge struct {
 	x *Index
 
@@ -54,7 +62,9 @@ type knowledge struct {
 	// unknown. Starts at 1 so zeroed stamp arrays mean "nothing known".
 	epoch uint32
 
-	frameEp []uint32 // frameEp[f] == epoch -> minimum HC value known
+	// frameEp[f]>>unitBits == epoch -> minimum HC value known; the low
+	// bits hold the frame's pending-unit state (pending.go).
+	frameEp []uint32
 	frameHC []uint64 // valid when the frame is known
 
 	// known[j] is the set of within-span indices of known frames in
@@ -72,9 +82,8 @@ type knowledge struct {
 	// Its backing array is reused across drains and queries.
 	newObjs []int
 
-	// found is the per-range scratch of the merged walk (which ranges
-	// produced an unresolved visit in the current span).
-	found []bool
+	// pend answers "which frame next?" for the installed targets.
+	pend pending
 
 	// resync is the scratch of rebuildShardSpans (known frame ids in
 	// flight between the old and new span partition).
@@ -129,9 +138,9 @@ func newSpanKnowledge(x *Index, spanStart []int, splits []uint64, posOrigin []in
 // proportional to what was known rather than the dataset size.
 func (kb *knowledge) reset() {
 	kb.epoch++
-	if kb.epoch == 0 {
-		// Stamp wraparound: stale stamps from 2^32 resets ago could
-		// alias the new epoch, so clear them once per wrap.
+	if kb.epoch == epochWrap {
+		// Stamp wraparound: stale stamps from a full turn of resets ago
+		// could alias the new epoch, so clear them once per wrap.
 		clear(kb.frameEp)
 		clear(kb.objEp)
 		clear(kb.retEp)
@@ -141,6 +150,8 @@ func (kb *knowledge) reset() {
 		kb.known[j].Reset()
 	}
 	kb.newObjs = kb.newObjs[:0]
+	kb.pend.targets = nil
+	kb.clearPending()
 	kb.seedCatalog()
 }
 
@@ -191,7 +202,7 @@ func (kb *knowledge) spanHC(j int) (lo, hi uint64) {
 	return lo, hi
 }
 
-func (kb *knowledge) frameKnown(f int) bool  { return kb.frameEp[f] == kb.epoch }
+func (kb *knowledge) frameKnown(f int) bool  { return kb.frameEp[f]>>unitBits == kb.epoch }
 func (kb *knowledge) objLocated(id int) bool { return kb.objEp[id] == kb.epoch }
 func (kb *knowledge) retrieved(id int) bool  { return kb.retEp[id] == kb.epoch }
 
@@ -201,13 +212,15 @@ func (kb *knowledge) addFrameFact(f int, hc uint64) {
 	if kb.frameKnown(f) {
 		return
 	}
-	kb.frameEp[f] = kb.epoch
+	kb.frameEp[f] = kb.epoch << unitBits
 	kb.frameHC[f] = hc
 	j := kb.frameSpan(f)
-	kb.known[j].Insert(f - kb.spanStart[j])
+	i := f - kb.spanStart[j]
+	at, _ := kb.known[j].Add(i)
 
 	first, _ := kb.x.FrameObjects(f)
 	kb.locate(first, hc)
+	kb.learned(j, i, at)
 }
 
 // locate records an object's HC value (and thus its exact position on
@@ -229,10 +242,14 @@ func (kb *knowledge) addHeader(f, o int, hc uint64) {
 		panic("dsi: header index outside frame")
 	}
 	kb.locate(first+o, hc)
+	kb.touch(f)
 }
 
 // markRetrieved records a completed object download.
-func (kb *knowledge) markRetrieved(id int) { kb.retEp[id] = kb.epoch }
+func (kb *knowledge) markRetrieved(id int) {
+	kb.retEp[id] = kb.epoch
+	kb.touch(id / kb.x.NO)
+}
 
 // drainNew returns the objects located since the previous call. The
 // returned slice is only valid until the next locate: its backing array
@@ -283,322 +300,49 @@ func (kb *knowledge) frameResolved(f int, lo, hi, upper uint64) bool {
 	return true
 }
 
-// walkTargets walks the client's knowledge about span j once, in
-// ascending HC order, over all sorted (disjoint) target ranges, and
-// calls visit for every (range, frame-or-gap) pair that is not resolved
-// with respect to that range: known frames with pending objects, and
-// unknown frames that could hold objects in the range. It produces
-// exactly the pairs the per-range walks used to produce, but with one
-// monotone pass over the span's known frames instead of one pass per
-// range: both the known-frame cursor and the range cursor only move
-// forward, so a query with many target ranges (a kNN disk
-// decomposition) pays for each known frame once per span.
-//
-// For unknown gap frames, visit receives the within-span index range
-// [gapLo, gapHi] (inclusive) of the gap; for known frames
-// gapLo == gapHi == the frame's index. marks, when non-nil, is the
-// caller's per-(range, span) resolution cache, flattened as
-// ri*nspan + span: marked ranges are skipped entirely. found, when
-// non-nil, records found[ri] = true for every range that produced a
-// visit. Returning false from visit aborts the walk; the return value
-// reports whether the walk ran to completion (only then may a caller
-// conclude that ranges without a found mark are resolved in this span).
-func (kb *knowledge) walkTargets(j int, targets []hilbert.Range, marks, found []bool, visit func(ri, gapLo, gapHi int) bool) bool {
-	segLo, segHi := kb.spanHC(j)
-	ns := kb.nspan
-	// Skip to the first range that could intersect the span.
-	ri := 0
-	for ri < len(targets) && (targets[ri].Hi <= segLo || (marks != nil && marks[ri*ns+j])) {
-		ri++
+// dataPhase returns where data channel ch will be in its cycle once the
+// receiver could be listening to it: now plus the channel switch (if
+// any), relative to the channel's phase anchor (0 on simulator airs, the
+// cutover seam on a swapped wire schedule).
+func (c *Client) dataPhase(ch int, now int64, cur int, sw int64) int64 {
+	if ch != cur {
+		now += sw
 	}
-	if ri == len(targets) || targets[ri].Lo >= segHi {
-		return true
+	l := int64(c.lay.ChanLen(ch))
+	phase := (now - c.rx.PhaseOf(ch)) % l
+	if phase < 0 {
+		phase += l
 	}
-	lo0 := targets[ri].Lo
-	if lo0 < segLo {
-		lo0 = segLo
-	}
-	base := kb.spanStart[j]
-	segN := kb.spanLen(j)
-	// Start at the last known frame whose minimum HC is <= the first
-	// active range's lo. Index 0 is always known (catalog).
-	it, ok := kb.known[j].FloorKey(kb.frameHC, base, lo0)
-	if !ok {
-		return true // unreachable: the catalog seeds index 0
-	}
-	// Single forward pass with one-element lookahead: i is the current
-	// known index, it has already advanced to its successor.
-	i := it.Value()
-	it.Next()
-	for {
-		f := base + i
-		hc := kb.frameHC[f]
-		// Upper bound on this frame's content and the following gap.
-		nextI := segN
-		upper := segHi
-		hasNext := it.Valid()
-		if hasNext {
-			nextI = it.Value()
-			upper = kb.frameHC[base+nextI]
-		}
-		// Drop ranges nothing from this frame on can matter to (their
-		// end is at or below the frame's minimum; ranges are sorted).
-		for ri < len(targets) {
-			if marks != nil && marks[ri*ns+j] {
-				ri++
-				continue
-			}
-			hi := targets[ri].Hi
-			if hi > segHi {
-				hi = segHi
-			}
-			if hi > hc {
-				break
-			}
-			ri++
-		}
-		if ri == len(targets) || targets[ri].Lo >= segHi {
-			return true
-		}
-		// Evaluate this frame and its trailing gap against every range
-		// that can reach them: a range with lo >= upper lies beyond the
-		// next known frame (this frame is not its floor), and later
-		// ranges lie further still.
-		for rj := ri; rj < len(targets); rj++ {
-			if marks != nil && marks[rj*ns+j] {
-				continue
-			}
-			lo, hi := targets[rj].Lo, targets[rj].Hi
-			if lo < segLo {
-				lo = segLo
-			}
-			if hi > segHi {
-				hi = segHi
-			}
-			if lo >= upper {
-				break
-			}
-			if lo >= hi {
-				continue
-			}
-			if hc < hi && !kb.frameResolved(f, lo, hi, upper) {
-				if found != nil {
-					found[rj] = true
-				}
-				if !visit(rj, i, i) {
-					return false
-				}
-			}
-			// Unknown frames between this one and the next known one
-			// hold objects with HC in (hc, upper).
-			if nextI > i+1 && upper > lo && hc+1 < hi {
-				if found != nil {
-					found[rj] = true
-				}
-				if !visit(rj, i+1, nextI-1) {
-					return false
-				}
-			}
-		}
-		if !hasNext {
-			return true
-		}
-		// Jump over known frames wholly below the next active range:
-		// re-seek the cursor to that range's floor instead of stepping
-		// through frames that cannot pair with anything.
-		loR := targets[ri].Lo
-		if loR < segLo {
-			loR = segLo
-		}
-		if upper <= loR {
-			if it2, ok2 := kb.known[j].FloorKey(kb.frameHC, base, loR); ok2 && it2.Value() > nextI {
-				i = it2.Value()
-				it = it2
-				it.Next()
-				continue
-			}
-		}
-		i = nextI
-		it.Next()
-	}
-}
-
-// foundScratch returns the cleared per-range found buffer for a walk.
-func (kb *knowledge) foundScratch(n int) []bool {
-	if cap(kb.found) < n {
-		kb.found = make([]bool, n)
-	} else {
-		kb.found = kb.found[:n]
-		clear(kb.found)
-	}
-	return kb.found
-}
-
-// resolved reports whether every object with an HC value in any of the
-// target ranges has been retrieved, with certainty (no unknown frame
-// could still hold one).
-func (kb *knowledge) resolved(targets []hilbert.Range) bool {
-	for j := 0; j < kb.nspan; j++ {
-		done := true
-		kb.walkTargets(j, targets, nil, nil, func(_, _, _ int) bool {
-			done = false
-			return false
-		})
-		if !done {
-			return false
-		}
-	}
-	return true
-}
-
-// nextUseful returns the cycle position of the soonest-arriving frame
-// (strictly after nowPos, wrapping) that is not resolved with respect to
-// the targets. ok is false when everything is resolved (so !ok is
-// equivalent to resolved(targets): a query terminates exactly when no
-// useful frame remains).
-func (kb *knowledge) nextUseful(nowPos int, targets []hilbert.Range) (pos int, ok bool) {
-	return kb.nextUsefulMarked(nowPos, targets, nil)
-}
-
-// nextUsefulMarked is nextUseful with a resolution cache: marks, when
-// non-nil, has one slot per (target range, span) pair, flattened as
-// rangeIdx*nspan + span. Resolution is monotone — knowledge and
-// retrievals only grow, so a pair that is once resolved with respect to
-// a fixed range can never become unresolved — which makes a set mark
-// permanently valid for unchanged targets. Marked pairs are skipped;
-// pairs observed fully resolved are marked.
-func (kb *knowledge) nextUsefulMarked(nowPos int, targets []hilbert.Range, marks []bool) (pos int, ok bool) {
-	nf := kb.x.NF
-	bestDelta := nf + 1
-	for j := 0; j < kb.nspan; j++ {
-		var found []bool
-		if marks != nil {
-			found = kb.foundScratch(len(targets))
-		}
-		completed := kb.walkTargets(j, targets, marks, found, func(ri, gapLo, gapHi int) bool {
-			// Earliest arrival among the gap's positions, strictly
-			// after nowPos.
-			if d := ArrivalDelta(nowPos, kb.spanPos(j, gapLo), kb.spanPos(j, gapHi), kb.stride, nf); d < bestDelta {
-				bestDelta = d
-			}
-			return bestDelta > 1 // delta 1 cannot be beaten
-		})
-		if completed && marks != nil {
-			for ri := range targets {
-				if !found[ri] {
-					marks[ri*kb.nspan+j] = true
-				}
-			}
-		}
-		if bestDelta == 1 {
-			return (nowPos + 1) % nf, true
-		}
-	}
-	if bestDelta > nf {
-		return 0, false
-	}
-	return (nowPos + bestDelta) % nf, true
-}
-
-// nextVisitTimed is the index-split counterpart of nextUsefulMarked
-// (split and sharded layouts): it returns the unresolved frame whose
-// visit can begin soonest in actual broadcast time — switch costs,
-// per-channel phases and cycle lengths included — rather than soonest
-// in cycle-position order. Position order equals time order on one
-// channel, but an index-split layout runs channels of very different
-// periods in parallel: index tables recur much faster than data frames,
-// so the timed chooser batches table reads on the index channel
-// whenever data is not imminent (consecutive gap tables are consecutive
-// slots there) and harvests data frames in the order their slots
-// actually come by; on a sharded layout each knowledge span is one data
-// channel, so the walk prices every channel's own phase and cycle
-// length. Marks semantics are as in nextUsefulMarked.
-func (c *Client) nextVisitTimed(targets []hilbert.Range, marks []bool) (pos int, ok bool) {
-	kb := c.kb
-	now := c.rx.Now()
-	cur := c.rx.Channel()
-	sw := int64(c.lay.Air.SwitchSlots)
-	bestT := int64(math.MaxInt64)
-	best := -1
-	for j := 0; j < kb.nspan; j++ {
-		var found []bool
-		if marks != nil {
-			found = kb.foundScratch(len(targets))
-		}
-		base := kb.spanStart[j]
-		// A frame or gap repeated for another overlapping range has the
-		// same arrival; the walk alternates frame and gap visits per
-		// range, so the two kinds memoize separately.
-		lastFrame, lastLo, lastHi := -1, -1, -1
-		completed := kb.walkTargets(j, targets, marks, found, func(ri, gapLo, gapHi int) bool {
-			var t int64
-			var p int
-			if gapLo == gapHi && kb.frameKnown(base+gapLo) {
-				if gapLo == lastFrame {
-					return true
-				}
-				lastFrame = gapLo
-				p = kb.spanPos(j, gapLo)
-				t = c.arrivalData(p, now, cur, sw)
-			} else {
-				if gapLo == lastLo && gapHi == lastHi {
-					return true
-				}
-				lastLo, lastHi = gapLo, gapHi
-				t, p = c.arrivalTables(kb.spanPos(j, gapLo), kb.spanPos(j, gapHi), kb.stride, now, cur, sw)
-			}
-			if t < bestT {
-				bestT, best = t, p
-			}
-			return true
-		})
-		if completed && marks != nil {
-			for ri := range targets {
-				if !found[ri] {
-					marks[ri*kb.nspan+j] = true
-				}
-			}
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
+	return phase
 }
 
 // arrivalData returns the slots from now until a visit of position p's
 // data can begin: the channel switch (if any) plus the doze to the
-// frame's data slot, exactly what gotoData would pay. The wait is
-// computed relative to the channel's phase anchor (0 on simulator
-// airs, the cutover seam on a swapped wire schedule).
+// frame's data slot, exactly what gotoData would pay.
 func (c *Client) arrivalData(p int, now int64, cur int, sw int64) int64 {
 	ch := int(c.lay.dataCh[p])
-	var t int64
-	if ch != cur {
-		t = sw
-	}
-	l := int64(c.lay.ChanLen(ch))
-	wait := (int64(c.lay.dataSlot[p]) - (now + t - c.rx.PhaseOf(ch))) % l
+	wait := int64(c.lay.dataSlot[p]) - c.dataPhase(ch, now, cur, sw)
 	if wait < 0 {
-		wait += l
+		wait += int64(c.lay.ChanLen(ch))
 	}
-	return t + wait
+	if ch != cur {
+		wait += sw
+	}
+	return wait
 }
 
 // arrivalTables returns the earliest table-read start among the unknown
 // frames at cycle positions posLo, posLo+stride, ..., posHi, all of
 // whose tables sit in position order on the index channel, plus the
-// position achieving it.
+// position achieving it. The index channel carries nothing but tables,
+// so its cycle phase is dataPhase's arithmetic on the start channel.
 func (c *Client) arrivalTables(posLo, posHi, stride int, now int64, cur int, sw int64) (int64, int) {
 	var t int64
 	if cur != c.lay.StartCh {
 		t = sw
 	}
 	l := int64(c.lay.ChanLen(c.lay.StartCh))
-	phase := (now + t - c.rx.PhaseOf(c.lay.StartCh)) % l
-	if phase < 0 {
-		phase += l
-	}
+	phase := c.dataPhase(c.lay.StartCh, now, cur, sw)
 	tp := int64(c.x.TablePackets)
 	pLo, pHi := int64(posLo), int64(posHi)
 	// First span position whose table starts at or after the phase.
@@ -618,13 +362,11 @@ func (c *Client) arrivalTables(posLo, posHi, stride int, now int64, cur int, sw 
 	return t + pLo*tp + l - phase, int(pLo)
 }
 
-// ArrivalDelta returns the smallest delta in [1, nf] such that
+// arrivalDelta returns the smallest delta in [1, nf] such that
 // nowPos+delta is one of the positions posLo, posLo+stride, ..., posHi
-// on a cycle of nf positions. It is the positional-arithmetic kernel
-// behind the knowledge walk's earliest-arrival choice, exported so the
-// event-driven replay engine and property tests can check skip targets
-// against brute-force stepping.
-func ArrivalDelta(nowPos, posLo, posHi, stride, nf int) int {
+// on a cycle of nf positions: the positional-arithmetic kernel behind
+// the earliest-arrival choice of layouts navigated in position order.
+func arrivalDelta(nowPos, posLo, posHi, stride, nf int) int {
 	// First candidate strictly after nowPos within this cycle.
 	cur := nowPos % nf
 	if cur < posHi {
@@ -676,6 +418,10 @@ type Client struct {
 
 	// trace, when non-nil, receives an Event for every client step.
 	trace func(Event)
+
+	// onHop, when non-nil, observes every navigation choice (tests hold
+	// the pending set against a fresh walk with it).
+	onHop func(p, next int, ok bool)
 
 	// pendingLay, when non-nil, is a scheduled shard-directory version
 	// bump: at clock pendingAt the broadcast swaps to pendingLay and the
@@ -952,42 +698,17 @@ func (c *Client) readObject(p, o, id, skip int) {
 // to override the default soonest-unresolved-frame choice.
 func (c *Client) retrieveAll(startPos int, targetsFn func() []hilbert.Range, hook func(p int) (int, bool)) {
 	p := startPos
-	ver := c.scr.targetsVer - 1 // force a mark (re)build on entry
 	for {
 		// A pending shard-directory version bump is detected between
 		// navigation steps (the version rides the index channel the
-		// client mines anyway); re-syncing bumps targetsVer, so the
-		// resolution cache below rebuilds against the new spans.
+		// client mines anyway); re-syncing rebuilds the pending sets
+		// against the new spans.
 		c.maybeResync()
 		c.visit(p, targetsFn)
-		targets := targetsFn()
-		// (Re)build the resolution cache whenever the target set
-		// changes (kNN shrinks it as candidates accumulate); marks for
-		// an unchanged target set stay valid because resolution is
-		// monotone in the growing knowledge base.
-		if ver != c.scr.targetsVer {
-			ver = c.scr.targetsVer
-			need := len(targets) * c.kb.nspan
-			if cap(c.scr.marks) < need {
-				c.scr.marks = make([]bool, need)
-			} else {
-				c.scr.marks = c.scr.marks[:need]
-				clear(c.scr.marks)
-			}
-		}
-		// nextUseful reporting nothing doubles as the termination test:
-		// the query is done exactly when no unresolved frame remains.
-		// Index-split layouts choose by actual arrival time across
-		// channels; on one channel, position order is time order, and
-		// the positional chooser is kept bit-identical to the classic
-		// engine.
-		var next int
-		var ok bool
-		if c.lay.splitData() {
-			next, ok = c.nextVisitTimed(targets, c.scr.marks)
-		} else {
-			next, ok = c.kb.nextUsefulMarked(p, targets, c.scr.marks)
-		}
+		// Absorb what the visit located (kNN shrinks its targets as
+		// candidates accumulate) before choosing where to go.
+		targetsFn()
+		next, ok := c.nextVisit(p, c.lay.splitData())
 		if !ok {
 			return
 		}
@@ -998,4 +719,22 @@ func (c *Client) retrieveAll(startPos int, targetsFn func() []hilbert.Range, hoo
 		}
 		p = next
 	}
+}
+
+// nextVisit chooses the next frame to visit from position p, reading
+// the pending sets. Nothing pending doubles as the termination test:
+// the query is done exactly when no unresolved frame remains.
+// Index-split layouts choose by actual arrival time across channels
+// (timed); on one channel, position order is time order, and the
+// positional chooser is kept bit-identical to the classic engine.
+func (c *Client) nextVisit(p int, timed bool) (next int, ok bool) {
+	if timed {
+		next, ok = c.nextPendingTimed()
+	} else {
+		next, ok = c.kb.nextPending(p)
+	}
+	if c.onHop != nil {
+		c.onHop(p, next, ok)
+	}
+	return next, ok
 }

@@ -27,9 +27,9 @@ func TestArrivalDelta(t *testing.T) {
 		{1, 1, 2, 0, 0, 10, 10}, // at it already: full wrap
 	}
 	for _, tc := range cases {
-		got := ArrivalDelta(tc.nowPos, tc.j+tc.m*tc.iLo, tc.j+tc.m*tc.iHi, tc.m, tc.nf)
+		got := arrivalDelta(tc.nowPos, tc.j+tc.m*tc.iLo, tc.j+tc.m*tc.iHi, tc.m, tc.nf)
 		if got != tc.want {
-			t.Errorf("ArrivalDelta(now=%d,j=%d,m=%d,i=[%d,%d],nf=%d) = %d, want %d",
+			t.Errorf("arrivalDelta(now=%d,j=%d,m=%d,i=[%d,%d],nf=%d) = %d, want %d",
 				tc.nowPos, tc.j, tc.m, tc.iLo, tc.iHi, tc.nf, got, tc.want)
 		}
 	}
@@ -44,7 +44,7 @@ func TestArrivalDeltaQuick(t *testing.T) {
 		lo := int(iLo) % (maxI + 1)
 		hi := lo + int(span)%(maxI-lo+1)
 		nowPos := int(now) % nf
-		d := ArrivalDelta(nowPos, jj+mm*lo, jj+mm*hi, mm, nf)
+		d := arrivalDelta(nowPos, jj+mm*lo, jj+mm*hi, mm, nf)
 		if d < 1 || d > nf {
 			return false
 		}

@@ -17,7 +17,6 @@ func (c *Client) EEF(hc uint64) (frame int, exists bool, stats broadcast.Stats) 
 		panic("dsi: EEF target outside the curve")
 	}
 	targetsFn := c.constTargets(append(c.scr.targets[:0], hilbert.Range{Lo: hc, Hi: hc + 1}))
-	targets := c.scr.targets
 	p := c.probe()
 	for {
 		c.visit(p, targetsFn)
@@ -26,7 +25,7 @@ func (c *Client) EEF(hc uint64) (frame int, exists bool, stats broadcast.Stats) 
 			exists = id < c.x.DS.N() && c.x.DS.Objects[id].HC == hc && c.kb.retrieved(id)
 			return f, exists, c.Stats()
 		}
-		next, ok := c.kb.nextUseful(p, targets)
+		next, ok := c.nextVisit(p, false) // EEF forwards in cycle-position order on every layout
 		if !ok {
 			// The target is resolved: the object was retrieved or is
 			// known not to exist. Forward to the covering frame if the

@@ -44,11 +44,6 @@ type scratch struct {
 	// targets is the current HC target decomposition (window rectangle,
 	// EEF point, or kNN search disk).
 	targets []hilbert.Range
-	// targetsVer is bumped whenever targets are (re)installed, telling
-	// the query engine to rebuild its resolution cache.
-	targetsVer int
-	// marks is the engine's per-(range, segment) resolution cache.
-	marks []bool
 	// constFn returns targets unchanged; the target function of window
 	// and point queries.
 	constFn func() []hilbert.Range
@@ -64,7 +59,7 @@ type scratch struct {
 // constant target function.
 func (c *Client) constTargets(targets []hilbert.Range) func() []hilbert.Range {
 	c.scr.targets = targets
-	c.scr.targetsVer++
+	c.kb.retarget(targets)
 	if c.scr.constFn == nil {
 		c.scr.constFn = func() []hilbert.Range { return c.scr.targets }
 	}
@@ -230,7 +225,7 @@ func (c *Client) knnTargets() []hilbert.Range {
 	if d2 := ks.heap[0].d2; d2 != ks.curR2 {
 		ks.curR2 = d2
 		c.scr.targets = ks.cover.Shrink(c.scr.targets[:0], d2)
-		c.scr.targetsVer++
+		c.kb.shrink(c.scr.targets)
 	}
 	return c.scr.targets
 }
@@ -260,6 +255,7 @@ func (c *Client) KNNAppend(dst []int, q spatial.Point, k int, strat Strategy) ([
 	ks.curR2 = math.Inf(1)
 	ks.heap = ks.heap[:0]
 	ks.full[0] = hilbert.Range{Lo: 0, Hi: curve.Size()}
+	c.kb.retarget(ks.full[:])
 	ks.cover.Reset(curve, float64(q.X), float64(q.Y))
 	if ks.fn == nil {
 		ks.fn = c.knnTargets

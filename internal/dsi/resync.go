@@ -39,9 +39,6 @@ func (c *Client) Resync(lay *Layout) error {
 	c.kb.rebuildShardSpans(lay.shardBounds)
 	c.lay = lay
 	c.rx.Follow(lay)
-	// The resolution cache is per (range, span) and the spans moved:
-	// force the engine to rebuild it.
-	c.scr.targetsVer++
 	return nil
 }
 
@@ -146,10 +143,15 @@ func (kb *knowledge) rebuildShardSpans(bounds []int) {
 		kb.known = append(kb.known, make([]ordset.Set, n-len(kb.known))...)
 	}
 	kb.known = kb.known[:n]
+	// The pending sets are per span and the spans moved: empty them now
+	// (the catalog seeding below patches into them) and re-evaluate
+	// every known frame once the new spans are complete.
+	kb.clearPending()
 
 	for _, f := range kb.resync {
 		j := kb.frameSpan(f)
 		kb.known[j].Insert(f - kb.spanStart[j])
 	}
 	kb.seedCatalog()
+	kb.rebuildPending()
 }

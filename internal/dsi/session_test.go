@@ -178,7 +178,7 @@ func TestOpenOptionErrors(t *testing.T) {
 	}
 }
 
-func mustLayout(t *testing.T, x *Index, mc MultiConfig) *Layout {
+func mustLayout(t testing.TB, x *Index, mc MultiConfig) *Layout {
 	t.Helper()
 	lay, err := NewLayout(x, mc)
 	if err != nil {

@@ -152,12 +152,8 @@ func NewTestbed(cfg BedConfig) (*Testbed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("massive: coded transmitter: %w", err)
 	}
-	geos, err := station.CodedGeometry(classic.Lay, code)
-	if err != nil {
-		return nil, fmt.Errorf("massive: coded geometry: %w", err)
-	}
-	fec := &Arm{Name: "fec", Lay: classic.Lay, cfg: code, geo: geos[0], src: tx}
-	fec.cycle = geos[0].PhysLen
+	geo := tx.CodedGeometry()[0]
+	fec := &Arm{Name: "fec", Lay: classic.Lay, cfg: code, geo: geo, src: tx, cycle: geo.PhysLen}
 
 	return &Testbed{DS: ds, X: x, Arms: []*Arm{classic, split, shard, fec}}, nil
 }

@@ -1,6 +1,6 @@
 // Package ordset provides an ordered set of small non-negative ints
-// with amortized-cheap ordered insert, in-order iteration, and a
-// predicate floor search.
+// with amortized-cheap ordered insert and delete, in-order iteration in
+// both directions, a successor search, and a predicate floor search.
 //
 // It replaces the sorted-slice-with-copy idiom (binary search plus
 // O(n) element shift per insert) on the DSI client's hot path: the
@@ -61,26 +61,33 @@ func (s *Set) newBucket() []int {
 
 // Insert adds v to the set and reports whether it was absent.
 func (s *Set) Insert(v int) bool {
+	_, added := s.Add(v)
+	return added
+}
+
+// Add is Insert that also returns an iterator at v, for callers that go
+// on to look at v's neighbours.
+func (s *Set) Add(v int) (it Iter, added bool) {
 	if len(s.buckets) == 0 {
 		b := s.newBucket()
 		s.buckets = append(s.buckets, append(b, v))
 		s.n = 1
-		return true
+		return Iter{s: s}, true
 	}
-	// The last bucket whose first element is <= v; v below every
-	// bucket goes into bucket 0.
-	bi := sort.Search(len(s.buckets), func(i int) bool { return s.buckets[i][0] > v }) - 1
+	// v below every bucket goes into bucket 0.
+	bi := s.bucketFor(v)
 	if bi < 0 {
 		bi = 0
 	}
 	b := s.buckets[bi]
-	at := sort.SearchInts(b, v)
+	at := searchInts(b, v)
 	if at < len(b) && b[at] == v {
-		return false
+		return Iter{s: s, bi: bi, si: at}, false
 	}
 	b = append(b, 0)
 	copy(b[at+1:], b[at:])
 	b[at] = v
+	it = Iter{s: s, bi: bi, si: at}
 	if len(b) > bucketMax {
 		h := len(b) / 2
 		right := append(s.newBucket(), b[h:]...)
@@ -88,21 +95,80 @@ func (s *Set) Insert(v int) bool {
 		s.buckets = append(s.buckets, nil)
 		copy(s.buckets[bi+2:], s.buckets[bi+1:])
 		s.buckets[bi+1] = right
+		if at >= h {
+			it = Iter{s: s, bi: bi + 1, si: at - h}
+		}
 	}
 	s.buckets[bi] = b
 	s.n++
-	return true
+	return it, true
 }
 
 // Contains reports whether v is in the set.
 func (s *Set) Contains(v int) bool {
-	bi := sort.Search(len(s.buckets), func(i int) bool { return s.buckets[i][0] > v }) - 1
+	bi := s.bucketFor(v)
 	if bi < 0 {
 		return false
 	}
 	b := s.buckets[bi]
-	at := sort.SearchInts(b, v)
+	at := searchInts(b, v)
 	return at < len(b) && b[at] == v
+}
+
+// Delete removes v from the set and reports whether it was present. A
+// bucket that empties is recycled, so every remaining bucket stays
+// non-empty.
+func (s *Set) Delete(v int) bool {
+	bi := s.bucketFor(v)
+	if bi < 0 {
+		return false
+	}
+	b := s.buckets[bi]
+	at := searchInts(b, v)
+	if at == len(b) || b[at] != v {
+		return false
+	}
+	s.n--
+	if len(b) == 1 {
+		s.free = append(s.free, b[:0])
+		copy(s.buckets[bi:], s.buckets[bi+1:])
+		s.buckets[len(s.buckets)-1] = nil
+		s.buckets = s.buckets[:len(s.buckets)-1]
+		return true
+	}
+	s.buckets[bi] = append(b[:at], b[at+1:]...)
+	return true
+}
+
+// bucketFor returns the last bucket whose first element is <= v, -1
+// when v lies below every bucket (or the set is empty). Closure-free:
+// every mutation and search of the DSI client's navigation starts here.
+func (s *Set) bucketFor(v int) int {
+	lo, hi := -1, len(s.buckets) // invariant: bucket lo qualifies, bucket hi does not
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.buckets[mid][0] <= v {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// searchInts returns the index of the first element of sorted b that is
+// >= v (sort.SearchInts without the closure).
+func searchInts(b []int, v int) int {
+	lo, hi := 0, len(b)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Iter is a forward iterator over a Set. Copying an Iter yields an
@@ -129,6 +195,37 @@ func (it *Iter) Next() {
 		it.bi++
 		it.si = 0
 	}
+}
+
+// Prev steps back to the previous element and reports whether there was
+// one; at the smallest element the iterator stays where it is. Stepping
+// back from past the end (an iterator that is not Valid) lands on the
+// largest element.
+func (it *Iter) Prev() bool {
+	if it.si > 0 {
+		it.si--
+		return true
+	}
+	if it.bi == 0 {
+		return false
+	}
+	it.bi--
+	it.si = len(it.s.buckets[it.bi]) - 1
+	return true
+}
+
+// Ceil returns an iterator at the smallest element >= v: v's successor
+// search. The iterator is not Valid when every element is below v.
+func (s *Set) Ceil(v int) Iter {
+	bi := s.bucketFor(v)
+	if bi < 0 {
+		return Iter{s: s}
+	}
+	si := searchInts(s.buckets[bi], v)
+	if si == len(s.buckets[bi]) {
+		return Iter{s: s, bi: bi + 1}
+	}
+	return Iter{s: s, bi: bi, si: si}
 }
 
 // Floor returns an iterator at the largest element for which pred

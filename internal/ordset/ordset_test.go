@@ -2,6 +2,7 @@ package ordset
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -189,6 +190,190 @@ func TestSplitOrderPreserved(t *testing.T) {
 		if v != i {
 			t.Fatalf("element %d = %d after descending inserts", i, v)
 		}
+	}
+}
+
+// checkAgainst holds the set against a sorted-slice model: contents,
+// length, Ceil for every probe around every element, and a walk from
+// each Ceil result forwards (Next) and backwards (Prev) across bucket
+// seams.
+func checkAgainst(t testing.TB, s *Set, model []int) bool {
+	t.Helper()
+	got := s.AppendTo(nil)
+	if len(got) != len(model) || s.Len() != len(model) {
+		t.Errorf("set holds %d elements (Len %d), model %d", len(got), s.Len(), len(model))
+		return false
+	}
+	for i := range model {
+		if got[i] != model[i] {
+			t.Errorf("element %d = %d, model %d", i, got[i], model[i])
+			return false
+		}
+	}
+	for _, b := range s.buckets {
+		if len(b) == 0 {
+			t.Error("empty bucket left in the set")
+			return false
+		}
+	}
+	probes := []int{-1, 0}
+	for _, v := range model {
+		probes = append(probes, v-1, v, v+1)
+	}
+	for _, v := range probes {
+		at := sort.SearchInts(model, v) // model's successor of v
+		it := s.Ceil(v)
+		if it.Valid() != (at < len(model)) || (it.Valid() && it.Value() != model[at]) {
+			t.Errorf("Ceil(%d) disagrees with the model's successor (index %d of %d)", v, at, len(model))
+			return false
+		}
+		// Forwards to the end, then all the way back.
+		fw := it
+		for i := at; i < len(model); i++ {
+			if !fw.Valid() || fw.Value() != model[i] {
+				t.Errorf("Ceil(%d): forward walk broke at model index %d", v, i)
+				return false
+			}
+			fw.Next()
+		}
+		if fw.Valid() {
+			t.Errorf("Ceil(%d): forward walk ran past the end", v)
+			return false
+		}
+		for i := len(model) - 1; i >= 0; i-- {
+			if !fw.Prev() || fw.Value() != model[i] {
+				t.Errorf("Ceil(%d): backward walk broke at model index %d", v, i)
+				return false
+			}
+		}
+		if fw.Prev() {
+			t.Errorf("Ceil(%d): Prev stepped before the smallest element", v)
+			return false
+		}
+	}
+	return true
+}
+
+// TestDeleteCeilAgainstModel drives Insert, Add, Delete and Reset from
+// a random script and holds the set against a sorted slice after every
+// step. Values are drawn from a small domain so buckets fill, split,
+// drain to their last element and disappear.
+func TestDeleteCeilAgainstModel(t *testing.T) {
+	f := func(script []uint16, dense bool) bool {
+		var s Set
+		var model []int
+		dom := 700
+		if dense {
+			dom = 60
+		}
+		for step, raw := range script {
+			v, op := int(raw)%dom, int(raw)/dom%8
+			at := sort.SearchInts(model, v)
+			has := at < len(model) && model[at] == v
+			switch {
+			case op < 4: // insert, through either entry point
+				var added bool
+				if op < 2 {
+					added = s.Insert(v)
+				} else {
+					var it Iter
+					it, added = s.Add(v)
+					if !it.Valid() || it.Value() != v {
+						t.Errorf("step %d: Add(%d) returned an iterator elsewhere", step, v)
+						return false
+					}
+				}
+				if added == has {
+					t.Errorf("step %d: insert of %d reported %v, model has it: %v", step, v, added, has)
+					return false
+				}
+				if !has {
+					model = append(model, 0)
+					copy(model[at+1:], model[at:])
+					model[at] = v
+				}
+			case op < 7:
+				if s.Delete(v) != has {
+					t.Errorf("step %d: Delete(%d) disagreed with the model (%v)", step, v, has)
+					return false
+				}
+				if has {
+					model = append(model[:at], model[at+1:]...)
+				}
+			default:
+				if step%16 == 0 { // rarely: start over on recycled storage
+					s.Reset()
+					model = model[:0]
+				}
+			}
+			if step%8 == 0 && !checkAgainst(t, &s, model) {
+				return false
+			}
+		}
+		return checkAgainst(t, &s, model)
+	}
+	// Scripts long enough for buckets to split (quick's own slices stop
+	// at 50 elements).
+	cfg := &quick.Config{MaxCount: 60, Values: func(args []reflect.Value, rng *rand.Rand) {
+		script := make([]uint16, 200+rng.Intn(3000))
+		for i := range script {
+			script[i] = uint16(rng.Intn(1 << 16))
+		}
+		args[0] = reflect.ValueOf(script)
+		args[1] = reflect.ValueOf(rng.Intn(3) == 0)
+	}}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteDrainsBuckets deletes every element of a many-bucket set
+// one bucket at a time, each bucket down to its last element and past
+// it, then refills after Reset: no empty bucket is left behind, and the
+// refill reuses the drained storage.
+func TestDeleteDrainsBuckets(t *testing.T) {
+	var s Set
+	var model []int
+	for v := 0; v < 1000; v++ {
+		s.Insert(v)
+		model = append(model, v)
+	}
+	if len(s.buckets) < 4 {
+		t.Fatalf("want several buckets, have %d", len(s.buckets))
+	}
+	for len(model) > 0 {
+		// Empty the second bucket if there is one, else the only one:
+		// the seam between its neighbours must close.
+		bi := 0
+		if len(s.buckets) > 1 {
+			bi = 1
+		}
+		for _, v := range append([]int(nil), s.buckets[bi]...) {
+			if !s.Delete(v) {
+				t.Fatalf("Delete(%d) found nothing", v)
+			}
+			at := sort.SearchInts(model, v)
+			model = append(model[:at], model[at+1:]...)
+		}
+		if !checkAgainst(t, &s, model) {
+			t.FailNow()
+		}
+	}
+	if s.Delete(3) {
+		t.Fatal("Delete on an empty set reported an element")
+	}
+	s.Reset()
+	allocs := testing.AllocsPerRun(5, func() {
+		s.Reset()
+		for v := 0; v < 1000; v++ {
+			s.Insert(v)
+		}
+		for v := 0; v < 1000; v += 2 {
+			s.Delete(v)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("refill and delete on recycled storage allocated %.1f times per run", allocs)
 	}
 }
 

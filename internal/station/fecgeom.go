@@ -2,20 +2,15 @@
 // transmitter and receiver both derive the parity-bearing slot layout
 // from catalog knowledge (newFECGeom); external replay engines that
 // model a coded client's clock without running a byte-level receiver
-// need the same two slot maps per channel. CodedGeometry hands them
-// out read-only.
+// need the same two slot maps per channel. A coded transmitter hands
+// its own out read-only.
 
 package station
-
-import (
-	"dsi/internal/dsi"
-	"dsi/internal/wire"
-)
 
 // CodedChannel is the physical slot geometry of one channel of an
 // erasure-coded broadcast: the cycle length including parity tails and
 // the two maps between the logical (content-only) and physical
-// (parity-bearing) slot domains. The slices alias the receiver-side
+// (parity-bearing) slot domains. The slices alias the transmitter's
 // geometry tables and must not be modified.
 type CodedChannel struct {
 	// PhysLen is the physical slots per cycle: the logical channel
@@ -29,19 +24,17 @@ type CodedChannel struct {
 	LogOf []int32
 }
 
-// CodedGeometry derives the per-channel physical geometry of a layout
-// under a code — the same derivation every coded transmitter and
-// receiver performs, subject to the same layout constraints
-// (per-unit-contiguous channels: single, split, sharded).
-func CodedGeometry(lay *dsi.Layout, cfg wire.FECConfig) ([]CodedChannel, error) {
-	g, err := newFECGeom(lay, cfg)
-	if err != nil {
-		return nil, err
+// CodedGeometry returns the per-channel physical geometry the coded
+// transmitter serves, sharing its slot maps; nil when the transmitter
+// is uncoded.
+func (t *MultiTransmitter) CodedGeometry() []CodedChannel {
+	if t.fec == nil {
+		return nil
 	}
-	out := make([]CodedChannel, len(g.chs))
-	for ch := range g.chs {
-		c := &g.chs[ch]
+	out := make([]CodedChannel, len(t.fec.chs))
+	for ch := range t.fec.chs {
+		c := &t.fec.chs[ch]
 		out[ch] = CodedChannel{PhysLen: c.physLen, Log2Phys: c.log2phys, LogOf: c.logOf}
 	}
-	return out, nil
+	return out
 }
