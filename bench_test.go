@@ -14,10 +14,13 @@ import (
 	"strconv"
 	"testing"
 
+	"dsi/internal/dataset"
 	"dsi/internal/dsi"
 	"dsi/internal/experiment"
 	"dsi/internal/massive"
 	"dsi/internal/spatial"
+	"dsi/internal/station"
+	"dsi/internal/wire"
 )
 
 // dsiConfig is the configuration the paper evaluates after section 4.1:
@@ -296,4 +299,57 @@ func BenchmarkWindowSplitHop(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
 	b.ReportMetric(float64(hops)/float64(len(queries)), "hops/query")
+}
+
+// BenchmarkPacketReadIntoBuffer reports what one slot costs a reader
+// that brings its own buffer, in ns and allocations: one iteration sweeps
+// a full cycle of every channel of an erasure-coded sharded broadcast
+// through station.PacketSource's buffer read — table, parity and data
+// slots in air proportion. This is the read the byte-level receiver, the
+// network station's pacer and the image writer make once per slot, so a
+// source that goes back to allocating per packet shows here first
+// (internal/station's BenchmarkMultiTransmitterPacketAt has the other
+// sources and PacketAt beside it).
+func BenchmarkPacketReadIntoBuffer(b *testing.B) {
+	n := 10000
+	if testing.Short() {
+		n = 1000
+	}
+	x, err := dsi.Build(dataset.Uniform(n, 8, 1), dsi.Config{Capacity: 64, ReserveMCPtr: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lay, err := dsi.NewLayout(x, dsi.MultiConfig{
+		Channels: 4, Scheduler: dsi.SchedShard, SwitchSlots: 2,
+		ShardBounds: []int{0, x.NF / 3, 2 * x.NF / 3, x.NF},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tx, err := station.NewMultiTransmitterFEC(lay, wire.FECConfig{
+		Table:  wire.FECCode{Groups: 1, Parity: 2},
+		Object: wire.FECCode{Groups: 4, Parity: 2},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	slots := 0
+	for ch := 0; ch < lay.Channels(); ch++ {
+		slots += tx.ChanSlots(ch)
+	}
+	buf := make([]byte, 0, x.Cfg.Capacity)
+	sink := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		for ch := 0; ch < lay.Channels(); ch++ {
+			for abs, end := int64(0), int64(tx.ChanSlots(ch)); abs < end; abs++ {
+				p, _ := tx.ReadPacketAt(buf, ch, abs)
+				sink += len(p.Payload)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slots), "ns/slot")
+	if sink == 0 {
+		b.Fatal("no payload bytes served")
+	}
 }

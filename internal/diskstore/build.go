@@ -313,10 +313,18 @@ func (s *StreamSource) object(i int) objRec {
 // CycleSlots returns the broadcast cycle length in packet slots.
 func (s *StreamSource) CycleSlots() int { return s.geo.CycleSlots() }
 
-// PacketAt implements station.PacketSource; the slot arithmetic and
-// payload bytes mirror station.MultiTransmitter over a single-channel
-// layout exactly.
+// PacketAt implements station.PacketSource: ReadPacketAt without a
+// buffer.
 func (s *StreamSource) PacketAt(ch int, abs int64) (station.Packet, uint32) {
+	return s.ReadPacketAt(nil, ch, abs)
+}
+
+// ReadPacketAt implements station.PacketSource; the slot arithmetic and
+// payload bytes mirror station.MultiTransmitter over a single-channel
+// layout exactly. Payloads are slices of the table encoding and object
+// payload the source caches, each replaced — never rewritten — when the
+// stream moves on, so no read needs the buffer.
+func (s *StreamSource) ReadPacketAt(_ []byte, ch int, abs int64) (station.Packet, uint32) {
 	if ch != 0 {
 		panic(fmt.Sprintf("diskstore: packet request for channel %d of a single-channel stream source", ch))
 	}

@@ -126,7 +126,10 @@ func WriteImage(w io.Writer, src station.PacketSource, info ImageInfo) error {
 			return fmt.Errorf("diskstore: channel %d has %d slots", ch, slots)
 		}
 		for slot := 0; slot < slots; slot++ {
-			p, ver := src.PacketAt(ch, int64(slot))
+			clear(rec)
+			// A payload the source builds lands in the record itself; one it
+			// holds already is copied in below.
+			p, ver := src.ReadPacketAt(rec[3:3], ch, int64(slot))
 			if ver != 1 {
 				return fmt.Errorf("diskstore: channel %d slot %d served directory version %d; images need a static source", ch, slot, ver)
 			}
@@ -137,9 +140,6 @@ func WriteImage(w io.Writer, src station.PacketSource, info ImageInfo) error {
 			if len(p.Payload) > slotBytes {
 				return fmt.Errorf("diskstore: channel %d slot %d: payload %dB exceeds slot width %d",
 					ch, slot, len(p.Payload), slotBytes)
-			}
-			for i := range rec {
-				rec[i] = 0
 			}
 			rec[0] = p.Flags
 			binary.LittleEndian.PutUint16(rec[1:3], uint16(len(p.Payload)))
@@ -306,8 +306,15 @@ func (s *ImageSource) Capacity() int { return s.capacity }
 // fields only; a serving daemon fills the live ones).
 func (s *ImageSource) Meta() wire.StationMeta { return s.meta }
 
-// PacketAt implements station.PacketSource by slicing the mapping.
+// PacketAt implements station.PacketSource: ReadPacketAt without a
+// buffer.
 func (s *ImageSource) PacketAt(ch int, abs int64) (station.Packet, uint32) {
+	return s.ReadPacketAt(nil, ch, abs)
+}
+
+// ReadPacketAt implements station.PacketSource by slicing the mapping,
+// which is read-only: no read needs the buffer.
+func (s *ImageSource) ReadPacketAt(_ []byte, ch int, abs int64) (station.Packet, uint32) {
 	s.met.PacketEmitted(ch)
 	slot := abs % int64(s.chanSlots[ch])
 	rec := s.m.data[s.chanOff[ch]+slot*s.stride:]

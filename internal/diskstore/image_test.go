@@ -12,6 +12,7 @@ import (
 	"dsi/internal/dsi"
 	"dsi/internal/spatial"
 	"dsi/internal/station"
+	"dsi/internal/station/stationtest"
 	"dsi/internal/wire"
 )
 
@@ -314,5 +315,85 @@ func TestBuildRefusesHeaderlessObjects(t *testing.T) {
 			!strings.Contains(err.Error(), "32-byte") {
 			t.Fatalf("%+v: OpenStreamSource error %v, want the header refusal", cfg, err)
 		}
+	}
+}
+
+// openTestStream runs the front half of BuildImage — sort, spill, open —
+// and returns the stream source the image would be written from.
+func openTestStream(t *testing.T, ps PointStream, cfg dsi.Config) *StreamSource {
+	t.Helper()
+	geo, cfg, err := dsi.PlanGeometry(ps.N, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sorter, err := NewSorter(dir, objCodec, func(a, b objRec) bool { return a.HC < b.HC }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sorter.Close()
+	ps.Gen(func(p spatial.Point, hc uint64) {
+		if err := sorter.Add(objRec{X: p.X, Y: p.Y, HC: hc}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	st, err := sorter.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	objPath, framesPath := filepath.Join(dir, "objects"), filepath.Join(dir, "frames")
+	if _, err := spillSorted(st, geo, ps.Order, objPath, framesPath); err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenStreamSource(objPath, framesPath, geo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	return src
+}
+
+// TestReadPacketAtMatchesPacketAt holds the two disk-backed sources to
+// the seam's buffer contract (stationtest.CheckRead) over one full cycle
+// of every channel: the image of a coded sharded broadcast, whose every
+// payload is a slice of the read-only mapping, and the stream source an
+// out-of-core image is written from.
+func TestReadPacketAtMatchesPacketAt(t *testing.T) {
+	x, err := dsi.Build(dataset.Uniform(300, 7, 13), dsi.Config{Capacity: 64, ReserveMCPtr: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, err := dsi.NewLayout(x, dsi.MultiConfig{
+		Channels: 3, Scheduler: dsi.SchedShard, SwitchSlots: 2, ShardBounds: []int{0, x.NF / 2, x.NF},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := station.NewMultiTransmitterFEC(lay, wire.FECConfig{
+		Table:  wire.FECCode{Groups: 1, Parity: 1},
+		Object: wire.FECCode{Groups: 4, Parity: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, _ := InfoFor(tx, wire.StationMeta{})
+	path := filepath.Join(t.TempDir(), "coded.img")
+	if err := WriteImageFile(path, tx, info); err != nil {
+		t.Fatal(err)
+	}
+	img, err := OpenImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer img.Close()
+	for ch := 0; ch < img.Channels(); ch++ {
+		if err := stationtest.CheckSlots(img, ch, 0, int64(img.ChanSlots(ch))); err != nil {
+			t.Fatalf("image source: %v", err)
+		}
+	}
+
+	stream := openTestStream(t, UniformStream(300, 7, 13), dsi.Config{Capacity: 64})
+	if err := stationtest.CheckSlots(stream, 0, 0, int64(stream.CycleSlots())); err != nil {
+		t.Fatalf("stream source: %v", err)
 	}
 }

@@ -142,6 +142,7 @@ func BenchmarkFEC(b *testing.B) {
 	// Instrumented run: the obs counter averages ride into the bench
 	// artifact (units suffixed _total) next to the latency figures.
 	reg := obs.NewRegistry()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		FEC(Params{N: 300, Order: 7, Seed: 47, Queries: 3, Verify: true, Obs: reg})
 	}

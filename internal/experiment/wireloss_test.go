@@ -101,6 +101,7 @@ func TestWireLossExperimentRuns(t *testing.T) {
 
 // BenchmarkWireLoss is the CI smoke benchmark of the wireloss sweep.
 func BenchmarkWireLoss(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		WireLoss(Params{N: 300, Order: 7, Seed: 29, Queries: 4, Verify: true})
 	}

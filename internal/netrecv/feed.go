@@ -26,14 +26,14 @@
 //
 // Invariants:
 //
-//   - The ring owns its bytes and PacketAt copies on read: an arriving
+//   - The ring owns its bytes and a read copies out of it: an arriving
 //     frame is copied into its ring entry's own buffer (so the caller
 //     may reuse its read buffer, and a frame nobody reads costs a
-//     memcpy and no allocation), and PacketAt returns a fresh copy, so
-//     ring eviction never invalidates a slice an upper layer still
-//     aliases (the receiver's group window holds payload references
-//     for up to a cycle). Reads are about one frame in a hundred; the
-//     allocation belongs there.
+//     memcpy and no allocation), and ReadPacketAt copies the entry into
+//     the reader's buffer while it holds the lock, so ring eviction
+//     never invalidates a slice an upper layer still holds. A reader
+//     with a buffer of sufficient capacity allocates nothing; PacketAt,
+//     the read without one, gets a fresh copy it may keep.
 //   - A frame wakes a blocked PacketAt only once the global clock has
 //     reached the earliest slot anyone waits on: every rule that ends
 //     a wait (arrival, eviction, reorderSlack, LagSlack) needs a frame
@@ -335,11 +335,17 @@ func (f *Feed) unlockAndWake(slotted bool) {
 	}
 }
 
-// PacketAt implements station.PacketSource: the frame broadcast on
-// channel ch at absolute slot abs, waiting for it to arrive when it is
-// still in flight. A lost slot is the zero packet with version 0,
-// which the decoding layer counts as channel loss.
+// PacketAt implements station.PacketSource: ReadPacketAt without a
+// buffer.
 func (f *Feed) PacketAt(ch int, abs int64) (station.Packet, uint32) {
+	return f.ReadPacketAt(nil, ch, abs)
+}
+
+// ReadPacketAt implements station.PacketSource: the frame broadcast on
+// channel ch at absolute slot abs, copied into buf, waiting for it to
+// arrive when it is still in flight. A lost slot is the zero packet with
+// version 0, which the decoding layer counts as channel loss.
+func (f *Feed) ReadPacketAt(buf []byte, ch int, abs int64) (station.Packet, uint32) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if ch < 0 || ch >= f.nch || abs < 0 {
@@ -351,7 +357,10 @@ func (f *Feed) PacketAt(ch int, abs int64) (station.Packet, uint32) {
 			f.wakeAll() // a transport may be waiting for ring space
 		}
 	}
-	var timedOut bool
+	// The deadline's flag is shared with the timer's goroutine, so it
+	// lives on the heap; the first wait makes it, and a read the ring
+	// serves at once allocates nothing.
+	var timedOut *bool
 	var tm *time.Timer
 	defer func() {
 		if tm != nil {
@@ -361,9 +370,9 @@ func (f *Feed) PacketAt(ch int, abs int64) (station.Packet, uint32) {
 	for {
 		e := &f.entries[ch][abs%f.ring]
 		if e.set && e.abs == abs {
-			// The ring keeps its buffer; the caller gets bytes of its own.
+			// The ring keeps its buffer; the reader gets the bytes in its own.
 			pkt := e.pkt
-			pkt.Payload = append([]byte(nil), pkt.Payload...)
+			pkt.Payload = append(buf[:0], pkt.Payload...)
 			return pkt, e.ver
 		}
 		lost := f.closed ||
@@ -372,7 +381,7 @@ func (f *Feed) PacketAt(ch int, abs int64) (station.Packet, uint32) {
 			lost = lost ||
 				f.high[ch] > abs+reorderSlack ||
 				f.highAll > abs+f.opt.LagSlack ||
-				timedOut
+				(timedOut != nil && *timedOut)
 		}
 		if lost {
 			f.lost++
@@ -382,9 +391,11 @@ func (f *Feed) PacketAt(ch int, abs int64) (station.Packet, uint32) {
 			return station.Packet{}, 0
 		}
 		if tm == nil && !f.opt.Lossless {
+			expired := new(bool)
+			timedOut = expired
 			tm = time.AfterFunc(f.opt.WaitTimeout, func() {
 				f.mu.Lock()
-				timedOut = true
+				*expired = true
 				f.wakeAll()
 				f.mu.Unlock()
 			})

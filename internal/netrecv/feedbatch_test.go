@@ -17,6 +17,7 @@ import (
 
 	"dsi/internal/netrecv"
 	"dsi/internal/obs"
+	"dsi/internal/station/stationtest"
 	"dsi/internal/wire"
 )
 
@@ -223,6 +224,55 @@ func TestWarmConsumeAllocatesNothing(t *testing.T) {
 	}
 	if live := feed.Live(); live != next-1 {
 		t.Fatalf("live slot %d after consuming up to %d", live, next-1)
+	}
+}
+
+// TestFeedReadIntoBufferAllocatesNothing: a read with a buffer of the
+// reader's own copies the ring entry into it and allocates nothing —
+// the copy PacketAt has to allocate is the reader's to avoid.
+func TestFeedReadIntoBufferAllocatesNothing(t *testing.T) {
+	const nch, slots = 4, 16
+	feed := netrecv.NewFeed(nch, netrecv.Options{RingSlots: slots}, obs.NewNetReceiverMetrics(obs.NewRegistry(), "test"))
+	if _, err := feed.Consume(slotFrames(t, nch, 0, slots)); err != nil {
+		t.Fatal(err)
+	}
+	var want [slots][nch]string
+	for abs := range want {
+		for ch := range want[abs] {
+			want[abs][ch] = wantPayload(ch, int64(abs))
+		}
+	}
+	buf := make([]byte, 0, len(want[0][0]))
+	sweep := func() {
+		for abs := range want {
+			for ch := range want[abs] {
+				if p, ver := feed.ReadPacketAt(buf, ch, int64(abs)); ver != 1 || string(p.Payload) != want[abs][ch] {
+					t.Fatalf("channel %d slot %d read back as v%d %q", ch, abs, ver, p.Payload)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, sweep); n != 0 {
+		t.Fatalf("%d reads into the reader's buffer allocate %.0f times, want 0", nch*slots, n)
+	}
+}
+
+// TestReadPacketAtMatchesPacketAt holds a filled feed to the seam's
+// buffer contract (stationtest.CheckRead) on every slot of every
+// channel.
+func TestReadPacketAtMatchesPacketAt(t *testing.T) {
+	const nch, slots = 3, 64
+	feed := netrecv.NewFeed(nch, netrecv.Options{RingSlots: slots}, nil)
+	if _, err := feed.Consume(slotFrames(t, nch, 0, slots)); err != nil {
+		t.Fatal(err)
+	}
+	for ch := 0; ch < nch; ch++ {
+		if err := stationtest.CheckSlots(feed, ch, 0, slots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lost := feed.LostSlots(); lost != 0 {
+		t.Fatalf("%d reads of a filled ring served as lost", lost)
 	}
 }
 

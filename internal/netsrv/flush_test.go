@@ -54,6 +54,10 @@ func stamp(dst []byte, ch int, abs int64) {
 func (s *stampSource) Channels() int { return s.nch }
 
 func (s *stampSource) PacketAt(ch int, abs int64) (station.Packet, uint32) {
+	return s.ReadPacketAt(nil, ch, abs)
+}
+
+func (s *stampSource) ReadPacketAt(_ []byte, ch int, abs int64) (station.Packet, uint32) {
 	stamp(s.cache[ch], ch, abs)
 	return station.Packet{Ch: uint8(ch), Slot: uint32(abs % 1000), Payload: s.cache[ch]}, 1
 }
@@ -267,11 +271,13 @@ func TestDatagramsCarryOneSlotInAirOrder(t *testing.T) {
 	}
 }
 
-// TestWarmFlushAllocatesNothing: building a flush on recycled storage,
-// publishing it to an HTTP and a UDP subscriber and emitting it to both
-// allocates nothing once warm.
+// TestWarmFlushAllocatesNothing: building a flush on recycled storage —
+// every payload built by a real transmitter into the server's one packet
+// buffer — publishing it to an HTTP and a UDP subscriber and emitting it
+// to both allocates nothing once warm.
 func TestWarmFlushAllocatesNothing(t *testing.T) {
-	srv, err := New(Config{Source: newStampSource(4, 64, true), CtrlEvery: 256, Registry: obs.NewRegistry()})
+	src, lay := newTestSource(t)
+	srv, err := New(Config{Source: src, Layout: lay, CtrlEvery: 256, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +311,15 @@ func TestWarmFlushAllocatesNothing(t *testing.T) {
 		srv.release(fl)
 		u.emit(<-u.q)
 	}
-	step() // warm: the one flush's buffers reach their size
+	// Warm: over a cycle of the longest channel the one flush's buffers
+	// reach the size of the fullest batch.
+	longest := 0
+	for ch := 0; ch < lay.Channels(); ch++ {
+		longest = max(longest, src.ChanSlots(ch))
+	}
+	for abs := 0; abs < longest; abs += 64 {
+		step()
+	}
 	if n := testing.AllocsPerRun(50, step); n != 0 {
 		t.Fatalf("a warm flush allocates %.0f times, want 0", n)
 	}

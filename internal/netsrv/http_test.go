@@ -16,9 +16,8 @@ import (
 	"dsi/internal/wire"
 )
 
-// newTestStation assembles a 3-channel split station over an httptest
-// server, its pacer running flat out.
-func newTestStation(t *testing.T, reg *obs.Registry) (*Server, *httptest.Server) {
+// newTestSource builds a 3-channel split broadcast's transmitter.
+func newTestSource(t *testing.T) (*station.MultiTransmitter, *dsi.Layout) {
 	t.Helper()
 	ds := dataset.Uniform(200, 7, 3)
 	x, err := dsi.Build(ds, dsi.Config{Capacity: 64, ReserveMCPtr: true})
@@ -33,6 +32,14 @@ func newTestStation(t *testing.T, reg *obs.Registry) (*Server, *httptest.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return src, lay
+}
+
+// newTestStation assembles a 3-channel split station over an httptest
+// server, its pacer running flat out.
+func newTestStation(t *testing.T, reg *obs.Registry) (*Server, *httptest.Server) {
+	t.Helper()
+	src, lay := newTestSource(t)
 	srv, err := New(Config{Source: src, Layout: lay, Registry: reg, CtrlEvery: 64})
 	if err != nil {
 		t.Fatal(err)

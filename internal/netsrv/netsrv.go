@@ -106,6 +106,10 @@ type Server struct {
 
 	pub []*streamConn // publish's subscriber snapshot, reused every flush
 
+	// pkt is what buildFlush has the source build each slot's payload
+	// into: add copies the payload into the flush before the next read.
+	pkt []byte
+
 	// free holds released flushes for buildFlush to fill again. What is
 	// in flight at once — a queue's worth, the flush being built and one
 	// under each writer — comes back in one burst when stalled
@@ -144,6 +148,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if f, ok := cfg.Source.(station.FECSource); ok {
 		s.fsrc = f
+	}
+	if cfg.Layout != nil {
+		s.pkt = make([]byte, 0, cfg.Layout.X.Cfg.Capacity+wire.ParityHeaderSize)
 	}
 	s.httpMet = obs.NewNetStationMetrics(cfg.Registry, "http", s.nch)
 	return s, nil
@@ -219,7 +226,7 @@ func (s *Server) buildFlush(batchSlots int) *flush {
 			s.appendCtrl(fl, abs)
 		}
 		for ch := 0; ch < s.nch; ch++ {
-			pkt, ver := s.src.PacketAt(ch, abs)
+			pkt, ver := s.src.ReadPacketAt(s.pkt, ch, abs)
 			err := fl.add(wire.NetFrame{
 				Kind: wire.NetData, Flags: pkt.Flags, Ch: uint16(ch),
 				Slot: pkt.Slot, Ver: ver, Abs: abs, Payload: pkt.Payload,

@@ -219,7 +219,7 @@ func NewMultiTransmitterFEC(lay *dsi.Layout, cfg wire.FECConfig) (*MultiTransmit
 	for ch := range t.parity {
 		ch := ch
 		t.parity[ch] = buildParity(&g.chs[ch], cfg, lay.X.Cfg.Capacity,
-			func(log int) Packet { return t.logicalPacket(ch, log) })
+			func(log int) Packet { return t.logicalPacket(nil, ch, log) })
 	}
 	t.fecDesc, err = wire.EncodeFECDesc(cfg, 1)
 	if err != nil {

@@ -104,7 +104,7 @@ func (r *WireReceiver) readTail(u *fecUnit, code wire.FECCode) [][]byte {
 	tail := r.tailBuf[:code.Tail()]
 	for t := range tail {
 		tail[t] = nil
-		pkt, good := r.read()
+		pkt, good := r.read(u.n + t)
 		if !good || pkt.Flags&flagParity == 0 {
 			continue
 		}
@@ -183,7 +183,11 @@ func (s *fecSolver) recoverUnit(code wire.FECCode, n, capacity int, pay [][]byte
 	if len(s.arena) < n*capacity {
 		s.arena = make([]byte, n*capacity)
 	}
-	s.out = append(s.out[:0], make([][]byte, n)...)
+	if cap(s.out) < n {
+		s.out = make([][]byte, n)
+	}
+	s.out = s.out[:n]
+	clear(s.out)
 	for g := 0; g < code.Groups; g++ {
 		missing := uint64(0)
 		for i := g; i < n; i += code.Groups {
@@ -225,28 +229,39 @@ func (s *fecSolver) recoverUnit(code wire.FECCode, n, capacity int, pay [][]byte
 	return s.out, true
 }
 
-// groupWindow holds the member payloads of one unit occurrence.
+// groupWindow holds the member payloads of one unit occurrence, in
+// storage of its own: the reads it is filled from are scratch.
 type groupWindow struct {
 	ch   int
 	unit int   // physical start slot of the unit on ch; -1 when empty
 	abs  int64 // absolute physical slot of member 0 when recorded
 	ver  uint32
-	ok   uint64 // members known good (payload may be legitimately empty)
-	pay  [][]byte
+	ok   uint64   // members known good (payload may be legitimately empty)
+	pay  [][]byte // pay[i] lies in buf's i-th Capacity-sized cell
+	buf  []byte
 }
 
 // setWindow records a unit occurrence's member payloads for later
-// claims. An uncoded stream records nothing.
+// claims, copying each into the window's cell for that member. A member
+// the caller refilled from the window is already in its cell and copies
+// onto itself. Only a coded stream keeps a window; callers ask first.
 func (r *WireReceiver) setWindow(ch int, u *fecUnit, abs int64, pay [][]byte, ok uint64) {
-	if !r.cfg.Enabled() {
-		return
+	w := &r.win
+	w.ch = ch
+	w.unit = u.physStart
+	w.abs = abs
+	w.ver = r.ver
+	w.ok = ok
+	capacity := r.x.Cfg.Capacity
+	if len(w.buf) < len(pay)*capacity {
+		// First use; were it ever to grow, cells of the old storage that
+		// pay still holds stay readable while the loop below moves them.
+		w.buf = make([]byte, len(pay)*capacity)
 	}
-	r.win.ch = ch
-	r.win.unit = u.physStart
-	r.win.abs = abs
-	r.win.ver = r.ver
-	r.win.ok = ok
-	r.win.pay = append(r.win.pay[:0], pay...)
+	w.pay = w.pay[:0]
+	for i, p := range pay {
+		w.pay = append(w.pay, append(w.buf[i*capacity:i*capacity:(i+1)*capacity], p...))
+	}
 }
 
 // windowHit reports whether the group window holds this unit with an

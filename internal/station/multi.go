@@ -67,16 +67,18 @@ func (t *MultiTransmitter) Directory() ([]byte, error) { return wire.EncodeShard
 // slot of channel ch. On a coded transmitter the slot is physical and
 // parity slots carry their encoded parity frames.
 func (t *MultiTransmitter) Packet(ch, slot int) Packet {
-	return t.packet(ch, slot%t.ChanSlots(ch))
+	return t.packet(nil, ch, slot%t.ChanSlots(ch))
 }
 
 // packet is Packet for a slot already reduced into [0, ChanSlots(ch)):
-// the exported entry points (Packet, PacketAt, Rebroadcaster.PacketAt)
-// each reduce once. The coded path reads what the slot carries from the
-// geometry unit covering it rather than re-inverting the layout.
-func (t *MultiTransmitter) packet(ch, slot int) Packet {
+// the exported entry points (Packet, ReadPacketAt,
+// Rebroadcaster.ReadPacketAt) each reduce once. The coded path reads
+// what the slot carries from the geometry unit covering it rather than
+// re-inverting the layout. buf is ReadPacketAt's: only an object part is
+// built into it.
+func (t *MultiTransmitter) packet(buf []byte, ch, slot int) Packet {
 	if t.fec == nil {
-		return t.logicalPacket(ch, slot)
+		return t.logicalPacket(buf, ch, slot)
 	}
 	c := &t.fec.chs[ch]
 	p := Packet{Ch: uint8(ch), Slot: uint32(slot)}
@@ -89,7 +91,7 @@ func (t *MultiTransmitter) packet(ch, slot int) Packet {
 	if u.table {
 		return t.tablePart(p, u.pos, m)
 	}
-	return t.objectPart(p, u.pos, u.obj, m)
+	return t.objectPart(buf, p, u.pos, u.obj, m)
 }
 
 // ChanSlots returns channel ch's cycle length in packet slots —
@@ -103,14 +105,14 @@ func (t *MultiTransmitter) ChanSlots(ch int) int {
 
 // logicalPacket returns the content packet at a logical (parity-free)
 // slot of channel ch, reduced into [0, ChanLen(ch)).
-func (t *MultiTransmitter) logicalPacket(ch, slot int) Packet {
+func (t *MultiTransmitter) logicalPacket(buf []byte, ch, slot int) Packet {
 	p := Packet{Ch: uint8(ch), Slot: uint32(slot)}
 	if pos, part, ok := t.Lay.SlotTable(ch, slot); ok {
 		return t.tablePart(p, pos, part)
 	}
 	pos, off, _ := t.Lay.SlotData(ch, slot)
 	objPackets := t.Lay.X.ObjPackets
-	return t.objectPart(p, pos, off/objPackets, off%objPackets)
+	return t.objectPart(buf, p, pos, off/objPackets, off%objPackets)
 }
 
 // tablePart completes p as packet `part` of position pos's index table:
@@ -127,11 +129,12 @@ func (t *MultiTransmitter) tablePart(p Packet, pos, part int) Packet {
 
 // objectPart completes p as packet `part` of the o-th object of the
 // frame at position pos. The payload is that packet's byte range of the
-// object and nothing more (AppendObjectPart): one allocation of at most
-// Capacity bytes, owned by the caller. The bytes are the wire header
-// followed by deterministic filler (a real deployment would carry the
-// application payload).
-func (t *MultiTransmitter) objectPart(p Packet, pos, o, part int) Packet {
+// object and nothing more (AppendObjectPart), built into buf's capacity:
+// a buffer too short for it — nil above all — is replaced by one
+// allocation of exactly the part's size, at most Capacity bytes. The
+// bytes are the wire header followed by deterministic filler (a real
+// deployment would carry the application payload).
+func (t *MultiTransmitter) objectPart(buf []byte, p Packet, pos, o, part int) Packet {
 	x := t.Lay.X
 	first, num := x.FrameObjects(x.PosToFrame(pos))
 	if o >= num {
@@ -145,8 +148,11 @@ func (t *MultiTransmitter) objectPart(p Packet, pos, o, part int) Packet {
 	size := x.Cfg.ObjectBytes
 	from := part * x.Cfg.Capacity
 	to := min(from+x.Cfg.Capacity, size)
+	if n := to - from; cap(buf) < n {
+		buf = make([]byte, 0, n)
+	}
 	obj := &x.DS.Objects[first+o]
-	p.Payload = AppendObjectPart(make([]byte, 0, to-from),
+	p.Payload = AppendObjectPart(buf[:0],
 		wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC}, obj.ID, size, from, to)
 	return p
 }

@@ -89,10 +89,11 @@ var wireLossyCode = wire.FECConfig{
 	Object: wire.FECCode{Groups: 4, Parity: 2},
 }
 
-// TestPacketAtAllocatesItsSlot pins what a slot costs: a data slot
-// allocates its own payload — once, at most Capacity bytes — and table
-// and parity slots, served from the pre-encoded state, allocate
-// nothing.
+// TestPacketAtAllocatesItsSlot pins what a slot costs: through PacketAt
+// a data slot allocates its own payload — once, at most Capacity bytes —
+// and table and parity slots, served from the pre-encoded state,
+// allocate nothing; read into a buffer of the reader's, no slot of any
+// kind allocates.
 func TestPacketAtAllocatesItsSlot(t *testing.T) {
 	_, x, lay := wireTestBed(t, 300, 557, quarterBounds)
 	tx, err := NewMultiTransmitterFEC(lay, wireLossyCode)
@@ -124,18 +125,28 @@ func TestPacketAtAllocatesItsSlot(t *testing.T) {
 	// The byte budgets are exact, so keep a collection cycle's own
 	// bookkeeping allocations out of the TotalAlloc deltas.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	buf := make([]byte, 0, capacity)
 	for _, tc := range []struct {
 		kind           string
 		slots          []at
+		buf            []byte
 		allocs, nbytes int // per-slot budget
 	}{
-		{"table", table, 0, 0},
-		{"parity", parity, 0, 0},
-		{"data", data, 1, capacity},
+		{"table", table, nil, 0, 0},
+		{"parity", parity, nil, 0, 0},
+		{"data", data, nil, 1, capacity},
+		{"table into a buffer", table, buf, 0, 0},
+		{"parity into a buffer", parity, buf, 0, 0},
+		{"data into a buffer", data, buf, 0, 0},
 	} {
 		sweep := func() {
 			for _, s := range tc.slots {
-				p, _ := tx.PacketAt(s.ch, s.abs)
+				var p Packet
+				if tc.buf == nil {
+					p, _ = tx.PacketAt(s.ch, s.abs)
+				} else {
+					p, _ = tx.ReadPacketAt(tc.buf, s.ch, s.abs)
+				}
 				limit := capacity
 				if p.Flags&flagParity != 0 {
 					limit += wire.ParityHeaderSize // a capacity-sized symbol plus its header
@@ -216,7 +227,8 @@ func TestHeaderMustFit(t *testing.T) {
 // BenchmarkMultiTransmitterPacketAt sweeps one full cycle of every
 // channel per iteration over the wire_lossy-shaped broadcast: the plain
 // transmitter, the coded one, and the rebroadcaster in front of the
-// plain one.
+// plain one, through PacketAt; then the coded one and the rebroadcaster
+// again, read into one buffer of the reader's.
 func BenchmarkMultiTransmitterPacketAt(b *testing.B) {
 	_, x, lay := wireTestBed(b, 1200, 569, quarterBounds)
 	plain, err := NewMultiTransmitter(lay)
@@ -235,10 +247,13 @@ func BenchmarkMultiTransmitterPacketAt(b *testing.B) {
 		name  string
 		src   PacketSource
 		slots func(ch int) int
+		buf   []byte
 	}{
-		{"plain", plain, plain.ChanSlots},
-		{"coded", coded, coded.ChanSlots},
-		{"rebroadcaster", rb, plain.ChanSlots},
+		{"plain", plain, plain.ChanSlots, nil},
+		{"coded", coded, coded.ChanSlots, nil},
+		{"rebroadcaster", rb, plain.ChanSlots, nil},
+		{"coded-into-buffer", coded, coded.ChanSlots, make([]byte, 0, x.Cfg.Capacity)},
+		{"rebroadcaster-into-buffer", rb, plain.ChanSlots, make([]byte, 0, x.Cfg.Capacity)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			total := 0
@@ -251,7 +266,7 @@ func BenchmarkMultiTransmitterPacketAt(b *testing.B) {
 			for b.Loop() {
 				for ch := 0; ch < lay.Channels(); ch++ {
 					for s, n := int64(0), int64(bc.slots(ch)); s < n; s++ {
-						p, _ := bc.src.PacketAt(ch, s)
+						p, _ := bc.src.ReadPacketAt(bc.buf, ch, s)
 						sink += len(p.Payload)
 					}
 				}

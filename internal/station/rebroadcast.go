@@ -258,23 +258,30 @@ func (r *Rebroadcaster) Commit(now int64) bool {
 	return true
 }
 
-// PacketAt returns the packet channel ch transmits at absolute slot
-// abs, together with the directory version governing it: the staged
-// version past the channel's seam, the current one before.
+// PacketAt implements PacketSource: ReadPacketAt without a buffer.
 func (r *Rebroadcaster) PacketAt(ch int, abs int64) (Packet, uint32) {
+	return r.ReadPacketAt(nil, ch, abs)
+}
+
+// ReadPacketAt returns the packet channel ch transmits at absolute slot
+// abs, together with the directory version governing it: the staged
+// version past the channel's seam, the current one before. The buffer is
+// the reader's — readers share the rebroadcaster under its read lock and
+// it keeps nothing of theirs.
+func (r *Rebroadcaster) ReadPacketAt(buf []byte, ch int, abs int64) (Packet, uint32) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	r.met.PacketEmitted(ch)
 	if r.next != nil && abs >= r.seam[ch] {
 		l := int64(r.next.ChanSlots(ch))
-		return r.next.packet(ch, int((abs-r.seam[ch])%l)), r.version + 1
+		return r.next.packet(buf, ch, int((abs-r.seam[ch])%l)), r.version + 1
 	}
 	l := int64(r.cur.ChanSlots(ch))
 	rel := (abs - r.phase[ch]) % l
 	if rel < 0 {
 		rel += l
 	}
-	return r.cur.packet(ch, int(rel)), r.version
+	return r.cur.packet(buf, ch, int(rel)), r.version
 }
 
 // DirectoryAt returns the versioned shard directory on air at absolute

@@ -50,30 +50,46 @@ import (
 // shard directory on air. Rebroadcaster implements it directly;
 // MultiTransmitter is the static single-version source.
 type PacketSource interface {
-	// PacketAt returns the packet channel ch transmits at absolute
-	// slot abs and the directory version its encoding belongs to.
+	// ReadPacketAt returns the packet channel ch transmits at absolute
+	// slot abs and the directory version its encoding belongs to, using
+	// buf — the reader's, and possibly nil — for any payload bytes the
+	// source has to produce for this read.
 	//
-	// The returned Payload is immutable and the caller's to retain:
-	// the source never writes those bytes again, so a receiver may keep
-	// them across calls (the receiver's group window does) and one
-	// source may serve many readers. A content payload is at most
-	// Capacity bytes; a parity frame adds wire.ParityHeaderSize. How a
-	// source meets this is its own business: MultiTransmitter builds
-	// each object packet's bytes fresh and slices pre-encoded tables
-	// and parity, netrecv.Feed hands out a fresh copy of its ring entry
-	// on every read, and diskstore.ImageSource slices a read-only
-	// mapping.
+	// Who owns the payload, and for how long: bytes a source must build
+	// (MultiTransmitter and Rebroadcaster object parts) or copy out of
+	// storage it will overwrite (netrecv.Feed's ring) go into buf[:0]'s
+	// capacity, and into a fresh allocation of the payload's size when
+	// that is too short — nothing is ever written past cap(buf). Such a
+	// payload is valid until the reader next reuses buf. Bytes a source
+	// already holds immutable (pre-encoded tables and parity,
+	// diskstore.ImageSource's read-only mapping, diskstore.StreamSource)
+	// are returned as they are and never written again: a payload need
+	// not alias buf, and a reader must not assume it does. Either way the
+	// reader must not write through the payload. A content payload is at
+	// most Capacity bytes; a parity frame adds wire.ParityHeaderSize.
+	//
+	// The source keeps no per-reader state and nothing of buf: one source
+	// serves many readers concurrently, each with a buffer of its own.
+	ReadPacketAt(buf []byte, ch int, abs int64) (Packet, uint32)
+	// PacketAt is ReadPacketAt(nil, ch, abs): with no buffer to reuse,
+	// every payload is immutable and the caller's to retain for as long
+	// as it likes.
 	PacketAt(ch int, abs int64) (Packet, uint32)
 	// DirectoryAt returns the versioned shard directory on air at abs
 	// (nil when the broadcast ships none, e.g. single-channel layouts).
 	DirectoryAt(abs int64) ([]byte, uint32)
 }
 
-// PacketAt implements PacketSource: a static transmitter serves one
-// schedule forever, anchored at slot 0 as directory version 1.
+// PacketAt implements PacketSource: ReadPacketAt without a buffer.
 func (t *MultiTransmitter) PacketAt(ch int, abs int64) (Packet, uint32) {
+	return t.ReadPacketAt(nil, ch, abs)
+}
+
+// ReadPacketAt implements PacketSource: a static transmitter serves one
+// schedule forever, anchored at slot 0 as directory version 1.
+func (t *MultiTransmitter) ReadPacketAt(buf []byte, ch int, abs int64) (Packet, uint32) {
 	t.met.PacketEmitted(ch)
-	return t.packet(ch, int(abs%int64(t.ChanSlots(ch)))), 1
+	return t.packet(buf, ch, int(abs%int64(t.ChanSlots(ch)))), 1
 }
 
 // FECDescAt implements FECSource: the transmitter's code encoded as
@@ -139,6 +155,14 @@ type WireReceiver struct {
 	tab          dsi.Table
 	entryScratch []dsi.TableEntry
 	tabBuf       []byte
+
+	// scratch is what the source reads into: one region per member and
+	// per parity-tail slot of the largest unit on air, because a unit's
+	// reads are live together (a solve takes all of them at once).
+	// Allocated by the first read, dropped when a swap changes the code.
+	// Nothing that outlives the unit may alias it: the group window and
+	// the unit cache copy what they keep.
+	scratch []byte
 
 	// Recovery state (fecrx.go); idle on an uncoded stream.
 	win     groupWindow
@@ -347,15 +371,31 @@ func (r *WireReceiver) DozeUntilPos(pos int) {
 // framing matters, which any version serves).
 func (r *WireReceiver) Next() (broadcast.Slot, bool) { return r.tu.Read() }
 
-// read receives the byte payload at the current slot: the source's
-// packet plus its governing version, with the tuner charging the cost
-// and drawing the loss. ok is false when the packet was corrupted or
-// belongs to a directory version the receiver has not adopted (a stale
-// or mid-transition channel — undecodable until the catalogs agree).
-func (r *WireReceiver) read() (Packet, bool) {
-	pkt, pver := r.src.PacketAt(r.tu.Channel(), r.tu.Now())
+// read receives the byte payload at the current slot as read i of the
+// unit in hand — member i, or parity-tail slot i-n: the source's packet
+// plus its governing version, with the tuner charging the cost and
+// drawing the loss. ok is false when the packet was corrupted or belongs
+// to a directory version the receiver has not adopted (a stale or
+// mid-transition channel — undecodable until the catalogs agree). The
+// payload may lie in region i of the scratch: it is valid until the next
+// read i.
+func (r *WireReceiver) read(i int) (Packet, bool) {
+	pkt, pver := r.src.ReadPacketAt(r.region(i), r.tu.Channel(), r.tu.Now())
 	_, good := r.tu.Read()
 	return pkt, good && pver == r.ver
+}
+
+// region returns the empty buffer read i of a unit is made into, its
+// capacity one parity frame — the longest payload on air — and not a byte
+// of its neighbour's: a longer payload, which only a misbehaving source
+// sends, moves to storage of its own instead of spilling over.
+func (r *WireReceiver) region(i int) []byte {
+	stride := r.x.Cfg.Capacity + wire.ParityHeaderSize
+	if r.scratch == nil {
+		reads := max(r.x.TablePackets+r.cfg.Table.Tail(), r.x.ObjPackets+r.cfg.Object.Tail())
+		r.scratch = make([]byte, reads*stride)
+	}
+	return r.scratch[i*stride : i*stride : (i+1)*stride]
 }
 
 // Table receives — and over a coded stream, if necessary reconstructs
@@ -383,7 +423,7 @@ func (r *WireReceiver) Table(pos int) (*dsi.Table, bool) {
 		pay = r.members(n)
 		okm := uint64(0)
 		for i := 0; i < n; i++ {
-			pkt, good := r.read()
+			pkt, good := r.read(i)
 			if good && pkt.Flags&flagIndex != 0 {
 				pay[i] = pkt.Payload
 				okm |= 1 << uint(i)
@@ -473,7 +513,7 @@ func (r *WireReceiver) Header(pos, o int) (uint64, bool) {
 		r.win.abs = base
 		return h.HC, true
 	}
-	pkt, good := r.read()
+	pkt, good := r.read(0)
 	if good {
 		// Received bytes are final: an unflagged slot (padding) or an
 		// undecodable payload is not recoverable loss.
@@ -484,9 +524,11 @@ func (r *WireReceiver) Header(pos, o int) (uint64, bool) {
 		if err != nil {
 			return 0, false
 		}
-		pay := r.members(u.n)
-		pay[0] = pkt.Payload
-		r.setWindow(ch, &u, base, pay, 1)
+		if r.cfg.Enabled() {
+			pay := r.members(u.n)
+			pay[0] = pkt.Payload
+			r.setWindow(ch, &u, base, pay, 1)
+		}
 		return h.HC, true
 	}
 	if !r.cfg.Object.Enabled() {
@@ -499,7 +541,7 @@ func (r *WireReceiver) Header(pos, o int) (uint64, bool) {
 	pay := r.members(n)
 	okm := uint64(0)
 	for i := 1; i < n; i++ {
-		p, g := r.read()
+		p, g := r.read(i)
 		if g {
 			pay[i] = p.Payload
 			okm |= 1 << uint(i)
@@ -555,7 +597,7 @@ func (r *WireReceiver) Object(pos, o, skip int) bool {
 	}
 	lost := uint64(0)
 	for i := skip; i < n; i++ {
-		pkt, good := r.read()
+		pkt, good := r.read(i)
 		switch {
 		case good:
 			pay[i] = pkt.Payload
@@ -668,6 +710,7 @@ func (r *WireReceiver) Poll() (*dsi.Layout, bool) {
 	r.adoptGeometry(lay)
 	if cfg != r.cfg {
 		r.cfg = cfg
+		r.scratch = nil // sized to the old code's tails
 		if r.met != nil {
 			r.met.CodeSwaps.Inc()
 		}

@@ -297,7 +297,11 @@ type faultSource struct {
 }
 
 func (f *faultSource) PacketAt(ch int, abs int64) (Packet, uint32) {
-	p, v := f.PacketSource.PacketAt(ch, abs)
+	return f.ReadPacketAt(nil, ch, abs)
+}
+
+func (f *faultSource) ReadPacketAt(buf []byte, ch int, abs int64) (Packet, uint32) {
+	p, v := f.PacketSource.ReadPacketAt(buf, ch, abs)
 	if f.mutate != nil {
 		var hit bool
 		if p, hit = f.mutate(ch, abs, p); hit {
