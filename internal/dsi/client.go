@@ -263,43 +263,6 @@ func (kb *knowledge) drainNew() []int {
 	return out
 }
 
-// frameResolved reports whether, as far as [lo, hi) is concerned, frame
-// f requires no further attention: every object of f that could have an
-// HC value in [lo, hi) is either retrieved or certainly outside.
-// The frame's minimum HC must be known (so its first object is
-// located). upper is a known strict upper bound on the HC values in f
-// (the next known same-span frame's minimum, or the span end). Objects
-// whose headers have not been received are bounded by the nearest
-// located objects around them.
-func (kb *knowledge) frameResolved(f int, lo, hi, upper uint64) bool {
-	first, num := kb.x.FrameObjects(f)
-	prev := kb.frameHC[f] // first object is located whenever the frame is known
-	gapOpen := false
-	for t := 0; t < num; t++ {
-		id := first + t
-		if !kb.objLocated(id) {
-			gapOpen = true
-			continue
-		}
-		hc := kb.objHC[id]
-		if gapOpen {
-			// Unlocated objects between prev and hc: HC in (prev, hc).
-			if prev+1 < hi && hc > lo {
-				return false
-			}
-			gapOpen = false
-		}
-		if hc >= lo && hc < hi && !kb.retrieved(id) {
-			return false
-		}
-		prev = hc
-	}
-	if gapOpen && prev+1 < hi && upper > lo {
-		return false
-	}
-	return true
-}
-
 // dataPhase returns where data channel ch will be in its cycle once the
 // receiver could be listening to it: now plus the channel switch (if
 // any), relative to the channel's phase anchor (0 on simulator airs, the

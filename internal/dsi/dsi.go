@@ -414,9 +414,14 @@ func (g *Geometry) segLen(j int) int {
 // PosToFrame returns the frame id broadcast at cycle position pos.
 // Position p carries the (p div m)-th frame of segment (p mod m), so
 // segment frames appear interleaved and each segment's frames appear in
-// ascending HC order.
+// ascending HC order. One segment is the identity, and is answered
+// without the two divisions: this runs on every table entry, visit and
+// chooser step.
 func (g *Geometry) PosToFrame(pos int) int {
 	m := g.Segments
+	if m == 1 {
+		return pos
+	}
 	return g.segStart[pos%m] + pos/m
 }
 

@@ -25,6 +25,16 @@
 // teaches several frames into one gap patches correctly in any order;
 // rule (ii) is queued, because one visit touches the same frame many
 // times, and applied by sync before a chooser reads.
+//
+// Evaluating a unit is one ordered pass. A cursor remembers the target
+// range the last evaluation started from, and the next one gallops from
+// it to the first range ending above the frame's minimum — patches come
+// in HC neighbourhoods, so this is a few probes, not a bisection of all
+// targets. From there one forward merge of the frame's located objects
+// against the ranges finds the first range that reaches the frame unit
+// and the first that reaches the gap unit; the order of the two is
+// unitGapFirst. The range-by-range definition this equals is
+// evalUnitsPerRange in walk_test.go.
 
 package dsi
 
@@ -58,6 +68,9 @@ type pending struct {
 	// stale records that the targets have shrunk since some unit was
 	// evaluated, so a unit is re-evaluated when it is read.
 	stale bool
+	// cursor is the target range the last evaluation started from, where
+	// the next one starts its search (seek).
+	cursor int
 
 	frames []ordset.Set // per span: indices with a pending frame unit
 	gaps   []ordset.Set // per span: indices with a pending gap unit
@@ -124,63 +137,162 @@ func (kb *knowledge) rebuildPending() {
 	}
 }
 
+// seek returns the index of the first target range ending above v (the
+// length of the targets when none does), galloping from the range the
+// previous evaluation started at — 1, 2, 4, … ranges away, towards the
+// answer — and bisecting inside the bracket. The hint is only a place to
+// start: it is clamped to the targets, which the kNN cover rewrites in
+// place.
+func (p *pending) seek(v uint64) int {
+	t := p.targets
+	n := len(t)
+	h := min(p.cursor, n)
+	lo, hi := 0, h // the answer lies in [lo, hi]
+	if h < n && t[h].Hi <= v {
+		lo, hi = h+1, n
+		for step := 1; h+step < n; step <<= 1 {
+			if t[h+step].Hi > v {
+				hi = h + step
+				break
+			}
+			lo = h + step + 1
+		}
+	} else {
+		for step := 1; h-step >= 0; step <<= 1 {
+			if t[h-step].Hi <= v {
+				lo = h - step + 1
+				break
+			}
+			hi = h - step
+		}
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t[mid].Hi <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	p.cursor = lo
+	return lo
+}
+
+// unitScan is one evaluation's view of the target ranges: clipped to
+// the span [segLo, segHi), empty ones skipped, and ending at the first
+// whose clipped start is at or above upper (no range from there on can
+// reach the frame or its gap: ranges are sorted).
+type unitScan struct {
+	targets             []hilbert.Range
+	segLo, segHi, upper uint64
+}
+
+// reach returns the first range of the scan at index r or beyond whose
+// clipped end lies above v, with its clipped start; r < 0 when there is
+// none.
+func (s *unitScan) reach(r int, v uint64) (int, uint64) {
+	for ; r < len(s.targets); r++ {
+		lo, hi := max(s.targets[r].Lo, s.segLo), min(s.targets[r].Hi, s.segHi)
+		if lo >= s.upper {
+			break
+		}
+		if lo < hi && hi > v {
+			return r, lo
+		}
+	}
+	return -1, 0
+}
+
 // evalUnits evaluates the two units of known frame i of span j, whose
 // next known frame is at index next (the span length when there is
 // none), against the installed targets: the per-frame body of a fresh
-// walk. Only ranges whose clipped end lies above the frame's minimum HC
-// and whose start lies below the next known minimum can reach the frame
-// or its gap.
+// walk, which meets the frame's units at the first target range that
+// reaches each. Only ranges ending above the frame's minimum HC and
+// starting below the next known minimum can reach either, so the scan
+// starts at the first range ending above the minimum (seek) and makes
+// one forward pass from there:
+//
+//   - the gap unit (unknown frames between this one and the next known
+//     one hold objects with HC in (hc, upper)) is reached by the first
+//     range ending above hc+1;
+//   - the frame unit by the first range for which the frame is not
+//     resolved, found by one walk over the frame's objects with a range
+//     pointer that only moves forward (frameReach).
+//
+// When one range reaches both, the walk meets the frame unit first.
 func (kb *knowledge) evalUnits(j, i, next int) uint32 {
 	base := kb.spanStart[j]
 	f := base + i
 	hc := kb.frameHC[f]
-	segLo, segHi := kb.spanHC(j)
-	upper := segHi
+	sc := unitScan{targets: kb.pend.targets}
+	sc.segLo, sc.segHi = kb.spanHC(j)
+	sc.upper = sc.segHi
 	if next < kb.spanLen(j) {
-		upper = kb.frameHC[base+next]
+		sc.upper = kb.frameHC[base+next]
 	}
-	targets := kb.pend.targets
-	// First range ending above hc (the span end always does).
-	ri, n := 0, len(targets)
-	for ri < n {
-		mid := int(uint(ri+n) >> 1)
-		if targets[mid].Hi <= hc {
-			ri = mid + 1
-		} else {
-			n = mid
-		}
-	}
+	r := kb.pend.seek(hc)
 	var bits uint32
-	for ; ri < len(targets); ri++ {
-		lo, hi := targets[ri].Lo, targets[ri].Hi
-		if lo < segLo {
-			lo = segLo
-		}
-		if hi > segHi {
-			hi = segHi
-		}
-		if lo >= upper {
-			break
-		}
-		if lo >= hi {
-			continue
-		}
-		if bits&unitFrame == 0 && hc < hi && !kb.frameResolved(f, lo, hi, upper) {
-			if bits&unitGap != 0 {
-				bits |= unitGapFirst // an earlier range already reached the gap
-			}
-			bits |= unitFrame
-		}
-		// Unknown frames between this one and the next known one hold
-		// objects with HC in (hc, upper).
-		if bits&unitGap == 0 && next > i+1 && upper > lo && hc+1 < hi {
+	rf := kb.frameReach(f, &sc, r)
+	if rf >= 0 {
+		bits |= unitFrame
+	}
+	if next > i+1 {
+		if rg, _ := sc.reach(r, hc+1); rg >= 0 {
 			bits |= unitGap
-		}
-		if bits&unitFrame != 0 && (bits&unitGap != 0 || next == i+1) {
-			break
+			if rf >= 0 && rg < rf {
+				bits |= unitGapFirst
+			}
 		}
 	}
 	return bits
+}
+
+// frameReach returns the first range of the scan, at index r or beyond,
+// for which frame f still requires attention (-1 when the frame is
+// resolved for every range): an unretrieved located object inside the
+// range, or a run of objects without a header that the range may reach.
+// Unlocated objects are bounded by the located ones around them — the
+// frame's minimum before, the next known frame's minimum (upper) after —
+// so a run after a located object at prev reaches a range ending above
+// prev+1 that starts below the next located value. Events come in
+// ascending HC order, so the first hit is the first range; the shared
+// pointer advances on located values only (prev), never on prev+1: two
+// objects on one cell make prev+1 overtake the next point test.
+func (kb *knowledge) frameReach(f int, sc *unitScan, r int) int {
+	first, num := kb.x.FrameObjects(f)
+	prev := kb.frameHC[f] // first object is located whenever the frame is known
+	gapOpen := false
+	for t := 0; t < num; t++ {
+		id := first + t
+		if !kb.objLocated(id) {
+			gapOpen = true
+			continue
+		}
+		h := kb.objHC[id]
+		if gapOpen {
+			// Unlocated objects between prev and h: HC in (prev, h).
+			if q, lo := sc.reach(r, prev+1); q >= 0 && h > lo {
+				return q
+			}
+			gapOpen = false
+		}
+		if !kb.retrieved(id) {
+			q, lo := sc.reach(r, h)
+			if q < 0 {
+				return -1 // nothing ends above h, nor above anything later
+			}
+			if lo <= h {
+				return q
+			}
+			r = q
+		}
+		prev = h
+	}
+	if gapOpen {
+		q, _ := sc.reach(r, prev+1)
+		return q
+	}
+	return -1
 }
 
 // setUnits records the evaluated unit bits of known frame i of span j,

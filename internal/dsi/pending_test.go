@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -430,6 +431,159 @@ func TestPendingGapBeforeFrame(t *testing.T) {
 		return
 	}
 	t.Fatal("no frame of the index fits the scenario")
+}
+
+// TestEvalUnitsMatchesPerRange holds the one-pass evaluation (evalUnits)
+// against its definition, range by range (evalUnitsPerRange in
+// walk_test.go), on synthetic frames: NO of 1, 3 and 8 objects, each
+// located or not and retrieved or not, with located values that repeat
+// (two objects on one cell, which generated datasets never produce);
+// one to three spans, with target ranges that clip to nothing, touch,
+// are empty, or end exactly one past an object's value; and the cursor
+// hint left anywhere, past the targets included. The unit bits must be
+// equal, unitGapFirst included. Not skipped under -short.
+func TestEvalUnitsMatchesPerRange(t *testing.T) {
+	beds := []struct {
+		n   int
+		cfg Config
+		no  int
+	}{
+		{60, Config{}, 1},
+		{150, Config{ObjectBytes: 256}, 3},
+		{512, Config{Sizing: SizingPaperTable, Capacity: 70, IndexBase: 4}, 8},
+	}
+	checked, gapFirst := 0, 0
+	for bi, bed := range beds {
+		for spans := 1; spans <= 3; spans++ {
+			cfg := bed.cfg
+			cfg.Segments = spans
+			x, err := Build(dataset.Uniform(bed.n, 7, int64(bed.n+spans)), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if x.NO != bed.no {
+				t.Fatalf("bed %d: NO = %d, want %d", bi, x.NO, bed.no)
+			}
+			kb := newKnowledge(x)
+			rng := rand.New(rand.NewSource(int64(10*bi + spans)))
+			for trial := 0; trial < 1500; trial++ {
+				kb.reset()
+				j, i, next := synthFrame(kb, rng)
+				for hint := 0; hint < 3; hint++ {
+					kb.pend.cursor = rng.Intn(len(kb.pend.targets) + 3)
+					got, want := kb.evalUnits(j, i, next), kb.evalUnitsPerRange(j, i, next)
+					if got != want {
+						f := kb.spanStart[j] + i
+						first, num := x.FrameObjects(f)
+						var objs []string
+						for id := first; id < first+num; id++ {
+							switch {
+							case !kb.objLocated(id):
+								objs = append(objs, "?")
+							case kb.retrieved(id):
+								objs = append(objs, fmt.Sprintf("%d(got)", kb.objHC[id]))
+							default:
+								objs = append(objs, fmt.Sprint(kb.objHC[id]))
+							}
+						}
+						lo, hi := kb.spanHC(j)
+						t.Fatalf("bed %d, %d spans, trial %d: span %d [%d,%d) frame %d next %d: objects %v, upper %d, targets %v, hint %d: evalUnits %03b, per range %03b",
+							bi, spans, trial, j, lo, hi, i, next, objs, synthUpper(kb, j, next), kb.pend.targets, kb.pend.cursor, got, want)
+					}
+					if want&unitGapFirst != 0 {
+						gapFirst++
+					}
+					checked++
+				}
+			}
+		}
+	}
+	t.Logf("%d evaluations equal, %d of them with the gap unit first", checked, gapFirst)
+	if gapFirst == 0 {
+		t.Error("no evaluation met the gap unit first: unitGapFirst went unchecked")
+	}
+}
+
+// synthUpper is the bound evalUnits derives for the frame before next.
+func synthUpper(kb *knowledge, j, next int) uint64 {
+	if next < kb.spanLen(j) {
+		return kb.frameHC[kb.spanStart[j]+next]
+	}
+	_, hi := kb.spanHC(j)
+	return hi
+}
+
+// synthFrame installs a synthetic frame into a reset knowledge base: a
+// frame i of a random span j with minimum hc, the next known frame at
+// next with minimum upper (or none), the frame's objects located in
+// ascending order with repeats, some retrieved, and a target set drawn
+// around them. Everything evalUnits reads is set; nothing else is.
+func synthFrame(kb *knowledge, rng *rand.Rand) (j, i, next int) {
+	j = rng.Intn(kb.nspan)
+	n := kb.spanLen(j)
+	segLo, segHi := kb.spanHC(j)
+	i = rng.Intn(n)
+	next = i + 1 + rng.Intn(min(n-i, 3))
+	if rng.Intn(4) == 0 {
+		next = n
+	}
+	base := kb.spanStart[j]
+	f := base + i
+	width := segHi - segLo
+	hc := segLo + uint64(rng.Int63n(int64(width)))
+	upper := segHi
+	if next < n {
+		upper = min(hc+1+uint64(rng.Intn(40)), segHi)
+		kb.frameHC[base+next] = upper
+	}
+	kb.frameHC[f] = hc
+	// Candidate range boundaries: around every value the predicates
+	// compare with, plus a few anywhere on the curve.
+	pts := []uint64{segLo, segHi, hc, hc + 1, hc + 2, upper - 1, upper, upper + 1}
+	first, num := kb.x.FrameObjects(f)
+	h := hc
+	for t := 0; t < num; t++ {
+		id := first + t
+		if t > 0 {
+			if rng.Intn(3) == 0 {
+				continue // no header yet
+			}
+			if rng.Intn(3) > 0 {
+				h = min(h+uint64(rng.Intn(4)), upper-1) // repeats are likely
+			}
+		}
+		kb.objEp[id] = kb.epoch
+		kb.objHC[id] = h
+		if rng.Intn(2) == 0 {
+			kb.retEp[id] = kb.epoch
+		}
+		pts = append(pts, h, h+1)
+	}
+	size := kb.x.DS.Curve.Size()
+	for k := rng.Intn(4); k > 0; k-- {
+		pts = append(pts, uint64(rng.Int63n(int64(size))))
+	}
+	// A subset of the points, sorted and deduplicated, then cut into
+	// ranges: consecutive points form a range or a hole, and now and then
+	// a point is an empty range of its own.
+	rng.Shuffle(len(pts), func(a, b int) { pts[a], pts[b] = pts[b], pts[a] })
+	pts = pts[:1+rng.Intn(len(pts))]
+	slices.Sort(pts)
+	pts = slices.Compact(pts)
+	targets := kb.pend.targets[:0]
+	for k := 0; k+1 < len(pts); k++ {
+		if pts[k] >= size {
+			break
+		}
+		if rng.Intn(8) == 0 {
+			targets = append(targets, hilbert.Range{Lo: pts[k], Hi: pts[k]})
+		}
+		if rng.Intn(3) > 0 {
+			targets = append(targets, hilbert.Range{Lo: pts[k], Hi: min(pts[k+1], size)})
+		}
+	}
+	kb.pend.targets = targets
+	return j, i, next
 }
 
 // fuzzBeds are the small indexes FuzzPendingSet scripts run over, built

@@ -4,6 +4,9 @@
 // hop. It lives on in tests only: TestPendingSetMatchesWalk and
 // FuzzPendingSet compare the pending sets and both choosers with it
 // after every hop, and BenchmarkWalkOracle keeps its cost reproducible.
+// frameResolved is the walk's per-(frame, range) test, and
+// evalUnitsPerRange the per-frame body of the walk the merge in
+// evalUnits replaced (TestEvalUnitsMatchesPerRange holds the two equal).
 
 package dsi
 
@@ -12,6 +15,100 @@ import (
 
 	"dsi/internal/hilbert"
 )
+
+// frameResolved reports whether, as far as [lo, hi) is concerned, frame
+// f requires no further attention: every object of f that could have an
+// HC value in [lo, hi) is either retrieved or certainly outside.
+// The frame's minimum HC must be known (so its first object is
+// located). upper is a known strict upper bound on the HC values in f
+// (the next known same-span frame's minimum, or the span end). Objects
+// whose headers have not been received are bounded by the nearest
+// located objects around them.
+func (kb *knowledge) frameResolved(f int, lo, hi, upper uint64) bool {
+	first, num := kb.x.FrameObjects(f)
+	prev := kb.frameHC[f] // first object is located whenever the frame is known
+	gapOpen := false
+	for t := 0; t < num; t++ {
+		id := first + t
+		if !kb.objLocated(id) {
+			gapOpen = true
+			continue
+		}
+		hc := kb.objHC[id]
+		if gapOpen {
+			// Unlocated objects between prev and hc: HC in (prev, hc).
+			if prev+1 < hi && hc > lo {
+				return false
+			}
+			gapOpen = false
+		}
+		if hc >= lo && hc < hi && !kb.retrieved(id) {
+			return false
+		}
+		prev = hc
+	}
+	if gapOpen && prev+1 < hi && upper > lo {
+		return false
+	}
+	return true
+}
+
+// evalUnitsPerRange is the definition evalUnits implements: the two
+// units of known frame i of span j (next known frame at index next)
+// evaluated range by range, frameResolved once per range the frame's
+// span [hc, upper) meets, from a bisection over all targets.
+func (kb *knowledge) evalUnitsPerRange(j, i, next int) uint32 {
+	base := kb.spanStart[j]
+	f := base + i
+	hc := kb.frameHC[f]
+	segLo, segHi := kb.spanHC(j)
+	upper := segHi
+	if next < kb.spanLen(j) {
+		upper = kb.frameHC[base+next]
+	}
+	targets := kb.pend.targets
+	// First range ending above hc (the span end always does).
+	ri, n := 0, len(targets)
+	for ri < n {
+		mid := int(uint(ri+n) >> 1)
+		if targets[mid].Hi <= hc {
+			ri = mid + 1
+		} else {
+			n = mid
+		}
+	}
+	var bits uint32
+	for ; ri < len(targets); ri++ {
+		lo, hi := targets[ri].Lo, targets[ri].Hi
+		if lo < segLo {
+			lo = segLo
+		}
+		if hi > segHi {
+			hi = segHi
+		}
+		if lo >= upper {
+			break
+		}
+		if lo >= hi {
+			continue
+		}
+		if bits&unitFrame == 0 && hc < hi && !kb.frameResolved(f, lo, hi, upper) {
+			if bits&unitGap != 0 {
+				bits |= unitGapFirst // an earlier range already reached the gap
+			}
+			bits |= unitFrame
+		}
+		// Unknown frames between this one and the next known one hold
+		// objects with HC in (hc, upper).
+		if bits&unitGap == 0 && next > i+1 && upper > lo && hc+1 < hi {
+			bits |= unitGap
+		}
+		if bits&unitFrame != 0 && (bits&unitGap != 0 || next == i+1) {
+			break
+		}
+	}
+	return bits
+}
 
 // walkTargets walks the client's knowledge about span j once, in
 // ascending HC order, over all sorted (disjoint) target ranges, and

@@ -1,199 +1,193 @@
-// Package ordset provides an ordered set of small non-negative ints
-// with amortized-cheap ordered insert and delete, in-order iteration in
-// both directions, a successor search, and a predicate floor search.
+// Package ordset provides an ordered set of small non-negative ints as
+// a two-level bitmap: one bit per value in 64-bit words, and a summary
+// word per 64 words whose bit w%64 says words[w] is non-empty.
 //
-// It replaces the sorted-slice-with-copy idiom (binary search plus
-// O(n) element shift per insert) on the DSI client's hot path: the
-// client records every frame it learns about in per-segment ordered
-// lists, and under large segments those lists grow to thousands of
-// entries. The set keeps its elements in a sequence of small sorted
-// buckets, so an insert shifts at most one bucket (a few cache lines)
-// instead of the whole list, while iteration and binary search stay
-// cheap.
+// The DSI client keeps its known frames and its pending units in these
+// sets, one per span of a few thousand frames, and mutates them on every
+// fact it learns. Costs per operation:
 //
-// A Set retains its bucket storage across Reset, so a long-lived query
-// session re-running queries reaches a steady state with zero
-// allocations.
+//   - Insert, Add, Delete and Contains touch one word and at most one
+//     summary bit: O(1).
+//   - Ceil, Next and Prev scan the rest of one word, then the summary for
+//     the next non-empty word: O(1) plus one summary word per 4096 values
+//     skipped.
+//   - FloorKey probes successors in a binary search over the value
+//     space: O(log of the largest element) successor probes.
+//   - Reset walks the summary and clears only the non-empty words.
+//   - AppendTo and a full iteration cost O(elements + non-empty words).
+//
+// Memory is the largest value ever inserted / 8 bytes per set (plus
+// 1/64 of that for the summary). Storage grows lazily and is retained
+// across Reset, so a long-lived query session re-running queries
+// reaches a steady state with zero allocations.
+//
+// An Iter is a value — a set and a position — so it survives mutation
+// of its set: stepping from a deleted element finds that position's
+// neighbours.
 package ordset
 
-import "sort"
+import "math/bits"
 
-// bucketMax is the split threshold: a bucket that grows past this many
-// elements is cut in half. Inserts shift at most bucketMax elements
-// (two cache lines' worth of ints), and splits copy half of that.
-const bucketMax = 128
-
-// Set is an ordered set of ints. The zero value is an empty set ready
-// for use. Sets are not safe for concurrent mutation.
+// Set is an ordered set of non-negative ints. The zero value is an empty
+// set ready for use. Sets are not safe for concurrent mutation.
 type Set struct {
-	// buckets hold the elements in ascending order: every bucket is
-	// sorted, non-empty, and all elements of bucket i precede those of
-	// bucket i+1.
-	buckets [][]int
-	// free recycles bucket storage released by Reset.
-	free [][]int
-	n    int
+	words   []uint64 // bit v%64 of words[v/64] is set iff v is an element
+	summary []uint64 // bit w%64 of summary[w/64] is set iff words[w] != 0
+	n       int
 }
 
 // Len returns the number of elements.
 func (s *Set) Len() int { return s.n }
 
-// Reset empties the set, retaining bucket storage for reuse.
+// Reset empties the set, retaining its storage, in time proportional to
+// the non-empty words.
 func (s *Set) Reset() {
-	for i, b := range s.buckets {
-		s.free = append(s.free, b[:0])
-		s.buckets[i] = nil
+	for sw, m := range s.summary {
+		if m == 0 {
+			continue
+		}
+		for ; m != 0; m &= m - 1 {
+			s.words[sw<<6+bits.TrailingZeros64(m)] = 0
+		}
+		s.summary[sw] = 0
 	}
-	s.buckets = s.buckets[:0]
 	s.n = 0
 }
 
-// newBucket returns an empty bucket, recycling freed storage.
-func (s *Set) newBucket() []int {
-	if n := len(s.free); n > 0 {
-		b := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return b
+// grow extends the storage to hold word w.
+func (s *Set) grow(w int) {
+	s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
+	if need := w>>6 + 1; need > len(s.summary) {
+		s.summary = append(s.summary, make([]uint64, need-len(s.summary))...)
 	}
-	return make([]int, 0, bucketMax+1)
 }
 
 // Insert adds v to the set and reports whether it was absent.
 func (s *Set) Insert(v int) bool {
-	_, added := s.Add(v)
-	return added
+	w := v >> 6
+	if w >= len(s.words) {
+		s.grow(w)
+	}
+	bit := uint64(1) << (v & 63)
+	old := s.words[w]
+	if old&bit != 0 {
+		return false
+	}
+	if old == 0 {
+		s.summary[w>>6] |= 1 << (w & 63)
+	}
+	s.words[w] = old | bit
+	s.n++
+	return true
 }
 
 // Add is Insert that also returns an iterator at v, for callers that go
 // on to look at v's neighbours.
 func (s *Set) Add(v int) (it Iter, added bool) {
-	if len(s.buckets) == 0 {
-		b := s.newBucket()
-		s.buckets = append(s.buckets, append(b, v))
-		s.n = 1
-		return Iter{s: s}, true
-	}
-	// v below every bucket goes into bucket 0.
-	bi := s.bucketFor(v)
-	if bi < 0 {
-		bi = 0
-	}
-	b := s.buckets[bi]
-	at := searchInts(b, v)
-	if at < len(b) && b[at] == v {
-		return Iter{s: s, bi: bi, si: at}, false
-	}
-	b = append(b, 0)
-	copy(b[at+1:], b[at:])
-	b[at] = v
-	it = Iter{s: s, bi: bi, si: at}
-	if len(b) > bucketMax {
-		h := len(b) / 2
-		right := append(s.newBucket(), b[h:]...)
-		b = b[:h]
-		s.buckets = append(s.buckets, nil)
-		copy(s.buckets[bi+2:], s.buckets[bi+1:])
-		s.buckets[bi+1] = right
-		if at >= h {
-			it = Iter{s: s, bi: bi + 1, si: at - h}
-		}
-	}
-	s.buckets[bi] = b
-	s.n++
-	return it, true
+	return Iter{s: s, v: v}, s.Insert(v)
 }
 
 // Contains reports whether v is in the set.
 func (s *Set) Contains(v int) bool {
-	bi := s.bucketFor(v)
-	if bi < 0 {
-		return false
-	}
-	b := s.buckets[bi]
-	at := searchInts(b, v)
-	return at < len(b) && b[at] == v
+	w := v >> 6
+	return v >= 0 && w < len(s.words) && s.words[w]&(1<<(v&63)) != 0
 }
 
-// Delete removes v from the set and reports whether it was present. A
-// bucket that empties is recycled, so every remaining bucket stays
-// non-empty.
+// Delete removes v from the set and reports whether it was present.
 func (s *Set) Delete(v int) bool {
-	bi := s.bucketFor(v)
-	if bi < 0 {
+	if !s.Contains(v) {
 		return false
 	}
-	b := s.buckets[bi]
-	at := searchInts(b, v)
-	if at == len(b) || b[at] != v {
-		return false
+	w := v >> 6
+	s.words[w] &^= 1 << (v & 63)
+	if s.words[w] == 0 {
+		s.summary[w>>6] &^= 1 << (w & 63)
 	}
 	s.n--
-	if len(b) == 1 {
-		s.free = append(s.free, b[:0])
-		copy(s.buckets[bi:], s.buckets[bi+1:])
-		s.buckets[len(s.buckets)-1] = nil
-		s.buckets = s.buckets[:len(s.buckets)-1]
-		return true
-	}
-	s.buckets[bi] = append(b[:at], b[at+1:]...)
 	return true
 }
 
-// bucketFor returns the last bucket whose first element is <= v, -1
-// when v lies below every bucket (or the set is empty). Closure-free:
-// every mutation and search of the DSI client's navigation starts here.
-func (s *Set) bucketFor(v int) int {
-	lo, hi := -1, len(s.buckets) // invariant: bucket lo qualifies, bucket hi does not
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.buckets[mid][0] <= v {
-			lo = mid
-		} else {
-			hi = mid
-		}
+// next returns the smallest element >= v, -1 when there is none.
+func (s *Set) next(v int) int {
+	if v < 0 {
+		v = 0
 	}
-	return lo
+	w := v >> 6
+	if w >= len(s.words) {
+		return -1
+	}
+	if m := s.words[w] >> (v & 63); m != 0 {
+		return v + bits.TrailingZeros64(m)
+	}
+	// The first non-empty word after w, from the summary.
+	w++
+	sw := w >> 6
+	if sw >= len(s.summary) {
+		return -1
+	}
+	m := s.summary[sw] &^ (1<<(w&63) - 1)
+	for m == 0 {
+		if sw++; sw == len(s.summary) {
+			return -1
+		}
+		m = s.summary[sw]
+	}
+	w = sw<<6 + bits.TrailingZeros64(m)
+	return w<<6 + bits.TrailingZeros64(s.words[w])
 }
 
-// searchInts returns the index of the first element of sorted b that is
-// >= v (sort.SearchInts without the closure).
-func searchInts(b []int, v int) int {
-	lo, hi := 0, len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if b[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// prev returns the largest element <= v, -1 when there is none.
+func (s *Set) prev(v int) int {
+	if v < 0 || len(s.words) == 0 {
+		return -1
 	}
-	return lo
+	w := v >> 6
+	if w >= len(s.words) {
+		w = len(s.words) - 1
+		v = w<<6 + 63
+	}
+	if m := s.words[w] << (63 - v&63); m != 0 {
+		return v - bits.LeadingZeros64(m)
+	}
+	// The last non-empty word before w, from the summary.
+	if w--; w < 0 {
+		return -1
+	}
+	sw := w >> 6
+	m := s.summary[sw] & (2<<(w&63) - 1)
+	for m == 0 {
+		if sw--; sw < 0 {
+			return -1
+		}
+		m = s.summary[sw]
+	}
+	w = sw<<6 + 63 - bits.LeadingZeros64(m)
+	return w<<6 + 63 - bits.LeadingZeros64(s.words[w])
 }
 
-// Iter is a forward iterator over a Set. Copying an Iter yields an
-// independent cursor (useful for one-element lookahead). Mutating the
-// set invalidates its iterators.
+// Iter is a cursor over a Set: the set and a position in it. Copying an
+// Iter yields an independent cursor (useful for one-element lookahead),
+// and mutating the set leaves it where it was: Next and Prev step to the
+// neighbours of its position whether or not that is still an element.
 type Iter struct {
-	s      *Set
-	bi, si int
+	s *Set
+	v int // the position; -1 past the end
 }
 
 // Begin returns an iterator at the smallest element.
-func (s *Set) Begin() Iter { return Iter{s: s} }
+func (s *Set) Begin() Iter { return s.Ceil(0) }
 
-// Valid reports whether the iterator points at an element.
-func (it Iter) Valid() bool { return it.bi < len(it.s.buckets) }
+// Valid reports whether the iterator points at a position, not past the
+// end.
+func (it Iter) Valid() bool { return it.v >= 0 }
 
 // Value returns the current element. The iterator must be Valid.
-func (it Iter) Value() int { return it.s.buckets[it.bi][it.si] }
+func (it Iter) Value() int { return it.v }
 
 // Next advances to the next element in ascending order.
 func (it *Iter) Next() {
-	it.si++
-	if it.si >= len(it.s.buckets[it.bi]) {
-		it.bi++
-		it.si = 0
+	if it.v >= 0 {
+		it.v = it.s.next(it.v + 1)
 	}
 }
 
@@ -202,86 +196,60 @@ func (it *Iter) Next() {
 // back from past the end (an iterator that is not Valid) lands on the
 // largest element.
 func (it *Iter) Prev() bool {
-	if it.si > 0 {
-		it.si--
-		return true
+	from := it.v - 1
+	if it.v < 0 {
+		from = len(it.s.words) << 6
 	}
-	if it.bi == 0 {
+	p := it.s.prev(from)
+	if p < 0 {
 		return false
 	}
-	it.bi--
-	it.si = len(it.s.buckets[it.bi]) - 1
+	it.v = p
 	return true
 }
 
 // Ceil returns an iterator at the smallest element >= v: v's successor
 // search. The iterator is not Valid when every element is below v.
-func (s *Set) Ceil(v int) Iter {
-	bi := s.bucketFor(v)
-	if bi < 0 {
-		return Iter{s: s}
-	}
-	si := searchInts(s.buckets[bi], v)
-	if si == len(s.buckets[bi]) {
-		return Iter{s: s, bi: bi + 1}
-	}
-	return Iter{s: s, bi: bi, si: si}
-}
-
-// Floor returns an iterator at the largest element for which pred
-// holds, assuming pred is monotone over the elements in ascending
-// order (true on a prefix, false on the rest). ok is false when pred
-// holds for no element (or the set is empty).
-func (s *Set) Floor(pred func(v int) bool) (it Iter, ok bool) {
-	if len(s.buckets) == 0 || !pred(s.buckets[0][0]) {
-		return Iter{s: s}, false
-	}
-	// Last bucket whose first element satisfies pred; its predecessor
-	// buckets are entirely within the prefix.
-	bi := sort.Search(len(s.buckets), func(i int) bool { return !pred(s.buckets[i][0]) }) - 1
-	b := s.buckets[bi]
-	si := sort.Search(len(b), func(i int) bool { return !pred(b[i]) }) - 1
-	return Iter{s: s, bi: bi, si: si}, true
-}
+func (s *Set) Ceil(v int) Iter { return Iter{s: s, v: s.next(v)} }
 
 // FloorKey returns an iterator at the largest element v with
 // keys[base+v] <= bound, assuming keys[base+v] is ascending over the
-// elements in ascending order. It is the closure-free specialization of
-// Floor for key-array lookups on hot paths (the DSI client floors by
-// frame HC value on every navigation step). ok is false when no element
+// elements in ascending order (the DSI client floors by frame HC value).
+// keys is read at elements only: the search bisects the value space and
+// probes each midpoint's successor. ok is false when no element
 // qualifies (or the set is empty).
 func (s *Set) FloorKey(keys []uint64, base int, bound uint64) (it Iter, ok bool) {
-	nb := len(s.buckets)
-	if nb == 0 || keys[base+s.buckets[0][0]] > bound {
-		return Iter{s: s}, false
+	lo := s.next(0)
+	if lo < 0 || keys[base+lo] > bound {
+		return Iter{s: s, v: -1}, false
 	}
-	// Last bucket whose first element's key is <= bound.
-	lo, hi := 0, nb // invariant: bucket lo qualifies, bucket hi does not
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[base+s.buckets[mid][0]] <= bound {
-			lo = mid
-		} else {
-			hi = mid
+	// Invariant: lo is an element that qualifies, and no element at hi or
+	// beyond does.
+	hi := len(s.words) << 6
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		e := s.next(mid)
+		switch {
+		case e < 0 || e >= hi:
+			hi = mid // no element in [mid, hi)
+		case keys[base+e] <= bound:
+			lo = e
+		default:
+			hi = mid // e is the first element at or past mid, and too big
 		}
 	}
-	b := s.buckets[lo]
-	si, se := 0, len(b) // invariant: element si qualifies, element se does not
-	for si+1 < se {
-		mid := int(uint(si+se) >> 1)
-		if keys[base+b[mid]] <= bound {
-			si = mid
-		} else {
-			se = mid
-		}
-	}
-	return Iter{s: s, bi: lo, si: si}, true
+	return Iter{s: s, v: lo}, true
 }
 
 // AppendTo appends the elements in ascending order to dst.
 func (s *Set) AppendTo(dst []int) []int {
-	for _, b := range s.buckets {
-		dst = append(dst, b...)
+	for sw, m := range s.summary {
+		for ; m != 0; m &= m - 1 {
+			w := sw<<6 + bits.TrailingZeros64(m)
+			for b := s.words[w]; b != 0; b &= b - 1 {
+				dst = append(dst, w<<6+bits.TrailingZeros64(b))
+			}
+		}
 	}
 	return dst
 }

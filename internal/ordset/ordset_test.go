@@ -1,6 +1,7 @@
 package ordset
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -8,7 +9,7 @@ import (
 	"testing/quick"
 )
 
-// model-check Insert/Contains/iteration/Floor against a plain sorted slice.
+// model-check Insert/Contains/iteration against a plain sorted slice.
 func TestSetAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
@@ -57,11 +58,22 @@ func TestSetAgainstModel(t *testing.T) {
 	}
 }
 
+// identityKeys returns keys[v] = v over [0, n): FloorKey over it is the
+// plain floor search "largest element <= bound".
+func identityKeys(n int) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	return keys
+}
+
 func TestFloor(t *testing.T) {
 	var s Set
 	for _, v := range []int{2, 5, 9, 14, 20} {
 		s.Insert(v)
 	}
+	keys := identityKeys(21)
 	cases := []struct {
 		bound int
 		want  int
@@ -71,27 +83,28 @@ func TestFloor(t *testing.T) {
 		{13, 9, true}, {14, 14, true}, {100, 20, true},
 	}
 	for _, tc := range cases {
-		it, ok := s.Floor(func(v int) bool { return v <= tc.bound })
+		it, ok := s.FloorKey(keys, 0, uint64(tc.bound))
 		if ok != tc.ok {
-			t.Errorf("Floor(<=%d) ok=%v, want %v", tc.bound, ok, tc.ok)
+			t.Errorf("FloorKey(%d) ok=%v, want %v", tc.bound, ok, tc.ok)
 			continue
 		}
 		if ok && it.Value() != tc.want {
-			t.Errorf("Floor(<=%d) = %d, want %d", tc.bound, it.Value(), tc.want)
+			t.Errorf("FloorKey(%d) = %d, want %d", tc.bound, it.Value(), tc.want)
 		}
 	}
-	if _, ok := (&Set{}).Floor(func(int) bool { return true }); ok {
-		t.Error("Floor on empty set reported ok")
+	if _, ok := (&Set{}).FloorKey(keys, 0, 100); ok {
+		t.Error("FloorKey on empty set reported ok")
 	}
 }
 
 func TestFloorQuick(t *testing.T) {
+	keys := identityKeys(1 << 16)
 	f := func(raw []uint16, bound uint16) bool {
 		var s Set
 		for _, v := range raw {
 			s.Insert(int(v))
 		}
-		it, ok := s.Floor(func(v int) bool { return v <= int(bound) })
+		it, ok := s.FloorKey(keys, 0, uint64(bound))
 		// Reference: largest inserted value <= bound.
 		best, found := 0, false
 		for _, v := range raw {
@@ -109,29 +122,47 @@ func TestFloorQuick(t *testing.T) {
 	}
 }
 
+// modelFloorKey is FloorKey on a sorted slice: the last element whose
+// key is <= bound, -1 for none.
+func modelFloorKey(model []int, keys []uint64, base int, bound uint64) int {
+	at := sort.Search(len(model), func(i int) bool { return keys[base+model[i]] > bound })
+	if at == 0 {
+		return -1
+	}
+	return model[at-1]
+}
+
+// TestFloorKeyMatchesFloor holds FloorKey against the sorted-slice floor
+// search, with ascending keys that repeat, at a non-zero base, and with
+// keys that hold garbage away from the elements: FloorKey may read keys
+// only at elements.
 func TestFloorKeyMatchesFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	const dom = 500
-	keys := make([]uint64, dom)
-	v := uint64(0)
-	for i := range keys {
-		v += uint64(rng.Intn(5)) // ascending, with repeats
-		keys[i] = v
-	}
+	const dom, base = 500, 7
 	for trial := 0; trial < 40; trial++ {
 		var s Set
 		for i := 0; i < rng.Intn(300); i++ {
 			s.Insert(rng.Intn(dom))
 		}
+		model := s.AppendTo(nil)
+		keys := make([]uint64, base+dom)
+		for i := range keys {
+			keys[i] = ^uint64(0) // poison: never an element's key
+		}
+		v := uint64(0)
+		for _, e := range model {
+			v += uint64(rng.Intn(5)) // ascending, with repeats
+			keys[base+e] = v
+		}
 		for probe := 0; probe < 50; probe++ {
 			bound := uint64(rng.Intn(int(v) + 2))
-			want, wantOK := s.Floor(func(e int) bool { return keys[e] <= bound })
-			got, gotOK := s.FloorKey(keys, 0, bound)
-			if gotOK != wantOK {
-				t.Fatalf("FloorKey(%d) ok=%v, Floor ok=%v", bound, gotOK, wantOK)
+			want := modelFloorKey(model, keys, base, bound)
+			got, ok := s.FloorKey(keys, base, bound)
+			if ok != (want >= 0) {
+				t.Fatalf("FloorKey(%d) ok=%v, the model's floor is %d", bound, ok, want)
 			}
-			if gotOK && got.Value() != want.Value() {
-				t.Fatalf("FloorKey(%d) = %d, Floor = %d", bound, got.Value(), want.Value())
+			if ok && got.Value() != want {
+				t.Fatalf("FloorKey(%d) = %d, the model's floor is %d", bound, got.Value(), want)
 			}
 		}
 	}
@@ -142,7 +173,7 @@ func TestFloorLookahead(t *testing.T) {
 	for v := 0; v < 300; v += 3 {
 		s.Insert(v)
 	}
-	it, ok := s.Floor(func(v int) bool { return v <= 150 })
+	it, ok := s.FloorKey(identityKeys(300), 0, 150)
 	if !ok || it.Value() != 150 {
 		t.Fatalf("floor = %v, %v", it, ok)
 	}
@@ -154,6 +185,27 @@ func TestFloorLookahead(t *testing.T) {
 	}
 	if it.Value() != 150 {
 		t.Fatal("advancing the copy moved the original")
+	}
+}
+
+// TestIterSurvivesMutation steps an iterator from an element that was
+// deleted after the iterator was taken, and past elements inserted
+// around it.
+func TestIterSurvivesMutation(t *testing.T) {
+	var s Set
+	for _, v := range []int{10, 64, 200} {
+		s.Insert(v)
+	}
+	it, _ := s.Add(100)
+	s.Delete(100)
+	s.Insert(99)
+	s.Insert(101)
+	fw, bw := it, it
+	if fw.Next(); !fw.Valid() || fw.Value() != 101 {
+		t.Fatalf("Next from a deleted position: %v", fw)
+	}
+	if !bw.Prev() || bw.Value() != 99 {
+		t.Fatalf("Prev from a deleted position: %v", bw)
 	}
 }
 
@@ -179,24 +231,105 @@ func TestResetReusesStorage(t *testing.T) {
 	}
 }
 
-func TestSplitOrderPreserved(t *testing.T) {
-	// Descending inserts exercise the front-bucket split path.
+// seams are the values on either side of a word boundary (64) and of a
+// summary-word boundary (4096 = 64 words), plus the ends of the range.
+var seams = []int{0, 1, 62, 63, 64, 65, 127, 128, 4031, 4032, 4095, 4096, 4097, 4159, 4160, 8191, 8192, 8193}
+
+// TestWordSeams inserts the seam values in descending order (every
+// insert below the previous ones), deletes and re-inserts each, and
+// holds the set against the model after every step: a value on either
+// side of a word or summary-word boundary is found by Ceil, Next and
+// Prev from both directions.
+func TestWordSeams(t *testing.T) {
 	var s Set
-	for i := 5000; i >= 0; i-- {
-		s.Insert(i)
-	}
-	got := s.AppendTo(nil)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("element %d = %d after descending inserts", i, v)
+	var model []int
+	for i := len(seams) - 1; i >= 0; i-- {
+		s.Insert(seams[i])
+		model = append([]int{seams[i]}, model...)
+		if !checkAgainst(t, &s, model) {
+			t.FailNow()
 		}
+	}
+	for i, v := range seams {
+		if !s.Delete(v) {
+			t.Fatalf("Delete(%d) found nothing", v)
+		}
+		rest := append(append([]int(nil), seams[:i]...), seams[i+1:]...)
+		if !checkAgainst(t, &s, rest) {
+			t.FailNow()
+		}
+		s.Insert(v)
+	}
+	if !checkAgainst(t, &s, seams) {
+		t.FailNow()
+	}
+}
+
+// TestSummarySeams drains the words under one summary word to empty,
+// one word at a time from the middle outwards, refills it, and then
+// checks that Reset and a refill of the same values allocate nothing.
+func TestSummarySeams(t *testing.T) {
+	var s Set
+	var model []int
+	for v := 4000; v < 8300; v += 3 {
+		s.Insert(v)
+		model = append(model, v)
+	}
+	// Every word of summary word 1 (values 4096..8191), middle first.
+	for _, w := range []int{96, 95, 97, 64, 127, 65, 126} {
+		for v := w << 6; v < (w+1)<<6; v++ {
+			s.Delete(v)
+		}
+	}
+	for w := 64; w < 128; w++ {
+		for v := w << 6; v < (w+1)<<6; v++ {
+			s.Delete(v)
+		}
+	}
+	var kept []int
+	for _, v := range model {
+		if v < 4096 || v >= 8192 {
+			kept = append(kept, v)
+		}
+	}
+	if s.summary[1] != 0 {
+		t.Fatalf("summary word 1 is %#x after its words drained", s.summary[1])
+	}
+	if !checkAgainst(t, &s, kept) {
+		t.FailNow()
+	}
+	// Ceil across the empty summary word lands on the first value past it.
+	if it := s.Ceil(4096); !it.Valid() || it.Value() != kept[sort.SearchInts(kept, 4096)] {
+		t.Fatalf("Ceil(4096) across the drained summary word: %v", it)
+	}
+	for _, v := range model {
+		s.Insert(v)
+	}
+	if !checkAgainst(t, &s, model) {
+		t.FailNow()
+	}
+	if s.Delete(3) {
+		t.Fatal("Delete of an absent value reported an element")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		s.Reset()
+		for _, v := range model {
+			s.Insert(v)
+		}
+		for _, v := range seams {
+			s.Insert(v)
+			s.Delete(v)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("Reset and refill on retained storage allocated %.1f times per run", allocs)
 	}
 }
 
 // checkAgainst holds the set against a sorted-slice model: contents,
-// length, Ceil for every probe around every element, and a walk from
-// each Ceil result forwards (Next) and backwards (Prev) across bucket
-// seams.
+// length, the summary against the words, Ceil for every probe around
+// every element, and a walk from each Ceil result forwards (Next) and
+// backwards (Prev) across word and summary seams.
 func checkAgainst(t testing.TB, s *Set, model []int) bool {
 	t.Helper()
 	got := s.AppendTo(nil)
@@ -210,11 +343,23 @@ func checkAgainst(t testing.TB, s *Set, model []int) bool {
 			return false
 		}
 	}
-	for _, b := range s.buckets {
-		if len(b) == 0 {
-			t.Error("empty bucket left in the set")
+	pop := 0
+	for w, b := range s.words {
+		pop += bits.OnesCount64(b)
+		if inSummary := s.summary[w>>6]&(1<<(w&63)) != 0; inSummary != (b != 0) {
+			t.Errorf("summary bit of word %d is %v, the word is %#x", w, inSummary, b)
 			return false
 		}
+	}
+	for sw := (len(s.words) + 63) >> 6; sw < len(s.summary); sw++ {
+		if s.summary[sw] != 0 {
+			t.Errorf("summary word %d names words past the storage", sw)
+			return false
+		}
+	}
+	if pop != s.Len() {
+		t.Errorf("words hold %d bits, Len %d", pop, s.Len())
+		return false
 	}
 	probes := []int{-1, 0}
 	for _, v := range model {
@@ -256,8 +401,8 @@ func checkAgainst(t testing.TB, s *Set, model []int) bool {
 
 // TestDeleteCeilAgainstModel drives Insert, Add, Delete and Reset from
 // a random script and holds the set against a sorted slice after every
-// step. Values are drawn from a small domain so buckets fill, split,
-// drain to their last element and disappear.
+// step. Values are drawn from a small domain so words fill, drain to
+// their last element and empty.
 func TestDeleteCeilAgainstModel(t *testing.T) {
 	f := func(script []uint16, dense bool) bool {
 		var s Set
@@ -301,7 +446,7 @@ func TestDeleteCeilAgainstModel(t *testing.T) {
 					model = append(model[:at], model[at+1:]...)
 				}
 			default:
-				if step%16 == 0 { // rarely: start over on recycled storage
+				if step%16 == 0 { // rarely: start over on retained storage
 					s.Reset()
 					model = model[:0]
 				}
@@ -312,8 +457,8 @@ func TestDeleteCeilAgainstModel(t *testing.T) {
 		}
 		return checkAgainst(t, &s, model)
 	}
-	// Scripts long enough for buckets to split (quick's own slices stop
-	// at 50 elements).
+	// Scripts long enough for words to fill (quick's own slices stop at
+	// 50 elements).
 	cfg := &quick.Config{MaxCount: 60, Values: func(args []reflect.Value, rng *rand.Rand) {
 		script := make([]uint16, 200+rng.Intn(3000))
 		for i := range script {
@@ -327,59 +472,93 @@ func TestDeleteCeilAgainstModel(t *testing.T) {
 	}
 }
 
-// TestDeleteDrainsBuckets deletes every element of a many-bucket set
-// one bucket at a time, each bucket down to its last element and past
-// it, then refills after Reset: no empty bucket is left behind, and the
-// refill reuses the drained storage.
-func TestDeleteDrainsBuckets(t *testing.T) {
-	var s Set
-	var model []int
-	for v := 0; v < 1000; v++ {
-		s.Insert(v)
-		model = append(model, v)
-	}
-	if len(s.buckets) < 4 {
-		t.Fatalf("want several buckets, have %d", len(s.buckets))
-	}
-	for len(model) > 0 {
-		// Empty the second bucket if there is one, else the only one:
-		// the seam between its neighbours must close.
-		bi := 0
-		if len(s.buckets) > 1 {
-			bi = 1
-		}
-		for _, v := range append([]int(nil), s.buckets[bi]...) {
-			if !s.Delete(v) {
-				t.Fatalf("Delete(%d) found nothing", v)
-			}
+// FuzzSet drives a set through a script of Insert / Add / Delete /
+// Reset / Ceil / Next / Prev / FloorKey over values below 12 000 (three
+// summary words) and holds it against a sorted slice after every step.
+// Each step is three bytes: the operation, then the value.
+func FuzzSet(f *testing.F) {
+	f.Add([]byte{0, 0, 63, 0, 0, 64, 4, 0, 63, 5, 0, 64, 6, 0, 64, 7, 0, 65})
+	f.Add([]byte{0, 15, 255, 0, 16, 0, 0, 16, 1, 3, 15, 255, 4, 16, 0, 6, 15, 0, 2, 0, 0, 0, 16, 0})
+	f.Add([]byte{1, 46, 223, 0, 0, 1, 4, 16, 0, 5, 31, 255, 6, 46, 223, 7, 46, 224, 3, 0, 0})
+	keys := identityKeys(12000)
+	f.Fuzz(func(t *testing.T, script []byte) {
+		var s Set
+		var model []int
+		for step := 0; step+2 < len(script) && step < 3*400; step += 3 {
+			op := script[step] % 8
+			v := int(script[step+1])<<8 | int(script[step+2])
+			v %= 12000
 			at := sort.SearchInts(model, v)
-			model = append(model[:at], model[at+1:]...)
+			has := at < len(model) && model[at] == v
+			switch op {
+			case 0, 1: // Insert, Add
+				var added bool
+				if op == 0 {
+					added = s.Insert(v)
+				} else {
+					var it Iter
+					if it, added = s.Add(v); it.Value() != v {
+						t.Fatalf("step %d: Add(%d) returned an iterator at %d", step, v, it.Value())
+					}
+				}
+				if added == has {
+					t.Fatalf("step %d: insert of %d reported %v, the model has it: %v", step, v, added, has)
+				}
+				if !has {
+					model = append(model, 0)
+					copy(model[at+1:], model[at:])
+					model[at] = v
+				}
+			case 2: // Delete
+				if s.Delete(v) != has {
+					t.Fatalf("step %d: Delete(%d) disagreed with the model (%v)", step, v, has)
+				}
+				if has {
+					model = append(model[:at], model[at+1:]...)
+				}
+			case 3: // Reset
+				s.Reset()
+				model = model[:0]
+			case 4: // Ceil, then Next
+				it := s.Ceil(v)
+				for i := at; i < at+2; i++ {
+					if it.Valid() != (i < len(model)) || (it.Valid() && it.Value() != model[i]) {
+						t.Fatalf("step %d: Ceil(%d) + %d Next disagree with the model", step, v, i-at)
+					}
+					it.Next()
+				}
+			case 5: // Prev from Ceil (past the end lands on the largest)
+				it := s.Ceil(v)
+				ok := it.Prev()
+				if ok != (at > 0) || (ok && it.Value() != model[at-1]) {
+					t.Fatalf("step %d: Prev from Ceil(%d) disagrees with the model", step, v)
+				}
+			case 6: // FloorKey
+				got, ok := s.FloorKey(keys, 0, uint64(v))
+				want := modelFloorKey(model, keys, 0, uint64(v))
+				if ok != (want >= 0) || (ok && got.Value() != want) {
+					t.Fatalf("step %d: FloorKey(%d) = (%v, %v), the model's floor is %d", step, v, got, ok, want)
+				}
+			case 7: // Contains
+				if s.Contains(v) != has {
+					t.Fatalf("step %d: Contains(%d) disagrees with the model", step, v)
+				}
+			}
+			if s.Len() != len(model) {
+				t.Fatalf("step %d: Len %d, the model holds %d", step, s.Len(), len(model))
+			}
+			if step%48 == 0 && !checkAgainst(t, &s, model) {
+				t.FailNow()
+			}
 		}
-		if !checkAgainst(t, &s, model) {
-			t.FailNow()
-		}
-	}
-	if s.Delete(3) {
-		t.Fatal("Delete on an empty set reported an element")
-	}
-	s.Reset()
-	allocs := testing.AllocsPerRun(5, func() {
-		s.Reset()
-		for v := 0; v < 1000; v++ {
-			s.Insert(v)
-		}
-		for v := 0; v < 1000; v += 2 {
-			s.Delete(v)
-		}
+		checkAgainst(t, &s, model)
 	})
-	if allocs > 0 {
-		t.Errorf("refill and delete on recycled storage allocated %.1f times per run", allocs)
-	}
 }
 
-// BenchmarkInsert compares the bucketed set against the naive sorted
-// slice with insert-by-copy it replaces, at the knowledge-base scale of
-// the paper's evaluation (10k frames per segment).
+// BenchmarkInsert times the set at the knowledge-base scale of the
+// paper's evaluation (10k frames per segment): inserts in random order
+// against the naive sorted slice with insert-by-copy, a successor search
+// per value of a full set, and deletes in random order.
 func BenchmarkInsert(b *testing.B) {
 	const n = 10000
 	perm := rand.New(rand.NewSource(3)).Perm(n)
@@ -403,6 +582,38 @@ func BenchmarkInsert(b *testing.B) {
 				kl = append(kl, 0)
 				copy(kl[at+1:], kl[at:])
 				kl[at] = v
+			}
+		}
+	})
+	b.Run("ceil", func(b *testing.B) {
+		var s Set
+		for _, v := range perm[:n/4] { // a quarter full: Ceil skips words
+			s.Insert(v)
+		}
+		sink := 0
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, v := range perm {
+				if it := s.Ceil(v); it.Valid() {
+					sink += it.Value()
+				}
+			}
+		}
+		if sink == 0 {
+			b.Fatal("no successor found")
+		}
+	})
+	b.Run("delete", func(b *testing.B) {
+		var s Set
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for _, v := range perm {
+				s.Insert(v)
+			}
+			b.StartTimer()
+			for _, v := range perm {
+				s.Delete(v)
 			}
 		}
 	})

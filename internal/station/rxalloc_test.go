@@ -68,10 +68,9 @@ func TestUncodedReceiverCarriesNoSlotMaps(t *testing.T) {
 // zero now is: once a query has sized the receiver's scratch, receiving
 // an object — header, then body — allocates nothing, over a coded stream
 // (whose header read also copies into the group window) and over an
-// uncoded one, and neither does receiving a table in the classic format.
-// A multi-channel table still allocates the entries wire.DecodeTableMC
-// returns, which is why the table read is pinned on the single-channel
-// layout only.
+// uncoded one, and neither does receiving a table, in the classic format
+// on the single-channel layout or in the multi-channel one on the
+// sharded layout.
 func TestWireReceiverWarmReadAllocatesNothing(t *testing.T) {
 	ds, x, shard := wireTestBed(t, 300, 673, quarterBounds)
 	for _, lay := range []*dsi.Layout{shard, x.SingleLayout()} {
@@ -108,9 +107,6 @@ func TestWireReceiverWarmReadAllocatesNothing(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(50, object); n != 0 {
 				t.Errorf("%s: a warm Header + Object allocates %.0f times, want 0", name, n)
-			}
-			if !wire.ClassicTables(lay) {
-				continue
 			}
 			tabCh, tabSlot := lay.TablePlace(pos)
 			table := func() {

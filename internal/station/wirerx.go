@@ -152,8 +152,11 @@ type WireReceiver struct {
 	// content intact. entryScratch is the build buffer for the next
 	// read's entries; it swaps with tab.Entries on success, so the
 	// steady state recycles two slices instead of allocating per read.
+	// mcScratch holds a multi-channel table's on-air entries while they
+	// are mapped to positions.
 	tab          dsi.Table
 	entryScratch []dsi.TableEntry
+	mcScratch    []wire.MCEntry
 	tabBuf       []byte
 
 	// scratch is what the source reads into: one region per member and
@@ -462,10 +465,11 @@ func (r *WireReceiver) decodeTable(buf []byte, pos int) (*dsi.Table, bool) {
 		r.tab = t
 		return &r.tab, true
 	}
-	own, entries, err := wire.DecodeTableMC(buf, r.framesOn)
+	own, entries, err := wire.DecodeTableMCAppend(buf, r.framesOn, r.mcScratch[:0])
 	if err != nil {
 		return nil, false
 	}
+	r.mcScratch = entries
 	mapped := r.entryScratch[:0]
 	for _, e := range entries {
 		ch := int(e.Ch)

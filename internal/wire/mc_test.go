@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,9 +44,16 @@ func TestTableMCRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotOwn, got, err := DecodeTableMC(EncodeTableMC(own, entries), framesOn)
+			enc := EncodeTableMC(own, entries)
+			gotOwn, got, err := DecodeTableMC(enc, framesOn)
 			if err != nil {
 				t.Fatalf("%v x%d pos %d: %v", mc.Scheduler, mc.Channels, pos, err)
+			}
+			// The append form decodes the same entries after a kept prefix.
+			pre := MCEntry{MinHC: 7, Ch: 1, Frame: 2}
+			appOwn, app, err := DecodeTableMCAppend(enc, framesOn, []MCEntry{pre})
+			if err != nil || appOwn != gotOwn || len(app) != 1+len(got) || app[0] != pre || !slices.Equal(app[1:], got) {
+				t.Fatalf("%v x%d pos %d: DecodeTableMCAppend = %v, %v, %v; DecodeTableMC = %v", mc.Scheduler, mc.Channels, pos, appOwn, app, err, got)
 			}
 			if gotOwn != x.TableAt(pos).OwnHC || len(got) != len(entries) {
 				t.Fatalf("%v x%d pos %d: round trip mismatch", mc.Scheduler, mc.Channels, pos)

@@ -209,10 +209,18 @@ func EncodeTableMC(ownHC uint64, entries []MCEntry) []byte {
 // knows a priori); pointers outside it, or aimed at channels that do
 // not exist, are rejected.
 func DecodeTableMC(buf []byte, framesOn []int) (ownHC uint64, entries []MCEntry, err error) {
+	return DecodeTableMCAppend(buf, framesOn, nil)
+}
+
+// DecodeTableMCAppend is DecodeTableMC appending the decoded entries
+// into dst (which may be nil or a recycled buffer), as DecodeTableAppend
+// does for the classic format.
+func DecodeTableMCAppend(buf []byte, framesOn []int, dst []MCEntry) (ownHC uint64, entries []MCEntry, err error) {
 	if len(buf) < hcBytes || (len(buf)-hcBytes)%(hcBytes+MCPtrBytes) != 0 {
 		return 0, nil, fmt.Errorf("wire: multi-channel table payload of %d bytes is malformed", len(buf))
 	}
 	ownHC = getHC(buf)
+	entries = dst
 	for at := hcBytes; at < len(buf); at += hcBytes + MCPtrBytes {
 		e := MCEntry{
 			MinHC: getHC(buf[at:]),
