@@ -212,10 +212,7 @@ func (b *HCIBroadcast) KNN(q spatial.Point, k int, probeSlot int64, loss *broadc
 	// between grid cells are integers (exact in float64), while
 	// sqrt-then-resquare can round below r2 and exclude the k-th
 	// phase-1 object sitting exactly on the boundary.
-	var disk hilbert.DiskCover
-	disk.Reset(curve, float64(q.X), float64(q.Y))
-	targets = disk.Shrink(nil, r2)
-	disk.Release()
+	targets = hilbert.Disk{Curve: curve, Qx: float64(q.X), Qy: float64(q.Y), R2: r2}.AppendRanges(nil)
 
 	// Phase 2: retrieve everything inside the fixed bound (re-expanding
 	// cached path nodes is free).

@@ -147,8 +147,8 @@ func TestSessionStateIsNotFrameSized(t *testing.T) {
 		t.Skip("the race detector pads allocations")
 	}
 	const (
-		openBytes       = 287904 // 287 872 single, 287 904 split
-		firstQueryBytes = 305152 // 305 120 single, 305 152 split
+		openBytes       = 287888 // 287 856 single, 287 888 split
+		firstQueryBytes = 305120 // 305 088 single, 305 120 split
 	)
 	ds := dataset.Uniform(10000, 8, 1)
 	x, err := Build(ds, Config{Capacity: 64, ObjectBytes: 1024})

@@ -1,10 +1,7 @@
 package dsi
 
 import (
-	"sort"
-
 	"dsi/internal/broadcast"
-	"dsi/internal/hilbert"
 	"dsi/internal/ordset"
 )
 
@@ -150,7 +147,7 @@ func (kb *knowledge) reset() {
 		kb.known[j].Reset()
 	}
 	kb.newObjs = kb.newObjs[:0]
-	kb.pend.targets = nil
+	kb.pend.targets, kb.pend.isDisk, kb.pend.end = nil, false, 0
 	kb.clearPending()
 	kb.seedCatalog()
 }
@@ -531,33 +528,19 @@ func (c *Client) wantTable(p int) bool {
 	return false
 }
 
-// inTargets reports whether hc lies in any of the sorted target ranges.
-func inTargets(targets []hilbert.Range, hc uint64) bool {
-	i := sort.Search(len(targets), func(i int) bool { return targets[i].Hi > hc })
-	return i < len(targets) && targets[i].Contains(hc)
-}
-
-// maxHi returns the largest range end among targets (they are sorted).
-func maxHi(targets []hilbert.Range) uint64 {
-	if len(targets) == 0 {
-		return 0
-	}
-	return targets[len(targets)-1].Hi
-}
-
 // visit moves the client to the frame at position p, reads its index
 // table when useful, and retrieves the frame's objects selected by the
-// targets. targetsFn is consulted after the table is absorbed, so a kNN
-// client shrinks its search space before deciding what to download. On
-// a multi-channel layout the visit follows the layout's (channel, slot)
-// placements: table on the index-bearing channel, objects on the
-// frame's data channel.
+// installed targets. update, when non-nil, runs after the table is
+// absorbed, so a kNN client shrinks its search space before deciding
+// what to download. On a multi-channel layout the visit follows the
+// layout's (channel, slot) placements: table on the index-bearing
+// channel, objects on the frame's data channel.
 //
 // When the table is corrupted (or skipped) and the frame's minimum HC is
 // unknown, the client falls back to reading the first object's header
 // packet — DSI's loss resilience: the broadcast content itself reveals
 // the frame's HC range, so navigation resumes at the very next frame.
-func (c *Client) visit(p int, targetsFn func() []hilbert.Range) {
+func (c *Client) visit(p int, update func()) {
 	f := c.x.PosToFrame(p)
 	headerConsumed := -1
 	if c.wantTable(p) {
@@ -589,28 +572,31 @@ func (c *Client) visit(p int, targetsFn func() []hilbert.Range) {
 	} else {
 		c.gotoFrameEntry(p)
 	}
-	c.fetchData(p, targetsFn(), headerConsumed)
+	if update != nil {
+		update()
+	}
+	c.fetchData(p, headerConsumed)
 }
 
 // fetchData retrieves from the frame at position p every object whose
-// HC value lies in the targets and is not yet retrieved. headerConsumed
+// HC value is a target and is not yet retrieved. headerConsumed
 // is the index of the object whose header packet was already received
 // during the table fallback (-1 for none). Corrupted objects stay
 // unretrieved; a later cycle retries them.
-func (c *Client) fetchData(p int, targets []hilbert.Range, headerConsumed int) {
+func (c *Client) fetchData(p int, headerConsumed int) {
 	f := c.x.PosToFrame(p)
 	if !c.kb.frameKnown(f) {
 		return // nothing is known about this frame; nothing to fetch safely
 	}
 	first, num := c.x.FrameObjects(f)
-	hiBound := maxHi(targets)
+	tg := &c.kb.pend
 
 	prev := c.kb.frameHC[f] // ascending watermark of located HC values
 	for t := 0; t < num; t++ {
 		id := first + t
 		if c.kb.objLocated(id) {
 			prev = c.kb.objHC[id]
-			if !c.kb.retrieved(id) && inTargets(targets, prev) {
+			if !c.kb.retrieved(id) && tg.contains(prev) {
 				skip := 0
 				if t == headerConsumed {
 					skip = 1
@@ -621,7 +607,7 @@ func (c *Client) fetchData(p int, targets []hilbert.Range, headerConsumed int) {
 		}
 		// Unlocated: objects from here on have HC above prev; stop
 		// once nothing in range can remain.
-		if prev+1 >= hiBound {
+		if prev+1 >= tg.end {
 			return
 		}
 		// Read the header packet to learn this object's HC value.
@@ -633,7 +619,7 @@ func (c *Client) fetchData(p int, targets []hilbert.Range, headerConsumed int) {
 		}
 		c.kb.addHeader(f, t, hc)
 		prev = hc
-		if inTargets(targets, hc) {
+		if tg.contains(hc) {
 			c.readObject(p, t, id, 1)
 		}
 	}
@@ -653,13 +639,13 @@ func (c *Client) readObject(p, o, id, skip int) {
 }
 
 // retrieveAll is the generic query engine: it visits frames until every
-// object with an HC value in the current target set has been retrieved
-// with certainty. targetsFn is consulted after every table read and may
-// shrink the target set as knowledge accumulates (kNN); for window
-// queries it is constant. hook, if non-nil, may redirect the next visit
-// (the aggressive kNN hop rule); it returns a cycle position and true
-// to override the default soonest-unresolved-frame choice.
-func (c *Client) retrieveAll(startPos int, targetsFn func() []hilbert.Range, hook func(p int) (int, bool)) {
+// object with an HC value in the installed target set has been retrieved
+// with certainty. update, if non-nil, runs after every table read and
+// may shrink the target set as knowledge accumulates (kNN); window,
+// point and EEF targets are fixed. hook, if non-nil, may redirect the
+// next visit (the aggressive kNN hop rule); it returns a cycle position
+// and true to override the default soonest-unresolved-frame choice.
+func (c *Client) retrieveAll(startPos int, update func(), hook func(p int) (int, bool)) {
 	p := startPos
 	for {
 		// A pending shard-directory version bump is detected between
@@ -667,10 +653,12 @@ func (c *Client) retrieveAll(startPos int, targetsFn func() []hilbert.Range, hoo
 		// client mines anyway); re-syncing rebuilds the pending sets
 		// against the new spans.
 		c.maybeResync()
-		c.visit(p, targetsFn)
+		c.visit(p, update)
 		// Absorb what the visit located (kNN shrinks its targets as
 		// candidates accumulate) before choosing where to go.
-		targetsFn()
+		if update != nil {
+			update()
+		}
 		next, ok := c.nextVisit(p, c.lay.splitData())
 		if !ok {
 			return

@@ -238,28 +238,6 @@ func TestFrameResolvedMultiObject(t *testing.T) {
 	}
 }
 
-func TestInTargetsAndMaxHi(t *testing.T) {
-	targets := []hilbert.Range{{Lo: 5, Hi: 10}, {Lo: 20, Hi: 21}, {Lo: 30, Hi: 40}}
-	cases := []struct {
-		v    uint64
-		want bool
-	}{
-		{4, false}, {5, true}, {9, true}, {10, false},
-		{20, true}, {21, false}, {35, true}, {40, false}, {100, false},
-	}
-	for _, tc := range cases {
-		if got := inTargets(targets, tc.v); got != tc.want {
-			t.Errorf("inTargets(%d) = %v, want %v", tc.v, got, tc.want)
-		}
-	}
-	if got := maxHi(targets); got != 40 {
-		t.Errorf("maxHi = %d, want 40", got)
-	}
-	if got := maxHi(nil); got != 0 {
-		t.Errorf("maxHi(nil) = %d, want 0", got)
-	}
-}
-
 func TestProbeSyncsToFrameStart(t *testing.T) {
 	ds := dataset.Uniform(50, 6, 83)
 	x, _ := Build(ds, Config{})

@@ -16,10 +16,10 @@ func (c *Client) EEF(hc uint64) (frame int, exists bool, stats broadcast.Stats) 
 	if hc >= c.x.DS.Curve.Size() {
 		panic("dsi: EEF target outside the curve")
 	}
-	targetsFn := c.constTargets(append(c.scr.targets[:0], hilbert.Range{Lo: hc, Hi: hc + 1}))
+	c.constTargets(append(c.scr.targets[:0], hilbert.Range{Lo: hc, Hi: hc + 1}))
 	p := c.probe()
 	for {
-		c.visit(p, targetsFn)
+		c.visit(p, nil)
 		if f, certain := c.kb.coveringFrame(hc); certain && c.x.FrameToPos(f) == p {
 			id := c.x.DS.FindHC(hc)
 			exists = id < c.x.DS.N() && c.x.DS.Objects[id].HC == hc && c.kb.retrieved(id)

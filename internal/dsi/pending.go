@@ -15,31 +15,38 @@
 // are evaluated, and its predecessor's units re-evaluated if they were
 // pending — the predecessor's upper bound and gap just shrank. (ii) A
 // header or a retrieval: the frame's own units are re-evaluated, only
-// if they were pending. (iii) Shrunken targets (kNN): nothing up front;
-// a unit is re-evaluated when a chooser reads it and dropped if
+// if they were pending. (iii) A smaller search disk (kNN): nothing up
+// front; a unit is re-evaluated when a chooser reads it and dropped if
 // resolved. They suffice because resolved is absorbing: knowledge only
-// grows, targets only shrink within a query, and frame minima ascend
-// strictly along a span, so a resolved unit stays resolved and only
-// pending units ever need another look. Rule (i) is applied as the fact
-// is recorded, against the span's current known set, so one hop that
-// teaches several frames into one gap patches correctly in any order;
-// rule (ii) is queued, because one visit touches the same frame many
-// times, and applied by sync before a chooser reads.
+// grows, targets only shrink within a query (the disk's radius only
+// shrinks), and frame minima ascend strictly along a span, so a
+// resolved unit stays resolved and only pending units ever need another
+// look. Rule (i) is applied as the fact is recorded, against the span's
+// current known set, so one hop that teaches several frames into one
+// gap patches correctly in any order; rule (ii) is queued, because one
+// visit touches the same frame many times, and applied by sync before a
+// chooser reads.
 //
-// Evaluating a unit is one ordered pass. A cursor remembers the target
-// range the last evaluation started from, and the next one gallops from
-// it to the first range ending above the frame's minimum — patches come
-// in HC neighbourhoods, so this is a few probes, not a bisection of all
-// targets. From there one forward merge of the frame's located objects
-// against the ranges finds the first range that reaches the frame unit
-// and the first that reaches the gap unit; the order of the two is
-// unitGapFirst. The range-by-range definition this equals is
-// evalUnitsPerRange in walk_test.go.
+// The targets are one of two things. A list of sorted target ranges
+// (window, point, EEF, and a kNN search before its k-th candidate): a
+// cursor remembers the range the last evaluation started from, the next
+// one gallops from it to the first range ending above the frame's
+// minimum — patches come in HC neighbourhoods, so this is a few probes,
+// not a bisection of all targets — and one forward merge of the frame's
+// located objects against the ranges finds the first range that reaches
+// the frame unit and the first that reaches the gap unit; the order of
+// the two is unitGapFirst. Or the kNN search disk, a hilbert.Disk that is
+// never decomposed: an evaluation asks it whether a located object lies
+// inside and where its next inside (or outside) cell is within the
+// stretch of curve a run of unlocated objects or the gap can hold, and
+// the maximal runs of the disk play the ranges' part. The range-by-range
+// definition both equal is evalUnitsPerRange in walk_test.go.
 
 package dsi
 
 import (
 	"math"
+	"sort"
 
 	"dsi/internal/hilbert"
 	"dsi/internal/ordset"
@@ -61,10 +68,14 @@ const (
 // pending is the navigation state of the knowledge base (see the file
 // comment).
 type pending struct {
-	// targets is the query's current target set (sorted, disjoint). The
-	// slice aliases the client's target buffer: retarget and shrink
-	// re-install it whenever the buffer is rewritten.
+	// targets is the query's target set when it is a list (sorted,
+	// disjoint); the slice aliases the client's target buffer.
 	targets []hilbert.Range
+	// disk is the target set instead when isDisk: the kNN search disk.
+	disk   hilbert.Disk
+	isDisk bool
+	// end is one past the last target cell, whichever the kind.
+	end uint64
 	// stale records that the targets have shrunk since some unit was
 	// evaluated, so a unit is re-evaluated when it is read.
 	stale bool
@@ -102,21 +113,37 @@ func (kb *knowledge) clearPending() {
 	p.touched = p.touched[:0]
 }
 
-// retarget installs a new query's target set and rebuilds the pending
+// retarget installs a new query's target list and rebuilds the pending
 // sets from everything known (the catalog, plus whatever facts were
 // seeded before the query): O(known frames).
 func (kb *knowledge) retarget(targets []hilbert.Range) {
-	kb.pend.targets = targets
-	kb.pend.stale = false
+	p := &kb.pend
+	p.targets, p.isDisk, p.stale = targets, false, false
+	p.end = 0
+	if n := len(targets); n > 0 {
+		p.end = targets[n-1].Hi
+	}
 	kb.rebuildPending()
 }
 
-// shrink installs targets that are a subset of the installed ones.
-// Nothing is re-evaluated here: most pending units of a kNN query are
-// never read again, and the ones that are get re-evaluated then.
-func (kb *knowledge) shrink(targets []hilbert.Range) {
-	kb.pend.targets = targets
-	kb.pend.stale = true
+// shrinkDisk installs a search disk holding a subset of the installed
+// targets. Nothing is re-evaluated here: most pending units of a kNN
+// query are never read again, and the ones that are get re-evaluated
+// then.
+func (kb *knowledge) shrinkDisk(d hilbert.Disk) {
+	p := &kb.pend
+	p.disk, p.isDisk, p.stale = d, true, true
+	p.end = d.End()
+}
+
+// contains reports whether hc is a target.
+func (p *pending) contains(hc uint64) bool {
+	if p.isDisk {
+		return hc < p.end && p.disk.Contains(hc)
+	}
+	t := p.targets
+	i := sort.Search(len(t), func(i int) bool { return t[i].Hi > hc })
+	return i < len(t) && t[i].Lo <= hc
 }
 
 // rebuildPending re-evaluates every known frame of every span.
@@ -141,8 +168,7 @@ func (kb *knowledge) rebuildPending() {
 // length of the targets when none does), galloping from the range the
 // previous evaluation started at — 1, 2, 4, … ranges away, towards the
 // answer — and bisecting inside the bracket. The hint is only a place to
-// start: it is clamped to the targets, which the kNN cover rewrites in
-// place.
+// start: it is clamped to the targets, which the next query replaces.
 func (p *pending) seek(v uint64) int {
 	t := p.targets
 	n := len(t)
@@ -221,6 +247,9 @@ func (s *unitScan) reach(r int, v uint64) (int, uint64) {
 //
 // When one range reaches both, the walk meets the frame unit first.
 func (kb *knowledge) evalUnits(j, i, next int) uint32 {
+	if kb.pend.isDisk {
+		return kb.evalUnitsDisk(j, i, next)
+	}
 	base := kb.spanStart[j]
 	f := base + i
 	hc := kb.frameHC[f]
@@ -293,6 +322,107 @@ func (kb *knowledge) frameReach(f int, sc *unitScan, r int) int {
 		return q
 	}
 	return -1
+}
+
+// evalUnitsDisk is evalUnits against the search disk, whose maximal runs
+// of cells are the target ranges. A run is named by any cell of it: the
+// frame unit by the first run frameReachDisk finds, the gap unit by the
+// first inside cell after the frame's minimum and below the next known
+// one. The gap's run comes first exactly when its cell lies below the
+// frame's with a cell outside the disk in between.
+func (kb *knowledge) evalUnitsDisk(j, i, next int) uint32 {
+	p := &kb.pend
+	base := kb.spanStart[j]
+	f := base + i
+	hc := kb.frameHC[f]
+	if hc >= p.end {
+		return 0 // every run ends at or below the frame's minimum
+	}
+	sp := diskSpan{d: &p.disk, end: p.end}
+	sp.segLo, sp.segHi = kb.spanHC(j)
+	upper := sp.segHi
+	if next < kb.spanLen(j) {
+		upper = kb.frameHC[base+next]
+	}
+	var bits uint32
+	fc, frame := kb.frameReachDisk(f, &sp, upper)
+	if frame {
+		bits |= unitFrame
+	}
+	if next > i+1 {
+		if gc, ok := sp.reach(hc+1, upper); ok {
+			bits |= unitGap
+			if frame && gc < fc && p.disk.First(gc, fc, false) < fc {
+				bits |= unitGapFirst
+			}
+		}
+	}
+	return bits
+}
+
+// diskSpan is one disk evaluation's view of the search disk: its runs
+// clipped to the span [segLo, segHi).
+type diskSpan struct {
+	d            *hilbert.Disk
+	end          uint64 // d.End()
+	segLo, segHi uint64
+}
+
+// reach returns a cell of the first run ending above u and starting
+// below v, ok false when there is none — the test a target range passes
+// when it reaches the unlocated objects, or unknown frames, whose HC
+// values lie in (u-1, v). Below v the runs have cells in [u, v), which
+// lies within the span for every caller. Objects on one cell make u
+// pass v: then only a run holding all of [v-1, u] ends above u and
+// starts below v.
+func (s *diskSpan) reach(u, v uint64) (uint64, bool) {
+	if u < v {
+		c := s.d.First(u, min(v, s.end), true)
+		return c, c < v && c < s.end
+	}
+	if v == 0 || v-1 < s.segLo || u >= s.segHi || u >= s.end {
+		return 0, false
+	}
+	return v - 1, s.d.First(v-1, u+1, false) > u
+}
+
+// frameReachDisk is frameReach against the disk: a cell of the first run
+// for which frame f still requires attention, ok false when the frame is
+// resolved for every run. The events are frameReach's, in the same
+// ascending order, so the first hit names the first run: an unretrieved
+// located object inside the disk, or a run of unlocated objects that a
+// run of the disk reaches (diskSpan.reach). Past the disk's end nothing
+// is reached.
+func (kb *knowledge) frameReachDisk(f int, s *diskSpan, upper uint64) (uint64, bool) {
+	first, num := kb.x.FrameObjects(f)
+	prev := kb.frameHC[f] // first object is located whenever the frame is known
+	gapOpen := false
+	for t := 0; t < num; t++ {
+		id := first + t
+		if !kb.objLocated(id) {
+			gapOpen = true
+			continue
+		}
+		h := kb.objHC[id]
+		if gapOpen {
+			// Unlocated objects between prev and h: HC in (prev, h).
+			if c, ok := s.reach(prev+1, h); ok {
+				return c, true
+			}
+			gapOpen = false
+		}
+		if h >= s.end {
+			return 0, false // no run ends above h, nor above anything later
+		}
+		if !kb.retrieved(id) && s.d.Contains(h) {
+			return h, true
+		}
+		prev = h
+	}
+	if gapOpen {
+		return s.reach(prev+1, upper)
+	}
+	return 0, false
 }
 
 // setUnits records the evaluated unit bits of known frame i of span j,

@@ -151,19 +151,19 @@ func timedTies(c *Client, targets []hilbert.Range) int {
 type hopChecker struct {
 	t    testing.TB
 	c    *Client
-	knn  bool
 	deep bool
 	ctx  string
 
 	hops, ties int
 }
 
-// targets returns what the engine's target function returned last.
-func (h *hopChecker) targets() []hilbert.Range {
-	if ks := &h.c.scr.knn; h.knn && len(ks.heap) < ks.k {
-		return ks.full[:]
+// installedRanges returns the installed target set as the walk reads
+// it: a list as it is, the search disk decomposed.
+func installedRanges(kb *knowledge) []hilbert.Range {
+	if kb.pend.isDisk {
+		return kb.pend.disk.AppendRanges(nil)
 	}
-	return h.c.scr.targets
+	return kb.pend.targets
 }
 
 // install hooks the checker in; positional says the query navigates in
@@ -172,7 +172,7 @@ func (h *hopChecker) install(positional bool) {
 	c := h.c
 	c.onHop = func(p, next int, ok bool) {
 		h.t.Helper()
-		targets := h.targets()
+		targets := installedRanges(c.kb)
 		timed := c.lay.splitData() && !positional
 		var wantNext int
 		var wantOK bool
@@ -239,7 +239,6 @@ func sweepLayouts(x *Index) (lays []*Layout, resyncTo map[*Layout]*Layout) {
 func sweepQuery(t *testing.T, c *Client, kind int, lossFree bool, rng *rand.Rand, h *hopChecker) {
 	ds := c.x.DS
 	side := int(ds.Curve.Side())
-	h.knn = kind >= 3
 	h.install(kind == 2)
 	switch kind {
 	case 0:
@@ -471,24 +470,11 @@ func TestEvalUnitsMatchesPerRange(t *testing.T) {
 				j, i, next := synthFrame(kb, rng)
 				for hint := 0; hint < 3; hint++ {
 					kb.pend.cursor = rng.Intn(len(kb.pend.targets) + 3)
-					got, want := kb.evalUnits(j, i, next), kb.evalUnitsPerRange(j, i, next)
+					got, want := kb.evalUnits(j, i, next), kb.evalUnitsPerRange(j, i, next, kb.pend.targets)
 					if got != want {
-						f := kb.spanStart[j] + i
-						first, num := x.FrameObjects(f)
-						var objs []string
-						for id := first; id < first+num; id++ {
-							switch {
-							case !kb.objLocated(id):
-								objs = append(objs, "?")
-							case kb.retrieved(id):
-								objs = append(objs, fmt.Sprintf("%d(got)", kb.objHC[id]))
-							default:
-								objs = append(objs, fmt.Sprint(kb.objHC[id]))
-							}
-						}
 						lo, hi := kb.spanHC(j)
 						t.Fatalf("bed %d, %d spans, trial %d: span %d [%d,%d) frame %d next %d: objects %v, upper %d, targets %v, hint %d: evalUnits %03b, per range %03b",
-							bi, spans, trial, j, lo, hi, i, next, objs, synthUpper(kb, j, next), kb.pend.targets, kb.pend.cursor, got, want)
+							bi, spans, trial, j, lo, hi, i, next, synthObjects(kb, j, i), synthUpper(kb, j, next), kb.pend.targets, kb.pend.cursor, got, want)
 					}
 					if want&unitGapFirst != 0 {
 						gapFirst++
@@ -501,6 +487,194 @@ func TestEvalUnitsMatchesPerRange(t *testing.T) {
 	t.Logf("%d evaluations equal, %d of them with the gap unit first", checked, gapFirst)
 	if gapFirst == 0 {
 		t.Error("no evaluation met the gap unit first: unitGapFirst went unchecked")
+	}
+}
+
+// TestEvalUnitsDiskMatchesRanges holds the disk branch of evalUnits
+// against the same definition over the disk's maximal runs, materialised
+// from the disk itself (Disk.AppendRanges: a radius re-squared from its
+// root could drop a boundary cell). The frames are synthFrame's, the
+// disks are centred on a cell the frame's predicates compare with,
+// between cells, or off the grid, with the squared radius that of such a
+// cell — the boundary falls exactly there — or a hair below it, zero,
+// or unbounded. The unit bits must be equal, unitGapFirst included. Not
+// skipped under -short.
+func TestEvalUnitsDiskMatchesRanges(t *testing.T) {
+	beds := []struct {
+		n   int
+		cfg Config
+		no  int
+	}{
+		{60, Config{}, 1},
+		{150, Config{ObjectBytes: 256}, 3},
+		{512, Config{Sizing: SizingPaperTable, Capacity: 70, IndexBase: 4}, 8},
+	}
+	checked, gapFirst, both := 0, 0, 0
+	for bi, bed := range beds {
+		for spans := 1; spans <= 3; spans++ {
+			cfg := bed.cfg
+			cfg.Segments = spans
+			x, err := Build(dataset.Uniform(bed.n, 7, int64(bed.n+spans)), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if x.NO != bed.no {
+				t.Fatalf("bed %d: NO = %d, want %d", bi, x.NO, bed.no)
+			}
+			kb := newKnowledge(x)
+			rng := rand.New(rand.NewSource(int64(20*bi + spans)))
+			for trial := 0; trial < 1500; trial++ {
+				kb.reset()
+				j, i, next := synthFrame(kb, rng)
+				for k := 0; k < 3; k++ {
+					d := synthDisk(kb, rng, j, i, next)
+					kb.shrinkDisk(d)
+					ranges := d.AppendRanges(nil)
+					got, want := kb.evalUnits(j, i, next), kb.evalUnitsPerRange(j, i, next, ranges)
+					if got != want {
+						lo, hi := kb.spanHC(j)
+						t.Fatalf("bed %d, %d spans, trial %d: span %d [%d,%d) frame %d next %d: objects %v, upper %d, disk %+v (runs %v): evalUnits %03b, per range %03b",
+							bi, spans, trial, j, lo, hi, i, next, synthObjects(kb, j, i), synthUpper(kb, j, next), d, ranges, got, want)
+					}
+					if want&unitGapFirst != 0 {
+						gapFirst++
+					}
+					if want&(unitFrame|unitGap) == unitFrame|unitGap {
+						both++
+					}
+					checked++
+				}
+			}
+		}
+	}
+	t.Logf("%d evaluations equal, %d with both units pending, %d of them with the gap unit first", checked, both, gapFirst)
+	if gapFirst == 0 || gapFirst == both {
+		t.Error("unitGapFirst was never set, or never clear, with both units pending: its order went unchecked")
+	}
+}
+
+// synthDisk draws a search disk around the synthetic frame i of span j:
+// its centre on a cell the predicates compare with (the frame's minimum,
+// a located object, the next known minimum, one past any of them),
+// between cells, or off the grid; its squared radius that of such a
+// cell, a hair below it, zero, or unbounded.
+func synthDisk(kb *knowledge, rng *rand.Rand, j, i, next int) hilbert.Disk {
+	c := kb.x.DS.Curve
+	size := c.Size()
+	f := kb.spanStart[j] + i
+	hc, upper := kb.frameHC[f], synthUpper(kb, j, next)
+	pts := []uint64{hc, hc + 1, upper - 1, upper}
+	first, num := kb.x.FrameObjects(f)
+	for id := first; id < first+num; id++ {
+		if kb.objLocated(id) {
+			pts = append(pts, kb.objHC[id], kb.objHC[id]+1)
+		}
+	}
+	cell := func() (float64, float64) {
+		x, y := c.Decode(min(pts[rng.Intn(len(pts))], size-1))
+		return float64(x), float64(y)
+	}
+	side := float64(c.Side())
+	var qx, qy float64
+	switch rng.Intn(4) {
+	case 0:
+		qx, qy = cell()
+	case 1:
+		qx, qy = cell()
+		qx, qy = qx+rng.Float64()-0.5, qy+rng.Float64()-0.5
+	case 2:
+		qx, qy = -1-rng.Float64()*side, rng.Float64()*2*side
+	case 3:
+		qx, qy = float64(rng.Intn(int(side))), float64(rng.Intn(int(side)))
+	}
+	x, y := cell()
+	dx, dy := x-qx, y-qy
+	r2 := float64(dx*dx) + float64(dy*dy)
+	switch rng.Intn(10) {
+	case 0:
+		r2 = math.Nextafter(r2, 0)
+	case 1:
+		r2 = 0
+	case 2:
+		r2 = math.Inf(1)
+	}
+	return hilbert.Disk{Curve: c, Qx: qx, Qy: qy, R2: r2}
+}
+
+// synthObjects renders the objects of synthetic frame i of span j for a
+// failure message: "?" without a header, "(got)" when retrieved.
+func synthObjects(kb *knowledge, j, i int) []string {
+	first, num := kb.x.FrameObjects(kb.spanStart[j] + i)
+	var objs []string
+	for id := first; id < first+num; id++ {
+		switch {
+		case !kb.objLocated(id):
+			objs = append(objs, "?")
+		case kb.retrieved(id):
+			objs = append(objs, fmt.Sprintf("%d(got)", kb.objHC[id]))
+		default:
+			objs = append(objs, fmt.Sprint(kb.objHC[id]))
+		}
+	}
+	return objs
+}
+
+// TestPendingMembership pins the two answers the client's data fetch
+// reads from the installed targets, whichever their kind: whether a
+// value is a target, and one past the last target cell.
+func TestPendingMembership(t *testing.T) {
+	x, err := Build(dataset.Uniform(60, 7, 3), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb := newKnowledge(x)
+	kb.retarget([]hilbert.Range{{Lo: 5, Hi: 10}, {Lo: 20, Hi: 21}, {Lo: 30, Hi: 40}})
+	for _, tc := range []struct {
+		v    uint64
+		want bool
+	}{
+		{4, false}, {5, true}, {9, true}, {10, false},
+		{20, true}, {21, false}, {35, true}, {40, false}, {100, false},
+	} {
+		if got := kb.pend.contains(tc.v); got != tc.want {
+			t.Errorf("list: contains(%d) = %v, want %v", tc.v, got, tc.want)
+		}
+	}
+	if kb.pend.end != 40 {
+		t.Errorf("list: end = %d, want 40", kb.pend.end)
+	}
+	kb.retarget(nil)
+	if kb.pend.end != 0 || kb.pend.contains(0) {
+		t.Errorf("no targets: end = %d, contains(0) = %v, want 0 and false", kb.pend.end, kb.pend.contains(0))
+	}
+	c := x.DS.Curve
+	for _, d := range []hilbert.Disk{
+		{Curve: c, Qx: 40, Qy: 70.5, R2: 90},
+		{Curve: c, Qx: 0, Qy: 0, R2: 0},
+		{Curve: c, Qx: -3, Qy: 9, R2: 2}, // no cell
+		{Curve: c, Qx: 127, Qy: 0, R2: math.Inf(1)},
+	} {
+		kb.retarget([]hilbert.Range{{Lo: 0, Hi: c.Size()}})
+		kb.shrinkDisk(d)
+		runs := d.AppendRanges(nil)
+		want := uint64(0)
+		if len(runs) > 0 {
+			want = runs[len(runs)-1].Hi
+		}
+		if kb.pend.end != want {
+			t.Errorf("disk %+v: end = %d, want %d", d, kb.pend.end, want)
+		}
+		in := map[uint64]bool{}
+		for _, r := range runs {
+			for v := r.Lo; v < r.Hi; v++ {
+				in[v] = true
+			}
+		}
+		for v := uint64(0); v < c.Size(); v++ {
+			if kb.pend.contains(v) != in[v] {
+				t.Fatalf("disk %+v: contains(%d) = %v, want %v", d, v, !in[v], in[v])
+			}
+		}
 	}
 }
 
@@ -647,12 +821,15 @@ func fuzzTargets(rng *rand.Rand, size uint64) []hilbert.Range {
 // FuzzPendingSet drives a knowledge base through a script of
 // learn-frame / header / retrieve / shrink-targets / move / reset /
 // resync steps over a small index and holds the pending sets and both
-// choosers against the walk after every step.
+// choosers against the walk after every step. A third of the queries
+// are kNN-like: the whole curve, then a search disk whose radius only
+// shrinks.
 func FuzzPendingSet(f *testing.F) {
 	f.Add(int64(1), []byte{0, 3, 0, 9, 2, 3, 3, 3, 4, 1, 5, 7, 0, 12, 4, 0})
 	f.Add(int64(4), []byte{0, 5, 1, 20, 0, 6, 4, 2, 4, 2, 5, 30, 3, 5, 6, 1, 0, 8})
 	f.Add(int64(7), []byte{0, 2, 0, 30, 0, 12, 7, 0, 1, 13, 5, 99, 7, 0, 2, 12, 3, 12})
 	f.Add(int64(6), []byte{1, 1, 1, 2, 1, 3, 2, 1, 2, 2, 3, 1, 3, 2, 4, 0, 4, 0, 4, 0})
+	f.Add(int64(3), []byte{0, 7, 4, 120, 0, 9, 2, 9, 4, 60, 0, 20, 4, 31, 3, 9, 4, 8, 4, 1})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) { runPendingScript(t, seed, script) })
 }
 
@@ -679,8 +856,23 @@ func runPendingScript(t testing.TB, seed int64, script []byte) {
 	rng := rand.New(rand.NewSource(seed))
 	c := openClient(lay, rng.Int63n(int64(lay.ProbeCycle())), nil)
 	kb := c.kb
-	targets := fuzzTargets(rng, ds.Curve.Size())
-	kb.retarget(targets)
+	var targets []hilbert.Range
+	var disk hilbert.Disk // the kNN-like query's search disk, R2 +Inf until one is installed
+	knn := false
+	newQuery := func() {
+		if knn = rng.Intn(3) == 0; knn {
+			side := float64(ds.Curve.Side())
+			disk = hilbert.Disk{Curve: ds.Curve, Qx: float64(rng.Intn(int(side))), Qy: float64(rng.Intn(int(side))), R2: math.Inf(1)}
+			if rng.Intn(2) == 0 {
+				disk.Qx += rng.Float64() - 0.5
+			}
+			targets = []hilbert.Range{{Lo: 0, Hi: ds.Curve.Size()}}
+		} else {
+			targets = fuzzTargets(rng, ds.Curve.Size())
+		}
+		kb.retarget(targets)
+	}
+	newQuery()
 
 	check := func(step int) {
 		ctx := fmt.Sprintf("layout %d step %d", li, step)
@@ -718,10 +910,26 @@ func runPendingScript(t testing.TB, seed int64, script []byte) {
 			if id := arg % ds.N(); kb.objLocated(id) {
 				kb.markRetrieved(id)
 			}
-		case 4: // the targets shrink, rewritten in place as kNN does
+		case 4: // the targets shrink
+			if knn {
+				// The search disk shrinks to the distance of an object, on
+				// the boundary, or to a radius of arg/4.
+				r2 := float64(arg*arg) / 16
+				if arg&1 == 0 {
+					o := ds.Objects[arg%ds.N()].P
+					dx, dy := float64(o.X)-disk.Qx, float64(o.Y)-disk.Qy
+					r2 = float64(dx*dx) + float64(dy*dy)
+				}
+				disk.R2 = min(disk.R2, r2)
+				kb.shrinkDisk(disk)
+				targets = disk.AppendRanges(nil)
+				break
+			}
 			if len(targets) == 0 {
 				break
 			}
+			// A target list rewritten in place, and marked stale (the
+			// choosers do not read end, which only bounds the fetch).
 			k := arg % len(targets)
 			switch r := &targets[k]; {
 			case arg&1 == 0 && r.Hi-r.Lo > 1:
@@ -731,15 +939,14 @@ func runPendingScript(t testing.TB, seed int64, script []byte) {
 			default:
 				targets = append(targets[:k], targets[k+1:]...)
 			}
-			kb.shrink(targets)
+			kb.pend.targets, kb.pend.stale = targets, true
 		case 5: // the receiver moves: another channel, another phase
 			ch := arg % c.lay.Channels()
 			c.rx.Tune(ch)
 			c.rx.DozeUntilPos((arg * 7) % c.lay.ChanLen(ch))
 		case 6: // a new query
 			c.Reset(int64(arg)*13, nil)
-			targets = fuzzTargets(rng, ds.Curve.Size())
-			kb.retarget(targets)
+			newQuery()
 		case 7: // the shard directory swaps
 			if alt != nil {
 				to := alt

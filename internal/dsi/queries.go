@@ -42,11 +42,8 @@ func (s Strategy) String() string {
 // parameters without allocating.
 type scratch struct {
 	// targets is the current HC target decomposition (window rectangle,
-	// EEF point, or kNN search disk).
+	// point or EEF cell); a kNN search disk is never decomposed.
 	targets []hilbert.Range
-	// constFn returns targets unchanged; the target function of window
-	// and point queries.
-	constFn func() []hilbert.Range
 
 	// win is the clamped window rectangle winRegion classifies against.
 	win       hilbert.RectRegion
@@ -55,15 +52,10 @@ type scratch struct {
 	knn knnScratch
 }
 
-// constTargets installs targets as the fixed target set and returns the
-// constant target function.
-func (c *Client) constTargets(targets []hilbert.Range) func() []hilbert.Range {
+// constTargets installs targets as the query's fixed target set.
+func (c *Client) constTargets(targets []hilbert.Range) {
 	c.scr.targets = targets
 	c.kb.retarget(targets)
-	if c.scr.constFn == nil {
-		c.scr.constFn = func() []hilbert.Range { return c.scr.targets }
-	}
-	return c.scr.constFn
 }
 
 // windowTargets decomposes w (clamped to the grid) into HC ranges using
@@ -94,9 +86,9 @@ func (c *Client) Window(w spatial.Rect) ([]int, broadcast.Stats) {
 // be nil or a recycled buffer), avoiding the per-query result
 // allocation on reused clients.
 func (c *Client) WindowAppend(dst []int, w spatial.Rect) ([]int, broadcast.Stats) {
-	targetsFn := c.constTargets(c.windowTargets(w))
+	c.constTargets(c.windowTargets(w))
 	start := c.probe()
-	c.retrieveAll(start, targetsFn, nil)
+	c.retrieveAll(start, nil, nil)
 	return c.collect(dst, c.scr.targets), c.Stats()
 }
 
@@ -105,9 +97,9 @@ func (c *Client) WindowAppend(dst []int, w spatial.Rect) ([]int, broadcast.Stats
 // when the query terminates.
 func (c *Client) Point(p spatial.Point) (id int, found bool, stats broadcast.Stats) {
 	hc := c.x.DS.Curve.Encode(p.X, p.Y)
-	targetsFn := c.constTargets(append(c.scr.targets[:0], hilbert.Range{Lo: hc, Hi: hc + 1}))
+	c.constTargets(append(c.scr.targets[:0], hilbert.Range{Lo: hc, Hi: hc + 1}))
 	start := c.probe()
-	c.retrieveAll(start, targetsFn, nil)
+	c.retrieveAll(start, nil, nil)
 	for i := c.x.DS.FindHC(hc); i < c.x.DS.N() && c.x.DS.Objects[i].HC == hc; i++ {
 		if c.kb.retrieved(i) {
 			return i, true, c.Stats()
@@ -161,12 +153,8 @@ type knnScratch struct {
 	curR2 float64
 	heap  []knnCand
 	full  [1]hilbert.Range
-	// cover is the search disk's decomposition, refined in place each
-	// time the radius shrinks. It holds pooled buffers only while a
-	// query runs.
-	cover hilbert.DiskCover
 
-	fn func() []hilbert.Range
+	fn func()
 }
 
 // push offers a candidate to the bounded heap.
@@ -208,10 +196,10 @@ func (ks *knnScratch) push(cand knnCand) {
 	}
 }
 
-// knnTargets is the kNN target function: absorb freshly located
-// objects into the candidate heap, and once k candidates are known,
-// shrink the target set to the disk of the k-th candidate distance.
-func (c *Client) knnTargets() []hilbert.Range {
+// knnTargets is the kNN target update: absorb freshly located objects
+// into the candidate heap, and once k candidates are known, install the
+// disk of the k-th candidate distance as the target set.
+func (c *Client) knnTargets() {
 	ks := &c.scr.knn
 	curve := c.x.DS.Curve
 	for _, id := range c.kb.drainNew() {
@@ -220,14 +208,12 @@ func (c *Client) knnTargets() []hilbert.Range {
 		ks.push(knnCand{id: id, d2: ks.q.Dist2(spatial.Point{X: x, Y: y}), hc: hc})
 	}
 	if len(ks.heap) < ks.k {
-		return ks.full[:]
+		return
 	}
 	if d2 := ks.heap[0].d2; d2 != ks.curR2 {
 		ks.curR2 = d2
-		c.scr.targets = ks.cover.Shrink(c.scr.targets[:0], d2)
-		c.kb.shrink(c.scr.targets)
+		c.kb.shrinkDisk(hilbert.Disk{Curve: curve, Qx: float64(ks.q.X), Qy: float64(ks.q.Y), R2: d2})
 	}
-	return c.scr.targets
 }
 
 // KNN executes a k-nearest-neighbor query at point q using the given
@@ -256,7 +242,6 @@ func (c *Client) KNNAppend(dst []int, q spatial.Point, k int, strat Strategy) ([
 	ks.heap = ks.heap[:0]
 	ks.full[0] = hilbert.Range{Lo: 0, Hi: curve.Size()}
 	c.kb.retarget(ks.full[:])
-	ks.cover.Reset(curve, float64(q.X), float64(q.Y))
 	if ks.fn == nil {
 		ks.fn = c.knnTargets
 	}
@@ -321,7 +306,6 @@ func (c *Client) KNNAppend(dst []int, q spatial.Point, k int, strat Strategy) ([
 	start := c.probe()
 	c.retrieveAll(start, ks.fn, hook)
 	c.knnTargets() // absorb anything located by the final visit
-	ks.cover.Release()
 
 	// The search space is resolved: every object within the k-th
 	// candidate distance has been retrieved, so the heap holds the

@@ -97,8 +97,8 @@ func TestResetClientMatchesFresh(t *testing.T) {
 // TestReusedSessionKNNCoverIsPerQuery holds one session through kNN
 // queries whose centre and k change every time, with a window query in
 // between, against a fresh session per query: the
-// search disk cover a query leaves behind (blocks, centre, last radius)
-// must not reach the next one, in IDs or in cost.
+// search disk a query leaves behind (centre, last radius) must not
+// reach the next one, in IDs or in cost.
 func TestReusedSessionKNNCoverIsPerQuery(t *testing.T) {
 	for ci, cfg := range []Config{{}, {Capacity: 64, Segments: 2}} {
 		ds := dataset.Uniform(600, 7, int64(300+ci))
@@ -129,7 +129,7 @@ func TestReusedSessionKNNCoverIsPerQuery(t *testing.T) {
 				buf, gotSt = reused.WindowAppend(buf[:0], w)
 			} else {
 				// Alternate a far corner with the middle of the grid, and a
-				// small k with a large one, so consecutive covers differ in
+				// small k with a large one, so consecutive disks differ in
 				// centre, size and final radius.
 				q := spatial.Point{X: uint32(rng.Intn(side / 8)), Y: uint32(rng.Intn(side / 8))}
 				k := 1 + rng.Intn(3)

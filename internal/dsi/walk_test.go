@@ -5,8 +5,10 @@
 // FuzzPendingSet compare the pending sets and both choosers with it
 // after every hop, and BenchmarkWalkOracle keeps its cost reproducible.
 // frameResolved is the walk's per-(frame, range) test, and
-// evalUnitsPerRange the per-frame body of the walk the merge in
-// evalUnits replaced (TestEvalUnitsMatchesPerRange holds the two equal).
+// evalUnitsPerRange the per-frame body of the walk that evalUnits
+// computes in one pass, against a target list or a search disk
+// (TestEvalUnitsMatchesPerRange and TestEvalUnitsDiskMatchesRanges hold
+// them equal).
 
 package dsi
 
@@ -55,9 +57,10 @@ func (kb *knowledge) frameResolved(f int, lo, hi, upper uint64) bool {
 
 // evalUnitsPerRange is the definition evalUnits implements: the two
 // units of known frame i of span j (next known frame at index next)
-// evaluated range by range, frameResolved once per range the frame's
-// span [hc, upper) meets, from a bisection over all targets.
-func (kb *knowledge) evalUnitsPerRange(j, i, next int) uint32 {
+// evaluated range by range against the sorted targets, frameResolved
+// once per range the frame's span [hc, upper) meets, from a bisection
+// over all targets.
+func (kb *knowledge) evalUnitsPerRange(j, i, next int, targets []hilbert.Range) uint32 {
 	base := kb.spanStart[j]
 	f := base + i
 	hc := kb.frameHC[f]
@@ -66,7 +69,6 @@ func (kb *knowledge) evalUnitsPerRange(j, i, next int) uint32 {
 	if next < kb.spanLen(j) {
 		upper = kb.frameHC[base+next]
 	}
-	targets := kb.pend.targets
 	// First range ending above hc (the span end always does).
 	ri, n := 0, len(targets)
 	for ri < n {

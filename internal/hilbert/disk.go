@@ -2,7 +2,7 @@ package hilbert
 
 import (
 	"math"
-	"sync"
+	"math/bits"
 )
 
 // RangesDisk decomposes the set of cells whose coordinates lie within
@@ -20,148 +20,214 @@ func (c Curve) AppendRangesDisk(dst []Range, qx, qy float64, r float64) []Range 
 	if !(r >= 0) {
 		return dst
 	}
-	var dc DiskCover
-	dc.Reset(c, qx, qy)
-	dst = dc.Shrink(dst, r*r)
-	dc.Release()
-	return dst
+	return Disk{Curve: c, Qx: qx, Qy: qy, R2: r * r}.AppendRanges(dst)
 }
 
-// DiskCover decomposes a disk whose radius shrinks, as a kNN search
-// space does, without starting over at each radius. It remembers the
-// aligned blocks that made up the last decomposition, in curve order,
-// each with the squared distance of its farthest corner: under a
-// smaller radius a block whose farthest corner is still within reach
-// is kept with one comparison, and only the blocks the new boundary
-// crosses are subdivided again.
+// Disk is the closed disk of squared radius R2 around (Qx, Qy) on the
+// grid of Curve, as a set of cells: (x, y) belongs to it iff
+// float64(dx*dx)+float64(dy*dy) <= R2 with dx = x-Qx, dy = y-Qy. A NaN
+// centre or radius holds no cell.
 //
-// A cell (x, y) belongs to the disk iff float64(dx*dx)+float64(dy*dy)
-// <= r2 with dx = |x-qx|, dy = |y-qy|. Rounding is monotone, so a block
-// is kept (dropped) whole only when that holds for all (none) of its
-// cells: the cell set does not depend on how the grid was subdivided or
-// on the radii seen before, and its maximal runs are unique. Shrink
-// therefore returns, range for range, what AppendRangesFunc returns for
-// a classifier of the same disk.
+// A Disk is a value: a kNN search space that shrinks is a new Disk per
+// radius, and the questions the search asks of it — is this cell
+// inside, where is the next cell inside (or outside) in this stretch of
+// the curve — are answered where they are asked, by a curve-ordered
+// descent over that stretch, without decomposing the rest of the disk.
 //
-// Reset must precede the first Shrink; Release hands the block buffers
-// back for other covers to use. The zero value holds nothing.
-type DiskCover struct {
-	curve  Curve
-	qx, qy float64
-	r2     float64 // squared radius of the last Shrink, +Inf after Reset
-	base   int     // len(dst) on entry to the Shrink in progress
-	buf    *coverBufs
+// Blocks are classified by the squared distance from the centre to
+// their nearest and farthest points. Rounding is monotone, so a block
+// classified inside (outside) as a whole has all (none) of its cells
+// inside: every answer, and the maximal runs AppendRanges returns, are
+// those of the cell set, whatever the subdivision.
+type Disk struct {
+	Curve  Curve
+	Qx, Qy float64
+	R2     float64
 }
 
-// coverBlock is a qblock lying wholly inside the disk, with the squared
-// distance from the centre to its farthest corner.
-type coverBlock struct {
-	lo        uint64
-	far2      float64
-	x0, y0, s uint32
-	state     uint8
+// void reports whether the disk holds no cell because a coordinate or
+// the radius is NaN. Its blocks would classify as neither inside nor
+// outside, down to single cells, so every descent checks this first.
+func (d *Disk) void() bool { return d.R2 != d.R2 || d.Qx != d.Qx || d.Qy != d.Qy }
+
+// Contains reports whether the cell of HC value hc lies in the disk.
+func (d Disk) Contains(hc uint64) bool {
+	x, y := d.Curve.Decode(hc)
+	dx, dy := float64(x)-d.Qx, float64(y)-d.Qy
+	return float64(dx*dx)+float64(dy*dy) <= d.R2
 }
 
-// coverBufs holds the blocks of the last decomposition and the buffer
-// the next one is written to.
-type coverBufs struct{ cur, next []coverBlock }
-
-// coverPool recycles block buffers across covers, as stackPool does for
-// subdivision stacks: a session that runs one kNN query does not pay
-// for buffers of its own.
-var coverPool = sync.Pool{New: func() any { return new(coverBufs) }}
-
-// Reset points the cover at a new disk centre on curve c. The cover
-// becomes the whole grid, the decomposition of an unbounded disk, so
-// the first Shrink is a decomposition from scratch.
-func (dc *DiskCover) Reset(c Curve, qx, qy float64) {
-	if dc.buf == nil {
-		dc.buf = coverPool.Get().(*coverBufs)
-	}
-	dc.curve, dc.qx, dc.qy = c, qx, qy
-	dc.whole()
-}
-
-// whole makes the cover the single block of the entire grid, inside a
-// disk of unbounded radius.
-func (dc *DiskCover) whole() {
-	dc.r2 = math.Inf(1)
-	dc.buf.cur = append(dc.buf.cur[:0], coverBlock{s: dc.curve.Side(), far2: math.Inf(1)})
-}
-
-// Release returns the cover's buffers to the pool. The cover must be
-// Reset before it is used again.
-func (dc *DiskCover) Release() {
-	if dc.buf != nil {
-		coverPool.Put(dc.buf)
-		dc.buf = nil
-	}
-}
-
-// Shrink appends to dst the maximal HC ranges of the closed disk of
-// squared radius r2 around the cover's centre and narrows the cover to
-// it. The cost is proportional to the blocks kept plus the perimeter of
-// the region between the previous radius and this one. A radius larger
-// than the previous one is decomposed from scratch. A NaN radius or
-// centre is at no distance from any cell: dst and the cover are left
-// unchanged.
-func (dc *DiskCover) Shrink(dst []Range, r2 float64) []Range {
-	if r2 != r2 || dc.qx != dc.qx || dc.qy != dc.qy {
+// AppendRanges appends the maximal HC ranges of the disk to dst, sorted
+// ascending: one subdivision of the grid, whose cost follows the disk's
+// perimeter in cells. Elements already in dst are left untouched.
+func (d Disk) AppendRanges(dst []Range) []Range {
+	if d.void() {
 		return dst
 	}
-	if r2 > dc.r2 {
-		dc.whole()
+	s := d.Curve.Side()
+	near, far := d.bounds(0, 0, s)
+	switch {
+	case far <= d.R2:
+		return append(dst, Range{Lo: 0, Hi: d.Curve.Size()})
+	case near > d.R2:
+		return dst
 	}
-	dc.r2 = r2
-	dc.base = len(dst)
-	b := dc.buf
-	b.next = b.next[:0]
-	for i := range b.cur {
-		blk := &b.cur[i]
-		switch {
-		case blk.far2 <= r2:
-			dst = appendRun(dst, dc.base, blk.lo, blk.lo+uint64(blk.s)*uint64(blk.s))
-			b.next = append(b.next, *blk)
-		case blk.s > 1:
-			dst = dc.descend(dst, blk.x0, blk.y0, blk.s, blk.lo, blk.state)
-		}
-	}
-	b.cur, b.next = b.next, b.cur
-	return dst
+	return d.descend(dst, len(dst), 0, 0, s, 0, 0)
 }
 
-// descend subdivides the block of side s >= 2 at (x0, y0), which the
-// disk boundary may cross, visiting its quadrants in curve order. The
-// squared distance from the centre to the nearest (farthest) point of a
-// quadrant is the sum of the two 1-D ones of its x and y halves, so all
-// four quadrants are classified from eight numbers. A quadrant of side
-// 1 is a single point, nearest = farthest, and is never subdivided.
-func (dc *DiskCover) descend(dst []Range, x0, y0, s uint32, lo uint64, state uint8) []Range {
+// First returns the first cell of [a, b) that lies inside the disk (in)
+// or outside it (!in), b when there is none. Cells at or beyond the
+// curve's end do not exist. The descent starts at the smallest aligned
+// block holding the interval, so its cost follows the interval's length
+// and the boundary inside it, not the grid.
+func (d Disk) First(a, b uint64, in bool) uint64 {
+	end := min(b, d.Curve.Size())
+	if a >= end {
+		return b
+	}
+	if d.void() {
+		if in {
+			return b
+		}
+		return a
+	}
+	// The block: side 2^lvl, reached from the root along the quadrant
+	// digits of a, two bits per level.
+	lvl := uint(bits.Len64(a^(end-1))+1) / 2
+	var x0, y0 uint32
+	var state uint8
+	for l := d.Curve.order; l > lvl; l-- {
+		q := &quadOrder[state][a>>(2*(l-1))&3]
+		x0 += uint32(q.dx) << (l - 1)
+		y0 += uint32(q.dy) << (l - 1)
+		state = q.next
+	}
+	s := uint32(1) << lvl
+	near, far := d.bounds(x0, y0, s)
+	switch {
+	case far <= d.R2 && in, near > d.R2 && !in:
+		return a
+	case far <= d.R2, near > d.R2:
+		return b
+	}
+	if r := d.first(a, end, in, x0, y0, s, a&^(uint64(s)*uint64(s)-1), state); r < end {
+		return r
+	}
+	return b
+}
+
+// End returns one past the last cell inside the disk, 0 when it holds
+// none: the end of the last range AppendRanges would return.
+func (d Disk) End() uint64 {
+	if d.void() {
+		return 0
+	}
+	s := d.Curve.Side()
+	near, far := d.bounds(0, 0, s)
+	switch {
+	case far <= d.R2:
+		return d.Curve.Size()
+	case near > d.R2:
+		return 0
+	}
+	return d.end(0, 0, s, 0, 0)
+}
+
+// bounds returns the squared distances from the centre to the nearest
+// and to the farthest point of the block of side s at (x0, y0).
+func (d *Disk) bounds(x0, y0, s uint32) (near2, far2 float64) {
+	nx, fx := span2(float64(x0), float64(x0+s-1), d.Qx)
+	ny, fy := span2(float64(y0), float64(y0+s-1), d.Qy)
+	return nx + ny, fx + fy
+}
+
+// quads classifies the four quadrants of side h of a block at (x0, y0)
+// from eight numbers: the squared distance from the centre to the
+// nearest (farthest) point of a quadrant is the sum of the two 1-D ones
+// of its x and y halves, indexed by the quadrant's dx and dy.
+type quads struct{ nearX, farX, nearY, farY [2]float64 }
+
+func (qs *quads) set(d *Disk, x0, y0, h uint32) {
+	qs.nearX[0], qs.farX[0] = span2(float64(x0), float64(x0+h-1), d.Qx)
+	qs.nearX[1], qs.farX[1] = span2(float64(x0+h), float64(x0+2*h-1), d.Qx)
+	qs.nearY[0], qs.farY[0] = span2(float64(y0), float64(y0+h-1), d.Qy)
+	qs.nearY[1], qs.farY[1] = span2(float64(y0+h), float64(y0+2*h-1), d.Qy)
+}
+
+// descend appends the disk's runs within the block of side s >= 2 at
+// (x0, y0), which the boundary crosses, visiting its quadrants in curve
+// order and merging into the tail dst[base:]. A quadrant of side 1 is a
+// single point, nearest = farthest, and is never subdivided.
+func (d *Disk) descend(dst []Range, base int, x0, y0, s uint32, lo uint64, state uint8) []Range {
 	h := s >> 1
-	var nearX, farX, nearY, farY [2]float64
-	nearX[0], farX[0] = span2(float64(x0), float64(x0+h-1), dc.qx)
-	nearX[1], farX[1] = span2(float64(x0+h), float64(x0+s-1), dc.qx)
-	nearY[0], farY[0] = span2(float64(y0), float64(y0+h-1), dc.qy)
-	nearY[1], farY[1] = span2(float64(y0+h), float64(y0+s-1), dc.qy)
+	var qs quads
+	qs.set(d, x0, y0, h)
 	area := uint64(h) * uint64(h)
 	for _, q := range &quadOrder[state] {
-		if nearX[q.dx&1]+nearY[q.dy&1] <= dc.r2 {
-			if far2 := farX[q.dx&1] + farY[q.dy&1]; far2 <= dc.r2 {
-				dst = appendRun(dst, dc.base, lo, lo+area)
-				// Written field by field in place: a block assembled on the
-				// stack and copied stalls on store forwarding.
-				next := append(dc.buf.next, coverBlock{})
-				blk := &next[len(next)-1]
-				blk.lo, blk.far2, blk.s, blk.state = lo, far2, h, q.next
-				blk.x0, blk.y0 = x0+uint32(q.dx)*h, y0+uint32(q.dy)*h
-				dc.buf.next = next
+		if qs.nearX[q.dx&1]+qs.nearY[q.dy&1] <= d.R2 {
+			if qs.farX[q.dx&1]+qs.farY[q.dy&1] <= d.R2 {
+				dst = appendRun(dst, base, lo, lo+area)
 			} else {
-				dst = dc.descend(dst, x0+uint32(q.dx)*h, y0+uint32(q.dy)*h, h, lo, q.next)
+				dst = d.descend(dst, base, x0+uint32(q.dx)*h, y0+uint32(q.dy)*h, h, lo, q.next)
 			}
 		}
 		lo += area
 	}
 	return dst
+}
+
+// first is First's descent into the block of side s >= 2 at (x0, y0),
+// first cell lo, which the boundary crosses: the quadrants meeting
+// [a, b) in curve order, a wholly matching one answering at once and a
+// crossed one searched in turn. It returns b when no cell matches.
+func (d *Disk) first(a, b uint64, in bool, x0, y0, s uint32, lo uint64, state uint8) uint64 {
+	h := s >> 1
+	var qs quads
+	qs.set(d, x0, y0, h)
+	area := uint64(h) * uint64(h)
+	for _, q := range &quadOrder[state] {
+		if lo >= b {
+			break
+		}
+		if next := lo + area; next > a {
+			inside := qs.farX[q.dx&1]+qs.farY[q.dy&1] <= d.R2
+			outside := qs.nearX[q.dx&1]+qs.nearY[q.dy&1] > d.R2
+			switch {
+			case inside == in && (inside || outside):
+				return max(lo, a)
+			case !inside && !outside:
+				if r := d.first(a, b, in, x0+uint32(q.dx)*h, y0+uint32(q.dy)*h, h, lo, q.next); r < b {
+					return r
+				}
+			}
+		}
+		lo += area
+	}
+	return b
+}
+
+// end is End's descent into the block of side s >= 2 at (x0, y0), first
+// cell lo, which the boundary crosses: its quadrants in reverse curve
+// order, 0 when none holds a cell inside (a crossed block may not).
+func (d *Disk) end(x0, y0, s uint32, lo uint64, state uint8) uint64 {
+	h := s >> 1
+	var qs quads
+	qs.set(d, x0, y0, h)
+	area := uint64(h) * uint64(h)
+	for r := 3; r >= 0; r-- {
+		q := &quadOrder[state][r]
+		if qs.nearX[q.dx&1]+qs.nearY[q.dy&1] > d.R2 {
+			continue
+		}
+		qlo := lo + uint64(r)*area
+		if qs.farX[q.dx&1]+qs.farY[q.dy&1] <= d.R2 {
+			return qlo + area
+		}
+		if e := d.end(x0+uint32(q.dx)*h, y0+uint32(q.dy)*h, h, qlo, q.next); e > 0 {
+			return e
+		}
+	}
+	return 0
 }
 
 // span2 returns the squared distances from q to the nearest and to the

@@ -1,13 +1,15 @@
 package hilbert
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 )
 
-// diskOracle is the reference the disk cover is held to: a block
+// diskOracle is the reference the disk is held to: a block
 // classifier of the closed disk of squared radius r2 around (qx, qy),
 // run through the generic AppendRangesFunc.
 type diskOracle struct {
@@ -69,27 +71,130 @@ func rectPointMaxDist2(x0, y0, x1, y1, qx, qy float64) float64 {
 	return float64(dx*dx) + float64(dy*dy)
 }
 
-// checkCover drives one cover through the radius sequence and requires
-// every Shrink to equal the reference decomposition of that radius,
-// with whatever dst held before left in place.
-func checkCover(t testing.TB, c Curve, qx, qy float64, r2s []float64) {
+// firstOf is First by brute force over the reference runs rs: the first
+// cell of [a, b) inside them (in) or outside (!in), b when there is none
+// below min(b, size).
+func firstOf(rs []Range, size, a, b uint64, in bool) uint64 {
+	end := min(b, size)
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].Hi > a })
+	got := end
+	switch {
+	case a >= end:
+	case in:
+		if i < len(rs) {
+			got = max(rs[i].Lo, a)
+		}
+	case i < len(rs) && rs[i].Lo <= a:
+		got = rs[i].Hi
+	default:
+		got = a
+	}
+	if got >= end {
+		return b
+	}
+	return got
+}
+
+// checkDisk holds every answer of d to the reference decomposition: the
+// ranges AppendRanges appends after what dst held, End, Contains on
+// every cell (a sample of cells on large curves, the runs' edges
+// included) and First in and out over intervals around the runs' edges,
+// from empty to past the curve's end.
+func checkDisk(t testing.TB, d Disk, rng *rand.Rand) {
 	t.Helper()
+	c := d.Curve
+	size := c.Size()
+	ctx := func() string {
+		return fmt.Sprintf("order %d centre (%v,%v) r2 %v", c.Order(), d.Qx, d.Qy, d.R2)
+	}
+	rs := (&diskOracle{d.Qx, d.Qy, d.R2}).ranges(c)
 	prefix := []Range{{Lo: 7, Hi: 9}}
-	var dc DiskCover
-	dc.Reset(c, qx, qy)
-	defer dc.Release()
-	for i, r2 := range r2s {
-		got := dc.Shrink(slices.Clone(prefix), r2)
-		want := (&diskOracle{qx, qy, r2}).ranges(c)
-		if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], want) {
-			t.Fatalf("order %d centre (%v,%v) radii² %v: Shrink %d = %v, want %v after %v",
-				c.Order(), qx, qy, r2s[:i+1], i, got, want, prefix)
+	if got := d.AppendRanges(slices.Clone(prefix)); !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], rs) {
+		t.Fatalf("%s: AppendRanges = %v, want %v after %v", ctx(), got, rs, prefix)
+	}
+	wantEnd := uint64(0)
+	if len(rs) > 0 {
+		wantEnd = rs[len(rs)-1].Hi
+	}
+	if got := d.End(); got != wantEnd {
+		t.Fatalf("%s: End = %d, want %d (ranges %v)", ctx(), got, wantEnd, rs)
+	}
+	var pts []uint64
+	for _, r := range rs {
+		pts = append(pts, r.Lo, r.Hi)
+		if r.Lo > 0 {
+			pts = append(pts, r.Lo-1)
+		}
+		if r.Hi > 1 {
+			pts = append(pts, r.Hi-2)
+		}
+	}
+	for k := 0; k < 16; k++ {
+		pts = append(pts, uint64(rng.Int63n(int64(size))))
+	}
+	pts = append(pts, 0, size-1)
+	if len(pts) > 200 {
+		rng.Shuffle(len(pts), func(a, b int) { pts[a], pts[b] = pts[b], pts[a] })
+		pts = pts[:200]
+	}
+	cells := pts
+	if size <= 1<<14 {
+		cells = nil
+		for h := uint64(0); h < size; h++ {
+			cells = append(cells, h)
+		}
+	}
+	for _, h := range cells {
+		if h >= size {
+			continue
+		}
+		if got, want := d.Contains(h), firstOf(rs, size, h, h+1, true) == h; got != want {
+			t.Fatalf("%s: Contains(%d) = %v, want %v", ctx(), h, got, want)
+		}
+	}
+	for _, a := range pts {
+		for _, n := range []uint64{0, 1, 2, 3, uint64(1 + rng.Intn(64)), uint64(rng.Int63n(int64(size))), size} {
+			b := a + n
+			for _, in := range []bool{true, false} {
+				if got, want := d.First(a, b, in), firstOf(rs, size, a, b, in); got != want {
+					t.Fatalf("%s: First(%d, %d, %v) = %d, want %d (ranges %v)", ctx(), a, b, in, got, want, rs)
+				}
+			}
 		}
 	}
 }
 
-// TestDiskCoverMatchesGeneric pins the cover, step by step along
-// shrinking radius sequences, to the generic decomposition it replaced.
+// diskRadii2 draws a radius sequence the way a kNN search space
+// shrinks: unbounded, then squared distances to random cells (exactly on
+// the boundary of the closed disk), repeats, thin annuli and arbitrary
+// cuts, down to zero.
+func diskRadii2(rng *rand.Rand, side, qx, qy float64) []float64 {
+	cell := func() float64 {
+		dx, dy := float64(rng.Intn(int(side)))-qx, float64(rng.Intn(int(side)))-qy
+		return float64(dx*dx) + float64(dy*dy)
+	}
+	r2s := []float64{math.Inf(1), cell()}
+	for len(r2s) < 14 {
+		last := r2s[len(r2s)-1]
+		switch rng.Intn(4) {
+		case 0:
+			r2s = append(r2s, last) // repeat
+		case 1:
+			r2s = append(r2s, last*0.98) // thin annulus
+		case 2:
+			if next := cell(); next <= last {
+				r2s = append(r2s, next)
+			}
+		case 3:
+			r2s = append(r2s, last*rng.Float64())
+		}
+	}
+	return append(r2s, 0)
+}
+
+// TestDiskCoverMatchesGeneric holds the disk's four answers, along
+// shrinking radius sequences, to the generic decomposition of a reference
+// block classifier and to brute force over its runs.
 func TestDiskCoverMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, order := range []uint{1, 3, 6, 8, 10} {
@@ -111,44 +216,26 @@ func TestDiskCoverMatchesGeneric(t *testing.T) {
 			case 3: // beside the grid, on a cell row
 				qx, qy = side+float64(rng.Intn(int(side))), float64(rng.Intn(int(side)))
 			}
-			// The squared distance to a random cell lies exactly on the
-			// boundary of the closed disk.
-			cell := func() float64 {
-				dx, dy := float64(rng.Intn(int(side)))-qx, float64(rng.Intn(int(side)))-qy
-				return float64(dx*dx) + float64(dy*dy)
+			for _, r2 := range diskRadii2(rng, side, qx, qy) {
+				checkDisk(t, Disk{c, qx, qy, r2}, rng)
 			}
-			r2s := []float64{math.Inf(1), cell()}
-			for len(r2s) < 14 {
-				last := r2s[len(r2s)-1]
-				switch rng.Intn(4) {
-				case 0:
-					r2s = append(r2s, last) // repeat
-				case 1:
-					r2s = append(r2s, last*0.98) // thin annulus
-				case 2:
-					if next := cell(); next <= last {
-						r2s = append(r2s, next)
-					}
-				case 3:
-					r2s = append(r2s, last*rng.Float64())
-				}
-			}
-			r2s = append(r2s, 0, 0)
-			checkCover(t, c, qx, qy, r2s)
 		}
 	}
 }
 
-// TestDiskCoverGrownRadius pins the choice made for a radius that grows
-// between two Shrink calls: the cover starts over, so the result is the
-// decomposition of the larger disk and later shrinks refine that one.
+// TestDiskCoverGrownRadius checks a radius sequence that grows again
+// between shrinks: each radius is just another disk, answered in full.
 func TestDiskCoverGrownRadius(t *testing.T) {
-	checkCover(t, New(6), 20, 41.5, []float64{100, 9, 400, 400, 25, math.Inf(1), 0, 1})
+	rng := rand.New(rand.NewSource(17))
+	for _, r2 := range []float64{100, 9, 400, 400, 25, math.Inf(1), 0, 1, -1} {
+		checkDisk(t, Disk{New(6), 20, 41.5, r2}, rng)
+	}
 }
 
 func TestRangesDiskNaN(t *testing.T) {
-	// At order 16 a decomposition that subdivided every block would make
-	// 4^16 classifications; these return without descending at all.
+	// At order 16 a descent that subdivided every block would make 4^16
+	// classifications, and one that took a NaN's blocks for crossed ones
+	// would recurse past single cells; these return without descending.
 	c := New(16)
 	nan := math.NaN()
 	dst := []Range{{Lo: 1, Hi: 2}}
@@ -156,16 +243,16 @@ func TestRangesDiskNaN(t *testing.T) {
 		if got := c.AppendRangesDisk(dst, tc[0], tc[1], tc[2]); !slices.Equal(got, dst) {
 			t.Errorf("AppendRangesDisk(%v) = %v, want dst unchanged", tc, got)
 		}
-	}
-	var dc DiskCover
-	dc.Reset(c, 5, 5)
-	defer dc.Release()
-	if got := dc.Shrink(dst, nan); !slices.Equal(got, dst) {
-		t.Errorf("Shrink(NaN) = %v, want dst unchanged", got)
-	}
-	// The NaN left the cover as it was: the next radius decomposes.
-	if got, want := dc.Shrink(nil, 4), c.RangesDisk(5, 5, 2); len(got) == 0 || !slices.Equal(got, want) {
-		t.Errorf("Shrink after NaN = %v, want %v", got, want)
+		d := Disk{c, tc[0], tc[1], tc[2] * tc[2]}
+		if got := d.AppendRanges(dst); !slices.Equal(got, dst) {
+			t.Errorf("%+v: AppendRanges = %v, want dst unchanged", d, got)
+		}
+		if d.End() != 0 || d.Contains(c.Encode(5, 5)) {
+			t.Errorf("%+v: End %d, Contains(5,5) %v: want an empty disk", d, d.End(), d.Contains(c.Encode(5, 5)))
+		}
+		if in, out := d.First(10, c.Size(), true), d.First(10, c.Size(), false); in != c.Size() || out != 10 {
+			t.Errorf("%+v: First in %d, out %d, want %d and 10", d, in, out, c.Size())
+		}
 	}
 }
 
@@ -183,25 +270,28 @@ func TestRangesDiskInfiniteRadius(t *testing.T) {
 	}
 }
 
-// FuzzDiskCover holds the cover to the reference decomposition over
-// arbitrary centres (NaN and infinities included) and radius sequences:
-// r0, then each step scales the squared radius by step/200, so a
-// sequence shrinks, repeats (200) and now and then grows (> 200).
-func FuzzDiskCover(f *testing.F) {
+// FuzzDisk holds the disk to the reference over arbitrary centres (NaN
+// and infinities included) and radius sequences: r0, then each step
+// scales the squared radius by step/200, so a sequence shrinks, repeats
+// (200) and now and then grows (> 200).
+func FuzzDisk(f *testing.F) {
 	f.Add(uint8(3), 2.0, 5.0, 30.0, []byte{200, 100, 196, 0})
 	f.Add(uint8(6), -3.5, 70.25, 9000.0, []byte{150, 150, 255, 10})
 	f.Add(uint8(1), 0.5, 0.5, 0.5, []byte{200})
 	f.Add(uint8(5), math.NaN(), 1.0, math.Inf(1), []byte{1})
+	f.Add(uint8(6), 20.0, math.NaN(), 400.0, []byte{100, 50}) // a NaN centre under a finite radius
 	f.Fuzz(func(t *testing.T, order uint8, qx, qy, r0 float64, steps []byte) {
 		c := New(1 + uint(order)%7)
 		if len(steps) > 12 {
 			steps = steps[:12]
 		}
-		r2s := []float64{r0}
+		rng := rand.New(rand.NewSource(int64(len(steps))))
+		r2 := r0
+		checkDisk(t, Disk{c, qx, qy, r2}, rng)
 		for _, s := range steps {
-			r2s = append(r2s, r2s[len(r2s)-1]*float64(s)/200)
+			r2 *= float64(s) / 200
+			checkDisk(t, Disk{c, qx, qy, r2}, rng)
 		}
-		checkCover(t, c, qx, qy, r2s)
 	})
 }
 
@@ -240,24 +330,37 @@ var knnRadii2 = []float64{
 	18, 17,
 }
 
-// TestDiskCoverRecordedKNN replays the recorded sequence against the
+// TestDiskRecordedKNN replays the recorded sequence against the
 // reference, so the benchmark below measures a path known to be exact.
-func TestDiskCoverRecordedKNN(t *testing.T) {
-	checkCover(t, New(8), 77, 190, knnRadii2)
+func TestDiskRecordedKNN(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, r2 := range knnRadii2 {
+		checkDisk(t, Disk{New(8), 77, 190, r2}, rng)
+	}
 }
 
-// BenchmarkDiskCoverShrink measures one kNN query's worth of search
-// disk updates: a Reset and every Shrink of the recorded sequence.
-func BenchmarkDiskCoverShrink(b *testing.B) {
+// BenchmarkDiskFirst measures what a kNN client asks of its search disk
+// per unit it evaluates: the first cell inside, and the first outside,
+// of a frame-sized stretch of the curve (64 cells, the HC span of a
+// frame of the replay index: 10 000 objects, order 8, capacity 64),
+// over 64 stretches and every radius of the recorded sequence.
+func BenchmarkDiskFirst(b *testing.B) {
 	c := New(8)
-	var dc DiskCover
-	var dst []Range
+	rng := rand.New(rand.NewSource(1))
+	starts := make([]uint64, 64)
+	for i := range starts {
+		starts[i] = uint64(rng.Int63n(int64(c.Size() - 64)))
+	}
+	var sink uint64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dc.Reset(c, 77, 190)
 		for _, r2 := range knnRadii2 {
-			dst = dc.Shrink(dst[:0], r2)
+			d := Disk{c, 77, 190, r2}
+			for _, a := range starts {
+				sink += d.First(a, a+64, true) + d.First(a, a+64, false)
+			}
 		}
 	}
-	dc.Release()
-	b.ReportMetric(float64(len(knnRadii2)), "shrinks/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(knnRadii2)*len(starts)*2), "ns/first")
+	_ = sink
 }

@@ -9,9 +9,10 @@
 //
 // The package also provides exact decompositions of query regions into
 // maximal contiguous HC ranges (Ranges and RangesFunc for rectangles
-// and caller-defined regions, DiskCover for the shrinking disk of a kNN
-// search), which both the DSI window/kNN algorithms and the HCI
-// baseline rely on.
+// and caller-defined regions, RangesDisk for disks), which the DSI
+// window algorithm and the HCI baseline rely on, and Disk, a kNN search
+// disk the DSI client queries per stretch of the curve instead of
+// decomposing it.
 package hilbert
 
 import (
