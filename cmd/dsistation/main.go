@@ -259,41 +259,40 @@ func parseFEC(obj, table string) (wire.FECConfig, error) {
 	return cfg, nil
 }
 
-// buildSource assembles the packet source: the static transmitter, or —
-// for the swap demo — a rebroadcaster whose Tick hook periodically
-// stages a re-cut shard directory and commits it at the cycle seam,
-// exercising live directory bumps over the network.
+// buildSource assembles the transmitter and, for the swap demo, the
+// Tick hook that periodically stages a re-cut shard directory on it and
+// commits it at the cycle seam, exercising live directory bumps over the
+// network.
 func buildSource(x *dsi.Index, lay *dsi.Layout, sched string, switchC int, fcfg wire.FECConfig, swapEvery int64) (station.PacketSource, func(int64), error) {
-	if swapEvery > 0 {
-		if sched != "shard" {
-			return nil, nil, fmt.Errorf("-swapdemo needs the shard scheduler (directory swaps re-cut shard bounds)")
-		}
-		rb, err := station.NewRebroadcasterFEC(lay, fcfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		nextSwap := swapEvery
-		skew := false
-		tick := func(abs int64) {
-			rb.Commit(abs)
-			if abs < nextSwap {
-				return
-			}
-			nextSwap = abs + swapEvery
-			skew = !skew
-			alt, err := dsi.NewLayout(x, dsi.MultiConfig{
-				Channels: lay.Channels(), Scheduler: dsi.SchedShard,
-				SwitchSlots: switchC, ShardBounds: cutBounds(x.NF, lay.Channels(), skew),
-			})
-			if err != nil {
-				return
-			}
-			if seam, err := rb.Stage(alt, abs+1); err == nil {
-				fmt.Printf("dsistation: staged directory v%d at seam %d\n", rb.Version()+1, seam)
-			}
-		}
-		return rb, tick, nil
+	if swapEvery > 0 && sched != "shard" {
+		return nil, nil, fmt.Errorf("-swapdemo needs the shard scheduler (directory swaps re-cut shard bounds)")
 	}
-	src, err := station.NewMultiTransmitterFEC(lay, fcfg)
-	return src, nil, err
+	tx, err := station.NewMultiTransmitterFEC(lay, fcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if swapEvery <= 0 {
+		return tx, nil, nil
+	}
+	nextSwap := swapEvery
+	skew := false
+	tick := func(abs int64) {
+		tx.Commit(abs)
+		if abs < nextSwap {
+			return
+		}
+		nextSwap = abs + swapEvery
+		skew = !skew
+		alt, err := dsi.NewLayout(x, dsi.MultiConfig{
+			Channels: lay.Channels(), Scheduler: dsi.SchedShard,
+			SwitchSlots: switchC, ShardBounds: cutBounds(x.NF, lay.Channels(), skew),
+		})
+		if err != nil {
+			return
+		}
+		if seam, err := tx.Stage(alt, abs+1); err == nil {
+			fmt.Printf("dsistation: staged directory v%d at seam %d\n", tx.Version()+1, seam)
+		}
+	}
+	return tx, tick, nil
 }

@@ -406,6 +406,6 @@ func (s *StreamSource) tableAt(pos int) ([]byte, error) {
 // broadcast ships no shard directory.
 func (s *StreamSource) DirectoryAt(int64) ([]byte, uint32) { return nil, 1 }
 
-// FECDescAt implements station.FECSource: the streaming build is
+// FECDescAt implements station.PacketSource: the streaming build is
 // uncoded.
 func (s *StreamSource) FECDescAt(int64) ([]byte, uint32) { return nil, 1 }

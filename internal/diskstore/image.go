@@ -76,21 +76,26 @@ type ImageInfo struct {
 	Meta      wire.StationMeta // catalog document (static fields)
 }
 
-// InfoFor derives ImageInfo for the static transmitter. The second
+// InfoFor derives ImageInfo for a static transmitter. The second
 // result is false for sources whose cycle geometry the image layer
-// cannot determine (e.g. a live Rebroadcaster, whose stream is not a
-// fixed cycle). A coded transmitter (non-nil FEC descriptor) widens the
-// slot records for its parity packets.
+// cannot determine: anything but a MultiTransmitter, and a
+// MultiTransmitter that has staged or committed a swap, whose stream is
+// no longer one fixed cycle. A coded transmitter (non-nil FEC
+// descriptor) widens the slot records for its parity packets.
 func InfoFor(src station.PacketSource, meta wire.StationMeta) (ImageInfo, bool) {
 	t, ok := src.(*station.MultiTransmitter)
 	if !ok {
 		return ImageInfo{}, false
 	}
-	slots := make([]int, t.Lay.Channels())
+	if _, staged := t.SeamOf(0); staged || t.Version() != 1 {
+		return ImageInfo{}, false
+	}
+	lay := t.Layout()
+	slots := make([]int, lay.Channels())
 	for ch := range slots {
 		slots[ch] = t.ChanSlots(ch)
 	}
-	info := ImageInfo{Capacity: t.Lay.X.Cfg.Capacity, ChanSlots: slots, Meta: meta}
+	info := ImageInfo{Capacity: lay.X.Cfg.Capacity, ChanSlots: slots, Meta: meta}
 	if desc, _ := t.FECDescAt(0); desc != nil {
 		info.SlotBytes = info.Capacity + wire.ParityHeaderSize
 	}
@@ -155,9 +160,7 @@ func WriteImage(w io.Writer, src station.PacketSource, info ImageInfo) error {
 		foot.SlotBytes = slotBytes
 	}
 	foot.Dir, foot.DirVersion = src.DirectoryAt(0)
-	if fs, ok := src.(station.FECSource); ok {
-		foot.FECDesc, foot.FECVersion = fs.FECDescAt(0)
-	}
+	foot.FECDesc, foot.FECVersion = src.FECDescAt(0)
 	fb, err := json.Marshal(foot)
 	if err != nil {
 		return err
@@ -188,10 +191,9 @@ func WriteImageFile(path string, src station.PacketSource, info ImageInfo) error
 	return f.Close()
 }
 
-// ImageSource serves a wire-cycle image as a station.PacketSource (and
-// FECSource): PacketAt is index arithmetic into the mapped file, the
-// payload a zero-copy slice of it. Opening is O(footer) regardless of
-// image size.
+// ImageSource serves a wire-cycle image as a station.PacketSource:
+// PacketAt is index arithmetic into the mapped file, the payload a
+// zero-copy slice of it. Opening is O(footer) regardless of image size.
 type ImageSource struct {
 	m         *mapping
 	capacity  int
@@ -333,7 +335,7 @@ func (s *ImageSource) DirectoryAt(int64) ([]byte, uint32) {
 	return s.dir, s.dirVer
 }
 
-// FECDescAt implements station.FECSource from the footer blob.
+// FECDescAt implements station.PacketSource from the footer blob.
 func (s *ImageSource) FECDescAt(int64) ([]byte, uint32) {
 	if s.fecDesc == nil {
 		return nil, 1

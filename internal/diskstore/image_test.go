@@ -215,17 +215,60 @@ func TestMultiChannelImageIdentity(t *testing.T) {
 			if !bytes.Equal(wantDir, gotDir) || wantVer != gotVer {
 				t.Fatalf("%s coded=%v: directory mismatch", name, coded)
 			}
-			if fs, ok := src.(station.FECSource); ok {
-				wantFEC, wantV := fs.FECDescAt(0)
-				gotFEC, gotV := img.FECDescAt(0)
-				if !bytes.Equal(wantFEC, gotFEC) || wantV != gotV {
-					t.Fatalf("%s coded=%v: FEC descriptor mismatch", name, coded)
-				}
+			wantFEC, wantV := src.FECDescAt(0)
+			gotFEC, gotV := img.FECDescAt(0)
+			if !bytes.Equal(wantFEC, gotFEC) || wantV != gotV {
+				t.Fatalf("%s coded=%v: FEC descriptor mismatch", name, coded)
 			}
 			if err := img.Close(); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestInfoForRefusesALiveTransmitter: a transmitter images only while it
+// is the static broadcast — once a swap is staged its stream is no
+// longer one fixed cycle, nor after the swap is committed.
+func TestInfoForRefusesALiveTransmitter(t *testing.T) {
+	ds := dataset.Uniform(200, 7, 9)
+	x, err := dsi.Build(ds, dsi.Config{Capacity: 64, ReserveMCPtr: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := func(bounds ...int) *dsi.Layout {
+		lay, err := dsi.NewLayout(x, dsi.MultiConfig{
+			Channels: 3, Scheduler: dsi.SchedShard, SwitchSlots: 2, ShardBounds: bounds,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lay
+	}
+	tx, err := station.NewMultiTransmitter(shard(0, x.NF/2, x.NF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := InfoFor(tx, wire.StationMeta{}); !ok {
+		t.Fatal("static transmitter refused")
+	}
+	swap, err := tx.Stage(shard(0, x.NF/4, x.NF), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := InfoFor(tx, wire.StationMeta{}); ok {
+		t.Fatal("transmitter with a swap staged was imaged")
+	}
+	horizon := swap
+	for ch := 0; ch < 3; ch++ {
+		s, _ := tx.SeamOf(ch)
+		horizon = max(horizon, s)
+	}
+	if !tx.Commit(horizon) {
+		t.Fatal("commit refused past every seam")
+	}
+	if _, ok := InfoFor(tx, wire.StationMeta{}); ok {
+		t.Fatal("transmitter past a committed swap was imaged")
 	}
 }
 

@@ -17,8 +17,8 @@
 // The replay is byte-level end to end: every query decodes the actual
 // packets a station source puts on air through a station.WireReceiver
 // — static stretches over each generation's MultiTransmitter with
-// per-worker session reuse, and each seam-crossing query over a
-// Rebroadcaster holding exactly that staged swap, so the directory
+// per-worker session reuse, and each seam-crossing query over a fresh
+// MultiTransmitter holding exactly that staged swap, so the directory
 // bump (and its fetch cost) is received over the air rather than
 // simulated.
 //
@@ -310,24 +310,24 @@ func (s *driftSession) session(idx int) *sessionAdapter {
 
 // resyncWindow answers one seam-crossing query byte-level: a fresh
 // receiver holding the tune-in generation's catalog as directory
-// version 1, over a rebroadcaster with exactly that swap staged — the
+// version 1, over a transmitter with exactly that swap staged — the
 // seam lands at the first index-channel cycle boundary after the
 // probe, so the receiver picks the version bump and the new directory
 // off the air mid-query (exactly the machinery a live transmitter
 // would exercise).
 func (sch *driftSchedule) resyncWindow(reg *obs.Registry, idx, tgt int, q windowQuery, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	rb, err := station.NewRebroadcaster(sch.lays[idx])
+	tx, err := station.NewMultiTransmitter(sch.lays[idx])
 	if err != nil {
-		panic(fmt.Sprintf("experiment: drift rebroadcaster: %v", err))
+		panic(fmt.Sprintf("experiment: drift transmitter: %v", err))
 	}
 	if reg != nil {
-		rb.SetObs(obs.NewStationMetrics(reg, sch.lays[idx].Channels()))
+		tx.SetObs(obs.NewStationMetrics(reg, sch.lays[idx].Channels()))
 	}
-	if _, err := rb.Stage(sch.lays[tgt], probe); err != nil {
+	if _, err := tx.Stage(sch.lays[tgt], probe); err != nil {
 		panic(fmt.Sprintf("experiment: drift stage: %v", err))
 	}
 	var rx dsi.Receiver
-	wrx, err := station.NewWireReceiver(sch.lays[idx], 1, rb, probe, loss)
+	wrx, err := station.NewWireReceiver(sch.lays[idx], 1, tx, probe, loss)
 	if err != nil {
 		panic(fmt.Sprintf("experiment: drift resync receiver: %v", err))
 	}
@@ -346,8 +346,8 @@ func (sch *driftSchedule) resyncWindow(reg *obs.Registry, idx, tgt int, q window
 // worker pool, averaging metrics in query order (bit-identical at any
 // parallelism). Every query decodes actual packets: static stretches
 // run through the worker's reusable receiver over that generation's
-// transmitter; a query with a re-sync target runs over a staged
-// rebroadcaster and crosses the swap seam mid-flight.
+// transmitter; a query with a re-sync target runs over a transmitter
+// with that swap staged and crosses the seam mid-flight.
 func (wl *Workload) runDrift(sch *driftSchedule, queries []windowQuery, from, to int) Metrics {
 	if wl.Obs != nil {
 		m := obs.NewStationMetrics(wl.Obs, sch.lays[0].Channels())

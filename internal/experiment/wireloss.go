@@ -73,10 +73,10 @@ func (s *staleWireSystem) KNN(q spatial.Point, k int, probe int64, loss *broadca
 }
 
 // wireLossBed assembles the experiment's fixed infrastructure: the
-// uniform sharded layout with its static transmitter, and a
-// rebroadcaster that has committed a swap from that layout to the
+// uniform sharded layout with its static transmitter, and a second
+// transmitter that has committed a swap from that layout to the
 // Zipf-trained plan (the stale arm's source).
-func wireLossBed(p Params) (x *dsi.Index, lay0, lay1 *dsi.Layout, mt *station.MultiTransmitter, rb *station.Rebroadcaster) {
+func wireLossBed(p Params) (x *dsi.Index, lay0, lay1 *dsi.Layout, mt, swapped *station.MultiTransmitter) {
 	ds := p.Dataset()
 	x, err := dsi.Build(ds, dsi.Config{Capacity: 64, ObjectBytes: p.ObjectBytes, ReserveMCPtr: true})
 	if err != nil {
@@ -104,24 +104,24 @@ func wireLossBed(p Params) (x *dsi.Index, lay0, lay1 *dsi.Layout, mt *station.Mu
 	if err != nil {
 		panic(err)
 	}
-	rb, err = station.NewRebroadcaster(lay0)
+	swapped, err = station.NewMultiTransmitter(lay0)
 	if err != nil {
 		panic(err)
 	}
-	seam, err := rb.Stage(lay1, 0)
+	seam, err := swapped.Stage(lay1, 0)
 	if err != nil {
 		panic(err)
 	}
 	horizon := seam
 	for ch := 0; ch < lay0.Channels(); ch++ {
-		if s, ok := rb.SeamOf(ch); ok && s > horizon {
+		if s, ok := swapped.SeamOf(ch); ok && s > horizon {
 			horizon = s
 		}
 	}
-	if !rb.Commit(horizon) {
+	if !swapped.Commit(horizon) {
 		panic("experiment: wireloss commit refused past every seam")
 	}
-	return x, lay0, lay1, mt, rb
+	return x, lay0, lay1, mt, swapped
 }
 
 // WireLoss sweeps the Gilbert-Elliott loss rate over the three arms
@@ -131,11 +131,11 @@ func wireLossBed(p Params) (x *dsi.Index, lay0, lay1 *dsi.Layout, mt *station.Mu
 func WireLoss(p Params) Result {
 	p = p.withDefaults()
 	ds := p.Dataset()
-	x, lay0, lay1, mt, rb := wireLossBed(p)
+	x, lay0, lay1, mt, swapped := wireLossBed(p)
 
 	sim := newSimSystem("Sim", lay0, dsi.Conservative)
 	wire := newWireSystem("Wire", lay0, mt, dsi.Conservative)
-	stale := &staleWireSystem{label: "Wire stale", x: x, stale: lay0, onAir: lay1, src: rb, strat: dsi.Conservative}
+	stale := &staleWireSystem{label: "Wire stale", x: x, stale: lay0, onAir: lay1, src: swapped, strat: dsi.Conservative}
 
 	mk := func(id, title, y string) Figure {
 		return Figure{ID: id, Title: title, XLabel: "loss rate theta", YLabel: y}

@@ -113,9 +113,9 @@ type feedEntry struct {
 	pkt station.Packet
 }
 
-// Feed reassembles net frames into a station.PacketSource (and
-// station.FECSource): per-channel ring buffers over the absolute slot
-// clock plus the latest in-band control state.
+// Feed reassembles net frames into a station.PacketSource: per-channel
+// ring buffers over the absolute slot clock plus the latest in-band
+// control state.
 type Feed struct {
 	nch  int
 	ring int64
@@ -415,7 +415,7 @@ func (f *Feed) DirectoryAt(int64) ([]byte, uint32) {
 	return f.dir, f.dirVer
 }
 
-// FECDescAt implements station.FECSource: the newest in-band FEC
+// FECDescAt implements station.PacketSource: the newest in-band FEC
 // descriptor, nil with version 0 before one has arrived.
 func (f *Feed) FECDescAt(int64) ([]byte, uint32) {
 	f.mu.Lock()

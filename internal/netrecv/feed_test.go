@@ -24,10 +24,8 @@ import (
 func pumpFeed(feed *netrecv.Feed, src station.PacketSource, nch int, drop func(ch int, abs int64) bool) func() {
 	stop := make(chan struct{})
 	go func() {
-		if f, ok := src.(station.FECSource); ok {
-			if desc, ver := f.FECDescAt(0); desc != nil {
-				feed.Offer(wire.NetFrame{Kind: wire.NetFECDesc, Ver: ver, Abs: 0, Payload: desc})
-			}
+		if desc, ver := src.FECDescAt(0); desc != nil {
+			feed.Offer(wire.NetFrame{Kind: wire.NetFECDesc, Ver: ver, Abs: 0, Payload: desc})
 		}
 		if dir, ver := src.DirectoryAt(0); dir != nil {
 			feed.Offer(wire.NetFrame{Kind: wire.NetDir, Ver: ver, Abs: 0, Payload: dir})

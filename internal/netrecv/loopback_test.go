@@ -393,7 +393,7 @@ func seamSwapOverNetwork(t *testing.T, seed int64, to wire.FECConfig) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := station.NewRebroadcaster(lay0)
+	rb, err := station.NewMultiTransmitter(lay0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,6 +439,74 @@ func seamSwapOverNetwork(t *testing.T, seed int64, to wire.FECConfig) {
 	query() // version 2, post-swap
 }
 
+// TestBootstrapPastGlobalSeam bootstraps a client from /v1/meta while a
+// staged swap is past its global seam and never committed, so the index
+// channel airs version 2 and the meta document must still describe one
+// generation. The client tunes in one version stale, follows the bump
+// in-band and answers every query exactly. (When the document paired
+// the staged version with the committed shard bounds, a query never
+// returned.)
+func TestBootstrapPastGlobalSeam(t *testing.T) {
+	const n, seed = 240, 1901
+	ds, x, lay0 := netTestBed(t, n, seed)
+	lay1, err := dsi.NewLayout(x, dsi.MultiConfig{
+		Channels: 4, Scheduler: dsi.SchedShard, SwitchSlots: 2, ShardBounds: skewedBounds(x.NF),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := station.NewMultiTransmitter(lay0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swap, err := tx.Stage(lay1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := startBlockStation(t, tx, lay0, metaFor(t, ds, n, seed, lay0, wire.FECConfig{}), nil)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		cat, err := netrecv.Bootstrap(url, netrecv.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cat.Meta.Now >= swap {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("station clock still at %d, short of the global seam %d", cat.Meta.Now, swap)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	cat, err := netrecv.Bootstrap(url, netrecv.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx, err := netrecv.NewHTTPReceiver(url, cat, losslessOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	sess, err := dsi.Open(cat.X, dsi.WithReceiver(rx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(37))
+	side := int(ds.Curve.Side())
+	for i := 0; i < 8; i++ {
+		sess.Tune(rx.LiveSlot()+1, nil)
+		w := spatial.ClampedWindow(uint32(rng.Intn(side)), uint32(rng.Intn(side)), 45, ds.Curve.Side())
+		got, _ := sess.Window(w)
+		if want := ds.WindowBrute(w); !equalIDs(got, want) {
+			t.Fatalf("query %d (client at v%d): window returned %v, want %v", i, rx.DirVersion(), got, want)
+		}
+	}
+	if rx.DirVersion() != 2 {
+		t.Fatalf("client never adopted the staged directory (still v%d)", rx.DirVersion())
+	}
+}
+
 // TestStaleTuneInOverNetwork tunes a client whose catalog is one
 // directory version behind the live daemon: every payload is initially
 // undecodable, the current directory arrives in-band, and queries
@@ -452,7 +520,7 @@ func TestStaleTuneInOverNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := station.NewRebroadcaster(lay0)
+	rb, err := station.NewMultiTransmitter(lay0)
 	if err != nil {
 		t.Fatal(err)
 	}

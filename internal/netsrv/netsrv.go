@@ -53,12 +53,13 @@ import (
 
 // Config assembles a network station over a packet source.
 type Config struct {
-	// Source is the broadcast being served; it may additionally
-	// implement station.FECSource (coded stations) and expose
-	// Layout()/Version() (the Rebroadcaster) for live meta sampling.
+	// Source is the broadcast being served. A station.MultiTransmitter
+	// is read for /v1/meta as its committed generation (layout, version
+	// and FEC descriptor from one snapshot), so the document follows its
+	// directory swaps; any other source is static.
 	Source station.PacketSource
 	// Layout is the channel layout the source transmits (its initial
-	// layout for a Rebroadcaster). It may be nil when Source exposes
+	// layout for a producer that swaps). It may be nil when Source exposes
 	// Channels() int — a daemon serving an mmap'd wire-cycle image
 	// (diskstore.ImageSource) has no in-memory layout at all.
 	Layout *dsi.Layout
@@ -74,7 +75,7 @@ type Config struct {
 	// mounts /metrics + /debug/pprof on the handler.
 	Registry *obs.Registry
 	// Tick, when set, runs once per flush with the next slot to be
-	// emitted — the hook a daemon uses to drive Rebroadcaster commits.
+	// emitted — the hook a daemon uses to drive swap commits.
 	Tick func(abs int64)
 	// Block makes publishing block on slow subscribers instead of
 	// dropping batches: lossless end-to-end delivery for regression
@@ -88,7 +89,6 @@ type Config struct {
 type Server struct {
 	cfg  Config
 	src  station.PacketSource
-	fsrc station.FECSource // nil for uncoded sources
 	lay  *dsi.Layout
 	nch  int
 	ctrl int
@@ -145,9 +145,6 @@ func New(cfg Config) (*Server, error) {
 		ctrl:  cfg.CtrlEvery,
 		conns: make(map[*streamConn]struct{}),
 		free:  make(chan *flush, 2*streamQueueDepth),
-	}
-	if f, ok := cfg.Source.(station.FECSource); ok {
-		s.fsrc = f
 	}
 	if cfg.Layout != nil {
 		s.pkt = make([]byte, 0, cfg.Layout.X.Cfg.Capacity+wire.ParityHeaderSize)
@@ -253,10 +250,8 @@ func (s *Server) buildFlush(batchSlots int) *flush {
 // transport it never sees the bump ahead of its code. An oversized
 // control payload is left out rather than sent truncated.
 func (s *Server) appendCtrl(fl *flush, abs int64) {
-	if s.fsrc != nil {
-		if desc, fver := s.fsrc.FECDescAt(abs); desc != nil {
-			_ = fl.add(wire.NetFrame{Kind: wire.NetFECDesc, Ver: fver, Abs: abs, Payload: desc}, -1)
-		}
+	if desc, fver := s.src.FECDescAt(abs); desc != nil {
+		_ = fl.add(wire.NetFrame{Kind: wire.NetFECDesc, Ver: fver, Abs: abs, Payload: desc}, -1)
 	}
 	if dir, dver := s.src.DirectoryAt(abs); dir != nil {
 		_ = fl.add(wire.NetFrame{Kind: wire.NetDir, Ver: dver, Abs: abs, Payload: dir}, -1)
@@ -320,17 +315,16 @@ func (s *Server) meta() wire.StationMeta {
 	m.Now = abs
 	m.SlotsPerSec = s.cfg.SlotsPerSec
 	m.CtrlEvery = s.ctrl
-	_, m.Version = s.src.DirectoryAt(abs)
-	if s.fsrc != nil {
-		m.FECDesc, _ = s.fsrc.FECDescAt(abs)
-	}
-	// A rebroadcasting source re-cuts its shard bounds at seam swaps;
-	// sample the live layout so late-joining clients build the catalog
-	// matching the version above.
-	if l, ok := s.src.(interface{ Layout() *dsi.Layout }); ok {
-		lay := l.Layout()
-		m.ShardBounds = lay.ShardBounds()
-		m.Channels = lay.Channels()
+	if mt, ok := s.src.(*station.MultiTransmitter); ok {
+		// One generation throughout: a client that bootstraps while a
+		// swap is in flight gets the committed catalog, exactly one
+		// version stale, and follows the bump in-band.
+		var lay *dsi.Layout
+		lay, m.Version, m.FECDesc = mt.Committed()
+		m.ShardBounds, m.Channels = lay.ShardBounds(), lay.Channels()
+	} else {
+		_, m.Version = s.src.DirectoryAt(abs)
+		m.FECDesc, _ = s.src.FECDescAt(abs)
 	}
 	if s.udp != nil {
 		m.UDP = s.udp.addr

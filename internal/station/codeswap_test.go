@@ -44,7 +44,7 @@ func TestFECReceiverCodeSwapAcrossSeam(t *testing.T) {
 			rng := rand.New(rand.NewSource(12))
 			swapped := 0
 			for trial := 0; trial < 10; trial++ {
-				rb, err := NewRebroadcasterFEC(lay0, tc.from)
+				rb, err := NewMultiTransmitterFEC(lay0, tc.from)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -10,12 +10,10 @@
 // The physical cycle is therefore the logical cycle with G*R parity
 // slots spliced in after every unit. Units tile each channel's logical
 // cycle exactly, so physical cycle boundaries coincide with logical
-// ones and the Rebroadcaster's seam arithmetic carries over verbatim
-// with physical channel lengths — a staged layout re-encodes its
-// parity at the seam like any other cycle boundary. With the zero
-// FECConfig there are no parity slots, the physical and logical
-// domains coincide, and every coded type is packet-for-packet the
-// plain transmitter it extends.
+// ones and the producer's seam arithmetic carries over verbatim with
+// physical channel lengths — a staged layout re-encodes its parity at
+// the seam like any other cycle boundary. With the zero FECConfig there
+// are no parity slots and the physical and logical domains coincide.
 
 package station
 
@@ -26,15 +24,6 @@ import (
 	"dsi/internal/dsi"
 	"dsi/internal/wire"
 )
-
-// FECSource is the optional PacketSource extension of a coded station:
-// the versioned FEC descriptor on air at an absolute slot (nil when
-// the broadcast is uncoded). The descriptor version mirrors the shard
-// directory's, so a receiver adopting a directory bump can check the
-// code metadata crossing the seam with it.
-type FECSource interface {
-	FECDescAt(abs int64) ([]byte, uint32)
-}
 
 // fecUnit is one protected unit on one channel.
 type fecUnit struct {
@@ -195,35 +184,4 @@ func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(log 
 		}
 	}
 	return out
-}
-
-// NewMultiTransmitterFEC is NewMultiTransmitter with an erasure code
-// over every channel of the layout: each stream gains a parity tail
-// after every index table and every object, and Packet, CycleChannel
-// and PacketAt then run in the physical slot domain. The zero config is
-// the plain transmitter.
-func NewMultiTransmitterFEC(lay *dsi.Layout, cfg wire.FECConfig) (*MultiTransmitter, error) {
-	t, err := NewMultiTransmitter(lay)
-	if err != nil {
-		return nil, err
-	}
-	if !cfg.Enabled() {
-		return t, nil
-	}
-	g, err := newFECGeom(lay, cfg)
-	if err != nil {
-		return nil, err
-	}
-	t.fec = g
-	t.parity = make([][][]byte, lay.Channels())
-	for ch := range t.parity {
-		ch := ch
-		t.parity[ch] = buildParity(&g.chs[ch], cfg, lay.X.Cfg.Capacity,
-			func(log int) Packet { return t.logicalPacket(nil, ch, log) })
-	}
-	t.fecDesc, err = wire.EncodeFECDesc(cfg, 1)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
 }

@@ -24,16 +24,16 @@ type CodedChannel struct {
 	LogOf []int32
 }
 
-// CodedGeometry returns the per-channel physical geometry the coded
-// transmitter serves, sharing its slot maps; nil when the transmitter
-// is uncoded.
+// CodedGeometry returns the per-channel physical geometry the committed
+// generation serves, sharing its slot maps; nil when it is uncoded.
 func (t *MultiTransmitter) CodedGeometry() []CodedChannel {
-	if t.fec == nil {
+	geo := t.air.Load().cur.fec
+	if geo == nil {
 		return nil
 	}
-	out := make([]CodedChannel, len(t.fec.chs))
-	for ch := range t.fec.chs {
-		c := &t.fec.chs[ch]
+	out := make([]CodedChannel, len(geo.chs))
+	for ch := range geo.chs {
+		c := &geo.chs[ch]
 		out[ch] = CodedChannel{PhysLen: c.physLen, Log2Phys: c.log2phys, LogOf: c.logOf}
 	}
 	return out

@@ -113,7 +113,8 @@ func TestFECTransmitterParityDecodes(t *testing.T) {
 	}
 	parity := 0
 	for ch := 0; ch < lay.Channels(); ch++ {
-		c := &mt.fec.chs[ch]
+		geo := mt.air.Load().cur.fec
+		c := &geo.chs[ch]
 		for slot := 0; slot < mt.ChanSlots(ch); slot++ {
 			p := mt.Packet(ch, slot)
 			if c.member[slot] >= 0 {
@@ -131,7 +132,7 @@ func TestFECTransmitterParityDecodes(t *testing.T) {
 				t.Fatalf("ch%d slot %d: %v", ch, slot, err)
 			}
 			u := &c.units[c.unitOf[slot]]
-			code := mt.fec.code(u.table)
+			code := geo.code(u.table)
 			off := slot - u.physStart - u.n
 			wantGrp, wantRow := off%code.Groups, off/code.Groups
 			members, k := code.GroupMembers(u.n, wantGrp)
@@ -175,7 +176,7 @@ func TestFECReceiverRate1BitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := NewRebroadcaster(lay)
+	rb, err := NewMultiTransmitter(lay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,16 +343,6 @@ func TestFECReceiverBurstBeyondDistance(t *testing.T) {
 	})
 }
 
-// fecFaultSource is faultSource over a coded station: it forwards the
-// FEC descriptor so the receiver constructor's handshake holds.
-type fecFaultSource struct {
-	faultSource
-}
-
-func (f *fecFaultSource) FECDescAt(abs int64) ([]byte, uint32) {
-	return f.PacketSource.(FECSource).FECDescAt(abs)
-}
-
 // TestFECReceiverLostParityPackets blanks a rotating subset of parity
 // packets on top of bursty content loss: readTail treats them as
 // erased rows, recovery degrades where the surviving rows run short,
@@ -367,13 +358,13 @@ func TestFECReceiverLostParityPackets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &fecFaultSource{faultSource{PacketSource: tx, mutate: func(ch int, abs int64, p Packet) (Packet, bool) {
+	src := &faultSource{PacketSource: tx, mutate: func(ch int, abs int64, p Packet) (Packet, bool) {
 		if p.Flags&flagParity != 0 && abs%3 == 0 {
 			p.Payload = p.Payload[:len(p.Payload)/2] // DecodeParity must reject
 			return p, true
 		}
 		return p, false
-	}}}
+	}}
 	runFECWindows(t, ds, x, x.SingleLayout(), src, cfg, 6, 503, func(rng *rand.Rand) *broadcast.LossModel {
 		m := broadcast.GilbertForTheta(0.3, 3, rng.Int63())
 		m.AffectsData = true
@@ -385,7 +376,7 @@ func TestFECReceiverLostParityPackets(t *testing.T) {
 }
 
 // TestFECReceiverResyncAcrossSwap stages a directory swap on a coded
-// rebroadcaster while coded queries are in flight under loss: clients
+// transmitter while coded queries are in flight under loss: clients
 // pick up the version bump (directory and FEC descriptor both cross
 // the lossy air), re-anchor in the physical slot domain, and answer
 // exactly.
@@ -403,7 +394,7 @@ func TestFECReceiverResyncAcrossSwap(t *testing.T) {
 	side := int(ds.Curve.Side())
 	resynced := 0
 	for trial := 0; trial < 10; trial++ {
-		rb, err := NewRebroadcasterFEC(lay0, cfg)
+		rb, err := NewMultiTransmitterFEC(lay0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +450,7 @@ func TestFECReceiverLostDirectoryAcrossSwap(t *testing.T) {
 	side := int(ds.Curve.Side())
 	resynced := 0
 	for trial := 0; trial < 8; trial++ {
-		rb, err := NewRebroadcasterFEC(lay0, cfg)
+		rb, err := NewMultiTransmitterFEC(lay0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,15 +459,15 @@ func TestFECReceiverLostDirectoryAcrossSwap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		healAt := seam + int64(2*rb.cur.ChanSlots(0))
-		src := &fecFaultSource{faultSource{PacketSource: rb, mutateDir: func(abs int64, dir []byte) []byte {
+		healAt := seam + int64(2*rb.ChanSlots(0))
+		src := &faultSource{PacketSource: rb, mutateDir: func(abs int64, dir []byte) []byte {
 			if dir != nil && abs >= seam && abs < healAt {
 				bad := append([]byte(nil), dir...)
 				bad[0] ^= 0xff
 				return bad
 			}
 			return dir
-		}}}
+		}}
 		rx, err := NewFECReceiver(lay0, 1, src, cfg, probe, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -514,7 +505,7 @@ func TestFECReceiverStaleTuneIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := xorCode()
-	rb, err := NewRebroadcasterFEC(lay0, cfg)
+	rb, err := NewMultiTransmitterFEC(lay0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

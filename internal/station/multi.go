@@ -1,51 +1,137 @@
-// Static transmission: the station side of the channel abstraction
+// The cycle producer: the station side of the channel abstraction
 // layer. A MultiTransmitter materializes one byte stream per channel of
 // a dsi.Layout — index tables in the wire format the layout calls for
 // (wire.EncodeLayoutTables), object payloads on their data channels —
-// and ScanMulti proves the streams are self-describing by rebuilding
-// the complete broadcast metadata from one cycle of every channel.
+// and keeps the broadcast on air while its shard directory (and code)
+// is swapped for a freshly planned one. ScanMulti proves the streams are
+// self-describing by rebuilding the complete broadcast metadata from one
+// cycle of every channel.
+//
+// A swap is staged, then takes effect at a cycle seam: the global seam
+// is the next index-channel cycle boundary, and every data channel cuts
+// over at its own first old-cycle boundary at or after that slot —
+// channels never truncate a cycle mid-frame, so old-version frames keep
+// streaming across the transition window while the index channel
+// already carries the new directory. Receivers holding the old
+// directory stay consistent with what their channels still transmit
+// until they pick up the version bump; from the bump and the old
+// geometry they can compute every channel's cutover slot (the seam
+// arithmetic in StageFEC is deliberately a pure function of the old
+// directory plus the announced seam). A producer that never stages is
+// the static broadcast: one generation, version 1, anchored at slot 0.
 
 package station
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"dsi/internal/dsi"
 	"dsi/internal/obs"
 	"dsi/internal/wire"
 )
 
-// MultiTransmitter materializes the per-channel byte streams of a DSI
-// broadcast under any layout, the single-channel one included. What a
-// slot carries is asked of the layout (SlotTable/SlotData) per packet,
-// or read from the coded geometry's unit covering the slot: the
-// transmitter keeps no per-slot state beyond the encoded tables and,
-// when coded, the geometry and the parity payloads.
+// MultiTransmitter is the one producer of a DSI broadcast's byte
+// streams, under any layout — the single-channel one included — and
+// across directory swaps. What a slot carries is asked of the
+// generation's layout (SlotTable/SlotData) per packet, or read from its
+// coded geometry's unit covering the slot: a generation keeps no
+// per-slot state beyond the encoded tables and, when coded, the geometry
+// and the parity payloads.
+//
+// It is safe for concurrent use: any number of readers call
+// ReadPacketAt, DirectoryAt and FECDescAt while one control goroutine
+// stages and commits swaps. A read loads one immutable snapshot of what
+// is on air and takes no lock.
 type MultiTransmitter struct {
-	Lay    *dsi.Layout
-	tables [][]byte // per cycle position, in the layout's wire format
-
-	// Cached DirectoryAt encoding (version 1, anchored at slot 0).
-	dirOnce sync.Once
-	dir     []byte
-
-	// Erasure code (NewMultiTransmitterFEC); nil when uncoded.
-	fec     *fecGeom
-	parity  [][][]byte // per channel, per physical slot; nil for content
-	fecDesc []byte
-
-	// met, when set, counts per-channel packets served via PacketAt.
+	air atomic.Pointer[onAir]
+	// mu serializes the writers (StageFEC, Commit); readers never take it.
+	mu sync.Mutex
+	// met, when set, counts per-channel packets served, swaps staged and
+	// committed, and the version on air. Nil counts nothing.
 	met *obs.StationMetrics
 }
 
-// SetObs installs the station metric bundle (nil counts nothing).
-func (t *MultiTransmitter) SetObs(m *obs.StationMetrics) { t.met = m }
+// onAir is one published state of the producer, never modified: the
+// generation on air and the staged one (nil when no swap is in flight),
+// which takes over each channel at its own cutover seam.
+type onAir struct {
+	cur, next *generation
+}
 
-// NewMultiTransmitter prepares the table encodings for the layout. It
-// refuses a layout whose objects' first packets cannot hold the wire
-// header (wire.CheckHeaderFits).
+// at returns the generation whose directory and FEC descriptor are on
+// air at abs: the staged one from the global seam on (the index channel
+// is the first to cut over, and the announcement rides with it).
+func (a *onAir) at(abs int64) *generation {
+	if a.next != nil && abs >= a.next.clocks[a.next.lay.StartCh].phase {
+		return a.next
+	}
+	return a.cur
+}
+
+// generation is one layout under one code with everything it puts on
+// air encoded once; it is never modified after it is published.
+type generation struct {
+	lay     *dsi.Layout
+	cfg     wire.FECConfig
+	version uint32
+	clocks  []clock  // per channel
+	tables  [][]byte // per cycle position, in the layout's wire format
+
+	fec    *fecGeom   // nil when uncoded
+	parity [][][]byte // per channel, per physical slot; nil for content
+
+	dir  []byte // versioned directory announcing the generation; nil for layouts without one
+	desc []byte // versioned FEC descriptor; nil when none ships
+}
+
+// clock is one channel's cycle under a generation: the absolute slot at
+// which it has phase 0 — slot 0 for the first generation, the channel's
+// cutover seam for a staged one — and its length in slots as
+// transmitted (physical when coded).
+type clock struct{ phase, len int64 }
+
+// NewMultiTransmitter puts the layout on air uncoded, as directory
+// version 1 anchored at slot 0. It refuses a layout whose objects' first
+// packets cannot hold the wire header (wire.CheckHeaderFits).
 func NewMultiTransmitter(lay *dsi.Layout) (*MultiTransmitter, error) {
+	return NewMultiTransmitterFEC(lay, wire.FECConfig{})
+}
+
+// NewRebroadcaster is NewMultiTransmitter.
+//
+// Deprecated: every MultiTransmitter stages and commits directory swaps;
+// use NewMultiTransmitter.
+func NewRebroadcaster(lay *dsi.Layout) (*MultiTransmitter, error) { return NewMultiTransmitter(lay) }
+
+// NewMultiTransmitterFEC is NewMultiTransmitter with an erasure code
+// over every channel of the layout: each stream gains a parity tail
+// after every index table and every object, and Packet, CycleChannel
+// and ReadPacketAt then run in the physical slot domain. The zero config
+// is the uncoded transmitter, which ships no FEC descriptor.
+func NewMultiTransmitterFEC(lay *dsi.Layout, cfg wire.FECConfig) (*MultiTransmitter, error) {
+	g, err := newGeneration(lay, cfg)
+	if err != nil {
+		return nil, err
+	}
+	g.version = 1
+	// A layout without a dedicated index channel has no directory.
+	g.dir, _ = wire.EncodeDirV(lay, 1, 0)
+	if cfg.Enabled() {
+		if g.desc, err = wire.EncodeFECDesc(cfg, 1); err != nil {
+			return nil, err
+		}
+	}
+	t := &MultiTransmitter{}
+	t.air.Store(&onAir{cur: g})
+	return t, nil
+}
+
+// newGeneration encodes the layout's tables and, under a code, its
+// physical geometry and every parity payload. Version, directory and
+// descriptor are the caller's to fill in before publishing.
+func newGeneration(lay *dsi.Layout, cfg wire.FECConfig) (*generation, error) {
 	if err := wire.CheckHeaderFits(lay.X.Cfg.Capacity, lay.X.Cfg.ObjectBytes); err != nil {
 		return nil, err
 	}
@@ -53,74 +139,284 @@ func NewMultiTransmitter(lay *dsi.Layout) (*MultiTransmitter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MultiTransmitter{Lay: lay, tables: tables}, nil
+	g := &generation{lay: lay, cfg: cfg, tables: tables, clocks: make([]clock, lay.Channels())}
+	for ch := range g.clocks {
+		g.clocks[ch].len = int64(lay.ChanLen(ch))
+	}
+	if !cfg.Enabled() {
+		return g, nil
+	}
+	geo, err := newFECGeom(lay, cfg)
+	if err != nil {
+		return nil, err
+	}
+	g.parity = make([][][]byte, lay.Channels())
+	for ch := range g.parity {
+		g.parity[ch] = buildParity(&geo.chs[ch], cfg, lay.X.Cfg.Capacity,
+			func(log int) Packet { return g.logicalPacket(nil, ch, log) })
+		g.clocks[ch].len = int64(geo.chs[ch].physLen)
+	}
+	g.fec = geo
+	return g, nil
+}
+
+// SetObs installs the station metric bundle. Call before the broadcast
+// goes live; nil (the default) counts nothing.
+func (t *MultiTransmitter) SetObs(m *obs.StationMetrics) {
+	t.met = m
+	if m != nil {
+		m.DirVersion.Set(float64(t.Version()))
+	}
+}
+
+// Layout returns the layout of the committed generation (the staged one
+// only after Commit).
+func (t *MultiTransmitter) Layout() *dsi.Layout { return t.air.Load().cur.lay }
+
+// Version returns the directory version of the committed generation
+// (the staged directory is Version()+1).
+func (t *MultiTransmitter) Version() uint32 { return t.air.Load().cur.version }
+
+// Committed returns the committed generation's layout, directory
+// version and FEC descriptor (nil when none ships), read from one
+// snapshot: a catalog cut from them describes one generation even while
+// a swap is in flight.
+func (t *MultiTransmitter) Committed() (*dsi.Layout, uint32, []byte) {
+	g := t.air.Load().cur
+	return g.lay, g.version, g.desc
 }
 
 // Directory returns the encoded on-air channel directory of the
-// transmitter's layout (split and sharded layouts): the shard/cycle
-// catalog a station broadcasts alongside the streams so receivers can
-// interpret multi-channel pointers into unequal cycles. ScanMultiDir
-// consumes it on the receiver side.
-func (t *MultiTransmitter) Directory() ([]byte, error) { return wire.EncodeShardDir(t.Lay) }
+// committed layout (split and sharded layouts): the shard/cycle catalog
+// a station broadcasts alongside the streams so receivers can interpret
+// multi-channel pointers into unequal cycles. ScanMultiDir consumes it
+// on the receiver side.
+func (t *MultiTransmitter) Directory() ([]byte, error) { return wire.EncodeShardDir(t.Layout()) }
 
-// Packet returns the packet broadcast at the given per-channel cycle
-// slot of channel ch. On a coded transmitter the slot is physical and
-// parity slots carry their encoded parity frames.
+// ChanSlots returns channel ch's cycle length in packet slots under the
+// committed generation — physical slots when it is coded.
+func (t *MultiTransmitter) ChanSlots(ch int) int { return int(t.air.Load().cur.clocks[ch].len) }
+
+// Packet returns the packet the committed generation broadcasts at the
+// given per-channel cycle slot of channel ch. On a coded generation the
+// slot is physical and parity slots carry their encoded parity frames.
 func (t *MultiTransmitter) Packet(ch, slot int) Packet {
-	return t.packet(nil, ch, slot%t.ChanSlots(ch))
+	g := t.air.Load().cur
+	return g.packet(nil, ch, slot%int(g.clocks[ch].len))
 }
 
-// packet is Packet for a slot already reduced into [0, ChanSlots(ch)):
-// the exported entry points (Packet, ReadPacketAt,
-// Rebroadcaster.ReadPacketAt) each reduce once. The coded path reads
-// what the slot carries from the geometry unit covering it rather than
-// re-inverting the layout. buf is ReadPacketAt's: only an object part is
-// built into it.
-func (t *MultiTransmitter) packet(buf []byte, ch, slot int) Packet {
-	if t.fec == nil {
-		return t.logicalPacket(buf, ch, slot)
+// CycleChannel streams one full cycle of channel ch under the committed
+// generation and closes out.
+func (t *MultiTransmitter) CycleChannel(ch int, out chan<- Packet) {
+	g := t.air.Load().cur
+	for slot := 0; slot < int(g.clocks[ch].len); slot++ {
+		out <- g.packet(nil, ch, slot)
 	}
-	c := &t.fec.chs[ch]
+	close(out)
+}
+
+// PacketAt implements PacketSource: ReadPacketAt without a buffer.
+func (t *MultiTransmitter) PacketAt(ch int, abs int64) (Packet, uint32) {
+	return t.ReadPacketAt(nil, ch, abs)
+}
+
+// ReadPacketAt implements PacketSource: the packet channel ch transmits
+// at absolute slot abs, together with the directory version governing
+// it — the staged version past the channel's seam, the committed one
+// before. The buffer is the reader's; the producer keeps nothing of it.
+func (t *MultiTransmitter) ReadPacketAt(buf []byte, ch int, abs int64) (Packet, uint32) {
+	t.met.PacketEmitted(ch)
+	a := t.air.Load()
+	g := a.cur
+	if a.next != nil && abs >= a.next.clocks[ch].phase {
+		g = a.next
+	}
+	c := g.clocks[ch]
+	rel := (abs - c.phase) % c.len
+	if rel < 0 {
+		rel += c.len
+	}
+	return g.packet(buf, ch, int(rel)), g.version
+}
+
+// DirectoryAt implements PacketSource: the versioned shard directory on
+// air at abs — the staged one from the global seam on — or nil for a
+// layout without one. The bytes are the producer's: callers must not
+// modify them.
+func (t *MultiTransmitter) DirectoryAt(abs int64) ([]byte, uint32) {
+	g := t.air.Load().at(abs)
+	return g.dir, g.version
+}
+
+// FECDescAt implements PacketSource: the versioned FEC descriptor on air
+// at abs, in lockstep with DirectoryAt. A generation ships one when it
+// is coded or staged — so a feed's newest descriptor moves with every
+// swap, turning coding off included — and an uncoded producer that
+// never staged ships none.
+func (t *MultiTransmitter) FECDescAt(abs int64) ([]byte, uint32) {
+	g := t.air.Load().at(abs)
+	return g.desc, g.version
+}
+
+// SeamOf returns channel ch's cutover slot of the staged swap; ok is
+// false when no swap is in flight.
+func (t *MultiTransmitter) SeamOf(ch int) (int64, bool) {
+	next := t.air.Load().next
+	if next == nil {
+		return 0, false
+	}
+	return next.clocks[ch].phase, true
+}
+
+// Stage schedules a swap to a new layout of the same broadcast under the
+// code on air; see StageFEC.
+func (t *MultiTransmitter) Stage(lay *dsi.Layout, now int64) (int64, error) {
+	return t.StageFEC(lay, t.air.Load().cur.cfg, now)
+}
+
+// StageFEC schedules a swap to a new layout of the same broadcast,
+// encoded under cfg: the global seam is the first index-channel cycle
+// boundary strictly after now, and each channel cuts over at its first
+// own-cycle boundary at or after it. It returns the global seam slot.
+// The versioned FEC descriptor announcing the staged code crosses the
+// air with the new directory, so receivers adopt the code at the seam
+// exactly as they adopt the shard map; the zero cfg turns coding off
+// from the seam on. Staging fails while a swap is already in flight, for
+// a layout without a directory, or when the new layout does not describe
+// the same index over the same channels.
+func (t *MultiTransmitter) StageFEC(lay *dsi.Layout, cfg wire.FECConfig, now int64) (int64, error) {
+	old := t.Layout()
+	if lay.X != old.X {
+		return 0, fmt.Errorf("station: staged layout serves a different index")
+	}
+	if lay.Channels() != old.Channels() {
+		return 0, fmt.Errorf("station: staged layout has %d channels, air has %d", lay.Channels(), old.Channels())
+	}
+	if lay.StartCh != old.StartCh {
+		return 0, fmt.Errorf("station: staged layout moves the index channel")
+	}
+	if now < 0 {
+		return 0, fmt.Errorf("station: negative stage time %d", now)
+	}
+	// The generation build is O(broadcast bytes); it runs outside the
+	// writer lock, and readers wait on neither.
+	g, err := newGeneration(lay, cfg)
+	if err != nil {
+		return 0, err
+	}
+
+	idx := old.StartCh
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	a := t.air.Load()
+	if a.next != nil {
+		return 0, fmt.Errorf("station: a directory swap is already in flight (seam %d)",
+			a.next.clocks[idx].phase)
+	}
+	if a.cur.lay != old {
+		// A Stage+Commit raced past the validation above; the control
+		// loop is a single goroutine, so this is misuse.
+		return 0, fmt.Errorf("station: broadcast changed while staging")
+	}
+
+	// Global seam: next index-channel cycle boundary strictly after now.
+	// On a coded broadcast the cycles — and so the seams — live in the
+	// physical slot domain; units tile each cycle, so a physical cycle
+	// boundary never splits a unit or its parity tail, and the staged
+	// layout re-encodes cleanly from its seam.
+	idxClock := a.cur.clocks[idx]
+	rel := now - idxClock.phase
+	swap := idxClock.phase + (rel/idxClock.len+1)*idxClock.len
+	for ch, c := range a.cur.clocks {
+		rel := swap - c.phase
+		k := rel / c.len
+		if rel%c.len != 0 {
+			k++
+		}
+		g.clocks[ch].phase = c.phase + k*c.len
+	}
+	g.version = a.cur.version + 1
+	if g.dir, err = wire.EncodeDirV(lay, g.version, swap); err != nil {
+		return 0, err
+	}
+	if g.desc, err = wire.EncodeFECDesc(cfg, g.version); err != nil {
+		return 0, err
+	}
+	t.air.Store(&onAir{cur: a.cur, next: g})
+	if t.met != nil {
+		t.met.SwapsStaged.Inc()
+		if cfg != a.cur.cfg {
+			t.met.CodeSwapsStaged.Inc()
+		}
+	}
+	return swap, nil
+}
+
+// Commit finalizes a staged swap once every channel has crossed its
+// seam: the staged generation becomes current, anchored per channel at
+// its cutover slot. It reports whether the commit happened (false while
+// a channel is still streaming its last old cycle, or when no swap is
+// staged).
+func (t *MultiTransmitter) Commit(now int64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	a := t.air.Load()
+	if a.next == nil {
+		return false
+	}
+	for _, c := range a.next.clocks {
+		if now < c.phase {
+			return false
+		}
+	}
+	t.air.Store(&onAir{cur: a.next})
+	if t.met != nil {
+		t.met.SwapsCommitted.Inc()
+		t.met.DirVersion.Set(float64(a.next.version))
+	}
+	return true
+}
+
+// packet is the packet at a slot already reduced into [0, clocks[ch].len).
+// The coded path reads what the slot carries from the geometry unit
+// covering it rather than re-inverting the layout. buf is ReadPacketAt's:
+// only an object part is built into it.
+func (g *generation) packet(buf []byte, ch, slot int) Packet {
+	if g.fec == nil {
+		return g.logicalPacket(buf, ch, slot)
+	}
+	c := &g.fec.chs[ch]
 	p := Packet{Ch: uint8(ch), Slot: uint32(slot)}
 	m := int(c.member[slot])
 	if m < 0 {
-		p.Flags, p.Payload = flagParity, t.parity[ch][slot]
+		p.Flags, p.Payload = flagParity, g.parity[ch][slot]
 		return p
 	}
 	u := &c.units[c.unitOf[slot]]
 	if u.table {
-		return t.tablePart(p, u.pos, m)
+		return g.tablePart(p, u.pos, m)
 	}
-	return t.objectPart(buf, p, u.pos, u.obj, m)
-}
-
-// ChanSlots returns channel ch's cycle length in packet slots —
-// physical slots on a coded transmitter.
-func (t *MultiTransmitter) ChanSlots(ch int) int {
-	if t.fec != nil {
-		return t.fec.chs[ch].physLen
-	}
-	return t.Lay.ChanLen(ch)
+	return g.objectPart(buf, p, u.pos, u.obj, m)
 }
 
 // logicalPacket returns the content packet at a logical (parity-free)
 // slot of channel ch, reduced into [0, ChanLen(ch)).
-func (t *MultiTransmitter) logicalPacket(buf []byte, ch, slot int) Packet {
+func (g *generation) logicalPacket(buf []byte, ch, slot int) Packet {
 	p := Packet{Ch: uint8(ch), Slot: uint32(slot)}
-	if pos, part, ok := t.Lay.SlotTable(ch, slot); ok {
-		return t.tablePart(p, pos, part)
+	if pos, part, ok := g.lay.SlotTable(ch, slot); ok {
+		return g.tablePart(p, pos, part)
 	}
-	pos, off, _ := t.Lay.SlotData(ch, slot)
-	objPackets := t.Lay.X.ObjPackets
-	return t.objectPart(buf, p, pos, off/objPackets, off%objPackets)
+	pos, off, _ := g.lay.SlotData(ch, slot)
+	objPackets := g.lay.X.ObjPackets
+	return g.objectPart(buf, p, pos, off/objPackets, off%objPackets)
 }
 
 // tablePart completes p as packet `part` of position pos's index table:
 // a slice of the pre-encoded table, empty past its end.
-func (t *MultiTransmitter) tablePart(p Packet, pos, part int) Packet {
+func (g *generation) tablePart(p Packet, pos, part int) Packet {
 	p.Flags = flagIndex
-	tab := t.tables[pos]
-	capacity := t.Lay.X.Cfg.Capacity
+	tab := g.tables[pos]
+	capacity := g.lay.X.Cfg.Capacity
 	if from := part * capacity; from < len(tab) {
 		p.Payload = tab[from:min(from+capacity, len(tab))]
 	}
@@ -134,8 +430,8 @@ func (t *MultiTransmitter) tablePart(p Packet, pos, part int) Packet {
 // allocation of exactly the part's size, at most Capacity bytes. The
 // bytes are the wire header followed by deterministic filler (a real
 // deployment would carry the application payload).
-func (t *MultiTransmitter) objectPart(buf []byte, p Packet, pos, o, part int) Packet {
-	x := t.Lay.X
+func (g *generation) objectPart(buf []byte, p Packet, pos, o, part int) Packet {
+	x := g.lay.X
 	first, num := x.FrameObjects(x.PosToFrame(pos))
 	if o >= num {
 		return p // padding slot of a partial last frame
@@ -155,14 +451,6 @@ func (t *MultiTransmitter) objectPart(buf []byte, p Packet, pos, o, part int) Pa
 	p.Payload = AppendObjectPart(buf[:0],
 		wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC}, obj.ID, size, from, to)
 	return p
-}
-
-// CycleChannel streams one full cycle of channel ch and closes out.
-func (t *MultiTransmitter) CycleChannel(ch int, out chan<- Packet) {
-	for slot := 0; slot < t.ChanSlots(ch); slot++ {
-		out <- t.Packet(ch, slot)
-	}
-	close(out)
 }
 
 // MultiFrameInfo is what ScanMulti reconstructs per cycle position.

@@ -25,7 +25,7 @@ func buildLayout(t *testing.T, cfg dsi.Config, mc dsi.MultiConfig) *dsi.Layout {
 
 func scanAll(t *testing.T, tx *MultiTransmitter) ([]MultiFrameInfo, error) {
 	t.Helper()
-	lay := tx.Lay
+	lay := tx.Layout()
 	streams := make([]<-chan Packet, lay.Channels())
 	for ch := 0; ch < lay.Channels(); ch++ {
 		c := make(chan Packet, 64)
@@ -212,7 +212,7 @@ func TestScanSingleErrorPaths(t *testing.T) {
 			}
 			close(c)
 		}()
-		_, err := ScanMulti(tx.Lay, []<-chan Packet{c})
+		_, err := ScanMulti(tx.Layout(), []<-chan Packet{c})
 		return err
 	}
 

@@ -196,11 +196,10 @@ func TestHeaderMustFit(t *testing.T) {
 		for _, lay := range []*dsi.Layout{x.SingleLayout(), shard} {
 			_, errTx := NewMultiTransmitter(lay)
 			_, errFEC := NewMultiTransmitterFEC(lay, xorCode())
-			_, errRb := NewRebroadcaster(lay)
 			_, errRx := NewWireReceiver(lay, 1, nil, 0, nil)
 			_, errFRx := NewFECReceiver(lay, 1, nil, xorCode(), 0, nil)
 			for name, err := range map[string]error{
-				"NewMultiTransmitter": errTx, "NewMultiTransmitterFEC": errFEC, "NewRebroadcaster": errRb,
+				"NewMultiTransmitter": errTx, "NewMultiTransmitterFEC": errFEC,
 				"NewWireReceiver": errRx, "NewFECReceiver": errFRx,
 			} {
 				if err == nil {
@@ -226,9 +225,10 @@ func TestHeaderMustFit(t *testing.T) {
 
 // BenchmarkMultiTransmitterPacketAt sweeps one full cycle of every
 // channel per iteration over the wire_lossy-shaped broadcast: the plain
-// transmitter, the coded one, and the rebroadcaster in front of the
-// plain one, through PacketAt; then the coded one and the rebroadcaster
-// again, read into one buffer of the reader's.
+// transmitter, the coded one, and a plain one with a swap staged, read
+// across each channel's seam (half a cycle of the old generation, half
+// of the new) — each through PacketAt and again into one buffer of the
+// reader's.
 func BenchmarkMultiTransmitterPacketAt(b *testing.B) {
 	_, x, lay := wireTestBed(b, 1200, 569, quarterBounds)
 	plain, err := NewMultiTransmitter(lay)
@@ -239,21 +239,38 @@ func BenchmarkMultiTransmitterPacketAt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rb, err := NewRebroadcaster(lay)
+	staged, err := NewMultiTransmitter(lay)
 	if err != nil {
 		b.Fatal(err)
 	}
+	next, err := dsi.NewLayout(x, dsi.MultiConfig{
+		Channels: 4, Scheduler: dsi.SchedShard, SwitchSlots: 2, ShardBounds: skewedBounds(x.NF),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := staged.Stage(next, 0); err != nil {
+		b.Fatal(err)
+	}
+	atZero := func(int) int64 { return 0 }
+	acrossSeam := func(ch int) int64 {
+		seam, _ := staged.SeamOf(ch)
+		return seam - int64(plain.ChanSlots(ch)/2)
+	}
+	buf := func() []byte { return make([]byte, 0, x.Cfg.Capacity) }
 	for _, bc := range []struct {
 		name  string
 		src   PacketSource
 		slots func(ch int) int
+		from  func(ch int) int64
 		buf   []byte
 	}{
-		{"plain", plain, plain.ChanSlots, nil},
-		{"coded", coded, coded.ChanSlots, nil},
-		{"rebroadcaster", rb, plain.ChanSlots, nil},
-		{"coded-into-buffer", coded, coded.ChanSlots, make([]byte, 0, x.Cfg.Capacity)},
-		{"rebroadcaster-into-buffer", rb, plain.ChanSlots, make([]byte, 0, x.Cfg.Capacity)},
+		{"plain", plain, plain.ChanSlots, atZero, nil},
+		{"plain-into-buffer", plain, plain.ChanSlots, atZero, buf()},
+		{"coded", coded, coded.ChanSlots, atZero, nil},
+		{"coded-into-buffer", coded, coded.ChanSlots, atZero, buf()},
+		{"staged", staged, plain.ChanSlots, acrossSeam, nil},
+		{"staged-into-buffer", staged, plain.ChanSlots, acrossSeam, buf()},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			total := 0
@@ -265,7 +282,8 @@ func BenchmarkMultiTransmitterPacketAt(b *testing.B) {
 			sink := 0
 			for b.Loop() {
 				for ch := 0; ch < lay.Channels(); ch++ {
-					for s, n := int64(0), int64(bc.slots(ch)); s < n; s++ {
+					from := bc.from(ch)
+					for s, n := from, from+int64(bc.slots(ch)); s < n; s++ {
 						p, _ := bc.src.ReadPacketAt(bc.buf, ch, s)
 						sink += len(p.Payload)
 					}

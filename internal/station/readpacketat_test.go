@@ -39,9 +39,9 @@ func seamBed(t testing.TB) (lay, next *dsi.Layout) {
 
 // TestReadPacketAtMatchesPacketAt holds the station's own sources to the
 // buffer contract (stationtest.CheckRead): a plain and a coded
-// transmitter over one full cycle of every channel, and a rebroadcaster
+// transmitter over one full cycle of every channel, and a transmitter
 // from before a staged swap's global seam to a cycle past every
-// channel's own — the stretch where one read serves the old transmitter
+// channel's own — the stretch where one read serves the old generation
 // and the next the staged one — and again once the swap is committed,
 // the swap changing the code as well as the shard map.
 func TestReadPacketAtMatchesPacketAt(t *testing.T) {
@@ -62,7 +62,7 @@ func TestReadPacketAtMatchesPacketAt(t *testing.T) {
 		}
 	}
 
-	rb, err := station.NewRebroadcaster(lay)
+	rb, err := station.NewMultiTransmitter(lay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestReadPacketAtMatchesPacketAt(t *testing.T) {
 	check := func(stage string) {
 		for ch := 0; ch < lay.Channels(); ch++ {
 			if err := stationtest.CheckSlots(rb, ch, swap-40, horizon); err != nil {
-				t.Fatalf("rebroadcaster, swap %s: %v", stage, err)
+				t.Fatalf("transmitter, swap %s: %v", stage, err)
 			}
 		}
 	}

@@ -2,7 +2,9 @@ package station
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dsi/internal/dataset"
@@ -25,9 +27,10 @@ func samePacket(a, b Packet) bool {
 }
 
 // TestRebroadcastNoSwapBitIdentical is the control contract: with no
-// swap staged, the rebroadcaster is packet-for-packet the plain
-// MultiTransmitter on every channel, and its directory is the bare
-// shard directory at version 1, seam 0.
+// swap staged, the transmitter serves its one cycle (Packet) at every
+// absolute slot as version 1 on every channel, its directory is the
+// bare shard directory at version 1, seam 0, and an uncoded one ships
+// no FEC descriptor.
 func TestRebroadcastNoSwapBitIdentical(t *testing.T) {
 	ds := dataset.Uniform(180, 7, 61)
 	x, err := dsi.Build(ds, dsi.Config{ReserveMCPtr: true})
@@ -39,21 +42,20 @@ func TestRebroadcastNoSwapBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRebroadcaster(lay)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for ch := 0; ch < lay.Channels(); ch++ {
 		l := lay.ChanLen(ch)
 		for abs := 0; abs < 2*l+3; abs++ {
-			got, ver := r.PacketAt(ch, int64(abs))
+			got, ver := tx.PacketAt(ch, int64(abs))
 			want := tx.Packet(ch, abs%l)
 			if ver != 1 || !samePacket(got, want) {
 				t.Fatalf("ch %d abs %d: packet (%+v, v%d) != transmitter %+v", ch, abs, got, ver, want)
 			}
 		}
 	}
-	buf, ver := r.DirectoryAt(12345)
+	if desc, ver := tx.FECDescAt(12345); desc != nil || ver != 1 {
+		t.Fatalf("uncoded transmitter ships FEC descriptor %x as v%d", desc, ver)
+	}
+	buf, ver := tx.DirectoryAt(12345)
 	if ver != 1 {
 		t.Fatalf("directory: v%d", ver)
 	}
@@ -89,7 +91,7 @@ func TestRebroadcastIdenticalSwapBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRebroadcaster(lay1)
+	r, err := NewMultiTransmitter(lay1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestRebroadcastTransitionWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRebroadcaster(oldLay)
+	r, err := NewMultiTransmitter(oldLay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +279,7 @@ func TestRebroadcastTransitionWindow(t *testing.T) {
 	for ch := 0; ch < newLay.Channels(); ch++ {
 		abs := maxSeam + 7
 		got, ver := r.PacketAt(ch, abs)
-		s := r.phase[ch]
+		s := r.air.Load().cur.clocks[ch].phase
 		want := newTx.Packet(ch, int((abs-s)%int64(newLay.ChanLen(ch))))
 		if ver != 2 || !samePacket(got, want) {
 			t.Fatalf("ch %d: committed stream broken", ch)
@@ -293,7 +295,7 @@ func TestRebroadcastStageErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	lay := buildShardLay(t, x, []int{0, 20, x.NF})
-	r, err := NewRebroadcaster(lay)
+	r, err := NewMultiTransmitter(lay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,65 +320,121 @@ func TestRebroadcastStageErrors(t *testing.T) {
 	if _, err := r.Stage(buildShardLay(t, x, []int{0, 40, x.NF}), 5); err == nil {
 		t.Error("double stage accepted")
 	}
-	// A single-channel layout has no directory to version.
-	single, err := dsi.NewLayout(x, dsi.MultiConfig{Channels: 1})
+	// A single-channel layout has no directory to version: it goes on
+	// air, but cannot be swapped.
+	single, err := NewMultiTransmitter(x.SingleLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRebroadcaster(single); err == nil {
-		t.Error("directoryless layout rebroadcast")
+	if _, err := single.Stage(x.SingleLayout(), 0); err == nil {
+		t.Error("directoryless layout staged")
 	}
 }
 
-// TestRebroadcastConcurrent hammers PacketAt/DirectoryAt from reader
-// goroutines while the control goroutine stages and commits — the
-// race-detector contract of the transmitter's swap path.
+// TestRebroadcastConcurrent hammers ReadPacketAt/DirectoryAt from
+// reader goroutines while the control goroutine stages and commits 20
+// swaps, and holds every read to the producer's contract: the packet a
+// reader gets is what an unstaged transmitter of its version's layout
+// broadcasts at that slot of that version's cycle. A read that mixed
+// two snapshots — one generation's version or phase with another's
+// packet — fails it; the race detector checks the rest.
 func TestRebroadcastConcurrent(t *testing.T) {
 	ds := dataset.Uniform(150, 7, 79)
 	x, err := dsi.Build(ds, dsi.Config{ReserveMCPtr: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := buildShardLay(t, x, []int{0, 15, x.NF})
-	r, err := NewRebroadcaster(lay)
+	const swaps = 20
+	lays := []*dsi.Layout{buildShardLay(t, x, []int{0, 15, x.NF})}
+	for i := 0; i < swaps; i++ {
+		lays = append(lays, buildShardLay(t, x, []int{0, 10 + i, x.NF}))
+	}
+	// run is the control loop, letting the readers through settle after
+	// every Stage and Commit. It is deterministic, so a dry run on a
+	// private producer yields every version's channel clocks before the
+	// readers start.
+	run := func(r *MultiTransmitter, settle func()) [][]clock {
+		clocks := [][]clock{r.air.Load().cur.clocks}
+		for i := 1; i <= swaps; i++ {
+			seam, err := r.Stage(lays[i], int64(i*100))
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			settle()
+			deadline := seam
+			for ch := 0; ch < lays[0].Channels(); ch++ {
+				if s, ok := r.SeamOf(ch); ok && s > deadline {
+					deadline = s
+				}
+			}
+			if !r.Commit(deadline) {
+				t.Error("commit refused at its own deadline")
+				return nil
+			}
+			settle()
+			clocks = append(clocks, r.air.Load().cur.clocks)
+		}
+		return clocks
+	}
+	dry, err := NewMultiTransmitter(lays[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	clocks := run(dry, func() {})
+	if t.Failed() {
+		return
+	}
+	refs := make([]*MultiTransmitter, len(lays))
+	for v, lay := range lays {
+		if refs[v], err = NewMultiTransmitter(lay); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r, err := NewMultiTransmitter(lays[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
+	var reads atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			buf := make([]byte, 0, x.Cfg.Capacity)
 			for abs := int64(g); ; abs += 3 {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				ch := int(abs) % lay.Channels()
-				r.PacketAt(ch, abs)
+				ch := int(abs) % lays[0].Channels()
+				got, ver := r.ReadPacketAt(buf, ch, abs)
+				reads.Add(1)
+				if ver < 1 || int(ver) > len(lays) {
+					t.Errorf("abs %d ch %d: version %d never went on air", abs, ch, ver)
+					return
+				}
+				c := clocks[ver-1][ch]
+				slot := ((abs-c.phase)%c.len + c.len) % c.len
+				if want := refs[ver-1].Packet(ch, int(slot)); !samePacket(got, want) {
+					t.Errorf("abs %d ch %d v%d: packet %+v, version %d's cycle has %+v at slot %d",
+						abs, ch, ver, got, ver, want, slot)
+					return
+				}
 				if abs%7 == 0 {
 					r.DirectoryAt(abs)
 				}
 			}
 		}(g)
 	}
-	for i := 0; i < 20; i++ {
-		seam, err := r.Stage(buildShardLay(t, x, []int{0, 10 + i, x.NF}), int64(i*100))
-		if err != nil {
-			t.Fatal(err)
+	run(r, func() {
+		for n := reads.Load() + 256; reads.Load() < n && !t.Failed(); {
+			runtime.Gosched()
 		}
-		deadline := seam
-		for ch := 0; ch < lay.Channels(); ch++ {
-			if s, ok := r.SeamOf(ch); ok && s > deadline {
-				deadline = s
-			}
-		}
-		if !r.Commit(deadline) {
-			t.Fatal("commit refused at its own deadline")
-		}
-	}
+	})
 	close(stop)
 	wg.Wait()
 }

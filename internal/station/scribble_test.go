@@ -93,15 +93,6 @@ func (s *scribbleSource) auditWindow() {
 	}
 }
 
-// FECDescAt forwards the inner source's code, so the receiver
-// constructor's handshake holds; an uncoded source ships none.
-func (s *scribbleSource) FECDescAt(abs int64) ([]byte, uint32) {
-	if f, ok := s.PacketSource.(FECSource); ok {
-		return f.FECDescAt(abs)
-	}
-	return nil, 0
-}
-
 // scribbleQuery is one query of a scribble trial: a window, or a kNN
 // when k > 0, under its own loss draw, and the brute-force answer.
 type scribbleQuery struct {
@@ -220,7 +211,7 @@ func TestNothingRetainedAliasesTheScratch(t *testing.T) {
 				if sc.swapTo != nil {
 					// Never committed, so both arms see the same air: the
 					// queries cross the seam and run on past it.
-					rb, err := NewRebroadcasterFEC(sc.lay, sc.cfg)
+					rb, err := NewMultiTransmitterFEC(sc.lay, sc.cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

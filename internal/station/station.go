@@ -6,12 +6,15 @@
 // internal/wire, framed with the position header clients use to
 // synchronize.
 //
-// There is one static cycle producer, MultiTransmitter, for every
-// dsi.Layout — the paper's single channel is the layout with one
-// channel, not a transmitter of its own — and one live one, the
-// Rebroadcaster, which swaps shard directories at cycle seams. The
-// index-table format on air is a function of the layout decided in one
-// place, wire.ClassicTables; nothing in this package re-derives it.
+// There is one cycle producer, MultiTransmitter, for every dsi.Layout —
+// the paper's single channel is the layout with one channel, not a
+// transmitter of its own — and it is both the static broadcast and the
+// live one: a shard-directory swap is staged and takes effect at a
+// cycle seam, and a producer that never stages is simply version 1
+// forever. Every source a receiver reads (PacketSource) serves packets,
+// the versioned directory and the FEC descriptor. The index-table
+// format on air is a function of the layout decided in one place,
+// wire.ClassicTables; nothing in this package re-derives it.
 //
 // The package also provides the receiving side needed to prove the
 // stream is self-describing: ScanMulti rebuilds the complete broadcast

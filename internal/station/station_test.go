@@ -116,7 +116,7 @@ func TestScanRejectsCorruptStream(t *testing.T) {
 	x := buildIdx(t, dsi.Config{})
 	tx := singleTx(t, x)
 	scan := func(in <-chan Packet) error {
-		_, err := ScanMulti(tx.Lay, []<-chan Packet{in})
+		_, err := ScanMulti(tx.Layout(), []<-chan Packet{in})
 		return err
 	}
 

@@ -47,8 +47,10 @@ import (
 // PacketSource is a broadcast station as seen by a byte-level
 // receiver: the packet each channel transmits at an absolute slot,
 // tagged with the directory version governing it, and the versioned
-// shard directory on air. Rebroadcaster implements it directly;
-// MultiTransmitter is the static single-version source.
+// shard directory and FEC descriptor on air. MultiTransmitter is the
+// producer; diskstore.ImageSource, diskstore.StreamSource and
+// netrecv.Feed serve the same bytes from a file, a streaming build and
+// the network.
 type PacketSource interface {
 	// ReadPacketAt returns the packet channel ch transmits at absolute
 	// slot abs and the directory version its encoding belongs to, using
@@ -56,12 +58,12 @@ type PacketSource interface {
 	// source has to produce for this read.
 	//
 	// Who owns the payload, and for how long: bytes a source must build
-	// (MultiTransmitter and Rebroadcaster object parts) or copy out of
-	// storage it will overwrite (netrecv.Feed's ring) go into buf[:0]'s
-	// capacity, and into a fresh allocation of the payload's size when
-	// that is too short — nothing is ever written past cap(buf). Such a
-	// payload is valid until the reader next reuses buf. Bytes a source
-	// already holds immutable (pre-encoded tables and parity,
+	// (MultiTransmitter object parts) or copy out of storage it will
+	// overwrite (netrecv.Feed's ring) go into buf[:0]'s capacity, and
+	// into a fresh allocation of the payload's size when that is too
+	// short — nothing is ever written past cap(buf). Such a payload is
+	// valid until the reader next reuses buf. Bytes a source already
+	// holds immutable (pre-encoded tables and parity,
 	// diskstore.ImageSource's read-only mapping, diskstore.StreamSource)
 	// are returned as they are and never written again: a payload need
 	// not alias buf, and a reader must not assume it does. Either way the
@@ -78,34 +80,17 @@ type PacketSource interface {
 	// DirectoryAt returns the versioned shard directory on air at abs
 	// (nil when the broadcast ships none, e.g. single-channel layouts).
 	DirectoryAt(abs int64) ([]byte, uint32)
+	FECSource
 }
 
-// PacketAt implements PacketSource: ReadPacketAt without a buffer.
-func (t *MultiTransmitter) PacketAt(ch int, abs int64) (Packet, uint32) {
-	return t.ReadPacketAt(nil, ch, abs)
-}
-
-// ReadPacketAt implements PacketSource: a static transmitter serves one
-// schedule forever, anchored at slot 0 as directory version 1.
-func (t *MultiTransmitter) ReadPacketAt(buf []byte, ch int, abs int64) (Packet, uint32) {
-	t.met.PacketEmitted(ch)
-	return t.packet(buf, ch, int(abs%int64(t.ChanSlots(ch)))), 1
-}
-
-// FECDescAt implements FECSource: the transmitter's code encoded as
-// version 1, nil for an uncoded broadcast.
-func (t *MultiTransmitter) FECDescAt(int64) ([]byte, uint32) { return t.fecDesc, 1 }
-
-// DirectoryAt implements PacketSource: the layout's directory encoded
-// as version 1 anchored at slot 0, nil for layouts without one (the
-// encoding is cached after the first call).
-func (t *MultiTransmitter) DirectoryAt(int64) ([]byte, uint32) {
-	t.dirOnce.Do(func() {
-		if dir, err := wire.EncodeDirV(t.Lay, 1, 0); err == nil {
-			t.dir = dir
-		}
-	})
-	return t.dir, 1
+// FECSource is the descriptor half of a PacketSource: the versioned FEC
+// descriptor on air at an absolute slot, nil when the broadcast ships
+// none — which is how an uncoded station announces the zero code. The
+// descriptor version mirrors the shard directory's, so a receiver
+// adopting a directory bump can check the code metadata crossing the
+// seam with it.
+type FECSource interface {
+	FECDescAt(abs int64) ([]byte, uint32)
 }
 
 // WireReceiver implements dsi.Receiver over a PacketSource. It is
@@ -143,7 +128,6 @@ type WireReceiver struct {
 	cfg         wire.FECConfig
 	geo         *fecGeom
 	air         *broadcast.Air
-	fsrc        FECSource // src's descriptor feed; nil when it has none
 	descPackets int
 
 	// Decode scratch. tab is overwritten only by a fully validated
@@ -225,10 +209,9 @@ func NewFECReceiver(lay *dsi.Layout, version uint32, src PacketSource, cfg wire.
 		air:         air,
 		descPackets: broadcast.PacketsFor(wire.FECDescSize, lay.X.Cfg.Capacity),
 	}
-	r.fsrc, _ = src.(FECSource)
 	r.win.unit = -1
 	var got wire.FECConfig
-	if desc, _ := r.descAt(probeSlot); desc != nil {
+	if desc, _ := src.FECDescAt(probeSlot); desc != nil {
 		if got, _, err = wire.DecodeFECDesc(desc); err != nil {
 			return nil, fmt.Errorf("station: source FEC descriptor: %w", err)
 		}
@@ -252,16 +235,6 @@ func streamGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, *broadcast.Air, 
 		return nil, nil, err
 	}
 	return geo, geo.air, nil
-}
-
-// descAt returns the FEC descriptor the source has on air at abs and
-// the version the source files it under; nil when the source ships
-// none, which is how an uncoded station announces the zero code.
-func (r *WireReceiver) descAt(abs int64) ([]byte, uint32) {
-	if r.fsrc == nil {
-		return nil, 0
-	}
-	return r.fsrc.FECDescAt(abs)
 }
 
 // adoptGeometry recomputes the per-channel decode tables for a layout.
@@ -650,7 +623,7 @@ func (r *WireReceiver) Poll() (*dsi.Layout, bool) {
 	dirOK := err == nil && len(entries) == r.lay.Channels() && ver > r.ver
 	var cfg wire.FECConfig
 	descOK := true
-	if desc, dver := r.descAt(now); desc != nil {
+	if desc, dver := r.src.FECDescAt(now); desc != nil {
 		var fver uint32
 		cfg, fver, err = wire.DecodeFECDesc(desc)
 		descOK = err == nil && fver == ver && dver == over
@@ -669,7 +642,7 @@ func (r *WireReceiver) Poll() (*dsi.Layout, bool) {
 		// The cutover anchors below are derived from the receiver's own
 		// catalog geometry, which is only the geometry the transmitter
 		// actually cut over from when exactly one swap separates catalog
-		// and air (the Rebroadcaster's one-in-flight-swap discipline).
+		// and air (the producer's one-in-flight-swap discipline).
 		// A wider gap means the receiver slept through a whole directory
 		// generation; adopting would anchor every channel wrong and wedge
 		// all future decodes, so fail loudly instead.

@@ -171,7 +171,7 @@ func TestWireReceiverSingleChannelBitIdentical(t *testing.T) {
 }
 
 // TestWireReceiverResyncAcrossSwap drives the drift experiment's
-// resync behavior byte-level: a rebroadcaster swaps its shard
+// resync behavior byte-level: a transmitter swaps its shard
 // directory at a cycle seam while queries are in flight; clients learn
 // the bump from the versioned directory — which itself crosses the
 // lossy air — re-seed mid-query, and still answer exactly.
@@ -188,7 +188,7 @@ func TestWireReceiverResyncAcrossSwap(t *testing.T) {
 	side := int(ds.Curve.Side())
 	resynced := 0
 	for trial := 0; trial < 12; trial++ {
-		rb, err := NewRebroadcaster(lay0)
+		rb, err := NewMultiTransmitter(lay0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestWireReceiverStaleTuneIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := NewRebroadcaster(lay0)
+	rb, err := NewMultiTransmitter(lay0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestWireReceiverLostDirectoryAcrossSwap(t *testing.T) {
 	side := int(ds.Curve.Side())
 	resynced := 0
 	for trial := 0; trial < 8; trial++ {
-		rb, err := NewRebroadcaster(lay0)
+		rb, err := NewMultiTransmitter(lay0)
 		if err != nil {
 			t.Fatal(err)
 		}
