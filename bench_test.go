@@ -183,7 +183,7 @@ func BenchmarkClientReuse(b *testing.B) {
 	side := ds.Curve.Side()
 	w := spatial.ClampedWindow(side/3, side/2, side/10, side)
 	q := spatial.Point{X: side / 2, Y: side / 3}
-	probe := func(i int) int64 { return int64((i * 7919) % x.Prog.Len()) }
+	probe := func(i int) int64 { return int64((i * 7919) % x.CycleSlots()) }
 	open := func(probe int64) *dsi.Session {
 		s, err := dsi.Open(x, dsi.WithProbeSlot(probe))
 		if err != nil {

@@ -49,6 +49,10 @@ func main() {
 		netTrans = flag.String("transport", "http", "network transport with -net: http | udp | mcast")
 	)
 	flag.Parse()
+	if !(*theta >= 0 && *theta < 1) {
+		fmt.Fprintf(os.Stderr, "dsiquery: -theta %v outside [0,1)\n", *theta)
+		os.Exit(2)
+	}
 
 	if *netURL != "" {
 		sess, ds, cleanup := openNet(*netURL, *netTrans)
@@ -75,7 +79,7 @@ func main() {
 
 	probeSlot := *probe
 	if probeSlot < 0 {
-		probeSlot = int64(x.Prog.Len() / 2)
+		probeSlot = int64(x.CycleSlots() / 2)
 	}
 	var loss *broadcast.LossModel
 	if *theta > 0 {

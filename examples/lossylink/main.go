@@ -71,11 +71,11 @@ func main() {
 		return st
 	}
 
-	baseDSILat, baseDSITun := avg(0, dsiKNN, dsiIdx.Prog.Len())
+	baseDSILat, baseDSITun := avg(0, dsiKNN, dsiIdx.CycleSlots())
 	baseHCILat, baseHCITun := avg(0, hciKNN, hci.Lay.Prog.Len())
 	pct := func(now, was float64) string { return fmt.Sprintf("%+.1f%%", (now-was)/was*100) }
 	for _, theta := range []float64{0, 0.2, 0.5, 0.7} {
-		dl, dt := avg(theta, dsiKNN, dsiIdx.Prog.Len())
+		dl, dt := avg(theta, dsiKNN, dsiIdx.CycleSlots())
 		hl, ht := avg(theta, hciKNN, hci.Lay.Prog.Len())
 		fmt.Printf("%-6.1f %-6s %14.0f %14.0f %12s %12s\n",
 			theta, "DSI", dl, dt, pct(dl, baseDSILat), pct(dt, baseDSITun))

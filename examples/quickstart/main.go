@@ -28,7 +28,7 @@ func main() {
 	// between them. A session tunes in somewhere in the middle of the
 	// cycle and asks for everything in a 20x20 window.
 	w := spatial.Rect{MinX: 30, MinY: 30, MaxX: 49, MaxY: 49}
-	sess, err := dsi.Open(x, dsi.WithProbeSlot(int64(x.Prog.Len()/3)))
+	sess, err := dsi.Open(x, dsi.WithProbeSlot(int64(x.CycleSlots()/3)))
 	if err != nil {
 		panic(err)
 	}
@@ -45,7 +45,7 @@ func main() {
 
 	// The same tune-in position, now asking for the 5 nearest objects.
 	q := spatial.Point{X: 64, Y: 64}
-	sess.Tune(int64(x.Prog.Len()/3), nil)
+	sess.Tune(int64(x.CycleSlots()/3), nil)
 	ids, st = sess.KNN(q, 5, dsi.Conservative)
 	fmt.Printf("\n5NN at %v:\n", q)
 	for _, id := range ids {

@@ -69,7 +69,7 @@ func main() {
 		}
 		var lat, tun float64
 		for i := 0; i < trials; i++ {
-			sess.Tune(rng.Int63n(int64(v.x.Prog.Len())), nil)
+			sess.Tune(rng.Int63n(int64(v.x.CycleSlots())), nil)
 			_, st := sess.KNN(user, 3, v.strat)
 			lat += float64(st.LatencyBytes())
 			tun += float64(st.TuningBytes())

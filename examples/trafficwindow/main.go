@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	run("DSI", dsiIdx.Prog.Len(), func(probe int64) (int, broadcast.Stats) {
+	run("DSI", dsiIdx.CycleSlots(), func(probe int64) (int, broadcast.Stats) {
 		sess.Tune(probe, nil)
 		ids, st := sess.Window(w)
 		return len(ids), st

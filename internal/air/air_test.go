@@ -10,6 +10,50 @@ import (
 	"dsi/internal/spatial"
 )
 
+// owner is what one slot of a tree layout carries: a copy of node id
+// (obj false) or object id, and the packet within it.
+type owner struct {
+	obj      bool
+	id, part int
+}
+
+// slotOwners reads a tree layout's placement back slot by slot from its
+// occurrence maps. It fails unless the placements tile the cycle
+// exactly: every slot carried once, node copies on index slots, objects
+// on data slots.
+func slotOwners(t *testing.T, l *Layout) []owner {
+	t.Helper()
+	out := make([]owner, l.Prog.Len())
+	seen := make([]bool, len(out))
+	claim := func(start, packets int, kind broadcast.Kind, o owner) {
+		for p := 0; p < packets; p++ {
+			s := start + p
+			if s >= len(out) || seen[s] {
+				t.Fatalf("%+v: slot %d outside the cycle or carried twice", o, s)
+			}
+			if k := l.Prog.At(s).Kind; k != kind {
+				t.Fatalf("%+v: slot %d is %v, want %v", o, s, k, kind)
+			}
+			o.part = p
+			out[s], seen[s] = o, true
+		}
+	}
+	for id, occ := range l.nodeOcc {
+		for _, s := range occ {
+			claim(s, l.NodePackets, broadcast.KindIndex, owner{id: id})
+		}
+	}
+	for id, s := range l.objSlot {
+		claim(s, l.ObjPackets, broadcast.KindData, owner{obj: true, id: id})
+	}
+	for s, ok := range seen {
+		if !ok {
+			t.Fatalf("slot %d carries nothing", s)
+		}
+	}
+	return out
+}
+
 func TestLayoutStructure(t *testing.T) {
 	ds := dataset.Uniform(300, 6, 1)
 	for _, capacity := range []int{64, 128, 512} {
@@ -21,13 +65,13 @@ func TestLayoutStructure(t *testing.T) {
 		// Every object appears exactly once; every node at least once.
 		objSeen := make(map[int]int)
 		nodeStarts := make(map[int]int)
-		for i := 0; i < l.Prog.Len(); i++ {
-			s := l.Prog.At(i)
-			if s.Kind == broadcast.KindData && s.Part == 0 {
-				objSeen[int(s.Owner)]++
-			}
-			if s.Kind == broadcast.KindIndex && s.Part == 0 {
-				nodeStarts[int(s.Owner)]++
+		for _, o := range slotOwners(t, l) {
+			switch {
+			case o.part != 0:
+			case o.obj:
+				objSeen[o.id]++
+			default:
+				nodeStarts[o.id]++
 			}
 		}
 		if len(objSeen) != ds.N() {
@@ -86,14 +130,14 @@ func TestNextNodeAndObject(t *testing.T) {
 			t.Fatalf("NextNode landed on %d, not an occurrence", pos)
 		}
 	}
+	owners := slotOwners(t, l)
 	for id := 0; id < 10; id++ {
 		next := l.NextObject(id, 42)
 		if next < 42 {
 			t.Fatal("NextObject went backwards")
 		}
-		s := l.Prog.At(int(next % int64(l.Prog.Len())))
-		if s.Kind != broadcast.KindData || int(s.Owner) != id || s.Part != 0 {
-			t.Fatalf("NextObject(%d) landed on %+v", id, s)
+		if o := owners[next%int64(len(owners))]; !o.obj || o.id != id || o.part != 0 {
+			t.Fatalf("NextObject(%d) landed on %+v", id, o)
 		}
 	}
 }

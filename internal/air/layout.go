@@ -51,8 +51,9 @@ type Layout struct {
 	NumSegments int
 
 	Prog    *broadcast.Program
-	nodeOcc map[int][]int // node id -> sorted cycle slots of its copies
-	objSlot map[int]int   // object id -> cycle slot
+	air     *broadcast.Air // Prog as a one-channel air, what clients tune
+	nodeOcc map[int][]int  // node id -> sorted cycle slots of its copies
+	objSlot map[int]int    // object id -> cycle slot
 }
 
 // LayoutConfig configures BuildLayout. A zero CutLevel with AutoCut
@@ -96,13 +97,13 @@ func BuildLayout(t TreeView, cfg LayoutConfig) (*Layout, error) {
 	emitNode := func(id int) {
 		l.nodeOcc[id] = append(l.nodeOcc[id], len(slots))
 		for p := 0; p < l.NodePackets; p++ {
-			slots = append(slots, broadcast.Slot{Kind: broadcast.KindIndex, Owner: int32(id), Part: int32(p)})
+			slots = append(slots, broadcast.Slot{Kind: broadcast.KindIndex})
 		}
 	}
 	emitObj := func(id int) {
 		l.objSlot[id] = len(slots)
 		for p := 0; p < l.ObjPackets; p++ {
-			slots = append(slots, broadcast.Slot{Kind: broadcast.KindData, Owner: int32(id), Part: int32(p)})
+			slots = append(slots, broadcast.Slot{Kind: broadcast.KindData})
 		}
 	}
 
@@ -121,6 +122,7 @@ func BuildLayout(t TreeView, cfg LayoutConfig) (*Layout, error) {
 		l.NumSegments++
 	}
 	l.Prog = &broadcast.Program{Capacity: cfg.Capacity, Slots: slots}
+	l.air = broadcast.SingleAir(l.Prog)
 	return l, nil
 }
 

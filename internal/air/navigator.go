@@ -55,7 +55,7 @@ type navigator struct {
 func newNavigator(l *Layout, probeSlot int64, loss *broadcast.LossModel) *navigator {
 	return &navigator{
 		lay:  l,
-		tu:   broadcast.NewTuner(l.Prog, probeSlot, loss),
+		tu:   broadcast.NewTuner(l.air, 0, probeSlot, loss),
 		read: make(map[int]bool),
 		got:  make(map[int]bool),
 	}
@@ -115,13 +115,7 @@ func (n *navigator) serveNode(t task) {
 		return
 	}
 	n.tu.DozeUntil(t.slot)
-	ok := true
-	for p := 0; p < n.lay.NodePackets; p++ {
-		if _, good := n.tu.Read(); !good {
-			ok = false
-		}
-	}
-	if !ok {
+	if !n.tu.ReadN(n.lay.NodePackets) {
 		// Lost: the only copy of this node is its next occurrence.
 		heap.Push(&n.pq, task{slot: n.lay.NextNode(t.id, n.tu.Now()), id: t.id, hi: t.hi})
 		return
@@ -142,13 +136,7 @@ func (n *navigator) serveObj(t task) {
 		return
 	}
 	n.tu.DozeUntil(t.slot)
-	ok := true
-	for p := 0; p < n.lay.ObjPackets; p++ {
-		if _, good := n.tu.Read(); !good {
-			ok = false
-		}
-	}
-	if !ok {
+	if !n.tu.ReadN(n.lay.ObjPackets) {
 		heap.Push(&n.pq, task{slot: n.lay.NextObject(t.id, n.tu.Now()), id: t.id, isObj: true})
 		return
 	}

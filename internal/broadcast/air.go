@@ -17,9 +17,9 @@ type Channel struct {
 // radio is retuning, not receiving) whenever it changes channels.
 //
 // All channels must share one packet capacity so the slot clock has a
-// single byte rate; per-channel cycle lengths are free. A single-channel
-// Air with zero switch cost is exactly the classic single program — the
-// degenerate case the rest of the stack reduces to at N = 1.
+// single byte rate; per-channel cycle lengths are free. The paper's
+// single-channel broadcast is the one-channel Air with zero switch
+// cost (SingleAir): there is no separate single-program model.
 type Air struct {
 	// Capacity is the packet capacity common to every channel.
 	Capacity int
@@ -54,9 +54,13 @@ func NewAir(switchSlots int, chans ...*Channel) (*Air, error) {
 	return &Air{Capacity: cap0, SwitchSlots: switchSlots, Channels: chans}, nil
 }
 
-// SingleAir wraps a classic single program as a one-channel air with
-// zero switch cost. The channel shares the program's slot slice.
+// SingleAir wraps a program as a one-channel air with zero switch cost.
+// The channel shares the program's slot slice. An empty program panics,
+// as NewAir refuses one.
 func SingleAir(p *Program) *Air {
+	if p.Len() == 0 {
+		panic("broadcast: empty program")
+	}
 	return &Air{
 		Capacity:    p.Capacity,
 		Channels:    []*Channel{{ID: 0, Program: *p}},
@@ -66,9 +70,6 @@ func SingleAir(p *Program) *Air {
 
 // NumChannels returns the number of parallel channels.
 func (a *Air) NumChannels() int { return len(a.Channels) }
-
-// Channel returns channel i.
-func (a *Air) Channel(i int) *Channel { return a.Channels[i] }
 
 func (a *Air) String() string {
 	return fmt.Sprintf("Air{N=%d C=%d switch=%d}", len(a.Channels), a.Capacity, a.SwitchSlots)

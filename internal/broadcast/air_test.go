@@ -5,7 +5,7 @@ import "testing"
 func chanOf(capacity, n int, kind Kind) *Channel {
 	slots := make([]Slot, n)
 	for i := range slots {
-		slots[i] = Slot{Kind: kind, Owner: int32(i)}
+		slots[i] = Slot{Kind: kind}
 	}
 	return &Channel{Program: Program{Capacity: capacity, Slots: slots}}
 }
@@ -27,50 +27,19 @@ func TestNewAirValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumChannels() != 2 || a.Capacity != 64 || a.Channel(1).ID != 1 {
+	if a.NumChannels() != 2 || a.Capacity != 64 || a.Channels[1].ID != 1 {
 		t.Errorf("air misassembled: %v", a)
 	}
 }
 
-// TestSingleAirTunerMatchesProgramTuner is the N=1 reduction contract:
-// an air tuner over a one-channel air must behave packet for packet
-// like the classic single-program tuner.
-func TestSingleAirTunerMatchesProgramTuner(t *testing.T) {
-	prog := &Program{Capacity: 64, Slots: make([]Slot, 10)}
-	for i := range prog.Slots {
-		k := KindData
-		if i%3 == 0 {
-			k = KindIndex
-		}
-		prog.Slots[i] = Slot{Kind: k, Owner: int32(i)}
-	}
-	classic := NewTuner(prog, 7, NewLossModel(0.3, 42))
-	airy := NewAirTuner(SingleAir(prog), 0, 7, NewLossModel(0.3, 42))
-	for i := 0; i < 40; i++ {
-		s1, ok1 := classic.Read()
-		s2, ok2 := airy.Read()
-		if s1 != s2 || ok1 != ok2 {
-			t.Fatalf("read %d diverged: (%v,%v) vs (%v,%v)", i, s1, ok1, s2, ok2)
-		}
-		if i%5 == 0 {
-			classic.Doze(3)
-			airy.Doze(3)
-		}
-	}
-	if classic.Stats() != airy.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", classic.Stats(), airy.Stats())
-	}
-	if got := airy.ChannelTuning()[0]; got != airy.Stats().TuningPackets {
-		t.Errorf("channel 0 tuning %d != total %d", got, airy.Stats().TuningPackets)
-	}
-}
-
 func TestSwitchCostAndAccounting(t *testing.T) {
-	a, err := NewAir(5, chanOf(64, 4, KindIndex), chanOf(64, 6, KindData))
+	data := chanOf(64, 6, KindData)
+	data.Slots[5].Kind = KindIndex // the one slot that tells position 5 apart
+	a, err := NewAir(5, chanOf(64, 4, KindIndex), data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu := NewAirTuner(a, 0, 0, nil)
+	tu := NewTuner(a, 0, 0, nil)
 	tu.Read() // one packet on channel 0
 	tu.Switch(0)
 	if tu.Stats().Switches != 0 {
@@ -86,24 +55,18 @@ func TestSwitchCostAndAccounting(t *testing.T) {
 	}
 	// The new channel's cycle length governs positions now.
 	tu.DozeUntilPos(5)
-	s, _ := tu.Read()
-	if s.Owner != 5 || s.Kind != KindData {
-		t.Errorf("read %+v from channel 1, want data slot 5", s)
+	if s, _ := tu.Read(); s.Kind != KindIndex {
+		t.Errorf("read %+v from channel 1, want its slot 5", s)
 	}
 	st := tu.Stats()
 	if st.Switches != 1 || st.TuningPackets != 2 {
 		t.Errorf("stats %+v, want 1 switch, 2 tuning packets", st)
 	}
-	ct := tu.ChannelTuning()
-	if ct[0] != 1 || ct[1] != 1 {
-		t.Errorf("per-channel tuning %v, want [1 1]", ct)
-	}
 
 	// Reset returns to the start channel and clears accounting.
 	tu.Reset(3, nil)
-	if tu.Channel() != 0 || tu.Stats().Switches != 0 || tu.ChannelTuning()[1] != 0 {
-		t.Errorf("reset left state: ch=%d stats=%+v per-channel=%v",
-			tu.Channel(), tu.Stats(), tu.ChannelTuning())
+	if tu.Channel() != 0 || tu.Stats().Switches != 0 || tu.Stats().TuningPackets != 0 {
+		t.Errorf("reset left state: ch=%d stats=%+v", tu.Channel(), tu.Stats())
 	}
 }
 
@@ -112,7 +75,7 @@ func TestPerChannelLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu := NewAirTuner(a, 0, 0, nil)
+	tu := NewTuner(a, 0, 0, nil)
 	tu.SetChannelLoss(1, NewLossModel(0.9999999, 7))
 	for i := 0; i < 20; i++ {
 		if _, ok := tu.Read(); !ok {
@@ -138,7 +101,7 @@ func TestPerChannelLoss(t *testing.T) {
 
 func TestSwitchOnSingleProgramTunerPanics(t *testing.T) {
 	prog := &Program{Capacity: 64, Slots: []Slot{{}}}
-	tu := NewTuner(prog, 0, nil)
+	tu := NewTuner(SingleAir(prog), 0, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("Switch on a single-program tuner did not panic")

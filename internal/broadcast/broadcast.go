@@ -1,10 +1,14 @@
-// Package broadcast simulates a periodic wireless data broadcast channel.
+// Package broadcast simulates a periodic wireless data broadcast.
 //
-// The server broadcasts a fixed cyclic sequence of packets (the broadcast
-// program); time is measured in packet slots. A mobile client is modelled
-// by a Tuner: it tunes in at some slot, alternates between reading packets
-// (active mode) and dozing until a future slot (doze mode), and its two
-// cost metrics are
+// The server broadcasts on an Air: one or more channels, each a fixed
+// cyclic sequence of packets (a Program), on one clock measured in
+// packet slots. The paper's single-channel broadcast is the one-channel
+// air (SingleAir); there is no separate single-program model. A slot is
+// only its Kind: which frame, node or object it carries is the
+// arithmetic of the layout that placed it. A mobile client is modelled
+// by a Tuner: it tunes in at some slot of one channel, alternates
+// between reading packets (active mode) and dozing until a future slot
+// (doze mode), and its two cost metrics are
 //
 //   - access latency: packet slots elapsed between the initial probe and
 //     query completion, and
@@ -63,13 +67,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Slot describes one packet of the broadcast program. Owner and Part are
-// interpreted by the index structure that built the program (e.g. frame
-// number and packet-within-frame for DSI; node id for tree indexes).
+// Slot describes one packet of the broadcast program: its Kind, which
+// is all the loss model and the receivers need. Which frame, node or
+// object a slot belongs to is the placing layout's arithmetic (for DSI,
+// dsi.Layout.SlotTable and SlotData), not something every slot stores.
 type Slot struct {
-	Kind  Kind
-	Owner int32
-	Part  int32
+	Kind Kind
 }
 
 // Program is a cyclic broadcast schedule: Slots repeats forever.
@@ -174,15 +177,12 @@ func (s Stats) String() string {
 	return fmt.Sprintf("latency=%dB tuning=%dB", s.LatencyBytes(), s.TuningBytes())
 }
 
-// Tuner is a mobile client's view of the broadcast medium. It tracks an
-// absolute packet clock (monotonically increasing across cycles), the
-// channel it is tuned to, and the metrics of the current query.
-//
-// A tuner constructed with NewTuner listens to a classic single
-// program; one constructed with NewAirTuner listens to one channel of a
-// multi-channel Air and can Switch between channels, paying the air's
-// switch cost in latency. On a single-channel air both behave
-// identically, packet for packet.
+// Tuner is a mobile client's view of the broadcast medium: one radio
+// tuned to one channel of an Air. It tracks an absolute packet clock
+// (monotonically increasing across cycles), the channel it listens to,
+// and the metrics of the current query. Switch moves it to another
+// channel, paying the air's switch cost in latency; on the one-channel
+// air of the paper's broadcast there is nowhere to switch to.
 type Tuner struct {
 	air      *Air
 	prog     *Program // current channel's program
@@ -194,7 +194,6 @@ type Tuner struct {
 	start    int64
 	read     int64
 	switches int64
-	chRead   []int64 // per-channel tuning packets; nil for NewTuner tuners
 
 	// phase[ch] is the absolute slot at which channel ch's cycle has
 	// position 0. Nil means every channel is anchored at slot 0 — the
@@ -205,23 +204,10 @@ type Tuner struct {
 	phase []int64
 }
 
-// NewTuner returns a client tuned in at the given absolute slot of a
-// single-channel broadcast. A nil loss model means an error-free
-// channel.
-func NewTuner(prog *Program, probeSlot int64, loss *LossModel) *Tuner {
-	if prog.Len() == 0 {
-		panic("broadcast: empty program")
-	}
-	if probeSlot < 0 {
-		panic("broadcast: negative probe slot")
-	}
-	return &Tuner{prog: prog, loss: loss, now: probeSlot, start: probeSlot}
-}
-
-// NewAirTuner returns a client tuned to channel ch of the air at the
-// given absolute slot. A nil loss model means error-free channels; use
+// NewTuner returns a client tuned to channel ch of the air at the given
+// absolute slot. A nil loss model means error-free channels; use
 // SetChannelLoss for per-channel error processes.
-func NewAirTuner(air *Air, ch int, probeSlot int64, loss *LossModel) *Tuner {
+func NewTuner(air *Air, ch int, probeSlot int64, loss *LossModel) *Tuner {
 	if ch < 0 || ch >= len(air.Channels) {
 		panic(fmt.Sprintf("broadcast: channel %d outside air of %d", ch, len(air.Channels)))
 	}
@@ -236,21 +222,16 @@ func NewAirTuner(air *Air, ch int, probeSlot int64, loss *LossModel) *Tuner {
 		startCh: ch,
 		now:     probeSlot,
 		start:   probeSlot,
-		chRead:  make([]int64, len(air.Channels)),
 	}
 }
 
-// Program returns the program of the channel the tuner listens to.
-func (t *Tuner) Program() *Program { return t.prog }
-
-// Channel returns the channel the tuner is currently tuned to (0 for a
-// single-program tuner).
+// Channel returns the channel the tuner is currently tuned to.
 func (t *Tuner) Channel() int { return t.ch }
 
-// Reset re-tunes the client at the given absolute slot (and, for air
-// tuners, its initial channel) with fresh metrics, reusing the tuner:
-// after Reset the tuner is indistinguishable from a newly constructed
-// one.
+// Reset re-tunes the client at the given absolute slot on its initial
+// channel with fresh metrics and no per-channel loss overrides, reusing
+// the tuner: after Reset the tuner is indistinguishable from a newly
+// constructed one.
 func (t *Tuner) Reset(probeSlot int64, loss *LossModel) {
 	if probeSlot < 0 {
 		panic("broadcast: negative probe slot")
@@ -260,25 +241,19 @@ func (t *Tuner) Reset(probeSlot int64, loss *LossModel) {
 	t.start = probeSlot
 	t.read = 0
 	t.switches = 0
-	if t.air != nil {
-		t.ch = t.startCh
-		t.prog = &t.air.Channels[t.ch].Program
-		clear(t.chRead)
-		clear(t.chLoss)
-	}
+	t.ch = t.startCh
+	t.prog = &t.air.Channels[t.ch].Program
+	clear(t.chLoss)
 }
 
-// Retune points an air tuner at a different air mid-flight, preserving
-// the absolute clock, the accumulated metrics, and the channel the
-// receiver is tuned to. This models a broadcast schedule swap: the
-// carriers are the same physical channels (so no switch cost applies
-// and per-channel accounting carries over), but from this slot on they
-// transmit the new air's programs. The new air must have the same
-// channel count and capacity — a schedule swap cannot retune radios.
+// Retune points the tuner at a different air mid-flight, preserving the
+// absolute clock, the accumulated metrics, the channel the receiver is
+// tuned to and its per-channel loss overrides. This models a broadcast
+// schedule swap: the carriers are the same physical channels (so no
+// switch cost applies), but from this slot on they transmit the new
+// air's programs. The new air must have the same channel count and
+// capacity — a schedule swap cannot retune radios.
 func (t *Tuner) Retune(air *Air) {
-	if t.air == nil {
-		panic("broadcast: Retune on a single-program tuner")
-	}
 	if len(air.Channels) != len(t.air.Channels) {
 		panic(fmt.Sprintf("broadcast: Retune from %d channels to %d", len(t.air.Channels), len(air.Channels)))
 	}
@@ -313,14 +288,10 @@ func (t *Tuner) RetunePhased(air *Air, phase []int64) {
 }
 
 // SetChannelLoss installs a per-channel loss model for channel ch,
-// overriding the tuner-wide model on that channel. Only air tuners
-// support per-channel loss; a channel outside the air panics with a
-// clear message rather than corrupting (or silently growing) the
-// override table. Reset clears all overrides.
+// overriding the tuner-wide model on that channel. A channel outside
+// the air panics with a clear message rather than corrupting (or
+// silently growing) the override table. Reset clears all overrides.
 func (t *Tuner) SetChannelLoss(ch int, loss *LossModel) {
-	if t.air == nil {
-		panic("broadcast: per-channel loss on a single-program tuner")
-	}
 	if ch < 0 || ch >= len(t.air.Channels) {
 		panic(fmt.Sprintf("broadcast: per-channel loss on channel %d outside air of %d", ch, len(t.air.Channels)))
 	}
@@ -337,9 +308,6 @@ func (t *Tuner) SetChannelLoss(ch int, loss *LossModel) {
 func (t *Tuner) Switch(ch int) {
 	if ch == t.ch {
 		return
-	}
-	if t.air == nil {
-		panic("broadcast: Switch on a single-program tuner")
 	}
 	if ch < 0 || ch >= len(t.air.Channels) {
 		panic(fmt.Sprintf("broadcast: channel %d outside air of %d", ch, len(t.air.Channels)))
@@ -397,9 +365,6 @@ func (t *Tuner) Read() (s Slot, ok bool) {
 	s = t.prog.At(t.Pos())
 	t.now++
 	t.read++
-	if t.chRead != nil {
-		t.chRead[t.ch]++
-	}
 	return s, !t.lossNow().Lost(s.Kind)
 }
 
@@ -417,9 +382,6 @@ func (t *Tuner) ReadN(n int) bool {
 	if loss := t.lossNow(); loss == nil || loss.Theta == 0 {
 		t.now += int64(n)
 		t.read += int64(n)
-		if t.chRead != nil {
-			t.chRead[t.ch] += int64(n)
-		}
 		return true
 	}
 	ok := true
@@ -431,17 +393,9 @@ func (t *Tuner) ReadN(n int) bool {
 	return ok
 }
 
-// Doze advances the clock by n slots without receiving anything (the
-// client sleeps). Negative n panics.
-func (t *Tuner) Doze(n int64) {
-	if n < 0 {
-		panic("broadcast: Doze with negative duration")
-	}
-	t.now += n
-}
-
-// DozeUntil advances the clock to the absolute slot abs. Rewinding
-// panics: broadcast time only moves forward.
+// DozeUntil advances the clock to the absolute slot abs without
+// receiving anything (the client sleeps). Rewinding panics: broadcast
+// time only moves forward.
 func (t *Tuner) DozeUntil(abs int64) {
 	if abs < t.now {
 		panic(fmt.Sprintf("broadcast: DozeUntil(%d) before now=%d", abs, t.now))
@@ -481,12 +435,6 @@ func (t *Tuner) Stats() Stats {
 		Capacity:       t.prog.Capacity,
 	}
 }
-
-// ChannelTuning returns the tuning packets received per channel (nil
-// for single-program tuners, whose whole tuning is on channel 0). The
-// returned slice is the tuner's accounting state: callers must not
-// modify it, and Reset clears it.
-func (t *Tuner) ChannelTuning() []int64 { return t.chRead }
 
 // NextOccurrence returns the earliest absolute slot >= now whose position
 // within a cycle of length cycleLen equals pos.

@@ -13,7 +13,7 @@ func testProgram(capacity, n int) *Program {
 		if i%4 == 0 {
 			k = KindIndex
 		}
-		slots[i] = Slot{Kind: k, Owner: int32(i / 4), Part: int32(i % 4)}
+		slots[i] = Slot{Kind: k}
 	}
 	return &Program{Capacity: capacity, Slots: slots}
 }
@@ -63,7 +63,7 @@ func TestKindString(t *testing.T) {
 
 func TestTunerReadAdvancesAndMeters(t *testing.T) {
 	p := testProgram(64, 20)
-	tu := NewTuner(p, 3, nil)
+	tu := NewTuner(SingleAir(p), 0, 3, nil)
 	s, ok := tu.Read()
 	if !ok {
 		t.Fatal("error-free read failed")
@@ -85,8 +85,8 @@ func TestTunerReadAdvancesAndMeters(t *testing.T) {
 
 func TestTunerDoze(t *testing.T) {
 	p := testProgram(64, 20)
-	tu := NewTuner(p, 0, nil)
-	tu.Doze(7)
+	tu := NewTuner(SingleAir(p), 0, 0, nil)
+	tu.DozeUntil(7)
 	if tu.Now() != 7 {
 		t.Errorf("now = %d", tu.Now())
 	}
@@ -98,7 +98,7 @@ func TestTunerDoze(t *testing.T) {
 
 func TestTunerDozeUntilPosWraps(t *testing.T) {
 	p := testProgram(64, 10)
-	tu := NewTuner(p, 8, nil)
+	tu := NewTuner(SingleAir(p), 0, 8, nil)
 	tu.DozeUntilPos(2) // position 2 next occurs at absolute 12
 	if tu.Now() != 12 {
 		t.Errorf("now = %d, want 12", tu.Now())
@@ -112,10 +112,10 @@ func TestTunerDozeUntilPosWraps(t *testing.T) {
 func TestTunerPanics(t *testing.T) {
 	p := testProgram(64, 10)
 	cases := []func(){
-		func() { NewTuner(&Program{Capacity: 64}, 0, nil) },
-		func() { NewTuner(p, -1, nil) },
-		func() { NewTuner(p, 0, nil).Doze(-1) },
-		func() { tu := NewTuner(p, 5, nil); tu.DozeUntil(3) },
+		func() { SingleAir(&Program{Capacity: 64}) },
+		func() { NewTuner(SingleAir(p), 0, -1, nil) },
+		func() { NewTuner(SingleAir(p), 1, 0, nil) },
+		func() { tu := NewTuner(SingleAir(p), 0, 5, nil); tu.DozeUntil(3) },
 		func() { NextOccurrence(0, 10, 10) },
 		func() { NewLossModel(1.0, 1) },
 		func() { NewLossModel(-0.1, 1) },
@@ -216,7 +216,7 @@ func TestLossModelDataExemptByDefault(t *testing.T) {
 func TestTunerWithLossCountsCorruptedTuning(t *testing.T) {
 	p := testProgram(64, 20)
 	l := NewLossModel(0.5, 3)
-	tu := NewTuner(p, 0, l)
+	tu := NewTuner(SingleAir(p), 0, 0, l)
 	okCount := 0
 	for i := 0; i < 100; i++ {
 		if _, ok := tu.Read(); ok {
@@ -235,12 +235,12 @@ func TestTunerWithLossCountsCorruptedTuning(t *testing.T) {
 func TestTuningNeverExceedsLatencyQuick(t *testing.T) {
 	p := testProgram(64, 50)
 	f := func(ops []bool, probe uint8) bool {
-		tu := NewTuner(p, int64(probe), nil)
+		tu := NewTuner(SingleAir(p), 0, int64(probe), nil)
 		for _, read := range ops {
 			if read {
 				tu.Read()
 			} else {
-				tu.Doze(3)
+				tu.DozeUntil(tu.Now() + 3)
 			}
 		}
 		st := tu.Stats()

@@ -1,9 +1,6 @@
 package broadcast
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // mixedChan is a channel whose slots alternate kinds, so models that
 // gate loss on the packet kind draw on some slots and not on others.
@@ -25,9 +22,6 @@ func sameTuner(t *testing.T, when string, batch, step *Tuner) {
 	if batch.Now() != step.Now() || batch.Stats() != step.Stats() || batch.Channel() != step.Channel() {
 		t.Fatalf("%s: batched tuner at now=%d %+v ch=%d, stepped at now=%d %+v ch=%d",
 			when, batch.Now(), batch.Stats(), batch.Channel(), step.Now(), step.Stats(), step.Channel())
-	}
-	if !slices.Equal(batch.ChannelTuning(), step.ChannelTuning()) {
-		t.Fatalf("%s: per-channel tuning %v batched, %v stepped", when, batch.ChannelTuning(), step.ChannelTuning())
 	}
 }
 
@@ -77,12 +71,12 @@ func TestTunerReadNMatchesRead(t *testing.T) {
 			mk   func() *Tuner
 			air  bool
 		}{
-			{"program", func() *Tuner { return NewTuner(&air.Channels[1].Program, 4, m.mk()) }, false},
-			{"air", func() *Tuner { return NewAirTuner(air, 0, 4, m.mk()) }, true},
+			{"program", func() *Tuner { return NewTuner(SingleAir(&air.Channels[1].Program), 0, 4, m.mk()) }, false},
+			{"air", func() *Tuner { return NewTuner(air, 0, 4, m.mk()) }, true},
 			// A lossy override on channel 1 over whatever the tuner-wide
 			// model is, and an error-free override on channel 2.
 			{"air-override", func() *Tuner {
-				tu := NewAirTuner(air, 0, 4, m.mk())
+				tu := NewTuner(air, 0, 4, m.mk())
 				tu.SetChannelLoss(1, lossy(17))
 				tu.SetChannelLoss(2, NewLossModel(0, 19))
 				return tu
@@ -98,8 +92,8 @@ func TestTunerReadNMatchesRead(t *testing.T) {
 							t.Fatalf("round %d n=%d: batched read intact=%v, stepped %v", round, n, got, want)
 						}
 						sameTuner(t, "after a batch", batch, step)
-						batch.Doze(int64(round))
-						step.Doze(int64(round))
+						batch.DozeUntil(batch.Now() + int64(round))
+						step.DozeUntil(step.Now() + int64(round))
 					}
 					if tc.air {
 						batch.Switch((round + 1) % 3)
@@ -124,7 +118,7 @@ func TestTunerReadNMatchesRead(t *testing.T) {
 // TestTunerReadNNegative: a non-positive batch reads nothing, like the
 // loop it stands for.
 func TestTunerReadNNegative(t *testing.T) {
-	tu := NewTuner(testProgram(64, 8), 3, nil)
+	tu := NewTuner(SingleAir(testProgram(64, 8)), 0, 3, nil)
 	if !tu.ReadN(-4) || tu.Now() != 3 || tu.Stats().TuningPackets != 0 {
 		t.Fatalf("ReadN(-4) moved the tuner: now=%d %+v", tu.Now(), tu.Stats())
 	}
@@ -158,7 +152,7 @@ func FuzzTunerReadN(f *testing.F) {
 				loss = NewLossModel(theta, seed)
 			}
 			loss.AffectsData = seed%2 == 0
-			tu := NewAirTuner(air, 0, seed&0xff, loss)
+			tu := NewTuner(air, 0, seed&0xff, loss)
 			tu.SetChannelLoss(2, NewLossModel(theta/2, seed+1))
 			return tu
 		}
@@ -169,8 +163,8 @@ func FuzzTunerReadN(f *testing.F) {
 				batch.Switch(int(b&0x7f) % 3)
 				step.Switch(int(b&0x7f) % 3)
 			case b&0x40 != 0: // doze
-				batch.Doze(int64(b & 0x3f))
-				step.Doze(int64(b & 0x3f))
+				batch.DozeUntil(batch.Now() + int64(b&0x3f))
+				step.DozeUntil(step.Now() + int64(b&0x3f))
 			default: // batch of 0..63 packets
 				n := int(b)
 				if got, want := batch.ReadN(n), stepN(step, n); got != want {

@@ -380,21 +380,14 @@ func (s *StreamSource) ReadPacketAt(_ []byte, ch int, abs int64) (station.Packet
 }
 
 // tableAt encodes (and caches) the index table of the frame at cycle
-// position pos, exactly as dsi.Build precomputes it.
+// position pos, by the table rule dsi.Build precomputes its tables with.
 func (s *StreamSource) tableAt(pos int) ([]byte, error) {
 	if pos == s.tabPos {
 		return s.tab, nil
 	}
-	g := &s.geo
-	t := dsi.Table{Pos: pos, OwnHC: s.minHC(g.PosToFrame(pos)), Entries: s.entries[:0]}
-	dist := 1
-	for i := 0; i < g.E; i++ {
-		tp := (pos + dist) % g.NF
-		t.Entries = append(t.Entries, dsi.TableEntry{TargetPos: tp, MinHC: s.minHC(g.PosToFrame(tp))})
-		dist *= g.Base
-	}
+	t := s.geo.MakeTable(pos, s.minHC, s.entries)
 	s.entries = t.Entries
-	tab, err := wire.EncodeTable(t, g.NF)
+	tab, err := wire.EncodeTable(t, s.geo.NF)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func TestWindowAllocsSteadyState(t *testing.T) {
 	avg := testing.AllocsPerRun(20, func() {
 		c.Reset(probe, nil)
 		buf, _ = c.WindowAppend(buf[:0], w)
-		probe = (probe + 61) % int64(x.Prog.Len())
+		probe = (probe + 61) % int64(x.CycleSlots())
 	})
 	if avg > windowAllocBudget {
 		t.Errorf("warm window query allocates %.1f/run, budget %d", avg, windowAllocBudget)
@@ -73,7 +73,7 @@ func TestKNNAllocsSteadyState(t *testing.T) {
 	avg := testing.AllocsPerRun(20, func() {
 		c.Reset(probe, nil)
 		buf, _ = c.KNNAppend(buf[:0], q, 10, Conservative)
-		probe = (probe + 61) % int64(x.Prog.Len())
+		probe = (probe + 61) % int64(x.CycleSlots())
 	})
 	if avg > knnAllocBudget {
 		t.Errorf("warm 10NN query allocates %.1f/run, budget %d", avg, knnAllocBudget)
@@ -147,8 +147,8 @@ func TestSessionStateIsNotFrameSized(t *testing.T) {
 		t.Skip("the race detector pads allocations")
 	}
 	const (
-		openBytes       = 287888 // 287 856 single, 287 888 split
-		firstQueryBytes = 305120 // 305 088 single, 305 120 split
+		openBytes       = 287840 // single and split alike: one tuner type, no per-channel counters
+		firstQueryBytes = 305072
 	)
 	ds := dataset.Uniform(10000, 8, 1)
 	x, err := Build(ds, Config{Capacity: 64, ObjectBytes: 1024})

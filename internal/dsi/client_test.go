@@ -242,7 +242,7 @@ func TestProbeSyncsToFrameStart(t *testing.T) {
 	ds := dataset.Uniform(50, 6, 83)
 	x, _ := Build(ds, Config{})
 	for _, probe := range []int64{0, 1, int64(x.FramePackets) - 1, int64(x.FramePackets),
-		int64(x.Prog.Len()) - 1, 12345} {
+		int64(x.CycleSlots()) - 1, 12345} {
 		c := openClient(x.single, probe, nil)
 		p := c.probe()
 		if p < 0 || p >= x.NF {
@@ -341,7 +341,7 @@ func TestEngineTerminatesFromRandomKnowledge(t *testing.T) {
 	x, _ := Build(ds, Config{Segments: 2})
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 20; i++ {
-		c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
+		c := openClient(x.single, rng.Int63n(int64(x.CycleSlots())), nil)
 		// Pre-seed arbitrary facts (a client that watched earlier
 		// traffic).
 		for j := 0; j < rng.Intn(20); j++ {

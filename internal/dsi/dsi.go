@@ -182,17 +182,15 @@ type Geometry struct {
 	segStart []int
 }
 
-// Index is a built DSI broadcast: the program plus the static metadata
-// ("catalog") that clients are assumed to know a priori (dataset size,
-// curve order, frame geometry, segment split HC values).
+// Index is a built DSI broadcast: the frame sequence and its index
+// tables plus the static metadata ("catalog") that clients are assumed
+// to know a priori (dataset size, curve order, frame geometry, segment
+// split HC values). Where the frames go on air is a Layout's business.
 type Index struct {
 	DS  *dataset.Dataset
 	Cfg Config
 
 	Geometry
-
-	// Prog is the cyclic broadcast program.
-	Prog *broadcast.Program
 
 	// minHC[f] is the smallest HC value in frame f; frames are numbered
 	// in HC order (frame f covers objects [f*NO, min((f+1)*NO, N))).
@@ -204,7 +202,7 @@ type Index struct {
 	// Hilbert decoding.
 	cellX, cellY []uint32
 
-	// single is the canonical one-channel layout over Prog; sessions
+	// single is the one-channel layout, the paper's broadcast; sessions
 	// opened without a layout option run on it.
 	single *Layout
 
@@ -334,39 +332,41 @@ func Build(ds *dataset.Dataset, cfg Config) (*Index, error) {
 		x.Splits[j] = x.minHC[x.segStart[j]]
 	}
 
-	slots := make([]broadcast.Slot, 0, x.NF*x.FramePackets)
-	for pos := 0; pos < x.NF; pos++ {
-		f := x.PosToFrame(pos)
-		for p := 0; p < x.FramePackets; p++ {
-			k := broadcast.KindData
-			if p < x.TablePackets {
-				k = broadcast.KindIndex
-			}
-			slots = append(slots, broadcast.Slot{Kind: k, Owner: int32(f), Part: int32(p)})
-		}
-	}
-	x.Prog = &broadcast.Program{Capacity: cfg.Capacity, Slots: slots}
-
 	x.tables = make([]Table, x.NF)
 	entries := make([]TableEntry, x.NF*x.E)
-	for pos := 0; pos < x.NF; pos++ {
-		t := &x.tables[pos]
-		t.Pos = pos
-		t.OwnHC = x.minHC[x.PosToFrame(pos)]
-		t.Entries = entries[pos*x.E : (pos+1)*x.E : (pos+1)*x.E]
-		dist := 1
-		for i := 0; i < x.E; i++ {
-			tp := (pos + dist) % x.NF
-			t.Entries[i] = TableEntry{TargetPos: tp, MinHC: x.minHC[x.PosToFrame(tp)]}
-			dist *= x.Base
-		}
+	for pos := range x.tables {
+		x.tables[pos] = x.MakeTable(pos, x.MinHC, entries[pos*x.E:(pos+1)*x.E:(pos+1)*x.E])
 	}
-	x.single = singleLayout(x)
+	x.single, err = stripeLayout(x, MultiConfig{Channels: 1})
+	if err != nil {
+		return nil, err
+	}
 	return x, nil
 }
 
-// SingleLayout returns the canonical one-channel layout over Prog.
+// SingleLayout returns the one-channel layout: the paper's single-
+// channel broadcast of the index, the layout sessions opened without a
+// layout option run on.
 func (x *Index) SingleLayout() *Layout { return x.single }
+
+// MakeTable returns the index table broadcast with the frame at cycle
+// position pos: the frame's own smallest HC value and E entries at
+// exponentially spaced distances 1, Base, Base², ... ahead, each naming
+// its target position and that frame's smallest HC value. minHC looks
+// up a frame's smallest HC value by frame id, and the entries are
+// appended to dst[:0]. It is the one definition of the table rule:
+// Build precomputes its tables with it, and the out-of-core image
+// writer, which never holds an Index, encodes from it.
+func (g *Geometry) MakeTable(pos int, minHC func(f int) uint64, dst []TableEntry) Table {
+	t := Table{Pos: pos, OwnHC: minHC(g.PosToFrame(pos)), Entries: dst[:0]}
+	dist := 1
+	for i := 0; i < g.E; i++ {
+		tp := (pos + dist) % g.NF
+		t.Entries = append(t.Entries, TableEntry{TargetPos: tp, MinHC: minHC(g.PosToFrame(tp))})
+		dist *= g.Base
+	}
+	return t
+}
 
 // entriesToCover returns the smallest E with base^E >= nf, at least 1:
 // an index table with E entries (pointing 1, r, ..., r^(E-1) frames
@@ -502,7 +502,7 @@ func (x *Index) IndexOverheadBytes() int64 {
 }
 
 // CycleBytes returns the broadcast cycle length in bytes.
-func (x *Index) CycleBytes() int64 { return x.Prog.CycleBytes() }
+func (x *Index) CycleBytes() int64 { return int64(x.CycleSlots()) * int64(x.Cfg.Capacity) }
 
 func (x *Index) String() string {
 	return fmt.Sprintf("DSI{n=%d nF=%d nO=%d E=%d m=%d C=%d cycle=%dB}",

@@ -40,8 +40,8 @@ func TestBuildDefaults(t *testing.T) {
 	if x.FramePackets != 17 {
 		t.Errorf("FramePackets = %d, want 17", x.FramePackets)
 	}
-	if x.Prog.Len() != 200*17 {
-		t.Errorf("program length = %d", x.Prog.Len())
+	if x.CycleSlots() != 200*17 {
+		t.Errorf("program length = %d", x.CycleSlots())
 	}
 }
 
@@ -240,19 +240,23 @@ func TestTableAtMatchesLayout(t *testing.T) {
 
 func TestProgramSlots(t *testing.T) {
 	x := buildT(t, 50, 6, 9, Config{})
+	lay := x.SingleLayout()
 	for pos := 0; pos < x.NF; pos++ {
 		start := x.FrameStartSlot(pos)
 		for p := 0; p < x.FramePackets; p++ {
-			s := x.Prog.At(start + p)
-			if int(s.Owner) != x.PosToFrame(pos) {
-				t.Fatalf("slot %d: owner %d, want frame %d", start+p, s.Owner, x.PosToFrame(pos))
+			slot := start + p
+			if tp, part, ok := lay.SlotTable(0, slot); ok && (tp != pos || part != p) {
+				t.Fatalf("slot %d: table packet %d of position %d, want %d of %d", slot, part, tp, p, pos)
+			}
+			if dp, off, ok := lay.SlotData(0, slot); ok && (dp != pos || off != p-x.TablePackets) {
+				t.Fatalf("slot %d: data packet %d of position %d, want %d of %d", slot, off, dp, p-x.TablePackets, pos)
 			}
 			wantKind := broadcast.KindData
 			if p < x.TablePackets {
 				wantKind = broadcast.KindIndex
 			}
-			if s.Kind != wantKind {
-				t.Fatalf("slot %d: kind %v, want %v", start+p, s.Kind, wantKind)
+			if s := lay.Air.Channels[0].At(slot); s.Kind != wantKind {
+				t.Fatalf("slot %d: kind %v, want %v", slot, s.Kind, wantKind)
 			}
 		}
 	}
@@ -287,7 +291,7 @@ func TestIndexOverheadAndString(t *testing.T) {
 	if x.IndexOverheadBytes() != int64(100*x.TablePackets*64) {
 		t.Errorf("IndexOverheadBytes = %d", x.IndexOverheadBytes())
 	}
-	if x.CycleBytes() != x.Prog.CycleBytes() {
+	if x.CycleBytes() != x.single.CycleBytes() {
 		t.Error("CycleBytes mismatch")
 	}
 	if s := x.String(); s == "" {

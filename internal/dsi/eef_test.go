@@ -17,7 +17,7 @@ func TestEEFReachesCoveringFrame(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 30; i++ {
 			o := ds.Objects[rng.Intn(ds.N())]
-			c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
+			c := openClient(x.single, rng.Int63n(int64(x.CycleSlots())), nil)
 			frame, exists, st := c.EEF(o.HC)
 			if !exists {
 				t.Fatalf("cfg %+v: EEF(%d) missed existing object", cfg, o.HC)
@@ -53,7 +53,7 @@ func TestEEFNonexistentValue(t *testing.T) {
 		if occupied[hc] {
 			continue
 		}
-		c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
+		c := openClient(x.single, rng.Int63n(int64(x.CycleSlots())), nil)
 		frame, exists, _ := c.EEF(hc)
 		if exists {
 			t.Fatalf("EEF(%d) claims a nonexistent object exists", hc)
@@ -91,7 +91,7 @@ func TestEEFHopCountLogarithmic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 10; i++ {
 		o := ds.Objects[rng.Intn(ds.N())]
-		c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
+		c := openClient(x.single, rng.Int63n(int64(x.CycleSlots())), nil)
 		_, _, st := c.EEF(o.HC)
 		// Tables are 3 packets here; allow probe + object + generous
 		// slack: 100 packets is still far below linear scanning

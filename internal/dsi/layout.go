@@ -52,8 +52,9 @@ func (s Scheduler) String() string {
 type MultiConfig struct {
 	// Channels is the number of parallel broadcast channels (>= 1).
 	Channels int
-	// Scheduler selects the placement policy. With Channels == 1 both
-	// schedulers degenerate to the classic single-channel program.
+	// Scheduler selects the placement policy. With Channels == 1 there
+	// is nothing to place across channels: every scheduler yields the
+	// one-channel stripe layout, the paper's broadcast.
 	Scheduler Scheduler
 	// SwitchSlots is the receiver's channel-switch cost in packet slots.
 	SwitchSlots int
@@ -107,27 +108,6 @@ type Layout struct {
 	stripeOff []int32
 }
 
-// singleLayout builds the degenerate one-channel layout over the
-// index's classic program: table and data placements are the slot
-// arithmetic the single-channel client has always used.
-func singleLayout(x *Index) *Layout {
-	l := &Layout{
-		X:           x,
-		Air:         broadcast.SingleAir(x.Prog),
-		Cfg:         MultiConfig{Channels: 1},
-		Sched:       SchedStripe,
-		DataPackets: x.NO * x.ObjPackets,
-	}
-	l.place(x.NF)
-	for pos := 0; pos < x.NF; pos++ {
-		l.tableCh[pos] = 0
-		l.tableSlot[pos] = int32(pos * x.FramePackets)
-		l.dataCh[pos] = 0
-		l.dataSlot[pos] = int32(pos*x.FramePackets + x.TablePackets)
-	}
-	return l
-}
-
 func (l *Layout) place(nf int) {
 	buf := make([]int32, 4*nf)
 	l.tableCh, l.tableSlot = buf[0:nf], buf[nf:2*nf]
@@ -135,9 +115,9 @@ func (l *Layout) place(nf int) {
 }
 
 // NewLayout places the index onto mc.Channels parallel channels with
-// the configured scheduler. Channels == 1 yields a layout whose single
-// channel is the index's own program: clients behave bit-identically to
-// the classic single-channel engine.
+// the configured scheduler. Every Channels == 1 config, whatever its
+// scheduler, yields the stripe layout at N = 1 — the paper's single-
+// channel broadcast, placed as SingleLayout places it.
 func NewLayout(x *Index, mc MultiConfig) (*Layout, error) {
 	if mc.Channels < 1 {
 		return nil, fmt.Errorf("dsi: channel count %d must be >= 1", mc.Channels)
@@ -146,9 +126,7 @@ func NewLayout(x *Index, mc MultiConfig) (*Layout, error) {
 		return nil, fmt.Errorf("dsi: negative switch cost %d", mc.SwitchSlots)
 	}
 	if mc.Channels == 1 {
-		l := singleLayout(x)
-		l.Cfg = mc
-		return l, nil
+		return stripeLayout(x, mc)
 	}
 	switch mc.Scheduler {
 	case SchedStripe:
@@ -162,17 +140,17 @@ func NewLayout(x *Index, mc MultiConfig) (*Layout, error) {
 	}
 }
 
-// frameSlots appends the slots of frame f (table packets then object
-// packets, or data only) to dst.
-func frameSlots(x *Index, f int, table, data bool, dst []broadcast.Slot) []broadcast.Slot {
+// frameSlots appends the slots of one frame (table packets then object
+// packets, or one of the two) to dst.
+func frameSlots(x *Index, table, data bool, dst []broadcast.Slot) []broadcast.Slot {
 	if table {
 		for p := 0; p < x.TablePackets; p++ {
-			dst = append(dst, broadcast.Slot{Kind: broadcast.KindIndex, Owner: int32(f), Part: int32(p)})
+			dst = append(dst, broadcast.Slot{Kind: broadcast.KindIndex})
 		}
 	}
 	if data {
 		for p := 0; p < x.NO*x.ObjPackets; p++ {
-			dst = append(dst, broadcast.Slot{Kind: broadcast.KindData, Owner: int32(f), Part: int32(x.TablePackets + p)})
+			dst = append(dst, broadcast.Slot{Kind: broadcast.KindData})
 		}
 	}
 	return dst
@@ -197,8 +175,9 @@ func frameSlots(x *Index, f int, table, data bool, dst []broadcast.Slot) []broad
 // cycles have different lengths and the relative phases drift a frame
 // per wrap, so no fixed rotation can keep adjacent frames apart; such
 // layouts stay aligned rather than claim a guarantee that decays after
-// one cycle. At one channel the offset is zero and the program is the
-// classic single-channel cycle, untouched.
+// one cycle. At one channel there is nothing to stagger: the layout is
+// the paper's single-channel cycle, frame after frame in position
+// order, with no offsets.
 func stripeLayout(x *Index, mc MultiConfig) (*Layout, error) {
 	n := mc.Channels
 	if x.NF < n {
@@ -222,14 +201,14 @@ func stripeLayout(x *Index, mc MultiConfig) (*Layout, error) {
 		l.tableSlot[pos] = int32(len(prog.Slots))
 		l.dataCh[pos] = int32(c)
 		l.dataSlot[pos] = int32(len(prog.Slots) + x.TablePackets)
-		prog.Slots = frameSlots(x, x.PosToFrame(pos), true, true, prog.Slots)
+		prog.Slots = frameSlots(x, true, true, prog.Slots)
 	}
-	// The stagger needs evenly striped frames (unequal cycles drift out
-	// of any fixed rotation) and room inside the cycle: with
-	// per-channel cycles of at most one frame plus the retune cost, the
-	// rotation wraps back onto the aligned frame and the no-overlap
-	// guarantee is void.
-	staggered := x.NF%n == 0 && (x.NF/n)*x.FramePackets > x.FramePackets+mc.SwitchSlots
+	// The stagger needs more than one channel, evenly striped frames
+	// (unequal cycles drift out of any fixed rotation) and room inside
+	// the cycle: with per-channel cycles of at most one frame plus the
+	// retune cost, the rotation wraps back onto the aligned frame and
+	// the no-overlap guarantee is void.
+	staggered := n > 1 && x.NF%n == 0 && (x.NF/n)*x.FramePackets > x.FramePackets+mc.SwitchSlots
 	if staggered {
 		l.stripeOff = make([]int32, n)
 		for c := 1; c < n; c++ {
@@ -313,16 +292,15 @@ func splitLayout(x *Index, mc MultiConfig) (*Layout, error) {
 		}
 	}
 	for pos := 0; pos < x.NF; pos++ {
-		f := x.PosToFrame(pos)
 		l.tableCh[pos] = 0
 		l.tableSlot[pos] = int32(pos * x.TablePackets)
-		chans[0].Slots = frameSlots(x, f, true, false, chans[0].Slots)
+		chans[0].Slots = frameSlots(x, true, false, chans[0].Slots)
 
 		c := dataChOf[pos]
 		prog := &chans[c].Program
 		l.dataCh[pos] = c
 		l.dataSlot[pos] = int32(len(prog.Slots))
-		prog.Slots = frameSlots(x, f, false, true, prog.Slots)
+		prog.Slots = frameSlots(x, false, true, prog.Slots)
 	}
 	air, err := broadcast.NewAir(mc.SwitchSlots, chans...)
 	if err != nil {
@@ -382,10 +360,9 @@ func shardLayout(x *Index, mc MultiConfig) (*Layout, error) {
 	}
 	shard := 0
 	for pos := 0; pos < x.NF; pos++ {
-		f := x.PosToFrame(pos) // identity at m=1, kept for symmetry
 		l.tableCh[pos] = 0
 		l.tableSlot[pos] = int32(pos * x.TablePackets)
-		chans[0].Slots = frameSlots(x, f, true, false, chans[0].Slots)
+		chans[0].Slots = frameSlots(x, true, false, chans[0].Slots)
 
 		for pos >= b[shard+1] {
 			shard++
@@ -393,7 +370,7 @@ func shardLayout(x *Index, mc MultiConfig) (*Layout, error) {
 		prog := &chans[1+shard].Program
 		l.dataCh[pos] = int32(1 + shard)
 		l.dataSlot[pos] = int32(len(prog.Slots))
-		prog.Slots = frameSlots(x, f, false, true, prog.Slots)
+		prog.Slots = frameSlots(x, false, true, prog.Slots)
 	}
 	air, err := broadcast.NewAir(mc.SwitchSlots, chans...)
 	if err != nil {
@@ -477,21 +454,17 @@ func (l *Layout) DataFrameIndex(pos int) (ch, index int) {
 // and packet part of the index table occupying per-channel slot `slot`
 // of channel ch, with ok false when that slot carries no table packet.
 func (l *Layout) SlotTable(ch, slot int) (pos, part int, ok bool) {
-	fp := l.X.FramePackets
-	switch {
-	case l.Channels() == 1:
-		pos, part = slot/fp, slot%fp
-		return pos, part, part < l.X.TablePackets
-	case l.splitData():
+	if l.splitData() {
 		if ch != l.StartCh {
 			return 0, 0, false
 		}
 		return slot / l.X.TablePackets, slot % l.X.TablePackets, true
-	default: // stripe: channel ch carries positions ch, ch+N, ch+2N, ...
-		slot = l.deStagger(ch, slot)
-		j, within := slot/fp, slot%fp
-		return j*l.Cfg.Channels + ch, within, within < l.X.TablePackets
 	}
+	// Stripe: channel ch carries positions ch, ch+N, ch+2N, ...
+	fp := l.X.FramePackets
+	slot = l.deStagger(ch, slot)
+	j, within := slot/fp, slot%fp
+	return j*l.Cfg.Channels + ch, within, within < l.X.TablePackets
 }
 
 // SlotData inverts the data placement: it returns the cycle position
@@ -499,22 +472,16 @@ func (l *Layout) SlotTable(ch, slot int) (pos, part int, ok bool) {
 // per-channel slot `slot` of channel ch, with ok false when that slot
 // carries no data packet.
 func (l *Layout) SlotData(ch, slot int) (pos, off int, ok bool) {
-	fp := l.X.FramePackets
-	tp := l.X.TablePackets
-	switch {
-	case l.Channels() == 1:
-		pos, off = slot/fp, slot%fp-tp
-		return pos, off, off >= 0
-	case l.splitData():
+	if l.splitData() {
 		if ch == l.StartCh {
 			return 0, 0, false
 		}
 		return int(l.dataStart[ch]) + slot/l.DataPackets, slot % l.DataPackets, true
-	default:
-		slot = l.deStagger(ch, slot)
-		j, within := slot/fp, slot%fp
-		return j*l.Cfg.Channels + ch, within - tp, within >= tp
 	}
+	fp, tp := l.X.FramePackets, l.X.TablePackets
+	slot = l.deStagger(ch, slot)
+	j, within := slot/fp, slot%fp
+	return j*l.Cfg.Channels + ch, within - tp, within >= tp
 }
 
 // ProbeCycle returns the range experiment harnesses draw probe slots
@@ -549,12 +516,6 @@ func (l *Layout) CycleBytes() int64 {
 // where a freshly probed client resumes.
 func (l *Layout) probePos(slot int) int {
 	switch {
-	case l.Channels() == 1:
-		framePos := slot / l.X.FramePackets
-		if slot%l.X.FramePackets != 0 {
-			framePos = (framePos + 1) % l.X.NF
-		}
-		return framePos
 	case l.Sched == SchedSplit || l.Sched == SchedShard:
 		p := slot / l.X.TablePackets
 		if slot%l.X.TablePackets != 0 {

@@ -24,7 +24,7 @@ func TestWindowCorrectUnderLoss(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				w := spatial.ClampedWindow(uint32(rng.Intn(64)), uint32(rng.Intn(64)), 15, 64)
 				loss := broadcast.NewLossModel(theta, rng.Int63())
-				c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), loss)
+				c := openClient(x.single, rng.Int63n(int64(x.CycleSlots())), loss)
 				got, _ := c.Window(w)
 				if !equalInts(got, ds.WindowBrute(w)) {
 					t.Fatalf("cfg %+v theta=%v: window mismatch", cfg, theta)
@@ -44,7 +44,7 @@ func TestKNNCorrectUnderLoss(t *testing.T) {
 				for i := 0; i < 5; i++ {
 					q := spatial.Point{X: uint32(rng.Intn(64)), Y: uint32(rng.Intn(64))}
 					loss := broadcast.NewLossModel(theta, rng.Int63())
-					c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), loss)
+					c := openClient(x.single, rng.Int63n(int64(x.CycleSlots())), loss)
 					got, _ := c.KNN(q, 5, strat)
 					want, _ := ds.KNNBrute(q, 5)
 					if !equalFloats(knnDistances(ds, q, got), knnDistances(ds, q, want)) {
@@ -70,7 +70,7 @@ func TestCorrectUnderStrictDataLoss(t *testing.T) {
 		w := spatial.ClampedWindow(uint32(rng.Intn(64)), uint32(rng.Intn(64)), 12, 64)
 		loss := broadcast.NewLossModel(0.3, rng.Int63())
 		loss.AffectsData = true
-		c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), loss)
+		c := openClient(x.single, rng.Int63n(int64(x.CycleSlots())), loss)
 		got, _ := c.Window(w)
 		if !equalInts(got, ds.WindowBrute(w)) {
 			t.Fatalf("strict loss: window mismatch")
@@ -96,7 +96,7 @@ func TestLossDegradesGracefully(t *testing.T) {
 			} else {
 				rng.Int63() // keep the random stream aligned across thetas
 			}
-			c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), loss)
+			c := openClient(x.single, rng.Int63n(int64(x.CycleSlots())), loss)
 			_, st := c.KNN(q, 10, Conservative)
 			sum += float64(st.LatencyPackets)
 		}

@@ -52,8 +52,19 @@ func TestReserveMCPtrDefaultBitIdentical(t *testing.T) {
 		plain.FramePackets != reserved.FramePackets {
 		t.Fatalf("geometry changed: %v vs %v", plain, reserved)
 	}
-	if !reflect.DeepEqual(plain.Prog.Slots, reserved.Prog.Slots) {
-		t.Fatal("broadcast program changed")
+	a, b := plain.single, reserved.single
+	if a.ChanLen(0) != b.ChanLen(0) {
+		t.Fatalf("cycle changed: %d vs %d slots", a.ChanLen(0), b.ChanLen(0))
+	}
+	for slot := 0; slot < a.ChanLen(0); slot++ {
+		ap, apart, aok := a.SlotTable(0, slot)
+		bp, bpart, bok := b.SlotTable(0, slot)
+		dp, doff, dok := a.SlotData(0, slot)
+		ep, eoff, eok := b.SlotData(0, slot)
+		if a.Air.Channels[0].At(slot) != b.Air.Channels[0].At(slot) ||
+			ap != bp || apart != bpart || aok != bok || dp != ep || doff != eoff || dok != eok {
+			t.Fatalf("slot %d placed differently", slot)
+		}
 	}
 	for pos := 0; pos < plain.NF; pos++ {
 		a, b := plain.TableAt(pos), reserved.TableAt(pos)

@@ -29,7 +29,7 @@ func TestSingleChannelLayoutBitIdentical(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7*ci + int(sched))))
 			side := int(ds.Curve.Side())
 			for trial := 0; trial < 15; trial++ {
-				probe := rng.Int63n(int64(x.Prog.Len()))
+				probe := rng.Int63n(int64(x.CycleSlots()))
 				var theta float64
 				if trial%3 == 2 {
 					theta = 0.4
@@ -60,6 +60,62 @@ func TestSingleChannelLayoutBitIdentical(t *testing.T) {
 						t.Fatalf("%v cfg %d trial %d: kNN (%v,%+v) != single (%v,%+v)",
 							sched, ci, trial, gotIDs, gotSt, wantIDs, wantSt)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestOneChannelLayoutIsClassicArithmetic: the one-channel layout is
+// the stripe layout at N = 1 — the index's own single layout and every
+// scheduler asked for one channel alike — and its placements are the
+// paper's slot arithmetic: the table of position pos at
+// pos·FramePackets, its data TablePackets later, and a probe resuming
+// at the next frame start. No stagger applies at one channel.
+func TestOneChannelLayoutIsClassicArithmetic(t *testing.T) {
+	for _, m := range []int{1, 2} {
+		x := buildT(t, 150, 7, 41, Config{Segments: m})
+		lays := map[string]*Layout{"single": x.single}
+		for _, s := range []Scheduler{SchedStripe, SchedSplit, SchedShard} {
+			lays[s.String()] = mustLayout(t, x, MultiConfig{Channels: 1, Scheduler: s, SwitchSlots: 3})
+		}
+		fp, tp := x.FramePackets, x.TablePackets
+		for name, lay := range lays {
+			if lay.Channels() != 1 || lay.ChanLen(0) != x.CycleSlots() || lay.stripeOff != nil {
+				t.Fatalf("m=%d %s: %d channels, %d of %d slots, stagger %v",
+					m, name, lay.Channels(), lay.ChanLen(0), x.CycleSlots(), lay.stripeOff)
+			}
+			for pos := 0; pos < x.NF; pos++ {
+				if ch, slot := lay.TablePlace(pos); ch != 0 || slot != pos*fp {
+					t.Fatalf("m=%d %s: table of position %d at (%d,%d), want (0,%d)", m, name, pos, ch, slot, pos*fp)
+				}
+				if ch, slot := lay.DataPlace(pos); ch != 0 || slot != pos*fp+tp {
+					t.Fatalf("m=%d %s: data of position %d at (%d,%d), want (0,%d)", m, name, pos, ch, slot, pos*fp+tp)
+				}
+			}
+			prog := &lay.Air.Channels[0].Program
+			for slot := 0; slot < x.CycleSlots(); slot++ {
+				pos, within := slot/fp, slot%fp
+				table := within < tp
+				kind := broadcast.KindData
+				if table {
+					kind = broadcast.KindIndex
+				}
+				if got := prog.At(slot).Kind; got != kind {
+					t.Fatalf("m=%d %s: slot %d is %v, want %v", m, name, slot, got, kind)
+				}
+				if p, part, ok := lay.SlotTable(0, slot); ok != table || ok && (p != pos || part != within) {
+					t.Fatalf("m=%d %s: SlotTable(0, %d) = (%d,%d,%v)", m, name, slot, p, part, ok)
+				}
+				if p, off, ok := lay.SlotData(0, slot); ok == table || ok && (p != pos || off != within-tp) {
+					t.Fatalf("m=%d %s: SlotData(0, %d) = (%d,%d,%v)", m, name, slot, p, off, ok)
+				}
+				want := pos
+				if within != 0 {
+					want = (pos + 1) % x.NF
+				}
+				if got := lay.probePos(slot); got != want {
+					t.Fatalf("m=%d %s: a probe at slot %d resumes at position %d, want %d", m, name, slot, got, want)
 				}
 			}
 		}
@@ -192,7 +248,7 @@ func TestSplitLayoutSwitchesAndImproves(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		w := randWindow(rng, side)
 		u := rng.Float64()
-		single.Reset(int64(u*float64(x.Prog.Len())), nil)
+		single.Reset(int64(u*float64(x.CycleSlots())), nil)
 		_, st1 := single.Window(w)
 		multi.Reset(int64(u*float64(lay.ProbeCycle())), nil)
 		got, st2 := multi.Window(w)
@@ -252,20 +308,21 @@ func TestLayoutPlacementInvariants(t *testing.T) {
 		for _, ch := range lay.Air.Channels {
 			total += ch.Len()
 		}
-		if total != x.Prog.Len() {
-			t.Errorf("%v x%d: %d total slots, want %d", mc.Scheduler, mc.Channels, total, x.Prog.Len())
+		if total != x.CycleSlots() {
+			t.Errorf("%v x%d: %d total slots, want %d", mc.Scheduler, mc.Channels, total, x.CycleSlots())
 		}
 		for pos := 0; pos < x.NF; pos++ {
-			f := x.PosToFrame(pos)
 			tc, ts := lay.TablePlace(pos)
 			s := lay.Air.Channels[tc].At(ts)
-			if s.Kind != broadcast.KindIndex || s.Owner != int32(f) || s.Part != 0 {
-				t.Fatalf("%v x%d pos %d: table placed at %+v", mc.Scheduler, mc.Channels, pos, s)
+			p, part, ok := lay.SlotTable(tc, ts)
+			if s.Kind != broadcast.KindIndex || !ok || p != pos || part != 0 {
+				t.Fatalf("%v x%d pos %d: table placed at %+v, inverted to (%d,%d,%v)", mc.Scheduler, mc.Channels, pos, s, p, part, ok)
 			}
 			dc, dsl := lay.DataPlace(pos)
 			d := lay.Air.Channels[dc].At(dsl)
-			if d.Kind != broadcast.KindData || d.Owner != int32(f) || d.Part != int32(x.TablePackets) {
-				t.Fatalf("%v x%d pos %d: data placed at %+v", mc.Scheduler, mc.Channels, pos, d)
+			p, off, ok := lay.SlotData(dc, dsl)
+			if d.Kind != broadcast.KindData || !ok || p != pos || off != 0 {
+				t.Fatalf("%v x%d pos %d: data placed at %+v, inverted to (%d,%d,%v)", mc.Scheduler, mc.Channels, pos, d, p, off, ok)
 			}
 		}
 	}

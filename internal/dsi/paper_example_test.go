@@ -147,7 +147,7 @@ func TestTorture(t *testing.T) {
 		theta := []float64{0, 0, 0, 0.3, 0.6}[rng.Intn(5)]
 		for q := 0; q < 6; q++ {
 			loss := lossFor(theta, rng.Int63())
-			probe := rng.Int63n(int64(x.Prog.Len()))
+			probe := rng.Int63n(int64(x.CycleSlots()))
 			switch rng.Intn(3) {
 			case 0:
 				w := spatial.ClampedWindow(uint32(rng.Intn(side)), uint32(rng.Intn(side)),

@@ -54,7 +54,7 @@ func TestWindowMatchesBruteForce(t *testing.T) {
 			w := spatial.ClampedWindow(
 				uint32(rng.Intn(64)), uint32(rng.Intn(64)),
 				uint32(rng.Intn(20)+1), 64)
-			probe := rng.Int63n(int64(x.Prog.Len()))
+			probe := rng.Int63n(int64(x.CycleSlots()))
 			c := openClient(x.single, probe, nil)
 			got, st := c.Window(w)
 			want := ds.WindowBrute(w)
@@ -163,7 +163,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				q := spatial.Point{X: uint32(rng.Intn(64)), Y: uint32(rng.Intn(64))}
 				k := rng.Intn(12) + 1
-				probe := rng.Int63n(int64(x.Prog.Len()))
+				probe := rng.Int63n(int64(x.CycleSlots()))
 				c := openClient(x.single, probe, nil)
 				got, st := c.KNN(q, k, strat)
 				if len(got) != k {
@@ -232,7 +232,7 @@ func TestQueriesFromEveryProbePosition(t *testing.T) {
 		wantKNN, _ := ds.KNNBrute(q, 5)
 		wd := knnDistances(ds, q, wantKNN)
 		step := x.FramePackets/3 + 1
-		for probe := 0; probe < x.Prog.Len(); probe += step {
+		for probe := 0; probe < x.CycleSlots(); probe += step {
 			c := openClient(x.single, int64(probe), nil)
 			got, _ := c.Window(w)
 			if !equalInts(got, want) {
@@ -267,11 +267,11 @@ func TestLatencyBoundedByFewCycles(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 10; i++ {
 			q := spatial.Point{X: uint32(rng.Intn(64)), Y: uint32(rng.Intn(64))}
-			c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
+			c := openClient(x.single, rng.Int63n(int64(x.CycleSlots())), nil)
 			_, st := c.KNN(q, 10, Conservative)
-			if st.LatencyPackets > 3*int64(x.Prog.Len()) {
+			if st.LatencyPackets > 3*int64(x.CycleSlots()) {
 				t.Errorf("cfg %+v: kNN took %d packets (> 3 cycles of %d)",
-					cfg, st.LatencyPackets, x.Prog.Len())
+					cfg, st.LatencyPackets, x.CycleSlots())
 			}
 		}
 	}
@@ -288,14 +288,14 @@ func TestClusteredDatasetQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 10; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
-		c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
+		c := openClient(x.single, rng.Int63n(int64(x.CycleSlots())), nil)
 		got, _ := c.KNN(q, 7, Conservative)
 		want, _ := ds.KNNBrute(q, 7)
 		if !equalFloats(knnDistances(ds, q, got), knnDistances(ds, q, want)) {
 			t.Fatalf("clustered kNN mismatch at %v", q)
 		}
 		w := spatial.ClampedWindow(uint32(rng.Intn(128)), uint32(rng.Intn(128)), 25, 128)
-		c = openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
+		c = openClient(x.single, rng.Int63n(int64(x.CycleSlots())), nil)
 		gotW, _ := c.Window(w)
 		if !equalInts(gotW, ds.WindowBrute(w)) {
 			t.Fatalf("clustered window mismatch at %v", w)
@@ -314,7 +314,7 @@ func TestConservativeVsAggressiveTradeoff(t *testing.T) {
 	const trials = 60
 	for i := 0; i < trials; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
-		probe := rng.Int63n(int64(x.Prog.Len()))
+		probe := rng.Int63n(int64(x.CycleSlots()))
 		c := openClient(x.single, probe, nil)
 		_, st := c.KNN(q, 10, Conservative)
 		consLat += float64(st.LatencyPackets)
@@ -345,12 +345,12 @@ func TestReorganizedImprovesKNN(t *testing.T) {
 	const trials = 60
 	for i := 0; i < trials; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
-		probe := rng.Int63n(int64(orig.Prog.Len()))
+		probe := rng.Int63n(int64(orig.CycleSlots()))
 		c := openClient(orig.single, probe, nil)
 		_, st := c.KNN(q, 10, Conservative)
 		oLat += float64(st.LatencyPackets)
 		oTune += float64(st.TuningPackets)
-		c = openClient(reorg.single, probe%int64(reorg.Prog.Len()), nil)
+		c = openClient(reorg.single, probe%int64(reorg.CycleSlots()), nil)
 		_, st = c.KNN(q, 10, Conservative)
 		rLat += float64(st.LatencyPackets)
 		rTune += float64(st.TuningPackets)
@@ -384,7 +384,7 @@ func TestKNNRadiusNeverBelowTrueKth(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 20; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
-		c := openClient(x.single, rng.Int63n(int64(x.Prog.Len())), nil)
+		c := openClient(x.single, rng.Int63n(int64(x.CycleSlots())), nil)
 		got, _ := c.KNN(q, 10, Conservative)
 		maxD := 0.0
 		for _, id := range got {
@@ -409,7 +409,7 @@ func BenchmarkWindowQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := spatial.ClampedWindow(uint32(rng.Intn(128)), uint32(rng.Intn(128)), 13, 128)
-		c.Reset(rng.Int63n(int64(x.Prog.Len())), nil)
+		c.Reset(rng.Int63n(int64(x.CycleSlots())), nil)
 		buf, sinkStats = c.WindowAppend(buf[:0], w)
 	}
 }
@@ -423,7 +423,7 @@ func BenchmarkKNNConservative(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
-		c.Reset(rng.Int63n(int64(x.Prog.Len())), nil)
+		c.Reset(rng.Int63n(int64(x.CycleSlots())), nil)
 		buf, sinkStats = c.KNNAppend(buf[:0], q, 10, Conservative)
 	}
 }
@@ -440,7 +440,7 @@ func BenchmarkKNNAggressive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
-		c.Reset(rng.Int63n(int64(x.Prog.Len())), nil)
+		c.Reset(rng.Int63n(int64(x.CycleSlots())), nil)
 		buf, sinkStats = c.KNNAppend(buf[:0], q, 10, Aggressive)
 	}
 }

@@ -93,8 +93,9 @@ type Receiver interface {
 }
 
 // SimReceiver is the in-memory simulator receiver: costs are paid
-// through a broadcast.Tuner over the layout's air, and content is
-// served from the index's precomputed tables and the dataset itself —
+// through a broadcast.Tuner over the layout's air — one tuner for
+// every layout, the one-channel layout included — and content is
+// served from the index's precomputed tables and the dataset itself:
 // the fast path every experiment harness runs on. It is bit-identical
 // (results and cost metrics) to the pre-Receiver client.
 type SimReceiver struct {
@@ -103,14 +104,9 @@ type SimReceiver struct {
 }
 
 // NewSimReceiver returns a simulator receiver tuned to the layout's
-// start channel at the given absolute slot. The canonical single-
-// channel layout gets the classic single-program tuner; every other
-// layout gets an air tuner with per-channel accounting.
+// start channel at the given absolute slot.
 func NewSimReceiver(lay *Layout, probeSlot int64, loss *broadcast.LossModel) *SimReceiver {
-	if lay == lay.X.single {
-		return &SimReceiver{lay: lay, tu: broadcast.NewTuner(lay.X.Prog, probeSlot, loss)}
-	}
-	return &SimReceiver{lay: lay, tu: broadcast.NewAirTuner(lay.Air, lay.StartCh, probeSlot, loss)}
+	return &SimReceiver{lay: lay, tu: broadcast.NewTuner(lay.Air, lay.StartCh, probeSlot, loss)}
 }
 
 // Layout returns the layout the receiver runs over.

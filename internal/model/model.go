@@ -42,7 +42,7 @@ type DSICost struct {
 // AnalyzeDSI computes the cost model of a built index.
 func AnalyzeDSI(x *dsi.Index) DSICost {
 	var c DSICost
-	c.CyclePackets = x.Prog.Len()
+	c.CyclePackets = x.CycleSlots()
 	c.CycleBytes = x.CycleBytes()
 	c.IndexOverhead = float64(x.NF*x.TablePackets) / float64(c.CyclePackets)
 	c.ExpEEFTables = 1 + expDigitSum(x.NF, x.Base, x.E)

@@ -17,8 +17,8 @@ func TestCycleAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := AnalyzeDSI(x)
-		if c.CyclePackets != x.Prog.Len() {
-			t.Errorf("cfg %+v: cycle %d != %d", cfg, c.CyclePackets, x.Prog.Len())
+		if on := x.SingleLayout().ChanLen(0); c.CyclePackets != on {
+			t.Errorf("cfg %+v: cycle %d != %d slots on air", cfg, c.CyclePackets, on)
 		}
 		if c.CycleBytes != x.CycleBytes() {
 			t.Errorf("cfg %+v: cycle bytes mismatch", cfg)
@@ -36,7 +36,7 @@ func measurePoint(x *dsi.Index, ds *dataset.Dataset, trials int, seed int64) (la
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < trials; i++ {
 		o := ds.Objects[rng.Intn(ds.N())]
-		sess, err := dsi.Open(x, dsi.WithProbeSlot(rng.Int63n(int64(x.Prog.Len()))))
+		sess, err := dsi.Open(x, dsi.WithProbeSlot(rng.Int63n(int64(x.CycleSlots()))))
 		if err != nil {
 			panic(err)
 		}

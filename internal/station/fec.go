@@ -120,7 +120,7 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 				c.logOf = append(c.logOf, nextLog)
 				c.unitOf = append(c.unitOf, ui)
 				c.member = append(c.member, -1)
-				slots = append(slots, broadcast.Slot{Kind: kind, Owner: int32(u.pos), Part: -1})
+				slots = append(slots, broadcast.Slot{Kind: kind})
 			}
 			c.units = append(c.units, u)
 			s += u.n

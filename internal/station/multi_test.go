@@ -207,7 +207,7 @@ func TestScanSingleErrorPaths(t *testing.T) {
 	stream := func(fn func(p Packet) Packet) error {
 		c := make(chan Packet, 64)
 		go func() {
-			for slot := 0; slot < x.Prog.Len(); slot++ {
+			for slot := 0; slot < x.CycleSlots(); slot++ {
 				c <- fn(tx.Packet(0, slot))
 			}
 			close(c)

@@ -91,12 +91,12 @@ func TestPacketFraming(t *testing.T) {
 		if (p.Flags&flagIndex != 0) != wantIndex {
 			t.Fatalf("slot %d index flag wrong", slot)
 		}
-		if wantIndex != (x.Prog.At(slot).Kind == broadcast.KindIndex) {
+		if wantIndex != (x.SingleLayout().Air.Channels[0].At(slot).Kind == broadcast.KindIndex) {
 			t.Fatalf("slot %d kind disagrees with the simulator program", slot)
 		}
 	}
 	// Packet is cyclic.
-	if got := tx.Packet(0, x.Prog.Len()); got.Slot != 0 {
+	if got := tx.Packet(0, x.CycleSlots()); got.Slot != 0 {
 		t.Error("Packet must wrap around the cycle")
 	}
 }

@@ -200,7 +200,7 @@ func NewFECReceiver(lay *dsi.Layout, version uint32, src PacketSource, cfg wire.
 	r := &WireReceiver{
 		x:           lay.X,
 		lay:         lay,
-		tu:          broadcast.NewAirTuner(air, lay.StartCh, probeSlot, loss),
+		tu:          broadcast.NewTuner(air, lay.StartCh, probeSlot, loss),
 		src:         src,
 		ver:         version,
 		classic:     classic,

@@ -130,7 +130,7 @@ func TestWireReceiverSingleChannelBitIdentical(t *testing.T) {
 		rng := rand.New(rand.NewSource(6))
 		side := int(ds.Curve.Side())
 		for trial := 0; trial < 10; trial++ {
-			probe := rng.Int63n(int64(x.Prog.Len()))
+			probe := rng.Int63n(int64(x.CycleSlots()))
 			seed := rng.Int63()
 			mkLoss := func() *broadcast.LossModel {
 				if trial%2 == 0 {
