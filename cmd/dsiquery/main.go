@@ -23,6 +23,7 @@ import (
 	"dsi/internal/broadcast"
 	"dsi/internal/dataset"
 	"dsi/internal/dsi"
+	"dsi/internal/hilbert"
 	"dsi/internal/netrecv"
 	"dsi/internal/spatial"
 )
@@ -37,7 +38,7 @@ func main() {
 		segments = flag.Int("segments", 2, "broadcast reorganization factor m")
 		mode     = flag.String("mode", "knn", "query mode: window | knn | point")
 		winSpec  = flag.String("win", "100,100,125,125", "window as minX,minY,maxX,maxY")
-		qSpec    = flag.String("q", "128,128", "query point as x,y")
+		qSpec    = flag.String("q", "", "query point as x,y (default the grid centre)")
 		k        = flag.Int("k", 10, "number of neighbors for knn")
 		strat    = flag.String("strategy", "conservative", "knn strategy: conservative | aggressive")
 		probe    = flag.Int64("probe", -1, "probe slot (-1 = middle of the cycle)")
@@ -50,8 +51,21 @@ func main() {
 	)
 	flag.Parse()
 	if !(*theta >= 0 && *theta < 1) {
-		fmt.Fprintf(os.Stderr, "dsiquery: -theta %v outside [0,1)\n", *theta)
-		os.Exit(2)
+		badFlag("-theta %v outside [0,1)", *theta)
+	}
+	if *order < 1 || *order > hilbert.MaxOrder {
+		badFlag("-order %d outside [1,%d]", *order, hilbert.MaxOrder)
+	}
+	cells := uint64(1) << (2 * *order)
+	if *real {
+		if rn := dataset.DefaultRealConfig(*seed).N; 2*uint64(rn) > cells {
+			badFlag("-order %d too small for the REAL-like dataset's %d objects", *order, rn)
+		}
+	} else if *n < 1 || uint64(*n) > cells {
+		badFlag("-n %d outside [1,%d], the cells of an order-%d grid", *n, cells, *order)
+	}
+	if *k < 1 {
+		badFlag("-k %d below 1", *k)
 	}
 
 	if *netURL != "" {
@@ -170,7 +184,7 @@ func runQuery(sess *dsi.Session, ds *dataset.Dataset, mode, winSpec, qSpec strin
 		printObjects(ds, ids, 10)
 		printStats(st)
 	case "knn":
-		q, ok := parsePoint(qSpec)
+		q, ok := parsePoint(qSpec, ds.Curve)
 		if !ok {
 			os.Exit(2)
 		}
@@ -183,7 +197,7 @@ func runQuery(sess *dsi.Session, ds *dataset.Dataset, mode, winSpec, qSpec strin
 		printObjects(ds, ids, k)
 		printStats(st)
 	case "point":
-		q, ok := parsePoint(qSpec)
+		q, ok := parsePoint(qSpec, ds.Curve)
 		if !ok {
 			os.Exit(2)
 		}
@@ -200,10 +214,28 @@ func runQuery(sess *dsi.Session, ds *dataset.Dataset, mode, winSpec, qSpec strin
 	}
 }
 
-func parsePoint(spec string) (spatial.Point, bool) {
-	var p spatial.Point
+// badFlag reports an unusable flag value as one line and exits with
+// status 2, as the flag package does for a malformed one.
+func badFlag(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dsiquery: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// parsePoint parses -q on the curve's grid: the grid centre when spec
+// is empty, and false (the complaint printed) when spec is malformed or
+// off the grid.
+func parsePoint(spec string, curve hilbert.Curve) (spatial.Point, bool) {
+	side := curve.Side()
+	p := spatial.Point{X: side / 2, Y: side / 2}
+	if spec == "" {
+		return p, true
+	}
 	if _, err := fmt.Sscanf(spec, "%d,%d", &p.X, &p.Y); err != nil {
 		fmt.Fprintf(os.Stderr, "dsiquery: bad point %q: %v\n", spec, err)
+		return p, false
+	}
+	if p.X >= side || p.Y >= side {
+		fmt.Fprintf(os.Stderr, "dsiquery: -q %s outside the %dx%d grid\n", spec, side, side)
 		return p, false
 	}
 	return p, true

@@ -59,8 +59,10 @@ type knowledge struct {
 	// unknown. Starts at 1 so zeroed stamp arrays mean "nothing known".
 	epoch uint32
 
-	// frameEp[f]>>unitBits == epoch -> minimum HC value known; the low
-	// bits hold the frame's pending-unit state (pending.go).
+	// frameEp[f]>>epochShift == epoch -> minimum HC value known. Below
+	// the epoch sit the version of the search disk the frame's units
+	// were last evaluated under (8 bits) and the frame's pending-unit
+	// state (3 bits), both pending.go's.
 	frameEp []uint32
 	frameHC []uint64 // valid when the frame is known
 
@@ -199,7 +201,7 @@ func (kb *knowledge) spanHC(j int) (lo, hi uint64) {
 	return lo, hi
 }
 
-func (kb *knowledge) frameKnown(f int) bool  { return kb.frameEp[f]>>unitBits == kb.epoch }
+func (kb *knowledge) frameKnown(f int) bool  { return kb.frameEp[f]>>epochShift == kb.epoch }
 func (kb *knowledge) objLocated(id int) bool { return kb.objEp[id] == kb.epoch }
 func (kb *knowledge) retrieved(id int) bool  { return kb.retEp[id] == kb.epoch }
 
@@ -209,7 +211,7 @@ func (kb *knowledge) addFrameFact(f int, hc uint64) {
 	if kb.frameKnown(f) {
 		return
 	}
-	kb.frameEp[f] = kb.epoch << unitBits
+	kb.frameEp[f] = kb.epoch << epochShift
 	kb.frameHC[f] = hc
 	j := kb.frameSpan(f)
 	i := f - kb.spanStart[j]

@@ -17,7 +17,12 @@
 // header or a retrieval: the frame's own units are re-evaluated, only
 // if they were pending. (iii) A smaller search disk (kNN): nothing up
 // front; a unit is re-evaluated when a chooser reads it and dropped if
-// resolved. They suffice because resolved is absorbing: knowledge only
+// resolved — once per disk: every shrink bumps an 8-bit disk version,
+// an evaluation under a disk stamps the version into the frame's epoch
+// stamp, and a unit stamped with the installed disk's version is read
+// as it stands (rules i and ii have kept it exact since). A target list
+// is never stamped, so after a list shrinks every read re-evaluates.
+// They suffice because resolved is absorbing: knowledge only
 // grows, targets only shrink within a query (the disk's radius only
 // shrinks), and frame minima ascend strictly along a span, so a
 // resolved unit stays resolved and only pending units ever need another
@@ -52,17 +57,27 @@ import (
 	"dsi/internal/ordset"
 )
 
-// Unit state lives in the low bits of the frame's epoch stamp: no
-// per-frame array beyond the ones the knowledge base already has.
+// Unit state lives in the low bits of the frame's epoch stamp, and
+// above them the version of the search disk the units were last
+// evaluated under: no per-frame array beyond the ones the knowledge
+// base already has. A stamp reads epoch | version | unit bits.
 const (
 	unitFrame    = 1 << iota // the frame unit is pending
 	unitGap                  // the gap unit after the frame is pending
 	unitGapFirst             // a fresh walk meets the gap unit before the frame unit
 	unitBits     = iota
 	unitMask     = 1<<unitBits - 1
-	// epochWrap is the first epoch that no longer fits beside the unit
-	// bits.
-	epochWrap = 1 << (32 - unitBits)
+
+	verBits  = 8 // width of the search-disk version
+	verShift = unitBits
+	verMask  = (1<<verBits - 1) << verShift
+	// verWrap is the first version that no longer fits its field.
+	verWrap = 1 << verBits
+
+	epochShift = unitBits + verBits
+	// epochWrap is the first epoch that no longer fits beside the
+	// version and the unit bits.
+	epochWrap = 1 << (32 - epochShift)
 )
 
 // pending is the navigation state of the knowledge base (see the file
@@ -76,9 +91,11 @@ type pending struct {
 	isDisk bool
 	// end is one past the last target cell, whichever the kind.
 	end uint64
-	// stale records that the targets have shrunk since some unit was
-	// evaluated, so a unit is re-evaluated when it is read.
-	stale bool
+	// version counts the shrinks of the query's targets: 0 until the
+	// first, then 1 to 255 and round again. Once the targets have shrunk
+	// a unit is re-evaluated when it is read, unless its stamp carries
+	// the installed disk's version. No stamp is current at 0.
+	version uint32
 	// cursor is the target range the last evaluation started from, where
 	// the next one starts its search (seek).
 	cursor int
@@ -91,7 +108,7 @@ type pending struct {
 
 // units returns the unit bits of frame f: zero when it is unknown.
 func (kb *knowledge) units(f int) uint32 {
-	if e := kb.frameEp[f]; e>>unitBits == kb.epoch {
+	if e := kb.frameEp[f]; e>>epochShift == kb.epoch {
 		return e & unitMask
 	}
 	return 0
@@ -118,7 +135,7 @@ func (kb *knowledge) clearPending() {
 // seeded before the query): O(known frames).
 func (kb *knowledge) retarget(targets []hilbert.Range) {
 	p := &kb.pend
-	p.targets, p.isDisk, p.stale = targets, false, false
+	p.targets, p.isDisk, p.version = targets, false, 0
 	p.end = 0
 	if n := len(targets); n > 0 {
 		p.end = targets[n-1].Hi
@@ -132,8 +149,27 @@ func (kb *knowledge) retarget(targets []hilbert.Range) {
 // then.
 func (kb *knowledge) shrinkDisk(d hilbert.Disk) {
 	p := &kb.pend
-	p.disk, p.isDisk, p.stale = d, true, true
+	p.disk, p.isDisk = d, true
 	p.end = d.End()
+	kb.shrunk()
+}
+
+// shrunk records that the installed targets just shrank: every target
+// shrink comes through here. The version moves on, so no stamp written
+// before reads as current. When it wraps, the stamps of the known
+// frames are cleared first: a stamp 255 shrinks old would otherwise
+// alias the new version.
+func (kb *knowledge) shrunk() {
+	p := &kb.pend
+	if p.version++; p.version == verWrap {
+		for j := 0; j < kb.nspan; j++ {
+			base := kb.spanStart[j]
+			for it := kb.known[j].Begin(); it.Valid(); it.Next() {
+				kb.frameEp[base+it.Value()] &^= verMask
+			}
+		}
+		p.version = 1
+	}
 }
 
 // contains reports whether hc is a target.
@@ -158,7 +194,8 @@ func (kb *knowledge) rebuildPending() {
 			if it.Valid() {
 				next = it.Value()
 			}
-			kb.frameEp[kb.spanStart[j]+i] &^= unitMask // the sets were just emptied
+			// The sets were just emptied: every unit is evaluated afresh.
+			kb.frameEp[kb.spanStart[j]+i] &^= verMask | unitMask
 			kb.setUnits(j, i, kb.evalUnits(j, i, next))
 		}
 	}
@@ -426,9 +463,14 @@ func (kb *knowledge) frameReachDisk(f int, s *diskSpan, upper uint64) (uint64, b
 }
 
 // setUnits records the evaluated unit bits of known frame i of span j,
-// moving it in or out of the pending sets where they changed.
+// moving it in or out of the pending sets where they changed. Under a
+// search disk it also stamps the disk's version: the bits were
+// evaluated against it (rule iii). A target list is never stamped.
 func (kb *knowledge) setUnits(j, i int, bits uint32) {
 	f := kb.spanStart[j] + i
+	if kb.pend.isDisk {
+		kb.frameEp[f] = kb.frameEp[f]&^verMask | kb.pend.version<<verShift
+	}
 	old := kb.frameEp[f] & unitMask
 	if old == bits {
 		return
@@ -507,9 +549,16 @@ func (kb *knowledge) sync() {
 
 // current reports whether the unit `bit` of known frame i of span j is
 // still pending, re-evaluating it first when the targets have shrunk
-// since it may last have been evaluated (rule iii).
+// since it may last have been evaluated (rule iii). A unit stamped with
+// the installed disk's version was evaluated under that disk, and rules
+// (i) and (ii) have kept it exact since: it is trusted as it stands.
 func (kb *knowledge) current(j, i int, bit uint32) bool {
-	if !kb.pend.stale {
+	p := &kb.pend
+	if p.version == 0 {
+		return true // the targets have not shrunk
+	}
+	f := kb.spanStart[j] + i
+	if p.isDisk && kb.frameEp[f]&verMask == p.version<<verShift {
 		return true
 	}
 	bits := kb.evalUnits(j, i, kb.nextKnown(j, i))

@@ -844,6 +844,123 @@ func TestPendingSetScripts(t *testing.T) {
 	}
 }
 
+// TestDiskVersionNeverAliases drives one kNN query's search disk
+// through 3 × 2^8 shrinks, a scripted sequence of ever-smaller disks,
+// and holds the positional chooser against the walk at every hop. A
+// unit stamped under one disk and not read again for a full turn of the
+// 8-bit version counter must not pass as current when the counter comes
+// round to its stamp: every frame is known and retrieved except the one
+// nearest the centre (A) and three far ones (U1, U2, U3, in position
+// order after A, ever nearer the centre). A hop from A reads the first
+// far unit still pending, and runs only when the counter is back at 1;
+// every other hop reads A alone. Each far unit leaves the disk within
+// the turn after it was read, so a stamp that aliases its version
+// leaves it pending where the walk has moved on.
+func TestDiskVersionNeverAliases(t *testing.T) {
+	ds := dataset.Uniform(200, 6, 1)
+	x, err := Build(ds, Config{Segments: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.NO != 1 || x.NF != ds.N() {
+		t.Fatalf("need one object a frame, have %d", x.NO)
+	}
+	c := openClient(x.single, 0, nil)
+	kb := c.kb
+	side := ds.Curve.Side()
+	disk := hilbert.Disk{Curve: ds.Curve, Qx: float64(side / 2), Qy: float64(side / 2), R2: math.Inf(1)}
+	dist2 := func(f int) float64 {
+		cx, cy := ds.Curve.Decode(x.MinHC(f))
+		dx, dy := float64(cx)-disk.Qx, float64(cy)-disk.Qy
+		return dx*dx + dy*dy
+	}
+
+	// A is the frame nearest the centre; the far frames follow it in
+	// position order, each nearer than the last: U1 among the farthest
+	// quarter, U2 in the middle, U3 nearer than a fifth of the frames.
+	a := 0
+	for f := range x.NF {
+		if dist2(f) < dist2(a) {
+			a = f
+		}
+	}
+	byDist := make([]float64, x.NF)
+	for f := range byDist {
+		byDist[f] = dist2(f)
+	}
+	slices.Sort(byDist)
+	bands := [][2]float64{
+		{byDist[3*x.NF/4], math.Inf(1)},
+		{byDist[2*x.NF/5], byDist[3*x.NF/5]},
+		{dist2(a), byDist[x.NF/5]},
+	}
+	var far []int
+	for k := 1; k < x.NF && len(far) < len(bands); k++ {
+		f := (a + k) % x.NF
+		b := bands[len(far)]
+		if d := dist2(f); d > b[0] && d < b[1] && (len(far) == 0 || d < dist2(far[len(far)-1])) {
+			far = append(far, f)
+		}
+	}
+	if len(far) < len(bands) {
+		t.Fatal("no three far frames of the index fit the scenario")
+	}
+
+	kb.retarget([]hilbert.Range{{Lo: 0, Hi: ds.Curve.Size()}})
+	for f := range x.NF {
+		kb.addFrameFact(f, x.MinHC(f))
+		if f != a && !slices.Contains(far, f) {
+			kb.markRetrieved(f)
+		}
+	}
+
+	// The squared radius falls linearly between knots: above U1 at the
+	// first shrink, then below each far frame by the end of the turn it
+	// was read in, and above A to the last.
+	turn := verWrap - 1
+	shrinks := 3 * verWrap
+	knots := []struct {
+		h  int
+		r2 float64
+	}{
+		{1, dist2(far[0]) + 1},
+		{turn, (dist2(far[0]) + dist2(far[1])) / 2},
+		{2 * turn, (dist2(far[1]) + dist2(far[2])) / 2},
+		{3 * turn, (dist2(far[2]) + dist2(a)) / 2},
+		{shrinks, (dist2(far[2]) + 3*dist2(a)) / 4},
+	}
+	farReads := 0
+	for h := 1; h <= shrinks; h++ {
+		k := 0
+		for knots[k+1].h < h {
+			k++
+		}
+		lo, hi := knots[k], knots[k+1]
+		r2 := lo.r2 + (hi.r2-lo.r2)*float64(h-lo.h)/float64(hi.h-lo.h)
+		if r2 >= disk.R2 {
+			t.Fatalf("shrink %d: radius² %g does not shrink from %g", h, r2, disk.R2)
+		}
+		disk.R2 = r2
+		kb.shrinkDisk(disk)
+
+		from := (kb.spanPos(0, a) + x.NF - 1) % x.NF // A is next
+		if h%turn == 1 {
+			from = kb.spanPos(0, a) // the far units come first
+			farReads++
+		}
+		got, ok := kb.nextPending(from)
+		want, wok := kb.nextUsefulMarked(from, disk.AppendRanges(nil), nil)
+		if got != want || ok != wok {
+			t.Fatalf("shrink %d (radius² %g) from position %d: nextPending = (%d,%v), the walk (%d,%v)",
+				h, r2, from, got, ok, want, wok)
+		}
+	}
+	checkUnits(t, kb, disk.AppendRanges(nil), "after the last shrink")
+	if farReads < 4 {
+		t.Fatalf("the far units were read %d times, want one per turn of the counter", farReads)
+	}
+}
+
 // runPendingScript is the body FuzzPendingSet and TestPendingSetScripts
 // share: the seed picks the layout, the probe and the targets, the
 // script's byte pairs are (step, argument).
@@ -928,8 +1045,8 @@ func runPendingScript(t testing.TB, seed int64, script []byte) {
 			if len(targets) == 0 {
 				break
 			}
-			// A target list rewritten in place, and marked stale (the
-			// choosers do not read end, which only bounds the fetch).
+			// A target list rewritten in place, and recorded as a shrink
+			// (the choosers do not read end, which only bounds the fetch).
 			k := arg % len(targets)
 			switch r := &targets[k]; {
 			case arg&1 == 0 && r.Hi-r.Lo > 1:
@@ -939,7 +1056,8 @@ func runPendingScript(t testing.TB, seed int64, script []byte) {
 			default:
 				targets = append(targets[:k], targets[k+1:]...)
 			}
-			kb.pend.targets, kb.pend.stale = targets, true
+			kb.pend.targets = targets
+			kb.shrunk()
 		case 5: // the receiver moves: another channel, another phase
 			ch := arg % c.lay.Channels()
 			c.rx.Tune(ch)

@@ -45,3 +45,22 @@ func BenchmarkReplayReference(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReplayKNN is one round of the registered replay_knn workload:
+// the N = 10 000 testbed, and per arm 150 clients all running 5NN on two
+// workers. One iteration replays every arm once.
+func BenchmarkReplayKNN(b *testing.B) {
+	bed, err := NewTestbed(BedConfig{N: 10000, Order: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Clients: 150, KNNFrac: 1, K: 5, Workers: 2}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, arm := range bed.Arms {
+			Run(bed, arm, cfg)
+		}
+	}
+	clients := float64(cfg.Clients * len(bed.Arms) * b.N)
+	b.ReportMetric(clients/b.Elapsed().Seconds(), "clients/s")
+}

@@ -2,31 +2,34 @@
 // population-scale client replay against the broadcast organizations.
 // A population of simulated clients — each a (query, tune-in slot)
 // pair derived deterministically from its client id — replays against
-// one shared immutable air snapshot (the testbed arm). Workers own
-// contiguous client-id ranges; within a range, clients are ordered on
-// the slot clock by a calendar/bucket queue over their tune-in slots
-// and each activation runs its query to completion through a receiver
-// that skips between tune-in slots and reads whole tables and objects
-// with batched arithmetic — dsi.SimReceiver on the plain arms, the
-// flat receiver on the coded one
+// one shared immutable air snapshot (the testbed arm). A calendar/bucket
+// queue over the tune-in slots puts the whole population in one
+// activation order on the slot clock, and workers deal themselves
+// short runs of that order from a shared cursor until it is used up, so
+// none idles while another still holds work. Each activation runs its
+// query to completion through a receiver that skips between tune-in
+// slots and reads whole tables and objects with batched arithmetic —
+// dsi.SimReceiver on the plain arms, the flat receiver on the coded one
 // (broadcast clients never interact, so slot-clock order is a locality
 // choice, not a correctness one — which is exactly why replay is
-// deterministic at any parallelism: every client's outcome is a
-// function of its id alone).
+// deterministic at any parallelism and however the runs are dealt:
+// every client's outcome is a function of its id alone).
 //
 // Durable per-client state is three packed result columns plus the
-// queue link — 14 bytes per client (StateBytesPerClient); the
-// navigation state (knowledge base, scratch buffers) lives in one
-// session per worker, reset in O(facts learned) between clients. The
-// step-wise reference engine (RunReference) replays the identical
-// population through the tuner-stepping receivers; the equivalence
-// suite (equivalence_test.go) pins the two bit-identically per client.
+// client's place in the activation order — 14 bytes per client
+// (StateBytesPerClient); the navigation state (knowledge base, scratch
+// buffers) lives in one session per worker, reset in O(facts learned)
+// between clients. The step-wise reference engine (RunReference)
+// replays the identical population, dealt in id order, through the
+// tuner-stepping receivers; the equivalence suite (equivalence_test.go)
+// pins the two bit-identically per client.
 package massive
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"dsi/internal/broadcast"
 	"dsi/internal/dsi"
@@ -100,10 +103,16 @@ func (c Config) withDefaults() Config {
 
 // StateBytesPerClient is the durable per-client storage of a run: the
 // three packed result columns (latency, tuning, switches) plus the
-// calendar-queue link. Everything else a client "is" — its query and
-// tune-in slot — is recomputed from its id, and the navigation state
-// is amortized across a worker's whole id range.
+// client's entry in the calendar activation order. Everything else a
+// client "is" — its query and tune-in slot — is recomputed from its
+// id, and the navigation state is amortized across all the clients a
+// worker is dealt.
 const StateBytesPerClient = 4 + 4 + 2 + 4
+
+// dealRun is how many consecutive activations a worker deals itself at
+// a time: few enough that the workers run out of work together, and
+// each deal is one atomic add against a whole query's navigation.
+const dealRun = 4
 
 // Result holds the per-client outcomes of one arm's replay as packed
 // struct-of-arrays columns, indexed by client id.
@@ -140,10 +149,11 @@ func queryOf(cfg Config, side uint32, cycle int, id int) clientQuery {
 }
 
 // runPopulation replays every client of cfg against the arm, one
-// session per worker over contiguous client-id ranges. The evented
-// engine activates a worker's clients in slot-clock order through the
-// calendar/bucket queue over the arm's newFlat receivers; the reference
-// engine scans ids in order over its newReference receivers.
+// session per worker. Workers deal themselves runs of dealRun
+// activations from one shared cursor: the evented engine walks the
+// population's calendar order (calendarOrder) over the arm's newFlat
+// receivers; the reference engine walks ids in order over its
+// newReference receivers.
 func runPopulation(bed *Testbed, arm *Arm, cfg Config, evented bool) *Result {
 	cfg = cfg.withDefaults()
 	if cfg.Clients <= 0 {
@@ -154,25 +164,19 @@ func runPopulation(bed *Testbed, arm *Arm, cfg Config, evented bool) *Result {
 	cycle := arm.CycleSlots()
 	winSide := uint32(cfg.WinSideRatio * float64(side))
 
-	workers := cfg.Workers
-	if workers > cfg.Clients {
-		workers = cfg.Clients
+	// order[k] is the k-th client to activate; nil means id order.
+	var order []int32
+	if evented {
+		order = calendarOrder(cfg, side, cycle)
 	}
-	chunk := (cfg.Clients + workers - 1) / workers
+	var cursor atomic.Int64
 
+	workers := min(cfg.Workers, cfg.Clients)
 	var wg sync.WaitGroup
 	panics := make(chan any, workers)
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > cfg.Clients {
-			hi = cfg.Clients
-		}
-		if lo >= hi {
-			continue
-		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
@@ -203,8 +207,8 @@ func runPopulation(bed *Testbed, arm *Arm, cfg Config, evented bool) *Result {
 				panic(fmt.Sprintf("massive: opening session: %v", err))
 			}
 
-			// buf recycles the result-ID storage across the worker's
-			// whole range: massive replay measures cost distributions,
+			// buf recycles the result-ID storage across every client the
+			// worker is dealt: massive replay measures cost distributions,
 			// not result sets (the equivalence suite checks results on
 			// small populations).
 			var buf []int
@@ -252,37 +256,20 @@ func runPopulation(bed *Testbed, arm *Arm, cfg Config, evented bool) *Result {
 				}
 			}()
 
-			if !evented {
-				// Step-wise reference scan: id order.
-				for id := lo; id < hi; id++ {
-					run(id)
+			for {
+				k := int(cursor.Add(dealRun)) - dealRun
+				if k >= cfg.Clients {
+					return
 				}
-				return
-			}
-			// Calendar/bucket queue keyed on the slot clock: clients
-			// activate in tune-in-slot order within the worker's range.
-			n := hi - lo
-			nb := cycle
-			if nb > 1<<12 {
-				nb = 1 << 12
-			}
-			head := make([]int32, nb)
-			for b := range head {
-				head[b] = -1
-			}
-			next := make([]int32, n)
-			for id := hi - 1; id >= lo; id-- {
-				probe := queryOf(cfg, side, cycle, id).probe
-				b := int(probe % int64(cycle) * int64(nb) / int64(cycle))
-				next[id-lo] = head[b]
-				head[b] = int32(id - lo)
-			}
-			for b := 0; b < nb; b++ {
-				for i := head[b]; i >= 0; i = next[i] {
-					run(lo + int(i))
+				for end := min(k+dealRun, cfg.Clients); k < end; k++ {
+					if order != nil {
+						run(int(order[k]))
+					} else {
+						run(k)
+					}
 				}
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 	close(panics)
@@ -290,6 +277,35 @@ func runPopulation(bed *Testbed, arm *Arm, cfg Config, evented bool) *Result {
 		panic(p)
 	}
 	return res
+}
+
+// calendarOrder returns the population's activation order on the slot
+// clock: a calendar/bucket queue of at most 4096 buckets over the
+// tune-in slots, ascending id within a bucket. It is a counting sort
+// over two passes of the clients' derived queries, so the order is the
+// only per-client array it allocates.
+func calendarOrder(cfg Config, side uint32, cycle int) []int32 {
+	nb := min(cycle, 1<<12)
+	bucket := func(id int) int {
+		probe := queryOf(cfg, side, cycle, id).probe
+		return int(probe % int64(cycle) * int64(nb) / int64(cycle))
+	}
+	// start[b] is where bucket b's next id goes once the counts are
+	// summed.
+	start := make([]int32, nb+1)
+	for id := 0; id < cfg.Clients; id++ {
+		start[bucket(id)+1]++
+	}
+	for b := 1; b <= nb; b++ {
+		start[b] += start[b-1]
+	}
+	order := make([]int32, cfg.Clients)
+	for id := 0; id < cfg.Clients; id++ {
+		b := bucket(id)
+		order[start[b]] = int32(id)
+		start[b]++
+	}
+	return order
 }
 
 // Run replays cfg's population against the arm on the event-driven
