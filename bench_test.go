@@ -304,9 +304,9 @@ func BenchmarkWindowSplitHop(b *testing.B) {
 // BenchmarkPacketReadIntoBuffer reports what one slot costs a reader
 // that brings its own buffer, in ns and allocations: one iteration sweeps
 // a full cycle of every channel of an erasure-coded sharded broadcast
-// through station.PacketSource's buffer read — table, parity and data
-// slots in air proportion. This is the read the byte-level receiver, the
-// network station's pacer and the image writer make once per slot, so a
+// through station.PacketSource's run read, one slot at a time — table,
+// parity and data slots in air proportion. This is the read the network
+// station's pacer and the image writer make once per slot, so a
 // source that goes back to allocating per packet shows here first
 // (internal/station's BenchmarkMultiTransmitterPacketAt has the other
 // sources and PacketAt beside it).
@@ -338,13 +338,14 @@ func BenchmarkPacketReadIntoBuffer(b *testing.B) {
 		slots += tx.ChanSlots(ch)
 	}
 	buf := make([]byte, 0, x.Cfg.Capacity)
+	var run [1]station.Packet
 	sink := 0
 	b.ReportAllocs()
 	for b.Loop() {
 		for ch := 0; ch < lay.Channels(); ch++ {
 			for abs, end := int64(0), int64(tx.ChanSlots(ch)); abs < end; abs++ {
-				p, _ := tx.ReadPacketAt(buf, ch, abs)
-				sink += len(p.Payload)
+				tx.ReadRunAt(run[:], buf, ch, abs)
+				sink += len(run[0].Payload)
 			}
 		}
 	}

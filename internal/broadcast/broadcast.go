@@ -138,9 +138,11 @@ func NewLossModel(theta float64, seed int64) *LossModel {
 // Lost reports whether a packet of the given kind is corrupted on
 // reception. A nil model never loses packets.
 func (l *LossModel) Lost(k Kind) bool {
-	if l == nil || l.Theta == 0 {
-		return false
-	}
+	return l != nil && l.Theta != 0 && l.lost(k)
+}
+
+// lost is Lost for a model that can lose a packet.
+func (l *LossModel) lost(k Kind) bool {
 	if l.burst {
 		return l.lostBurst(k)
 	}
@@ -369,29 +371,60 @@ func (t *Tuner) Read() (s Slot, ok bool) {
 }
 
 // ReadN receives the n packets starting at the current slot and reports
-// whether every one arrived intact: by definition n calls of Read, the
-// same loss draws in the same order. On a channel that cannot lose a
-// packet (no loss model in effect, or one with Theta 0) nothing is
-// drawn and no slot is looked at, so the batch is three additions —
-// which is what lets an error-free replay read a table or an object in
-// constant time.
+// whether every one arrived intact: ReadMask's all-intact case, over
+// chunks of 64 packets. Like ReadMask it is n calls of Read, and on a
+// channel that cannot lose a packet it draws nothing and looks at no
+// slot — which is what lets an error-free replay read a table or an
+// object in constant time.
 func (t *Tuner) ReadN(n int) bool {
-	if n <= 0 {
-		return true
-	}
-	if loss := t.lossNow(); loss == nil || loss.Theta == 0 {
-		t.now += int64(n)
-		t.read += int64(n)
-		return true
-	}
 	ok := true
-	for i := 0; i < n; i++ {
-		if _, good := t.Read(); !good {
+	for n > 0 {
+		k := min(n, 64)
+		if t.ReadMask(k) != allIntact(k) {
 			ok = false
 		}
+		n -= k
 	}
 	return ok
 }
+
+// ReadMask receives the n packets (n <= 64) starting at the current
+// slot and reports which arrived intact: bit i is set when read i did.
+// By definition it is n calls of Read — same clock, same accounting,
+// same loss draws in the same order. On a channel that cannot lose a
+// packet (no loss model in effect, or one with Theta 0) nothing is
+// drawn and no slot is looked at, so the batch is three additions.
+func (t *Tuner) ReadMask(n int) uint64 {
+	if n <= 0 {
+		return 0
+	}
+	if n > 64 {
+		panic(fmt.Sprintf("broadcast: ReadMask(%d) exceeds the 64-bit mask", n))
+	}
+	loss := t.lossNow()
+	if loss == nil || loss.Theta == 0 {
+		t.now += int64(n)
+		t.read += int64(n)
+		return allIntact(n)
+	}
+	slots := t.prog.Slots
+	pos := t.Pos()
+	var mask uint64
+	for i := 0; i < n; i++ {
+		if !loss.lost(slots[pos].Kind) {
+			mask |= 1 << uint(i)
+		}
+		if pos++; pos == len(slots) {
+			pos = 0
+		}
+	}
+	t.now += int64(n)
+	t.read += int64(n)
+	return mask
+}
+
+// allIntact is ReadMask's answer when all n reads arrive intact.
+func allIntact(n int) uint64 { return ^uint64(0) >> uint(64-n) }
 
 // DozeUntil advances the clock to the absolute slot abs without
 // receiving anything (the client sleeps). Rewinding panics: broadcast

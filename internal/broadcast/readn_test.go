@@ -26,19 +26,26 @@ func sameTuner(t *testing.T, when string, batch, step *Tuner) {
 }
 
 func stepN(t *Tuner, n int) bool {
-	ok := true
-	for i := 0; i < n; i++ {
-		if _, good := t.Read(); !good {
-			ok = false
-		}
-	}
-	return ok
+	return stepMask(t, n) == allIntact(n)
 }
 
-// TestTunerReadNMatchesRead holds the batched read to its definition:
-// ReadN(n) is n calls of Read — same clock, same accounting, same
-// answer, same loss draws — under every kind of loss model, on a
-// single-program tuner and on an air tuner that switches channels.
+// stepMask is ReadMask(n) spelled out: n calls of Read, bit i set when
+// read i arrived intact.
+func stepMask(t *Tuner, n int) uint64 {
+	var mask uint64
+	for i := 0; i < n; i++ {
+		if _, good := t.Read(); good {
+			mask |= 1 << uint(i)
+		}
+	}
+	return mask
+}
+
+// TestTunerReadNMatchesRead holds the batched reads to their definition:
+// ReadN(n) and ReadMask(n) are n calls of Read — same clock, same
+// accounting, same answer (ReadMask's bit i is read i's outcome), same
+// loss draws — under every kind of loss model, on a single-program tuner
+// and on an air tuner that switches channels.
 func TestTunerReadNMatchesRead(t *testing.T) {
 	const tablePackets, objPackets = 3, 16 // the two batch sizes a DSI client reads
 	lossy := func(seed int64) *LossModel {
@@ -95,6 +102,16 @@ func TestTunerReadNMatchesRead(t *testing.T) {
 						batch.DozeUntil(batch.Now() + int64(round))
 						step.DozeUntil(step.Now() + int64(round))
 					}
+					// Every mask width, with a doze between batches so they
+					// start at every phase of the mixed-kind cycle.
+					for n := 1; n <= 64; n++ {
+						if got, want := batch.ReadMask(n), stepMask(step, n); got != want {
+							t.Fatalf("round %d: ReadMask(%d) = %#x, %d Reads %#x", round, n, got, n, want)
+						}
+						sameTuner(t, "after a mask", batch, step)
+						batch.DozeUntil(batch.Now() + int64(n%5))
+						step.DozeUntil(step.Now() + int64(n%5))
+					}
 					if tc.air {
 						batch.Switch((round + 1) % 3)
 						step.Switch((round + 1) % 3)
@@ -119,15 +136,15 @@ func TestTunerReadNMatchesRead(t *testing.T) {
 // loop it stands for.
 func TestTunerReadNNegative(t *testing.T) {
 	tu := NewTuner(SingleAir(testProgram(64, 8)), 0, 3, nil)
-	if !tu.ReadN(-4) || tu.Now() != 3 || tu.Stats().TuningPackets != 0 {
-		t.Fatalf("ReadN(-4) moved the tuner: now=%d %+v", tu.Now(), tu.Stats())
+	if !tu.ReadN(-4) || tu.ReadMask(0) != 0 || tu.ReadMask(-2) != 0 || tu.Now() != 3 || tu.Stats().TuningPackets != 0 {
+		t.Fatalf("an empty batch moved the tuner: now=%d %+v", tu.Now(), tu.Stats())
 	}
 }
 
 // FuzzTunerReadN drives a batching tuner and a stepping twin through
-// the same script of batches, dozes and channel switches under an
-// i.i.d. or burst loss model (theta 0 included) and requires them to
-// agree throughout.
+// the same script of batches (ReadN, and ReadMask of 1..64 on odd
+// steps), dozes and channel switches under an i.i.d. or burst loss
+// model (theta 0 included) and requires them to agree throughout.
 func FuzzTunerReadN(f *testing.F) {
 	f.Add(0.0, int64(1), false, []byte{3, 16, 0x81, 1, 0x42, 16})
 	f.Add(0.3, int64(2), false, []byte{16, 0x80, 3, 0x82, 0, 1, 0x45})
@@ -165,6 +182,11 @@ func FuzzTunerReadN(f *testing.F) {
 			case b&0x40 != 0: // doze
 				batch.DozeUntil(batch.Now() + int64(b&0x3f))
 				step.DozeUntil(step.Now() + int64(b&0x3f))
+			case i%2 == 1: // mask of 1..64 packets
+				n := int(b) + 1
+				if got, want := batch.ReadMask(n), stepMask(step, n); got != want {
+					t.Fatalf("op %d: ReadMask(%d) = %#x, %d Reads %#x", i, n, got, n, want)
+				}
 			default: // batch of 0..63 packets
 				n := int(b)
 				if got, want := batch.ReadN(n), stepN(step, n); got != want {

@@ -313,26 +313,41 @@ func (s *StreamSource) object(i int) objRec {
 // CycleSlots returns the broadcast cycle length in packet slots.
 func (s *StreamSource) CycleSlots() int { return s.geo.CycleSlots() }
 
-// PacketAt implements station.PacketSource: ReadPacketAt without a
-// buffer.
+// PacketAt implements station.PacketSource: the run of one.
 func (s *StreamSource) PacketAt(ch int, abs int64) (station.Packet, uint32) {
-	return s.ReadPacketAt(nil, ch, abs)
+	var p [1]station.Packet
+	s.ReadRunAt(p[:], nil, ch, abs)
+	return p[0], p[0].Ver
 }
 
-// ReadPacketAt implements station.PacketSource; the slot arithmetic and
+// ReadRunAt implements station.PacketSource; the slot arithmetic and
 // payload bytes mirror station.MultiTransmitter over a single-channel
 // layout exactly. Payloads are slices of the table encoding and object
 // payload the source caches, each replaced — never rewritten — when the
-// stream moves on, so no read needs the buffer.
-func (s *StreamSource) ReadPacketAt(_ []byte, ch int, abs int64) (station.Packet, uint32) {
+// stream moves on, so no read needs the buffer. Any channel but 0 and a
+// slot before 0 are lost slots.
+func (s *StreamSource) ReadRunAt(dst []station.Packet, _ []byte, ch int, abs int64) {
 	if ch != 0 {
-		panic(fmt.Sprintf("diskstore: packet request for channel %d of a single-channel stream source", ch))
+		clear(dst)
+		return
 	}
+	dst, abs = station.LostBeforeZero(dst, abs)
+	cycle := s.geo.CycleSlots()
+	slot := int(abs % int64(cycle))
+	for i := range dst {
+		dst[i] = s.packet(slot)
+		if slot++; slot == cycle {
+			slot = 0
+		}
+	}
+}
+
+// packet is the packet at a slot of the cycle.
+func (s *StreamSource) packet(slot int) station.Packet {
 	g := &s.geo
-	slot := int(abs % int64(g.CycleSlots()))
 	pos := slot / g.FramePackets
 	within := slot % g.FramePackets
-	p := station.Packet{Slot: uint32(slot)}
+	p := station.Packet{Slot: uint32(slot), Ver: 1}
 
 	if within < g.TablePackets {
 		p.Flags = station.FlagIndex
@@ -348,14 +363,14 @@ func (s *StreamSource) ReadPacketAt(_ []byte, ch int, abs int64) (station.Packet
 			}
 			p.Payload = tab[from:to]
 		}
-		return p, 1
+		return p
 	}
 
 	o := (within - g.TablePackets) / g.ObjPackets
 	part := (within - g.TablePackets) % g.ObjPackets
 	first, num := g.FrameObjects(g.PosToFrame(pos))
 	if o >= num {
-		return p, 1 // padding slot of a partial last frame
+		return p // padding slot of a partial last frame
 	}
 	id := first + o
 	if id != s.objIdx {
@@ -376,7 +391,7 @@ func (s *StreamSource) ReadPacketAt(_ []byte, ch int, abs int64) (station.Packet
 	if from < len(payload) {
 		p.Payload = payload[from:to]
 	}
-	return p, 1
+	return p
 }
 
 // tableAt encodes (and caches) the index table of the frame at cycle

@@ -126,6 +126,7 @@ func WriteImage(w io.Writer, src station.PacketSource, info ImageInfo) error {
 	}
 	stride := 3 + slotBytes
 	rec := make([]byte, stride)
+	var pkt [1]station.Packet
 	for ch, slots := range info.ChanSlots {
 		if slots <= 0 {
 			return fmt.Errorf("diskstore: channel %d has %d slots", ch, slots)
@@ -134,7 +135,8 @@ func WriteImage(w io.Writer, src station.PacketSource, info ImageInfo) error {
 			clear(rec)
 			// A payload the source builds lands in the record itself; one it
 			// holds already is copied in below.
-			p, ver := src.ReadPacketAt(rec[3:3], ch, int64(slot))
+			src.ReadRunAt(pkt[:], rec[3:3], ch, int64(slot))
+			p, ver := pkt[0], pkt[0].Ver
 			if ver != 1 {
 				return fmt.Errorf("diskstore: channel %d slot %d served directory version %d; images need a static source", ch, slot, ver)
 			}
@@ -308,23 +310,36 @@ func (s *ImageSource) Capacity() int { return s.capacity }
 // fields only; a serving daemon fills the live ones).
 func (s *ImageSource) Meta() wire.StationMeta { return s.meta }
 
-// PacketAt implements station.PacketSource: ReadPacketAt without a
-// buffer.
+// PacketAt implements station.PacketSource: the run of one.
 func (s *ImageSource) PacketAt(ch int, abs int64) (station.Packet, uint32) {
-	return s.ReadPacketAt(nil, ch, abs)
+	var p [1]station.Packet
+	s.ReadRunAt(p[:], nil, ch, abs)
+	return p[0], p[0].Ver
 }
 
-// ReadPacketAt implements station.PacketSource by slicing the mapping,
-// which is read-only: no read needs the buffer.
-func (s *ImageSource) ReadPacketAt(_ []byte, ch int, abs int64) (station.Packet, uint32) {
-	s.met.PacketEmitted(ch)
-	slot := abs % int64(s.chanSlots[ch])
-	rec := s.m.data[s.chanOff[ch]+slot*s.stride:]
-	p := station.Packet{Ch: uint8(ch), Slot: uint32(slot), Flags: rec[0]}
-	if n := int(binary.LittleEndian.Uint16(rec[1:3])); n > 0 && n <= s.slotBytes {
-		p.Payload = rec[3 : 3+n : 3+n]
+// ReadRunAt implements station.PacketSource by slicing the mapping,
+// which is read-only: no read needs the buffer. A channel the image does
+// not hold and a slot before 0 are lost slots.
+func (s *ImageSource) ReadRunAt(dst []station.Packet, _ []byte, ch int, abs int64) {
+	if ch < 0 || ch >= len(s.chanSlots) {
+		clear(dst)
+		return
 	}
-	return p, 1
+	dst, abs = station.LostBeforeZero(dst, abs)
+	s.met.PacketsEmitted(ch, len(dst))
+	cycle := int64(s.chanSlots[ch])
+	slot := abs % cycle
+	for i := range dst {
+		rec := s.m.data[s.chanOff[ch]+slot*s.stride:]
+		p := station.Packet{Ch: uint8(ch), Slot: uint32(slot), Flags: rec[0], Ver: 1}
+		if n := int(binary.LittleEndian.Uint16(rec[1:3])); n > 0 && n <= s.slotBytes {
+			p.Payload = rec[3 : 3+n : 3+n]
+		}
+		dst[i] = p
+		if slot++; slot == cycle {
+			slot = 0
+		}
+	}
 }
 
 // DirectoryAt implements station.PacketSource from the footer blob.

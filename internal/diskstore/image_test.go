@@ -396,12 +396,13 @@ func openTestStream(t *testing.T, ps PointStream, cfg dsi.Config) *StreamSource 
 	return src
 }
 
-// TestReadPacketAtMatchesPacketAt holds the two disk-backed sources to
-// the seam's buffer contract (stationtest.CheckRead) over one full cycle
-// of every channel: the image of a coded sharded broadcast, whose every
-// payload is a slice of the read-only mapping, and the stream source an
-// out-of-core image is written from.
-func TestReadPacketAtMatchesPacketAt(t *testing.T) {
+// TestReadRunAtMatchesPacketAt holds the two disk-backed sources to the
+// seam's run contract (stationtest.CheckRuns) over one full cycle of
+// every channel and a run across its end: the image of a coded sharded
+// broadcast, whose every payload is a slice of the read-only mapping, and
+// the stream source an out-of-core image is written from. Channels and
+// slots neither carries read as lost slots.
+func TestReadRunAtMatchesPacketAt(t *testing.T) {
 	x, err := dsi.Build(dataset.Uniform(300, 7, 13), dsi.Config{Capacity: 64, ReserveMCPtr: true})
 	if err != nil {
 		t.Fatal(err)
@@ -412,10 +413,11 @@ func TestReadPacketAtMatchesPacketAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := station.NewMultiTransmitterFEC(lay, wire.FECConfig{
+	code := wire.FECConfig{
 		Table:  wire.FECCode{Groups: 1, Parity: 1},
 		Object: wire.FECCode{Groups: 4, Parity: 1},
-	})
+	}
+	tx, err := station.NewMultiTransmitterFEC(lay, code)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,14 +431,33 @@ func TestReadPacketAtMatchesPacketAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer img.Close()
+	lens := []int{1, 2, x.ObjPackets, x.ObjPackets + code.Object.Tail()}
 	for ch := 0; ch < img.Channels(); ch++ {
-		if err := stationtest.CheckSlots(img, ch, 0, int64(img.ChanSlots(ch))); err != nil {
+		if err := stationtest.CheckRuns(img, ch, 0, int64(img.ChanSlots(ch)), lens...); err != nil {
 			t.Fatalf("image source: %v", err)
 		}
 	}
 
 	stream := openTestStream(t, UniformStream(300, 7, 13), dsi.Config{Capacity: 64})
-	if err := stationtest.CheckSlots(stream, 0, 0, int64(stream.CycleSlots())); err != nil {
+	if err := stationtest.CheckRuns(stream, 0, 0, int64(stream.CycleSlots()), lens...); err != nil {
 		t.Fatalf("stream source: %v", err)
+	}
+
+	for _, sc := range []struct {
+		name  string
+		src   station.PacketSource
+		chans int
+	}{{"image", img, img.Channels()}, {"stream", stream, 1}} {
+		for _, c := range []struct {
+			ch  int
+			abs int64
+		}{{sc.chans, 0}, {sc.chans + 4, 77}, {-1, 3}, {0, -20}} {
+			if err := stationtest.CheckLost(sc.src, c.ch, c.abs, 20); err != nil {
+				t.Fatalf("%s source: %v", sc.name, err)
+			}
+		}
+		if err := stationtest.CheckRun(sc.src, 0, -3, 20, 20*64); err != nil {
+			t.Fatalf("%s source: %v", sc.name, err)
+		}
 	}
 }

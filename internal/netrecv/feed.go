@@ -29,21 +29,21 @@
 //   - The ring owns its bytes and a read copies out of it: an arriving
 //     frame is copied into its ring entry's own buffer (so the caller
 //     may reuse its read buffer, and a frame nobody reads costs a
-//     memcpy and no allocation), and ReadPacketAt copies the entry into
+//     memcpy and no allocation), and ReadRunAt copies the entries into
 //     the reader's buffer while it holds the lock, so ring eviction
 //     never invalidates a slice an upper layer still holds. A reader
 //     with a buffer of sufficient capacity allocates nothing; PacketAt,
 //     the read without one, gets a fresh copy it may keep.
-//   - A frame wakes a blocked PacketAt only once the global clock has
+//   - A frame wakes a blocked read only once the global clock has
 //     reached the earliest slot anyone waits on: every rule that ends
 //     a wait (arrival, eviction, reorderSlack, LagSlack) needs a frame
 //     at or past it. Close, time-outs and a consumer advancing past a
 //     full lossless ring wake unconditionally.
-//   - PacketAt never blocks forever in lossy mode: a slot is declared
+//   - A read never blocks forever in lossy mode: a slot is declared
 //     lost when the channel clock passes it, the global clock outruns
 //     it by LagSlack, the wait times out, or the feed closes.
 //   - In lossless mode (loopback regression tests) Offer blocks for
-//     ring space and PacketAt waits indefinitely, so the byte stream
+//     ring space and a read waits indefinitely, so the byte stream
 //     is consumed exactly once and in order, with TCP backpressure
 //     pacing the server.
 package netrecv
@@ -78,7 +78,7 @@ type Options struct {
 	// arrived (default 5s); on expiry the slot is served as lost.
 	WaitTimeout time.Duration
 	// Lossless switches the feed to the regression-test discipline:
-	// Offer blocks for ring space instead of evicting, and PacketAt
+	// Offer blocks for ring space instead of evicting, and a read
 	// never times a slot out. Use only with a Block-mode station.
 	Lossless bool
 	// DialTimeout bounds transport dials and the bootstrap fetch
@@ -108,7 +108,6 @@ func (o Options) withDefaults() Options {
 // overwritten in place by the next frame that lands here.
 type feedEntry struct {
 	abs int64
-	ver uint32
 	set bool
 	pkt station.Packet
 }
@@ -147,6 +146,10 @@ type Feed struct {
 	lastConsumed int64
 
 	lost int64
+
+	// widest is the longest data payload slotted so far: what a run read
+	// sizes a fresh allocation by when the reader's buffer runs short.
+	widest int
 
 	closed bool
 }
@@ -287,13 +290,15 @@ func (f *Feed) slot(fr wire.NetFrame) bool {
 		}
 		e := &f.entries[ch][fr.Abs%f.ring]
 		if !e.set || e.abs < fr.Abs {
-			e.abs, e.ver, e.set = fr.Abs, fr.Ver, true
+			e.abs, e.set = fr.Abs, true
 			e.pkt = station.Packet{
 				Ch:      uint8(ch),
 				Slot:    fr.Slot,
 				Flags:   fr.Flags,
+				Ver:     fr.Ver,
 				Payload: append(e.pkt.Payload[:0], fr.Payload...),
 			}
+			f.widest = max(f.widest, len(fr.Payload))
 		}
 		if fr.Abs+1 > f.high[ch] {
 			f.high[ch] = fr.Abs + 1
@@ -335,22 +340,41 @@ func (f *Feed) unlockAndWake(slotted bool) {
 	}
 }
 
-// PacketAt implements station.PacketSource: ReadPacketAt without a
+// PacketAt implements station.PacketSource: the run of one into no
 // buffer.
 func (f *Feed) PacketAt(ch int, abs int64) (station.Packet, uint32) {
-	return f.ReadPacketAt(nil, ch, abs)
+	var p [1]station.Packet
+	f.ReadRunAt(p[:], nil, ch, abs)
+	return p[0], p[0].Ver
 }
 
-// ReadPacketAt implements station.PacketSource: the frame broadcast on
-// channel ch at absolute slot abs, copied into buf, waiting for it to
-// arrive when it is still in flight. A lost slot is the zero packet with
-// version 0, which the decoding layer counts as channel loss.
-func (f *Feed) ReadPacketAt(buf []byte, ch int, abs int64) (station.Packet, uint32) {
+// ReadRunAt implements station.PacketSource: the frames broadcast on
+// channel ch at absolute slots abs, abs+1, …, copied into buf one after
+// another under one hold of the lock. Each slot is served in turn
+// exactly as a read of it alone would be — waiting for it while it is
+// still in flight, with a deadline of its own — and a lost slot is the
+// zero packet (Ver 0), which the decoding layer counts as channel loss.
+func (f *Feed) ReadRunAt(dst []station.Packet, buf []byte, ch int, abs int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if ch < 0 || ch >= f.nch || abs < 0 {
-		return station.Packet{}, 0
+	if ch < 0 || ch >= f.nch {
+		clear(dst)
+		return
 	}
+	dst, abs = station.LostBeforeZero(dst, abs)
+	b := buf[:0]
+	for i := range dst {
+		dst[i], b = f.serve(b, len(dst)-1-i, ch, abs+int64(i))
+	}
+}
+
+// serve is one slot of a run, under f.mu: the frame at abs, its payload
+// appended to b — in b's capacity, else in a fresh allocation with room
+// for the more slots of the run still to come.
+func (f *Feed) serve(b []byte, more, ch int, abs int64) (station.Packet, []byte) {
+	// The watermark follows the slots as they are served: advanced to the
+	// run's end at once, it would let a lossless transport overwrite the
+	// run's own head, which shares a ring entry with abs+ring.
 	if abs > f.lastConsumed {
 		f.lastConsumed = abs
 		if f.opt.Lossless {
@@ -358,7 +382,7 @@ func (f *Feed) ReadPacketAt(buf []byte, ch int, abs int64) (station.Packet, uint
 		}
 	}
 	// The deadline's flag is shared with the timer's goroutine, so it
-	// lives on the heap; the first wait makes it, and a read the ring
+	// lives on the heap; the first wait makes it, and a slot the ring
 	// serves at once allocates nothing.
 	var timedOut *bool
 	var tm *time.Timer
@@ -372,8 +396,13 @@ func (f *Feed) ReadPacketAt(buf []byte, ch int, abs int64) (station.Packet, uint
 		if e.set && e.abs == abs {
 			// The ring keeps its buffer; the reader gets the bytes in its own.
 			pkt := e.pkt
-			pkt.Payload = append(buf[:0], pkt.Payload...)
-			return pkt, e.ver
+			if n := len(pkt.Payload); cap(b)-len(b) < n {
+				b = make([]byte, 0, n+more*f.widest)
+			}
+			at := len(b)
+			b = append(b, pkt.Payload...)
+			pkt.Payload = b[at:len(b):len(b)]
+			return pkt, b
 		}
 		lost := f.closed ||
 			(e.set && e.abs > abs) // evicted: the window moved past
@@ -388,7 +417,7 @@ func (f *Feed) ReadPacketAt(buf []byte, ch int, abs int64) (station.Packet, uint
 			if f.met != nil {
 				f.met.LostSlots.Inc()
 			}
-			return station.Packet{}, 0
+			return station.Packet{}, b
 		}
 		if tm == nil && !f.opt.Lossless {
 			expired := new(bool)

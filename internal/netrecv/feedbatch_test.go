@@ -17,6 +17,7 @@ import (
 
 	"dsi/internal/netrecv"
 	"dsi/internal/obs"
+	"dsi/internal/station"
 	"dsi/internal/station/stationtest"
 	"dsi/internal/wire"
 )
@@ -227,9 +228,9 @@ func TestWarmConsumeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestFeedReadIntoBufferAllocatesNothing: a read with a buffer of the
-// reader's own copies the ring entry into it and allocates nothing —
-// the copy PacketAt has to allocate is the reader's to avoid.
+// TestFeedReadIntoBufferAllocatesNothing: a run read with a buffer of
+// the reader's own copies the ring entries into it and allocates
+// nothing — the copy PacketAt has to allocate is the reader's to avoid.
 func TestFeedReadIntoBufferAllocatesNothing(t *testing.T) {
 	const nch, slots = 4, 16
 	feed := netrecv.NewFeed(nch, netrecv.Options{RingSlots: slots}, obs.NewNetReceiverMetrics(obs.NewRegistry(), "test"))
@@ -242,37 +243,71 @@ func TestFeedReadIntoBufferAllocatesNothing(t *testing.T) {
 			want[abs][ch] = wantPayload(ch, int64(abs))
 		}
 	}
-	buf := make([]byte, 0, len(want[0][0]))
+	buf := make([]byte, 0, slots*len(want[0][0]))
+	run := make([]station.Packet, slots)
 	sweep := func() {
-		for abs := range want {
-			for ch := range want[abs] {
-				if p, ver := feed.ReadPacketAt(buf, ch, int64(abs)); ver != 1 || string(p.Payload) != want[abs][ch] {
-					t.Fatalf("channel %d slot %d read back as v%d %q", ch, abs, ver, p.Payload)
+		for ch := 0; ch < nch; ch++ {
+			feed.ReadRunAt(run, buf, ch, 0)
+			for abs, p := range run {
+				if p.Ver != 1 || string(p.Payload) != want[abs][ch] {
+					t.Fatalf("channel %d slot %d read back as v%d %q", ch, abs, p.Ver, p.Payload)
 				}
 			}
 		}
 	}
 	if n := testing.AllocsPerRun(20, sweep); n != 0 {
-		t.Fatalf("%d reads into the reader's buffer allocate %.0f times, want 0", nch*slots, n)
+		t.Fatalf("%d runs of %d slots into the reader's buffer allocate %.0f times, want 0", nch, slots, n)
 	}
 }
 
-// TestReadPacketAtMatchesPacketAt holds a filled feed to the seam's
-// buffer contract (stationtest.CheckRead) on every slot of every
-// channel.
-func TestReadPacketAtMatchesPacketAt(t *testing.T) {
+// TestReadRunAtMatchesPacketAt holds a feed to the seam's run contract
+// (stationtest.CheckRuns) from every slot of a filled stretch of every
+// channel, and some slots of the stretch never arrived: those, and
+// channels the broadcast does not have, read as lost slots, inside runs
+// as on their own.
+func TestReadRunAtMatchesPacketAt(t *testing.T) {
 	const nch, slots = 3, 64
 	feed := netrecv.NewFeed(nch, netrecv.Options{RingSlots: slots}, nil)
-	if _, err := feed.Consume(slotFrames(t, nch, 0, slots)); err != nil {
-		t.Fatal(err)
+	// Gaps lie more than the reorder slack below the channel's newest
+	// frame, so they are declared lost at once instead of awaited.
+	gaps := map[[2]int64]bool{{1, 5}: true, {0, 20}: true, {0, 21}: true, {0, 22}: true, {2, 40}: true}
+	for abs := int64(0); abs < slots; abs++ {
+		for ch := int64(0); ch < nch; ch++ {
+			if gaps[[2]int64{ch, abs}] {
+				continue
+			}
+			b, err := wire.AppendNetFrame(nil, wire.NetFrame{
+				Kind: wire.NetData, Ch: uint16(ch), Slot: uint32(abs), Ver: 1, Abs: abs,
+				Payload: []byte(wantPayload(int(ch), abs)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := feed.Consume(b); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	for ch := 0; ch < nch; ch++ {
-		if err := stationtest.CheckSlots(feed, ch, 0, slots); err != nil {
+		if err := stationtest.CheckRuns(feed, ch, 0, 40, 1, 2, 16); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if lost := feed.LostSlots(); lost != 0 {
-		t.Fatalf("%d reads of a filled ring served as lost", lost)
+	for g := range gaps {
+		if err := stationtest.CheckLost(feed, int(g[0]), g[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ch := range []int{nch, nch + 9, -1} {
+		if err := stationtest.CheckLost(feed, ch, 10, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := stationtest.CheckRun(feed, 1, -4, 12, 12*64); err != nil {
+		t.Fatal(err)
+	}
+	if feed.LostSlots() == 0 {
+		t.Fatal("no read was served as lost; the gaps went unexercised")
 	}
 }
 
@@ -328,6 +363,39 @@ func TestFeedNeverMissesAWakeUp(t *testing.T) {
 				t.Error(err)
 			}
 			wg.Wait()
+		})
+		if lost := feed.LostSlots(); lost != 0 {
+			t.Fatalf("lossless feed declared %d slots lost", lost)
+		}
+	})
+
+	// Runs longer than the ring: the watermark must follow the run slot
+	// by slot. Were it set to the run's end up front, the transport could
+	// slot the frame a ring past the run's head over the head before the
+	// reader was served it.
+	t.Run("lossless, runs longer than the ring", func(t *testing.T) {
+		const ring, slots, run = 8, 400, 20
+		feed := netrecv.NewFeed(1, netrecv.Options{Lossless: true, RingSlots: ring}, nil)
+		within(t, 20*time.Second, "lossless runs", func() {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				pkts := make([]station.Packet, run)
+				for abs := int64(0); abs < slots; abs += run {
+					feed.ReadRunAt(pkts, nil, 0, abs)
+					for i, p := range pkts {
+						if at := abs + int64(i); p.Ver != 1 || string(p.Payload) != wantPayload(0, at) {
+							t.Errorf("slot %d read back as v%d %q", at, p.Ver, p.Payload)
+							return
+						}
+					}
+				}
+			}()
+			time.Sleep(10 * time.Millisecond) // let the reader block on slot 0 first
+			if _, err := feed.Consume(slotFrames(t, 1, 0, slots)); err != nil {
+				t.Error(err)
+			}
+			<-done
 		})
 		if lost := feed.LostSlots(); lost != 0 {
 			t.Fatalf("lossless feed declared %d slots lost", lost)

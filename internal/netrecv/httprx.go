@@ -10,6 +10,7 @@ package netrecv
 import (
 	"context"
 	"net/http"
+	"slices"
 	"time"
 
 	"dsi/internal/obs"
@@ -84,17 +85,20 @@ func (h *HTTPReceiver) streamLoop(ctx context.Context, baseURL string) {
 	}
 }
 
-// drainStream feeds the raw byte stream until it breaks, carrying
-// partial frames across reads.
+// drainStream feeds the raw byte stream until it breaks. The stream is
+// read straight into the free tail of one buffer, behind the partial
+// frame the last read left over; only that partial frame is ever moved.
 func (h *HTTPReceiver) drainStream(resp *http.Response) {
-	buf := make([]byte, 64<<10)
-	var carry []byte
+	buf := make([]byte, 0, 64<<10)
 	for {
-		n, err := resp.Body.Read(buf)
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, cap(buf)) // one frame outgrew the buffer
+		}
+		n, err := resp.Body.Read(buf[len(buf):cap(buf)])
 		if n > 0 {
-			carry = append(carry, buf[:n]...)
-			used, cerr := h.feed.Consume(carry)
-			carry = append(carry[:0], carry[used:]...)
+			buf = buf[:len(buf)+n]
+			used, cerr := h.feed.Consume(buf)
+			buf = buf[:copy(buf, buf[used:])]
 			if cerr != nil {
 				return // desynced: tear down, reconnect clean
 			}

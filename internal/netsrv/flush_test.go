@@ -54,12 +54,18 @@ func stamp(dst []byte, ch int, abs int64) {
 func (s *stampSource) Channels() int { return s.nch }
 
 func (s *stampSource) PacketAt(ch int, abs int64) (station.Packet, uint32) {
-	return s.ReadPacketAt(nil, ch, abs)
+	var p [1]station.Packet
+	s.ReadRunAt(p[:], nil, ch, abs)
+	return p[0], p[0].Ver
 }
 
-func (s *stampSource) ReadPacketAt(_ []byte, ch int, abs int64) (station.Packet, uint32) {
-	stamp(s.cache[ch], ch, abs)
-	return station.Packet{Ch: uint8(ch), Slot: uint32(abs % 1000), Payload: s.cache[ch]}, 1
+// ReadRunAt stamps each slot into the channel's one scratch payload, so
+// it serves runs of one — all the server reads — and nothing longer.
+func (s *stampSource) ReadRunAt(dst []station.Packet, _ []byte, ch int, abs int64) {
+	for i := range dst {
+		stamp(s.cache[ch], ch, abs+int64(i))
+		dst[i] = station.Packet{Ch: uint8(ch), Slot: uint32((abs + int64(i)) % 1000), Ver: 1, Payload: s.cache[ch]}
+	}
 }
 
 func (s *stampSource) DirectoryAt(int64) ([]byte, uint32) { return s.dir, 1 }

@@ -107,8 +107,10 @@ type Server struct {
 	pub []*streamConn // publish's subscriber snapshot, reused every flush
 
 	// pkt is what buildFlush has the source build each slot's payload
-	// into: add copies the payload into the flush before the next read.
+	// into, and run the packet it reads, a run of one: add copies the
+	// payload into the flush before the next read.
 	pkt []byte
+	run [1]station.Packet
 
 	// free holds released flushes for buildFlush to fill again. What is
 	// in flight at once — a queue's worth, the flush being built and one
@@ -223,10 +225,11 @@ func (s *Server) buildFlush(batchSlots int) *flush {
 			s.appendCtrl(fl, abs)
 		}
 		for ch := 0; ch < s.nch; ch++ {
-			pkt, ver := s.src.ReadPacketAt(s.pkt, ch, abs)
+			s.src.ReadRunAt(s.run[:], s.pkt, ch, abs)
+			pkt := &s.run[0]
 			err := fl.add(wire.NetFrame{
 				Kind: wire.NetData, Flags: pkt.Flags, Ch: uint16(ch),
-				Slot: pkt.Slot, Ver: ver, Abs: abs, Payload: pkt.Payload,
+				Slot: pkt.Slot, Ver: pkt.Ver, Abs: abs, Payload: pkt.Payload,
 			}, ch)
 			if err != nil {
 				// Source payloads are bounded by the packet capacity;

@@ -109,13 +109,13 @@ func NewStationMetrics(reg *Registry, channels int) *StationMetrics {
 	return m
 }
 
-// PacketEmitted counts one packet served on channel ch. Nil-safe and
-// bounds-safe: transmitters call it unconditionally from PacketAt.
-func (m *StationMetrics) PacketEmitted(ch int) {
+// PacketsEmitted counts n packets served on channel ch. Nil-safe and
+// bounds-safe: transmitters call it unconditionally from every read.
+func (m *StationMetrics) PacketsEmitted(ch, n int) {
 	if m == nil || ch < 0 || ch >= len(m.Packets) {
 		return
 	}
-	m.Packets[ch].Inc()
+	m.Packets[ch].Add(int64(n))
 }
 
 // FECMetrics counts the recovering receiver's coding events.

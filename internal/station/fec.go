@@ -41,7 +41,6 @@ type fecChan struct {
 	log2phys []int32 // logical slot -> physical slot
 	logOf    []int32 // physical slot -> logical slot (parity maps to the next content slot)
 	unitOf   []int32 // physical slot -> unit index
-	member   []int32 // physical slot -> member index within the unit; -1 for parity
 	physLen  int
 }
 
@@ -109,7 +108,6 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 				c.log2phys[s+i] = int32(len(slots))
 				c.logOf = append(c.logOf, int32(s+i))
 				c.unitOf = append(c.unitOf, ui)
-				c.member = append(c.member, int32(i))
 				slots = append(slots, prog.At(s+i))
 			}
 			nextLog := int32((s + u.n) % logLen)
@@ -119,7 +117,6 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 				// slots belong to distinct groups.
 				c.logOf = append(c.logOf, nextLog)
 				c.unitOf = append(c.unitOf, ui)
-				c.member = append(c.member, -1)
 				slots = append(slots, broadcast.Slot{Kind: kind})
 			}
 			c.units = append(c.units, u)
@@ -137,12 +134,15 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 }
 
 // buildParity precomputes every parity packet payload of one channel,
-// indexed by physical slot (nil for content slots). logical serves the
-// channel's logical packets.
-func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(log int) Packet) [][]byte {
+// indexed by physical slot (nil for content slots). logical fills a run
+// of the channel's logical packets from a logical slot, appending the
+// payload bytes it builds to the buffer it is handed (ReadRunAt's
+// contract).
+func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(dst []Packet, b []byte, log int) []byte) [][]byte {
 	out := make([][]byte, c.physLen)
-	var arena []byte // member symbols of the unit at hand; nothing below retains them
+	var arena, built []byte // member symbols and payloads of the unit at hand; nothing below retains them
 	var syms, data [][]byte
+	var pkts []Packet
 	for _, u := range c.units {
 		code := cfg.Table
 		if !u.table {
@@ -156,12 +156,15 @@ func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(log 
 		// symbols, which the receiver reproduces from catalog geometry.
 		if len(arena) < u.n*capacity {
 			arena = make([]byte, u.n*capacity)
+			built = make([]byte, 0, u.n*capacity)
+			pkts = make([]Packet, u.n)
 		}
 		clear(arena[:u.n*capacity])
+		logical(pkts[:u.n], built, u.logStart)
 		syms = syms[:0]
 		for i := 0; i < u.n; i++ {
 			sym := arena[i*capacity : (i+1)*capacity]
-			copy(sym, logical(u.logStart+i).Payload)
+			copy(sym, pkts[i].Payload)
 			syms = append(syms, sym)
 		}
 		for grp := 0; grp < code.Groups; grp++ {

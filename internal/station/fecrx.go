@@ -1,15 +1,18 @@
 // The recovering half of WireReceiver: what the byte-level receiver does
 // when the stream carries parity.
 //
-// Reception works unit-at-a-time. A clean unit read costs exactly what
-// it costs on an uncoded stream — parity is dozed past, never received.
-// When a read loses packets, the receiver continues into the unit's
-// parity tail (extra tuning, honestly charged), validates each parity
-// frame against the unit it expects, and solves the erasures per
-// group. Losses beyond the code distance degrade gracefully: the read
-// reports failure and the client falls back to the plain
-// rebroadcast-wait retry it has always had — which is all an uncoded
-// stream ever offers.
+// Reception works unit-at-a-time, literally: each run of a unit's
+// slots the receiver takes in — a table, an object from where the
+// client joins it, the rest of a unit behind a lost header, a parity
+// tail — is one source read and one tuner batch. A clean unit read
+// costs exactly what it costs on an uncoded stream — parity is dozed
+// past, never received. When a read loses packets, the receiver
+// continues into the unit's parity tail (extra tuning, honestly
+// charged), validates each parity frame against the unit it expects,
+// and solves the erasures per group. Losses beyond the code distance
+// degrade gracefully: the read reports failure and the client falls
+// back to the plain rebroadcast-wait retry it has always had — which is
+// all an uncoded stream ever offers.
 //
 // The receiver buffers the current group window: member payloads seen
 // while working through a unit (a header read, a recovery) are kept,
@@ -102,23 +105,26 @@ func (r *WireReceiver) readTail(u *fecUnit, code wire.FECCode) [][]byte {
 		r.tailBuf = make([][]byte, code.Tail())
 	}
 	tail := r.tailBuf[:code.Tail()]
-	for t := range tail {
-		tail[t] = nil
-		pkt, good := r.read(u.n + t)
-		if !good || pkt.Flags&flagParity == 0 {
-			continue
+	clear(tail)
+	for at := 0; at < len(tail); at += 64 {
+		pkts, good := r.readRun(u.n+at, u.n+min(at+64, len(tail)))
+		for j := range pkts {
+			if good&(1<<uint(j)) == 0 || pkts[j].Flags&flagParity == 0 {
+				continue
+			}
+			h, sym, err := wire.DecodeParity(pkts[j].Payload, capacity)
+			if err != nil {
+				continue
+			}
+			t := at + j
+			grp, row := t%code.Groups, t/code.Groups
+			wantMembers, k := code.GroupMembers(u.n, grp)
+			if h.Unit != uint32(u.logStart) || int(h.Group) != grp || int(h.Index) != row ||
+				int(h.R) != code.Parity || int(h.K) != k || h.Members != wantMembers {
+				continue
+			}
+			tail[t] = sym
 		}
-		h, sym, err := wire.DecodeParity(pkt.Payload, capacity)
-		if err != nil {
-			continue
-		}
-		grp, row := t%code.Groups, t/code.Groups
-		wantMembers, k := code.GroupMembers(u.n, grp)
-		if h.Unit != uint32(u.logStart) || int(h.Group) != grp || int(h.Index) != row ||
-			int(h.R) != code.Parity || int(h.K) != k || h.Members != wantMembers {
-			continue
-		}
-		tail[t] = sym
 	}
 	return tail
 }

@@ -71,29 +71,22 @@ func TestFECGeomInvariants(t *testing.T) {
 			if nextLog != logLen {
 				t.Fatalf("%s ch%d: units cover %d logical slots, cycle has %d", tc.name, ch, nextLog, logLen)
 			}
-			if c.physLen != wantPhys || len(c.logOf) != wantPhys || len(c.unitOf) != wantPhys || len(c.member) != wantPhys {
-				t.Fatalf("%s ch%d: physLen %d, maps %d/%d/%d, want %d",
-					tc.name, ch, c.physLen, len(c.logOf), len(c.unitOf), len(c.member), wantPhys)
+			if c.physLen != wantPhys || len(c.logOf) != wantPhys || len(c.unitOf) != wantPhys {
+				t.Fatalf("%s ch%d: physLen %d, maps %d/%d, want %d",
+					tc.name, ch, c.physLen, len(c.logOf), len(c.unitOf), wantPhys)
 			}
 			for s := 0; s < logLen; s++ {
-				p := c.log2phys[s]
-				if c.logOf[p] != int32(s) || c.member[p] < 0 {
-					t.Fatalf("%s ch%d: logical %d -> physical %d -> logical %d (member %d)",
-						tc.name, ch, s, p, c.logOf[p], c.member[p])
+				p := int(c.log2phys[s])
+				if u := &c.units[c.unitOf[p]]; c.logOf[p] != int32(s) || p-u.physStart >= u.n {
+					t.Fatalf("%s ch%d: logical %d -> physical %d -> logical %d (member %d of a %d-member unit)",
+						tc.name, ch, s, p, c.logOf[p], p-u.physStart, u.n)
 				}
 			}
 			for p := 0; p < c.physLen; p++ {
 				u := &c.units[c.unitOf[p]]
-				if m := c.member[p]; m >= 0 {
-					if u.physStart+int(m) != p {
-						t.Fatalf("%s ch%d: physical %d claims member %d of unit at %d", tc.name, ch, p, m, u.physStart)
-					}
-				} else {
-					tail := p - u.physStart - u.n
-					code := g.code(u.table)
-					if tail < 0 || tail >= code.Tail() {
-						t.Fatalf("%s ch%d: physical %d is parity offset %d of a %d-slot tail", tc.name, ch, p, tail, code.Tail())
-					}
+				if off := p - u.physStart; off < 0 || off >= u.n+g.code(u.table).Tail() {
+					t.Fatalf("%s ch%d: physical %d lies outside its unit at %d (%d members, %d parity)",
+						tc.name, ch, p, u.physStart, u.n, g.code(u.table).Tail())
 				}
 			}
 		}
@@ -117,7 +110,7 @@ func TestFECTransmitterParityDecodes(t *testing.T) {
 		c := &geo.chs[ch]
 		for slot := 0; slot < mt.ChanSlots(ch); slot++ {
 			p := mt.Packet(ch, slot)
-			if c.member[slot] >= 0 {
+			if u := &c.units[c.unitOf[slot]]; slot-u.physStart < u.n {
 				if p.Flags&flagParity != 0 {
 					t.Fatalf("ch%d slot %d: content slot flagged as parity", ch, slot)
 				}

@@ -41,7 +41,7 @@ import (
 // and the parity payloads.
 //
 // It is safe for concurrent use: any number of readers call
-// ReadPacketAt, DirectoryAt and FECDescAt while one control goroutine
+// ReadRunAt, DirectoryAt and FECDescAt while one control goroutine
 // stages and commits swaps. A read loads one immutable snapshot of what
 // is on air and takes no lock.
 type MultiTransmitter struct {
@@ -108,7 +108,7 @@ func NewRebroadcaster(lay *dsi.Layout) (*MultiTransmitter, error) { return NewMu
 // NewMultiTransmitterFEC is NewMultiTransmitter with an erasure code
 // over every channel of the layout: each stream gains a parity tail
 // after every index table and every object, and Packet, CycleChannel
-// and ReadPacketAt then run in the physical slot domain. The zero config
+// and ReadRunAt then run in the physical slot domain. The zero config
 // is the uncoded transmitter, which ships no FEC descriptor.
 func NewMultiTransmitterFEC(lay *dsi.Layout, cfg wire.FECConfig) (*MultiTransmitter, error) {
 	g, err := newGeneration(lay, cfg)
@@ -153,7 +153,7 @@ func newGeneration(lay *dsi.Layout, cfg wire.FECConfig) (*generation, error) {
 	g.parity = make([][][]byte, lay.Channels())
 	for ch := range g.parity {
 		g.parity[ch] = buildParity(&geo.chs[ch], cfg, lay.X.Cfg.Capacity,
-			func(log int) Packet { return g.logicalPacket(nil, ch, log) })
+			func(dst []Packet, b []byte, log int) []byte { return g.fillLogical(dst, b, 0, ch, log) })
 		g.clocks[ch].len = int64(geo.chs[ch].physLen)
 	}
 	g.fec = geo
@@ -202,7 +202,7 @@ func (t *MultiTransmitter) ChanSlots(ch int) int { return int(t.air.Load().cur.c
 // slot is physical and parity slots carry their encoded parity frames.
 func (t *MultiTransmitter) Packet(ch, slot int) Packet {
 	g := t.air.Load().cur
-	return g.packet(nil, ch, slot%int(g.clocks[ch].len))
+	return g.packetAt(ch, slot%int(g.clocks[ch].len))
 }
 
 // CycleChannel streams one full cycle of channel ch under the committed
@@ -210,33 +210,56 @@ func (t *MultiTransmitter) Packet(ch, slot int) Packet {
 func (t *MultiTransmitter) CycleChannel(ch int, out chan<- Packet) {
 	g := t.air.Load().cur
 	for slot := 0; slot < int(g.clocks[ch].len); slot++ {
-		out <- g.packet(nil, ch, slot)
+		out <- g.packetAt(ch, slot)
 	}
 	close(out)
 }
 
-// PacketAt implements PacketSource: ReadPacketAt without a buffer.
+// PacketAt implements PacketSource: the run of one into no buffer.
 func (t *MultiTransmitter) PacketAt(ch int, abs int64) (Packet, uint32) {
-	return t.ReadPacketAt(nil, ch, abs)
+	var p [1]Packet
+	t.ReadRunAt(p[:], nil, ch, abs)
+	return p[0], p[0].Ver
 }
 
-// ReadPacketAt implements PacketSource: the packet channel ch transmits
-// at absolute slot abs, together with the directory version governing
-// it — the staged version past the channel's seam, the committed one
-// before. The buffer is the reader's; the producer keeps nothing of it.
-func (t *MultiTransmitter) ReadPacketAt(buf []byte, ch int, abs int64) (Packet, uint32) {
-	t.met.PacketEmitted(ch)
+// ReadRunAt implements PacketSource: the packets channel ch transmits at
+// absolute slots abs, abs+1, …, each tagged with the directory version
+// governing it — the committed generation's before the channel's seam of
+// a staged swap, the staged one's from the seam on, so one run may carry
+// both. abs is reduced into a generation's cycle once per generation the
+// run touches. The buffer is the reader's; the producer keeps nothing
+// of it.
+func (t *MultiTransmitter) ReadRunAt(dst []Packet, buf []byte, ch int, abs int64) {
 	a := t.air.Load()
+	if ch < 0 || ch >= len(a.cur.clocks) {
+		clear(dst) // a channel the broadcast does not carry: lost slots
+		return
+	}
+	dst, abs = LostBeforeZero(dst, abs)
+	t.met.PacketsEmitted(ch, len(dst))
+	b := buf[:0]
 	g := a.cur
-	if a.next != nil && abs >= a.next.clocks[ch].phase {
+	if a.next != nil {
+		if seam := a.next.clocks[ch].phase; abs < seam {
+			n := int(min(int64(len(dst)), seam-abs))
+			b = g.fill(dst[:n], b, len(dst)-n, ch, g.rel(ch, abs))
+			dst, abs = dst[n:], seam
+		}
 		g = a.next
 	}
+	if len(dst) > 0 {
+		g.fill(dst, b, 0, ch, g.rel(ch, abs))
+	}
+}
+
+// rel reduces absolute slot abs into channel ch's cycle under g.
+func (g *generation) rel(ch int, abs int64) int {
 	c := g.clocks[ch]
 	rel := (abs - c.phase) % c.len
 	if rel < 0 {
 		rel += c.len
 	}
-	return g.packet(buf, ch, int(rel)), g.version
+	return int(rel)
 }
 
 // DirectoryAt implements PacketSource: the versioned shard directory on
@@ -377,80 +400,144 @@ func (t *MultiTransmitter) Commit(now int64) bool {
 	return true
 }
 
-// packet is the packet at a slot already reduced into [0, clocks[ch].len).
-// The coded path reads what the slot carries from the geometry unit
-// covering it rather than re-inverting the layout. buf is ReadPacketAt's:
-// only an object part is built into it.
-func (g *generation) packet(buf []byte, ch, slot int) Packet {
+// fill writes the packets of slots slot, slot+1, … of channel ch into
+// dst — slot already reduced into [0, clocks[ch].len), the run wrapping
+// at the cycle end — and returns b with the payload bytes it built
+// appended (ReadRunAt's buffer contract; more is how many slots of the
+// run follow dst's). The coded path reads what a slot carries from the
+// geometry unit covering it, once per unit rather than per slot,
+// instead of re-inverting the layout.
+func (g *generation) fill(dst []Packet, b []byte, more, ch, slot int) []byte {
 	if g.fec == nil {
-		return g.logicalPacket(buf, ch, slot)
+		return g.fillLogical(dst, b, more, ch, slot)
 	}
 	c := &g.fec.chs[ch]
-	p := Packet{Ch: uint8(ch), Slot: uint32(slot)}
-	m := int(c.member[slot])
-	if m < 0 {
-		p.Flags, p.Payload = flagParity, g.parity[ch][slot]
-		return p
+	for i := 0; i < len(dst); {
+		if slot == c.physLen {
+			slot = 0
+		}
+		p := Packet{Ch: uint8(ch), Slot: uint32(slot), Ver: g.version}
+		u := &c.units[c.unitOf[slot]]
+		var k int
+		switch m := slot - u.physStart; {
+		case m >= u.n:
+			// The unit's parity tail follows its members.
+			end := u.physStart + u.n + g.fec.code(u.table).Tail()
+			k = min(len(dst)-i, end-slot)
+			p.Flags = flagParity
+			for j := range k {
+				p.Payload = g.parity[ch][slot+j]
+				dst[i+j] = p
+				p.Slot++
+			}
+		case u.table:
+			k = min(len(dst)-i, u.n-m)
+			g.tableRun(dst[i:i+k], p, u.pos, m)
+		default:
+			k = min(len(dst)-i, u.n-m)
+			b = g.objectRun(dst[i:i+k], b, len(dst)-i-k+more, p, u.pos, u.obj, m)
+		}
+		i += k
+		slot += k
 	}
-	u := &c.units[c.unitOf[slot]]
-	if u.table {
-		return g.tablePart(p, u.pos, m)
-	}
-	return g.objectPart(buf, p, u.pos, u.obj, m)
+	return b
 }
 
-// logicalPacket returns the content packet at a logical (parity-free)
-// slot of channel ch, reduced into [0, ChanLen(ch)).
-func (g *generation) logicalPacket(buf []byte, ch, slot int) Packet {
-	p := Packet{Ch: uint8(ch), Slot: uint32(slot)}
-	if pos, part, ok := g.lay.SlotTable(ch, slot); ok {
-		return g.tablePart(p, pos, part)
+// fillLogical is fill in the logical (parity-free) slot domain, slot
+// reduced into [0, ChanLen(ch)): what the slots carry is asked of the
+// layout once per table and once per object the run touches.
+func (g *generation) fillLogical(dst []Packet, b []byte, more, ch, slot int) []byte {
+	x := g.lay.X
+	cycle := g.lay.ChanLen(ch)
+	for i := 0; i < len(dst); {
+		if slot == cycle {
+			slot = 0
+		}
+		p := Packet{Ch: uint8(ch), Slot: uint32(slot), Ver: g.version}
+		left := min(len(dst)-i, cycle-slot) // a staggered frame may wrap the cycle
+		var k int
+		if pos, part, ok := g.lay.SlotTable(ch, slot); ok {
+			k = min(left, x.TablePackets-part)
+			g.tableRun(dst[i:i+k], p, pos, part)
+		} else {
+			pos, off, _ := g.lay.SlotData(ch, slot)
+			part := off % x.ObjPackets
+			k = min(left, x.ObjPackets-part)
+			b = g.objectRun(dst[i:i+k], b, len(dst)-i-k+more, p, pos, off/x.ObjPackets, part)
+		}
+		i += k
+		slot += k
 	}
-	pos, off, _ := g.lay.SlotData(ch, slot)
-	objPackets := g.lay.X.ObjPackets
-	return g.objectPart(buf, p, pos, off/objPackets, off%objPackets)
+	return b
 }
 
-// tablePart completes p as packet `part` of position pos's index table:
-// a slice of the pre-encoded table, empty past its end.
-func (g *generation) tablePart(p Packet, pos, part int) Packet {
+// packetAt is the packet at a slot already reduced into the cycle, in a
+// payload of its own: the run of one into no buffer.
+func (g *generation) packetAt(ch, slot int) Packet {
+	var p [1]Packet
+	g.fill(p[:], nil, 0, ch, slot)
+	return p[0]
+}
+
+// tableRun fills dst with parts part, part+1, … of position pos's index
+// table, framed from p (channel, first slot, version): slices of the
+// pre-encoded table, empty past its end.
+func (g *generation) tableRun(dst []Packet, p Packet, pos, part int) {
 	p.Flags = flagIndex
 	tab := g.tables[pos]
 	capacity := g.lay.X.Cfg.Capacity
-	if from := part * capacity; from < len(tab) {
-		p.Payload = tab[from:min(from+capacity, len(tab))]
+	for j := range dst {
+		p.Payload = nil
+		if from := (part + j) * capacity; from < len(tab) {
+			p.Payload = tab[from:min(from+capacity, len(tab))]
+		}
+		dst[j] = p
+		p.Slot++
 	}
-	return p
 }
 
-// objectPart completes p as packet `part` of the o-th object of the
-// frame at position pos. The payload is that packet's byte range of the
-// object and nothing more (AppendObjectPart), built into buf's capacity:
-// a buffer too short for it — nil above all — is replaced by one
-// allocation of exactly the part's size, at most Capacity bytes. The
-// bytes are the wire header followed by deterministic filler (a real
-// deployment would carry the application payload).
-func (g *generation) objectPart(buf []byte, p Packet, pos, o, part int) Packet {
+// objectRun fills dst with parts part, part+1, … of the o-th object of
+// the frame at position pos, framed from p, and returns b extended by
+// their payloads: one AppendObjectPart call builds the parts' byte range
+// of the object — the wire header followed by deterministic filler (a
+// real deployment would carry the application payload) — and each
+// payload is its packet's slice of it. The bytes go after b's in b's
+// capacity; when that is short, into one fresh allocation sized for
+// them and for the after slots of the run still to come, none of which
+// builds more than Capacity bytes.
+func (g *generation) objectRun(dst []Packet, b []byte, after int, p Packet, pos, o, part int) []byte {
 	x := g.lay.X
 	first, num := x.FrameObjects(x.PosToFrame(pos))
 	if o >= num {
-		return p // padding slot of a partial last frame
-	}
-	if part == 0 {
-		p.Flags = flagObjectStart
+		for j := range dst { // padding slots of a partial last frame
+			dst[j] = p
+			p.Slot++
+		}
+		return b
 	}
 	// ObjPackets is ceil(ObjectBytes/Capacity), so every part starts
 	// inside the object.
-	size := x.Cfg.ObjectBytes
-	from := part * x.Cfg.Capacity
-	to := min(from+x.Cfg.Capacity, size)
-	if n := to - from; cap(buf) < n {
-		buf = make([]byte, 0, n)
+	capacity, size := x.Cfg.Capacity, x.Cfg.ObjectBytes
+	from := part * capacity
+	to := min(from+len(dst)*capacity, size)
+	if cap(b)-len(b) < to-from {
+		b = make([]byte, 0, to-from+after*capacity)
 	}
+	at := len(b)
 	obj := &x.DS.Objects[first+o]
-	p.Payload = AppendObjectPart(buf[:0],
-		wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC}, obj.ID, size, from, to)
-	return p
+	b = AppendObjectPart(b, wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC}, obj.ID, size, from, to)
+	for j := range dst {
+		lo := at + j*capacity
+		hi := min(lo+capacity, len(b))
+		p.Flags = 0
+		if part+j == 0 {
+			p.Flags = flagObjectStart
+		}
+		p.Payload = b[lo:hi:hi]
+		dst[j] = p
+		p.Slot++
+	}
+	return b
 }
 
 // MultiFrameInfo is what ScanMulti reconstructs per cycle position.

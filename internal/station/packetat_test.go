@@ -55,6 +55,19 @@ func TestObjectPartMatchesPayload(t *testing.T) {
 			}
 		}
 	}
+	// Every range of the small sizes, so each edge case of the filler —
+	// a range inside one word, starting or ending mid-word, inside the
+	// header or the zero tail — meets every offset within a word.
+	for size := 32; size <= 88; size++ {
+		want := refObjectPayload(h, id, size)
+		for from := 0; from <= size; from++ {
+			for to := from; to <= size; to++ {
+				if got := AppendObjectPart(nil, h, id, size, from, to); !bytes.Equal(got, want[from:to]) {
+					t.Fatalf("size %d part [%d,%d) = %x, want %x", size, from, to, got, want[from:to])
+				}
+			}
+		}
+	}
 	// Stale bytes in dst's spare capacity must not leak into the zero
 	// tail or anywhere else.
 	dirty := bytes.Repeat([]byte{0xff}, 64)
@@ -93,7 +106,7 @@ var wireLossyCode = wire.FECConfig{
 // a data slot allocates its own payload — once, at most Capacity bytes —
 // and table and parity slots, served from the pre-encoded state,
 // allocate nothing; read into a buffer of the reader's, no slot of any
-// kind allocates.
+// kind allocates; and a longer run into no buffer allocates once.
 func TestPacketAtAllocatesItsSlot(t *testing.T) {
 	_, x, lay := wireTestBed(t, 300, 557, quarterBounds)
 	tx, err := NewMultiTransmitterFEC(lay, wireLossyCode)
@@ -139,13 +152,15 @@ func TestPacketAtAllocatesItsSlot(t *testing.T) {
 		{"parity into a buffer", parity, buf, 0, 0},
 		{"data into a buffer", data, buf, 0, 0},
 	} {
+		var run [1]Packet
 		sweep := func() {
 			for _, s := range tc.slots {
 				var p Packet
 				if tc.buf == nil {
 					p, _ = tx.PacketAt(s.ch, s.abs)
 				} else {
-					p, _ = tx.ReadPacketAt(tc.buf, s.ch, s.abs)
+					tx.ReadRunAt(run[:], tc.buf, s.ch, s.abs)
+					p = run[0]
 				}
 				limit := capacity
 				if p.Flags&flagParity != 0 {
@@ -166,6 +181,24 @@ func TestPacketAtAllocatesItsSlot(t *testing.T) {
 		if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(tc.nbytes*len(tc.slots)); got > budget {
 			t.Errorf("%s slots: %d bytes allocated over %d slots, budget %d", tc.kind, got, len(tc.slots), budget)
 		}
+	}
+
+	// A run into no buffer builds all its payloads into one allocation:
+	// an object and its parity tail from each object's first packet.
+	run := make([]Packet, x.ObjPackets+wireLossyCode.Object.Tail())
+	var starts []at
+	for _, s := range data {
+		if p, _ := tx.PacketAt(s.ch, s.abs); p.Flags&flagObjectStart != 0 {
+			starts = append(starts, s)
+		}
+	}
+	runs := func() {
+		for _, s := range starts {
+			tx.ReadRunAt(run, nil, s.ch, s.abs)
+		}
+	}
+	if got := testing.AllocsPerRun(3, runs); got != float64(len(starts)) {
+		t.Errorf("%d object runs into no buffer: %.0f allocations, want one a run", len(starts), got)
 	}
 }
 
@@ -223,12 +256,32 @@ func TestHeaderMustFit(t *testing.T) {
 	}
 }
 
+// TestUnitBeyondSixtyFourPacketsRefused: the receiver reads a unit in
+// runs of at most 64 slots and tracks its members in 64-bit masks, so a
+// layout whose objects span more packets is refused at construction
+// rather than mid-query. The transmitter still serves it.
+func TestUnitBeyondSixtyFourPacketsRefused(t *testing.T) {
+	x, err := dsi.Build(dataset.Uniform(200, 6, 563), dsi.Config{Capacity: 32, ObjectBytes: 65 * 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewMultiTransmitter(x.SingleLayout()); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewWireReceiver(x.SingleLayout(), 1, nil, 0, nil)
+	if err == nil || !strings.Contains(err.Error(), "65-packet") {
+		t.Fatalf("a receiver of 65-packet objects: error %v", err)
+	}
+}
+
 // BenchmarkMultiTransmitterPacketAt sweeps one full cycle of every
 // channel per iteration over the wire_lossy-shaped broadcast: the plain
 // transmitter, the coded one, and a plain one with a swap staged, read
 // across each channel's seam (half a cycle of the old generation, half
-// of the new) — each through PacketAt and again into one buffer of the
-// reader's.
+// of the new) — each through PacketAt, slot by slot into one buffer of
+// the reader's, and in unit-sized runs (ObjPackets slots) into a buffer
+// with a parity frame's room per slot, the read a byte-level receiver
+// makes.
 func BenchmarkMultiTransmitterPacketAt(b *testing.B) {
 	_, x, lay := wireTestBed(b, 1200, 569, quarterBounds)
 	plain, err := NewMultiTransmitter(lay)
@@ -257,35 +310,48 @@ func BenchmarkMultiTransmitterPacketAt(b *testing.B) {
 		seam, _ := staged.SeamOf(ch)
 		return seam - int64(plain.ChanSlots(ch)/2)
 	}
-	buf := func() []byte { return make([]byte, 0, x.Cfg.Capacity) }
+	unit := x.ObjPackets
 	for _, bc := range []struct {
 		name  string
 		src   PacketSource
 		slots func(ch int) int
 		from  func(ch int) int64
-		buf   []byte
+		run   int // slots per ReadRunAt; 0 reads through PacketAt
 	}{
-		{"plain", plain, plain.ChanSlots, atZero, nil},
-		{"plain-into-buffer", plain, plain.ChanSlots, atZero, buf()},
-		{"coded", coded, coded.ChanSlots, atZero, nil},
-		{"coded-into-buffer", coded, coded.ChanSlots, atZero, buf()},
-		{"staged", staged, plain.ChanSlots, acrossSeam, nil},
-		{"staged-into-buffer", staged, plain.ChanSlots, acrossSeam, buf()},
+		{"plain", plain, plain.ChanSlots, atZero, 0},
+		{"plain-into-buffer", plain, plain.ChanSlots, atZero, 1},
+		{"plain-runs", plain, plain.ChanSlots, atZero, unit},
+		{"coded", coded, coded.ChanSlots, atZero, 0},
+		{"coded-into-buffer", coded, coded.ChanSlots, atZero, 1},
+		{"coded-runs", coded, coded.ChanSlots, atZero, unit},
+		{"staged", staged, plain.ChanSlots, acrossSeam, 0},
+		{"staged-into-buffer", staged, plain.ChanSlots, acrossSeam, 1},
+		{"staged-runs", staged, plain.ChanSlots, acrossSeam, unit},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			total := 0
 			for ch := 0; ch < lay.Channels(); ch++ {
 				total += bc.slots(ch)
 			}
+			run := make([]Packet, max(bc.run, 1))
+			buf := make([]byte, 0, len(run)*(x.Cfg.Capacity+wire.ParityHeaderSize))
 			b.ReportAllocs()
 			b.SetBytes(int64(total * x.Cfg.Capacity))
 			sink := 0
 			for b.Loop() {
 				for ch := 0; ch < lay.Channels(); ch++ {
 					from := bc.from(ch)
-					for s, n := from, from+int64(bc.slots(ch)); s < n; s++ {
-						p, _ := bc.src.ReadPacketAt(bc.buf, ch, s)
-						sink += len(p.Payload)
+					for s, end := from, from+int64(bc.slots(ch)); s < end; s += int64(len(run)) {
+						if bc.run == 0 {
+							p, _ := bc.src.PacketAt(ch, s)
+							sink += len(p.Payload)
+							continue
+						}
+						n := min(int64(len(run)), end-s)
+						bc.src.ReadRunAt(run[:n], buf, ch, s)
+						for _, p := range run[:n] {
+							sink += len(p.Payload)
+						}
 					}
 				}
 			}

@@ -331,13 +331,14 @@ func TestRebroadcastStageErrors(t *testing.T) {
 	}
 }
 
-// TestRebroadcastConcurrent hammers ReadPacketAt/DirectoryAt from
-// reader goroutines while the control goroutine stages and commits 20
-// swaps, and holds every read to the producer's contract: the packet a
-// reader gets is what an unstaged transmitter of its version's layout
-// broadcasts at that slot of that version's cycle. A read that mixed
-// two snapshots — one generation's version or phase with another's
-// packet — fails it; the race detector checks the rest.
+// TestRebroadcastConcurrent hammers ReadRunAt/DirectoryAt from reader
+// goroutines while the control goroutine stages and commits 20 swaps,
+// and holds every packet of every run to the producer's contract: the
+// packet a reader gets is what an unstaged transmitter of its version's
+// layout broadcasts at that slot of that version's cycle. Runs of one to
+// five slots cross seams, so one run may carry both versions. A read
+// that mixed two snapshots — one generation's version or phase with
+// another's packet — fails it; the race detector checks the rest.
 func TestRebroadcastConcurrent(t *testing.T) {
 	ds := dataset.Uniform(150, 7, 79)
 	x, err := dsi.Build(ds, dsi.Config{ReserveMCPtr: true})
@@ -403,7 +404,9 @@ func TestRebroadcastConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			buf := make([]byte, 0, x.Cfg.Capacity)
+			const longest = 5
+			buf := make([]byte, 0, longest*x.Cfg.Capacity)
+			var run [longest]Packet
 			for abs := int64(g); ; abs += 3 {
 				select {
 				case <-stop:
@@ -411,18 +414,22 @@ func TestRebroadcastConcurrent(t *testing.T) {
 				default:
 				}
 				ch := int(abs) % lays[0].Channels()
-				got, ver := r.ReadPacketAt(buf, ch, abs)
+				n := 1 + int(abs/3)%longest
+				r.ReadRunAt(run[:n], buf, ch, abs)
 				reads.Add(1)
-				if ver < 1 || int(ver) > len(lays) {
-					t.Errorf("abs %d ch %d: version %d never went on air", abs, ch, ver)
-					return
-				}
-				c := clocks[ver-1][ch]
-				slot := ((abs-c.phase)%c.len + c.len) % c.len
-				if want := refs[ver-1].Packet(ch, int(slot)); !samePacket(got, want) {
-					t.Errorf("abs %d ch %d v%d: packet %+v, version %d's cycle has %+v at slot %d",
-						abs, ch, ver, got, ver, want, slot)
-					return
+				for i, got := range run[:n] {
+					at, ver := abs+int64(i), got.Ver
+					if ver < 1 || int(ver) > len(lays) {
+						t.Errorf("abs %d ch %d: version %d never went on air", at, ch, ver)
+						return
+					}
+					c := clocks[ver-1][ch]
+					slot := ((at-c.phase)%c.len + c.len) % c.len
+					if want := refs[ver-1].Packet(ch, int(slot)); !samePacket(got, want) {
+						t.Errorf("abs %d ch %d v%d: packet %+v, version %d's cycle has %+v at slot %d",
+							at, ch, ver, got, ver, want, slot)
+						return
+					}
 				}
 				if abs%7 == 0 {
 					r.DirectoryAt(abs)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dsi/internal/broadcast"
 	"dsi/internal/dataset"
@@ -15,15 +16,16 @@ import (
 )
 
 // scribbleSource is the most hostile source the buffer contract allows.
-// A payload read into buf is the reader's until it reuses buf — so every
-// buffer read is served out of storage of the wrapper's own, never out
-// of buf (a payload need not alias it) and never as the inner source's
-// immutable bytes, and the moment the reader hands the same buf in
-// again, what it was given for it last time is overwritten with 0xA5
-// before the next payload is served from a second buffer. Whatever a
-// reader kept of a buffer read without copying decodes as garbage one
-// read of that region later. Reads without a buffer pass through: those
-// payloads are the reader's for good.
+// A run's payloads read into buf are the reader's until it reuses any of
+// buf's capacity — so every buffer run is served out of storage of the
+// wrapper's own, never out of buf (a payload need not alias it) and
+// never as the inner source's immutable bytes, and the moment the reader
+// hands in a buffer that overlaps one it handed in before, what it was
+// given for that one last time is overwritten with 0xA5 before the new
+// payloads are served from a second buffer. Whatever a reader kept of a
+// buffer read without copying decodes as garbage one run over that
+// storage later. Runs without a buffer pass through: those payloads are
+// the reader's for good.
 //
 // Once it watches a receiver it also audits the one thing that receiver
 // retains across reads: after every overwrite, each member the group
@@ -31,48 +33,61 @@ import (
 // source transmits in that slot.
 type scribbleSource struct {
 	PacketSource
-	regions   map[*byte]*scribbleRegion // by the first byte of the reader's buffer
-	scribbled int                       // payloads overwritten
+	bufs      []*scribbleBuf // one per distinct reader buffer seen
+	scribbled int            // runs of payloads overwritten
 	watched   *WireReceiver
 	err       error // the first window member found corrupted
 }
 
-// scribbleRegion is the wrapper's storage behind one reader buffer: two
-// buffers served in turn, so a new payload never lands on the old one.
-type scribbleRegion struct {
-	bufs [2][]byte
-	last int
+// scribbleBuf is the wrapper's storage behind one reader buffer — the
+// bytes [lo, hi) of the reader's memory — two buffers served in turn, so
+// a new run never lands on the old one.
+type scribbleBuf struct {
+	lo, hi uintptr
+	bufs   [2][]byte
+	last   int
+	live   bool // bufs[last] holds payloads the reader may still hold
 }
 
-func (s *scribbleSource) PacketAt(ch int, abs int64) (Packet, uint32) {
-	return s.ReadPacketAt(nil, ch, abs)
-}
-
-func (s *scribbleSource) ReadPacketAt(buf []byte, ch int, abs int64) (Packet, uint32) {
-	p, v := s.PacketSource.PacketAt(ch, abs)
+func (s *scribbleSource) ReadRunAt(dst []Packet, buf []byte, ch int, abs int64) {
+	for i := range dst {
+		dst[i], _ = s.PacketSource.PacketAt(ch, abs+int64(i))
+	}
 	if cap(buf) == 0 {
-		return p, v
+		return
 	}
-	key := &buf[:1][0]
-	r := s.regions[key]
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	hi := lo + uintptr(cap(buf))
+	var r *scribbleBuf
+	for _, o := range s.bufs {
+		if o.lo == lo && o.hi == hi {
+			r = o
+		}
+		if o.lo < hi && lo < o.hi && o.live {
+			// The reader reuses storage it was served a run for: that run's
+			// payloads are void now.
+			for i := range o.bufs[o.last] {
+				o.bufs[o.last][i] = 0xA5
+			}
+			o.live = false
+			s.scribbled++
+			s.auditWindow()
+		}
+	}
 	if r == nil {
-		if s.regions == nil {
-			s.regions = make(map[*byte]*scribbleRegion)
-		}
-		r = new(scribbleRegion)
-		s.regions[key] = r
-	}
-	if old := r.bufs[r.last]; len(old) > 0 {
-		for i := range old {
-			old[i] = 0xA5
-		}
-		s.scribbled++
-		s.auditWindow()
+		r = &scribbleBuf{lo: lo, hi: hi}
+		s.bufs = append(s.bufs, r)
 	}
 	r.last ^= 1
-	r.bufs[r.last] = append(r.bufs[r.last][:0], p.Payload...)
-	p.Payload = r.bufs[r.last]
-	return p, v
+	out := r.bufs[r.last][:0]
+	for _, p := range dst {
+		out = append(out, p.Payload...)
+	}
+	r.bufs[r.last], r.live = out, true
+	for i := range dst {
+		n := len(dst[i].Payload)
+		dst[i].Payload, out = out[:n:n], out[n:]
+	}
 }
 
 func (s *scribbleSource) auditWindow() {
@@ -289,7 +304,7 @@ func TestNothingRetainedAliasesTheScratch(t *testing.T) {
 			if sc.swapTo != nil && swapped == 0 {
 				t.Fatal("no trial followed the swap across its seam; the test exercises nothing")
 			}
-			t.Logf("%d payloads overwritten, %d packets recovered, %d cache hits", scribbled, recovered, cacheHits)
+			t.Logf("%d runs of payloads overwritten, %d packets recovered, %d cache hits", scribbled, recovered, cacheHits)
 		})
 	}
 }

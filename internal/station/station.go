@@ -52,12 +52,27 @@ const (
 )
 
 // Packet is one on-air packet: framing plus payload. Ch identifies the
-// broadcast channel (always 0 on a single-channel layout).
+// broadcast channel (always 0 on a single-channel layout). Ver is the
+// directory version the packet's encoding belongs to, as a source read
+// it at an absolute slot (PacketSource); 0 marks a lost slot.
 type Packet struct {
 	Ch      uint8  // broadcast channel
 	Slot    uint32 // per-channel cycle slot
 	Flags   byte
+	Ver     uint32 // governing directory version; 0 when the slot was lost
 	Payload []byte // at most Capacity bytes (plus wire.ParityHeaderSize on a parity frame); immutable
+}
+
+// LostBeforeZero serves the slots of a run that lie before slot 0 — a
+// slot no source carries — as lost, the zero packet, and returns the rest
+// of the run and the absolute slot it starts at.
+func LostBeforeZero(dst []Packet, abs int64) ([]Packet, int64) {
+	if abs >= 0 {
+		return dst, abs
+	}
+	n := int(min(int64(len(dst)), -abs))
+	clear(dst[:n])
+	return dst[n:], abs + int64(n)
 }
 
 // AppendObjectPart appends bytes [from, to) of one data object's on-air
@@ -84,16 +99,20 @@ func AppendObjectPart(dst []byte, h wire.ObjectHeader, id, size, from, to int) [
 	// one that fits whole inside size.
 	fillEnd := min(to, wire.HeaderSize+(size-wire.HeaderSize)&^7)
 	base := uint64(id) * 0x9e3779b97f4a7c15
-	for at < fillEnd {
-		w := at &^ 7
-		if at == w && w+8 <= to {
-			binary.BigEndian.PutUint64(out[at-from:], base+uint64(w))
-			at += 8
-			continue
-		}
-		var word [8]byte // a range edge inside a word
-		binary.BigEndian.PutUint64(word[:], base+uint64(w))
-		at += copy(out[at-from:], word[at-w:min(to, w+8)-w])
+	// A word the range cuts is built whole and copied in part: the copy
+	// stops at the range's end, and a word that ends past fillEnd is one
+	// the range ends inside (fillEnd is otherwise a word boundary).
+	var word [8]byte
+	if r := at & 7; r != 0 && at < fillEnd {
+		binary.BigEndian.PutUint64(word[:], base+uint64(at-r))
+		at += copy(out[at-from:], word[r:])
+	}
+	for ; at+8 <= fillEnd; at += 8 {
+		binary.BigEndian.PutUint64(out[at-from:], base+uint64(at))
+	}
+	if at < fillEnd {
+		binary.BigEndian.PutUint64(word[:], base+uint64(at))
+		at += copy(out[at-from:], word[:])
 	}
 	clear(out[at-from:])
 	return dst

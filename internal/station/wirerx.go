@@ -45,37 +45,47 @@ import (
 )
 
 // PacketSource is a broadcast station as seen by a byte-level
-// receiver: the packet each channel transmits at an absolute slot,
+// receiver: the packets each channel transmits at absolute slots, each
 // tagged with the directory version governing it, and the versioned
 // shard directory and FEC descriptor on air. MultiTransmitter is the
 // producer; diskstore.ImageSource, diskstore.StreamSource and
 // netrecv.Feed serve the same bytes from a file, a streaming build and
 // the network.
 type PacketSource interface {
-	// ReadPacketAt returns the packet channel ch transmits at absolute
-	// slot abs and the directory version its encoding belongs to, using
-	// buf — the reader's, and possibly nil — for any payload bytes the
-	// source has to produce for this read.
+	// ReadRunAt fills dst[i] with the packet channel ch transmits at
+	// absolute slot abs+i, its Ver the directory version its encoding
+	// belongs to, using buf — the reader's, and possibly nil — for any
+	// payload bytes the source has to produce for this run. A receiver
+	// reads a whole unit this way: an index table, an object, a parity
+	// tail are consecutive slots of one channel.
 	//
-	// Who owns the payload, and for how long: bytes a source must build
+	// A slot the source cannot carry — a channel it does not have, a
+	// slot before 0 — and a slot lost on the way to the source
+	// (netrecv.Feed) is the zero packet: Ver 0, which no receiver ever
+	// adopts.
+	//
+	// Who owns the payloads, and for how long: bytes a source must build
 	// (MultiTransmitter object parts) or copy out of storage it will
-	// overwrite (netrecv.Feed's ring) go into buf[:0]'s capacity, and
-	// into a fresh allocation of the payload's size when that is too
-	// short — nothing is ever written past cap(buf). Such a payload is
-	// valid until the reader next reuses buf. Bytes a source already
-	// holds immutable (pre-encoded tables and parity,
-	// diskstore.ImageSource's read-only mapping, diskstore.StreamSource)
-	// are returned as they are and never written again: a payload need
-	// not alias buf, and a reader must not assume it does. Either way the
-	// reader must not write through the payload. A content payload is at
-	// most Capacity bytes; a parity frame adds wire.ParityHeaderSize.
+	// overwrite (netrecv.Feed's ring) go into buf[:0]'s capacity, one
+	// payload after another, and when the capacity runs short into one
+	// fresh allocation sized for the rest of the run — nothing is ever
+	// written past cap(buf). Such payloads are valid until the reader
+	// next reuses any of buf's capacity. Bytes a source already holds
+	// immutable (pre-encoded tables and parity, diskstore.ImageSource's
+	// read-only mapping, diskstore.StreamSource) are returned as they
+	// are and never written again: a payload need not alias buf, and a
+	// reader must not assume it does. Either way the reader must not
+	// write through a payload. A content payload is at most Capacity
+	// bytes; a parity frame adds wire.ParityHeaderSize — so a buffer of
+	// that much per slot always suffices.
 	//
-	// The source keeps no per-reader state and nothing of buf: one source
-	// serves many readers concurrently, each with a buffer of its own.
-	ReadPacketAt(buf []byte, ch int, abs int64) (Packet, uint32)
-	// PacketAt is ReadPacketAt(nil, ch, abs): with no buffer to reuse,
-	// every payload is immutable and the caller's to retain for as long
-	// as it likes.
+	// The source keeps no per-reader state and nothing of dst or buf:
+	// one source serves many readers concurrently, each with buffers of
+	// its own.
+	ReadRunAt(dst []Packet, buf []byte, ch int, abs int64)
+	// PacketAt is the run of one slot into no buffer, returning the
+	// packet and its Ver: every payload is then immutable and the
+	// caller's to retain for as long as it likes.
 	PacketAt(ch int, abs int64) (Packet, uint32)
 	// DirectoryAt returns the versioned shard directory on air at abs
 	// (nil when the broadcast ships none, e.g. single-channel layouts).
@@ -145,11 +155,14 @@ type WireReceiver struct {
 
 	// scratch is what the source reads into: one region per member and
 	// per parity-tail slot of the largest unit on air, because a unit's
-	// reads are live together (a solve takes all of them at once).
-	// Allocated by the first read, dropped when a swap changes the code.
-	// Nothing that outlives the unit may alias it: the group window and
-	// the unit cache copy what they keep.
+	// reads are live together (a solve takes all of them at once); a run
+	// of reads from..to is handed regions from..to. run holds the
+	// packets of those reads, one per region. Both are allocated by the
+	// first read and dropped when a swap changes the code. Nothing that
+	// outlives the unit may alias them: the group window and the unit
+	// cache copy what they keep.
 	scratch []byte
+	run     []Packet
 
 	// Recovery state (fecrx.go); idle on an uncoded stream.
 	win     groupWindow
@@ -188,6 +201,9 @@ func NewWireReceiver(lay *dsi.Layout, version uint32, src PacketSource, probeSlo
 func NewFECReceiver(lay *dsi.Layout, version uint32, src PacketSource, cfg wire.FECConfig, probeSlot int64, loss *broadcast.LossModel) (*WireReceiver, error) {
 	if err := wire.CheckHeaderFits(lay.X.Cfg.Capacity, lay.X.Cfg.ObjectBytes); err != nil {
 		return nil, err
+	}
+	if n := max(lay.X.TablePackets, lay.X.ObjPackets); n > 64 {
+		return nil, fmt.Errorf("station: %d-packet units exceed the receiver's 64-slot reads", n)
 	}
 	classic := wire.ClassicTables(lay)
 	if !classic && lay.Sched != dsi.SchedSplit && lay.Sched != dsi.SchedShard {
@@ -347,31 +363,35 @@ func (r *WireReceiver) DozeUntilPos(pos int) {
 // framing matters, which any version serves).
 func (r *WireReceiver) Next() (broadcast.Slot, bool) { return r.tu.Read() }
 
-// read receives the byte payload at the current slot as read i of the
-// unit in hand — member i, or parity-tail slot i-n: the source's packet
-// plus its governing version, with the tuner charging the cost and
-// drawing the loss. ok is false when the packet was corrupted or belongs
-// to a directory version the receiver has not adopted (a stale or
-// mid-transition channel — undecodable until the catalogs agree). The
-// payload may lie in region i of the scratch: it is valid until the next
-// read i.
-func (r *WireReceiver) read(i int) (Packet, bool) {
-	pkt, pver := r.src.ReadPacketAt(r.region(i), r.tu.Channel(), r.tu.Now())
-	_, good := r.tu.Read()
-	return pkt, good && pver == r.ver
-}
-
-// region returns the empty buffer read i of a unit is made into, its
-// capacity one parity frame — the longest payload on air — and not a byte
-// of its neighbour's: a longer payload, which only a misbehaving source
-// sends, moves to storage of its own instead of spilling over.
-func (r *WireReceiver) region(i int) []byte {
+// readRun receives reads from..to-1 of the unit in hand — members, or
+// parity-tail slots from u.n on — starting at the current slot: one
+// source run for their packets and one tuner batch for the cost and the
+// loss draws. Bit i of the returned mask is set when read from+i is
+// good: it arrived intact and belongs to the directory version the
+// receiver has adopted (a stale or mid-transition channel is
+// undecodable until the catalogs agree). The payloads lie in regions
+// from..to of the scratch: valid until a later run reuses one of them.
+// A run is at most 64 reads.
+func (r *WireReceiver) readRun(from, to int) ([]Packet, uint64) {
 	stride := r.x.Cfg.Capacity + wire.ParityHeaderSize
 	if r.scratch == nil {
 		reads := max(r.x.TablePackets+r.cfg.Table.Tail(), r.x.ObjPackets+r.cfg.Object.Tail())
 		r.scratch = make([]byte, reads*stride)
+		r.run = make([]Packet, reads)
 	}
-	return r.scratch[i*stride : i*stride : (i+1)*stride]
+	pkts := r.run[from:to]
+	// Each region's capacity is one parity frame — the longest payload
+	// on air — and the run's is its regions' and not a byte of the next
+	// one's: a longer payload, which only a misbehaving source sends,
+	// moves to storage of its own instead of spilling over.
+	r.src.ReadRunAt(pkts, r.scratch[from*stride:from*stride:to*stride], r.tu.Channel(), r.tu.Now())
+	mask := r.tu.ReadMask(to - from)
+	for i := range pkts {
+		if pkts[i].Ver != r.ver {
+			mask &^= 1 << uint(i)
+		}
+	}
+	return pkts, mask
 }
 
 // Table receives — and over a coded stream, if necessary reconstructs
@@ -397,12 +417,12 @@ func (r *WireReceiver) Table(pos int) (*dsi.Table, bool) {
 		}
 	} else {
 		pay = r.members(n)
-		okm := uint64(0)
-		for i := 0; i < n; i++ {
-			pkt, good := r.read(i)
-			if good && pkt.Flags&flagIndex != 0 {
-				pay[i] = pkt.Payload
-				okm |= 1 << uint(i)
+		pkts, okm := r.readRun(0, n)
+		for i := range pkts {
+			if pkts[i].Flags&flagIndex == 0 {
+				okm &^= 1 << uint(i)
+			} else if okm&(1<<uint(i)) != 0 {
+				pay[i] = pkts[i].Payload
 			}
 		}
 		if okm != allMask(n) {
@@ -490,8 +510,8 @@ func (r *WireReceiver) Header(pos, o int) (uint64, bool) {
 		r.win.abs = base
 		return h.HC, true
 	}
-	pkt, good := r.read(0)
-	if good {
+	pkts, good := r.readRun(0, 1)
+	if pkt := pkts[0]; good != 0 {
 		// Received bytes are final: an unflagged slot (padding) or an
 		// undecodable payload is not recoverable loss.
 		if pkt.Flags&flagObjectStart == 0 {
@@ -516,12 +536,11 @@ func (r *WireReceiver) Header(pos, o int) (uint64, bool) {
 	}
 	n := u.n
 	pay := r.members(n)
-	okm := uint64(0)
-	for i := 1; i < n; i++ {
-		p, g := r.read(i)
-		if g {
-			pay[i] = p.Payload
-			okm |= 1 << uint(i)
+	pkts, got := r.readRun(1, n)
+	okm := got << 1
+	for i := range pkts {
+		if got&(1<<uint(i)) != 0 {
+			pay[1+i] = pkts[i].Payload
 		}
 	}
 	if r.windowHit(ch, &u, base) {
@@ -573,11 +592,12 @@ func (r *WireReceiver) Object(pos, o, skip int) bool {
 		}
 	}
 	lost := uint64(0)
-	for i := skip; i < n; i++ {
-		pkt, good := r.read(i)
+	pkts, got := r.readRun(skip, n)
+	for j := range pkts {
+		i := skip + j
 		switch {
-		case good:
-			pay[i] = pkt.Payload
+		case got&(1<<uint(j)) != 0:
+			pay[i] = pkts[j].Payload
 			okm |= 1 << uint(i)
 		case hit && r.win.ok&(1<<uint(i)) != 0:
 			// Lost on air but buffered from an earlier occurrence of
@@ -687,7 +707,7 @@ func (r *WireReceiver) Poll() (*dsi.Layout, bool) {
 	r.adoptGeometry(lay)
 	if cfg != r.cfg {
 		r.cfg = cfg
-		r.scratch = nil // sized to the old code's tails
+		r.scratch, r.run = nil, nil // sized to the old code's tails
 		if r.met != nil {
 			r.met.CodeSwaps.Inc()
 		}

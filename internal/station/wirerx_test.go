@@ -297,18 +297,22 @@ type faultSource struct {
 }
 
 func (f *faultSource) PacketAt(ch int, abs int64) (Packet, uint32) {
-	return f.ReadPacketAt(nil, ch, abs)
+	var p [1]Packet
+	f.ReadRunAt(p[:], nil, ch, abs)
+	return p[0], p[0].Ver
 }
 
-func (f *faultSource) ReadPacketAt(buf []byte, ch int, abs int64) (Packet, uint32) {
-	p, v := f.PacketSource.ReadPacketAt(buf, ch, abs)
-	if f.mutate != nil {
+func (f *faultSource) ReadRunAt(dst []Packet, buf []byte, ch int, abs int64) {
+	f.PacketSource.ReadRunAt(dst, buf, ch, abs)
+	if f.mutate == nil {
+		return
+	}
+	for i := range dst {
 		var hit bool
-		if p, hit = f.mutate(ch, abs, p); hit {
+		if dst[i], hit = f.mutate(ch, abs+int64(i), dst[i]); hit {
 			f.mutations++
 		}
 	}
-	return p, v
 }
 
 func (f *faultSource) DirectoryAt(abs int64) ([]byte, uint32) {
