@@ -17,20 +17,30 @@
 // header or a retrieval: the frame's own units are re-evaluated, only
 // if they were pending. (iii) A smaller search disk (kNN): nothing up
 // front; a unit is re-evaluated when a chooser reads it and dropped if
-// resolved — once per disk: every shrink bumps an 8-bit disk version,
-// an evaluation under a disk stamps the version into the frame's epoch
-// stamp, and a unit stamped with the installed disk's version is read
-// as it stands (rules i and ii have kept it exact since). A target list
-// is never stamped, so after a list shrinks every read re-evaluates.
-// They suffice because resolved is absorbing: knowledge only
-// grows, targets only shrink within a query (the disk's radius only
-// shrinks), and frame minima ascend strictly along a span, so a
-// resolved unit stays resolved and only pending units ever need another
-// look. Rule (i) is applied as the fact is recorded, against the span's
-// current known set, so one hop that teaches several frames into one
-// gap patches correctly in any order; rule (ii) is queued, because one
-// visit touches the same frame many times, and applied by sync before a
-// chooser reads.
+// resolved — once per disk: every shrink bumps an 8-bit disk version
+// (1 to 255, never 0), an evaluation under a disk stamps the version
+// into the frame's epoch stamp, and a unit stamped with the installed
+// disk's version is read as it stands. A target list is never stamped,
+// so after a list shrinks every read re-evaluates. They suffice because
+// resolved is absorbing: knowledge only grows, targets only shrink
+// within a query (the disk's radius only shrinks), and frame minima
+// ascend strictly along a span, so a resolved unit stays resolved and
+// only pending units ever need another look. Rule (i) is applied as the
+// fact is recorded, against the span's current known set, so one hop
+// that teaches several frames into one gap patches correctly in any
+// order; rule (ii) is queued, because one visit touches the same frame
+// many times, and applied by sync before a chooser reads.
+//
+// Under a search disk, rules (i) and (ii) are deferred to the read too,
+// because the disk usually shrinks in the same visit as the table read
+// whose evaluations it would make stale. A learned frame enters the
+// sets with every unit it may have and version bits 0, which mean "not
+// evaluated under the installed disk"; a pending predecessor loses its
+// stamp, and sync clears the stamps of the touched pending frames
+// instead of evaluating them. current is then the one place a disk
+// unit is evaluated: between reads the sets are a superset of the units
+// a fresh walk visits, and a unit a chooser has read is exact. Under a
+// target list both rules stay eager, and the sets are exact after sync.
 //
 // The targets are one of two things. A list of sorted target ranges
 // (window, point, EEF, and a kNN search before its k-th candidate): a
@@ -42,9 +52,11 @@
 // the frame unit and the first that reaches the gap unit; the order of
 // the two is unitGapFirst. Or the kNN search disk, a hilbert.Disk that is
 // never decomposed: an evaluation asks it whether a located object lies
-// inside and where its next inside (or outside) cell is within the
-// stretch of curve a run of unlocated objects or the gap can hold, and
-// the maximal runs of the disk play the ranges' part. The range-by-range
+// inside, where its next inside (or outside) cell is within the stretch
+// of curve a run of unlocated objects can hold, and whether the gap's
+// stretch meets it at all (the gap's cell is asked for only when the
+// frame unit is pending above it and the two must be ordered); the
+// maximal runs of the disk play the ranges' part. The range-by-range
 // definition both equal is evalUnitsPerRange in walk_test.go.
 
 package dsi
@@ -94,7 +106,8 @@ type pending struct {
 	// version counts the shrinks of the query's targets: 0 until the
 	// first, then 1 to 255 and round again. Once the targets have shrunk
 	// a unit is re-evaluated when it is read, unless its stamp carries
-	// the installed disk's version. No stamp is current at 0.
+	// the installed disk's version. A stamp of 0 is never current: a
+	// disk is installed by a shrink.
 	version uint32
 	// cursor is the target range the last evaluation started from, where
 	// the next one starts its search (seek).
@@ -196,7 +209,7 @@ func (kb *knowledge) rebuildPending() {
 			}
 			// The sets were just emptied: every unit is evaluated afresh.
 			kb.frameEp[kb.spanStart[j]+i] &^= verMask | unitMask
-			kb.setUnits(j, i, kb.evalUnits(j, i, next))
+			kb.evaluate(j, i, next)
 		}
 	}
 }
@@ -387,11 +400,18 @@ func (kb *knowledge) evalUnitsDisk(j, i, next int) uint32 {
 		bits |= unitFrame
 	}
 	if next > i+1 {
-		if gc, ok := sp.reach(hc+1, upper); ok {
-			bits |= unitGap
-			if frame && gc < fc && p.disk.First(gc, fc, false) < fc {
-				bits |= unitGapFirst
+		// The gap's run can come first only when the frame's lies above
+		// hc+1: only then is the gap's cell asked for, not just whether
+		// there is one.
+		if frame && fc > hc+1 {
+			if gc, ok := sp.reach(hc+1, upper); ok {
+				bits |= unitGap
+				if gc < fc && p.disk.First(gc, fc, false) < fc {
+					bits |= unitGapFirst
+				}
 			}
+		} else if sp.meets(hc+1, upper) {
+			bits |= unitGap
 		}
 	}
 	return bits
@@ -421,6 +441,16 @@ func (s *diskSpan) reach(u, v uint64) (uint64, bool) {
 		return 0, false
 	}
 	return v - 1, s.d.First(v-1, u+1, false) > u
+}
+
+// meets is reach without the cell: whether a run ends above u and
+// starts below v.
+func (s *diskSpan) meets(u, v uint64) bool {
+	if u < v {
+		return s.d.Meets(u, min(v, s.end))
+	}
+	_, ok := s.reach(u, v)
+	return ok
 }
 
 // frameReachDisk is frameReach against the disk: a cell of the first run
@@ -462,15 +492,30 @@ func (kb *knowledge) frameReachDisk(f int, s *diskSpan, upper uint64) (uint64, b
 	return 0, false
 }
 
-// setUnits records the evaluated unit bits of known frame i of span j,
-// moving it in or out of the pending sets where they changed. Under a
-// search disk it also stamps the disk's version: the bits were
-// evaluated against it (rule iii). A target list is never stamped.
-func (kb *knowledge) setUnits(j, i int, bits uint32) {
-	f := kb.spanStart[j] + i
+// evaluate evaluates the units of known frame i of span j, whose next
+// known frame is at index next, and records them. Under a search disk
+// it also stamps the disk's version: the bits were evaluated against it
+// (rule iii). A target list is never stamped.
+func (kb *knowledge) evaluate(j, i, next int) uint32 {
+	bits := kb.evalUnits(j, i, next)
 	if kb.pend.isDisk {
+		f := kb.spanStart[j] + i
 		kb.frameEp[f] = kb.frameEp[f]&^verMask | kb.pend.version<<verShift
 	}
+	kb.setUnits(j, i, bits)
+	return bits
+}
+
+// unstamp marks frame f's units as not evaluated under the installed
+// disk: version bits 0, which no disk has (the version runs 1 to 255).
+// Its unit bits stay as a superset of its pending units until a chooser
+// reads them.
+func (kb *knowledge) unstamp(f int) { kb.frameEp[f] &^= verMask }
+
+// setUnits records the unit bits of known frame i of span j, moving it
+// in or out of the pending sets where they changed.
+func (kb *knowledge) setUnits(j, i int, bits uint32) {
+	f := kb.spanStart[j] + i
 	old := kb.frameEp[f] & unitMask
 	if old == bits {
 		return
@@ -505,7 +550,11 @@ func (kb *knowledge) nextKnown(j, i int) int {
 // learned applies rule (i) to frame i of span j, just added to the
 // span's known set at iterator at: the successor and the predecessor
 // are whatever the known set holds now, so several frames learned into
-// one gap in one hop patch correctly in any order.
+// one gap in one hop patch correctly in any order. Under a search disk
+// it evaluates nothing: the frame goes into the pending sets with every
+// unit it may have, unstamped, and the predecessor loses its stamp;
+// current evaluates either if a chooser reads it (a resolved
+// predecessor is in no set, and is never read).
 func (kb *knowledge) learned(j, i int, at ordset.Iter) {
 	succ := at
 	succ.Next()
@@ -513,10 +562,22 @@ func (kb *knowledge) learned(j, i int, at ordset.Iter) {
 	if succ.Valid() {
 		next = succ.Value()
 	}
-	kb.setUnits(j, i, kb.evalUnits(j, i, next))
+	base := kb.spanStart[j]
+	if kb.pend.isDisk {
+		bits := uint32(unitFrame)
+		if next > i+1 {
+			bits |= unitGap
+		}
+		kb.setUnits(j, i, bits)
+		if at.Prev() {
+			kb.unstamp(base + at.Value())
+		}
+		return
+	}
+	kb.evaluate(j, i, next)
 	if at.Prev() {
-		if pi := at.Value(); kb.units(kb.spanStart[j]+pi) != 0 {
-			kb.setUnits(j, pi, kb.evalUnits(j, pi, i))
+		if pi := at.Value(); kb.units(base+pi) != 0 {
+			kb.evaluate(j, pi, i)
 		}
 	}
 }
@@ -533,16 +594,21 @@ func (kb *knowledge) touch(f int) {
 }
 
 // sync applies the queued rule (ii). After sync the pending sets hold
-// every unit a fresh walk over the installed targets would visit.
+// every unit a fresh walk over the installed targets would visit: under
+// a target list exactly, under a search disk as a superset whose touched
+// frames have lost their stamps, for current to evaluate on reading (a
+// touched frame that is resolved is in no set, and is never read).
 func (kb *knowledge) sync() {
 	p := &kb.pend
 	for _, f := range p.touched {
-		if kb.units(f) == 0 {
-			continue
+		switch {
+		case p.isDisk:
+			kb.unstamp(f)
+		case kb.units(f) != 0:
+			j := kb.frameSpan(f)
+			i := f - kb.spanStart[j]
+			kb.evaluate(j, i, kb.nextKnown(j, i))
 		}
-		j := kb.frameSpan(f)
-		i := f - kb.spanStart[j]
-		kb.setUnits(j, i, kb.evalUnits(j, i, kb.nextKnown(j, i)))
 	}
 	p.touched = p.touched[:0]
 }
@@ -551,7 +617,9 @@ func (kb *knowledge) sync() {
 // still pending, re-evaluating it first when the targets have shrunk
 // since it may last have been evaluated (rule iii). A unit stamped with
 // the installed disk's version was evaluated under that disk, and rules
-// (i) and (ii) have kept it exact since: it is trusted as it stands.
+// (i) and (ii) would have cleared the stamp had anything changed it
+// since: it is trusted as it stands. Every other unit under a disk is
+// evaluated here, the deferred rules (i) and (ii) included.
 func (kb *knowledge) current(j, i int, bit uint32) bool {
 	p := &kb.pend
 	if p.version == 0 {
@@ -561,9 +629,7 @@ func (kb *knowledge) current(j, i int, bit uint32) bool {
 	if p.isDisk && kb.frameEp[f]&verMask == p.version<<verShift {
 		return true
 	}
-	bits := kb.evalUnits(j, i, kb.nextKnown(j, i))
-	kb.setUnits(j, i, bits)
-	return bits&bit != 0
+	return kb.evaluate(j, i, kb.nextKnown(j, i))&bit != 0
 }
 
 // frameFrom returns the first pending frame unit of span j at index

@@ -170,8 +170,12 @@ func installedRanges(kb *knowledge) []hilbert.Range {
 // cycle-position order on every layout (EEF).
 func (h *hopChecker) install(positional bool) {
 	c := h.c
+	bound := c.onHop
 	c.onHop = func(p, next int, ok bool) {
 		h.t.Helper()
+		if bound != nil {
+			bound(p, next, ok)
+		}
 		targets := installedRanges(c.kb)
 		timed := c.lay.splitData() && !positional
 		var wantNext int
@@ -821,15 +825,40 @@ func fuzzTargets(rng *rand.Rand, size uint64) []hilbert.Range {
 // FuzzPendingSet drives a knowledge base through a script of
 // learn-frame / header / retrieve / shrink-targets / move / reset /
 // resync steps over a small index and holds the pending sets and both
-// choosers against the walk after every step. A third of the queries
-// are kNN-like: the whole curve, then a search disk whose radius only
-// shrinks.
+// choosers against the walk after a step, and after the script. A step
+// whose op byte has bit 3 set is not checked, so under a search disk
+// what rules (i) and (ii) defer piles up unread until the next checked
+// step. A third of the queries are kNN-like: the whole curve, then a
+// search disk whose radius only shrinks.
 func FuzzPendingSet(f *testing.F) {
 	f.Add(int64(1), []byte{0, 3, 0, 9, 2, 3, 3, 3, 4, 1, 5, 7, 0, 12, 4, 0})
 	f.Add(int64(4), []byte{0, 5, 1, 20, 0, 6, 4, 2, 4, 2, 5, 30, 3, 5, 6, 1, 0, 8})
 	f.Add(int64(7), []byte{0, 2, 0, 30, 0, 12, 7, 0, 1, 13, 5, 99, 7, 0, 2, 12, 3, 12})
 	f.Add(int64(6), []byte{1, 1, 1, 2, 1, 3, 2, 1, 2, 2, 3, 1, 3, 2, 4, 0, 4, 0, 4, 0})
 	f.Add(int64(3), []byte{0, 7, 4, 120, 0, 9, 2, 9, 4, 60, 0, 20, 4, 31, 3, 9, 4, 8, 4, 1})
+	// kNN queries with long unchecked runs: frames learned, headers
+	// received and objects retrieved under a disk that every checked
+	// move (5) has just read in full, so what rules (i) and (ii) defer is
+	// read before the next shrink makes every stamp stale anyway.
+	f.Add(int64(0), []byte{8, 0, 8, 5, 8, 10, 8, 15, 8, 20, 8, 25, 8, 30, 8, 35, 12, 60, 5, 1,
+		8, 6, 8, 11, 8, 21, 8, 26, 11, 5, 11, 10, 11, 20, 10, 25, 5, 2,
+		8, 7, 8, 12, 11, 6, 11, 11, 8, 16, 11, 15, 12, 41, 5, 3,
+		8, 22, 8, 27, 11, 21, 11, 25, 10, 26, 5, 4, 8, 31, 8, 36, 11, 30, 11, 35, 0, 1})
+	f.Add(int64(1), []byte{8, 0, 8, 4, 8, 8, 8, 12, 8, 16, 8, 24, 8, 32, 12, 50, 5, 0,
+		8, 1, 8, 5, 8, 9, 11, 4, 11, 8, 11, 12, 10, 16, 5, 1,
+		8, 2, 8, 13, 11, 1, 11, 5, 11, 16, 12, 33, 5, 2, 8, 17, 8, 25, 11, 24, 11, 32, 3, 9})
+	f.Add(int64(2), []byte{8, 0, 8, 1, 8, 2, 8, 3, 12, 60, 5, 1, 10, 5, 10, 9, 10, 14, 10, 22,
+		10, 31, 11, 0, 11, 23, 11, 46, 11, 69, 5, 2, 10, 6, 10, 10, 10, 13, 12, 17, 5, 3,
+		10, 7, 10, 11, 10, 40, 11, 1, 11, 24, 11, 47, 11, 70, 2, 11})
+	f.Add(int64(7), []byte{8, 0, 8, 6, 8, 12, 8, 18, 8, 27, 8, 33, 12, 50, 5, 1,
+		8, 7, 8, 13, 8, 28, 11, 6, 11, 12, 11, 27, 13, 2, 5, 3, 8, 19, 8, 34, 11, 18, 11, 33,
+		15, 0, 5, 2, 8, 20, 8, 29, 11, 28, 11, 13, 12, 21, 5, 0, 8, 21, 11, 19, 11, 20, 3, 34})
+	f.Add(int64(13), []byte{8, 0, 8, 6, 8, 16, 8, 26, 8, 36, 12, 44, 5, 1,
+		8, 7, 8, 17, 8, 27, 11, 6, 11, 16, 11, 26, 13, 2, 5, 3,
+		8, 8, 8, 18, 11, 7, 11, 17, 11, 36, 12, 23, 5, 0, 8, 28, 8, 37, 11, 27, 11, 28, 3, 8})
+	f.Add(int64(22), []byte{8, 0, 8, 1, 8, 2, 8, 3, 12, 70, 5, 1, 10, 4, 10, 8, 10, 21, 13, 1,
+		10, 33, 11, 0, 11, 23, 11, 46, 5, 2, 10, 12, 10, 40, 11, 1, 11, 24, 12, 15, 5, 0,
+		10, 9, 10, 5, 11, 47, 11, 69, 11, 70, 3, 2})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) { runPendingScript(t, seed, script) })
 }
 
@@ -1010,8 +1039,9 @@ func runPendingScript(t testing.TB, seed int64, script []byte) {
 		checkUnits(t, kb, targets, ctx)
 	}
 	check(-1)
+	step, checked := -1, true
 	for s := 0; s+1 < len(script) && s < 400; s += 2 {
-		op, arg := script[s]%8, int(script[s+1])
+		op, arg := script[s]&7, int(script[s+1])
 		switch op {
 		case 0, 1: // learn a frame
 			fr := (arg + int(op)*256) % x.NF
@@ -1076,7 +1106,13 @@ func runPendingScript(t testing.TB, seed int64, script []byte) {
 				}
 			}
 		}
-		check(s / 2)
+		step = s / 2
+		if checked = script[s]&8 == 0; checked {
+			check(step)
+		}
+	}
+	if !checked {
+		check(step)
 	}
 }
 

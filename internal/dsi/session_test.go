@@ -1,6 +1,7 @@
 package dsi
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -299,12 +300,43 @@ func TestSessionAllocsSteadyState(t *testing.T) {
 }
 
 // openClient is the tests' way to a bare client: the one behind a
-// session opened over lay, tuned in at probe under loss. A client
-// answers one query per Open or Reset.
+// session opened over lay, tuned in at probe under loss, with a hop
+// bound installed (boundHops). A client answers one query per Open or
+// Reset.
 func openClient(lay *Layout, probe int64, loss *broadcast.LossModel) *Client {
 	s, err := Open(lay.X, WithLayout(lay), WithProbeSlot(probe), WithLoss(loss))
 	if err != nil {
 		panic(err)
 	}
-	return s.Client()
+	c := s.Client()
+	boundHops(c)
+	return c
+}
+
+// boundHops makes a navigation bug fail fast instead of hanging: a
+// chooser that keeps picking a resolved unit sends a query round the
+// cycle forever. It installs an onHop that counts the hops of the
+// current query (a query ends at the hop that finds nothing pending)
+// and panics past 8·NF + 64 of them, naming the layout, the position
+// and the pending units as the sets hold them. An onHop installed later
+// replaces it, unless it chains to it as hopChecker does.
+func boundHops(c *Client) {
+	limit := 8*c.x.NF + 64
+	hops := 0
+	c.onHop = func(p, next int, ok bool) {
+		if !ok {
+			hops = 0
+			return
+		}
+		if hops++; hops > limit {
+			var units []string
+			kb := c.kb
+			for j := 0; j < kb.nspan && j < len(kb.pend.frames); j++ {
+				units = append(units, fmt.Sprintf("span %d frames %v gaps %v",
+					j, kb.pend.frames[j].AppendTo(nil), kb.pend.gaps[j].AppendTo(nil)))
+			}
+			panic(fmt.Sprintf("dsi: %d hops in one query on %v, now at position %d choosing %d; pending: %s",
+				hops, c.lay, p, next, strings.Join(units, "; ")))
+		}
+	}
 }

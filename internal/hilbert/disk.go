@@ -31,14 +31,17 @@ func (c Curve) AppendRangesDisk(dst []Range, qx, qy float64, r float64) []Range 
 // A Disk is a value: a kNN search space that shrinks is a new Disk per
 // radius, and the questions the search asks of it — is this cell
 // inside, where is the next cell inside (or outside) in this stretch of
-// the curve — are answered where they are asked, by a curve-ordered
-// descent over that stretch, without decomposing the rest of the disk.
+// the curve, does this stretch hold a cell inside at all — are answered
+// where they are asked, by a curve-ordered descent over that stretch,
+// without decomposing the rest of the disk.
 //
 // Blocks are classified by the squared distance from the centre to
 // their nearest and farthest points. Rounding is monotone, so a block
 // classified inside (outside) as a whole has all (none) of its cells
 // inside: every answer, and the maximal runs AppendRanges returns, are
-// those of the cell set, whatever the subdivision.
+// those of the cell set, whatever the subdivision. Meets bounds a block
+// by its nearest and farthest cells rather than points, which is exact:
+// a block it finds within R2 holds a cell inside.
 type Disk struct {
 	Curve  Curve
 	Qx, Qy float64
@@ -91,18 +94,7 @@ func (d Disk) First(a, b uint64, in bool) uint64 {
 		}
 		return a
 	}
-	// The block: side 2^lvl, reached from the root along the quadrant
-	// digits of a, two bits per level.
-	lvl := uint(bits.Len64(a^(end-1))+1) / 2
-	var x0, y0 uint32
-	var state uint8
-	for l := d.Curve.order; l > lvl; l-- {
-		q := &quadOrder[state][a>>(2*(l-1))&3]
-		x0 += uint32(q.dx) << (l - 1)
-		y0 += uint32(q.dy) << (l - 1)
-		state = q.next
-	}
-	s := uint32(1) << lvl
+	x0, y0, s, lo, state := d.Curve.block(a, end)
 	near, far := d.bounds(x0, y0, s)
 	switch {
 	case far <= d.R2 && in, near > d.R2 && !in:
@@ -110,10 +102,40 @@ func (d Disk) First(a, b uint64, in bool) uint64 {
 	case far <= d.R2, near > d.R2:
 		return b
 	}
-	if r := d.first(a, end, in, x0, y0, s, a&^(uint64(s)*uint64(s)-1), state); r < end {
+	if r := d.first(a, end, in, x0, y0, s, lo, state); r < end {
 		return r
 	}
 	return b
+}
+
+// Meets reports whether a cell of [a, b) lies inside the disk, the
+// answer of First(a, b, true) < b without finding the cell. Its block
+// bound is cell-exact: per axis, the grid coordinate of a block nearest
+// the centre is the centre rounded and clamped to the block, and the
+// squared distance of that cell is formed exactly as Contains forms it,
+// so a block's bound is within R2 exactly when its nearest cell is
+// inside, wherever the centre lies. A block [a, b) covers then answers
+// at once, and the descent enters only blocks holding an inside cell:
+// it comes back empty only along the two ends of the interval.
+func (d Disk) Meets(a, b uint64) bool {
+	end := min(b, d.Curve.Size())
+	if a >= end || d.void() {
+		return false
+	}
+	side := float64(d.Curve.Side())
+	n := nearCells{
+		d:  &d,
+		rx: int64(min(max(math.Round(d.Qx), -1), side)),
+		ry: int64(min(max(math.Round(d.Qy), -1), side)),
+	}
+	x0, y0, s, lo, state := d.Curve.block(a, end)
+	if near2(x0, s, n.rx, d.Qx)+near2(y0, s, n.ry, d.Qy) > d.R2 {
+		return false
+	}
+	if a == lo && end-lo == uint64(s)*uint64(s) || n.far2(x0, y0, s) <= d.R2 {
+		return true
+	}
+	return n.meets(a, end, x0, y0, s, lo, state)
 }
 
 // End returns one past the last cell inside the disk, 0 when it holds
@@ -131,6 +153,21 @@ func (d Disk) End() uint64 {
 		return 0
 	}
 	return d.end(0, 0, s, 0, 0)
+}
+
+// block returns the smallest aligned block holding [a, end), a < end:
+// its corner, side 2^lvl, first cell and curve state, reached from the
+// root along the quadrant digits of a, two bits per level.
+func (c Curve) block(a, end uint64) (x0, y0, s uint32, lo uint64, state uint8) {
+	lvl := uint(bits.Len64(a^(end-1))+1) / 2
+	for l := c.order; l > lvl; l-- {
+		q := &quadOrder[state][a>>(2*(l-1))&3]
+		x0 += uint32(q.dx) << (l - 1)
+		y0 += uint32(q.dy) << (l - 1)
+		state = q.next
+	}
+	s = uint32(1) << lvl
+	return x0, y0, s, a &^ (uint64(s)*uint64(s) - 1), state
 }
 
 // bounds returns the squared distances from the centre to the nearest
@@ -204,6 +241,58 @@ func (d *Disk) first(a, b uint64, in bool, x0, y0, s uint32, lo uint64, state ui
 		lo += area
 	}
 	return b
+}
+
+// nearCells is one Meets probe: the disk, and its centre rounded to
+// the nearest grid coordinate per axis, clamped just outside the grid
+// so that it fits an integer for any centre.
+type nearCells struct {
+	d      *Disk
+	rx, ry int64
+}
+
+// near2 returns the squared distance from q, whose rounded coordinate
+// is r, to the nearest grid coordinate of [lo, lo+s): r clamped to the
+// interval, squared as Contains squares it.
+func near2(lo, s uint32, r int64, q float64) float64 {
+	dx := float64(min(max(r, int64(lo)), int64(lo)+int64(s)-1)) - q
+	return float64(dx * dx)
+}
+
+// far2 returns the squared distance from the centre to the farthest
+// cell of the block of side s at (x0, y0), formed as Contains forms it:
+// the block is inside as a whole exactly when it is within R2.
+func (n *nearCells) far2(x0, y0, s uint32) float64 {
+	d := n.d
+	dx0, dx1 := float64(x0)-d.Qx, float64(x0+s-1)-d.Qx
+	dy0, dy1 := float64(y0)-d.Qy, float64(y0+s-1)-d.Qy
+	return max(float64(dx0*dx0), float64(dx1*dx1)) + max(float64(dy0*dy0), float64(dy1*dy1))
+}
+
+// meets is Meets' descent into the block of side s >= 2 at (x0, y0),
+// first cell lo: the quadrants meeting [a, b) in curve order whose
+// nearest cell is inside, a covered one answering at once and a cut one
+// searched in turn unless it is inside as a whole. A quadrant of side 1
+// is one cell, always covered.
+func (n *nearCells) meets(a, b uint64, x0, y0, s uint32, lo uint64, state uint8) bool {
+	d := n.d
+	h := s >> 1
+	nx := [2]float64{near2(x0, h, n.rx, d.Qx), near2(x0+h, h, n.rx, d.Qx)}
+	ny := [2]float64{near2(y0, h, n.ry, d.Qy), near2(y0+h, h, n.ry, d.Qy)}
+	area := uint64(h) * uint64(h)
+	for _, q := range &quadOrder[state] {
+		if lo >= b {
+			break
+		}
+		if next := lo + area; next > a && nx[q.dx&1]+ny[q.dy&1] <= d.R2 {
+			qx, qy := x0+uint32(q.dx)*h, y0+uint32(q.dy)*h
+			if lo >= a && next <= b || n.far2(qx, qy, h) <= d.R2 || n.meets(a, b, qx, qy, h, lo, q.next) {
+				return true
+			}
+		}
+		lo += area
+	}
+	return false
 }
 
 // end is End's descent into the block of side s >= 2 at (x0, y0), first

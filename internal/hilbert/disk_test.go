@@ -98,8 +98,8 @@ func firstOf(rs []Range, size, a, b uint64, in bool) uint64 {
 // checkDisk holds every answer of d to the reference decomposition: the
 // ranges AppendRanges appends after what dst held, End, Contains on
 // every cell (a sample of cells on large curves, the runs' edges
-// included) and First in and out over intervals around the runs' edges,
-// from empty to past the curve's end.
+// included), and First in and out and Meets over intervals around the
+// runs' edges, from empty to past the curve's end.
 func checkDisk(t testing.TB, d Disk, rng *rand.Rand) {
 	t.Helper()
 	c := d.Curve
@@ -160,6 +160,9 @@ func checkDisk(t testing.TB, d Disk, rng *rand.Rand) {
 					t.Fatalf("%s: First(%d, %d, %v) = %d, want %d (ranges %v)", ctx(), a, b, in, got, want, rs)
 				}
 			}
+			if got, want := d.Meets(a, b), firstOf(rs, size, a, b, true) < b; got != want {
+				t.Fatalf("%s: Meets(%d, %d) = %v, want %v (ranges %v)", ctx(), a, b, got, want, rs)
+			}
 		}
 	}
 }
@@ -192,10 +195,10 @@ func diskRadii2(rng *rand.Rand, side, qx, qy float64) []float64 {
 	return append(r2s, 0)
 }
 
-// TestDiskCoverMatchesGeneric holds the disk's four answers, along
-// shrinking radius sequences, to the generic decomposition of a reference
-// block classifier and to brute force over its runs.
-func TestDiskCoverMatchesGeneric(t *testing.T) {
+// TestDiskMatchesOracle holds the disk's five answers, along shrinking
+// radius sequences, to the generic decomposition of a reference block
+// classifier and to brute force over its runs.
+func TestDiskMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, order := range []uint{1, 3, 6, 8, 10} {
 		c := New(order)
@@ -223,9 +226,9 @@ func TestDiskCoverMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestDiskCoverGrownRadius checks a radius sequence that grows again
-// between shrinks: each radius is just another disk, answered in full.
-func TestDiskCoverGrownRadius(t *testing.T) {
+// TestDiskGrownRadius checks a radius sequence that grows again between
+// shrinks: each radius is just another disk, answered in full.
+func TestDiskGrownRadius(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, r2 := range []float64{100, 9, 400, 400, 25, math.Inf(1), 0, 1, -1} {
 		checkDisk(t, Disk{New(6), 20, 41.5, r2}, rng)
@@ -252,6 +255,28 @@ func TestRangesDiskNaN(t *testing.T) {
 		}
 		if in, out := d.First(10, c.Size(), true), d.First(10, c.Size(), false); in != c.Size() || out != 10 {
 			t.Errorf("%+v: First in %d, out %d, want %d and 10", d, in, out, c.Size())
+		}
+		if d.Meets(0, c.Size()) {
+			t.Errorf("%+v: Meets the whole curve, want an empty disk", d)
+		}
+	}
+	// Infinite centres and radii, and a negative radius, are disks like
+	// any other: Meets agrees with First over the whole curve and over
+	// one cell, and an infinite centre is inside only an infinite radius.
+	inf := math.Inf(1)
+	for _, tc := range [][3]float64{
+		{inf, 5, 3}, {-inf, 5, inf}, {5, -inf, 1e300}, {inf, -inf, inf}, {nan, 5, inf},
+		{5, 5, inf}, {5, 5, -1}, {-inf, 2, -inf}, {5, 5, 0},
+	} {
+		d := Disk{c, tc[0], tc[1], tc[2]}
+		for _, iv := range [][2]uint64{{0, c.Size()}, {c.Encode(5, 5), c.Encode(5, 5) + 1}, {7, 9}, {c.Size() - 3, c.Size() + 9}} {
+			if got, want := d.Meets(iv[0], iv[1]), d.First(iv[0], iv[1], true) < iv[1]; got != want {
+				t.Errorf("%+v: Meets%v = %v, First says %v", d, iv, got, want)
+			}
+		}
+		want := tc[2] == inf && tc[0] == tc[0] || tc[0] == 5 && tc[1] == 5 && tc[2] >= 0
+		if got := d.Meets(0, c.Size()); got != want {
+			t.Errorf("%+v: Meets the whole curve = %v, want %v", d, got, want)
 		}
 	}
 }
@@ -362,5 +387,31 @@ func BenchmarkDiskFirst(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(knnRadii2)*len(starts)*2), "ns/first")
+	_ = sink
+}
+
+// BenchmarkDiskMeets measures the gap probe of a kNN unit evaluation:
+// whether a frame-sized stretch of the curve meets the disk, over
+// BenchmarkDiskFirst's stretches and radii.
+func BenchmarkDiskMeets(b *testing.B) {
+	c := New(8)
+	rng := rand.New(rand.NewSource(1))
+	starts := make([]uint64, 64)
+	for i := range starts {
+		starts[i] = uint64(rng.Int63n(int64(c.Size() - 64)))
+	}
+	var sink int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r2 := range knnRadii2 {
+			d := Disk{c, 77, 190, r2}
+			for _, a := range starts {
+				if d.Meets(a, a+64) {
+					sink++
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(knnRadii2)*len(starts)), "ns/meets")
 	_ = sink
 }
