@@ -65,7 +65,7 @@ func main() {
 		netClients = flag.Int("netclients", 1000, "concurrent network clients with -net")
 		netQueries = flag.Int("queries", 4, "queries per network client with -net")
 		netTrans   = flag.String("transport", "http", "network transport with -net: http | udp")
-		netRing    = flag.Int("ring", 2048, "per-client reassembly ring in slots with -net")
+		netRing    = flag.Int("ring", 2048, "per-client reassembly ring in slots with -net, rounded up to a power of two")
 		netRamp    = flag.Int("ramp", 100, "subscription ramp with -net: at most this many clients connecting at once")
 	)
 	flag.Parse()

@@ -26,14 +26,17 @@
 //
 // Invariants:
 //
-//   - The ring owns its bytes and a read copies out of it: an arriving
-//     frame is copied into its ring entry's own buffer (so the caller
-//     may reuse its read buffer, and a frame nobody reads costs a
-//     memcpy and no allocation), and ReadRunAt copies the entries into
-//     the reader's buffer while it holds the lock, so ring eviction
-//     never invalidates a slice an upper layer still holds. A reader
-//     with a buffer of sufficient capacity allocates nothing; PacketAt,
-//     the read without one, gets a fresh copy it may keep.
+//   - The ring owns its bytes and a read copies out of it: per channel
+//     the ring is one flat store of fixed-width records, a header (abs,
+//     slot, version, length, flags) and the payload, the record for abs
+//     at index abs & (ring-1). An arriving frame is copied into its
+//     record (so the caller may reuse its read buffer, and a frame
+//     nobody reads costs a memcpy and no allocation once its page of
+//     records exists), and ReadRunAt copies the records into the
+//     reader's buffer while it holds the lock, so ring eviction never
+//     invalidates a slice an upper layer still holds. A reader with a
+//     buffer of sufficient capacity allocates nothing; PacketAt, the
+//     read without one, gets a fresh copy it may keep.
 //   - A frame wakes a blocked read only once the global clock has
 //     reached the earliest slot anyone waits on: every rule that ends
 //     a wait (arrival, eviction, reorderSlack, LagSlack) needs a frame
@@ -49,7 +52,10 @@
 package netrecv
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -69,10 +75,12 @@ const reorderSlack = 16
 
 // Options tune a network receiver's feed and transport.
 type Options struct {
-	// RingSlots is the per-channel reassembly window (default 4096).
+	// RingSlots is the per-channel reassembly window (default 4096),
+	// rounded up to a power of two: with 20 the feed keeps 32 slots.
 	RingSlots int
 	// LagSlack declares a pending slot lost once the global high-water
-	// mark is this many slots past it (default RingSlots/2).
+	// mark is this many slots past it (default half the rounded
+	// RingSlots).
 	LagSlack int64
 	// WaitTimeout bounds the wall-clock wait for a slot that has not
 	// arrived (default 5s); on expiry the slot is served as lost.
@@ -92,6 +100,7 @@ func (o Options) withDefaults() Options {
 	if o.RingSlots <= 0 {
 		o.RingSlots = 4096
 	}
+	o.RingSlots = 1 << bits.Len(uint(o.RingSlots-1))
 	if o.LagSlack <= 0 {
 		o.LagSlack = int64(o.RingSlots / 2)
 	}
@@ -104,27 +113,48 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// feedEntry is one ring position. pkt.Payload is the entry's own buffer,
-// overwritten in place by the next frame that lands here.
-type feedEntry struct {
-	abs int64
-	set bool
-	pkt station.Packet
-}
+// A ring record: the header of the frame it holds, then the payload.
+// recAbs holds abs+1, so a record no frame has landed in reads 0.
+const (
+	recAbs    = 0  // uint64
+	recSlot   = 8  // uint32
+	recVer    = 12 // uint32
+	recLen    = 16 // uint16
+	recFlags  = 18 // byte
+	recHeader = 19
+)
+
+// maxPageShift sizes a page of records: at most 256 of one channel's
+// slots, allocated the first time a frame lands in it. A receiver is
+// built and tuned in long before its ring wraps, so its construction
+// pays for the pages its first frames land in, not for the whole ring.
+const maxPageShift = 8
 
 // Feed reassembles net frames into a station.PacketSource: per-channel
-// ring buffers over the absolute slot clock plus the latest in-band
+// rings of records over the absolute slot clock plus the latest in-band
 // control state.
 type Feed struct {
 	nch  int
-	ring int64
+	ring int64 // a power of two
 	opt  Options
 	met  *obs.NetReceiverMetrics
 
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	entries [][]feedEntry
+	// pages holds the records: channel ch's for ring index i is record
+	// g = ch*ring + i, in page g>>pageShift (a page is never wider than a
+	// ring, so it holds one channel's records); a nil page has never been
+	// written. Every record is stride bytes: the header and the widest
+	// payload slotted so far.
+	pages     [][]byte
+	pageShift uint
+	stride    int
+	// maxPayload is the widest data payload the feed slots; a wider one
+	// is garbage. A receiver built from a catalog sets it to the
+	// catalog's largest packet.
+	maxPayload int
+
 	high    []int64 // per channel: highest offered abs + 1
 	highAll int64
 
@@ -147,28 +177,27 @@ type Feed struct {
 
 	lost int64
 
-	// widest is the longest data payload slotted so far: what a run read
-	// sizes a fresh allocation by when the reader's buffer runs short.
-	widest int
-
 	closed bool
 }
 
 // NewFeed builds a feed for a broadcast of nch channels. met may be
-// nil.
+// nil. It allocates no records: a page of them is allocated the first
+// time a frame lands in it. It slots data payloads up to
+// wire.MaxNetPayload bytes wide; the receivers cap that at their
+// catalog's largest packet.
 func NewFeed(nch int, opt Options, met *obs.NetReceiverMetrics) *Feed {
 	opt = opt.withDefaults()
 	f := &Feed{
-		nch:     nch,
-		ring:    int64(opt.RingSlots),
-		opt:     opt,
-		met:     met,
-		entries: make([][]feedEntry, nch),
-		high:    make([]int64, nch),
+		nch:        nch,
+		ring:       int64(opt.RingSlots),
+		opt:        opt,
+		met:        met,
+		pageShift:  min(uint(bits.TrailingZeros(uint(opt.RingSlots))), maxPageShift),
+		stride:     recHeader,
+		maxPayload: wire.MaxNetPayload,
+		high:       make([]int64, nch),
 	}
-	for ch := range f.entries {
-		f.entries[ch] = make([]feedEntry, opt.RingSlots)
-	}
+	f.pages = make([][]byte, int64(nch)*f.ring>>f.pageShift)
 	f.lastConsumed = -1
 	f.awaited = noWaiter
 	f.cond = sync.NewCond(&f.mu)
@@ -252,23 +281,24 @@ func (f *Feed) Consume(buf []byte) (int, error) {
 }
 
 // slot files one frame under f.mu and reports whether the feed took it:
-// a data frame for a channel the broadcast does not have is garbage, and
-// a closed lossless feed takes nothing.
+// a data frame for a channel the broadcast does not have, or wider than
+// any packet on air, is garbage, and a closed lossless feed takes
+// nothing.
 func (f *Feed) slot(fr wire.NetFrame) bool {
 	switch fr.Kind {
 	case wire.NetDir:
 		if fr.Ver >= f.dirVer {
-			f.dir = append([]byte(nil), fr.Payload...)
+			f.dir = adopt(f.dir, fr.Payload)
 			f.dirVer = fr.Ver
 		}
 	case wire.NetFECDesc:
 		if fr.Ver >= f.descVer {
-			f.desc = append([]byte(nil), fr.Payload...)
+			f.desc = adopt(f.desc, fr.Payload)
 			f.descVer = fr.Ver
 		}
 	case wire.NetData:
 		ch := int(fr.Ch)
-		if ch >= f.nch {
+		if ch >= f.nch || len(fr.Payload) > f.maxPayload {
 			if f.met != nil {
 				f.met.Garbage.Inc()
 			}
@@ -288,17 +318,21 @@ func (f *Feed) slot(fr wire.NetFrame) bool {
 				return false
 			}
 		}
-		e := &f.entries[ch][fr.Abs%f.ring]
-		if !e.set || e.abs < fr.Abs {
-			e.abs, e.set = fr.Abs, true
-			e.pkt = station.Packet{
-				Ch:      uint8(ch),
-				Slot:    fr.Slot,
-				Flags:   fr.Flags,
-				Ver:     fr.Ver,
-				Payload: append(e.pkt.Payload[:0], fr.Payload...),
-			}
-			f.widest = max(f.widest, len(fr.Payload))
+		if recHeader+len(fr.Payload) > f.stride {
+			f.widen(len(fr.Payload))
+		}
+		pg, at := f.place(ch, fr.Abs)
+		if *pg == nil {
+			*pg = make([]byte, f.stride<<f.pageShift)
+		}
+		r := (*pg)[at : at+f.stride]
+		if int64(binary.LittleEndian.Uint64(r[recAbs:])) <= fr.Abs { // newer than the record's frame
+			binary.LittleEndian.PutUint64(r[recAbs:], uint64(fr.Abs+1))
+			binary.LittleEndian.PutUint32(r[recSlot:], fr.Slot)
+			binary.LittleEndian.PutUint32(r[recVer:], fr.Ver)
+			binary.LittleEndian.PutUint16(r[recLen:], uint16(len(fr.Payload)))
+			r[recFlags] = fr.Flags
+			copy(r[recHeader:], fr.Payload)
 		}
 		if fr.Abs+1 > f.high[ch] {
 			f.high[ch] = fr.Abs + 1
@@ -308,6 +342,41 @@ func (f *Feed) slot(fr wire.NetFrame) bool {
 		}
 	}
 	return true
+}
+
+// adopt returns the held control payload, or a copy of p when p differs
+// from it: a control frame repeating what the feed holds copies nothing.
+func adopt(held, p []byte) []byte {
+	if bytes.Equal(held, p) {
+		return held
+	}
+	return append([]byte(nil), p...)
+}
+
+// widen re-lays every page out in records wide enough for an n-byte
+// payload. The width only grows and never past maxPayload, and a
+// broadcast's packets come in a few widths, so a feed widens a few
+// times at most.
+func (f *Feed) widen(n int) {
+	stride := recHeader + n
+	for p, old := range f.pages {
+		if old == nil {
+			continue
+		}
+		pg := make([]byte, stride<<f.pageShift)
+		for r := 0; r < 1<<f.pageShift; r++ {
+			copy(pg[r*stride:], old[r*f.stride:(r+1)*f.stride])
+		}
+		f.pages[p] = pg
+	}
+	f.stride = stride
+}
+
+// place returns the page holding channel ch's record for abs, nil while
+// no frame has landed in it, and the record's offset in the page.
+func (f *Feed) place(ch int, abs int64) (*[]byte, int) {
+	g := int64(ch)*f.ring + abs&(f.ring-1)
+	return &f.pages[g>>f.pageShift], int(g&(1<<f.pageShift-1)) * f.stride
 }
 
 // wakeAll wakes every waiter; those that go back to waiting register
@@ -374,7 +443,7 @@ func (f *Feed) ReadRunAt(dst []station.Packet, buf []byte, ch int, abs int64) {
 func (f *Feed) serve(b []byte, more, ch int, abs int64) (station.Packet, []byte) {
 	// The watermark follows the slots as they are served: advanced to the
 	// run's end at once, it would let a lossless transport overwrite the
-	// run's own head, which shares a ring entry with abs+ring.
+	// run's own head, which shares a record with abs+ring.
 	if abs > f.lastConsumed {
 		f.lastConsumed = abs
 		if f.opt.Lossless {
@@ -392,20 +461,30 @@ func (f *Feed) serve(b []byte, more, ch int, abs int64) (station.Packet, []byte)
 		}
 	}()
 	for {
-		e := &f.entries[ch][abs%f.ring]
-		if e.set && e.abs == abs {
-			// The ring keeps its buffer; the reader gets the bytes in its own.
-			pkt := e.pkt
-			if n := len(pkt.Payload); cap(b)-len(b) < n {
-				b = make([]byte, 0, n+more*f.widest)
+		var r []byte
+		var held int64 // abs+1 of the frame the record holds, 0 for none
+		if pg, at := f.place(ch, abs); *pg != nil {
+			r = (*pg)[at : at+f.stride]
+			held = int64(binary.LittleEndian.Uint64(r[recAbs:]))
+		}
+		if held == abs+1 {
+			// The ring keeps its record; the reader gets the bytes in its own.
+			n := int(binary.LittleEndian.Uint16(r[recLen:]))
+			if cap(b)-len(b) < n {
+				b = make([]byte, 0, n+more*(f.stride-recHeader))
 			}
 			at := len(b)
-			b = append(b, pkt.Payload...)
-			pkt.Payload = b[at:len(b):len(b)]
-			return pkt, b
+			b = append(b, r[recHeader:recHeader+n]...)
+			return station.Packet{
+				Ch:      uint8(ch),
+				Slot:    binary.LittleEndian.Uint32(r[recSlot:]),
+				Flags:   r[recFlags],
+				Ver:     binary.LittleEndian.Uint32(r[recVer:]),
+				Payload: b[at:len(b):len(b)],
+			}, b
 		}
 		lost := f.closed ||
-			(e.set && e.abs > abs) // evicted: the window moved past
+			held > abs+1 // evicted: the window moved past
 		if !f.opt.Lossless {
 			lost = lost ||
 				f.high[ch] > abs+reorderSlack ||

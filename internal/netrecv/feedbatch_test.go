@@ -1,8 +1,9 @@
 // The batched feed: Consume slots a whole buffer under one hold of the
-// lock and must be indistinguishable from offering frame by frame; the
-// ring owns its bytes, so what PacketAt hands out has to survive the
-// ring; and a reader is woken only for the slot it waits on, so no
-// combination of transports, readers and Close may miss a wake-up.
+// lock and must be indistinguishable from offering frame by frame, and
+// both must hold what a map of the residency rule holds; the ring owns
+// its bytes, so what PacketAt hands out has to survive the ring; and a
+// reader is woken only for the slot it waits on, so no combination of
+// transports, readers and Close may miss a wake-up.
 
 package netrecv_test
 
@@ -10,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"sync"
 	"testing"
@@ -59,17 +61,63 @@ func frameScript(script []byte, nch int) []wire.NetFrame {
 	return frames
 }
 
+// ringModel is the feed's residency rule without its storage: per
+// channel and ring position, the frame with the newest absolute slot
+// offered there is held, and a duplicate keeps the first.
+type ringModel struct {
+	nch  int
+	ring int64
+	held map[[2]int64]wire.NetFrame
+}
+
+func newRingModel(nch, ringSlots int) *ringModel {
+	return &ringModel{nch: nch, ring: 1 << bits.Len(uint(ringSlots-1)), held: map[[2]int64]wire.NetFrame{}}
+}
+
+func (m *ringModel) offer(fr wire.NetFrame) {
+	if fr.Kind != wire.NetData || int(fr.Ch) >= m.nch {
+		return
+	}
+	at := [2]int64{int64(fr.Ch), fr.Abs % m.ring}
+	if old, ok := m.held[at]; !ok || old.Abs < fr.Abs {
+		m.held[at] = fr
+	}
+}
+
+// check fails unless p is what the model holds for ch at abs: the frame
+// as offered, or the lost slot when it holds none.
+func (m *ringModel) check(t *testing.T, p station.Packet, ch int, abs int64) {
+	t.Helper()
+	fr, ok := m.held[[2]int64{int64(ch), abs % m.ring}]
+	if !ok || fr.Abs != abs {
+		if !reflect.DeepEqual(p, station.Packet{}) {
+			t.Fatalf("channel %d slot %d is not resident but read back as %+v", ch, abs, p)
+		}
+		return
+	}
+	if int(p.Ch) != ch || p.Slot != fr.Slot || p.Flags != fr.Flags || p.Ver != fr.Ver || !bytes.Equal(p.Payload, fr.Payload) {
+		t.Fatalf("channel %d slot %d read back as %+v, offered slot %d flags %d v%d %q",
+			ch, abs, p, fr.Slot, fr.Flags, fr.Ver, fr.Payload)
+	}
+}
+
 // FuzzFeedConsume: for any frame sequence, cut into any chunks, with
-// any truncated tail, a feed fed through Consume (the way a transport
-// carries partial frames across reads) and a twin offered the same
-// frames one by one agree on every packet, the loss count, the clock,
-// the control state and what they counted.
+// any truncated tail, over a ring of any size from 1 to 64 slots, a
+// feed fed through Consume (the way a transport carries partial frames
+// across reads) and a twin offered the same frames one by one agree on
+// every packet, the loss count, the clock, the control state and what
+// they counted; and every packet is what the residency rule's model
+// holds, so a storage fault the two feeds share shows too.
 func FuzzFeedConsume(f *testing.F) {
-	f.Add([]byte{4, 4, 0, 0, 9, 1, 4, 4, 1, 0, 9, 2, 4, 4, 2, 0, 9, 3, 2, 0, 0, 1, 5, 7, 3, 0, 0, 2, 5, 8}, []byte{7, 30, 200}, uint8(0))
-	f.Add([]byte{5, 15, 0, 0, 3, 1, 0, 0, 0, 0, 0, 0, 5, 0, 1, 0, 3, 2, 1, 0, 9, 0, 3, 3, 5, 15, 2, 1, 39, 4}, []byte{1}, uint8(5))
-	f.Add([]byte{6, 15, 0, 0, 1, 1, 6, 15, 0, 0, 1, 2, 6, 15, 0, 0, 1, 3, 6, 15, 0, 0, 1, 4, 6, 1, 0, 0, 1, 5}, []byte{255, 255}, uint8(30))
-	f.Fuzz(func(t *testing.T, script, cuts []byte, tail uint8) {
-		const nch, ring = 3, 16
+	f.Add([]byte{4, 4, 0, 0, 9, 1, 4, 4, 1, 0, 9, 2, 4, 4, 2, 0, 9, 3, 2, 0, 0, 1, 5, 7, 3, 0, 0, 2, 5, 8}, []byte{7, 30, 200}, uint8(0), uint8(15))
+	f.Add([]byte{5, 15, 0, 0, 3, 1, 0, 0, 0, 0, 0, 0, 5, 0, 1, 0, 3, 2, 1, 0, 9, 0, 3, 3, 5, 15, 2, 1, 39, 4}, []byte{1}, uint8(5), uint8(19))
+	f.Add([]byte{6, 15, 0, 0, 1, 1, 6, 15, 0, 0, 1, 2, 6, 15, 0, 0, 1, 3, 6, 15, 0, 0, 1, 4, 6, 1, 0, 0, 1, 5}, []byte{255, 255}, uint8(30), uint8(2))
+	// Payloads growing mid-stream over a 5-slot ring, each filling its
+	// record to the last byte: the records widen with full ones resident.
+	f.Add([]byte{4, 4, 0, 0, 5, 1, 4, 4, 1, 0, 13, 2, 4, 4, 2, 0, 21, 3, 4, 4, 0, 0, 29, 4, 4, 3, 1, 0, 37, 5, 4, 3, 2, 0, 3, 6}, []byte{3}, uint8(0), uint8(4))
+	f.Fuzz(func(t *testing.T, script, cuts []byte, tail, ring uint8) {
+		const nch = 3
+		ringSlots := 1 + int(ring)%64
 		frames := frameScript(script, nch)
 		var stream []byte
 		var ends []int // stream offset one past each frame
@@ -92,13 +140,15 @@ func FuzzFeedConsume(f *testing.F) {
 			whole++
 		}
 
-		opt := netrecv.Options{RingSlots: ring, LagSlack: 6}
+		opt := netrecv.Options{RingSlots: ringSlots, LagSlack: 6}
 		metC := obs.NewNetReceiverMetrics(obs.NewRegistry(), "fuzz")
 		metO := obs.NewNetReceiverMetrics(obs.NewRegistry(), "fuzz")
 		batched := netrecv.NewFeed(nch, opt, metC)
 		single := netrecv.NewFeed(nch, opt, metO)
+		model := newRingModel(nch, ringSlots)
 		for _, fr := range frames[:whole] {
 			single.Offer(fr)
+			model.offer(fr)
 		}
 		var carry []byte
 		for i := 0; len(stream) > 0; i++ {
@@ -131,6 +181,7 @@ func FuzzFeedConsume(f *testing.F) {
 				if bv != sv || !reflect.DeepEqual(bp, sp) {
 					t.Fatalf("channel %d slot %d: batched (%+v, v%d), frame by frame (%+v, v%d)", ch, abs, bp, bv, sp, sv)
 				}
+				model.check(t, bp, ch, abs)
 			}
 		}
 		if b, s := batched.LostSlots(), single.LostSlots(); b != s {
@@ -199,24 +250,37 @@ func TestPacketAtPayloadOutlivesTheRing(t *testing.T) {
 	}
 }
 
-// TestWarmConsumeAllocatesNothing: once every ring entry owns a buffer,
+// TestWarmConsumeAllocatesNothing: once the ring's records exist,
 // slotting a 64-frame read allocates nothing — a frame nobody reads
-// costs a memcpy.
+// costs a memcpy — and neither does a directory or FEC descriptor frame
+// repeating the one the feed holds, as the station sends every
+// CtrlEvery slots.
 func TestWarmConsumeAllocatesNothing(t *testing.T) {
 	const nch, slots = 4, 16 // 64 frames
 	feed := netrecv.NewFeed(nch, netrecv.Options{RingSlots: slots}, obs.NewNetReceiverMetrics(obs.NewRegistry(), "test"))
-	buf := slotFrames(t, nch, 0, slots)
-	frame := len(buf) / (nch * slots)
+	var buf []byte
+	for _, fr := range []wire.NetFrame{
+		{Kind: wire.NetDir, Ver: 3, Payload: []byte("the held directory")},
+		{Kind: wire.NetFECDesc, Ver: 2, Payload: []byte("the held descriptor")},
+	} {
+		var err error
+		if buf, err = wire.AppendNetFrame(buf, fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctrl := len(buf)
+	buf = append(buf, slotFrames(t, nch, 0, slots)...)
+	frame := (len(buf) - ctrl) / (nch * slots)
 	next := int64(0)
 	step := func() {
 		if _, err := feed.Consume(buf); err != nil {
 			t.Fatal(err)
 		}
 		// The same read, one ring further on: restamp the absolute slots
-		// in place (bytes 14..22 of each frame).
+		// of the data frames in place (bytes 14..22 of each frame).
 		next += slots
 		for i := 0; i < nch*slots; i++ {
-			binary.BigEndian.PutUint64(buf[i*frame+14:], uint64(next+int64(i/nch)))
+			binary.BigEndian.PutUint64(buf[ctrl+i*frame+14:], uint64(next+int64(i/nch)))
 		}
 	}
 	step()
@@ -225,6 +289,12 @@ func TestWarmConsumeAllocatesNothing(t *testing.T) {
 	}
 	if live := feed.Live(); live != next-1 {
 		t.Fatalf("live slot %d after consuming up to %d", live, next-1)
+	}
+	if dir, ver := feed.DirectoryAt(0); ver != 3 || string(dir) != "the held directory" {
+		t.Fatalf("directory v%d %q", ver, dir)
+	}
+	if desc, ver := feed.FECDescAt(0); ver != 2 || string(desc) != "the held descriptor" {
+		t.Fatalf("FEC descriptor v%d %q", ver, desc)
 	}
 }
 
@@ -462,4 +532,52 @@ func TestFeedNeverMissesAWakeUp(t *testing.T) {
 			parked.Wait()
 		})
 	})
+}
+
+// BenchmarkFeedConsume is the feed's steady state: 64-slot reads of a
+// 4-channel stream of 64-byte payloads consumed into a warm ring of
+// 2^14 slots, lap after lap; ns/frame is the cost of filing one frame.
+func BenchmarkFeedConsume(b *testing.B) {
+	const nch, ring, read = 4, 1 << 14, 64
+	payload := bytes.Repeat([]byte{0xa5}, 64)
+	var lap []byte // one ring's worth of slots, every channel, in air order
+	for abs := int64(0); abs < ring; abs++ {
+		for ch := 0; ch < nch; ch++ {
+			var err error
+			lap, err = wire.AppendNetFrame(lap, wire.NetFrame{
+				Kind: wire.NetData, Ch: uint16(ch), Slot: uint32(abs), Ver: 1, Abs: abs, Payload: payload,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	frame := len(lap) / (nch * ring)
+	chunk := frame * nch * read
+	// restamp moves the lap's absolute slots one ring on.
+	restamp := func() {
+		for at := 14; at < len(lap); at += frame {
+			binary.BigEndian.PutUint64(lap[at:], binary.BigEndian.Uint64(lap[at:])+ring)
+		}
+	}
+	feed := netrecv.NewFeed(nch, netrecv.Options{RingSlots: ring}, nil)
+	if _, err := feed.Consume(lap); err != nil { // every page allocated
+		b.Fatal(err)
+	}
+	restamp()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, at := 0, 0; i < b.N; i++ {
+		if at == len(lap) {
+			b.StopTimer()
+			restamp()
+			at = 0
+			b.StartTimer()
+		}
+		if _, err := feed.Consume(lap[at : at+chunk]); err != nil {
+			b.Fatal(err)
+		}
+		at += chunk
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nch*read), "ns/frame")
 }

@@ -33,7 +33,7 @@ func NewHTTPReceiver(baseURL string, cat *Catalog, opt Options) (*HTTPReceiver, 
 		}
 	}
 	met := obs.NewNetReceiverMetrics(opt.Registry, "http")
-	feed := NewFeed(cat.Lay.Channels(), opt, met)
+	feed := newFeed(cat, opt, met)
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &HTTPReceiver{Receiver: Receiver{feed: feed, met: met, cancel: cancel}}
 	go h.streamLoop(ctx, baseURL)

@@ -14,6 +14,7 @@ import (
 	"dsi/internal/dsi"
 	"dsi/internal/obs"
 	"dsi/internal/station"
+	"dsi/internal/wire"
 )
 
 // Receiver is the transport-independent core of a network receiver: a
@@ -56,6 +57,16 @@ func (r *Receiver) Close() {
 		r.cancel()
 	}
 	r.feed.Close()
+}
+
+// newFeed builds the feed a receiver of cat fills: a data frame wider
+// than the catalog's largest packet, a capacity-sized parity symbol and
+// its header, is garbage, so no frame can widen the feed's records past
+// what the broadcast sends.
+func newFeed(cat *Catalog, opt Options, met *obs.NetReceiverMetrics) *Feed {
+	f := NewFeed(cat.Lay.Channels(), opt, met)
+	f.maxPayload = cat.X.Cfg.Capacity + wire.ParityHeaderSize
+	return f
 }
 
 // newDecoder waits for the stream to come alive and constructs the

@@ -54,7 +54,7 @@ func NewUDPReceiver(stationAddr string, ch int, cat *Catalog, opt Options) (*UDP
 	}
 	_ = conn.SetReadBuffer(udpReadBuffer)
 	met := obs.NewNetReceiverMetrics(opt.Registry, "udp")
-	feed := NewFeed(cat.Lay.Channels(), opt, met)
+	feed := newFeed(cat, opt, met)
 	ctx, cancel := context.WithCancel(context.Background())
 	u := &UDPReceiver{Receiver: Receiver{feed: feed, met: met, cancel: cancel}}
 	if _, err := fmt.Fprintf(conn, "DSIJOIN %d", ch); err != nil {
@@ -103,7 +103,7 @@ func NewMulticastReceiver(base string, cat *Catalog, opt Options) (*UDPReceiver,
 		return nil, fmt.Errorf("netrecv: multicast base %q: %w", base, err)
 	}
 	met := obs.NewNetReceiverMetrics(opt.Registry, "mcast")
-	feed := NewFeed(cat.Lay.Channels(), opt, met)
+	feed := newFeed(cat, opt, met)
 	ctx, cancel := context.WithCancel(context.Background())
 	u := &UDPReceiver{Receiver: Receiver{feed: feed, met: met, cancel: cancel}}
 	conns := make([]*net.UDPConn, 0, cat.Lay.Channels())
