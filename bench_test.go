@@ -185,10 +185,11 @@ func BenchmarkClientReuse(b *testing.B) {
 	q := spatial.Point{X: side / 2, Y: side / 3}
 	probe := func(i int) int64 { return int64((i * 7919) % x.CycleSlots()) }
 	open := func(probe int64) *dsi.Session {
-		s, err := dsi.Open(x, dsi.WithProbeSlot(probe))
+		s, err := dsi.Open(x)
 		if err != nil {
 			b.Fatal(err)
 		}
+		s.Tune(probe, nil)
 		return s
 	}
 
@@ -275,7 +276,7 @@ func BenchmarkWindowSplitHop(b *testing.B) {
 	// events on one frame's table or on one frame's data.
 	hops := 0
 	last := [2]int{-1, -1}
-	s.Client().SetTracer(func(e dsi.Event) {
+	s.SetTracer(func(e dsi.Event) {
 		if e.Op == dsi.OpProbe {
 			last = [2]int{-1, -1}
 			return
@@ -290,7 +291,7 @@ func BenchmarkWindowSplitHop(b *testing.B) {
 		}
 	})
 	run()
-	s.Client().SetTracer(nil)
+	s.SetTracer(nil)
 
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -67,6 +67,12 @@ func main() {
 	if *k < 1 {
 		badFlag("-k %d below 1", *k)
 	}
+	if *channels < 1 {
+		badFlag("-channels %d below 1", *channels)
+	}
+	if *switchC < 0 {
+		badFlag("-switch %d below 0", *switchC)
+	}
 
 	if *netURL != "" {
 		sess, ds, cleanup := openNet(*netURL, *netTrans)
@@ -99,19 +105,24 @@ func main() {
 	if *theta > 0 {
 		loss = broadcast.NewLossModel(*theta, *seed+42)
 	}
-	opts := []dsi.Option{dsi.WithProbeSlot(probeSlot), dsi.WithLoss(loss)}
+	lay := x.SingleLayout()
 	if *channels > 1 {
-		opts = append(opts, dsi.WithMultiConfig(dsi.MultiConfig{
+		lay, err = dsi.NewLayout(x, dsi.MultiConfig{
 			Channels:    *channels,
 			Scheduler:   dsi.SchedSplit,
 			SwitchSlots: *switchC,
-		}))
+		})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dsiquery: %v\n", err)
+			os.Exit(1)
+		}
 	}
-	sess, err := dsi.Open(x, opts...)
+	sess, err := dsi.Open(x, dsi.WithLayout(lay))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsiquery: %v\n", err)
 		os.Exit(1)
 	}
+	sess.Tune(probeSlot, loss)
 	runQuery(sess, ds, *mode, *winSpec, *qSpec, *k, *strat, *trace)
 }
 
@@ -167,9 +178,8 @@ func openNet(baseURL, transport string) (*dsi.Session, *dataset.Dataset, func())
 // runQuery executes one query against the session and prints the
 // result with its broadcast-cost stats.
 func runQuery(sess *dsi.Session, ds *dataset.Dataset, mode, winSpec, qSpec string, k int, strat string, trace bool) {
-	c := sess.Client()
 	if trace {
-		c.SetTracer(func(e dsi.Event) { fmt.Println(" ", e) })
+		sess.SetTracer(func(e dsi.Event) { fmt.Println(" ", e) })
 	}
 
 	switch mode {

@@ -97,36 +97,34 @@ func main() {
 		probes[i] = prng.Float64()
 	}
 
-	run := func(c *dsi.Client, lay *dsi.Layout, i int, w spatial.Rect) int64 {
-		c.Reset(int64(probes[i]*float64(lay.ProbeCycle())), nil)
+	run := func(s *dsi.Session, lay *dsi.Layout, i int, w spatial.Rect) int64 {
+		s.Tune(int64(probes[i]*float64(lay.ProbeCycle())), nil)
 		if pendingLay != nil && lay != pendingLay {
 			// The seam falls inside this query: the client tunes in on
 			// the old directory and re-syncs when the bump reaches it.
-			if err := c.ScheduleResync(pendingLay, c.Stats().ProbeSlot+int64(lay.ChanLen(0))); err != nil {
+			if err := s.ScheduleResync(pendingLay, s.Stats().ProbeSlot+int64(lay.ChanLen(0))); err != nil {
 				panic(err)
 			}
 		}
-		got, st := c.Window(w)
+		got, st := s.Window(w)
 		if len(got) != len(ds.WindowBrute(w)) {
 			panic("wrong answer")
 		}
 		return st.LatencyBytes()
 	}
 
-	mustClient := func(lay *dsi.Layout) *dsi.Client {
-		// The facade's escape hatch: scheduled re-syncs live on the
-		// client underneath the session.
+	mustOpen := func(lay *dsi.Layout) *dsi.Session {
 		s, err := dsi.Open(lay.X, dsi.WithLayout(lay))
 		if err != nil {
 			panic(err)
 		}
-		return s.Client()
+		return s
 	}
 	var replanLat, staticLat [2]int64 // per phase
-	cs := mustClient(staticLay)
+	cs := mustOpen(staticLay)
 	for i, w := range eval {
 		phase := i / queries
-		cr := mustClient(liveLay)
+		cr := mustOpen(liveLay)
 		replanLat[phase] += run(cr, liveLay, i, w)
 		if pendingLay != nil {
 			liveLay = pendingLay // committed at the seam this query crossed

@@ -42,13 +42,14 @@ func main() {
 	fmt.Printf("window queries over %s, split scheduler, switch cost 2 slots\n\n", x)
 	fmt.Printf("%-9s %14s %14s %10s\n", "channels", "latency(B)", "tuning(B)", "switches")
 	for _, n := range []int{1, 2, 4, 8} {
-		sess, err := dsi.Open(x, dsi.WithMultiConfig(dsi.MultiConfig{
-			Channels: n, Scheduler: dsi.SchedSplit, SwitchSlots: 2,
-		}))
+		lay, err := dsi.NewLayout(x, dsi.MultiConfig{Channels: n, Scheduler: dsi.SchedSplit, SwitchSlots: 2})
 		if err != nil {
 			panic(err)
 		}
-		lay := sess.Layout()
+		sess, err := dsi.Open(x, dsi.WithLayout(lay))
+		if err != nil {
+			panic(err)
+		}
 		var lat, tun, sw int64
 		for _, q := range qs {
 			sess.Tune(int64(q.u*float64(lay.ProbeCycle())), nil)

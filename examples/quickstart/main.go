@@ -28,10 +28,11 @@ func main() {
 	// between them. A session tunes in somewhere in the middle of the
 	// cycle and asks for everything in a 20x20 window.
 	w := spatial.Rect{MinX: 30, MinY: 30, MaxX: 49, MaxY: 49}
-	sess, err := dsi.Open(x, dsi.WithProbeSlot(int64(x.CycleSlots()/3)))
+	sess, err := dsi.Open(x)
 	if err != nil {
 		panic(err)
 	}
+	sess.Tune(int64(x.CycleSlots()/3), nil)
 	ids, st := sess.Window(w)
 	fmt.Printf("\nwindow %v -> %d objects\n", w, len(ids))
 	for i, id := range ids {

@@ -70,32 +70,72 @@ func TestSwitchCostAndAccounting(t *testing.T) {
 	}
 }
 
+// TestPerChannelLoss: on channel ch, a PerChannel model draws exactly
+// what a tuner-wide, same-seeded copy of its entry ch would — the same
+// Read and ReadMask outcomes from the same draws — and a nil or missing
+// entry reads error-free without drawing from any other entry.
 func TestPerChannelLoss(t *testing.T) {
-	a, err := NewAir(0, chanOf(64, 8, KindIndex), chanOf(64, 8, KindIndex))
+	air, err := NewAir(2, mixedChan(64, 7), mixedChan(64, 11), mixedChan(64, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu := NewTuner(a, 0, 0, nil)
-	tu.SetChannelLoss(1, NewLossModel(0.9999999, 7))
-	for i := 0; i < 20; i++ {
-		if _, ok := tu.Read(); !ok {
-			t.Fatal("error-free channel 0 lost a packet")
+	entry := func(ch int) *LossModel {
+		switch ch {
+		case 0:
+			l := NewLossModel(0.3, 3)
+			l.AffectsData = true
+			return l
+		case 1:
+			return GilbertForTheta(0.4, 4, 5) // index packets only
+		}
+		return nil
+	}
+	perChannel := func(n int) *LossModel {
+		ms := make([]*LossModel, n)
+		for ch := range ms {
+			ms[ch] = entry(ch)
+		}
+		return PerChannel(ms...)
+	}
+	// Three entries (channel 2's nil) and two (channel 2's missing).
+	for _, n := range []int{3, 2} {
+		for ch := 0; ch < 3; ch++ {
+			per := NewTuner(air, 0, 4, perChannel(n))
+			wide := NewTuner(air, 0, 4, entry(ch))
+			per.Switch(ch)
+			wide.Switch(ch)
+			for round := 0; round < 4; round++ {
+				for k := 1; k <= 64; k += 9 {
+					if got, want := per.ReadMask(k), wide.ReadMask(k); got != want {
+						t.Fatalf("%d entries, channel %d: ReadMask(%d) = %#x, tuner-wide copy %#x", n, ch, k, got, want)
+					}
+					_, got := per.Read()
+					_, want := wide.Read()
+					if got != want {
+						t.Fatalf("%d entries, channel %d: Read intact=%v, tuner-wide copy %v", n, ch, got, want)
+					}
+					sameTuner(t, "per-channel", per, wide)
+					per.DozeUntil(per.Now() + int64(k%5))
+					wide.DozeUntil(wide.Now() + int64(k%5))
+				}
+			}
 		}
 	}
-	tu.Switch(1)
-	lost := 0
-	for i := 0; i < 20; i++ {
-		if _, ok := tu.Read(); !ok {
-			lost++
-		}
+
+	// Reads on the entry-less channel 2 draw nothing: channel 0 then
+	// loses exactly what a tuner that never left it loses.
+	per := NewTuner(air, 0, 0, perChannel(2))
+	ref := NewTuner(air, 0, 0, entry(0))
+	per.Switch(2)
+	if !per.ReadN(500) || per.ReadMask(64) != allIntact(64) {
+		t.Fatal("a channel without an entry lost a packet")
 	}
-	if lost == 0 {
-		t.Error("lossy channel 1 lost nothing")
-	}
-	tu.Reset(0, nil)
-	tu.Switch(1)
-	if _, ok := tu.Read(); !ok {
-		t.Error("Reset did not clear the per-channel loss override")
+	per.Switch(0)
+	ref.Switch(2)
+	ref.Switch(0)
+	ref.DozeUntil(per.Now())
+	if got, want := per.ReadMask(64), ref.ReadMask(64); got != want {
+		t.Fatalf("after reads on channel 2, channel 0 ReadMask = %#x, untouched model %#x", got, want)
 	}
 }
 

@@ -113,15 +113,21 @@ func PacketsFor(n, capacity int) int {
 type LossModel struct {
 	Theta       float64
 	AffectsData bool
-	rng         *rand.Rand
 
 	// Gilbert-Elliott burst mode (see NewGilbertElliott). When burst is
 	// set, Theta holds the stationary loss rate and losses follow the
 	// two-state chain instead of the i.i.d. draw.
-	burst               bool
-	bad                 bool
+	burst, bad          bool
 	pGB, pBG            float64
 	thetaGood, thetaBad float64
+
+	rng *rand.Rand
+
+	// per, when non-nil, makes this a per-channel model (see PerChannel):
+	// (*per)[ch] is in effect on channel ch, and the model itself draws
+	// nothing. A pointer, and the bools packed above, keep a model at 64
+	// bytes: simulations allocate one per query.
+	per *[]*LossModel
 }
 
 // NewLossModel returns a loss model with the given error ratio and seed.
@@ -133,6 +139,28 @@ func NewLossModel(theta float64, seed int64) *LossModel {
 		panic(fmt.Sprintf("broadcast: theta %v outside [0,1)", theta))
 	}
 	return &LossModel{Theta: theta, rng: rand.New(rand.NewPCG(uint64(seed), 0xda3e39cb94b95bdb))}
+}
+
+// PerChannel returns a loss model that applies ms[ch] to the packets
+// received on channel ch: the heterogeneous channel quality of a
+// multi-channel air as one value, handed to a Tuner like any other
+// model. A nil or missing entry means that channel reads error-free.
+// Entries may be shared, and then draw from one process in reception
+// order across the channels that share them.
+func PerChannel(ms ...*LossModel) *LossModel {
+	return &LossModel{per: &ms}
+}
+
+// on returns the model in effect on channel ch: entry ch of a
+// per-channel model (nil when it has none), the model itself otherwise.
+func (l *LossModel) on(ch int) *LossModel {
+	if l == nil || l.per == nil {
+		return l
+	}
+	if ch < len(*l.per) {
+		return (*l.per)[ch]
+	}
+	return nil
 }
 
 // Lost reports whether a packet of the given kind is corrupted on
@@ -189,7 +217,6 @@ type Tuner struct {
 	air      *Air
 	prog     *Program // current channel's program
 	loss     *LossModel
-	chLoss   []*LossModel // optional per-channel override of loss
 	ch       int
 	startCh  int
 	now      int64
@@ -207,8 +234,8 @@ type Tuner struct {
 }
 
 // NewTuner returns a client tuned to channel ch of the air at the given
-// absolute slot. A nil loss model means error-free channels; use
-// SetChannelLoss for per-channel error processes.
+// absolute slot. A nil loss model means error-free channels; a
+// PerChannel model gives each channel its own error process.
 func NewTuner(air *Air, ch int, probeSlot int64, loss *LossModel) *Tuner {
 	if ch < 0 || ch >= len(air.Channels) {
 		panic(fmt.Sprintf("broadcast: channel %d outside air of %d", ch, len(air.Channels)))
@@ -231,8 +258,8 @@ func NewTuner(air *Air, ch int, probeSlot int64, loss *LossModel) *Tuner {
 func (t *Tuner) Channel() int { return t.ch }
 
 // Reset re-tunes the client at the given absolute slot on its initial
-// channel with fresh metrics and no per-channel loss overrides, reusing
-// the tuner: after Reset the tuner is indistinguishable from a newly
+// channel with fresh metrics and the given loss model, reusing the
+// tuner: after Reset the tuner is indistinguishable from a newly
 // constructed one.
 func (t *Tuner) Reset(probeSlot int64, loss *LossModel) {
 	if probeSlot < 0 {
@@ -245,15 +272,13 @@ func (t *Tuner) Reset(probeSlot int64, loss *LossModel) {
 	t.switches = 0
 	t.ch = t.startCh
 	t.prog = &t.air.Channels[t.ch].Program
-	clear(t.chLoss)
 }
 
 // Retune points the tuner at a different air mid-flight, preserving the
 // absolute clock, the accumulated metrics, the channel the receiver is
-// tuned to and its per-channel loss overrides. This models a broadcast
-// schedule swap: the carriers are the same physical channels (so no
-// switch cost applies), but from this slot on they transmit the new
-// air's programs. The new air must have the same channel count and
+// tuned to and its loss model. This models a broadcast schedule swap:
+// the carriers are the same physical channels (so no switch cost
+// applies), but from this slot on they transmit the new air's programs. The new air must have the same channel count and
 // capacity — a schedule swap cannot retune radios.
 func (t *Tuner) Retune(air *Air) {
 	if len(air.Channels) != len(t.air.Channels) {
@@ -287,20 +312,6 @@ func (t *Tuner) RetunePhased(air *Air, phase []int64) {
 		return
 	}
 	t.phase = append(t.phase[:0], phase...)
-}
-
-// SetChannelLoss installs a per-channel loss model for channel ch,
-// overriding the tuner-wide model on that channel. A channel outside
-// the air panics with a clear message rather than corrupting (or
-// silently growing) the override table. Reset clears all overrides.
-func (t *Tuner) SetChannelLoss(ch int, loss *LossModel) {
-	if ch < 0 || ch >= len(t.air.Channels) {
-		panic(fmt.Sprintf("broadcast: per-channel loss on channel %d outside air of %d", ch, len(t.air.Channels)))
-	}
-	if t.chLoss == nil {
-		t.chLoss = make([]*LossModel, len(t.air.Channels))
-	}
-	t.chLoss[ch] = loss
 }
 
 // Switch retunes the receiver to channel ch. Switching to the current
@@ -348,15 +359,8 @@ func (t *Tuner) PhaseOf(ch int) int64 {
 	return t.phase[ch]
 }
 
-// lossNow returns the loss model in effect on the current channel: its
-// per-channel override when one is installed, the tuner-wide model
-// otherwise.
-func (t *Tuner) lossNow() *LossModel {
-	if t.chLoss != nil && t.chLoss[t.ch] != nil {
-		return t.chLoss[t.ch]
-	}
-	return t.loss
-}
+// lossNow returns the loss model in effect on the current channel.
+func (t *Tuner) lossNow() *LossModel { return t.loss.on(t.ch) }
 
 // Read receives the packet at the current slot of the current channel.
 // It advances the clock by one slot and accounts one packet of tuning

@@ -80,13 +80,10 @@ func TestTunerReadNMatchesRead(t *testing.T) {
 		}{
 			{"program", func() *Tuner { return NewTuner(SingleAir(&air.Channels[1].Program), 0, 4, m.mk()) }, false},
 			{"air", func() *Tuner { return NewTuner(air, 0, 4, m.mk()) }, true},
-			// A lossy override on channel 1 over whatever the tuner-wide
-			// model is, and an error-free override on channel 2.
+			// A per-channel model: the model under test on channel 0, a
+			// lossy one on channel 1 and an error-free one on channel 2.
 			{"air-override", func() *Tuner {
-				tu := NewTuner(air, 0, 4, m.mk())
-				tu.SetChannelLoss(1, lossy(17))
-				tu.SetChannelLoss(2, NewLossModel(0, 19))
-				return tu
+				return NewTuner(air, 0, 4, PerChannel(m.mk(), lossy(17), NewLossModel(0, 19)))
 			}, true},
 		}
 		for _, tc := range tuners {
@@ -169,9 +166,7 @@ func FuzzTunerReadN(f *testing.F) {
 				loss = NewLossModel(theta, seed)
 			}
 			loss.AffectsData = seed%2 == 0
-			tu := NewTuner(air, 0, seed&0xff, loss)
-			tu.SetChannelLoss(2, NewLossModel(theta/2, seed+1))
-			return tu
+			return NewTuner(air, 0, seed&0xff, PerChannel(loss, loss, NewLossModel(theta/2, seed+1)))
 		}
 		batch, step := mk(), mk()
 		for i, b := range script {

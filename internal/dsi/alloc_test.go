@@ -34,12 +34,12 @@ func TestWindowAllocsSteadyState(t *testing.T) {
 	var buf []int
 	// Warm up: grow every reusable buffer to steady state.
 	for i := 0; i < 3; i++ {
-		c.Reset(int64(i*37), nil)
+		c.Tune(int64(i*37), nil)
 		buf, _ = c.WindowAppend(buf[:0], w)
 	}
 	probe := int64(0)
 	avg := testing.AllocsPerRun(20, func() {
-		c.Reset(probe, nil)
+		c.Tune(probe, nil)
 		buf, _ = c.WindowAppend(buf[:0], w)
 		probe = (probe + 61) % int64(x.CycleSlots())
 	})
@@ -66,12 +66,12 @@ func TestKNNAllocsSteadyState(t *testing.T) {
 	q := spatial.Point{X: 77, Y: 190}
 	var buf []int
 	for i := 0; i < 3; i++ {
-		c.Reset(int64(i*37), nil)
+		c.Tune(int64(i*37), nil)
 		buf, _ = c.KNNAppend(buf[:0], q, 10, Conservative)
 	}
 	probe := int64(0)
 	avg := testing.AllocsPerRun(20, func() {
-		c.Reset(probe, nil)
+		c.Tune(probe, nil)
 		buf, _ = c.KNNAppend(buf[:0], q, 10, Conservative)
 		probe = (probe + 61) % int64(x.CycleSlots())
 	})
@@ -107,7 +107,7 @@ func TestNavigationAllocsZero(t *testing.T) {
 			cycle := int64(lay.ProbeCycle())
 			probe := int64(0)
 			query := func() {
-				c.Reset(probe, nil)
+				c.Tune(probe, nil)
 				if kind == "window" {
 					buf, _ = c.WindowAppend(buf[:0], w)
 				} else {

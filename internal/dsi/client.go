@@ -266,12 +266,12 @@ func (kb *knowledge) drainNew() []int {
 // receiver could be listening to it: now plus the channel switch (if
 // any), relative to the channel's phase anchor (0 on simulator airs, the
 // cutover seam on a swapped wire schedule).
-func (c *Client) dataPhase(ch int, now int64, cur int, sw int64) int64 {
+func (s *Session) dataPhase(ch int, now int64, cur int, sw int64) int64 {
 	if ch != cur {
 		now += sw
 	}
-	l := int64(c.lay.ChanLen(ch))
-	phase := (now - c.rx.PhaseOf(ch)) % l
+	l := int64(s.lay.ChanLen(ch))
+	phase := (now - s.rx.PhaseOf(ch)) % l
 	if phase < 0 {
 		phase += l
 	}
@@ -281,11 +281,11 @@ func (c *Client) dataPhase(ch int, now int64, cur int, sw int64) int64 {
 // arrivalData returns the slots from now until a visit of position p's
 // data can begin: the channel switch (if any) plus the doze to the
 // frame's data slot, exactly what gotoData would pay.
-func (c *Client) arrivalData(p int, now int64, cur int, sw int64) int64 {
-	ch := int(c.lay.dataCh[p])
-	wait := int64(c.lay.dataSlot[p]) - c.dataPhase(ch, now, cur, sw)
+func (s *Session) arrivalData(p int, now int64, cur int, sw int64) int64 {
+	ch := int(s.lay.dataCh[p])
+	wait := int64(s.lay.dataSlot[p]) - s.dataPhase(ch, now, cur, sw)
 	if wait < 0 {
-		wait += int64(c.lay.ChanLen(ch))
+		wait += int64(s.lay.ChanLen(ch))
 	}
 	if ch != cur {
 		wait += sw
@@ -298,14 +298,14 @@ func (c *Client) arrivalData(p int, now int64, cur int, sw int64) int64 {
 // whose tables sit in position order on the index channel, plus the
 // position achieving it. The index channel carries nothing but tables,
 // so its cycle phase is dataPhase's arithmetic on the start channel.
-func (c *Client) arrivalTables(posLo, posHi, stride int, now int64, cur int, sw int64) (int64, int) {
+func (s *Session) arrivalTables(posLo, posHi, stride int, now int64, cur int, sw int64) (int64, int) {
 	var t int64
-	if cur != c.lay.StartCh {
+	if cur != s.lay.StartCh {
 		t = sw
 	}
-	l := int64(c.lay.ChanLen(c.lay.StartCh))
-	phase := c.dataPhase(c.lay.StartCh, now, cur, sw)
-	tp := int64(c.x.TablePackets)
+	l := int64(s.lay.ChanLen(s.lay.StartCh))
+	phase := s.dataPhase(s.lay.StartCh, now, cur, sw)
+	tp := int64(s.x.TablePackets)
 	pLo, pHi := int64(posLo), int64(posHi)
 	// First span position whose table starts at or after the phase.
 	cand := pLo
@@ -350,23 +350,38 @@ func arrivalDelta(nowPos, posLo, posHi, stride, nf int) int {
 	return posLo + nf - cur
 }
 
-// Client is a mobile client executing queries over a DSI broadcast.
-// Open is the one constructor: it returns a Session, which re-tunes
-// its client between queries; Session.Client hands out the client
-// itself for what the facade does not wrap. A client answers one query
-// per Open or Reset, and Reset is cheap — proportional to what the
-// previous query learned, not to the dataset — so long-running
-// simulations reuse one session per worker instead of allocating
-// dataset-sized state per query.
+// Session is a mobile client executing queries over one DSI
+// broadcast: the package's one query type. Open assembles it, and it
+// answers any number of queries, recycling its knowledge base, scratch
+// buffers and receiver between them, so a warm session answers queries
+// without dataset-sized allocations (the Append variants allocate
+// nothing at steady state). Sessions are not safe for concurrent use;
+// open one per worker.
 //
-// All air access goes through the client's Receiver: the same query
+// Each query runs from the session's current tune-in: Tune re-tunes
+// for the next query, and a query issued without an intervening Tune
+// re-tunes automatically at the previous probe slot and loss model. A
+// session over an injected receiver that was never tuned re-tunes at
+// the receiver's construction probe slot with error-free reception
+// (the Receiver interface cannot recover its loss model; call Tune to
+// keep loss across queries). A re-tune costs what the previous query
+// learned, not the dataset.
+//
+// All air access goes through the session's Receiver: the same query
 // engine runs over the in-memory simulator (SimReceiver) and over real
 // byte streams (station.WireReceiver).
-type Client struct {
+type Session struct {
 	x   *Index
 	lay *Layout
 	rx  Receiver
 	kb  *knowledge
+
+	// probeSlot and loss are the tune-in of the current query, reused
+	// by the automatic re-tune; fresh is set from a re-tune until the
+	// query that consumes it starts.
+	probeSlot int64
+	loss      *broadcast.LossModel
+	fresh     bool
 
 	// lastTable is the most recently received intact index table
 	// (pointing into the index's precomputed tables), used by the
@@ -397,93 +412,80 @@ type Client struct {
 	scr scratch
 }
 
-// newReceiverClient assembles a client over an arbitrary receiver: the
-// knowledge base is built for the receiver's layout (per-shard spans on
-// sharded layouts, broadcast segments otherwise).
-func newReceiverClient(rx Receiver) *Client {
-	lay := rx.Layout()
-	var kb *knowledge
-	if lay.Sched == SchedShard && lay.Channels() > 1 {
-		kb = newShardKnowledge(lay.X, lay.shardBounds)
-	} else {
-		kb = newKnowledge(lay.X)
-	}
-	return &Client{x: lay.X, lay: lay, rx: rx, kb: kb}
-}
-
-// Layout returns the channel layout the client executes over.
-func (c *Client) Layout() *Layout { return c.lay }
-
-// Receiver returns the client's radio.
-func (c *Client) Receiver() Receiver { return c.rx }
+// Layout returns the channel layout the session currently runs over
+// (it advances when a directory swap re-seeds the client).
+func (s *Session) Layout() *Layout { return s.lay }
 
 // gotoTable moves the receiver to the start of the index table of the
 // frame at position p, switching channels when the layout placed the
 // table elsewhere.
-func (c *Client) gotoTable(p int) {
-	c.rx.Tune(int(c.lay.tableCh[p]))
-	c.rx.DozeUntilPos(int(c.lay.tableSlot[p]))
+func (s *Session) gotoTable(p int) {
+	s.rx.Tune(int(s.lay.tableCh[p]))
+	s.rx.DozeUntilPos(int(s.lay.tableSlot[p]))
 }
 
 // gotoData moves the receiver to the (o*ObjPackets + skip)-th object
 // packet of the frame at position p, switching channels as needed.
-func (c *Client) gotoData(p, o, skip int) {
-	ch := int(c.lay.dataCh[p])
-	c.rx.Tune(ch)
-	c.rx.DozeUntilPos((int(c.lay.dataSlot[p]) + o*c.x.ObjPackets + skip) % c.lay.ChanLen(ch))
+func (s *Session) gotoData(p, o, skip int) {
+	ch := int(s.lay.dataCh[p])
+	s.rx.Tune(ch)
+	s.rx.DozeUntilPos((int(s.lay.dataSlot[p]) + o*s.x.ObjPackets + skip) % s.lay.ChanLen(ch))
 }
 
 // gotoFrameEntry moves the receiver to where a tableless visit of the
 // frame at position p begins: the frame start on its channel. Layouts
 // with a dedicated index channel go straight to the frame's data
 // channel — data is all it carries for this frame.
-func (c *Client) gotoFrameEntry(p int) {
-	if c.lay.splitData() {
-		c.gotoData(p, 0, 0)
+func (s *Session) gotoFrameEntry(p int) {
+	if s.lay.splitData() {
+		s.gotoData(p, 0, 0)
 		return
 	}
-	c.gotoTable(p)
+	s.gotoTable(p)
 }
 
-// Reset forgets everything the client learned and re-tunes it at the
-// given absolute slot, recycling all internal state: the reused client
-// behaves exactly like a freshly constructed one (identical results and
-// identical cost metrics) at a fraction of the setup cost.
-func (c *Client) Reset(probeSlot int64, loss *broadcast.LossModel) {
-	c.rx.Reset(probeSlot, loss)
-	c.kb.reset()
-	c.lastTable = nil
-	c.pendingLay = nil
+// Tune re-tunes the session at the given absolute slot with the given
+// loss model for the next query, discarding everything the previous
+// query learned and any pending ScheduleResync: the reused session
+// behaves exactly like a freshly opened one (identical results and
+// identical cost metrics) at a fraction of the setup cost. A nil model
+// means error-free channels; broadcast.PerChannel gives each channel
+// its own.
+func (s *Session) Tune(probeSlot int64, loss *broadcast.LossModel) {
+	s.probeSlot, s.loss = probeSlot, loss
+	s.rx.Reset(probeSlot, loss)
+	s.kb.reset()
+	s.lastTable = nil
+	s.pendingLay = nil
+	s.fresh = true
 }
 
-// SetChannelLoss installs a per-channel loss model on the client's
-// receiver, overriding the query-wide model on that channel. Only
-// multi-channel clients support per-channel loss, and the channel must
-// exist in the layout: violations return a descriptive error instead
-// of indexing (or panicking) deep inside the tuner. Reset clears the
-// overrides, so heterogeneous-channel simulations reinstall them per
-// query.
-func (c *Client) SetChannelLoss(ch int, loss *broadcast.LossModel) error {
-	return c.rx.SetChannelLoss(ch, loss)
+// prepare readies the session for the next query, re-tuning at the
+// previous probe parameters when no Tune intervened.
+func (s *Session) prepare() {
+	if !s.fresh {
+		s.Tune(s.probeSlot, s.loss)
+	}
+	s.fresh = false
 }
 
-// Stats returns the metrics accumulated so far.
-func (c *Client) Stats() broadcast.Stats { return c.rx.Stats() }
+// Stats returns the cost metrics of the current query so far.
+func (s *Session) Stats() broadcast.Stats { return s.rx.Stats() }
 
 // probe performs the initial probe: receive one intact packet on the
 // start channel to synchronize with the broadcast, then doze to the
 // next index-table start on that channel. Returns the cycle position of
 // that table's frame.
-func (c *Client) probe() int {
+func (s *Session) probe() int {
 	for {
-		_, ok := c.rx.Next()
-		c.emit(Event{Op: OpProbe, OK: ok})
+		_, ok := s.rx.Next()
+		s.emit(Event{Op: OpProbe, OK: ok})
 		if ok {
 			break
 		}
 	}
-	p := c.lay.probePos(c.rx.Pos())
-	c.rx.DozeUntilPos(int(c.lay.tableSlot[p]))
+	p := s.lay.probePos(s.rx.Pos())
+	s.rx.DozeUntilPos(int(s.lay.tableSlot[p]))
 	return p
 }
 
@@ -492,16 +494,16 @@ func (c *Client) probe() int {
 // any table packet was corrupted — or, on a byte-level receiver, when
 // the payload did not decode — in which case no knowledge is gained
 // but the tuning cost is still paid.
-func (c *Client) readTable(p int) bool {
-	t, ok := c.rx.Table(p)
-	c.emit(Event{Op: OpTableRead, Pos: p, Frame: c.x.PosToFrame(p), Arg: c.x.TablePackets, OK: ok})
+func (s *Session) readTable(p int) bool {
+	t, ok := s.rx.Table(p)
+	s.emit(Event{Op: OpTableRead, Pos: p, Frame: s.x.PosToFrame(p), Arg: s.x.TablePackets, OK: ok})
 	if !ok {
 		return false
 	}
-	c.lastTable = t
-	c.kb.addFrameFact(c.x.PosToFrame(p), t.OwnHC)
+	s.lastTable = t
+	s.kb.addFrameFact(s.x.PosToFrame(p), t.OwnHC)
 	for _, e := range t.Entries {
-		c.kb.addFrameFact(c.x.PosToFrame(e.TargetPos), e.MinHC)
+		s.kb.addFrameFact(s.x.PosToFrame(e.TargetPos), e.MinHC)
 	}
 	return true
 }
@@ -515,17 +517,17 @@ func (c *Client) readTable(p int) bool {
 // visit to a known frame never crosses over for the neighbour's bound:
 // the frame resolves from its own object headers instead, and unknown
 // frames are handled wholesale by the index sweep.
-func (c *Client) wantTable(p int) bool {
-	f := c.x.PosToFrame(p)
-	if !c.kb.frameKnown(f) {
+func (s *Session) wantTable(p int) bool {
+	f := s.x.PosToFrame(p)
+	if !s.kb.frameKnown(f) {
 		return true
 	}
-	if c.lay.splitData() {
+	if s.lay.splitData() {
 		return false
 	}
-	j := c.x.FrameSegment(f)
-	if f+1 < c.x.segStart[j+1] {
-		return !c.kb.frameKnown(f + 1)
+	j := s.x.FrameSegment(f)
+	if f+1 < s.x.segStart[j+1] {
+		return !s.kb.frameKnown(f + 1)
 	}
 	return false
 }
@@ -542,13 +544,13 @@ func (c *Client) wantTable(p int) bool {
 // unknown, the client falls back to reading the first object's header
 // packet — DSI's loss resilience: the broadcast content itself reveals
 // the frame's HC range, so navigation resumes at the very next frame.
-func (c *Client) visit(p int, update func()) {
-	f := c.x.PosToFrame(p)
+func (s *Session) visit(p int, update func()) {
+	f := s.x.PosToFrame(p)
 	headerConsumed := -1
-	if c.wantTable(p) {
-		c.gotoTable(p)
-		ok := c.readTable(p)
-		if c.lay.splitData() {
+	if s.wantTable(p) {
+		s.gotoTable(p)
+		ok := s.readTable(p)
+		if s.lay.splitData() {
 			// An index-split table visit ends with the table: the
 			// frame's data lives on another channel, and the timed
 			// chooser will schedule its retrieval at the slot it
@@ -556,28 +558,28 @@ func (c *Client) visit(p int, update func()) {
 			// stalling until it comes around.
 			return
 		}
-		if !ok && !c.kb.frameKnown(f) {
+		if !ok && !s.kb.frameKnown(f) {
 			// Header fallback: one data packet reveals the first object's
 			// HC value (every object's payload starts with its coordinate).
 			// Index-split layouts skip it — their index channel rebroadcasts
 			// the lost table much sooner than the data channel reaches the
 			// frame's first header.
-			first, _ := c.x.FrameObjects(f)
-			c.gotoData(p, 0, 0)
-			hc, okHdr := c.rx.Header(p, 0)
-			c.emit(Event{Op: OpHeaderRead, Pos: p, Frame: f, Arg: first, OK: okHdr})
+			first, _ := s.x.FrameObjects(f)
+			s.gotoData(p, 0, 0)
+			hc, okHdr := s.rx.Header(p, 0)
+			s.emit(Event{Op: OpHeaderRead, Pos: p, Frame: f, Arg: first, OK: okHdr})
 			if okHdr {
-				c.kb.addFrameFact(f, hc)
+				s.kb.addFrameFact(f, hc)
 				headerConsumed = 0
 			}
 		}
 	} else {
-		c.gotoFrameEntry(p)
+		s.gotoFrameEntry(p)
 	}
 	if update != nil {
 		update()
 	}
-	c.fetchData(p, headerConsumed)
+	s.fetchData(p, headerConsumed)
 }
 
 // fetchData retrieves from the frame at position p every object whose
@@ -585,25 +587,25 @@ func (c *Client) visit(p int, update func()) {
 // is the index of the object whose header packet was already received
 // during the table fallback (-1 for none). Corrupted objects stay
 // unretrieved; a later cycle retries them.
-func (c *Client) fetchData(p int, headerConsumed int) {
-	f := c.x.PosToFrame(p)
-	if !c.kb.frameKnown(f) {
+func (s *Session) fetchData(p int, headerConsumed int) {
+	f := s.x.PosToFrame(p)
+	if !s.kb.frameKnown(f) {
 		return // nothing is known about this frame; nothing to fetch safely
 	}
-	first, num := c.x.FrameObjects(f)
-	tg := &c.kb.pend
+	first, num := s.x.FrameObjects(f)
+	tg := &s.kb.pend
 
-	prev := c.kb.frameHC[f] // ascending watermark of located HC values
+	prev := s.kb.frameHC[f] // ascending watermark of located HC values
 	for t := 0; t < num; t++ {
 		id := first + t
-		if c.kb.objLocated(id) {
-			prev = c.kb.objHC[id]
-			if !c.kb.retrieved(id) && tg.contains(prev) {
+		if s.kb.objLocated(id) {
+			prev = s.kb.objHC[id]
+			if !s.kb.retrieved(id) && tg.contains(prev) {
 				skip := 0
 				if t == headerConsumed {
 					skip = 1
 				}
-				c.readObject(p, t, id, skip)
+				s.readObject(p, t, id, skip)
 			}
 			continue
 		}
@@ -613,16 +615,16 @@ func (c *Client) fetchData(p int, headerConsumed int) {
 			return
 		}
 		// Read the header packet to learn this object's HC value.
-		c.gotoData(p, t, 0)
-		hc, ok := c.rx.Header(p, t)
-		c.emit(Event{Op: OpHeaderRead, Pos: p, Frame: f, Arg: id, OK: ok})
+		s.gotoData(p, t, 0)
+		hc, ok := s.rx.Header(p, t)
+		s.emit(Event{Op: OpHeaderRead, Pos: p, Frame: f, Arg: id, OK: ok})
 		if !ok {
 			continue // lost header: a later cycle rescans this object
 		}
-		c.kb.addHeader(f, t, hc)
+		s.kb.addHeader(f, t, hc)
 		prev = hc
 		if tg.contains(hc) {
-			c.readObject(p, t, id, 1)
+			s.readObject(p, t, id, 1)
 		}
 	}
 }
@@ -631,12 +633,12 @@ func (c *Client) fetchData(p int, headerConsumed int) {
 // position p, skipping the first skip packets (already received as a
 // header). The object counts as retrieved only if every packet arrives
 // intact.
-func (c *Client) readObject(p, o, id, skip int) {
-	c.gotoData(p, o, skip)
-	ok := c.rx.Object(p, o, skip)
-	c.emit(Event{Op: OpObjectRead, Pos: p, Frame: c.x.PosToFrame(p), Arg: id, OK: ok})
+func (s *Session) readObject(p, o, id, skip int) {
+	s.gotoData(p, o, skip)
+	ok := s.rx.Object(p, o, skip)
+	s.emit(Event{Op: OpObjectRead, Pos: p, Frame: s.x.PosToFrame(p), Arg: id, OK: ok})
 	if ok {
-		c.kb.markRetrieved(id)
+		s.kb.markRetrieved(id)
 	}
 }
 
@@ -647,21 +649,21 @@ func (c *Client) readObject(p, o, id, skip int) {
 // point and EEF targets are fixed. hook, if non-nil, may redirect the
 // next visit (the aggressive kNN hop rule); it returns a cycle position
 // and true to override the default soonest-unresolved-frame choice.
-func (c *Client) retrieveAll(startPos int, update func(), hook func(p int) (int, bool)) {
+func (s *Session) retrieveAll(startPos int, update func(), hook func(p int) (int, bool)) {
 	p := startPos
 	for {
 		// A pending shard-directory version bump is detected between
 		// navigation steps (the version rides the index channel the
 		// client mines anyway); re-syncing rebuilds the pending sets
 		// against the new spans.
-		c.maybeResync()
-		c.visit(p, update)
+		s.maybeResync()
+		s.visit(p, update)
 		// Absorb what the visit located (kNN shrinks its targets as
 		// candidates accumulate) before choosing where to go.
 		if update != nil {
 			update()
 		}
-		next, ok := c.nextVisit(p, c.lay.splitData())
+		next, ok := s.nextVisit(p, s.lay.splitData())
 		if !ok {
 			return
 		}
@@ -680,14 +682,14 @@ func (c *Client) retrieveAll(startPos int, update func(), hook func(p int) (int,
 // Index-split layouts choose by actual arrival time across channels
 // (timed); on one channel, position order is time order, and the
 // positional chooser is kept bit-identical to the classic engine.
-func (c *Client) nextVisit(p int, timed bool) (next int, ok bool) {
+func (s *Session) nextVisit(p int, timed bool) (next int, ok bool) {
 	if timed {
-		next, ok = c.nextPendingTimed()
+		next, ok = s.nextPendingTimed()
 	} else {
-		next, ok = c.kb.nextPending(p)
+		next, ok = s.kb.nextPending(p)
 	}
-	if c.onHop != nil {
-		c.onHop(p, next, ok)
+	if s.onHop != nil {
+		s.onHop(p, next, ok)
 	}
 	return next, ok
 }

@@ -14,9 +14,9 @@
 //   - Build: construct the broadcast program for a dataset, either in
 //     ascending HC order (Segments=1) or with the paper's broadcast
 //     reorganization (Segments=m interleaves m equal HC spans).
-//   - Client: the mobile-client query processor with energy-efficient
-//     forwarding (EEF), window queries, and kNN queries in the paper's
-//     conservative and aggressive variants.
+//   - Open and Session: the mobile-client query processor with
+//     energy-efficient forwarding (EEF), window queries, and kNN queries
+//     in the paper's conservative and aggressive variants.
 package dsi
 
 import (

@@ -12,32 +12,33 @@ import (
 // it existed. It returns the frame id and whether an object with
 // exactly that HC value exists there (scanning the reached frame, which
 // makes EEF a point query per the paper).
-func (c *Client) EEF(hc uint64) (frame int, exists bool, stats broadcast.Stats) {
-	if hc >= c.x.DS.Curve.Size() {
+func (s *Session) EEF(hc uint64) (frame int, exists bool, stats broadcast.Stats) {
+	if hc >= s.x.DS.Curve.Size() {
 		panic("dsi: EEF target outside the curve")
 	}
-	c.constTargets(append(c.scr.targets[:0], hilbert.Range{Lo: hc, Hi: hc + 1}))
-	p := c.probe()
+	s.prepare()
+	s.constTargets(append(s.scr.targets[:0], hilbert.Range{Lo: hc, Hi: hc + 1}))
+	p := s.probe()
 	for {
-		c.visit(p, nil)
-		if f, certain := c.kb.coveringFrame(hc); certain && c.x.FrameToPos(f) == p {
-			id := c.x.DS.FindHC(hc)
-			exists = id < c.x.DS.N() && c.x.DS.Objects[id].HC == hc && c.kb.retrieved(id)
-			return f, exists, c.Stats()
+		s.visit(p, nil)
+		if f, certain := s.kb.coveringFrame(hc); certain && s.x.FrameToPos(f) == p {
+			id := s.x.DS.FindHC(hc)
+			exists = id < s.x.DS.N() && s.x.DS.Objects[id].HC == hc && s.kb.retrieved(id)
+			return f, exists, s.Stats()
 		}
-		next, ok := c.nextVisit(p, false) // EEF forwards in cycle-position order on every layout
+		next, ok := s.nextVisit(p, false) // EEF forwards in cycle-position order on every layout
 		if !ok {
 			// The target is resolved: the object was retrieved or is
 			// known not to exist. Forward to the covering frame if the
 			// client is not already there, as EEF "reaches the frame
 			// containing the data object".
-			f, _ := c.kb.coveringFrame(hc)
-			if pos := c.x.FrameToPos(f); pos != p {
-				c.gotoFrameEntry(pos)
+			f, _ := s.kb.coveringFrame(hc)
+			if pos := s.x.FrameToPos(f); pos != p {
+				s.gotoFrameEntry(pos)
 			}
-			id := c.x.DS.FindHC(hc)
-			exists = id < c.x.DS.N() && c.x.DS.Objects[id].HC == hc && c.kb.retrieved(id)
-			return f, exists, c.Stats()
+			id := s.x.DS.FindHC(hc)
+			exists = id < s.x.DS.N() && s.x.DS.Objects[id].HC == hc && s.kb.retrieved(id)
+			return f, exists, s.Stats()
 		}
 		p = next
 	}

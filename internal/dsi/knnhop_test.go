@@ -53,7 +53,7 @@ func TestAggressiveHopClassicUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Client().posHopOnly = true
+	sess.posHopOnly = true
 	side := int(ds.Curve.Side())
 	cycle := int64(lay.ProbeCycle())
 	rng := rand.New(rand.NewSource(9))
@@ -115,7 +115,7 @@ func TestAggressiveHopShardZipf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Client().posHopOnly = true
+	sess.posHopOnly = true
 	side := int(ds.Curve.Side())
 	cycle := int64(lay.ProbeCycle())
 	rng := rand.New(rand.NewSource(5))

@@ -380,20 +380,6 @@ func shardLayout(x *Index, mc MultiConfig) (*Layout, error) {
 	return l, nil
 }
 
-// CheckLossChannel validates a per-channel loss override target: the
-// layout must be multi-channel and ch must be one of its channels. It
-// is the one validation every Receiver implementation applies before
-// handing the override to the tuner.
-func (l *Layout) CheckLossChannel(ch int) error {
-	if l.Channels() == 1 {
-		return fmt.Errorf("dsi: per-channel loss on a single-channel layout")
-	}
-	if ch < 0 || ch >= l.Channels() {
-		return fmt.Errorf("dsi: per-channel loss on channel %d outside layout of %d channels", ch, l.Channels())
-	}
-	return nil
-}
-
 // ShardBounds returns the shard boundaries of a SchedShard layout
 // (frame ids with a sentinel), nil for other schedulers. The returned
 // slice is the layout's state: callers must not modify it.

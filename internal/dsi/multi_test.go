@@ -157,7 +157,7 @@ func TestMultiChannelCorrectness(t *testing.T) {
 				if trial%4 == 3 {
 					loss = broadcast.NewLossModel(0.3, rng.Int63())
 				}
-				c.Reset(probe, loss)
+				c.Tune(probe, loss)
 				if trial%2 == 0 {
 					w := randWindow(rng, side)
 					got, st := c.Window(w)
@@ -210,13 +210,13 @@ func TestMultiClientResetMatchesFresh(t *testing.T) {
 				return broadcast.NewLossModel(0.35, lossSeed)
 			}
 			// Dirty the reused client, then replay the trial query.
-			reused.Reset(rng.Int63n(int64(lay.ProbeCycle())), nil)
+			reused.Tune(rng.Int63n(int64(lay.ProbeCycle())), nil)
 			reused.KNN(spatial.Point{X: uint32(rng.Intn(side)), Y: uint32(rng.Intn(side))}, 2, Conservative)
 
 			w := randWindow(rng, side)
 			fresh := openClient(lay, probe, mkLoss())
 			wantIDs, wantSt := fresh.Window(w)
-			reused.Reset(probe, mkLoss())
+			reused.Tune(probe, mkLoss())
 			gotIDs, gotSt := reused.Window(w)
 			if !equalInts(gotIDs, wantIDs) || gotSt != wantSt {
 				t.Fatalf("%v x%d trial %d: reused (%v,%+v) != fresh (%v,%+v)",
@@ -248,9 +248,9 @@ func TestSplitLayoutSwitchesAndImproves(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		w := randWindow(rng, side)
 		u := rng.Float64()
-		single.Reset(int64(u*float64(x.CycleSlots())), nil)
+		single.Tune(int64(u*float64(x.CycleSlots())), nil)
 		_, st1 := single.Window(w)
-		multi.Reset(int64(u*float64(lay.ProbeCycle())), nil)
+		multi.Tune(int64(u*float64(lay.ProbeCycle())), nil)
 		got, st2 := multi.Window(w)
 		if !equalInts(got, ds.WindowBrute(w)) {
 			t.Fatalf("split window wrong at trial %d", trial)

@@ -766,17 +766,17 @@ func (kb *knowledge) nextPending(nowPos int) (pos int, ok bool) {
 // fresh walk meets them in decides, and it is observable in every cost
 // metric downstream: lower span, then lower index, then whichever unit
 // of the frame a target range reaches first (unitGapFirst).
-func (c *Client) nextPendingTimed() (pos int, ok bool) {
-	kb := c.kb
+func (s *Session) nextPendingTimed() (pos int, ok bool) {
+	kb := s.kb
 	kb.sync()
-	lay := c.lay
-	now := c.rx.Now()
-	cur := c.rx.Channel()
+	lay := s.lay
+	now := s.rx.Now()
+	cur := s.rx.Channel()
 	sw := int64(lay.Air.SwitchSlots)
 	// First cycle position whose table starts at or after the index
 	// channel's phase.
-	tp := int64(c.x.TablePackets)
-	tablePos := int((c.dataPhase(lay.StartCh, now, cur, sw) + tp - 1) / tp)
+	tp := int64(s.x.TablePackets)
+	tablePos := int((s.dataPhase(lay.StartCh, now, cur, sw) + tp - 1) / tp)
 	bestT := int64(math.MaxInt64)
 	best, bestSpan, bestRank := -1, -1, 0
 	offer := func(t int64, p, j, rank int) {
@@ -798,19 +798,19 @@ func (c *Client) nextPendingTimed() (pos int, ok bool) {
 			// The block's first frame whose data starts at or after the
 			// channel's phase, when that lies past the first pending one.
 			dp := int64(lay.DataPackets)
-			at := kb.indexFrom(j, start+int((c.dataPhase(ch, now, cur, sw)+dp-1)/dp))
+			at := kb.indexFrom(j, start+int((s.dataPhase(ch, now, cur, sw)+dp-1)/dp))
 			if at > first && at < end {
 				if i2, ok := kb.frameFrom(j, at); ok && i2 < end {
 					i = i2
 				}
 			}
 			p := kb.spanPos(j, i)
-			offer(c.arrivalData(p, now, cur, sw), p, j, kb.unitRank(j, i, false))
+			offer(s.arrivalData(p, now, cur, sw), p, j, kb.unitRank(j, i, false))
 			from = end
 		}
 		// Tables: the pending gap at or after the index channel's phase.
 		if lo, hi, ok := kb.gapAround(j, kb.indexFrom(j, tablePos)); ok {
-			t, p := c.arrivalTables(kb.spanPos(j, lo), kb.spanPos(j, hi), kb.stride, now, cur, sw)
+			t, p := s.arrivalTables(kb.spanPos(j, lo), kb.spanPos(j, hi), kb.stride, now, cur, sw)
 			offer(t, p, j, kb.unitRank(j, lo-1, true))
 		}
 	}

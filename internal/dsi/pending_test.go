@@ -116,7 +116,7 @@ func checkUnits(t testing.TB, kb *knowledge, targets []hilbert.Range, ctx string
 // timedTies counts the distinct frames a fresh walk prices at the
 // minimum arrival time: more than one is a tie the chooser must break
 // the way the walk does.
-func timedTies(c *Client, targets []hilbert.Range) int {
+func timedTies(c *Session, targets []hilbert.Range) int {
 	kb := c.kb
 	now, cur, sw := c.rx.Now(), c.rx.Channel(), int64(c.lay.Air.SwitchSlots)
 	bestT := int64(math.MaxInt64)
@@ -150,7 +150,7 @@ func timedTies(c *Client, targets []hilbert.Range) int {
 // the pending sets against the walk's units.
 type hopChecker struct {
 	t    testing.TB
-	c    *Client
+	c    *Session
 	deep bool
 	ctx  string
 
@@ -240,7 +240,7 @@ func sweepLayouts(x *Index) (lays []*Layout, resyncTo map[*Layout]*Layout) {
 // sweepQuery runs query kind (0 window, 1 point, 2 EEF, 3 kNN
 // conservative, 4 kNN aggressive) on c, tuned in loss-free or not, with
 // every hop checked, and verifies the answer against brute force.
-func sweepQuery(t *testing.T, c *Client, kind int, lossFree bool, rng *rand.Rand, h *hopChecker) {
+func sweepQuery(t *testing.T, c *Session, kind int, lossFree bool, rng *rand.Rand, h *hopChecker) {
 	ds := c.x.DS
 	side := int(ds.Curve.Side())
 	h.install(kind == 2)
@@ -376,7 +376,7 @@ func pendingTie(t *testing.T) {
 	c := openClient(lay, 0, nil)
 	ties := 0
 	for trial := 0; trial < 40; trial++ {
-		c.Reset(rng.Int63n(int64(lay.ProbeCycle())), nil)
+		c.Tune(rng.Int63n(int64(lay.ProbeCycle())), nil)
 		h := &hopChecker{t: t, c: c, deep: true, ctx: fmt.Sprintf("trial %d", trial)}
 		h.install(false)
 		w := randWindow(rng, side)
@@ -1093,7 +1093,7 @@ func runPendingScript(t testing.TB, seed int64, script []byte) {
 			c.rx.Tune(ch)
 			c.rx.DozeUntilPos((arg * 7) % c.lay.ChanLen(ch))
 		case 6: // a new query
-			c.Reset(int64(arg)*13, nil)
+			c.Tune(int64(arg)*13, nil)
 			newQuery()
 		case 7: // the shard directory swaps
 			if alt != nil {
@@ -1152,7 +1152,7 @@ func TestHopCostSplitArm(t *testing.T) {
 		}
 	}
 	for q := 0; q < queries; q++ {
-		c.Reset(rng.Int63n(int64(lay.ProbeCycle())), nil)
+		c.Tune(rng.Int63n(int64(lay.ProbeCycle())), nil)
 		w := spatial.ClampedWindow(uint32(rng.Intn(side)), uint32(rng.Intn(side)), uint32(side/10), uint32(side))
 		c.Window(w)
 	}

@@ -53,67 +53,68 @@ type scratch struct {
 }
 
 // constTargets installs targets as the query's fixed target set.
-func (c *Client) constTargets(targets []hilbert.Range) {
-	c.scr.targets = targets
-	c.kb.retarget(targets)
+func (s *Session) constTargets(targets []hilbert.Range) {
+	s.scr.targets = targets
+	s.kb.retarget(targets)
 }
 
 // windowTargets decomposes w (clamped to the grid) into HC ranges using
 // the reusable target buffer.
-func (c *Client) windowTargets(w spatial.Rect) []hilbert.Range {
-	curve := c.x.DS.Curve
-	s := &c.scr
+func (s *Session) windowTargets(w spatial.Rect) []hilbert.Range {
+	curve := s.x.DS.Curve
+	sc := &s.scr
 	rect, ok := curve.ClampRect(w.MinX, w.MinY, w.MaxX, w.MaxY)
 	if !ok {
-		return s.targets[:0]
+		return sc.targets[:0]
 	}
-	s.win = rect
-	if s.winRegion == nil {
-		s.winRegion = func(x0, y0, x1, y1 uint32) hilbert.Region {
-			return c.scr.win.Classify(x0, y0, x1, y1)
+	sc.win = rect
+	if sc.winRegion == nil {
+		sc.winRegion = func(x0, y0, x1, y1 uint32) hilbert.Region {
+			return s.scr.win.Classify(x0, y0, x1, y1)
 		}
 	}
-	return curve.AppendRangesFunc(s.targets[:0], s.winRegion)
+	return curve.AppendRangesFunc(sc.targets[:0], sc.winRegion)
 }
 
 // Window executes a window query: it returns the IDs of all objects
 // inside w, in HC order, together with the query's cost metrics.
-func (c *Client) Window(w spatial.Rect) ([]int, broadcast.Stats) {
-	return c.WindowAppend(nil, w)
+func (s *Session) Window(w spatial.Rect) ([]int, broadcast.Stats) {
+	return s.WindowAppend(nil, w)
 }
 
 // WindowAppend is Window appending the result IDs into dst (which may
-// be nil or a recycled buffer), avoiding the per-query result
-// allocation on reused clients.
-func (c *Client) WindowAppend(dst []int, w spatial.Rect) ([]int, broadcast.Stats) {
-	c.constTargets(c.windowTargets(w))
-	start := c.probe()
-	c.retrieveAll(start, nil, nil)
-	return c.collect(dst, c.scr.targets), c.Stats()
+// be nil or a recycled buffer): zero allocations at steady state.
+func (s *Session) WindowAppend(dst []int, w spatial.Rect) ([]int, broadcast.Stats) {
+	s.prepare()
+	s.constTargets(s.windowTargets(w))
+	start := s.probe()
+	s.retrieveAll(start, nil, nil)
+	return s.collect(dst, s.scr.targets), s.Stats()
 }
 
 // Point executes a point query: it returns the ID of the object at
 // point p and whether one exists. Either way the client has certainty
 // when the query terminates.
-func (c *Client) Point(p spatial.Point) (id int, found bool, stats broadcast.Stats) {
-	hc := c.x.DS.Curve.Encode(p.X, p.Y)
-	c.constTargets(append(c.scr.targets[:0], hilbert.Range{Lo: hc, Hi: hc + 1}))
-	start := c.probe()
-	c.retrieveAll(start, nil, nil)
-	for i := c.x.DS.FindHC(hc); i < c.x.DS.N() && c.x.DS.Objects[i].HC == hc; i++ {
-		if c.kb.retrieved(i) {
-			return i, true, c.Stats()
+func (s *Session) Point(p spatial.Point) (id int, found bool, stats broadcast.Stats) {
+	s.prepare()
+	hc := s.x.DS.Curve.Encode(p.X, p.Y)
+	s.constTargets(append(s.scr.targets[:0], hilbert.Range{Lo: hc, Hi: hc + 1}))
+	start := s.probe()
+	s.retrieveAll(start, nil, nil)
+	for i := s.x.DS.FindHC(hc); i < s.x.DS.N() && s.x.DS.Objects[i].HC == hc; i++ {
+		if s.kb.retrieved(i) {
+			return i, true, s.Stats()
 		}
 	}
-	return 0, false, c.Stats()
+	return 0, false, s.Stats()
 }
 
 // collect appends the retrieved object IDs with HC values in the
 // targets to dst, ascending.
-func (c *Client) collect(dst []int, targets []hilbert.Range) []int {
+func (s *Session) collect(dst []int, targets []hilbert.Range) []int {
 	for _, r := range targets {
-		for i := c.x.DS.FindHC(r.Lo); i < c.x.DS.N() && c.x.DS.Objects[i].HC < r.Hi; i++ {
-			if c.kb.retrieved(i) {
+		for i := s.x.DS.FindHC(r.Lo); i < s.x.DS.N() && s.x.DS.Objects[i].HC < r.Hi; i++ {
+			if s.kb.retrieved(i) {
 				dst = append(dst, i)
 			}
 		}
@@ -199,11 +200,11 @@ func (ks *knnScratch) push(cand knnCand) {
 // knnTargets is the kNN target update: absorb freshly located objects
 // into the candidate heap, and once k candidates are known, install the
 // disk of the k-th candidate distance as the target set.
-func (c *Client) knnTargets() {
-	ks := &c.scr.knn
-	curve := c.x.DS.Curve
-	for _, id := range c.kb.drainNew() {
-		hc := c.kb.objHC[id]
+func (s *Session) knnTargets() {
+	ks := &s.scr.knn
+	curve := s.x.DS.Curve
+	for _, id := range s.kb.drainNew() {
+		hc := s.kb.objHC[id]
 		x, y := curve.Decode(hc)
 		ks.push(knnCand{id: id, d2: ks.q.Dist2(spatial.Point{X: x, Y: y}), hc: hc})
 	}
@@ -212,7 +213,7 @@ func (c *Client) knnTargets() {
 	}
 	if d2 := ks.heap[0].d2; d2 != ks.curR2 {
 		ks.curR2 = d2
-		c.kb.shrinkDisk(hilbert.Disk{Curve: curve, Qx: float64(ks.q.X), Qy: float64(ks.q.Y), R2: d2})
+		s.kb.shrinkDisk(hilbert.Disk{Curve: curve, Qx: float64(ks.q.X), Qy: float64(ks.q.Y), R2: d2})
 	}
 }
 
@@ -220,30 +221,31 @@ func (c *Client) knnTargets() {
 // strategy. It returns the IDs of the k nearest objects (all fully
 // retrieved) and the query's cost metrics. On a reorganized broadcast
 // (Segments > 1), Conservative is the strategy the paper evaluates.
-func (c *Client) KNN(q spatial.Point, k int, strat Strategy) ([]int, broadcast.Stats) {
-	return c.KNNAppend(nil, q, k, strat)
+func (s *Session) KNN(q spatial.Point, k int, strat Strategy) ([]int, broadcast.Stats) {
+	return s.KNNAppend(nil, q, k, strat)
 }
 
 // KNNAppend is KNN appending the result IDs into dst (which may be nil
-// or a recycled buffer).
-func (c *Client) KNNAppend(dst []int, q spatial.Point, k int, strat Strategy) ([]int, broadcast.Stats) {
+// or a recycled buffer): zero allocations at steady state.
+func (s *Session) KNNAppend(dst []int, q spatial.Point, k int, strat Strategy) ([]int, broadcast.Stats) {
+	s.prepare()
 	if k <= 0 {
-		return dst, c.Stats()
+		return dst, s.Stats()
 	}
-	if k > c.x.DS.N() {
-		k = c.x.DS.N()
+	if k > s.x.DS.N() {
+		k = s.x.DS.N()
 	}
-	curve := c.x.DS.Curve
+	curve := s.x.DS.Curve
 
-	ks := &c.scr.knn
+	ks := &s.scr.knn
 	ks.q = q
 	ks.k = k
 	ks.curR2 = math.Inf(1)
 	ks.heap = ks.heap[:0]
 	ks.full[0] = hilbert.Range{Lo: 0, Hi: curve.Size()}
-	c.kb.retarget(ks.full[:])
+	s.kb.retarget(ks.full[:])
 	if ks.fn == nil {
-		ks.fn = c.knnTargets
+		ks.fn = s.knnTargets
 	}
 
 	var hook func(p int) (int, bool)
@@ -252,7 +254,7 @@ func (c *Client) KNNAppend(dst []int, q spatial.Point, k int, strat Strategy) ([
 		// entry whose frame is closest to the query point, until the
 		// current frame is locally closest. Bounded so a pathological
 		// distribution cannot jump forever.
-		maxJumps := 4 * bitsFor(c.x.NF)
+		maxJumps := 4 * bitsFor(s.x.NF)
 		jumps := 0
 		// On multi-data-channel layouts (split, sharded) a hop's real
 		// cost depends on which channel the candidate frame airs on and
@@ -260,35 +262,35 @@ func (c *Client) KNNAppend(dst []int, q spatial.Point, k int, strat Strategy) ([
 		// on a cold shard can cost most of a cycle in waiting. Price
 		// strictly-closer candidates by arrival time instead of picking
 		// the positionally closest one.
-		timed := c.lay.splitData() && !c.posHopOnly
+		timed := s.lay.splitData() && !s.posHopOnly
 		hook = func(p int) (int, bool) {
-			if jumps >= maxJumps || c.lastTable == nil || c.lastTable.Pos != p {
+			if jumps >= maxJumps || s.lastTable == nil || s.lastTable.Pos != p {
 				return 0, false
 			}
-			bestD := c.frameDist2(q, c.x.PosToFrame(p))
+			bestD := s.frameDist2(q, s.x.PosToFrame(p))
 			best := -1
 			if timed {
 				// Among the candidates strictly closer than the current
 				// frame, hop to the soonest-arriving data slot; ties go
 				// to the closer frame, then the smaller position.
-				now := c.rx.Now()
-				cur := c.rx.Channel()
-				sw := int64(c.lay.Air.SwitchSlots)
+				now := s.rx.Now()
+				cur := s.rx.Channel()
+				sw := int64(s.lay.Air.SwitchSlots)
 				curD := bestD
 				bestT := int64(math.MaxInt64)
-				for _, e := range c.lastTable.Entries {
-					d := c.frameDist2(q, c.x.PosToFrame(e.TargetPos))
+				for _, e := range s.lastTable.Entries {
+					d := s.frameDist2(q, s.x.PosToFrame(e.TargetPos))
 					if d >= curD {
 						continue
 					}
-					t := c.arrivalData(e.TargetPos, now, cur, sw)
+					t := s.arrivalData(e.TargetPos, now, cur, sw)
 					if t < bestT || (t == bestT && (d < bestD || (d == bestD && e.TargetPos < best))) {
 						bestT, bestD, best = t, d, e.TargetPos
 					}
 				}
 			} else {
-				for _, e := range c.lastTable.Entries {
-					if d := c.frameDist2(q, c.x.PosToFrame(e.TargetPos)); d < bestD {
+				for _, e := range s.lastTable.Entries {
+					if d := s.frameDist2(q, s.x.PosToFrame(e.TargetPos)); d < bestD {
 						bestD = d
 						best = e.TargetPos
 					}
@@ -303,9 +305,9 @@ func (c *Client) KNNAppend(dst []int, q spatial.Point, k int, strat Strategy) ([
 		}
 	}
 
-	start := c.probe()
-	c.retrieveAll(start, ks.fn, hook)
-	c.knnTargets() // absorb anything located by the final visit
+	start := s.probe()
+	s.retrieveAll(start, ks.fn, hook)
+	s.knnTargets() // absorb anything located by the final visit
 
 	// The search space is resolved: every object within the k-th
 	// candidate distance has been retrieved, so the heap holds the
@@ -322,14 +324,14 @@ func (c *Client) KNNAppend(dst []int, q spatial.Point, k int, strat Strategy) ([
 	for i := 0; i < k; i++ {
 		dst = append(dst, ks.heap[i].id)
 	}
-	return dst, c.Stats()
+	return dst, s.Stats()
 }
 
 // frameDist2 returns the squared distance from q to the cell of frame
 // f's minimum HC value, using the per-frame coordinates precomputed at
 // Build: no Hilbert decode per table entry per hop.
-func (c *Client) frameDist2(q spatial.Point, f int) float64 {
-	return q.Dist2(spatial.Point{X: c.x.cellX[f], Y: c.x.cellY[f]})
+func (s *Session) frameDist2(q spatial.Point, f int) float64 {
+	return q.Dist2(spatial.Point{X: s.x.cellX[f], Y: s.x.cellY[f]})
 }
 
 // bitsFor returns ceil(log2(n)) for n >= 1.

@@ -409,7 +409,7 @@ func BenchmarkWindowQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := spatial.ClampedWindow(uint32(rng.Intn(128)), uint32(rng.Intn(128)), 13, 128)
-		c.Reset(rng.Int63n(int64(x.CycleSlots())), nil)
+		c.Tune(rng.Int63n(int64(x.CycleSlots())), nil)
 		buf, sinkStats = c.WindowAppend(buf[:0], w)
 	}
 }
@@ -423,7 +423,7 @@ func BenchmarkKNNConservative(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
-		c.Reset(rng.Int63n(int64(x.CycleSlots())), nil)
+		c.Tune(rng.Int63n(int64(x.CycleSlots())), nil)
 		buf, sinkStats = c.KNNAppend(buf[:0], q, 10, Conservative)
 	}
 }
@@ -440,7 +440,7 @@ func BenchmarkKNNAggressive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := spatial.Point{X: uint32(rng.Intn(128)), Y: uint32(rng.Intn(128))}
-		c.Reset(rng.Int63n(int64(x.CycleSlots())), nil)
+		c.Tune(rng.Int63n(int64(x.CycleSlots())), nil)
 		buf, sinkStats = c.KNNAppend(buf[:0], q, 10, Aggressive)
 	}
 }

@@ -28,8 +28,8 @@ import (
 
 // Receiver is a mobile client's radio: position and clock accounting
 // plus content reception. All cost metrics (latency, tuning, switches)
-// accrue inside the receiver; the client above it only decides where to
-// point it next.
+// accrue inside the receiver; the Session above it only decides where
+// to point it next.
 //
 // Positioning methods (Tune, DozeUntilPos) move the radio; content
 // methods (Next, Table, Header, Object) receive packets at the current
@@ -37,7 +37,9 @@ import (
 // ok=false when loss or an undecodable payload corrupted the content
 // (the cost is paid either way). Poll surfaces a shard-directory
 // version bump the receiver has learned from the air; Follow commits
-// the client's switch onto the new layout.
+// the session's switch onto the new layout. Reset starts a query
+// (Session.Tune): the loss model it takes is the query's only loss
+// state, per-channel processes included.
 type Receiver interface {
 	// Layout returns the channel layout the receiver currently assumes
 	// on air (its catalog view; Poll/Follow advance it).
@@ -84,12 +86,10 @@ type Receiver interface {
 	// from Poll, or a scheduled simulator-side swap target).
 	Follow(lay *Layout)
 	// Reset re-tunes the radio at the given absolute slot with fresh
-	// metrics, preserving what the receiver knows about the schedule.
+	// metrics and the given loss model (per channel when it is a
+	// broadcast.PerChannel model), preserving what the receiver knows
+	// about the schedule.
 	Reset(probeSlot int64, loss *broadcast.LossModel)
-	// SetChannelLoss installs a per-channel loss model, overriding the
-	// query-wide model on that channel. It fails on a single-channel
-	// receiver or a channel outside the layout.
-	SetChannelLoss(ch int, loss *broadcast.LossModel) error
 }
 
 // SimReceiver is the in-memory simulator receiver: costs are paid
@@ -165,7 +165,7 @@ func (r *SimReceiver) Object(pos, o, skip int) bool {
 }
 
 // Poll never reports a bump: the simulator drives swaps through
-// Client.ScheduleResync instead of through on-air directory packets.
+// Session.ScheduleResync instead of through on-air directory packets.
 func (r *SimReceiver) Poll() (*Layout, bool) { return nil, false }
 
 // Follow re-points the tuner at the new layout's air in place (the
@@ -178,15 +178,4 @@ func (r *SimReceiver) Follow(lay *Layout) {
 // Reset re-tunes the receiver at the given absolute slot.
 func (r *SimReceiver) Reset(probeSlot int64, loss *broadcast.LossModel) {
 	r.tu.Reset(probeSlot, loss)
-}
-
-// SetChannelLoss installs a per-channel loss model. The channel must
-// exist on a multi-channel layout (Layout.CheckLossChannel): an
-// out-of-range channel is an error, not a silent index.
-func (r *SimReceiver) SetChannelLoss(ch int, loss *broadcast.LossModel) error {
-	if err := r.lay.CheckLossChannel(ch); err != nil {
-		return err
-	}
-	r.tu.SetChannelLoss(ch, loss)
-	return nil
 }

@@ -1,4 +1,4 @@
-// Client re-sync: the receiver side of online re-planning. When the
+// Session re-sync: the receiver side of online re-planning. When the
 // transmitter swaps a sharded broadcast to a freshly planned shard
 // directory (a new MultiConfig at a cycle seam, directory version
 // bumped), a client mid-query detects the bump and re-seeds onto the
@@ -29,50 +29,55 @@ import (
 //
 // Resyncing to the layout already in use is a no-op. The new layout
 // must shard the same index across the same number of channels.
-func (c *Client) Resync(lay *Layout) error {
-	if lay == c.lay {
+func (s *Session) Resync(lay *Layout) error {
+	if lay == s.lay {
 		return nil
 	}
-	if err := c.resyncCheck(lay); err != nil {
+	if err := s.resyncCheck(lay); err != nil {
 		return err
 	}
-	c.kb.rebuildShardSpans(lay.shardBounds)
-	c.lay = lay
-	c.rx.Follow(lay)
+	s.kb.rebuildShardSpans(lay.shardBounds)
+	s.lay = lay
+	s.rx.Follow(lay)
 	return nil
 }
 
 // resyncCheck validates a re-sync target against the client's state.
-func (c *Client) resyncCheck(lay *Layout) error {
-	if lay.X != c.x {
+func (s *Session) resyncCheck(lay *Layout) error {
+	if lay.X != s.x {
 		return fmt.Errorf("dsi: resync to a layout of a different index")
 	}
 	if lay.Sched != SchedShard || lay.Channels() == 1 {
 		return fmt.Errorf("dsi: resync target is %v over %d channels, want a sharded multi-channel layout",
 			lay.Sched, lay.Channels())
 	}
-	if c.lay.Sched != SchedShard || c.lay.Channels() == 1 {
-		return fmt.Errorf("dsi: resync of a %v client; only shard clients follow directory versions", c.lay.Sched)
+	if s.lay.Sched != SchedShard || s.lay.Channels() == 1 {
+		return fmt.Errorf("dsi: resync of a %v client; only shard clients follow directory versions", s.lay.Sched)
 	}
-	if c.lay.Channels() != lay.Channels() {
+	if s.lay.Channels() != lay.Channels() {
 		return fmt.Errorf("dsi: resync from %d channels to %d; a schedule swap cannot retune radios",
-			c.lay.Channels(), lay.Channels())
+			s.lay.Channels(), lay.Channels())
 	}
 	return nil
 }
 
-// ScheduleResync arms a pending directory-version bump: once the
-// client's clock reaches atSlot — the cycle seam at which the
-// transmitter swaps schedules — the next navigation step detects the
-// bump (version numbers ride the index channel the client is already
-// mining) and Resyncs onto lay mid-query. Scheduling validates the
-// target immediately; Reset discards a pending bump.
-func (c *Client) ScheduleResync(lay *Layout, atSlot int64) error {
-	if err := c.resyncCheck(lay); err != nil {
+// ScheduleResync arms a pending directory-version bump for the next
+// query: once the client's clock reaches atSlot — the cycle seam at
+// which the transmitter swaps schedules — the next navigation step
+// detects the bump (version numbers ride the index channel the client
+// is already mining) and Resyncs onto lay mid-query. Scheduling
+// validates the target immediately. Tune discards a pending bump, so a
+// session that would re-tune automatically before its next query does
+// so here first.
+func (s *Session) ScheduleResync(lay *Layout, atSlot int64) error {
+	if err := s.resyncCheck(lay); err != nil {
 		return err
 	}
-	c.pendingLay = lay
-	c.pendingAt = atSlot
+	if !s.fresh {
+		s.Tune(s.probeSlot, s.loss)
+	}
+	s.pendingLay = lay
+	s.pendingAt = atSlot
 	return nil
 }
 
@@ -82,9 +87,9 @@ func (c *Client) ScheduleResync(lay *Layout, atSlot int64) error {
 // Two sources feed it — a byte-level receiver that learned a new shard
 // directory from the air (Poll), and a simulator-side swap scheduled
 // with ScheduleResync once the clock has passed its seam.
-func (c *Client) maybeResync() {
-	if lay, ok := c.rx.Poll(); ok {
-		if err := c.Resync(lay); err != nil {
+func (s *Session) maybeResync() {
+	if lay, ok := s.rx.Poll(); ok {
+		if err := s.Resync(lay); err != nil {
 			// The receiver adopted a directory the client cannot follow;
 			// the two must stay in lockstep, so this is a programming
 			// error, not an input error.
@@ -92,12 +97,12 @@ func (c *Client) maybeResync() {
 		}
 		return
 	}
-	if c.pendingLay == nil || c.rx.Now() < c.pendingAt {
+	if s.pendingLay == nil || s.rx.Now() < s.pendingAt {
 		return
 	}
-	lay := c.pendingLay
-	c.pendingLay = nil
-	if err := c.Resync(lay); err != nil {
+	lay := s.pendingLay
+	s.pendingLay = nil
+	if err := s.Resync(lay); err != nil {
 		// ScheduleResync validated the target against this client; a
 		// failure here is a programming error, not an input error.
 		panic(fmt.Sprintf("dsi: scheduled resync failed: %v", err))

@@ -54,7 +54,7 @@ func TestResyncMidQueryCorrectness(t *testing.T) {
 		if trial%5 == 4 {
 			loss = broadcast.NewLossModel(0.3, rng.Int63())
 		}
-		c.Reset(probe, loss)
+		c.Tune(probe, loss)
 		// The seam lands anywhere from immediately to deep into the
 		// query; late seams exercise queries that finish before it.
 		delay := rng.Int63n(int64(old.ProbeCycle()))
@@ -110,8 +110,8 @@ func TestResyncIdenticalDirectoryBitIdentical(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		probe := rng.Int63n(int64(layA.ProbeCycle()))
 		delay := rng.Int63n(int64(layA.ChanLen(0)) * 2)
-		plain.Reset(probe, nil)
-		bumped.Reset(probe, nil)
+		plain.Tune(probe, nil)
+		bumped.Tune(probe, nil)
 		if err := bumped.ScheduleResync(layA2, probe+delay); err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestResyncStaleTuneIn(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		stale := openClient(old, 0, nil)
 		probe := rng.Int63n(int64(new_.ProbeCycle()))
-		stale.Reset(probe, nil)
+		stale.Tune(probe, nil)
 		if err := stale.Resync(new_); err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestResyncStaleTuneIn(t *testing.T) {
 }
 
 // TestResyncValidation covers the protocol's error paths, and that
-// Reset discards a pending bump.
+// Tune discards a pending bump.
 func TestResyncValidation(t *testing.T) {
 	x, old, new_ := resyncFixture(t, 300, 59)
 	c := openClient(old, 0, nil)
@@ -279,14 +279,14 @@ func TestResyncValidation(t *testing.T) {
 		t.Error("ScheduleResync did not validate eagerly")
 	}
 
-	// Self-resync is a no-op; Reset discards a pending bump.
+	// Self-resync is a no-op; Tune discards a pending bump.
 	if err := c.Resync(old); err != nil {
 		t.Errorf("self-resync: %v", err)
 	}
 	if err := c.ScheduleResync(new_, 0); err != nil {
 		t.Fatal(err)
 	}
-	c.Reset(0, nil)
+	c.Tune(0, nil)
 	w := randWindow(rand.New(rand.NewSource(1)), int(x.DS.Curve.Side()))
 	c.Window(w)
 	if c.Layout() != old {

@@ -51,7 +51,7 @@ func TestResetClientMatchesFresh(t *testing.T) {
 			}
 
 			// Dirty the reused client.
-			reused.Reset(rng.Int63n(int64(x.CycleSlots())), nil)
+			reused.Tune(rng.Int63n(int64(x.CycleSlots())), nil)
 			qd := spatial.Point{X: uint32(rng.Intn(side)), Y: uint32(rng.Intn(side))}
 			reused.KNN(qd, 3, Conservative)
 
@@ -61,7 +61,7 @@ func TestResetClientMatchesFresh(t *testing.T) {
 				fresh := openClient(x.single, probe, mkLoss())
 				wantIDs, wantSt := fresh.Window(w)
 
-				reused.Reset(probe, mkLoss())
+				reused.Tune(probe, mkLoss())
 				buf, _ = reused.WindowAppend(buf[:0], w)
 				gotSt := reused.Stats()
 				if !equalInts(buf, wantIDs) {
@@ -80,7 +80,7 @@ func TestResetClientMatchesFresh(t *testing.T) {
 				fresh := openClient(x.single, probe, mkLoss())
 				wantIDs, wantSt := fresh.KNN(q, k, strat)
 
-				reused.Reset(probe, mkLoss())
+				reused.Tune(probe, mkLoss())
 				buf, _ = reused.KNNAppend(buf[:0], q, k, strat)
 				gotSt := reused.Stats()
 				if !equalInts(buf, wantIDs) {
@@ -106,7 +106,7 @@ func TestReusedSessionKNNCoverIsPerQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reused, err := Open(x, WithProbeSlot(0))
+		reused, err := Open(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,10 +115,7 @@ func TestReusedSessionKNNCoverIsPerQuery(t *testing.T) {
 		var buf []int
 		for trial := 0; trial < 24; trial++ {
 			probe := rng.Int63n(int64(x.CycleSlots()))
-			fresh, err := Open(x, WithProbeSlot(probe))
-			if err != nil {
-				t.Fatal(err)
-			}
+			fresh := openClient(x.single, probe, nil)
 			reused.Tune(probe, nil)
 			var wantIDs []int
 			var wantSt, gotSt broadcast.Stats
@@ -166,7 +163,7 @@ func TestResetClientMatchesFreshEEF(t *testing.T) {
 		fresh := openClient(x.single, probe, nil)
 		wantF, wantEx, wantSt := fresh.EEF(hc)
 
-		reused.Reset(probe, nil)
+		reused.Tune(probe, nil)
 		gotF, gotEx, gotSt := reused.EEF(hc)
 		if gotF != wantF || gotEx != wantEx || gotSt != wantSt {
 			t.Fatalf("trial %d: EEF (%d,%v,%+v) != fresh (%d,%v,%+v)",

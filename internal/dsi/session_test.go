@@ -12,10 +12,9 @@ import (
 )
 
 // TestSessionTuneMatchesFreshOpen is the facade's regression contract:
-// every spelling of a layout option reaches the same session, and a
-// session re-tuned with Tune answers every query with exactly the
-// results and cost metrics of one freshly opened at that probe slot
-// and loss model over the prebuilt layout.
+// a session re-tuned with Tune answers every query with exactly the
+// results and cost metrics of one freshly opened and tuned at that
+// probe slot and loss model over the same layout.
 func TestSessionTuneMatchesFreshOpen(t *testing.T) {
 	ds := dataset.Uniform(320, 7, 611)
 	x, err := Build(ds, Config{Capacity: 64})
@@ -40,16 +39,12 @@ func TestSessionTuneMatchesFreshOpen(t *testing.T) {
 		return lay
 	}
 	split := mkLay(x2, MultiConfig{Channels: 3, Scheduler: SchedSplit, SwitchSlots: 2})
-	shardMC := MultiConfig{Channels: 3, Scheduler: SchedShard, SwitchSlots: 2,
-		ShardBounds: []int{0, x.NF / 3, x.NF}}
-	shard := mkLay(x, shardMC)
+	shard := mkLay(x, MultiConfig{Channels: 3, Scheduler: SchedShard, SwitchSlots: 2,
+		ShardBounds: []int{0, x.NF / 3, x.NF}})
 	arms := []arm{
 		{"single", x.single, func() (*Session, error) { return Open(x) }},
 		{"split layout", split, func() (*Session, error) { return Open(x2, WithLayout(split)) }},
-		{"shard via multiconfig", shard, func() (*Session, error) { return Open(x, WithMultiConfig(shardMC)) }},
-		{"shard via bounds", shard, func() (*Session, error) {
-			return Open(x, WithShardBounds(0, x.NF/3, x.NF), WithSwitchSlots(2))
-		}},
+		{"shard layout", shard, func() (*Session, error) { return Open(x, WithLayout(shard)) }},
 	}
 
 	side := int(ds.Curve.Side())
@@ -101,10 +96,11 @@ func TestSessionAutoRetune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(x, WithProbeSlot(1234))
+	s, err := Open(x)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Tune(1234, nil)
 	w := spatial.ClampedWindow(40, 40, 30, ds.Curve.Side())
 	ids1, st1 := s.Window(w)
 	want := append([]int(nil), ids1...)
@@ -134,9 +130,8 @@ func TestSessionAutoRetune(t *testing.T) {
 	}
 }
 
-// TestOpenOptionErrors covers the facade's validation: conflicting
-// layout options, orphan switch cost, cross-index layouts and
-// receivers, and channel-loss overrides that do not fit the layout.
+// TestOpenOptionErrors covers the facade's validation: a receiver
+// combined with a layout, and layouts and receivers of another index.
 func TestOpenOptionErrors(t *testing.T) {
 	ds := dataset.Uniform(120, 7, 9)
 	x, err := Build(ds, Config{})
@@ -151,21 +146,14 @@ func TestOpenOptionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ge := broadcast.NewLossModel(0.1, 1)
 	cases := []struct {
 		name string
 		opts []Option
 		want string
 	}{
-		{"layout conflict", []Option{WithLayout(lay), WithMultiConfig(MultiConfig{Channels: 2})}, "more than one"},
-		{"bounds conflict", []Option{WithShardBounds(0, x.NF), WithLayout(lay)}, "more than one"},
 		{"receiver plus layout", []Option{WithReceiver(NewSimReceiver(lay, 0, nil)), WithLayout(lay)}, "carries its own layout"},
-		{"orphan switch slots", []Option{WithSwitchSlots(2)}, "WithShardBounds"},
 		{"foreign layout", []Option{WithLayout(mustLayout(t, other, MultiConfig{Channels: 1}))}, "different index"},
 		{"foreign receiver", []Option{WithReceiver(NewSimReceiver(other.single, 0, nil))}, "different index"},
-		{"bad bounds", []Option{WithShardBounds(0, 0, x.NF)}, "empty"},
-		{"channel loss on single channel", []Option{WithChannelLoss(0, ge)}, "single-channel"},
-		{"channel loss out of range", []Option{WithLayout(lay), WithChannelLoss(5, ge)}, "outside layout"},
 	}
 	for _, tc := range cases {
 		_, err := Open(x, tc.opts...)
@@ -188,8 +176,11 @@ func mustLayout(t testing.TB, x *Index, mc MultiConfig) *Layout {
 	return lay
 }
 
-// TestSessionChannelLossPersists verifies WithChannelLoss overrides are
-// reinstalled after Tune (unlike the one-query Client.SetChannelLoss).
+// TestSessionChannelLossPersists: per-channel loss is part of the loss
+// model handed to Tune, so the automatic re-tune keeps it like any
+// other model — the session's second query runs under the same
+// (advanced) process a reference re-tuned by hand with a twin model
+// runs under.
 func TestSessionChannelLossPersists(t *testing.T) {
 	ds := dataset.Uniform(200, 7, 21)
 	x, err := Build(ds, Config{Segments: 2})
@@ -200,72 +191,71 @@ func TestSessionChannelLossPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One stateful loss model per arm, shared across that arm's two
-	// queries: the reference reinstalls its model by hand after every
-	// reset, the session must reinstall its own automatically, and the
-	// two RNG streams advance in lockstep query by query.
-	sessLoss := broadcast.NewLossModel(0.2, 99)
-	refLoss := broadcast.NewLossModel(0.2, 99)
-	s, err := Open(x, WithLayout(lay), WithChannelLoss(0, sessLoss))
-	if err != nil {
-		t.Fatal(err)
-	}
 	w := spatial.ClampedWindow(10, 10, 40, ds.Curve.Side())
-
-	c := openClient(lay, 500, nil)
-	for trial := 0; trial < 2; trial++ {
-		c.Reset(500, nil)
-		if err := c.SetChannelLoss(0, refLoss); err != nil {
-			t.Fatal(err)
-		}
-		_, wantSt := c.Window(w)
-
-		s.Tune(500, nil)
-		_, st := s.Window(w)
-		if st != wantSt {
-			t.Fatalf("trial %d: channel loss lost across Tune: %+v, want %+v", trial, st, wantSt)
-		}
-	}
-}
-
-// TestSessionSetChannelLossSurvivesAutoRetune: an override installed
-// between queries must land on the next query even when the session
-// re-tunes automatically (the re-tune used to wipe it).
-func TestSessionSetChannelLossSurvivesAutoRetune(t *testing.T) {
-	ds := dataset.Uniform(200, 7, 21)
-	x, err := Build(ds, Config{Segments: 2})
+	s, err := Open(x, WithLayout(lay))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, err := NewLayout(x, MultiConfig{Channels: 3, Scheduler: SchedSplit, SwitchSlots: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := spatial.ClampedWindow(10, 10, 40, ds.Curve.Side())
+	s.Tune(500, broadcast.PerChannel(broadcast.NewLossModel(0.2, 99)))
 
-	s, err := Open(x, WithLayout(lay), WithProbeSlot(500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Window(w) // consume the fresh tune-in
-	if err := s.SetChannelLoss(0, broadcast.NewLossModel(0.2, 99)); err != nil {
-		t.Fatal(err)
-	}
-	_, got := s.Window(w) // must run with the override despite the auto re-tune
-
+	// One stateful model per arm: the two RNG streams advance in
+	// lockstep query by query.
+	refLoss := broadcast.PerChannel(broadcast.NewLossModel(0.2, 99))
 	ref := openClient(lay, 500, nil)
-	if err := ref.SetChannelLoss(0, broadcast.NewLossModel(0.2, 99)); err != nil {
-		t.Fatal(err)
+	clean := openClient(lay, 500, nil)
+	lossy := false
+	for trial := 0; trial < 3; trial++ {
+		ref.Tune(500, refLoss)
+		_, wantSt := ref.Window(w)
+		_, st := s.Window(w) // re-tunes automatically after the first
+		if st != wantSt {
+			t.Fatalf("trial %d: channel loss lost across the re-tune: %+v, want %+v", trial, st, wantSt)
+		}
+		clean.Tune(500, nil)
+		_, cleanSt := clean.Window(w)
+		lossy = lossy || st != cleanSt
 	}
-	_, want := ref.Window(w)
-	if got != want {
-		t.Fatalf("override wiped by auto re-tune: %+v, want %+v", got, want)
+	if !lossy {
+		t.Fatal("the per-channel model never cost anything: the test checks nothing")
 	}
 }
 
-// TestSessionAllocsSteadyState asserts the facade keeps the client's
-// zero-allocation append contract: a warm session answers window
-// queries within the same fixed budget as a bare client.
+// TestSessionScheduleResyncSurvivesAutoRetune: a bump scheduled
+// between queries must land on the next query even when the session
+// re-tunes automatically before it (the re-tune discards a pending
+// bump, so ScheduleResync applies it first).
+func TestSessionScheduleResyncSurvivesAutoRetune(t *testing.T) {
+	x, old, new_ := resyncFixture(t, 500, 41)
+	w := spatial.ClampedWindow(10, 10, 60, x.DS.Curve.Side())
+	const probe = 300
+
+	s, err := Open(x, WithLayout(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Tune(probe, nil)
+	s.Window(w) // consume the fresh tune-in
+	if err := s.ScheduleResync(new_, probe+1); err != nil {
+		t.Fatal(err)
+	}
+	gotIDs, got := s.Window(w) // must cross the seam despite the auto re-tune
+	if s.Layout() != new_ {
+		t.Fatal("the automatic re-tune discarded the scheduled bump")
+	}
+
+	ref := openClient(old, probe, nil)
+	if err := ref.ScheduleResync(new_, probe+1); err != nil {
+		t.Fatal(err)
+	}
+	wantIDs, want := ref.Window(w)
+	if !equalInts(gotIDs, wantIDs) || got != want {
+		t.Fatalf("bumped session (%v,%+v), want (%v,%+v)", gotIDs, got, wantIDs, want)
+	}
+}
+
+// TestSessionAllocsSteadyState asserts the zero-allocation append
+// contract through Open and Tune: a warm session answers window queries
+// within the fixed window budget.
 func TestSessionAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets only hold in normal builds")
@@ -299,18 +289,16 @@ func TestSessionAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// openClient is the tests' way to a bare client: the one behind a
-// session opened over lay, tuned in at probe under loss, with a hop
-// bound installed (boundHops). A client answers one query per Open or
-// Reset.
-func openClient(lay *Layout, probe int64, loss *broadcast.LossModel) *Client {
-	s, err := Open(lay.X, WithLayout(lay), WithProbeSlot(probe), WithLoss(loss))
+// openClient is the tests' way to a session: opened over lay, tuned
+// in at probe under loss, with a hop bound installed (boundHops).
+func openClient(lay *Layout, probe int64, loss *broadcast.LossModel) *Session {
+	s, err := Open(lay.X, WithLayout(lay))
 	if err != nil {
 		panic(err)
 	}
-	c := s.Client()
-	boundHops(c)
-	return c
+	s.Tune(probe, loss)
+	boundHops(s)
+	return s
 }
 
 // boundHops makes a navigation bug fail fast instead of hanging: a
@@ -320,7 +308,7 @@ func openClient(lay *Layout, probe int64, loss *broadcast.LossModel) *Client {
 // and panics past 8·NF + 64 of them, naming the layout, the position
 // and the pending units as the sets hold them. An onHop installed later
 // replaces it, unless it chains to it as hopChecker does.
-func boundHops(c *Client) {
+func boundHops(c *Session) {
 	limit := 8*c.x.NF + 64
 	hops := 0
 	c.onHop = func(p, next int, ok bool) {

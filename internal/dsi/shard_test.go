@@ -118,7 +118,7 @@ func TestShardLayoutCorrectness(t *testing.T) {
 			if trial%4 == 3 {
 				loss = broadcast.NewLossModel(0.3, rng.Int63())
 			}
-			c.Reset(probe, loss)
+			c.Tune(probe, loss)
 			if trial%2 == 0 {
 				w := randWindow(rng, side)
 				got, st := c.Window(w)
@@ -256,13 +256,13 @@ func TestShardClientResetMatchesFresh(t *testing.T) {
 			}
 			return broadcast.NewLossModel(0.35, lossSeed)
 		}
-		reused.Reset(rng.Int63n(int64(lay.ProbeCycle())), nil)
+		reused.Tune(rng.Int63n(int64(lay.ProbeCycle())), nil)
 		reused.KNN(spatial.Point{X: uint32(rng.Intn(side)), Y: uint32(rng.Intn(side))}, 2, Conservative)
 
 		w := randWindow(rng, side)
 		fresh := openClient(lay, probe, mkLoss())
 		wantIDs, wantSt := fresh.Window(w)
-		reused.Reset(probe, mkLoss())
+		reused.Tune(probe, mkLoss())
 		gotIDs, gotSt := reused.Window(w)
 		if !equalInts(gotIDs, wantIDs) || gotSt != wantSt {
 			t.Fatalf("trial %d: reused (%v,%+v) != fresh (%v,%+v)",
@@ -300,11 +300,11 @@ func TestShardHotQueriesFaster(t *testing.T) {
 		o := ds.Objects[rng.Intn(hot)]
 		w := hilbertWindow(o.P.X, o.P.Y)
 		u := rng.Float64()
-		cs.Reset(int64(u*float64(shard.ProbeCycle())), nil)
+		cs.Tune(int64(u*float64(shard.ProbeCycle())), nil)
 		if got, _ := cs.Window(w); !equalInts(got, ds.WindowBrute(w)) {
 			t.Fatalf("shard window wrong at trial %d", trial)
 		}
-		cu.Reset(int64(u*float64(split.ProbeCycle())), nil)
+		cu.Tune(int64(u*float64(split.ProbeCycle())), nil)
 		cu.Window(w)
 		shardLat += cs.Stats().LatencyPackets
 		splitLat += cu.Stats().LatencyPackets

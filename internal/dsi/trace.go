@@ -69,11 +69,11 @@ func (e Event) String() string {
 
 // SetTracer installs a callback invoked for every client step. Pass nil
 // to disable tracing. Tracing does not affect costs or results.
-func (c *Client) SetTracer(fn func(Event)) { c.trace = fn }
+func (s *Session) SetTracer(fn func(Event)) { s.trace = fn }
 
-func (c *Client) emit(e Event) {
-	if c.trace != nil {
-		e.Slot = c.rx.Now()
-		c.trace(e)
+func (s *Session) emit(e Event) {
+	if s.trace != nil {
+		e.Slot = s.rx.Now()
+		s.trace(e)
 	}
 }

@@ -116,7 +116,7 @@ func BenchmarkEvalUnits(b *testing.B) {
 		probe := rng.Int63n(int64(lay.ProbeCycle()))
 		w := spatial.ClampedWindow(uint32(rng.Intn(int(side))), uint32(rng.Intn(int(side))), side/10, side)
 		cur = &queries[i]
-		c.Reset(probe, nil)
+		c.Tune(probe, nil)
 		c.Window(w)
 		cur.targets = slices.Clone(c.scr.targets)
 	}

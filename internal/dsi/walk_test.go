@@ -334,7 +334,7 @@ func (kb *knowledge) nextUsefulMarked(nowPos int, targets []hilbert.Range, marks
 // actually come by; on a sharded layout each knowledge span is one data
 // channel, so the walk prices every channel's own phase and cycle
 // length. Marks semantics are as in nextUsefulMarked.
-func (c *Client) nextVisitTimed(targets []hilbert.Range, marks []bool) (pos int, ok bool) {
+func (c *Session) nextVisitTimed(targets []hilbert.Range, marks []bool) (pos int, ok bool) {
 	kb := c.kb
 	now := c.rx.Now()
 	cur := c.rx.Channel()

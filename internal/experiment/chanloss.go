@@ -31,16 +31,14 @@ func chanLossScenarios() []chanLossScenario {
 }
 
 // chanLossRun replays the window workload with per-channel
-// Gilbert-Elliott loss installed through Session.SetChannelLoss — the
-// per-channel override the tuner has always supported but no experiment
-// exercised. Each (query, channel) pair draws its own deterministic
-// seed, so results are reproducible and independent of execution order.
+// Gilbert-Elliott loss: one broadcast.PerChannel model per query, handed
+// to Tune. Each (query, channel) pair draws its own deterministic seed,
+// so results are reproducible and independent of execution order.
 func chanLossRun(lay *dsi.Layout, wl *Workload, theta float64, sc chanLossScenario) Metrics {
 	qs := wl.genWindows(DefaultWinSideRatio)
 	return replay(len(qs),
 		// One reusable session per worker; Tune re-tunes it per query
-		// and clears the per-channel loss overrides, which are then
-		// reinstalled with the query's own seeds.
+		// with the query's own per-channel models.
 		func(int) *dsi.Session {
 			s, err := dsi.Open(lay.X, dsi.WithLayout(lay))
 			if err != nil {
@@ -51,19 +49,18 @@ func chanLossRun(lay *dsi.Layout, wl *Workload, theta float64, sc chanLossScenar
 		nil,
 		func(c *dsi.Session, i int) broadcast.Stats {
 			q := qs[i]
-			c.Tune(int64(q.uProb*float64(lay.ProbeCycle())), nil)
-			for ch := 0; ch < lay.Channels(); ch++ {
+			ms := make([]*broadcast.LossModel, lay.Channels())
+			for ch := range ms {
 				if theta > 0 && sc.lossy(ch) {
 					m := broadcast.GilbertForTheta(theta, Table1GEBurstLen, q.seed+int64(ch))
 					// Data channels of a split layout carry only object
 					// packets; the loss process must corrupt them or the
 					// channel would be error-free in practice.
 					m.AffectsData = ch != lay.StartCh
-					if err := c.SetChannelLoss(ch, m); err != nil {
-						panic(fmt.Sprintf("experiment: chanloss: %v", err))
-					}
+					ms[ch] = m
 				}
 			}
+			c.Tune(int64(q.uProb*float64(lay.ProbeCycle())), broadcast.PerChannel(ms...))
 			got, st := c.Window(q.w)
 			if wl.Verify {
 				want := wl.DS.WindowBrute(q.w)

@@ -497,12 +497,11 @@ func CostModel(p Params) Result {
 		if err != nil {
 			panic(err)
 		}
-		c := sess.Client() // EEF is a client capability the session does not wrap
 		var lat, tun float64
 		for i := 0; i < p.Queries; i++ {
 			o := ds.Objects[rng.IntN(ds.N())]
-			c.Reset(rng.Int64N(int64(x.CycleSlots())), nil)
-			_, _, st := c.EEF(o.HC)
+			sess.Tune(rng.Int64N(int64(x.CycleSlots())), nil)
+			_, _, st := sess.EEF(o.HC)
 			lat += float64(st.LatencyBytes())
 			tun += float64(st.TuningBytes())
 		}

@@ -26,8 +26,6 @@
 package massive
 
 import (
-	"errors"
-
 	"dsi/internal/broadcast"
 	"dsi/internal/dsi"
 	"dsi/internal/station"
@@ -149,8 +147,4 @@ func (r *flatFECReceiver) Reset(probeSlot int64, loss *broadcast.LossModel) {
 	r.now = probeSlot
 	r.start = probeSlot
 	r.read = 0
-}
-
-func (r *flatFECReceiver) SetChannelLoss(int, *broadcast.LossModel) error {
-	return errors.New("massive: flat receivers are error-free; per-channel loss is unsupported")
 }

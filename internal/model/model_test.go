@@ -36,11 +36,12 @@ func measurePoint(x *dsi.Index, ds *dataset.Dataset, trials int, seed int64) (la
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < trials; i++ {
 		o := ds.Objects[rng.Intn(ds.N())]
-		sess, err := dsi.Open(x, dsi.WithProbeSlot(rng.Int63n(int64(x.CycleSlots()))))
+		sess, err := dsi.Open(x)
 		if err != nil {
 			panic(err)
 		}
-		_, _, st := sess.Client().EEF(o.HC)
+		sess.Tune(rng.Int63n(int64(x.CycleSlots())), nil)
+		_, _, st := sess.EEF(o.HC)
 		lat += float64(st.LatencyPackets)
 		tun += float64(st.TuningPackets)
 	}

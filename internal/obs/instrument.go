@@ -193,8 +193,3 @@ func (r *InstrumentedReceiver) Reset(probeSlot int64, loss *broadcast.LossModel)
 	r.inner.Reset(probeSlot, loss)
 	r.trace(OpTuneIn, 0, probeSlot, true)
 }
-
-// SetChannelLoss installs a per-channel loss model.
-func (r *InstrumentedReceiver) SetChannelLoss(ch int, loss *broadcast.LossModel) error {
-	return r.inner.SetChannelLoss(ch, loss)
-}

@@ -739,13 +739,3 @@ func (r *WireReceiver) Reset(probeSlot int64, loss *broadcast.LossModel) {
 	r.tu.Reset(probeSlot, loss)
 	r.win.unit = -1
 }
-
-// SetChannelLoss installs a per-channel loss model (validated by
-// Layout.CheckLossChannel, like every receiver).
-func (r *WireReceiver) SetChannelLoss(ch int, loss *broadcast.LossModel) error {
-	if err := r.lay.CheckLossChannel(ch); err != nil {
-		return err
-	}
-	r.tu.SetChannelLoss(ch, loss)
-	return nil
-}
