@@ -1,6 +1,7 @@
 package dsi
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -132,53 +133,113 @@ func TestNavigationAllocsZero(t *testing.T) {
 }
 
 // TestSessionStateIsNotFrameSized holds what one session costs in
-// memory against the figure measured before the pending set existed
-// (bytes allocated by Open, and by Open plus the first window query,
-// over the replay benchmark's index: 10 000 objects, order 8). A
-// session is the dataset-sized arrays of its knowledge base and little
-// else, and the replay workloads open one per worker per run — so a new
-// per-frame or per-object array would show there as allocation per
-// query. The pending set keeps its per-frame state in bits of an array
-// that already existed; what it adds is two bitmaps per span, grown to
-// the largest index they hold. The figures are the bitmap sets' (the
-// bucketed sets they replaced cost 288 968 and 307 528 bytes).
+// memory: the bytes Open allocates, and Open plus the first window
+// query, over the replay benchmark's index (10 000 objects, order 8).
+// Open allocates the knowledge base's two page tables — one pointer per
+// 64 frames and one per 16 objects, all at the shared zero page — and
+// fixed state; a query allocates the stamp pages it writes and the
+// bitmaps of its pending sets, and the session keeps both for the next
+// query. The replay workloads open one session per worker per run, so a
+// new per-frame or per-object array would show there as allocation per
+// query, and here first. At 100 000 objects (order 10) Open must stay
+// within its page tables plus a fixed slack: O(page tables), not
+// O(dataset).
 func TestSessionStateIsNotFrameSized(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector pads allocations")
 	}
 	const (
-		openBytes       = 287840 // single and split alike: one tuner type, no per-channel counters
-		firstQueryBytes = 305072
+		openBytes       = 8120 // single and split alike: one tuner type, no per-channel counters
+		firstQueryBytes = 59464
+		// Open's bytes beside its page tables: the session's fixed state
+		// (under 2 KiB) and the allocator rounding each table up to its
+		// size class (under one 8 KiB page each).
+		openSlack = 2<<10 + 2*8<<10
 	)
-	ds := dataset.Uniform(10000, 8, 1)
-	x, err := Build(ds, Config{Capacity: 64, ObjectBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := sessionBed(t, 10000)
 	split := mustLayout(t, x, MultiConfig{Channels: 4, Scheduler: SchedSplit, SwitchSlots: 2})
-	w := spatial.ClampedWindow(100, 140, 25, ds.Curve.Side())
+	w := spatial.ClampedWindow(100, 140, 25, x.DS.Curve.Side())
 	for _, lay := range []*Layout{x.single, split} {
-		// TotalAlloc is process-wide: whatever else allocates in between
-		// only adds, so the smallest of a few readings is the session's.
-		open, first := uint64(math.MaxUint64), uint64(math.MaxUint64)
-		for try := 0; try < 5; try++ {
-			var m0, m1, m2 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			s, err := Open(x, WithLayout(lay))
-			runtime.ReadMemStats(&m1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Window(w)
-			runtime.ReadMemStats(&m2)
-			open, first = min(open, m1.TotalAlloc-m0.TotalAlloc), min(first, m2.TotalAlloc-m0.TotalAlloc)
-		}
-		t.Logf("%v x%d: Open allocates %d bytes, Open and the first query %d", lay.Sched, lay.Channels(), open, first)
+		open, first := sessionBytes(t, lay, w)
+		t.Logf("%v x%d: Open allocates %d bytes (page tables %d), Open and the first query %d",
+			lay.Sched, lay.Channels(), open, pageTableBytes(x), first)
 		if open > openBytes+openBytes/100 {
 			t.Errorf("%v x%d: Open allocates %d bytes, more than 1 %% above %d", lay.Sched, lay.Channels(), open, openBytes)
+		}
+		if open > pageTableBytes(x)+openSlack {
+			t.Errorf("%v x%d: Open allocates %d bytes, more than its page tables (%d) plus %d", lay.Sched, lay.Channels(), open, pageTableBytes(x), openSlack)
 		}
 		if first > firstQueryBytes+firstQueryBytes/100 {
 			t.Errorf("%v x%d: Open and the first query allocate %d bytes, more than 1 %% above %d", lay.Sched, lay.Channels(), first, firstQueryBytes)
 		}
+	}
+
+	big := sessionBed(t, 100000)
+	open, _ := sessionBytes(t, big.single, spatial.ClampedWindow(400, 560, 100, big.DS.Curve.Side()))
+	t.Logf("N = 100 000: Open allocates %d bytes (page tables %d)", open, pageTableBytes(big))
+	if limit := pageTableBytes(big) + openSlack; open > limit {
+		t.Errorf("N = 100 000: Open allocates %d bytes, more than its page tables (%d) plus %d", open, pageTableBytes(big), openSlack)
+	}
+}
+
+// sessionBed builds the index TestSessionStateIsNotFrameSized and
+// BenchmarkOpen open sessions over: n uniform objects at the replay
+// benchmark's configuration, on a grid of order 8 for 10 000 objects and
+// order 10 beyond.
+func sessionBed(tb testing.TB, n int) *Index {
+	order := uint(8)
+	if n > 10000 {
+		order = 10
+	}
+	x, err := Build(dataset.Uniform(n, order, 1), Config{Capacity: 64, ObjectBytes: 1024})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return x
+}
+
+// pageTableBytes is what a knowledge base's two page tables over x
+// occupy: one pointer per frame page and one per object page.
+func pageTableBytes(x *Index) uint64 {
+	frames := (x.NF + framePageMask) >> framePageBits
+	objs := (x.DS.N() + objPageMask) >> objPageBits
+	return uint64(8 * (frames + objs))
+}
+
+// sessionBytes returns the bytes opening a session over lay allocates,
+// and opening it and answering window w. TotalAlloc is process-wide:
+// whatever else allocates in between only adds, so the smallest of a
+// few readings is the session's.
+func sessionBytes(t *testing.T, lay *Layout, w spatial.Rect) (open, first uint64) {
+	open, first = math.MaxUint64, math.MaxUint64
+	for try := 0; try < 5; try++ {
+		var m0, m1, m2 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s, err := Open(lay.X, WithLayout(lay))
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Window(w)
+		runtime.ReadMemStats(&m2)
+		open, first = min(open, m1.TotalAlloc-m0.TotalAlloc), min(first, m2.TotalAlloc-m0.TotalAlloc)
+	}
+	return open, first
+}
+
+// BenchmarkOpen times opening a session over sessionBed's indexes, with
+// its allocations: the page tables and fixed state a massive.Run worker
+// pays before its first client.
+func BenchmarkOpen(b *testing.B) {
+	for _, n := range []int{10000, 100000} {
+		x := sessionBed(b, n)
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Open(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -28,11 +28,16 @@ import (
 // and the shard split HC values (carried by the layout's shard
 // directory) seed the catalog.
 //
-// All per-frame and per-object state is epoch-stamped: a fact is
-// current only when its stamp equals the knowledge base's epoch, so
-// reset clears the whole base in O(known facts) — it bumps the epoch
-// and recycles the known-frame sets — instead of reallocating six
-// dataset-sized slices per query.
+// All per-frame and per-object state is epoch-stamped and paged: a fact
+// is current only when its stamp equals the knowledge base's epoch, and
+// the stamps live in fixed-size pages behind one page table per kind.
+// An entry no query has written points at a shared, read-only zero page
+// (every stamp 0, which no epoch equals), so a read is two loads and no
+// branch; only the three write sites — addFrameFact, locate and
+// markRetrieved — swap a zero page for a private one. reset bumps the
+// epoch and hands the pages the query wrote back to a free list, in
+// O(pages touched): a session costs its page tables plus the pages of
+// the largest query it has answered, and a warm query allocates none.
 //
 // Beside the facts the knowledge base keeps the query's pending set
 // (pending.go): the units — known frames with objects to fetch, runs of
@@ -56,26 +61,27 @@ type knowledge struct {
 	stride    int
 
 	// epoch stamps current facts; entries with any other stamp are
-	// unknown. Starts at 1 so zeroed stamp arrays mean "nothing known".
+	// unknown. Starts at 1 so zeroed stamps mean "nothing known".
 	epoch uint32
 
-	// frameEp[f]>>epochShift == epoch -> minimum HC value known. Below
-	// the epoch sit the version of the search disk the frame's units
-	// were last evaluated under (8 bits) and the frame's pending-unit
-	// state (3 bits), both pending.go's.
-	frameEp []uint32
-	frameHC []uint64 // valid when the frame is known
+	// frames pages the frame stamps: stamp>>epochShift == epoch -> the
+	// frame's minimum HC value is known (it is its first object's HC
+	// value, held by the object pages). Below the epoch sit the version
+	// of the search disk the frame's units were last evaluated under (8
+	// bits) and the frame's pending-unit state (3 bits), both
+	// pending.go's.
+	frames pageTable[framePage]
 
 	// known[j] is the set of within-span indices of known frames in
 	// span j. Because frames in a span are HC sorted, the set is
 	// simultaneously ordered by position and by HC.
 	known []ordset.Set
 
-	// Per-object state. Objects are identified by their dataset ID
-	// (HC rank); object i belongs to frame i/NO.
-	objEp []uint32 // objEp[id] == epoch -> location (HC value) known
-	objHC []uint64 // valid when located
-	retEp []uint32 // retEp[id] == epoch -> full payload received
+	// objs pages the per-object state. Objects are identified by their
+	// dataset ID (HC rank); object i belongs to frame i/NO. A stamp reads
+	// epoch<<1 | retrieved: stamp>>1 == epoch -> location (HC value)
+	// known, and the low bit set -> full payload received.
+	objs pageTable[objPage]
 
 	// newObjs queues freshly located objects for the kNN candidate set.
 	// Its backing array is reused across drains and queries.
@@ -87,6 +93,80 @@ type knowledge struct {
 	// resync is the scratch of rebuildShardSpans (known frame ids in
 	// flight between the old and new span partition).
 	resync []int
+}
+
+// Page geometry: a frame page holds 64 stamps, an object page 16
+// (stamp, HC) pairs. A query touches a few dozen of each at N = 10^4.
+const (
+	framePageBits = 6
+	framePageMask = 1<<framePageBits - 1
+	objPageBits   = 4
+	objPageMask   = 1<<objPageBits - 1
+)
+
+type framePage [1 << framePageBits]uint32
+
+type objPage struct {
+	ep [1 << objPageBits]uint32
+	hc [1 << objPageBits]uint64
+}
+
+// The zero pages every untouched page-table entry points at. Nothing
+// writes through them: every session of every goroutine shares them.
+var (
+	zeroFramePage framePage
+	zeroObjPage   objPage
+)
+
+// pageTable is one kind of paged state: a page pointer per page index,
+// at the shared zero page until a write installs a private page, and the
+// pages the session owns, which every query reuses.
+type pageTable[P any] struct {
+	pages []*P
+	zero  *P
+	// owned[:len(at)] are installed, owned[k] at page index at[k]; the
+	// rest are free.
+	owned []*P
+	at    []int32
+}
+
+func newPageTable[P any](n int, zero *P) pageTable[P] {
+	pages := make([]*P, n)
+	for i := range pages {
+		pages[i] = zero
+	}
+	return pageTable[P]{pages: pages, zero: zero}
+}
+
+// write returns page i for writing, installing a free page (or a new
+// one) when the entry is still the zero page.
+func (t *pageTable[P]) write(i int) *P {
+	if p := t.pages[i]; p != t.zero {
+		return p
+	}
+	k := len(t.at)
+	if k == len(t.owned) {
+		t.owned = append(t.owned, new(P))
+	}
+	t.at = append(t.at, int32(i))
+	t.pages[i] = t.owned[k]
+	return t.owned[k]
+}
+
+// release points every installed page's entry back at the zero page,
+// freeing the page for the next query. Its stale stamps stay.
+func (t *pageTable[P]) release() {
+	for _, i := range t.at {
+		t.pages[i] = t.zero
+	}
+	t.at = t.at[:0]
+}
+
+// clearOwned zeroes every page the session owns; all must be free.
+func (t *pageTable[P]) clearOwned() {
+	for _, p := range t.owned {
+		*p = *new(P)
+	}
 }
 
 // newKnowledge builds the classic knowledge base, whose spans are the
@@ -122,12 +202,9 @@ func newSpanKnowledge(x *Index, spanStart []int, splits []uint64, posOrigin []in
 		posOrigin: posOrigin,
 		stride:    stride,
 		epoch:     1,
-		frameEp:   make([]uint32, x.NF),
-		frameHC:   make([]uint64, x.NF),
+		frames:    newPageTable((x.NF+framePageMask)>>framePageBits, &zeroFramePage),
 		known:     make([]ordset.Set, len(splits)),
-		objEp:     make([]uint32, x.DS.N()),
-		objHC:     make([]uint64, x.DS.N()),
-		retEp:     make([]uint32, x.DS.N()),
+		objs:      newPageTable((x.DS.N()+objPageMask)>>objPageBits, &zeroObjPage),
 	}
 	kb.seedCatalog()
 	return kb
@@ -136,13 +213,15 @@ func newSpanKnowledge(x *Index, spanStart []int, splits []uint64, posOrigin []in
 // reset forgets everything and re-seeds the catalog, in time
 // proportional to what was known rather than the dataset size.
 func (kb *knowledge) reset() {
+	kb.frames.release()
+	kb.objs.release()
 	kb.epoch++
 	if kb.epoch == epochWrap {
 		// Stamp wraparound: stale stamps from a full turn of resets ago
-		// could alias the new epoch, so clear them once per wrap.
-		clear(kb.frameEp)
-		clear(kb.objEp)
-		clear(kb.retEp)
+		// could alias the new epoch, so clear them once per wrap. Every
+		// page is free now.
+		kb.frames.clearOwned()
+		kb.objs.clearOwned()
 		kb.epoch = 1
 	}
 	for j := range kb.known {
@@ -201,9 +280,33 @@ func (kb *knowledge) spanHC(j int) (lo, hi uint64) {
 	return lo, hi
 }
 
-func (kb *knowledge) frameKnown(f int) bool  { return kb.frameEp[f]>>epochShift == kb.epoch }
-func (kb *knowledge) objLocated(id int) bool { return kb.objEp[id] == kb.epoch }
-func (kb *knowledge) retrieved(id int) bool  { return kb.retEp[id] == kb.epoch }
+// frameStamp returns frame f's stamp: epoch, disk version and unit bits.
+func (kb *knowledge) frameStamp(f int) uint32 {
+	return kb.frames.pages[f>>framePageBits][f&framePageMask]
+}
+
+// knownStamp returns the stamp of known frame f for writing: a known
+// frame's page is private.
+func (kb *knowledge) knownStamp(f int) *uint32 {
+	return &kb.frames.pages[f>>framePageBits][f&framePageMask]
+}
+
+// objStamp returns object id's stamp: epoch<<1 | retrieved.
+func (kb *knowledge) objStamp(id int) uint32 {
+	return kb.objs.pages[id>>objPageBits].ep[id&objPageMask]
+}
+
+// objHC returns object id's HC value, valid when it is located.
+func (kb *knowledge) objHC(id int) uint64 {
+	return kb.objs.pages[id>>objPageBits].hc[id&objPageMask]
+}
+
+// frameHC returns known frame f's minimum HC value: its first object's.
+func (kb *knowledge) frameHC(f int) uint64 { return kb.objHC(f * kb.x.NO) }
+
+func (kb *knowledge) frameKnown(f int) bool  { return kb.frameStamp(f)>>epochShift == kb.epoch }
+func (kb *knowledge) objLocated(id int) bool { return kb.objStamp(id)>>1 == kb.epoch }
+func (kb *knowledge) retrieved(id int) bool  { return kb.objStamp(id) == kb.epoch<<1|1 }
 
 // addFrameFact records that frame f's minimum HC value is hc, locating
 // the frame's first object.
@@ -211,8 +314,7 @@ func (kb *knowledge) addFrameFact(f int, hc uint64) {
 	if kb.frameKnown(f) {
 		return
 	}
-	kb.frameEp[f] = kb.epoch << epochShift
-	kb.frameHC[f] = hc
+	kb.frames.write(f >> framePageBits)[f&framePageMask] = kb.epoch << epochShift
 	j := kb.frameSpan(f)
 	i := f - kb.spanStart[j]
 	at, _ := kb.known[j].Add(i)
@@ -228,8 +330,9 @@ func (kb *knowledge) locate(id int, hc uint64) {
 	if kb.objLocated(id) {
 		return
 	}
-	kb.objEp[id] = kb.epoch
-	kb.objHC[id] = hc
+	p := kb.objs.write(id >> objPageBits)
+	p.ep[id&objPageMask] = kb.epoch << 1
+	p.hc[id&objPageMask] = hc
 	kb.newObjs = append(kb.newObjs, id)
 }
 
@@ -244,9 +347,10 @@ func (kb *knowledge) addHeader(f, o int, hc uint64) {
 	kb.touch(f)
 }
 
-// markRetrieved records a completed object download.
+// markRetrieved records a completed object download. The object is
+// located: the client fetches only objects whose HC value it knows.
 func (kb *knowledge) markRetrieved(id int) {
-	kb.retEp[id] = kb.epoch
+	kb.objs.write(id >> objPageBits).ep[id&objPageMask] = kb.epoch<<1 | 1
 	kb.touch(id / kb.x.NO)
 }
 
@@ -351,11 +455,13 @@ func arrivalDelta(nowPos, posLo, posHi, stride, nf int) int {
 }
 
 // Session is a mobile client executing queries over one DSI
-// broadcast: the package's one query type. Open assembles it, and it
-// answers any number of queries, recycling its knowledge base, scratch
-// buffers and receiver between them, so a warm session answers queries
-// without dataset-sized allocations (the Append variants allocate
-// nothing at steady state). Sessions are not safe for concurrent use;
+// broadcast: the package's one query type. Open assembles it — page
+// tables and fixed state, nothing dataset-sized — and it answers any
+// number of queries, recycling its knowledge base, scratch buffers and
+// receiver between them. A session holds on to the stamp pages of the
+// largest query it has answered, so once its free pages cover the
+// queries it answers, a warm session allocates nothing (the Append
+// variants, at steady state). Sessions are not safe for concurrent use;
 // open one per worker.
 //
 // Each query runs from the session's current tune-in: Tune re-tunes
@@ -595,12 +701,14 @@ func (s *Session) fetchData(p int, headerConsumed int) {
 	first, num := s.x.FrameObjects(f)
 	tg := &s.kb.pend
 
-	prev := s.kb.frameHC[f] // ascending watermark of located HC values
+	pages, loc := s.kb.objs.pages, s.kb.epoch<<1
+	var prev uint64 // ascending watermark of located HC values; the first object is located
 	for t := 0; t < num; t++ {
 		id := first + t
-		if s.kb.objLocated(id) {
-			prev = s.kb.objHC[id]
-			if !s.kb.retrieved(id) && tg.contains(prev) {
+		pg := pages[id>>objPageBits]
+		if st := pg.ep[id&objPageMask]; st|1 == loc|1 {
+			prev = pg.hc[id&objPageMask]
+			if st == loc && tg.contains(prev) {
 				skip := 0
 				if t == headerConsumed {
 					skip = 1

@@ -51,7 +51,7 @@ func (s *Session) EEF(hc uint64) (frame int, exists bool, stats broadcast.Stats)
 func (kb *knowledge) coveringFrame(hc uint64) (frame int, certain bool) {
 	j := kb.hcSpan(hc)
 	base := kb.spanStart[j]
-	it, ok := kb.known[j].FloorKey(kb.frameHC, base, hc)
+	it, ok := kb.known[j].FloorKey(func(i int) uint64 { return kb.frameHC(base + i) }, hc)
 	if !ok {
 		// hc precedes every object: the covering frame is the first
 		// frame of span 0, which the catalog makes always known.

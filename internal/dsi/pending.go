@@ -71,8 +71,8 @@ import (
 
 // Unit state lives in the low bits of the frame's epoch stamp, and
 // above them the version of the search disk the units were last
-// evaluated under: no per-frame array beyond the ones the knowledge
-// base already has. A stamp reads epoch | version | unit bits.
+// evaluated under: no per-frame state beyond the stamp pages the
+// knowledge base already has. A stamp reads epoch | version | unit bits.
 const (
 	unitFrame    = 1 << iota // the frame unit is pending
 	unitGap                  // the gap unit after the frame is pending
@@ -121,7 +121,7 @@ type pending struct {
 
 // units returns the unit bits of frame f: zero when it is unknown.
 func (kb *knowledge) units(f int) uint32 {
-	if e := kb.frameEp[f]; e>>epochShift == kb.epoch {
+	if e := kb.frameStamp(f); e>>epochShift == kb.epoch {
 		return e & unitMask
 	}
 	return 0
@@ -178,7 +178,7 @@ func (kb *knowledge) shrunk() {
 		for j := 0; j < kb.nspan; j++ {
 			base := kb.spanStart[j]
 			for it := kb.known[j].Begin(); it.Valid(); it.Next() {
-				kb.frameEp[base+it.Value()] &^= verMask
+				*kb.knownStamp(base + it.Value()) &^= verMask
 			}
 		}
 		p.version = 1
@@ -208,7 +208,7 @@ func (kb *knowledge) rebuildPending() {
 				next = it.Value()
 			}
 			// The sets were just emptied: every unit is evaluated afresh.
-			kb.frameEp[kb.spanStart[j]+i] &^= verMask | unitMask
+			*kb.knownStamp(kb.spanStart[j] + i) &^= verMask | unitMask
 			kb.evaluate(j, i, next)
 		}
 	}
@@ -302,12 +302,12 @@ func (kb *knowledge) evalUnits(j, i, next int) uint32 {
 	}
 	base := kb.spanStart[j]
 	f := base + i
-	hc := kb.frameHC[f]
+	hc := kb.frameHC(f)
 	sc := unitScan{targets: kb.pend.targets}
 	sc.segLo, sc.segHi = kb.spanHC(j)
 	sc.upper = sc.segHi
 	if next < kb.spanLen(j) {
-		sc.upper = kb.frameHC[base+next]
+		sc.upper = kb.frameHC(base + next)
 	}
 	r := kb.pend.seek(hc)
 	var bits uint32
@@ -339,15 +339,16 @@ func (kb *knowledge) evalUnits(j, i, next int) uint32 {
 // objects on one cell make prev+1 overtake the next point test.
 func (kb *knowledge) frameReach(f int, sc *unitScan, r int) int {
 	first, num := kb.x.FrameObjects(f)
-	prev := kb.frameHC[f] // first object is located whenever the frame is known
+	pages, loc := kb.objs.pages, kb.epoch<<1
+	var prev uint64 // set by the first object, located whenever the frame is known
 	gapOpen := false
-	for t := 0; t < num; t++ {
-		id := first + t
-		if !kb.objLocated(id) {
+	for id := first; id < first+num; id++ {
+		pg := pages[id>>objPageBits]
+		st, h := pg.ep[id&objPageMask], pg.hc[id&objPageMask]
+		if st|1 != loc|1 {
 			gapOpen = true
 			continue
 		}
-		h := kb.objHC[id]
 		if gapOpen {
 			// Unlocated objects between prev and h: HC in (prev, h).
 			if q, lo := sc.reach(r, prev+1); q >= 0 && h > lo {
@@ -355,7 +356,7 @@ func (kb *knowledge) frameReach(f int, sc *unitScan, r int) int {
 			}
 			gapOpen = false
 		}
-		if !kb.retrieved(id) {
+		if st == loc {
 			q, lo := sc.reach(r, h)
 			if q < 0 {
 				return -1 // nothing ends above h, nor above anything later
@@ -384,7 +385,7 @@ func (kb *knowledge) evalUnitsDisk(j, i, next int) uint32 {
 	p := &kb.pend
 	base := kb.spanStart[j]
 	f := base + i
-	hc := kb.frameHC[f]
+	hc := kb.frameHC(f)
 	if hc >= p.end {
 		return 0 // every run ends at or below the frame's minimum
 	}
@@ -392,7 +393,7 @@ func (kb *knowledge) evalUnitsDisk(j, i, next int) uint32 {
 	sp.segLo, sp.segHi = kb.spanHC(j)
 	upper := sp.segHi
 	if next < kb.spanLen(j) {
-		upper = kb.frameHC[base+next]
+		upper = kb.frameHC(base + next)
 	}
 	var bits uint32
 	fc, frame := kb.frameReachDisk(f, &sp, upper)
@@ -462,15 +463,16 @@ func (s *diskSpan) meets(u, v uint64) bool {
 // is reached.
 func (kb *knowledge) frameReachDisk(f int, s *diskSpan, upper uint64) (uint64, bool) {
 	first, num := kb.x.FrameObjects(f)
-	prev := kb.frameHC[f] // first object is located whenever the frame is known
+	pages, loc := kb.objs.pages, kb.epoch<<1
+	var prev uint64 // set by the first object, located whenever the frame is known
 	gapOpen := false
-	for t := 0; t < num; t++ {
-		id := first + t
-		if !kb.objLocated(id) {
+	for id := first; id < first+num; id++ {
+		pg := pages[id>>objPageBits]
+		st, h := pg.ep[id&objPageMask], pg.hc[id&objPageMask]
+		if st|1 != loc|1 {
 			gapOpen = true
 			continue
 		}
-		h := kb.objHC[id]
 		if gapOpen {
 			// Unlocated objects between prev and h: HC in (prev, h).
 			if c, ok := s.reach(prev+1, h); ok {
@@ -481,7 +483,7 @@ func (kb *knowledge) frameReachDisk(f int, s *diskSpan, upper uint64) (uint64, b
 		if h >= s.end {
 			return 0, false // no run ends above h, nor above anything later
 		}
-		if !kb.retrieved(id) && s.d.Contains(h) {
+		if st == loc && s.d.Contains(h) {
 			return h, true
 		}
 		prev = h
@@ -499,8 +501,8 @@ func (kb *knowledge) frameReachDisk(f int, s *diskSpan, upper uint64) (uint64, b
 func (kb *knowledge) evaluate(j, i, next int) uint32 {
 	bits := kb.evalUnits(j, i, next)
 	if kb.pend.isDisk {
-		f := kb.spanStart[j] + i
-		kb.frameEp[f] = kb.frameEp[f]&^verMask | kb.pend.version<<verShift
+		st := kb.knownStamp(kb.spanStart[j] + i)
+		*st = *st&^verMask | kb.pend.version<<verShift
 	}
 	kb.setUnits(j, i, bits)
 	return bits
@@ -510,17 +512,17 @@ func (kb *knowledge) evaluate(j, i, next int) uint32 {
 // disk: version bits 0, which no disk has (the version runs 1 to 255).
 // Its unit bits stay as a superset of its pending units until a chooser
 // reads them.
-func (kb *knowledge) unstamp(f int) { kb.frameEp[f] &^= verMask }
+func (kb *knowledge) unstamp(f int) { *kb.knownStamp(f) &^= verMask }
 
 // setUnits records the unit bits of known frame i of span j, moving it
 // in or out of the pending sets where they changed.
 func (kb *knowledge) setUnits(j, i int, bits uint32) {
-	f := kb.spanStart[j] + i
-	old := kb.frameEp[f] & unitMask
+	st := kb.knownStamp(kb.spanStart[j] + i)
+	old := *st & unitMask
 	if old == bits {
 		return
 	}
-	kb.frameEp[f] = kb.frameEp[f]&^unitMask | bits
+	*st = *st&^unitMask | bits
 	changed := old ^ bits
 	if changed&unitFrame != 0 {
 		if bits&unitFrame != 0 {
@@ -626,7 +628,7 @@ func (kb *knowledge) current(j, i int, bit uint32) bool {
 		return true // the targets have not shrunk
 	}
 	f := kb.spanStart[j] + i
-	if p.isDisk && kb.frameEp[f]&verMask == p.version<<verShift {
+	if p.isDisk && kb.frameStamp(f)&verMask == p.version<<verShift {
 		return true
 	}
 	return kb.evaluate(j, i, kb.nextKnown(j, i))&bit != 0

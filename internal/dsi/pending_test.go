@@ -566,12 +566,12 @@ func synthDisk(kb *knowledge, rng *rand.Rand, j, i, next int) hilbert.Disk {
 	c := kb.x.DS.Curve
 	size := c.Size()
 	f := kb.spanStart[j] + i
-	hc, upper := kb.frameHC[f], synthUpper(kb, j, next)
+	hc, upper := kb.frameHC(f), synthUpper(kb, j, next)
 	pts := []uint64{hc, hc + 1, upper - 1, upper}
 	first, num := kb.x.FrameObjects(f)
 	for id := first; id < first+num; id++ {
 		if kb.objLocated(id) {
-			pts = append(pts, kb.objHC[id], kb.objHC[id]+1)
+			pts = append(pts, kb.objHC(id), kb.objHC(id)+1)
 		}
 	}
 	cell := func() (float64, float64) {
@@ -615,9 +615,9 @@ func synthObjects(kb *knowledge, j, i int) []string {
 		case !kb.objLocated(id):
 			objs = append(objs, "?")
 		case kb.retrieved(id):
-			objs = append(objs, fmt.Sprintf("%d(got)", kb.objHC[id]))
+			objs = append(objs, fmt.Sprintf("%d(got)", kb.objHC(id)))
 		default:
-			objs = append(objs, fmt.Sprint(kb.objHC[id]))
+			objs = append(objs, fmt.Sprint(kb.objHC(id)))
 		}
 	}
 	return objs
@@ -685,7 +685,7 @@ func TestPendingMembership(t *testing.T) {
 // synthUpper is the bound evalUnits derives for the frame before next.
 func synthUpper(kb *knowledge, j, next int) uint64 {
 	if next < kb.spanLen(j) {
-		return kb.frameHC[kb.spanStart[j]+next]
+		return kb.frameHC(kb.spanStart[j] + next)
 	}
 	_, hi := kb.spanHC(j)
 	return hi
@@ -712,9 +712,11 @@ func synthFrame(kb *knowledge, rng *rand.Rand) (j, i, next int) {
 	upper := segHi
 	if next < n {
 		upper = min(hc+1+uint64(rng.Intn(40)), segHi)
-		kb.frameHC[base+next] = upper
+		id, _ := kb.x.FrameObjects(base + next)
+		kb.objs.write(id >> objPageBits).hc[id&objPageMask] = upper // the next frame's minimum, unstamped
 	}
-	kb.frameHC[f] = hc
+	// The frame's own minimum is its first object's HC value, located
+	// below.
 	// Candidate range boundaries: around every value the predicates
 	// compare with, plus a few anywhere on the curve.
 	pts := []uint64{segLo, segHi, hc, hc + 1, hc + 2, upper - 1, upper, upper + 1}
@@ -730,10 +732,11 @@ func synthFrame(kb *knowledge, rng *rand.Rand) (j, i, next int) {
 				h = min(h+uint64(rng.Intn(4)), upper-1) // repeats are likely
 			}
 		}
-		kb.objEp[id] = kb.epoch
-		kb.objHC[id] = h
+		pg := kb.objs.write(id >> objPageBits)
+		pg.ep[id&objPageMask] = kb.epoch << 1
+		pg.hc[id&objPageMask] = h
 		if rng.Intn(2) == 0 {
-			kb.retEp[id] = kb.epoch
+			pg.ep[id&objPageMask] |= 1 // retrieved
 		}
 		pts = append(pts, h, h+1)
 	}

@@ -204,7 +204,7 @@ func (s *Session) knnTargets() {
 	ks := &s.scr.knn
 	curve := s.x.DS.Curve
 	for _, id := range s.kb.drainNew() {
-		hc := s.kb.objHC[id]
+		hc := s.kb.objHC(id)
 		x, y := curve.Decode(hc)
 		ks.push(knnCand{id: id, d2: ks.q.Dist2(spatial.Point{X: x, Y: y}), hc: hc})
 	}

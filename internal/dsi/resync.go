@@ -7,7 +7,7 @@
 // about the dataset, not about the schedule, so only the span partition
 // of the knowledge base (which spans mirror the shard channels) and the
 // channel placements need rebuilding. The epoch-stamped per-frame and
-// per-object state carries over untouched; the rebuild costs O(known
+// per-object pages carry over untouched; the rebuild costs O(known
 // frames), not O(dataset).
 
 package dsi
@@ -112,7 +112,7 @@ func (s *Session) maybeResync() {
 // rebuildShardSpans re-partitions the knowledge base onto new shard
 // bounds, preserving every epoch-current fact. The known-frame sets are
 // rebuilt by re-inserting the frames the old spans enumerate (O(known
-// frames)); the epoch-stamped frame and object arrays are untouched —
+// frames)); the epoch-stamped frame and object pages are untouched —
 // the facts they hold are schedule-independent. The new bounds' split
 // HC values are then seeded as catalog knowledge: they arrive with the
 // new directory exactly like the original catalog did at tune-in.

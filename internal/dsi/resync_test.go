@@ -179,7 +179,7 @@ func TestResyncPreservesKnowledge(t *testing.T) {
 		if !kb.frameKnown(f) {
 			t.Fatalf("frame %d forgotten by resync", f)
 		}
-		if kb.frameHC[f] != x.minHC[f] {
+		if kb.frameHC(f) != x.minHC[f] {
 			t.Fatalf("frame %d HC corrupted", f)
 		}
 		j := kb.frameSpan(f)
@@ -199,7 +199,7 @@ func TestResyncPreservesKnowledge(t *testing.T) {
 		}
 	}
 	for id, hc := range locObjs {
-		if !kb.objLocated(id) || kb.objHC[id] != hc {
+		if !kb.objLocated(id) || kb.objHC(id) != hc {
 			t.Fatalf("object %d location lost", id)
 		}
 	}

@@ -172,6 +172,57 @@ func TestResetClientMatchesFreshEEF(t *testing.T) {
 	}
 }
 
+// TestEpochWrapMatchesFresh drives a warm session across the stamp
+// wraparound. A query hands its pages back to the session's free list
+// with the stamps it wrote, and after the wrap the epoch restarts at 1:
+// stamps written at epoch 1 would read as current facts about whatever
+// page index a recycled page serves next, unless the wrap clears every
+// page the session owns. The warm session answers a query at epoch 1,
+// one at the last epoch before the wrap, then the compared query at
+// epoch 1 again, whose IDs and costs must be a fresh session's.
+func TestEpochWrapMatchesFresh(t *testing.T) {
+	ds := dataset.Uniform(2000, 8, 31)
+	x, err := Build(ds, Config{Capacity: 64, Segments: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := mustLayout(t, x, MultiConfig{Channels: 4, Scheduler: SchedSplit, SwitchSlots: 2})
+	side := ds.Curve.Side()
+	w := spatial.ClampedWindow(100, 140, 25, side)
+	q := spatial.Point{X: 77, Y: 190}
+	const probe = 97
+	for _, lay := range []*Layout{x.single, split} {
+		for _, kind := range []string{"window", "10NN"} {
+			query := func(s *Session) ([]int, broadcast.Stats) {
+				if kind == "window" {
+					return s.Window(w)
+				}
+				return s.KNN(q, 10, Conservative)
+			}
+			warm := openClient(lay, 0, nil)
+			warm.kb.epoch = 0 // the next Tune runs its query at epoch 1
+			warm.Tune(11, nil)
+			warm.Window(spatial.ClampedWindow(60, 200, 60, side))
+			warm.kb.epoch = epochWrap - 2
+			warm.Tune(29, nil)
+			warm.KNN(spatial.Point{X: 200, Y: 30}, 5, Conservative)
+			if len(warm.kb.frames.owned) == 0 || len(warm.kb.objs.owned) == 0 {
+				t.Fatalf("%v: the warm session owns no pages to recycle", lay.Sched)
+			}
+			warm.Tune(probe, nil)
+			if warm.kb.epoch != 1 {
+				t.Fatalf("%v: epoch %d after the wrap, want 1", lay.Sched, warm.kb.epoch)
+			}
+			got, gotSt := query(warm)
+			want, wantSt := query(openClient(lay, probe, nil))
+			if !equalInts(got, want) || gotSt != wantSt {
+				t.Errorf("%v x%d: %s after the wrap (%v, %+v) != fresh (%v, %+v)",
+					lay.Sched, lay.Channels(), kind, got, gotSt, want, wantSt)
+			}
+		}
+	}
+}
+
 func randWindow(rng *rand.Rand, side int) spatial.Rect {
 	cx, cy := rng.Intn(side), rng.Intn(side)
 	win := 1 + rng.Intn(side/4)

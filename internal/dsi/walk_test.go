@@ -28,7 +28,7 @@ import (
 // located objects around them.
 func (kb *knowledge) frameResolved(f int, lo, hi, upper uint64) bool {
 	first, num := kb.x.FrameObjects(f)
-	prev := kb.frameHC[f] // first object is located whenever the frame is known
+	prev := kb.frameHC(f) // first object is located whenever the frame is known
 	gapOpen := false
 	for t := 0; t < num; t++ {
 		id := first + t
@@ -36,7 +36,7 @@ func (kb *knowledge) frameResolved(f int, lo, hi, upper uint64) bool {
 			gapOpen = true
 			continue
 		}
-		hc := kb.objHC[id]
+		hc := kb.objHC(id)
 		if gapOpen {
 			// Unlocated objects between prev and hc: HC in (prev, hc).
 			if prev+1 < hi && hc > lo {
@@ -63,11 +63,11 @@ func (kb *knowledge) frameResolved(f int, lo, hi, upper uint64) bool {
 func (kb *knowledge) evalUnitsPerRange(j, i, next int, targets []hilbert.Range) uint32 {
 	base := kb.spanStart[j]
 	f := base + i
-	hc := kb.frameHC[f]
+	hc := kb.frameHC(f)
 	segLo, segHi := kb.spanHC(j)
 	upper := segHi
 	if next < kb.spanLen(j) {
-		upper = kb.frameHC[base+next]
+		upper = kb.frameHC(base + next)
 	}
 	// First range ending above hc (the span end always does).
 	ri, n := 0, len(targets)
@@ -151,7 +151,8 @@ func (kb *knowledge) walkTargets(j int, targets []hilbert.Range, marks, found []
 	segN := kb.spanLen(j)
 	// Start at the last known frame whose minimum HC is <= the first
 	// active range's lo. Index 0 is always known (catalog).
-	it, ok := kb.known[j].FloorKey(kb.frameHC, base, lo0)
+	minHC := func(i int) uint64 { return kb.frameHC(base + i) }
+	it, ok := kb.known[j].FloorKey(minHC, lo0)
 	if !ok {
 		return true // unreachable: the catalog seeds index 0
 	}
@@ -161,14 +162,14 @@ func (kb *knowledge) walkTargets(j int, targets []hilbert.Range, marks, found []
 	it.Next()
 	for {
 		f := base + i
-		hc := kb.frameHC[f]
+		hc := kb.frameHC(f)
 		// Upper bound on this frame's content and the following gap.
 		nextI := segN
 		upper := segHi
 		hasNext := it.Valid()
 		if hasNext {
 			nextI = it.Value()
-			upper = kb.frameHC[base+nextI]
+			upper = kb.frameHC(base + nextI)
 		}
 		// Drop ranges nothing from this frame on can matter to (their
 		// end is at or below the frame's minimum; ranges are sorted).
@@ -240,7 +241,7 @@ func (kb *knowledge) walkTargets(j int, targets []hilbert.Range, marks, found []
 			loR = segLo
 		}
 		if upper <= loR {
-			if it2, ok2 := kb.known[j].FloorKey(kb.frameHC, base, loR); ok2 && it2.Value() > nextI {
+			if it2, ok2 := kb.known[j].FloorKey(minHC, loR); ok2 && it2.Value() > nextI {
 				i = it2.Value()
 				it = it2
 				it.Next()

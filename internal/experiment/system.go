@@ -174,8 +174,8 @@ var dsiSessionsMinted atomic.Int64
 
 // AcquireSession returns worker's pinned session around one long-lived
 // dsi.Session that is re-tuned between queries: identical results and
-// metrics to fresh clients, without the per-query dataset-sized
-// allocations.
+// metrics to fresh clients, without re-allocating the page tables and
+// stamp pages of a knowledge base per query.
 func (s *DSISystem) AcquireSession(worker int) QuerySession {
 	return s.sessions.acquire(worker, func() QuerySession {
 		dsiSessionsMinted.Add(1)

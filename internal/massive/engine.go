@@ -18,8 +18,12 @@
 // Durable per-client state is three packed result columns plus the
 // client's place in the activation order — 14 bytes per client
 // (StateBytesPerClient); the navigation state (knowledge base, scratch
-// buffers) lives in one session per worker, reset in O(facts learned)
-// between clients. The step-wise reference engine (RunReference)
+// buffers) lives in one session per worker, reset in O(pages touched)
+// between clients. A session opens as two page tables — 8 KB at
+// N = 10 000, 72 KB at 100 000 — and keeps the stamp pages of the
+// largest query its worker has replayed, so a Run's allocation is its
+// workers' sessions grown to the population's largest query, not a
+// dataset-sized copy per worker. The step-wise reference engine (RunReference)
 // replays the identical population, dealt in id order, through the
 // tuner-stepping receivers; the equivalence suite (equivalence_test.go)
 // pins the two bit-identically per client.
@@ -105,8 +109,9 @@ func (c Config) withDefaults() Config {
 // three packed result columns (latency, tuning, switches) plus the
 // client's entry in the calendar activation order. Everything else a
 // client "is" — its query and tune-in slot — is recomputed from its
-// id, and the navigation state is amortized across all the clients a
-// worker is dealt.
+// id, and the navigation state — a session's page tables and the pages
+// of the largest query it has answered — is amortized across all the
+// clients a worker is dealt.
 const StateBytesPerClient = 4 + 4 + 2 + 4
 
 // dealRun is how many consecutive activations a worker deals itself at

@@ -213,14 +213,14 @@ func (it *Iter) Prev() bool {
 func (s *Set) Ceil(v int) Iter { return Iter{s: s, v: s.next(v)} }
 
 // FloorKey returns an iterator at the largest element v with
-// keys[base+v] <= bound, assuming keys[base+v] is ascending over the
-// elements in ascending order (the DSI client floors by frame HC value).
-// keys is read at elements only: the search bisects the value space and
+// key(v) <= bound, assuming key is ascending over the elements in
+// ascending order (the DSI client floors by frame HC value). key is
+// called at elements only: the search bisects the value space and
 // probes each midpoint's successor. ok is false when no element
 // qualifies (or the set is empty).
-func (s *Set) FloorKey(keys []uint64, base int, bound uint64) (it Iter, ok bool) {
+func (s *Set) FloorKey(key func(v int) uint64, bound uint64) (it Iter, ok bool) {
 	lo := s.next(0)
-	if lo < 0 || keys[base+lo] > bound {
+	if lo < 0 || key(lo) > bound {
 		return Iter{s: s, v: -1}, false
 	}
 	// Invariant: lo is an element that qualifies, and no element at hi or
@@ -232,7 +232,7 @@ func (s *Set) FloorKey(keys []uint64, base int, bound uint64) (it Iter, ok bool)
 		switch {
 		case e < 0 || e >= hi:
 			hi = mid // no element in [mid, hi)
-		case keys[base+e] <= bound:
+		case key(e) <= bound:
 			lo = e
 		default:
 			hi = mid // e is the first element at or past mid, and too big

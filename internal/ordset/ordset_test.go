@@ -58,22 +58,15 @@ func TestSetAgainstModel(t *testing.T) {
 	}
 }
 
-// identityKeys returns keys[v] = v over [0, n): FloorKey over it is the
-// plain floor search "largest element <= bound".
-func identityKeys(n int) []uint64 {
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint64(i)
-	}
-	return keys
-}
+// identityKey is key(v) = v: FloorKey over it is the plain floor search
+// "largest element <= bound".
+func identityKey(v int) uint64 { return uint64(v) }
 
 func TestFloor(t *testing.T) {
 	var s Set
 	for _, v := range []int{2, 5, 9, 14, 20} {
 		s.Insert(v)
 	}
-	keys := identityKeys(21)
 	cases := []struct {
 		bound int
 		want  int
@@ -83,7 +76,7 @@ func TestFloor(t *testing.T) {
 		{13, 9, true}, {14, 14, true}, {100, 20, true},
 	}
 	for _, tc := range cases {
-		it, ok := s.FloorKey(keys, 0, uint64(tc.bound))
+		it, ok := s.FloorKey(identityKey, uint64(tc.bound))
 		if ok != tc.ok {
 			t.Errorf("FloorKey(%d) ok=%v, want %v", tc.bound, ok, tc.ok)
 			continue
@@ -92,19 +85,18 @@ func TestFloor(t *testing.T) {
 			t.Errorf("FloorKey(%d) = %d, want %d", tc.bound, it.Value(), tc.want)
 		}
 	}
-	if _, ok := (&Set{}).FloorKey(keys, 0, 100); ok {
+	if _, ok := (&Set{}).FloorKey(identityKey, 100); ok {
 		t.Error("FloorKey on empty set reported ok")
 	}
 }
 
 func TestFloorQuick(t *testing.T) {
-	keys := identityKeys(1 << 16)
 	f := func(raw []uint16, bound uint16) bool {
 		var s Set
 		for _, v := range raw {
 			s.Insert(int(v))
 		}
-		it, ok := s.FloorKey(keys, 0, uint64(bound))
+		it, ok := s.FloorKey(identityKey, uint64(bound))
 		// Reference: largest inserted value <= bound.
 		best, found := 0, false
 		for _, v := range raw {
@@ -124,8 +116,8 @@ func TestFloorQuick(t *testing.T) {
 
 // modelFloorKey is FloorKey on a sorted slice: the last element whose
 // key is <= bound, -1 for none.
-func modelFloorKey(model []int, keys []uint64, base int, bound uint64) int {
-	at := sort.Search(len(model), func(i int) bool { return keys[base+model[i]] > bound })
+func modelFloorKey(model []int, key func(v int) uint64, bound uint64) int {
+	at := sort.Search(len(model), func(i int) bool { return key(model[i]) > bound })
 	if at == 0 {
 		return -1
 	}
@@ -133,9 +125,9 @@ func modelFloorKey(model []int, keys []uint64, base int, bound uint64) int {
 }
 
 // TestFloorKeyMatchesFloor holds FloorKey against the sorted-slice floor
-// search, with ascending keys that repeat, at a non-zero base, and with
-// keys that hold garbage away from the elements: FloorKey may read keys
-// only at elements.
+// search, with ascending keys that repeat, read at a non-zero base of a
+// key table that holds garbage away from the elements: FloorKey may call
+// the key function at elements only, and the test fails if it does not.
 func TestFloorKeyMatchesFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const dom, base = 500, 7
@@ -154,10 +146,16 @@ func TestFloorKeyMatchesFloor(t *testing.T) {
 			v += uint64(rng.Intn(5)) // ascending, with repeats
 			keys[base+e] = v
 		}
+		key := func(e int) uint64 {
+			if !s.Contains(e) {
+				t.Fatalf("FloorKey read the key of %d, which is not an element", e)
+			}
+			return keys[base+e]
+		}
 		for probe := 0; probe < 50; probe++ {
 			bound := uint64(rng.Intn(int(v) + 2))
-			want := modelFloorKey(model, keys, base, bound)
-			got, ok := s.FloorKey(keys, base, bound)
+			want := modelFloorKey(model, key, bound)
+			got, ok := s.FloorKey(key, bound)
 			if ok != (want >= 0) {
 				t.Fatalf("FloorKey(%d) ok=%v, the model's floor is %d", bound, ok, want)
 			}
@@ -173,7 +171,7 @@ func TestFloorLookahead(t *testing.T) {
 	for v := 0; v < 300; v += 3 {
 		s.Insert(v)
 	}
-	it, ok := s.FloorKey(identityKeys(300), 0, 150)
+	it, ok := s.FloorKey(identityKey, 150)
 	if !ok || it.Value() != 150 {
 		t.Fatalf("floor = %v, %v", it, ok)
 	}
@@ -480,7 +478,6 @@ func FuzzSet(f *testing.F) {
 	f.Add([]byte{0, 0, 63, 0, 0, 64, 4, 0, 63, 5, 0, 64, 6, 0, 64, 7, 0, 65})
 	f.Add([]byte{0, 15, 255, 0, 16, 0, 0, 16, 1, 3, 15, 255, 4, 16, 0, 6, 15, 0, 2, 0, 0, 0, 16, 0})
 	f.Add([]byte{1, 46, 223, 0, 0, 1, 4, 16, 0, 5, 31, 255, 6, 46, 223, 7, 46, 224, 3, 0, 0})
-	keys := identityKeys(12000)
 	f.Fuzz(func(t *testing.T, script []byte) {
 		var s Set
 		var model []int
@@ -534,8 +531,8 @@ func FuzzSet(f *testing.F) {
 					t.Fatalf("step %d: Prev from Ceil(%d) disagrees with the model", step, v)
 				}
 			case 6: // FloorKey
-				got, ok := s.FloorKey(keys, 0, uint64(v))
-				want := modelFloorKey(model, keys, 0, uint64(v))
+				got, ok := s.FloorKey(identityKey, uint64(v))
+				want := modelFloorKey(model, identityKey, uint64(v))
 				if ok != (want >= 0) || (ok && got.Value() != want) {
 					t.Fatalf("step %d: FloorKey(%d) = (%v, %v), the model's floor is %d", step, v, got, ok, want)
 				}
