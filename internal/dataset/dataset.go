@@ -18,8 +18,10 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -195,36 +197,77 @@ func (d *Dataset) WindowBrute(w spatial.Rect) []int {
 }
 
 // KNNBrute returns the IDs of the k nearest objects to q (ties broken by
-// HC value so the result is deterministic), plus the distance of the
-// k-th neighbor. It is the ground truth for kNN correctness tests.
+// HC value, then by ID, so the result is deterministic), plus the
+// distance of the k-th neighbor. It is the ground truth for kNN
+// correctness tests. One pass keeps the k best candidates in a max-heap
+// — the worst of them at the root, the one a closer object displaces —
+// so it allocates O(k), not O(N).
 func (d *Dataset) KNNBrute(q spatial.Point, k int) (ids []int, kth float64) {
+	k = min(k, len(d.Objects))
 	if k <= 0 {
 		return nil, 0
 	}
-	type cand struct {
-		id int
-		d2 float64
-		hc uint64
-	}
-	cands := make([]cand, len(d.Objects))
-	for i, o := range d.Objects {
-		cands[i] = cand{id: o.ID, d2: o.P.Dist2(q), hc: o.HC}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d2 != cands[j].d2 {
-			return cands[i].d2 < cands[j].d2
+	best := make([]knnCand, 0, k)
+	for i := range d.Objects {
+		o := &d.Objects[i]
+		c := knnCand{d2: o.P.Dist2(q), hc: o.HC, id: o.ID}
+		switch {
+		case len(best) < k:
+			best = append(best, c)
+			for j := len(best) - 1; j > 0; {
+				parent := (j - 1) / 2
+				if !best[parent].before(best[j]) {
+					break
+				}
+				best[parent], best[j] = best[j], best[parent]
+				j = parent
+			}
+		case c.before(best[0]):
+			best[0] = c
+			for j := 0; ; {
+				worst := j
+				for _, child := range [2]int{2*j + 1, 2*j + 2} {
+					if child < k && best[worst].before(best[child]) {
+						worst = child
+					}
+				}
+				if worst == j {
+					break
+				}
+				best[j], best[worst] = best[worst], best[j]
+				j = worst
+			}
 		}
-		return cands[i].hc < cands[j].hc
-	})
-	if k > len(cands) {
-		k = len(cands)
 	}
+	slices.SortFunc(best, knnCand.compare)
 	ids = make([]int, k)
-	for i := 0; i < k; i++ {
-		ids[i] = cands[i].id
+	for i, c := range best {
+		ids[i] = c.id
 	}
-	return ids, math.Sqrt(cands[k-1].d2)
+	return ids, math.Sqrt(best[k-1].d2)
 }
+
+// knnCand is one object as KNNBrute ranks it.
+type knnCand struct {
+	d2 float64
+	hc uint64
+	id int
+}
+
+// compare ranks c against o — negative when c is nearer — by squared
+// distance, then HC value, then ID.
+func (c knnCand) compare(o knnCand) int {
+	switch {
+	case c.d2 != o.d2:
+		return cmp.Compare(c.d2, o.d2)
+	case c.hc != o.hc:
+		return cmp.Compare(c.hc, o.hc)
+	}
+	return cmp.Compare(c.id, o.id)
+}
+
+// before reports whether c ranks nearer than o.
+func (c knnCand) before(o knnCand) bool { return c.compare(o) < 0 }
 
 // KthDist returns the distance from q to its k-th nearest object.
 func (d *Dataset) KthDist(q spatial.Point, k int) float64 {

@@ -1,6 +1,9 @@
 package dataset
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -171,6 +174,60 @@ func TestKNNBrute(t *testing.T) {
 	for _, o := range d.Objects {
 		if !inSet[o.ID] && o.P.Dist(q) < kth {
 			t.Errorf("object %d at %v closer than kth %v but not returned", o.ID, o.P.Dist(q), kth)
+		}
+	}
+}
+
+// knnBySort is the definition KNNBrute's bounded selection must
+// reproduce: rank every object by (squared distance, HC value) — IDs
+// break what is left, since a stable sort keeps the dataset's ID order —
+// and take the first k.
+func knnBySort(d *Dataset, q spatial.Point, k int) ([]int, float64) {
+	objs := append([]Object(nil), d.Objects...)
+	sort.SliceStable(objs, func(i, j int) bool {
+		di, dj := objs[i].P.Dist2(q), objs[j].P.Dist2(q)
+		if di != dj {
+			return di < dj
+		}
+		return objs[i].HC < objs[j].HC
+	})
+	k = min(k, len(objs))
+	ids := make([]int, k)
+	for i := range ids {
+		ids[i] = objs[i].ID
+	}
+	return ids, math.Sqrt(objs[k-1].P.Dist2(q))
+}
+
+// TestKNNBruteMatchesSortDefinition holds the bounded selection to the
+// sort over every object: the same IDs in the same order and the same
+// k-th distance, bit for bit — on uniform and clustered datasets, on a
+// fully occupied grid where most distances tie, and for k up to past N.
+func TestKNNBruteMatchesSortDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	beds := []*Dataset{
+		Uniform(500, 7, 3),
+		Uniform(64, 3, 4), // every cell of an 8x8 grid: rings of equal distance
+		Uniform(1, 2, 5),
+		Clustered(ClusteredConfig{N: 400, Order: 7, Clusters: 8, Spread: 0.03, Isolated: 0.1, Seed: 6}),
+	}
+	for _, d := range beds {
+		side := int(d.Curve.Side())
+		for trial := 0; trial < 60; trial++ {
+			q := spatial.Point{X: uint32(rng.Intn(side)), Y: uint32(rng.Intn(side))}
+			if trial%4 == 0 {
+				q = spatial.Point{X: uint32(side / 2), Y: uint32(side / 2)} // the grid's centre: the most ties
+			}
+			k := 1 + rng.Intn(d.N()+3)
+			if trial%5 == 0 {
+				k = 1 + rng.Intn(8)
+			}
+			gotIDs, gotKth := d.KNNBrute(q, k)
+			wantIDs, wantKth := knnBySort(d, q, k)
+			if !slices.Equal(gotIDs, wantIDs) || gotKth != wantKth {
+				t.Fatalf("%s, q=%v, k=%d: KNNBrute (%v, %v), sort (%v, %v)",
+					d.Name, q, k, gotIDs, gotKth, wantIDs, wantKth)
+			}
 		}
 	}
 }

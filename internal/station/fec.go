@@ -31,8 +31,9 @@ type fecUnit struct {
 	physStart int // first physical slot
 	n         int // content packets
 	table     bool
-	pos       int // cycle position of the owning frame
-	obj       int // object index within the frame; -1 for table units
+	parity    int32 // index of the unit's first frame in its channel's parity arena
+	pos       int   // cycle position of the owning frame
+	obj       int   // object index within the frame; -1 for table units
 }
 
 // fecChan is the physical geometry of one channel.
@@ -54,12 +55,7 @@ type fecGeom struct {
 	air *broadcast.Air // physical air the receiver's tuner runs on
 }
 
-func (g *fecGeom) code(table bool) wire.FECCode {
-	if table {
-		return g.cfg.Table
-	}
-	return g.cfg.Object
-}
+func (g *fecGeom) code(table bool) wire.FECCode { return unitCode(g.cfg, table) }
 
 // newFECGeom derives the physical geometry of a layout under a code.
 // Supported layouts are those with per-unit-contiguous channels: the
@@ -82,9 +78,10 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 		prog := lay.Air.Channels[ch].Program
 		c.log2phys = make([]int32, logLen)
 		var slots []broadcast.Slot
+		frames := 0 // parity frames of the units so far
 
 		for s := 0; s < logLen; {
-			u := fecUnit{logStart: s, physStart: len(slots)}
+			u := fecUnit{logStart: s, physStart: len(slots), parity: int32(frames)}
 			if pos, part, ok := lay.SlotTable(ch, s); ok {
 				if part != 0 {
 					return nil, fmt.Errorf("station: channel %d slot %d starts mid-table", ch, s)
@@ -120,6 +117,7 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 				slots = append(slots, broadcast.Slot{Kind: kind})
 			}
 			c.units = append(c.units, u)
+			frames += code.Tail()
 			s += u.n
 		}
 		c.physLen = len(slots)
@@ -133,21 +131,25 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 	return g, nil
 }
 
-// buildParity precomputes every parity packet payload of one channel,
-// indexed by physical slot (nil for content slots). logical fills a run
-// of the channel's logical packets from a logical slot, appending the
-// payload bytes it builds to the buffer it is handed (ReadRunAt's
-// contract).
-func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(dst []Packet, b []byte, log int) []byte) [][]byte {
-	out := make([][]byte, c.physLen)
+// buildParity encodes every parity frame of one channel into one arena:
+// frame f of the channel — the f-th in unit order, each unit's in tail
+// order — at bytes [f*stride, (f+1)*stride), stride being
+// wire.ParityHeaderSize + capacity. A unit's frames start at frame
+// u.parity. logical fills a run of the channel's logical packets from
+// a logical slot, appending the payload bytes it builds to the buffer
+// it is handed (ReadRunAt's contract).
+func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(dst []Packet, b []byte, log int) []byte) []byte {
+	stride := wire.ParityHeaderSize + capacity
+	frames := 0
+	for _, u := range c.units {
+		frames += unitCode(cfg, u.table).Tail()
+	}
+	out := make([]byte, frames*stride)
 	var arena, built []byte // member symbols and payloads of the unit at hand; nothing below retains them
-	var syms, data [][]byte
+	var syms, data, rows [][]byte
 	var pkts []Packet
 	for _, u := range c.units {
-		code := cfg.Table
-		if !u.table {
-			code = cfg.Object
-		}
+		code := unitCode(cfg, u.table)
 		if !code.Enabled() {
 			continue
 		}
@@ -173,18 +175,34 @@ func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(dst 
 			for i := grp; i < u.n; i += code.Groups {
 				data = append(data, syms[i])
 			}
-			for j, sym := range wire.RSParity(data, code.Parity) {
-				h := wire.ParityHeader{
+			// Row j of the group is tail offset j*Groups+grp: its symbol
+			// is computed straight into that frame's symbol bytes.
+			rows = rows[:0]
+			for j := 0; j < code.Parity; j++ {
+				at := (int(u.parity) + j*code.Groups + grp) * stride
+				rows = append(rows, out[at+wire.ParityHeaderSize:at+stride])
+			}
+			wire.RSParityInto(rows, data)
+			for j, sym := range rows {
+				at := (int(u.parity) + j*code.Groups + grp) * stride
+				wire.PutParity(out[at:at+stride], wire.ParityHeader{
 					Unit:    uint32(u.logStart),
 					Group:   uint8(grp),
 					K:       uint8(k),
 					R:       uint8(code.Parity),
 					Index:   uint8(j),
 					Members: members,
-				}
-				out[u.physStart+u.n+j*code.Groups+grp] = wire.EncodeParity(h, sym)
+				}, sym)
 			}
 		}
 	}
 	return out
+}
+
+// unitCode is the code protecting a table unit or an object unit.
+func unitCode(cfg wire.FECConfig, table bool) wire.FECCode {
+	if table {
+		return cfg.Table
+	}
+	return cfg.Object
 }

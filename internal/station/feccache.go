@@ -31,13 +31,14 @@ type fecCacheEntry struct {
 	unit int
 	abs  int64 // absolute physical slot of member 0 when recorded
 	ver  uint32
-	pay  [][]byte // owned copies, every member known good
+	pay  [][]byte // every member known good, each a window of buf
+	buf  []byte   // the members' bytes, end to end
 	used int64    // LRU clock at last touch
 }
 
 // fecCache is a tiny LRU over recovered units.
 type fecCache struct {
-	entries []fecCacheEntry
+	entries []fecCacheEntry // at most fecCacheUnits, storage kept across drop
 	clock   int64
 }
 
@@ -61,8 +62,10 @@ func (c *fecCache) lookup(ch int, unit int, ver uint32, abs int64, physLen int) 
 }
 
 // store records a fully-known unit occurrence, copying the payloads
-// (callers recycle their member scratch). An existing entry for the
-// unit is replaced; otherwise the least recently used slot is evicted.
+// (callers recycle their member scratch) into the storage of the entry
+// it takes: an existing entry for the unit is replaced, otherwise a
+// free slot is filled or the least recently used one evicted. Once the
+// slots have grown to the unit size, storing allocates nothing.
 func (c *fecCache) store(ch int, unit int, ver uint32, abs int64, pay [][]byte) {
 	c.clock++
 	var slot *fecCacheEntry
@@ -74,9 +77,12 @@ func (c *fecCache) store(ch int, unit int, ver uint32, abs int64, pay [][]byte) 
 		}
 	}
 	if slot == nil {
-		if len(c.entries) < fecCacheUnits {
-			c.entries = append(c.entries, fecCacheEntry{})
-			slot = &c.entries[len(c.entries)-1]
+		if n := len(c.entries); n < fecCacheUnits {
+			if c.entries == nil {
+				c.entries = make([]fecCacheEntry, 0, fecCacheUnits)
+			}
+			c.entries = c.entries[:n+1] // a dropped entry's storage comes back
+			slot = &c.entries[n]
 		} else {
 			slot = &c.entries[0]
 			for i := range c.entries {
@@ -86,11 +92,17 @@ func (c *fecCache) store(ch int, unit int, ver uint32, abs int64, pay [][]byte) 
 			}
 		}
 	}
-	owned := make([][]byte, len(pay))
-	for i, p := range pay {
-		owned[i] = append([]byte(nil), p...)
+	buf := slot.buf[:0]
+	for _, p := range pay {
+		buf = append(buf, p...)
 	}
-	*slot = fecCacheEntry{ch: ch, unit: unit, abs: abs, ver: ver, pay: owned, used: c.clock}
+	owned := slot.pay[:0]
+	at := 0
+	for _, p := range pay {
+		owned = append(owned, buf[at:at+len(p):at+len(p)])
+		at += len(p)
+	}
+	*slot = fecCacheEntry{ch: ch, unit: unit, abs: abs, ver: ver, pay: owned, buf: buf, used: c.clock}
 }
 
 // drop empties the cache — the schedule generation changed and every

@@ -168,9 +168,10 @@ func (r *WireReceiver) repair(u *fecUnit, code wire.FECCode, pay [][]byte, okm, 
 // fecSolver is the receiver-owned scratch of the erasure solve, reused
 // across recoveries like payBuf and tailBuf.
 type fecSolver struct {
-	arena           []byte // zero-padded copies of short good members
+	arena           []byte // one Capacity-sized cell per member: short good members zero-padded, solved ones
 	out, data, rows [][]byte
 	idx             []int
+	rs              wire.RSSolver
 }
 
 // recoverUnit solves the erasures of one unit from its parity tail.
@@ -182,9 +183,10 @@ type fecSolver struct {
 // determine its erasures fails the whole recovery. On success the
 // returned slice carries a capacity-sized symbol for every recovered
 // member (nil for members that were already good or were skipped).
-// The slice itself is scratch, valid until the next solve; the
-// recovered symbols in it are freshly allocated and the caller's to
-// keep — nothing a caller may retain aliases the arena.
+// Everything returned is scratch: the slice and the symbols — each in
+// its member's arena cell — hold until the next solve, so a caller
+// copies what it keeps (the group window, the table buffer and the
+// unit cache all do).
 func (s *fecSolver) recoverUnit(code wire.FECCode, n, capacity int, pay [][]byte, okMask uint64, tail [][]byte, need uint64) ([][]byte, bool) {
 	if len(s.arena) < n*capacity {
 		s.arena = make([]byte, n*capacity)
@@ -223,12 +225,17 @@ func (s *fecSolver) recoverUnit(code wire.FECCode, n, capacity int, pay [][]byte
 			rows = append(rows, tail[j*code.Groups+g])
 		}
 		s.data, s.idx, s.rows = data, idx, rows
-		if !wire.RSRecover(data, rows) {
+		if !s.rs.Recover(data, rows) {
 			return nil, false
 		}
+		// The solved symbols alias the solver, which the next group
+		// reuses: each moves into its member's own cell, unused so far
+		// because the member was erased.
 		for m, i := range idx {
 			if okMask&(1<<uint(i)) == 0 {
-				s.out[i] = data[m]
+				cell := s.arena[i*capacity : (i+1)*capacity : (i+1)*capacity]
+				copy(cell, data[m])
+				s.out[i] = cell
 			}
 		}
 	}

@@ -1,7 +1,10 @@
 package station
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dsi/internal/broadcast"
@@ -93,10 +96,13 @@ func TestFECGeomInvariants(t *testing.T) {
 	}
 }
 
-// TestFECTransmitterParityDecodes walks one coded cycle of every
-// channel and checks each parity packet decodes to a header consistent
-// with the geometry — the receiver's readTail validation accepts
-// exactly what the transmitter emits.
+// TestFECTransmitterParityDecodes reads one coded cycle of every
+// channel a unit at a time through ReadRunAt and checks each parity
+// packet: it decodes to a header consistent with the geometry — the
+// receiver's readTail validation accepts exactly what the transmitter
+// emits — and it is, byte for byte, EncodeParity of its group's
+// RSParity row over the unit's members as served, zero-padded to
+// capacity: the parity arena holds each frame at its own slot.
 func TestFECTransmitterParityDecodes(t *testing.T) {
 	_, x, lay := wireTestBed(t, 240, 449, quarterBounds)
 	cfg := rsCode()
@@ -104,40 +110,112 @@ func TestFECTransmitterParityDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	capacity := x.Cfg.Capacity
 	parity := 0
+	geo := mt.air.Load().cur.fec
 	for ch := 0; ch < lay.Channels(); ch++ {
-		geo := mt.air.Load().cur.fec
 		c := &geo.chs[ch]
-		for slot := 0; slot < mt.ChanSlots(ch); slot++ {
-			p := mt.Packet(ch, slot)
-			if u := &c.units[c.unitOf[slot]]; slot-u.physStart < u.n {
-				if p.Flags&flagParity != 0 {
-					t.Fatalf("ch%d slot %d: content slot flagged as parity", ch, slot)
-				}
-				continue
-			}
-			parity++
-			if p.Flags&flagParity == 0 {
-				t.Fatalf("ch%d slot %d: parity slot lacks the parity flag", ch, slot)
-			}
-			h, sym, err := wire.DecodeParity(p.Payload, x.Cfg.Capacity)
-			if err != nil {
-				t.Fatalf("ch%d slot %d: %v", ch, slot, err)
-			}
-			u := &c.units[c.unitOf[slot]]
+		for ui := range c.units {
+			u := &c.units[ui]
 			code := geo.code(u.table)
-			off := slot - u.physStart - u.n
-			wantGrp, wantRow := off%code.Groups, off/code.Groups
-			members, k := code.GroupMembers(u.n, wantGrp)
-			if h.Unit != uint32(u.logStart) || int(h.Group) != wantGrp || int(h.Index) != wantRow ||
-				int(h.R) != code.Parity || int(h.K) != k || h.Members != members || len(sym) != x.Cfg.Capacity {
-				t.Fatalf("ch%d slot %d: parity header %+v contradicts geometry (unit %d grp %d row %d)",
-					ch, slot, h, u.logStart, wantGrp, wantRow)
+			run := make([]Packet, u.n+code.Tail())
+			mt.ReadRunAt(run, nil, ch, int64(u.physStart))
+			syms := make([][]byte, u.n)
+			for i, p := range run[:u.n] {
+				if p.Flags&flagParity != 0 {
+					t.Fatalf("ch%d slot %d: content slot flagged as parity", ch, u.physStart+i)
+				}
+				syms[i] = make([]byte, capacity)
+				copy(syms[i], p.Payload)
+			}
+			for off, p := range run[u.n:] {
+				slot := u.physStart + u.n + off
+				parity++
+				if p.Flags&flagParity == 0 {
+					t.Fatalf("ch%d slot %d: parity slot lacks the parity flag", ch, slot)
+				}
+				h, sym, err := wire.DecodeParity(p.Payload, capacity)
+				if err != nil {
+					t.Fatalf("ch%d slot %d: %v", ch, slot, err)
+				}
+				wantGrp, wantRow := off%code.Groups, off/code.Groups
+				members, k := code.GroupMembers(u.n, wantGrp)
+				want := wire.ParityHeader{Unit: uint32(u.logStart), Group: uint8(wantGrp), K: uint8(k),
+					R: uint8(code.Parity), Index: uint8(wantRow), Members: members}
+				if h != want || len(sym) != capacity {
+					t.Fatalf("ch%d slot %d: parity header %+v contradicts geometry (unit %d grp %d row %d)",
+						ch, slot, h, u.logStart, wantGrp, wantRow)
+				}
+				var data [][]byte
+				for i := wantGrp; i < u.n; i += code.Groups {
+					data = append(data, syms[i])
+				}
+				if !bytes.Equal(p.Payload, wire.EncodeParity(want, wire.RSParity(data, code.Parity)[wantRow])) {
+					t.Fatalf("ch%d slot %d: parity frame is not its group's row %d", ch, slot, wantRow)
+				}
 			}
 		}
 	}
 	if parity == 0 {
 		t.Fatal("coded transmitter emitted no parity")
+	}
+}
+
+// TestCodedTransmitterRetainsParityBytesOnly pins what a coded
+// generation keeps for its parity on the massive testbed's coded arm
+// (10 000 objects at Hilbert order 8, 64-byte packets, 1 KiB objects,
+// one XOR row per group of up to four members): the heap a coded
+// transmitter retains beyond the uncoded one and its own slot geometry
+// is its parity frames' bytes — frames × (ParityHeaderSize + Capacity)
+// — to within 1 %, with no per-slot table or per-frame allocation
+// beside them.
+func TestCodedTransmitterRetainsParityBytesOnly(t *testing.T) {
+	ds := dataset.Uniform(10000, 8, 1)
+	x, err := dsi.Build(ds, dsi.Config{Capacity: 64, ObjectBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := x.SingleLayout()
+	groups := func(k int) int { return (k + 3) / 4 }
+	cfg := wire.FECConfig{
+		Table:  wire.FECCode{Groups: groups(x.TablePackets), Parity: 1},
+		Object: wire.FECCode{Groups: groups(x.ObjPackets), Parity: 1},
+	}
+	retained := func(build func() any) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC() // and pooled garbage, which survives one collection
+		runtime.ReadMemStats(&before)
+		v := build()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(v)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	must := func(v any, err error) any {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	coded := retained(func() any { return must(NewMultiTransmitterFEC(lay, cfg)) })
+	plain := retained(func() any { return must(NewMultiTransmitter(lay)) })
+	geom := retained(func() any { return must(newFECGeom(lay, cfg)) })
+
+	geo, err := newFECGeom(lay, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for _, u := range geo.chs[0].units {
+		frames += geo.code(u.table).Tail()
+	}
+	want := int64(frames * (wire.ParityHeaderSize + x.Cfg.Capacity))
+	got := coded - plain - geom
+	t.Logf("%d parity frames: %d B retained for parity, %d B of frames; transmitter %d B coded, %d B plain, geometry %d B",
+		frames, got, want, coded, plain, geom)
+	if frames == 0 || math.Abs(float64(got-want)) > 0.01*float64(want) {
+		t.Errorf("a coded transmitter retains %d B for %d parity frames, want %d B (±1 %%)", got, frames, want)
 	}
 }
 

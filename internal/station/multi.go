@@ -38,7 +38,7 @@ import (
 // generation's layout (SlotTable/SlotData) per packet, or read from its
 // coded geometry's unit covering the slot: a generation keeps no
 // per-slot state beyond the encoded tables and, when coded, the geometry
-// and the parity payloads.
+// and one parity arena per channel.
 //
 // It is safe for concurrent use: any number of readers call
 // ReadRunAt, DirectoryAt and FECDescAt while one control goroutine
@@ -79,8 +79,8 @@ type generation struct {
 	clocks  []clock  // per channel
 	tables  [][]byte // per cycle position, in the layout's wire format
 
-	fec    *fecGeom   // nil when uncoded
-	parity [][][]byte // per channel, per physical slot; nil for content
+	fec    *fecGeom // nil when uncoded
+	parity [][]byte // per channel, its parity frames in one arena (buildParity); nil when uncoded
 
 	dir  []byte // versioned directory announcing the generation; nil for layouts without one
 	desc []byte // versioned FEC descriptor; nil when none ships
@@ -150,7 +150,7 @@ func newGeneration(lay *dsi.Layout, cfg wire.FECConfig) (*generation, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.parity = make([][][]byte, lay.Channels())
+	g.parity = make([][]byte, lay.Channels())
 	for ch := range g.parity {
 		g.parity[ch] = buildParity(&geo.chs[ch], cfg, lay.X.Cfg.Capacity,
 			func(dst []Packet, b []byte, log int) []byte { return g.fillLogical(dst, b, 0, ch, log) })
@@ -425,10 +425,13 @@ func (g *generation) fill(dst []Packet, b []byte, more, ch, slot int) []byte {
 			end := u.physStart + u.n + g.fec.code(u.table).Tail()
 			k = min(len(dst)-i, end-slot)
 			p.Flags = flagParity
+			stride := wire.ParityHeaderSize + g.lay.X.Cfg.Capacity
+			at := (int(u.parity) + m - u.n) * stride
 			for j := range k {
-				p.Payload = g.parity[ch][slot+j]
+				p.Payload = g.parity[ch][at : at+stride : at+stride]
 				dst[i+j] = p
 				p.Slot++
+				at += stride
 			}
 		case u.table:
 			k = min(len(dst)-i, u.n-m)

@@ -70,7 +70,10 @@ func TestUncodedReceiverCarriesNoSlotMaps(t *testing.T) {
 // (whose header read also copies into the group window) and over an
 // uncoded one, and neither does receiving a table, in the classic format
 // on the single-channel layout or in the multi-channel one on the
-// sharded layout.
+// sharded layout. The lossy arm repeats the coded reads over a source
+// that loses one member of the object and one of the table, within the
+// code distance: once warm, recovering the object, and recovering the
+// table and storing it in the unit cache, allocate nothing either.
 func TestWireReceiverWarmReadAllocatesNothing(t *testing.T) {
 	ds, x, shard := wireTestBed(t, 300, 673, quarterBounds)
 	for _, lay := range []*dsi.Layout{shard, x.SingleLayout()} {
@@ -94,31 +97,97 @@ func TestWireReceiverWarmReadAllocatesNothing(t *testing.T) {
 			}
 
 			pos := x.NF / 2
-			dataCh, dataSlot := lay.DataPlace(pos)
-			object := func() {
-				rx.Tune(dataCh)
-				rx.DozeUntilPos(dataSlot)
-				if _, ok := rx.Header(pos, 0); !ok {
-					t.Fatalf("%s: header lost on a loss-free air", name)
-				}
-				if !rx.Object(pos, 0, 1) {
-					t.Fatalf("%s: object lost on a loss-free air", name)
-				}
-			}
+			object, table := warmReads(t, name+", loss-free", rx, lay, pos, false)
 			if n := testing.AllocsPerRun(50, object); n != 0 {
 				t.Errorf("%s: a warm Header + Object allocates %.0f times, want 0", name, n)
-			}
-			tabCh, tabSlot := lay.TablePlace(pos)
-			table := func() {
-				rx.Tune(tabCh)
-				rx.DozeUntilPos(tabSlot)
-				if _, ok := rx.Table(pos); !ok {
-					t.Fatalf("%s: table lost on a loss-free air", name)
-				}
 			}
 			if n := testing.AllocsPerRun(50, table); n != 0 {
 				t.Errorf("%s: a warm Table read allocates %.0f times, want 0", name, n)
 			}
+			if cfg.Enabled() {
+				warmRecoveryAllocatesNothing(t, name, lay, tx, cfg, pos)
+			}
 		}
+	}
+}
+
+// warmReads returns the two reads the warm tests time, each at the next
+// occurrence of its unit: the header of position pos's first object and
+// then, from the slot after it as a session positions the radio, its
+// body; and position pos's index table, from a cold unit cache when
+// forget is set.
+func warmReads(t *testing.T, name string, rx *WireReceiver, lay *dsi.Layout, pos int, forget bool) (object, table func()) {
+	dataCh, dataSlot := lay.DataPlace(pos)
+	object = func() {
+		rx.Tune(dataCh)
+		rx.DozeUntilPos(dataSlot)
+		if _, ok := rx.Header(pos, 0); !ok {
+			t.Fatalf("%s: header lost", name)
+		}
+		rx.DozeUntilPos((dataSlot + 1) % lay.ChanLen(dataCh))
+		if !rx.Object(pos, 0, 1) {
+			t.Fatalf("%s: object lost", name)
+		}
+	}
+	tabCh, tabSlot := lay.TablePlace(pos)
+	table = func() {
+		if forget {
+			rx.Forget()
+		}
+		rx.Tune(tabCh)
+		rx.DozeUntilPos(tabSlot)
+		if _, ok := rx.Table(pos); !ok {
+			t.Fatalf("%s: table lost", name)
+		}
+	}
+	return object, table
+}
+
+// warmRecoveryAllocatesNothing reads the first objects of cycle
+// positions pos and pos+1 and position pos's table over tx with member 1
+// of each of these units (member 0 of a one-packet table) lost on every
+// cycle, and fails unless, once warm, every read recovers and allocates
+// nothing. Alternating the objects keeps each out of the group window
+// the other's recovery overwrites, and the table read forgets the unit
+// cache first, so every timed read is a recovery — the table's a cache
+// store too.
+func warmRecoveryAllocatesNothing(t *testing.T, name string, lay *dsi.Layout, tx *MultiTransmitter, cfg wire.FECConfig, pos int) {
+	t.Helper()
+	src := &faultSource{PacketSource: tx}
+	rx, err := NewFECReceiver(lay, 1, src, cfg, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type lostSlot struct{ ch, slot int }
+	lostIn := func(u fecUnit, ch int) lostSlot { return lostSlot{ch, u.physStart + min(1, u.n-1)} }
+	lost := []lostSlot{lostIn(rx.dataUnit(pos, 0)), lostIn(rx.dataUnit(pos+1, 0)), lostIn(rx.tableUnit(pos))}
+	src.mutate = func(ch int, abs int64, p Packet) (Packet, bool) {
+		rel := int(abs % int64(tx.ChanSlots(ch)))
+		for _, l := range lost {
+			if ch == l.ch && rel == l.slot {
+				return Packet{}, true
+			}
+		}
+		return p, false
+	}
+	name += ", one member lost"
+	first, table := warmReads(t, name, rx, lay, pos, true)
+	second, _ := warmReads(t, name, rx, lay, pos+1, true)
+	objects := func() {
+		first()
+		second()
+	}
+	objects()
+	table()
+	recovered := rx.Recovered()
+	if n := testing.AllocsPerRun(50, objects); n != 0 {
+		t.Errorf("%s: a warm recovered Header + Object allocates %.0f times a pair, want 0", name, n)
+	}
+	if n := testing.AllocsPerRun(50, table); n != 0 {
+		t.Errorf("%s: a warm recovered Table read allocates %.0f times, want 0", name, n)
+	}
+	if want := recovered + 3*51; rx.Recovered() != want || rx.CacheHits() != 0 {
+		t.Fatalf("%s: %d members recovered and %d cache hits, want %d and 0: every timed read must recover",
+			name, rx.Recovered(), rx.CacheHits(), want)
 	}
 }

@@ -122,15 +122,24 @@ const ParityHeaderSize = 2 + 4 + 4 + 8
 // parity symbol (one capacity-sized payload worth of GF(256) output).
 func EncodeParity(h ParityHeader, symbol []byte) []byte {
 	buf := make([]byte, ParityHeaderSize+len(symbol))
-	binary.BigEndian.PutUint16(buf[0:], ParityMagic)
-	binary.BigEndian.PutUint32(buf[2:], h.Unit)
-	buf[6] = h.Group
-	buf[7] = h.K
-	buf[8] = h.R
-	buf[9] = h.Index
-	binary.BigEndian.PutUint64(buf[10:], h.Members)
-	copy(buf[ParityHeaderSize:], symbol)
+	PutParity(buf, h, symbol)
 	return buf
+}
+
+// PutParity is EncodeParity into dst, which must hold
+// ParityHeaderSize+len(symbol) bytes. The symbol may already sit in
+// dst's symbol bytes — parity computed in place — and is then left as
+// it is.
+func PutParity(dst []byte, h ParityHeader, symbol []byte) {
+	_ = dst[ParityHeaderSize+len(symbol)-1]
+	binary.BigEndian.PutUint16(dst[0:], ParityMagic)
+	binary.BigEndian.PutUint32(dst[2:], h.Unit)
+	dst[6] = h.Group
+	dst[7] = h.K
+	dst[8] = h.R
+	dst[9] = h.Index
+	binary.BigEndian.PutUint64(dst[10:], h.Members)
+	copy(dst[ParityHeaderSize:], symbol)
 }
 
 // DecodeParity parses a parity packet carrying a capacity-sized

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -15,6 +17,19 @@ func TestGFFieldProperties(t *testing.T) {
 		}
 		seen[gfExp[i]] = true
 	}
+	// The product table is the log/antilog product, zero included.
+	for a := 0; a < 256; a++ {
+		for b := 0; b < 256; b++ {
+			want := byte(0)
+			if a != 0 && b != 0 {
+				want = gfExp[int(gfLog[a])+int(gfLog[b])]
+			}
+			if got := gfMulTab[a][b]; got != want {
+				t.Fatalf("product table: %d*%d = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+	gfMul := func(a, b byte) byte { return gfMulTab[a][b] }
 	for a := 1; a < 256; a++ {
 		if got := gfMul(byte(a), gfInv(byte(a))); got != 1 {
 			t.Fatalf("a * a^-1 = %d for a=%d", got, a)
@@ -141,6 +156,120 @@ func TestRSParityRow0IsXOR(t *testing.T) {
 	}
 }
 
+// TestRSParityIntoMatchesRSParity computes parity into rows cut from
+// one shared buffer, as a transmitter's parity arena does, over rows
+// holding stale bytes: every row must equal RSParity's, and no byte
+// outside the rows may change.
+func TestRSParityIntoMatchesRSParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, dim := range []struct{ k, r, symLen int }{{1, 1, 8}, {4, 1, 64}, {16, 8, 64}, {5, 3, 0}} {
+		data := randSymbols(rng, dim.k, dim.symLen)
+		want := RSParity(data, dim.r)
+		const gap = 3
+		buf := make([]byte, dim.r*(dim.symLen+gap))
+		rng.Read(buf)
+		orig := append([]byte(nil), buf...)
+		rows := make([][]byte, dim.r)
+		for j := range rows {
+			at := j * (dim.symLen + gap)
+			rows[j] = buf[at : at+dim.symLen]
+		}
+		RSParityInto(rows, data)
+		for j := range rows {
+			if !bytes.Equal(rows[j], want[j]) {
+				t.Fatalf("k=%d r=%d: row %d differs from RSParity", dim.k, dim.r, j)
+			}
+			at := j*(dim.symLen+gap) + dim.symLen
+			if !bytes.Equal(buf[at:at+gap], orig[at:at+gap]) {
+				t.Fatalf("k=%d r=%d: row %d wrote past its symbol", dim.k, dim.r, j)
+			}
+		}
+	}
+}
+
+// recoverCase is one erasure pattern of one code group: k data symbols
+// of symLen random bytes under r parity rows, members whose bit is set
+// in erase erased and parity rows whose bit is set in lost lost.
+// It solves the pattern with s and with a fresh RSRecover and fails
+// unless both agree: the same verdict, the original symbols on
+// success, and data untouched on failure. It reports the verdict.
+func recoverCase(t *testing.T, s *RSSolver, rng *rand.Rand, k, r, symLen int, erase, lost uint64) bool {
+	t.Helper()
+	orig := randSymbols(rng, k, symLen)
+	parity := RSParity(orig, r)
+	data := make([][]byte, k)
+	for i := range data {
+		if erase&(1<<uint(i)) == 0 {
+			data[i] = orig[i]
+		}
+	}
+	par := make([][]byte, r)
+	received := 0
+	for j := range par {
+		if lost&(1<<uint(j)) == 0 {
+			par[j] = parity[j]
+			received++
+		}
+	}
+	fresh := append([][]byte(nil), data...)
+	want := RSRecover(fresh, par)
+	got := s.Recover(data, par)
+	name := func() string { return fmt.Sprintf("k=%d r=%d len=%d erase=%#x lost=%#x", k, r, symLen, erase, lost) }
+	if got != want {
+		t.Fatalf("%s: reused solver says %v, fresh RSRecover %v", name(), got, want)
+	}
+	if erased := bits.OnesCount64(erase); erased > received && got {
+		t.Fatalf("%s: %d erasures recovered from %d rows", name(), erased, received)
+	}
+	for i := range data {
+		switch {
+		case got && !bytes.Equal(data[i], orig[i]):
+			t.Fatalf("%s: symbol %d recovered wrong", name(), i)
+		case got && !bytes.Equal(fresh[i], orig[i]):
+			t.Fatalf("%s: fresh RSRecover got symbol %d wrong", name(), i)
+		case !got && erase&(1<<uint(i)) != 0 && data[i] != nil:
+			t.Fatalf("%s: a failed solve wrote erased symbol %d", name(), i)
+		case !got && erase&(1<<uint(i)) == 0 && symLen > 0 && &data[i][0] != &orig[i][0]:
+			t.Fatalf("%s: a failed solve replaced received symbol %d", name(), i)
+		}
+	}
+	return got
+}
+
+// TestRSSolverReuse runs one solver through random groups — k <= 16,
+// r <= 8, symbol lengths 0..96, any erasure pattern and lost parity
+// rows, within and beyond the code distance — so every solve starts
+// on scratch a different system left behind.
+func TestRSSolverReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var s RSSolver
+	solved, failed := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		k, r := 1+rng.Intn(16), 1+rng.Intn(8)
+		erase := rng.Uint64() & (1<<uint(k) - 1)
+		if trial%2 == 0 {
+			// Half the trials stay within the distance, which then fails
+			// only where the surviving rows are rank-deficient.
+			erase = 0
+			for _, i := range rng.Perm(k)[:rng.Intn(min(k, r)+1)] {
+				erase |= 1 << uint(i)
+			}
+		}
+		lost := uint64(0)
+		if rng.Intn(3) == 0 {
+			lost = rng.Uint64() & (1<<uint(r) - 1)
+		}
+		if recoverCase(t, &s, rng, k, r, rng.Intn(97), erase, lost) {
+			solved++
+		} else {
+			failed++
+		}
+	}
+	if solved == 0 || failed == 0 {
+		t.Fatalf("%d solved, %d failed: the sweep must cover both verdicts", solved, failed)
+	}
+}
+
 func TestFECCodeValidate(t *testing.T) {
 	ok := []struct {
 		c FECCode
@@ -186,6 +315,27 @@ func TestFECCodeGroupMembers(t *testing.T) {
 	}
 	if total != 1<<uint(n)-1 {
 		t.Fatalf("groups cover %#x, want all %d members", total, n)
+	}
+}
+
+// TestPutParityInPlace encodes a parity frame into a window of a
+// shared arena whose symbol bytes already hold the symbol: the frame
+// must equal EncodeParity's, and the arena outside it must not change.
+func TestPutParityInPlace(t *testing.T) {
+	h := ParityHeader{Unit: 99, Group: 1, K: 4, R: 2, Index: 1, Members: 0b1010_1010}
+	sym := bytes.Repeat([]byte{0x5C, 0x17}, 32)
+	const stride = ParityHeaderSize + 64
+	arena := bytes.Repeat([]byte{0xEE}, 3*stride)
+	frame := arena[stride : 2*stride]
+	copy(frame[ParityHeaderSize:], sym)
+	PutParity(frame, h, frame[ParityHeaderSize:])
+	if !bytes.Equal(frame, EncodeParity(h, sym)) {
+		t.Fatal("in-place frame differs from EncodeParity")
+	}
+	for _, b := range append(arena[:stride:stride], arena[2*stride:]...) {
+		if b != 0xEE {
+			t.Fatal("PutParity wrote outside its frame")
+		}
 	}
 }
 
@@ -289,5 +439,17 @@ func TestDecodeFECDescRejects(t *testing.T) {
 		if _, _, err := DecodeFECDesc(buf); err == nil {
 			t.Fatalf("%s: want error", name)
 		}
+	}
+}
+
+// BenchmarkMulAddInto is the GF(256) inner loop every parity row and
+// every elimination step runs: dst ^= c*src over a 1 KiB symbol.
+func BenchmarkMulAddInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	src, dst := make([]byte, 1024), make([]byte, 1024)
+	rng.Read(src)
+	b.SetBytes(int64(len(src)))
+	for i := 0; i < b.N; i++ {
+		mulAddInto(dst, src, byte(2+i%250))
 	}
 }

@@ -2,11 +2,14 @@
 // off the air, decoders must reject malformed input with an error —
 // never panic. Seed corpora mirror the handcrafted error-path tests
 // (valid encodings, truncations, bad magics, out-of-range fields).
+// FuzzRSRecover holds the reusable erasure solver to the one-shot
+// RSRecover.
 
 package wire
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"dsi/internal/dsi"
@@ -156,6 +159,22 @@ func FuzzDecodeParity(f *testing.F) {
 		if err == nil && h.Index >= h.R {
 			t.Fatalf("accepted row %d of %d", h.Index, h.R)
 		}
+	})
+}
+
+// FuzzRSRecover solves fuzzed erasure patterns of fuzzed code groups
+// (k <= 16, r <= 8) with one solver shared by every input, holding each
+// solve to a fresh RSRecover (recoverCase).
+func FuzzRSRecover(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(0), uint8(64), uint16(0b1), uint8(0))
+	f.Add(int64(2), uint8(15), uint8(7), uint8(64), uint16(0b1010_0101_0001), uint8(0b1000_0001))
+	f.Add(int64(3), uint8(4), uint8(1), uint8(0), uint16(0b111), uint8(0))
+	f.Add(int64(4), uint8(7), uint8(2), uint8(17), uint16(0b1111), uint8(0b10))
+	var s RSSolver
+	f.Fuzz(func(t *testing.T, seed int64, k, r, symLen uint8, erase uint16, lost uint8) {
+		kk, rr := 1+int(k%16), 1+int(r%8)
+		recoverCase(t, &s, rand.New(rand.NewSource(seed)), kk, rr, int(symLen%97),
+			uint64(erase)&(1<<uint(kk)-1), uint64(lost)&(1<<uint(rr)-1))
 	})
 }
 

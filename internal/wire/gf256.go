@@ -17,7 +17,10 @@
 
 package wire
 
-import "fmt"
+import (
+	"crypto/subtle"
+	"fmt"
+)
 
 // gfPoly is the primitive polynomial of the field (0x11d without the
 // x^8 term once reduced).
@@ -26,6 +29,19 @@ const gfPoly = 0x1d
 // gfExp holds alpha^i for i in [0, 510) so products of two logs need no
 // modular reduction; gfLog is its inverse on [1, 255].
 var gfExp, gfLog = gfTables()
+
+// gfMulTab[a][b] is the product a*b: one load per byte where the log
+// tables take two and a zero branch (64 KiB of static data, filled once
+// from them).
+var gfMulTab [256][256]byte
+
+func init() {
+	for a := 1; a < 256; a++ {
+		for b := 1; b < 256; b++ {
+			gfMulTab[a][b] = gfExp[int(gfLog[a])+int(gfLog[b])]
+		}
+	}
+}
 
 func gfTables() (exp [510]byte, log [256]byte) {
 	x := 1
@@ -39,14 +55,6 @@ func gfTables() (exp [510]byte, log [256]byte) {
 		}
 	}
 	return exp, log
-}
-
-// gfMul multiplies two field elements.
-func gfMul(a, b byte) byte {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return gfExp[int(gfLog[a])+int(gfLog[b])]
 }
 
 // gfInv returns the multiplicative inverse of a non-zero element.
@@ -65,20 +73,19 @@ func gfCoef(i, j int) byte {
 
 // mulAddInto accumulates dst ^= c * src over whole symbols.
 func mulAddInto(dst, src []byte, c byte) {
-	if c == 0 {
+	switch c {
+	case 0:
 		return
-	}
-	if c == 1 {
-		for b, v := range src {
-			dst[b] ^= v
+	case 1:
+		if len(src) > 0 {
+			_ = dst[len(src)-1]
+			subtle.XORBytes(dst, dst, src) // word-wide: the XOR row is most of every light code
 		}
 		return
 	}
-	lc := int(gfLog[c])
+	t := &gfMulTab[c]
 	for b, v := range src {
-		if v != 0 {
-			dst[b] ^= gfExp[lc+int(gfLog[v])]
-		}
+		dst[b] ^= t[v]
 	}
 }
 
@@ -89,22 +96,33 @@ func RSParity(data [][]byte, r int) [][]byte {
 	if len(data) == 0 || r <= 0 {
 		return nil
 	}
-	if len(data)+r > 255 {
-		panic(fmt.Sprintf("wire: code group of %d data + %d parity exceeds GF(256)", len(data), r))
-	}
 	symLen := len(data[0])
+	buf := make([]byte, r*symLen)
 	out := make([][]byte, r)
 	for j := range out {
-		p := make([]byte, symLen)
+		out[j] = buf[j*symLen : (j+1)*symLen : (j+1)*symLen]
+	}
+	RSParityInto(out, data)
+	return out
+}
+
+// RSParityInto is RSParity into rows the caller owns: parity[j] is
+// overwritten with parity row j of the group, so len(parity) is the
+// row count r. Every data symbol and every row must have the same
+// length.
+func RSParityInto(parity, data [][]byte) {
+	if len(data)+len(parity) > 255 {
+		panic(fmt.Sprintf("wire: code group of %d data + %d parity exceeds GF(256)", len(data), len(parity)))
+	}
+	for j, p := range parity {
+		clear(p)
 		for i, d := range data {
-			if len(d) != symLen {
-				panic(fmt.Sprintf("wire: symbol %d is %dB, group uses %dB", i, len(d), symLen))
+			if len(d) != len(p) {
+				panic(fmt.Sprintf("wire: symbol %d is %dB, group uses %dB", i, len(d), len(p)))
 			}
 			mulAddInto(p, d, gfCoef(i, j))
 		}
-		out[j] = p
 	}
-	return out
 }
 
 // RSRecover reconstructs the erased data symbols of one code group in
@@ -113,9 +131,26 @@ func RSParity(data [][]byte, r int) [][]byte {
 // was recovered: recovery solves the received parity equations for the
 // erased columns and fails (leaving data untouched) when they do not
 // determine all of them — more erasures than surviving parity rows, or
-// a rank-deficient system.
+// a rank-deficient system. The recovered symbols are the caller's.
 func RSRecover(data [][]byte, parity [][]byte) bool {
-	var erased []int
+	return new(RSSolver).Recover(data, parity)
+}
+
+// RSSolver is RSRecover with scratch that outlives a call: the erased
+// columns and the equation rows live in storage the solver keeps and
+// reuses, so a receiver that solves group after group allocates only
+// while the largest system it has met grows.
+type RSSolver struct {
+	erased []int
+	rows   [][]byte // the equations, each a window of arena
+	arena  []byte   // the rows' bytes: coefficients, then right-hand side
+}
+
+// Recover is RSRecover over the solver's scratch. A recovered symbol
+// aliases the solver and holds its value only until the next Recover:
+// a caller copies what it keeps.
+func (s *RSSolver) Recover(data [][]byte, parity [][]byte) bool {
+	erased := s.erased[:0]
 	symLen := -1
 	for i, d := range data {
 		if d == nil {
@@ -124,34 +159,44 @@ func RSRecover(data [][]byte, parity [][]byte) bool {
 			symLen = len(d)
 		}
 	}
+	s.erased = erased
 	if len(erased) == 0 {
 		return true
 	}
-	if symLen < 0 {
-		for _, p := range parity {
-			if p != nil {
+	received := 0
+	for _, p := range parity {
+		if p != nil {
+			received++
+			if symLen < 0 {
 				symLen = len(p)
-				break
 			}
 		}
 	}
 	if symLen < 0 {
 		return false // nothing received at all
 	}
+	if received < len(erased) {
+		return false
+	}
 
 	// One equation per received parity row: the erased columns on the
 	// left, the parity minus the known columns on the right.
-	var rows [][]byte // coefficient vector (len(erased)) followed by rhs
+	width := len(erased) + symLen
+	if cap(s.arena) < received*width {
+		s.arena = make([]byte, received*width)
+	}
+	rows := s.rows[:0]
 	for j, p := range parity {
 		if p == nil {
 			continue
 		}
-		row := make([]byte, len(erased)+symLen)
+		at := len(rows) * width
+		row := s.arena[at : at+width : at+width]
 		for m, i := range erased {
 			row[m] = gfCoef(i, j)
 		}
 		rhs := row[len(erased):]
-		copy(rhs, p)
+		clear(rhs[copy(rhs, p):])
 		for i, d := range data {
 			if d != nil {
 				mulAddInto(rhs, d, gfCoef(i, j))
@@ -159,9 +204,7 @@ func RSRecover(data [][]byte, parity [][]byte) bool {
 		}
 		rows = append(rows, row)
 	}
-	if len(rows) < len(erased) {
-		return false
-	}
+	s.rows = rows
 
 	// Gauss-Jordan over the received rows.
 	for col := 0; col < len(erased); col++ {
@@ -177,10 +220,10 @@ func RSRecover(data [][]byte, parity [][]byte) bool {
 		}
 		rows[col], rows[pivot] = rows[pivot], rows[col]
 		if c := rows[col][col]; c != 1 {
-			inv := gfInv(c)
+			t := &gfMulTab[gfInv(c)]
 			row := rows[col]
 			for b := col; b < len(row); b++ {
-				row[b] = gfMul(row[b], inv)
+				row[b] = t[row[b]]
 			}
 		}
 		for r := range rows {
@@ -190,9 +233,7 @@ func RSRecover(data [][]byte, parity [][]byte) bool {
 		}
 	}
 	for m, i := range erased {
-		sym := make([]byte, symLen)
-		copy(sym, rows[m][len(erased):])
-		data[i] = sym
+		data[i] = rows[m][len(erased):]
 	}
 	return true
 }
