@@ -138,8 +138,8 @@ func BenchmarkAblationIndexBase(b *testing.B) {
 // BenchmarkQueryThroughput measures raw simulated queries per second on
 // the paper's default configuration, per query type and capacity. The
 // allocation metrics are part of the contract: steady-state queries
-// must not allocate anything dataset-sized (the session pool recycles
-// client knowledge bases across iterations).
+// must not allocate anything dataset-sized (the system's idle-session
+// stack hands the same client knowledge bases to every iteration).
 func BenchmarkQueryThroughput(b *testing.B) {
 	p := experiment.Params{Queries: 1, Verify: false}
 	shortScale(&p)

@@ -17,10 +17,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"dsi/internal/experiment"
+	"dsi/internal/hilbert"
 	"dsi/internal/obs"
 )
 
@@ -39,6 +41,15 @@ func main() {
 		metrics = flag.String("metrics", "", "serve /metrics and /debug/pprof on this address (e.g. :9090; empty = off)")
 	)
 	flag.Parse()
+	if *queries < 1 {
+		badFlag("-queries %d below 1", *queries)
+	}
+	if *n < 0 {
+		badFlag("-n %d below 0", *n)
+	}
+	if *order > hilbert.MaxOrder {
+		badFlag("-order %d above %d", *order, hilbert.MaxOrder)
+	}
 	experiment.SetParallelism(*parallel)
 
 	var reg *obs.Registry
@@ -81,6 +92,7 @@ func main() {
 			names = append(names, name)
 		}
 	}
+	checkGrid(params, names)
 
 	for _, name := range names {
 		start := time.Now()
@@ -96,4 +108,39 @@ func main() {
 			fmt.Print(res.Format())
 		}
 	}
+}
+
+// checkGrid refuses a run whose datasets do not fit the grid of the
+// order it will actually use: n uniform objects, one per cell, and
+// the REAL-like dataset's objects at most every other cell when the
+// real experiment runs.
+func checkGrid(p experiment.Params, names []string) {
+	uni := p.Defaults()
+	cells := uint64(1) << (2 * uni.Order)
+	switch {
+	case uint64(uni.N) <= cells:
+	case p.N != 0:
+		badFlag("-n %d outside [1,%d], the cells of an order-%d grid", p.N, cells, uni.Order)
+	default:
+		badFlag("-order %d too small for the default %d objects", uni.Order, uni.N)
+	}
+	if !slices.Contains(names, "real") {
+		return
+	}
+	p.Real = true
+	cl := p.Defaults()
+	switch {
+	case 2*uint64(cl.N) <= cells:
+	case p.N != 0:
+		badFlag("-n %d too large for the REAL-like dataset on an order-%d grid (at most %d)", p.N, cl.Order, cells/2)
+	default:
+		badFlag("-order %d too small for the REAL-like dataset's %d objects", cl.Order, cl.N)
+	}
+}
+
+// badFlag reports an unusable flag value as one line and exits with
+// status 2, as the flag package does for a malformed one.
+func badFlag(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dsibench: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -24,7 +24,6 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
 
 	"dsi/internal/broadcast"
@@ -92,19 +91,6 @@ func (r *censorReceiver) Poll() (*dsi.Layout, bool) {
 	return lay, ok
 }
 
-// mintCensored builds a fresh throwaway session whose receiver aborts
-// past the latency horizon. Censored sessions never enter the arena
-// (an aborted query leaves them unusable) and skip instrumentation
-// (partial costs from abandoned queries would pollute the registry's
-// replay counters).
-func (s *fecArm) mintCensored(horizon int64) *sessionAdapter {
-	frx := s.receiver()
-	return &sessionAdapter{
-		s:      openOver(s.lay.X, &censorReceiver{Receiver: frx, limit: horizon}),
-		forget: frx.Forget,
-	}
-}
-
 // censorObs is one query's contribution to the censored fit: its
 // at-risk cycle count, and its observed costs when it completed.
 type censorObs struct {
@@ -133,47 +119,36 @@ type CensoredDist struct {
 func (wl *Workload) RunWindowCensored(sys *fecArm, ratio float64, horizonCycles int) CensoredDist {
 	qs := wl.genWindows(ratio)
 	cycle := int64(sys.CycleLen())
-	horizon := cycle * int64(horizonCycles)
-	one := func(s QuerySession, i int) (o censorObs, censored bool) {
+	// Horizon-bounded sessions skip instrumentation: partial costs from
+	// abandoned queries would pollute the registry's replay counters.
+	rx := sys.wireRx
+	rx.reg, rx.horizon = nil, cycle*int64(horizonCycles)
+	mint := func() *sessionAdapter { return rx.open(0, nil) }
+	censored := make([]bool, len(qs))
+	stats := replayStats(len(qs), mint, nil, func(s *sessionAdapter, i int) broadcast.Stats {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(censorHorizon); !ok {
 					panic(r)
 				}
-				o = censorObs{trials: int64(horizonCycles)}
-				censored = true
+				censored[i] = true
+				*s = *mint() // the aborted session is mid-query garbage
 			}
 		}()
 		q := qs[i]
-		probe := int64(q.uProb * float64(cycle))
-		got, st := s.Window(q.w, probe, wl.loss(q.seed))
-		if wl.Verify {
-			want := wl.DS.WindowBrute(q.w)
-			if !sameIDs(got, want) {
-				panic(fmt.Sprintf("experiment: %s window %v returned %d objects, want %d",
-					sys.Name(), q.w, len(got), len(want)))
-			}
-		}
-		n := (st.LatencyPackets + cycle - 1) / cycle
-		if n < 1 {
-			n = 1
-		}
-		return censorObs{trials: n, latency: st.LatencyPackets, tuning: st.TuningPackets, complete: true}, false
-	}
-	obs := make([]censorObs, len(qs))
-	toks := queryTokens()
-	parallelWorkers(len(qs), func(id int, next func() (int, bool)) {
-		var s QuerySession = sys.mintCensored(horizon)
-		for i, ok := next(); ok; i, ok = next() {
-			toks <- struct{}{}
-			o, censored := one(s, i)
-			obs[i] = o
-			if censored {
-				s = sys.mintCensored(horizon) // the aborted session is mid-query garbage
-			}
-			<-toks
-		}
+		got, st := s.Window(q.w, int64(q.uProb*float64(cycle)), wl.loss(q.seed))
+		wl.checkWindow(sys.Name(), q.w, got)
+		return st
 	})
+	obs := make([]censorObs, len(qs))
+	for i, st := range stats {
+		if censored[i] {
+			obs[i] = censorObs{trials: int64(horizonCycles)}
+		} else {
+			obs[i] = censorObs{trials: max(1, (st.LatencyPackets+cycle-1)/cycle),
+				latency: st.LatencyPackets, tuning: st.TuningPackets, complete: true}
+		}
+	}
 	return fitCensoredGeometric(obs, cycle, int64(sys.lay.X.Cfg.Capacity))
 }
 

@@ -108,3 +108,30 @@ func TestRunWindowCensoredHighTheta(t *testing.T) {
 		t.Fatalf("p95 %.0fB below mean %.0fB", d.Est.P95.LatencyBytes, d.Est.Mean.LatencyBytes)
 	}
 }
+
+// TestRunWindowCensoredParallelDeterministic: the censored replay on
+// the 1KB retry arm at the sweep's worst theta gives the same estimate
+// sequentially and on four workers, though each worker re-mints its
+// session after every abandoned query. The workload is sized so that a
+// few queries complete inside the horizon: their latencies carry the
+// estimate, so any per-worker state leaking into a query shows.
+func TestRunWindowCensoredParallelDeterministic(t *testing.T) {
+	p := Params{N: 300, Order: 7, Seed: 53, Queries: 64, Verify: true}.withDefaults()
+	x, _ := fecBed1024(p)
+	retry := newFECSystem("Retry 1KB (censored est)", x, wire.FECConfig{}, nil)
+	wl := p.workload(x.DS)
+	wl.Theta = 0.85
+	wl.BurstLen = FECBurstLen
+	wl.LossData = true
+	defer SetParallelism(Parallelism())
+
+	SetParallelism(1)
+	seq := wl.RunWindowCensored(retry, DefaultWinSideRatio, censorHorizonCycles)
+	if seq.Completed == 0 || seq.Completed == seq.Queries {
+		t.Fatalf("want both completed and censored queries: %+v", seq)
+	}
+	SetParallelism(4)
+	if par := wl.RunWindowCensored(retry, DefaultWinSideRatio, censorHorizonCycles); par != seq {
+		t.Fatalf("four workers %+v != sequential %+v", par, seq)
+	}
+}

@@ -30,47 +30,27 @@ func chanLossScenarios() []chanLossScenario {
 	}
 }
 
-// chanLossRun replays the window workload with per-channel
-// Gilbert-Elliott loss: one broadcast.PerChannel model per query, handed
-// to Tune. Each (query, channel) pair draws its own deterministic seed,
-// so results are reproducible and independent of execution order.
+// chanLossRun replays the window workload through the simulator over
+// the split layout with per-channel Gilbert-Elliott loss: one
+// broadcast.PerChannel model per query. Each (query, channel) pair
+// draws its own deterministic seed, so results are reproducible and
+// independent of execution order.
 func chanLossRun(lay *dsi.Layout, wl *Workload, theta float64, sc chanLossScenario) Metrics {
-	qs := wl.genWindows(DefaultWinSideRatio)
-	return replay(len(qs),
-		// One reusable session per worker; Tune re-tunes it per query
-		// with the query's own per-channel models.
-		func(int) *dsi.Session {
-			s, err := dsi.Open(lay.X, dsi.WithLayout(lay))
-			if err != nil {
-				panic(fmt.Sprintf("experiment: chanloss: %v", err))
+	sys := newSimSystem("chanloss", lay, dsi.Conservative)
+	return meanOf(wl.windowStats(sys, wl.genWindows(DefaultWinSideRatio), func(_ *Workload, seed int64) *broadcast.LossModel {
+		ms := make([]*broadcast.LossModel, lay.Channels())
+		for ch := range ms {
+			if theta > 0 && sc.lossy(ch) {
+				m := broadcast.GilbertForTheta(theta, Table1GEBurstLen, seed+int64(ch))
+				// Data channels of a split layout carry only object
+				// packets; the loss process must corrupt them or the
+				// channel would be error-free in practice.
+				m.AffectsData = ch != lay.StartCh
+				ms[ch] = m
 			}
-			return s
-		},
-		nil,
-		func(c *dsi.Session, i int) broadcast.Stats {
-			q := qs[i]
-			ms := make([]*broadcast.LossModel, lay.Channels())
-			for ch := range ms {
-				if theta > 0 && sc.lossy(ch) {
-					m := broadcast.GilbertForTheta(theta, Table1GEBurstLen, q.seed+int64(ch))
-					// Data channels of a split layout carry only object
-					// packets; the loss process must corrupt them or the
-					// channel would be error-free in practice.
-					m.AffectsData = ch != lay.StartCh
-					ms[ch] = m
-				}
-			}
-			c.Tune(int64(q.uProb*float64(lay.ProbeCycle())), broadcast.PerChannel(ms...))
-			got, st := c.Window(q.w)
-			if wl.Verify {
-				want := wl.DS.WindowBrute(q.w)
-				if !sameIDs(got, want) {
-					panic(fmt.Sprintf("experiment: chanloss window %v returned %d objects, want %d",
-						q.w, len(got), len(want)))
-				}
-			}
-			return st
-		})
+		}
+		return broadcast.PerChannel(ms...)
+	}))
 }
 
 // ChanLoss sweeps heterogeneous per-channel Gilbert-Elliott loss over a

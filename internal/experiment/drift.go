@@ -290,20 +290,7 @@ type driftSession struct {
 
 func (s *driftSession) session(idx int) *sessionAdapter {
 	if s.sess[idx] == nil {
-		var rx dsi.Receiver
-		wrx, err := station.NewWireReceiver(s.sch.lays[idx], 1, s.sch.mts[idx], 0, nil)
-		if err != nil {
-			panic(fmt.Sprintf("experiment: drift wire receiver: %v", err))
-		}
-		rx = wrx
-		if s.reg != nil {
-			rx = obs.InstrumentReceiver(rx, obs.NewReceiverMetrics(s.reg, s.sch.lays[idx].Channels()))
-		}
-		sess, err := dsi.Open(s.sch.x, dsi.WithReceiver(rx))
-		if err != nil {
-			panic(fmt.Sprintf("experiment: opening drift session: %v", err))
-		}
-		s.sess[idx] = &sessionAdapter{s: sess}
+		s.sess[idx] = wireRx{lay: s.sch.lays[idx], src: s.sch.mts[idx], reg: s.reg}.open(0, nil)
 	}
 	return s.sess[idx]
 }
@@ -326,20 +313,7 @@ func (sch *driftSchedule) resyncWindow(reg *obs.Registry, idx, tgt int, q window
 	if _, err := tx.Stage(sch.lays[tgt], probe); err != nil {
 		panic(fmt.Sprintf("experiment: drift stage: %v", err))
 	}
-	var rx dsi.Receiver
-	wrx, err := station.NewWireReceiver(sch.lays[idx], 1, tx, probe, loss)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: drift resync receiver: %v", err))
-	}
-	rx = wrx
-	if reg != nil {
-		rx = obs.InstrumentReceiver(rx, obs.NewReceiverMetrics(reg, sch.lays[idx].Channels()))
-	}
-	sess, err := dsi.Open(sch.x, dsi.WithReceiver(rx))
-	if err != nil {
-		panic(fmt.Sprintf("experiment: opening drift resync session: %v", err))
-	}
-	return sess.Window(q.w)
+	return wireRx{lay: sch.lays[idx], src: tx, reg: reg}.open(probe, loss).s.Window(q.w)
 }
 
 // runDrift replays queries [from, to) under the swap schedule on the
@@ -355,32 +329,24 @@ func (wl *Workload) runDrift(sch *driftSchedule, queries []windowQuery, from, to
 			mt.SetObs(m)
 		}
 	}
-	return replay(to-from,
-		func(int) *driftSession {
-			return &driftSession{sch: sch, reg: wl.Obs, sess: make([]*sessionAdapter, len(sch.lays))}
-		},
-		nil,
-		func(s *driftSession, i int) broadcast.Stats {
-			gi := from + i
-			q := queries[gi]
-			idx := sch.planAt[gi]
-			probe := int64(q.uProb * float64(sch.lays[idx].ProbeCycle()))
-			var got []int
-			var st broadcast.Stats
-			if tgt := sch.resyncTo[gi]; tgt >= 0 {
-				got, st = sch.resyncWindow(wl.Obs, idx, tgt, q, probe, wl.loss(q.seed))
-			} else {
-				got, st = s.session(idx).Window(q.w, probe, wl.loss(q.seed))
-			}
-			if wl.Verify {
-				want := wl.DS.WindowBrute(q.w)
-				if !sameIDs(got, want) {
-					panic(fmt.Sprintf("experiment: drift window %v returned %d objects, want %d",
-						q.w, len(got), len(want)))
-				}
-			}
-			return st
-		})
+	worker := func() *driftSession {
+		return &driftSession{sch: sch, reg: wl.Obs, sess: make([]*sessionAdapter, len(sch.lays))}
+	}
+	return meanOf(replayStats(to-from, worker, nil, func(s *driftSession, i int) broadcast.Stats {
+		gi := from + i
+		q := queries[gi]
+		idx := sch.planAt[gi]
+		probe := int64(q.uProb * float64(sch.lays[idx].ProbeCycle()))
+		var got []int
+		var st broadcast.Stats
+		if tgt := sch.resyncTo[gi]; tgt >= 0 {
+			got, st = sch.resyncWindow(wl.Obs, idx, tgt, q, probe, wl.loss(q.seed))
+		} else {
+			got, st = s.session(idx).Window(q.w, probe, wl.loss(q.seed))
+		}
+		wl.checkWindow("drift", q.w, got)
+		return st
+	}))
 }
 
 // Drift is the online re-planning experiment: post-drift window latency

@@ -50,6 +50,10 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// Defaults returns p with every zero field set to the paper's default,
+// as each experiment resolves it.
+func (p Params) Defaults() Params { return p.withDefaults() }
+
 // Dataset materializes the dataset the params describe.
 func (p Params) Dataset() *dataset.Dataset {
 	p = p.withDefaults()

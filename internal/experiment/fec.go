@@ -24,6 +24,7 @@ import (
 	"math"
 
 	"dsi/internal/dsi"
+	"dsi/internal/massive"
 	"dsi/internal/obs"
 	"dsi/internal/station"
 	"dsi/internal/wire"
@@ -45,17 +46,6 @@ const FECBurstLen = 8
 // default 16-packet object would take ~10^9 — the uncoded arm would
 // never terminate. The coded arms are insensitive to the choice.
 const fecObjectBytes = 256
-
-// fecLightCode is the low-overhead interleaved-XOR configuration: one
-// parity packet per group of up to four members, so a short burst
-// costs each group at most one erasure.
-func fecLightCode(x *dsi.Index) wire.FECConfig {
-	groups := func(k int) int { return (k + 3) / 4 }
-	return wire.FECConfig{
-		Table:  wire.FECCode{Groups: groups(x.TablePackets), Parity: 1},
-		Object: wire.FECCode{Groups: groups(x.ObjPackets), Parity: 1},
-	}
-}
 
 // fecHeavyCode sizes a single-group Reed-Solomon code for the worst
 // loss rate of the sweep: R grows until the expected survivors among
@@ -79,18 +69,7 @@ func fecHeavyCode(x *dsi.Index, theta float64) wire.FECConfig {
 // byte-level receiver.
 type fecArm struct {
 	*DSISystem
-	lay *dsi.Layout
-	src station.PacketSource
-	cfg wire.FECConfig
-}
-
-// receiver mints a coded receiver over the arm's air.
-func (s *fecArm) receiver() *station.WireReceiver {
-	rx, err := station.NewFECReceiver(s.lay, 1, s.src, s.cfg, 0, nil)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: FEC receiver: %v", err))
-	}
-	return rx
+	wireRx
 }
 
 // newFECSystem builds the coded single-channel transmitter and the
@@ -105,20 +84,9 @@ func newFECSystem(label string, x *dsi.Index, cfg wire.FECConfig, reg *obs.Regis
 	if reg != nil {
 		tx.SetObs(obs.NewStationMetrics(reg, 1))
 	}
-	s := &fecArm{lay: lay, src: tx, cfg: cfg}
-	s.DSISystem = &DSISystem{Label: label, cycle: s.receiver().CycleSlots(),
-		mint: func() *sessionAdapter {
-			frx := s.receiver()
-			var rx dsi.Receiver = frx
-			if reg != nil {
-				frx.SetObs(obs.NewFECMetrics(reg))
-				rx = obs.InstrumentReceiver(rx, obs.NewReceiverMetrics(reg, 1))
-			}
-			// The recovered-unit cache survives a re-tune by design; a
-			// harness query must not depend on the worker's earlier ones.
-			return &sessionAdapter{s: openOver(x, rx), forget: frx.Forget}
-		}}
-	return s
+	rx := wireRx{lay: lay, src: tx, cfg: cfg, reg: reg}
+	return &fecArm{wireRx: rx, DSISystem: &DSISystem{Label: label, cycle: tx.ChanSlots(0),
+		mint: func() *sessionAdapter { return rx.open(0, nil) }}}
 }
 
 // Rate returns the code rate: the fraction of the physical cycle
@@ -137,7 +105,7 @@ func fecBed(p Params) (x *dsi.Index, arms []*fecArm) {
 	worst := FECThetas[len(FECThetas)-1]
 	arms = []*fecArm{
 		newFECSystem("Retry", x, wire.FECConfig{}, p.Obs),
-		newFECSystem("FEC light", x, fecLightCode(x), p.Obs),
+		newFECSystem("FEC light", x, massive.LightCode(x), p.Obs),
 		newFECSystem("FEC heavy", x, fecHeavyCode(x, worst), p.Obs),
 	}
 	return x, arms

@@ -7,6 +7,7 @@ import (
 
 	"dsi/internal/broadcast"
 	"dsi/internal/dsi"
+	"dsi/internal/massive"
 	"dsi/internal/obs"
 	"dsi/internal/spatial"
 )
@@ -58,13 +59,14 @@ func TestFECObsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fecLightCode(x)
+	cfg := massive.LightCode(x)
 	reg := obs.NewRegistry()
 	bare := newFECSystem("bare", x, cfg, nil)
 	inst := newFECSystem("inst", x, cfg, reg)
 
 	side := ds.Curve.Side()
 	cycle := int64(bare.CycleLen())
+	bs, is := bare.Acquire(), inst.Acquire()
 	for i := 0; i < 10; i++ {
 		w := spatial.ClampedWindow(uint32((i*97)%int(side)), uint32((i*31)%int(side)), 40, side)
 		probe := (int64(i) * 1201) % cycle
@@ -73,8 +75,8 @@ func TestFECObsBitIdentical(t *testing.T) {
 			m.AffectsData = true
 			return m
 		}
-		bids, bst := bare.Window(w, probe, mkLoss(int64(i)))
-		iids, ist := inst.Window(w, probe, mkLoss(int64(i)))
+		bids, bst := bs.Window(w, probe, mkLoss(int64(i)))
+		iids, ist := is.Window(w, probe, mkLoss(int64(i)))
 		if fmt.Sprint(bids) != fmt.Sprint(iids) || bst != ist {
 			t.Fatalf("query %d diverges under instrumentation:\nbare: %+v %v\ninst: %+v %v",
 				i, bst, bids, ist, iids)

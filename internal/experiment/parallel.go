@@ -56,18 +56,16 @@ func queryTokens() chan struct{} {
 
 // parallelWorkers runs up to min(Parallelism(), n) workers, each
 // repeatedly pulling item indices from next until they are exhausted,
-// and waits for all of them. Workers are identified by a dense id in
-// [0, Parallelism()) — the key per-worker state (pinned session
-// arenas) is indexed by. A panic in any worker stops the pool and is
-// re-raised on the caller's goroutine.
-func parallelWorkers(n int, worker func(id int, next func() (int, bool))) {
+// and waits for all of them. A panic in any worker stops the pool and
+// is re-raised on the caller's goroutine.
+func parallelWorkers(n int, worker func(next func() (int, bool))) {
 	w := Parallelism()
 	if w > n {
 		w = n
 	}
 	var cursor atomic.Int64
 	if w <= 1 {
-		worker(0, func() (int, bool) {
+		worker(func() (int, bool) {
 			i := int(cursor.Add(1)) - 1
 			return i, i < n
 		})
@@ -86,7 +84,7 @@ func parallelWorkers(n int, worker func(id int, next func() (int, bool))) {
 	}
 	wg.Add(w)
 	for g := 0; g < w; g++ {
-		go func(id int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -97,8 +95,8 @@ func parallelWorkers(n int, worker func(id int, next func() (int, bool))) {
 					panicked.CompareAndSwap(nil, &r2)
 				}
 			}()
-			worker(id, next)
-		}(g)
+			worker(next)
+		}()
 	}
 	wg.Wait()
 	if r := panicked.Load(); r != nil {
@@ -111,7 +109,7 @@ func parallelWorkers(n int, worker func(id int, next func() (int, bool))) {
 // per-index slots. Callers at the orchestration level (figure sweeps)
 // use this directly; it does not consume query tokens.
 func parallelEach(n int, fn func(i int)) {
-	parallelWorkers(n, func(_ int, next func() (int, bool)) {
+	parallelWorkers(n, func(next func() (int, bool)) {
 		for i, ok := next(); ok; i, ok = next() {
 			fn(i)
 		}
@@ -125,89 +123,4 @@ func sweep[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	parallelEach(n, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// acquireSession hands out the reusable query session pinned to worker
-// id for the system, falling back to direct (stateless) calls for
-// systems without session support.
-func acquireSession(sys System, worker int) QuerySession {
-	if ss, ok := sys.(SessionSystem); ok {
-		return ss.AcquireSession(worker)
-	}
-	return statelessSession{sys}
-}
-
-// releaseSession hands a session back to its worker slot.
-func releaseSession(sys System, worker int, s QuerySession) {
-	if ss, ok := sys.(SessionSystem); ok {
-		ss.ReleaseSession(worker, s)
-	}
-}
-
-// sessionArena is the per-system session store: one session pinned per
-// worker id, minted on the slot's first use and reused by every later
-// run — no pool traffic at steady state, no cross-worker handoff, and
-// a stable worker-to-session binding a NUMA-aware allocator could
-// exploit. When workloads run concurrently against one system (a
-// figure sweep fanning out data points) their worker ids collide: the
-// slot's owner keeps it and the latecomer draws from a small overflow
-// free-list, minting only when that is empty too (counted by the mint
-// counter the reuse tests watch).
-type sessionArena struct {
-	mu    sync.Mutex
-	slots []arenaSlot
-	spare []QuerySession // overflow reuse for busy-slot collisions
-}
-
-type arenaSlot struct {
-	s    QuerySession
-	busy bool
-}
-
-// acquire hands out worker w's pinned session, minting one the first
-// time; when the slot is checked out by a concurrent run, it reuses a
-// spare (or mints one that will become a spare on release).
-func (a *sessionArena) acquire(w int, mint func() QuerySession) QuerySession {
-	a.mu.Lock()
-	if w >= len(a.slots) {
-		a.slots = append(a.slots, make([]arenaSlot, w+1-len(a.slots))...)
-	}
-	slot := &a.slots[w]
-	if !slot.busy && slot.s != nil {
-		slot.busy = true
-		s := slot.s
-		a.mu.Unlock()
-		return s
-	}
-	taken := slot.busy
-	if !taken {
-		slot.busy = true
-	} else if n := len(a.spare); n > 0 {
-		s := a.spare[n-1]
-		a.spare[n-1] = nil
-		a.spare = a.spare[:n-1]
-		a.mu.Unlock()
-		return s
-	}
-	a.mu.Unlock()
-	s := mint()
-	if !taken {
-		a.mu.Lock()
-		a.slots[w].s = s
-		a.mu.Unlock()
-	}
-	return s
-}
-
-// release checks worker w's pinned session back into its slot; a
-// session that is not the slot's pin goes onto the overflow free-list
-// for the next colliding run.
-func (a *sessionArena) release(w int, s QuerySession) {
-	a.mu.Lock()
-	if w < len(a.slots) && a.slots[w].s == s {
-		a.slots[w].busy = false
-	} else {
-		a.spare = append(a.spare, s)
-	}
-	a.mu.Unlock()
 }

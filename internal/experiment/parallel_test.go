@@ -78,10 +78,10 @@ func TestHCIKNNBoundaryExact(t *testing.T) {
 }
 
 // TestSessionReuseAcrossWorkload verifies sessions actually get reused:
-// the per-worker arena mints at most one session per worker slot and
-// every later workload run reuses them. Unlike the sync.Pool this
-// replaced — whose reuse was randomized under the race detector — the
-// arena's bounds are deterministic in every build.
+// the system's idle stack mints at most one session per worker and
+// every later workload run reuses them. Unlike a sync.Pool — whose
+// reuse is randomized under the race detector — the stack's bounds
+// are deterministic in every build.
 func TestSessionReuseAcrossWorkload(t *testing.T) {
 	p := Params{N: 300, Order: 6, Seed: 9, Queries: 32, Verify: true}
 	ds := p.Dataset()
@@ -108,15 +108,15 @@ func TestSessionReuseAcrossWorkload(t *testing.T) {
 }
 
 // BenchmarkParallelReplay measures the parallel replay core over a
-// warm system and asserts the arena contract: after the first run has
-// pinned a session per worker, replays mint nothing — zero pool
-// traffic in the steady state the figure sweeps run in.
+// warm system and asserts the reuse contract: after the first run has
+// left a session per worker on the idle stack, replays mint nothing in
+// the steady state the figure sweeps run in.
 func BenchmarkParallelReplay(b *testing.B) {
 	p := Params{N: 500, Order: 7, Seed: 13, Queries: 64}
 	ds := p.Dataset()
 	sys := mustSys(NewDSI(ds, dsi.Config{Capacity: 64, Segments: 2}, dsi.Conservative, ""))
 	wl := p.workload(ds)
-	wl.RunWindow(sys, 0.1) // warm: pin one session per worker
+	wl.RunWindow(sys, 0.1) // warm: one idle session per worker
 	before := dsiSessionsMinted.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -124,6 +124,6 @@ func BenchmarkParallelReplay(b *testing.B) {
 	}
 	b.StopTimer()
 	if minted := dsiSessionsMinted.Load() - before; minted != 0 {
-		b.Fatalf("replay minted %d sessions after warmup; the arena must serve every worker", minted)
+		b.Fatalf("replay minted %d sessions after warmup; the idle stack must serve every worker", minted)
 	}
 }

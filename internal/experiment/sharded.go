@@ -174,8 +174,8 @@ func shardedPointAt(x *dsi.Index, wl *Workload, prof *sched.Profile, theta float
 
 	eval := wl.zipfWindows(theta, DefaultWinSideRatio, 0, wl.Queries)
 	return shardedPoint{
-		shard:       wl.runWindows(shardSys, eval),
-		split:       wl.runWindows(splitSys, eval),
+		shard:       meanOf(wl.windowStats(shardSys, eval, (*Workload).loss)),
+		split:       meanOf(wl.windowStats(splitSys, eval, (*Workload).loss)),
 		wait:        plan.ExpectedWait(lay.DataPackets),
 		uniformWait: uniform.ExpectedWait(lay.DataPackets),
 	}

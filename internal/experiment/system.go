@@ -11,77 +11,58 @@ package experiment
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"dsi/internal/air"
 	"dsi/internal/broadcast"
 	"dsi/internal/dataset"
 	"dsi/internal/dsi"
+	"dsi/internal/obs"
 	"dsi/internal/spatial"
 	"dsi/internal/station"
+	"dsi/internal/wire"
 )
 
-// System is an air index under evaluation.
+// System is an air index under evaluation. It lends query sessions:
+// a replay worker acquires one, answers its share of the workload
+// through it, and releases it when it drains.
 type System interface {
 	// Name identifies the system in tables ("DSI", "R-tree", "HCI", ...).
 	Name() string
-	// Window answers a window query from the given absolute probe slot.
-	Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats)
-	// KNN answers a k-nearest-neighbor query.
-	KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats)
 	// CycleLen returns the broadcast cycle length in packets, used to
 	// draw uniform probe slots.
 	CycleLen() int
+	// Acquire lends a session for the caller's exclusive use.
+	Acquire() QuerySession
+	// Release takes back a session Acquire lent.
+	Release(QuerySession)
 }
 
-// QuerySession answers queries one at a time with reusable state: a
-// worker holds one session and replays queries through it, so per-query
-// setup (client knowledge bases, scratch buffers) is recycled instead
-// of reallocated. Result slices are only valid until the session's next
-// query. Sessions are not safe for concurrent use; mint one per worker.
+// QuerySession answers queries one at a time from the given absolute
+// probe slot. A session may keep reusable state (client knowledge
+// bases, scratch buffers) across queries; result slices are only valid
+// until its next query, and it is not safe for concurrent use unless
+// its system says so.
 type QuerySession interface {
 	Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats)
 	KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats)
 }
 
-// SessionSystem is a System that keeps reusable query sessions in a
-// per-worker arena: worker w always gets the session pinned to slot w,
-// so session state (and its client) survives across workload runs with
-// no pool traffic at all. Systems without sessions are queried
-// statelessly.
-type SessionSystem interface {
-	System
-	AcquireSession(worker int) QuerySession
-	ReleaseSession(worker int, s QuerySession)
-}
-
-// statelessSession adapts a plain System to the session interface.
-type statelessSession struct{ sys System }
-
-func (s statelessSession) Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.sys.Window(w, probe, loss)
-}
-
-func (s statelessSession) KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.sys.KNN(q, k, probe, loss)
-}
-
 // DSISystem is the one session-backed DSI system: every way the
 // harness queries a DSI broadcast — the simulator over any layout, the
 // byte-level receivers over a packet source, the coded receiver — is
-// this type with a different mint. It pins one reusable session per
-// worker; use it by pointer.
+// this type with a different mint. Idle sessions wait on one stack;
+// use it by pointer.
 type DSISystem struct {
 	Label    string
 	Strategy dsi.Strategy
 
-	cycle int // slots probe positions are drawn from
-	// mint assembles a fresh session over the system's receiver kind.
-	// Arena mints count into dsiSessionsMinted at the acquire site;
-	// stateless throwaway sessions stay uncounted so the reuse tests'
-	// exact bounds hold.
-	mint     func() *sessionAdapter
-	sessions sessionArena // pinned per worker
+	cycle int                    // slots probe positions are drawn from
+	mint  func() *sessionAdapter // a fresh session over the system's receiver kind
+
+	mu   sync.Mutex
+	idle []*sessionAdapter
 }
 
 // newSimSystem runs queries through the simulator (dsi.SimReceiver)
@@ -104,23 +85,47 @@ func newSimSystem(label string, lay *dsi.Layout, strat dsi.Strategy) *DSISystem 
 // (station.WireReceiver) over a static packet source: the session
 // facade's WithReceiver path under the standard harness.
 func newWireSystem(label string, lay *dsi.Layout, src station.PacketSource, strat dsi.Strategy) *DSISystem {
+	rx := wireRx{lay: lay, src: src}
 	return &DSISystem{Label: label, Strategy: strat, cycle: lay.ProbeCycle(),
-		mint: func() *sessionAdapter {
-			rx, err := station.NewWireReceiver(lay, 1, src, 0, nil)
-			if err != nil {
-				panic(fmt.Sprintf("experiment: wire receiver: %v", err))
-			}
-			return &sessionAdapter{s: openOver(lay.X, rx)}
-		}}
+		mint: func() *sessionAdapter { return rx.open(0, nil) }}
 }
 
-// openOver opens a session over a prebuilt receiver.
-func openOver(x *dsi.Index, rx dsi.Receiver) *dsi.Session {
-	sess, err := dsi.Open(x, dsi.WithReceiver(rx))
+// wireRx describes a byte-level session: a client tuning in with
+// layout lay as its catalog (directory version 1) over source src,
+// decoding code cfg (the zero code is the plain wire receiver). reg, when
+// set, instruments the receiver; horizon, when positive, aborts every
+// query past that many latency packets (see censorReceiver).
+type wireRx struct {
+	lay     *dsi.Layout
+	src     station.PacketSource
+	cfg     wire.FECConfig
+	reg     *obs.Registry
+	horizon int64
+}
+
+// open mints the receiver tuned in at probe under loss and opens a
+// session over it. The session forgets the receiver's recovered-unit
+// cache on every re-tune, so no query depends on earlier ones.
+func (w wireRx) open(probe int64, loss *broadcast.LossModel) *sessionAdapter {
+	frx, err := station.NewFECReceiver(w.lay, 1, w.src, w.cfg, probe, loss)
+	if err != nil {
+		panic(fmt.Sprintf("experiment: wire receiver: %v", err))
+	}
+	var rx dsi.Receiver = frx
+	if w.reg != nil {
+		if w.cfg.Enabled() {
+			frx.SetObs(obs.NewFECMetrics(w.reg))
+		}
+		rx = obs.InstrumentReceiver(rx, obs.NewReceiverMetrics(w.reg, w.lay.Channels()))
+	}
+	if w.horizon > 0 {
+		rx = &censorReceiver{Receiver: rx, limit: w.horizon}
+	}
+	sess, err := dsi.Open(w.lay.X, dsi.WithReceiver(rx))
 	if err != nil {
 		panic(fmt.Sprintf("experiment: opening receiver session: %v", err))
 	}
-	return sess
+	return &sessionAdapter{s: sess, forget: frx.Forget}
 }
 
 // NewDSI builds a DSI system over the single-channel layout — the N = 1
@@ -153,38 +158,35 @@ func (s *DSISystem) Name() string { return s.Label }
 
 func (s *DSISystem) CycleLen() int { return s.cycle }
 
-// session mints a fresh session running kNN with the system's strategy.
-func (s *DSISystem) session() *sessionAdapter {
+// dsiSessionsMinted counts sessions constructed from scratch, so tests
+// can assert that workloads reuse sessions instead of re-minting them.
+var dsiSessionsMinted atomic.Int64
+
+// Acquire pops an idle session, or mints one when none is idle. A
+// session is one long-lived dsi.Session re-tuned between queries:
+// identical results and metrics to fresh clients, without
+// re-allocating a knowledge base per query.
+func (s *DSISystem) Acquire() QuerySession {
+	s.mu.Lock()
+	if n := len(s.idle); n > 0 {
+		a := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		s.mu.Unlock()
+		return a
+	}
+	s.mu.Unlock()
+	dsiSessionsMinted.Add(1)
 	a := s.mint()
 	a.strat = s.Strategy
 	return a
 }
 
-func (s *DSISystem) Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.session().Window(w, probe, loss)
+// Release pushes the session back onto the idle stack.
+func (s *DSISystem) Release(q QuerySession) {
+	s.mu.Lock()
+	s.idle = append(s.idle, q.(*sessionAdapter))
+	s.mu.Unlock()
 }
-
-func (s *DSISystem) KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.session().KNN(q, k, probe, loss)
-}
-
-// dsiSessionsMinted counts sessions constructed from scratch, so tests
-// can assert that workloads reuse sessions instead of re-minting them.
-var dsiSessionsMinted atomic.Int64
-
-// AcquireSession returns worker's pinned session around one long-lived
-// dsi.Session that is re-tuned between queries: identical results and
-// metrics to fresh clients, without re-allocating the page tables and
-// stamp pages of a knowledge base per query.
-func (s *DSISystem) AcquireSession(worker int) QuerySession {
-	return s.sessions.acquire(worker, func() QuerySession {
-		dsiSessionsMinted.Add(1)
-		return s.session()
-	})
-}
-
-// ReleaseSession checks the session back into its worker slot.
-func (s *DSISystem) ReleaseSession(worker int, q QuerySession) { s.sessions.release(worker, q) }
 
 // sessionAdapter adapts a dsi.Session to the harness's QuerySession:
 // re-tune per query, recycle the result buffer, run kNN with the
@@ -234,15 +236,13 @@ func NewRTree(ds *dataset.Dataset, capacity, objectBytes int) (*RTreeSystem, err
 
 func (s *RTreeSystem) Name() string { return "R-tree" }
 
-func (s *RTreeSystem) Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.B.Window(w, probe, loss)
-}
-
-func (s *RTreeSystem) KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.B.KNN(q, k, probe, loss)
-}
-
 func (s *RTreeSystem) CycleLen() int { return s.B.Lay.Prog.Len() }
+
+// Acquire lends the broadcast itself: it answers queries statelessly
+// and is safe for concurrent use.
+func (s *RTreeSystem) Acquire() QuerySession { return s.B }
+
+func (s *RTreeSystem) Release(QuerySession) {}
 
 // HCISystem is the on-air Hilbert Curve Index baseline.
 type HCISystem struct{ B *air.HCIBroadcast }
@@ -258,15 +258,12 @@ func NewHCI(ds *dataset.Dataset, capacity, objectBytes int) (*HCISystem, error) 
 
 func (s *HCISystem) Name() string { return "HCI" }
 
-func (s *HCISystem) Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.B.Window(w, probe, loss)
-}
-
-func (s *HCISystem) KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.B.KNN(q, k, probe, loss)
-}
-
 func (s *HCISystem) CycleLen() int { return s.B.Lay.Prog.Len() }
+
+// Acquire lends the broadcast itself, as RTreeSystem does.
+func (s *HCISystem) Acquire() QuerySession { return s.B }
+
+func (s *HCISystem) Release(QuerySession) {}
 
 func mustSys(s System, err error) System {
 	if err != nil {

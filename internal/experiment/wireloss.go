@@ -17,8 +17,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"dsi/internal/broadcast"
 	"dsi/internal/dsi"
 	"dsi/internal/sched"
@@ -41,13 +39,12 @@ const WireLossTheta = 1.2
 // version behind the source's committed swap: a fresh receiver per
 // query, which must fetch the current directory over the lossy air
 // before anything decodes. Sessions are deliberately not reused — the
-// staleness is the point.
+// staleness is the point — so the system lends itself: each query
+// opens its own session.
 type staleWireSystem struct {
 	label string
-	x     *dsi.Index
-	stale *dsi.Layout // the version-1 catalog clients tune in with
+	rx    wireRx      // the version-1 catalog clients tune in with, over the swapped source
 	onAir *dsi.Layout // the committed layout (probe slots scale to it)
-	src   station.PacketSource
 	strat dsi.Strategy
 }
 
@@ -55,21 +52,16 @@ func (s *staleWireSystem) Name() string { return s.label }
 
 func (s *staleWireSystem) CycleLen() int { return s.onAir.ProbeCycle() }
 
-// open tunes a fresh stale-catalog session in at the probe slot.
-func (s *staleWireSystem) open(probe int64, loss *broadcast.LossModel) *dsi.Session {
-	rx, err := station.NewWireReceiver(s.stale, 1, s.src, probe, loss)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: stale wire receiver: %v", err))
-	}
-	return openOver(s.x, rx)
-}
+func (s *staleWireSystem) Acquire() QuerySession { return s }
+
+func (s *staleWireSystem) Release(QuerySession) {}
 
 func (s *staleWireSystem) Window(w spatial.Rect, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.open(probe, loss).Window(w)
+	return s.rx.open(probe, loss).s.Window(w)
 }
 
 func (s *staleWireSystem) KNN(q spatial.Point, k int, probe int64, loss *broadcast.LossModel) ([]int, broadcast.Stats) {
-	return s.open(probe, loss).KNN(q, k, s.strat)
+	return s.rx.open(probe, loss).s.KNN(q, k, s.strat)
 }
 
 // wireLossBed assembles the experiment's fixed infrastructure: the
@@ -131,11 +123,11 @@ func wireLossBed(p Params) (x *dsi.Index, lay0, lay1 *dsi.Layout, mt, swapped *s
 func WireLoss(p Params) Result {
 	p = p.withDefaults()
 	ds := p.Dataset()
-	x, lay0, lay1, mt, swapped := wireLossBed(p)
+	_, lay0, lay1, mt, swapped := wireLossBed(p)
 
 	sim := newSimSystem("Sim", lay0, dsi.Conservative)
 	wire := newWireSystem("Wire", lay0, mt, dsi.Conservative)
-	stale := &staleWireSystem{label: "Wire stale", x: x, stale: lay0, onAir: lay1, src: swapped, strat: dsi.Conservative}
+	stale := &staleWireSystem{label: "Wire stale", rx: wireRx{lay: lay0, src: swapped}, onAir: lay1, strat: dsi.Conservative}
 
 	mk := func(id, title, y string) Figure {
 		return Figure{ID: id, Title: title, XLabel: "loss rate theta", YLabel: y}

@@ -48,12 +48,12 @@ func TestWireLossSimWireBitIdentical(t *testing.T) {
 
 // TestWireLossStaleConverges runs the stale-tune-in arm with Verify on:
 // every query must fetch the committed directory over the lossy air
-// and still answer exactly (runWindows cross-checks brute force).
+// and still answer exactly (the replay cross-checks brute force).
 func TestWireLossStaleConverges(t *testing.T) {
 	p := Params{N: 400, Order: 7, Seed: 19, Queries: 10, Verify: true}
 	x, lay0, lay1, _, rb := wireLossBed(p)
 	ds := x.DS
-	stale := &staleWireSystem{label: "Wire stale", x: x, stale: lay0, onAir: lay1, src: rb}
+	stale := &staleWireSystem{label: "Wire stale", rx: wireRx{lay: lay0, src: rb}, onAir: lay1}
 
 	for _, theta := range []float64{0, 0.25} {
 		wl := p.workload(ds)

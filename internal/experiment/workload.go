@@ -3,10 +3,11 @@ package experiment
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"dsi/internal/broadcast"
 	"dsi/internal/dataset"
+	"dsi/internal/massive"
 	"dsi/internal/obs"
 	"dsi/internal/spatial"
 )
@@ -120,31 +121,34 @@ func (wl *Workload) loss(seed int64) *broadcast.LossModel {
 // against the system and returns average metrics.
 //
 // Queries are sharded across the package worker pool (SetParallelism),
-// each worker replaying through its own reusable session against the
-// shared immutable index. Every query is fully determined by its
+// each worker replaying through a session the system lends it against
+// the shared immutable index. Every query is fully determined by its
 // precomputed workload entry (window, probe fraction, loss seed) and
 // per-query stats are accumulated in query order, so the averages are
 // bit-identical at any parallelism setting.
 func (wl *Workload) RunWindow(sys System, ratio float64) Metrics {
-	return wl.runWindows(sys, wl.genWindows(ratio))
+	return meanOf(wl.windowStats(sys, wl.genWindows(ratio), (*Workload).loss))
 }
 
-// runWindows replays an explicit window-query list — the entry point of
-// the skewed (non-uniform) workloads, whose queries are generated
-// elsewhere but replayed with the same sharding and determinism
-// guarantees as RunWindow.
-func (wl *Workload) runWindows(sys System, qs []windowQuery) Metrics {
-	return wl.run(sys, len(qs), func(s QuerySession, i int) broadcast.Stats {
+// RunWindowDist replays the window workload and reports the cost
+// distribution. Determinism and sharding are as for RunWindow.
+func (wl *Workload) RunWindowDist(sys System, ratio float64) DistMetrics {
+	return distOf(wl.windowStats(sys, wl.genWindows(ratio), (*Workload).loss))
+}
+
+// windowStats replays an explicit window-query list, each query under
+// the loss model lossOf draws from its seed, and returns the per-query
+// stats in query order. It serves the uniform workloads, the skewed
+// ones generated elsewhere, and per-channel loss processes alike.
+// lossOf takes the workload as an argument so the common case,
+// (*Workload).loss, is a static function value rather than an
+// allocated method value.
+func (wl *Workload) windowStats(sys System, qs []windowQuery, lossOf func(wl *Workload, seed int64) *broadcast.LossModel) []broadcast.Stats {
+	cycle := float64(sys.CycleLen())
+	return replayStats(len(qs), sys.Acquire, sys.Release, func(s QuerySession, i int) broadcast.Stats {
 		q := qs[i]
-		probe := int64(q.uProb * float64(sys.CycleLen()))
-		got, st := s.Window(q.w, probe, wl.loss(q.seed))
-		if wl.Verify {
-			want := wl.DS.WindowBrute(q.w)
-			if !sameIDs(got, want) {
-				panic(fmt.Sprintf("experiment: %s window %v returned %d objects, want %d",
-					sys.Name(), q.w, len(got), len(want)))
-			}
-		}
+		got, st := s.Window(q.w, int64(q.uProb*cycle), lossOf(wl, q.seed))
+		wl.checkWindow(sys.Name(), q.w, got)
 		return st
 	})
 }
@@ -153,54 +157,56 @@ func (wl *Workload) runWindows(sys System, qs []windowQuery) Metrics {
 // determinism are as for RunWindow.
 func (wl *Workload) RunKNN(sys System, k int) Metrics {
 	qs := wl.genKNN()
-	return wl.run(sys, len(qs), func(s QuerySession, i int) broadcast.Stats {
+	cycle := float64(sys.CycleLen())
+	return meanOf(replayStats(len(qs), sys.Acquire, sys.Release, func(s QuerySession, i int) broadcast.Stats {
 		q := qs[i]
-		probe := int64(q.uProb * float64(sys.CycleLen()))
-		got, st := s.KNN(q.q, k, probe, wl.loss(q.seed))
-		if wl.Verify {
-			want, _ := wl.DS.KNNBrute(q.q, k)
-			if !sameDistances(wl.DS, q.q, got, want) {
-				panic(fmt.Sprintf("experiment: %s kNN at %v k=%d wrong", sys.Name(), q.q, k))
-			}
-		}
+		got, st := s.KNN(q.q, k, int64(q.uProb*cycle), wl.loss(q.seed))
+		wl.checkKNN(sys.Name(), q.q, k, got)
 		return st
-	})
+	}))
 }
 
-// run executes n queries on the worker pool and averages their metrics
-// in query order. Each worker owns the session pinned to its worker id
-// for its whole lifetime.
-func (wl *Workload) run(sys System, n int, query func(s QuerySession, i int) broadcast.Stats) Metrics {
-	return replay(n,
-		func(worker int) QuerySession { return acquireSession(sys, worker) },
-		func(worker int, s QuerySession) { releaseSession(sys, worker, s) },
-		query)
+// checkWindow panics when the workload verifies and got is not the
+// brute-force answer to window w; experiments double as end-to-end
+// correctness tests.
+func (wl *Workload) checkWindow(name string, w spatial.Rect, got []int) {
+	if !wl.Verify {
+		return
+	}
+	if want := wl.DS.WindowBrute(w); !slices.Equal(got, want) {
+		panic(fmt.Sprintf("experiment: %s window %v returned %d objects, want %d",
+			name, w, len(got), len(want)))
+	}
 }
 
-// replay is the deterministic parallel replay core every workload
+// checkKNN is checkWindow for a kNN answer, compared by distance
+// multisets (ties may be broken differently by different systems).
+func (wl *Workload) checkKNN(name string, q spatial.Point, k int, got []int) {
+	if !wl.Verify {
+		return
+	}
+	want, _ := wl.DS.KNNBrute(q, k)
+	if !sameDistances(wl.DS, q, got, want) {
+		panic(fmt.Sprintf("experiment: %s kNN at %v k=%d wrong", name, q, k))
+	}
+}
+
+// replayStats is the deterministic parallel replay core every workload
 // runner goes through: it executes n independent query simulations on
-// the worker pool, each worker owning one reusable state W (acquired
-// for its worker id once, released when the worker drains), every
-// query execution holding a global token — so total in-flight query
-// work stays within SetParallelism even when a figure sweep runs
-// several workloads concurrently — and averages the per-query metrics
-// in query order, which makes the result bit-identical at any
+// the worker pool, each worker holding one reusable state W (acquired
+// when the worker starts, released when it drains), every query
+// execution holding a global token — so total in-flight query work
+// stays within SetParallelism even when a figure sweep runs several
+// workloads concurrently — and returns the per-query stats in query
+// order, which makes every aggregate of them bit-identical at any
 // parallelism setting.
-func replay[W any](n int, acquire func(worker int) W, release func(worker int, w W), query func(w W, i int) broadcast.Stats) Metrics {
-	return meanOf(replayStats(n, acquire, release, query))
-}
-
-// replayStats is replay returning the raw per-query stats in query
-// order instead of their average — the entry point of the
-// distribution-reporting runners (mean alone hides exactly the latency
-// tail that loss recovery is about).
-func replayStats[W any](n int, acquire func(worker int) W, release func(worker int, w W), query func(w W, i int) broadcast.Stats) []broadcast.Stats {
+func replayStats[W any](n int, acquire func() W, release func(W), query func(w W, i int) broadcast.Stats) []broadcast.Stats {
 	stats := make([]broadcast.Stats, n)
 	toks := queryTokens()
-	parallelWorkers(n, func(id int, next func() (int, bool)) {
-		w := acquire(id)
+	parallelWorkers(n, func(next func() (int, bool)) {
+		w := acquire()
 		if release != nil {
-			defer release(id, w)
+			defer release(w)
 		}
 		for i, ok := next(); ok; i, ok = next() {
 			toks <- struct{}{}
@@ -237,66 +243,15 @@ func distOf(stats []broadcast.Stats) DistMetrics {
 		lat[i] = float64(st.LatencyBytes())
 		tun[i] = float64(st.TuningBytes())
 	}
+	slices.Sort(lat)
+	slices.Sort(tun)
 	return DistMetrics{
 		Mean: meanOf(stats),
-		P95:  Metrics{LatencyBytes: percentile(lat, 0.95), TuningBytes: percentile(tun, 0.95)},
+		P95:  Metrics{LatencyBytes: massive.Percentile(lat, 0.95), TuningBytes: massive.Percentile(tun, 0.95)},
 	}
 }
 
-// percentile returns the nearest-rank p-percentile of vs (vs is
-// clobbered by sorting).
-func percentile(vs []float64, p float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sort.Float64s(vs)
-	rank := int(p*float64(len(vs))+0.999999) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(vs) {
-		rank = len(vs) - 1
-	}
-	return vs[rank]
-}
-
-// RunWindowDist replays the window workload and reports the cost
-// distribution. Determinism and sharding are as for RunWindow.
-func (wl *Workload) RunWindowDist(sys System, ratio float64) DistMetrics {
-	qs := wl.genWindows(ratio)
-	stats := replayStats(len(qs),
-		func(worker int) QuerySession { return acquireSession(sys, worker) },
-		func(worker int, s QuerySession) { releaseSession(sys, worker, s) },
-		func(s QuerySession, i int) broadcast.Stats {
-			q := qs[i]
-			probe := int64(q.uProb * float64(sys.CycleLen()))
-			got, st := s.Window(q.w, probe, wl.loss(q.seed))
-			if wl.Verify {
-				want := wl.DS.WindowBrute(q.w)
-				if !sameIDs(got, want) {
-					panic(fmt.Sprintf("experiment: %s window %v returned %d objects, want %d",
-						sys.Name(), q.w, len(got), len(want)))
-				}
-			}
-			return st
-		})
-	return distOf(stats)
-}
-
-func sameIDs(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sameDistances compares kNN answers by their distance multisets (ties
-// may be broken differently by different systems).
+// sameDistances compares kNN answers by their distance multisets.
 func sameDistances(ds *dataset.Dataset, q spatial.Point, a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -307,12 +262,7 @@ func sameDistances(ds *dataset.Dataset, q spatial.Point, a, b []int) bool {
 		da[i] = ds.ByID(a[i]).P.Dist2(q)
 		db[i] = ds.ByID(b[i]).P.Dist2(q)
 	}
-	sort.Float64s(da)
-	sort.Float64s(db)
-	for i := range da {
-		if da[i] != db[i] {
-			return false
-		}
-	}
-	return true
+	slices.Sort(da)
+	slices.Sort(db)
+	return slices.Equal(da, db)
 }

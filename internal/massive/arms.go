@@ -106,10 +106,11 @@ type Testbed struct {
 	Arms []*Arm
 }
 
-// lightCode is the low-overhead interleaved-XOR configuration of the
-// coded arm: one parity packet per group of up to four members (the
-// fec experiment's light arm).
-func lightCode(x *dsi.Index) wire.FECConfig {
+// LightCode is the low-overhead interleaved-XOR configuration of the
+// coded arm and of the fec experiment's light arm: one parity packet
+// per group of up to four members, so a short burst costs each group
+// at most one erasure.
+func LightCode(x *dsi.Index) wire.FECConfig {
 	groups := func(k int) int { return (k + 3) / 4 }
 	return wire.FECConfig{
 		Table:  wire.FECCode{Groups: groups(x.TablePackets), Parity: 1},
@@ -147,7 +148,7 @@ func NewTestbed(cfg BedConfig) (*Testbed, error) {
 	}
 	shard := &Arm{Name: "shard", Lay: shardLay, cycle: shardLay.ProbeCycle()}
 
-	code := lightCode(x)
+	code := LightCode(x)
 	tx, err := station.NewMultiTransmitterFEC(classic.Lay, code)
 	if err != nil {
 		return nil, fmt.Errorf("massive: coded transmitter: %w", err)

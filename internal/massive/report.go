@@ -31,11 +31,11 @@ type Report struct {
 	BytesPerClient float64
 }
 
-// percentile returns the p-quantile (0 < p < 1) of sorted vs by the
-// nearest-rank method — the same estimator the experiment harness's
-// distribution metrics use, so massive percentiles and DistMetrics
-// percentiles are comparable.
-func percentile(vs []float64, p float64) float64 {
+// Percentile returns the p-quantile (0 < p < 1) of sorted vs by the
+// nearest-rank method. The experiment harness's distribution metrics
+// use it too, so massive percentiles and its DistMetrics percentiles
+// are comparable.
+func Percentile(vs []float64, p float64) float64 {
 	if len(vs) == 0 {
 		return 0
 	}
@@ -60,10 +60,10 @@ func distOf(col func(i int) float64, n int, scale float64) Dist {
 	sort.Float64s(vs)
 	return Dist{
 		Mean: sum / float64(n),
-		P50:  percentile(vs, 0.50),
-		P95:  percentile(vs, 0.95),
-		P99:  percentile(vs, 0.99),
-		P999: percentile(vs, 0.999),
+		P50:  Percentile(vs, 0.50),
+		P95:  Percentile(vs, 0.95),
+		P99:  Percentile(vs, 0.99),
+		P999: Percentile(vs, 0.999),
 	}
 }
 
