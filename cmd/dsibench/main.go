@@ -113,11 +113,14 @@ func main() {
 // checkGrid refuses a run whose datasets do not fit the grid of the
 // order it will actually use: n uniform objects, one per cell, and
 // the REAL-like dataset's objects at most every other cell when the
-// real experiment runs.
+// real experiment runs. It also refuses a dataset too small for the
+// broadcasts the experiments lay out (experiment.MinObjects).
 func checkGrid(p experiment.Params, names []string) {
 	uni := p.Defaults()
 	cells := uint64(1) << (2 * uni.Order)
-	switch {
+	switch min, by := experiment.MinObjects(names); {
+	case uni.N < min:
+		badFlag("-n %d below %d, the fewest objects the %s experiment can lay out", uni.N, min, by)
 	case uint64(uni.N) <= cells:
 	case p.N != 0:
 		badFlag("-n %d outside [1,%d], the cells of an order-%d grid", p.N, cells, uni.Order)

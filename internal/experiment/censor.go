@@ -44,8 +44,8 @@ type censorHorizon struct{}
 // censorReceiver bounds every query at a latency horizon: each
 // time-advancing call checks the latency accumulated since the last
 // Reset and aborts the query (panic with censorHorizon) once the
-// horizon is crossed. The unwound session is discarded by the runner —
-// a recovered client's knowledge base is mid-query garbage.
+// horizon is crossed. The runner keeps the unwound session: the next
+// query's Tune resets everything the abandoned one left behind.
 type censorReceiver struct {
 	dsi.Receiver
 	limit int64 // latency packets at which reception aborts
@@ -91,6 +91,24 @@ func (r *censorReceiver) Poll() (*dsi.Layout, bool) {
 	return lay, ok
 }
 
+// censoredWindow answers window query q on s, reporting false when the
+// horizon cut it off. An abandoned query leaves its session as it was
+// unwound: the next query's Tune resets receiver and knowledge base
+// alike, so the session answers it exactly as a fresh one would
+// (TestCensoredSessionReusableAfterAbort).
+func (wl *Workload) censoredWindow(s *sessionAdapter, q windowQuery, cycle int64) (ids []int, st broadcast.Stats, done bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(censorHorizon); !ok {
+				panic(r)
+			}
+			done = false
+		}
+	}()
+	ids, st = s.Window(q.w, int64(q.uProb*float64(cycle)), wl.loss(q.seed))
+	return ids, st, true
+}
+
 // censorObs is one query's contribution to the censored fit: its
 // at-risk cycle count, and its observed costs when it completed.
 type censorObs struct {
@@ -126,18 +144,10 @@ func (wl *Workload) RunWindowCensored(sys *fecArm, ratio float64, horizonCycles 
 	mint := func() *sessionAdapter { return rx.open(0, nil) }
 	censored := make([]bool, len(qs))
 	stats := replayStats(len(qs), mint, nil, func(s *sessionAdapter, i int) broadcast.Stats {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(censorHorizon); !ok {
-					panic(r)
-				}
-				censored[i] = true
-				*s = *mint() // the aborted session is mid-query garbage
-			}
-		}()
-		q := qs[i]
-		got, st := s.Window(q.w, int64(q.uProb*float64(cycle)), wl.loss(q.seed))
-		wl.checkWindow(sys.Name(), q.w, got)
+		got, st, done := wl.censoredWindow(s, qs[i], cycle)
+		if censored[i] = !done; done {
+			wl.checkWindow(sys.Name(), qs[i].w, got)
+		}
 		return st
 	})
 	obs := make([]censorObs, len(qs))

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dsi/internal/wire"
@@ -111,8 +112,8 @@ func TestRunWindowCensoredHighTheta(t *testing.T) {
 
 // TestRunWindowCensoredParallelDeterministic: the censored replay on
 // the 1KB retry arm at the sweep's worst theta gives the same estimate
-// sequentially and on four workers, though each worker re-mints its
-// session after every abandoned query. The workload is sized so that a
+// sequentially and on four workers, though each worker's session
+// carries on after every abandoned query. The workload is sized so that a
 // few queries complete inside the horizon: their latencies carry the
 // estimate, so any per-worker state leaking into a query shows.
 func TestRunWindowCensoredParallelDeterministic(t *testing.T) {
@@ -133,5 +134,50 @@ func TestRunWindowCensoredParallelDeterministic(t *testing.T) {
 	SetParallelism(4)
 	if par := wl.RunWindowCensored(retry, DefaultWinSideRatio, censorHorizonCycles); par != seq {
 		t.Fatalf("four workers %+v != sequential %+v", par, seq)
+	}
+}
+
+// TestCensoredSessionReusableAfterAbort: a session whose query the
+// horizon abandoned answers every later query with the ids and Stats a
+// freshly minted session gets — Tune alone clears what the unwound
+// query left behind, so the censored replay keeps its sessions. Mild
+// loss under a one-cycle horizon abandons about half the queries, the
+// sweep's worst loss under the replay's own horizon nearly all.
+func TestCensoredSessionReusableAfterAbort(t *testing.T) {
+	p := Params{N: 300, Order: 7, Seed: 53, Queries: 64}.withDefaults()
+	x, _ := fecBed1024(p)
+	retry := newFECSystem("Retry 1KB (censored est)", x, wire.FECConfig{}, nil)
+	cycle := int64(retry.CycleLen())
+	for _, tc := range []struct {
+		theta   float64
+		horizon int64
+	}{{0.1, 1}, {0.85, censorHorizonCycles}} {
+		wl := p.workload(x.DS)
+		wl.Theta = tc.theta
+		wl.BurstLen = FECBurstLen
+		wl.LossData = true
+		rx := retry.wireRx
+		rx.reg, rx.horizon = nil, cycle*tc.horizon
+
+		reused := rx.open(0, nil)
+		aborts, afterAbort := 0, 0
+		for i, q := range wl.genWindows(DefaultWinSideRatio) {
+			want, wantSt, wantDone := wl.censoredWindow(rx.open(0, nil), q, cycle)
+			got, gotSt, gotDone := wl.censoredWindow(reused, q, cycle)
+			if gotDone != wantDone || gotSt != wantSt || !slices.Equal(got, want) {
+				t.Fatalf("theta %v query %d on the reused session: done %v, %v, ids %v; fresh session: done %v, %v, ids %v",
+					tc.theta, i, gotDone, gotSt, got, wantDone, wantSt, want)
+			}
+			if aborts > 0 && gotDone {
+				afterAbort++
+			}
+			if !gotDone {
+				aborts++
+			}
+		}
+		if aborts == 0 || afterAbort == 0 {
+			t.Fatalf("theta %v: %d aborts, %d queries completed after one; the workload shows nothing", tc.theta, aborts, afterAbort)
+		}
+		t.Logf("theta %v, horizon %d cycles: %d aborts, %d queries completed after the first", tc.theta, tc.horizon, aborts, afterAbort)
 	}
 }

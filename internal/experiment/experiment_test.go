@@ -263,3 +263,23 @@ func TestFigureCSV(t *testing.T) {
 		t.Errorf("Result.CSV missing figure header: %q", out)
 	}
 }
+
+// TestExperimentsRunAtMinObjects holds every registered experiment to
+// the dataset floor MinObjects declares for it: at that many objects,
+// on a small grid, each one runs to completion.
+func TestExperimentsRunAtMinObjects(t *testing.T) {
+	for _, name := range Names() {
+		n, _ := MinObjects([]string{name})
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s at its floor of %d objects: %v", name, n, r)
+				}
+			}()
+			Registry[name](Params{N: n, Order: 3, Seed: 1, Queries: 1, Verify: true})
+		}()
+	}
+	if n, by := MinObjects(Names()); n != 8 || by == "" {
+		t.Errorf("MinObjects(all) = %d (%q), want 8 from the 8-channel sweeps", n, by)
+	}
+}

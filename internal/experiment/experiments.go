@@ -547,6 +547,35 @@ var Registry = map[string]func(Params) Result{
 	"massive":   Massive,
 }
 
+// minObjects is the fewest objects each experiment's dataset can hold:
+// its broadcasts need a frame for every segment, data channel, shard or
+// stripe channel they cut the cycle into. The channel sweep stripes
+// over 8 channels and reorgm cuts 8 segments; drift and sharded plan 7
+// shards; the figures that sweep 32-byte packets pack several objects
+// per frame and still cut 2 segments; the 4-channel split and shard
+// layouts have 3 data channels. An experiment absent here runs on one
+// object.
+var minObjects = map[string]int{
+	"channels": 8, "reorgm": 8,
+	"drift": 7, "sharded": 7,
+	"fig8": 7, "fig9": 7, "fig11": 7, "sizing": 7,
+	"chanloss": 3, "massive": 3, "wireloss": 3,
+	"fig10": 2, "fig12": 2, "real": 2, "table1": 2, "table1ge": 2,
+}
+
+// MinObjects returns the fewest objects a run of the named experiments
+// can use, and the experiment that needs that many ("" when one object
+// will do).
+func MinObjects(names []string) (int, string) {
+	n, by := 1, ""
+	for _, name := range names {
+		if m := minObjects[name]; m > n {
+			n, by = m, name
+		}
+	}
+	return n, by
+}
+
 // Names returns the registered experiment names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(Registry))

@@ -78,10 +78,13 @@ func TestHCIKNNBoundaryExact(t *testing.T) {
 }
 
 // TestSessionReuseAcrossWorkload verifies sessions actually get reused:
-// the system's idle stack mints at most one session per worker and
-// every later workload run reuses them. Unlike a sync.Pool — whose
-// reuse is randomized under the race detector — the stack's bounds
-// are deterministic in every build.
+// the system's idle stack mints at most one session per worker across
+// every workload run over it. A run may finish on fewer workers than
+// Parallelism (a fast worker drains the queue), and a later run with
+// more workers at once legitimately mints the difference, so the bound
+// is on the total, not on what the second run adds. Unlike a
+// sync.Pool — whose reuse is randomized under the race detector — the
+// stack's bound is deterministic in every build.
 func TestSessionReuseAcrossWorkload(t *testing.T) {
 	p := Params{N: 300, Order: 6, Seed: 9, Queries: 32, Verify: true}
 	ds := p.Dataset()
@@ -99,11 +102,9 @@ func TestSessionReuseAcrossWorkload(t *testing.T) {
 	}
 	wl.RunKNN(sys, 5)
 	total := dsiSessionsMinted.Load() - before
-	if first > int64(Parallelism()) {
-		t.Errorf("minted %d sessions for %d queries (parallelism %d)", first, p.Queries, Parallelism())
-	}
-	if total > first {
-		t.Errorf("second workload run minted %d extra sessions; wanted zero arena traffic", total-first)
+	if total > int64(Parallelism()) {
+		t.Errorf("two workload runs of %d queries minted %d sessions (%d in the first); parallelism %d",
+			p.Queries, total, first, Parallelism())
 	}
 }
 

@@ -285,6 +285,39 @@ func TestHTTPReceiverFECBitIdentical(t *testing.T) {
 	runBitIdentical(t, ds, netSess, refSess, rx.LiveSlot()+1, lay, 6)
 }
 
+// TestCodedNetReceiversShareOneGeometry: clients that attach to one
+// coded station bootstrap one shared catalog layout, and their decoders
+// hold one slot geometry between them instead of a copy each.
+func TestCodedNetReceiversShareOneGeometry(t *testing.T) {
+	const n, seed = 220, 1409
+	ds, _, lay := netTestBed(t, n, seed)
+	cfg := xorCode()
+	mt, err := station.NewMultiTransmitterFEC(lay, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := startBlockStation(t, mt, lay, metaFor(t, ds, n, seed, lay, cfg), nil)
+	var geos [][]station.CodedChannel
+	for i := 0; i < 2; i++ {
+		cat, err := netrecv.Bootstrap(url, netrecv.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx, err := netrecv.NewHTTPReceiver(url, cat, losslessOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rx.Close()
+		geos = append(geos, rx.Receiver.Receiver.(*station.WireReceiver).CodedGeometry())
+	}
+	if geos[0] == nil {
+		t.Fatal("a coded catalog's receiver reports no coded geometry")
+	}
+	if &geos[0][0].LogOf[0] != &geos[1][0].LogOf[0] {
+		t.Fatal("two receivers of one catalog decode under two geometries")
+	}
+}
+
 // TestUDPReceiverLoopback answers queries through a real paced UDP
 // subscription. Loopback datagrams are not guaranteed delivered, so
 // each trial that experienced zero feed losses must be bit-identical

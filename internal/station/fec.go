@@ -19,6 +19,8 @@ package station
 
 import (
 	"fmt"
+	"sync"
+	"weak"
 
 	"dsi/internal/broadcast"
 	"dsi/internal/dsi"
@@ -47,7 +49,10 @@ type fecChan struct {
 
 // fecGeom is the full physical geometry of a coded layout: derived
 // from the layout and the code alone, so transmitter and receiver
-// compute identical geometries from catalog knowledge.
+// compute identical geometries from catalog knowledge. It is never
+// written after construction: one geometry per (layout, code) is shared
+// read-only by the transmitter and every receiver in the process
+// (sharedFECGeom).
 type fecGeom struct {
 	cfg wire.FECConfig
 	lay *dsi.Layout
@@ -56,6 +61,49 @@ type fecGeom struct {
 }
 
 func (g *fecGeom) code(table bool) wire.FECCode { return unitCode(g.cfg, table) }
+
+// geomKey names one geometry: a layout, by identity, under a code. The
+// layout is held weakly, so a key keeps nothing alive.
+type geomKey struct {
+	lay weak.Pointer[dsi.Layout]
+	cfg wire.FECConfig
+}
+
+// geoms is the process's geometry cache. An entry holds its geometry
+// weakly: a geometry lives exactly as long as a transmitter generation
+// or a receiver holds it, and its layout as long as it does.
+var geoms struct {
+	sync.Mutex
+	m map[geomKey]weak.Pointer[fecGeom]
+}
+
+// sharedFECGeom returns the geometry of lay under cfg, the one every
+// holder in the process shares while any holds it; a miss builds it
+// with newFECGeom. The build runs under the cache's lock, so receivers
+// attaching at once build one geometry between them, and a miss first
+// sweeps the entries whose geometries were collected.
+func sharedFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
+	key := geomKey{weak.Make(lay), cfg}
+	geoms.Lock()
+	defer geoms.Unlock()
+	if g := geoms.m[key].Value(); g != nil {
+		return g, nil
+	}
+	for k, w := range geoms.m {
+		if w.Value() == nil {
+			delete(geoms.m, k)
+		}
+	}
+	g, err := newFECGeom(lay, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if geoms.m == nil {
+		geoms.m = make(map[geomKey]weak.Pointer[fecGeom])
+	}
+	geoms.m[key] = weak.Make(g)
+	return g, nil
+}
 
 // newFECGeom derives the physical geometry of a layout under a code.
 // Supported layouts are those with per-unit-contiguous channels: the

@@ -38,7 +38,8 @@ import (
 // generation's layout (SlotTable/SlotData) per packet, or read from its
 // coded geometry's unit covering the slot: a generation keeps no
 // per-slot state beyond the encoded tables and, when coded, the geometry
-// and one parity arena per channel.
+// it shares with the layout's receivers and one parity arena per
+// channel.
 //
 // It is safe for concurrent use: any number of readers call
 // ReadRunAt, DirectoryAt and FECDescAt while one control goroutine
@@ -79,7 +80,7 @@ type generation struct {
 	clocks  []clock  // per channel
 	tables  [][]byte // per cycle position, in the layout's wire format
 
-	fec    *fecGeom // nil when uncoded
+	fec    *fecGeom // shared read-only (sharedFECGeom); nil when uncoded
 	parity [][]byte // per channel, its parity frames in one arena (buildParity); nil when uncoded
 
 	dir  []byte // versioned directory announcing the generation; nil for layouts without one
@@ -146,7 +147,7 @@ func newGeneration(lay *dsi.Layout, cfg wire.FECConfig) (*generation, error) {
 	if !cfg.Enabled() {
 		return g, nil
 	}
-	geo, err := newFECGeom(lay, cfg)
+	geo, err := sharedFECGeom(lay, cfg)
 	if err != nil {
 		return nil, err
 	}

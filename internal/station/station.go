@@ -16,6 +16,12 @@
 // format on air is a function of the layout decided in one place,
 // wire.ClassicTables; nothing in this package re-derives it.
 //
+// A coded layout's physical geometry (parity tails spliced into every
+// channel, and the slot maps between the two domains) follows from the
+// layout and the code alone, so it is built once per process: the
+// transmitter and every receiver of one layout under one code share one
+// read-only geometry, which lives as long as any of them holds it.
+//
 // The package also provides the receiving side needed to prove the
 // stream is self-describing: ScanMulti rebuilds the complete broadcast
 // metadata (frame boundaries, minimum HC values, object headers) from

@@ -133,8 +133,10 @@ type WireReceiver struct {
 	// The code on air, and what follows from it. air is what the tuner
 	// runs on: the layout's own air for the zero code, the parity-bearing
 	// physical air otherwise. geo holds the logical/physical slot maps of
-	// a coded stream and is nil for an uncoded one, whose two domains
-	// coincide — an uncoded receiver carries no per-slot state.
+	// a coded stream, shared read-only with every holder of the same
+	// layout and code (sharedFECGeom), and is nil for an uncoded one,
+	// whose two domains coincide — an uncoded receiver carries no
+	// per-slot state.
 	cfg         wire.FECConfig
 	geo         *fecGeom
 	air         *broadcast.Air
@@ -246,7 +248,7 @@ func streamGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, *broadcast.Air, 
 	if !cfg.Enabled() {
 		return nil, lay.Air, nil
 	}
-	geo, err := newFECGeom(lay, cfg)
+	geo, err := sharedFECGeom(lay, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
