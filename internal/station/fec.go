@@ -20,6 +20,7 @@ package station
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"weak"
 
 	"dsi/internal/broadcast"
@@ -109,7 +110,9 @@ func sharedFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 // Supported layouts are those with per-unit-contiguous channels: the
 // classic single channel and the split/sharded multi-channel layouts
 // (stripe channels can wrap a unit across the cycle seam, which would
-// split its parity tail).
+// split its parity tail). A first pass over each channel counts its
+// units and parity slots, so the unit list and the slot maps are each
+// allocated once, at their final length.
 func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 	x := lay.X
 	if err := cfg.Validate(x.TablePackets, x.ObjPackets); err != nil {
@@ -121,28 +124,30 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 	g := &fecGeom{cfg: cfg, lay: lay, chs: make([]fecChan, lay.Channels())}
 	chans := make([]*broadcast.Channel, lay.Channels())
 	for ch := range g.chs {
-		c := &g.chs[ch]
 		logLen := lay.ChanLen(ch)
-		prog := lay.Air.Channels[ch].Program
-		c.log2phys = make([]int32, logLen)
-		var slots []broadcast.Slot
-		frames := 0 // parity frames of the units so far
-
+		units, tails := 0, 0
 		for s := 0; s < logLen; {
-			u := fecUnit{logStart: s, physStart: len(slots), parity: int32(frames)}
-			if pos, part, ok := lay.SlotTable(ch, s); ok {
-				if part != 0 {
-					return nil, fmt.Errorf("station: channel %d slot %d starts mid-table", ch, s)
-				}
-				u.table, u.pos, u.obj, u.n = true, pos, -1, x.TablePackets
-			} else if pos, off, ok := lay.SlotData(ch, s); ok {
-				if off%x.ObjPackets != 0 {
-					return nil, fmt.Errorf("station: channel %d slot %d starts mid-object", ch, s)
-				}
-				u.pos, u.obj, u.n = pos, off/x.ObjPackets, x.ObjPackets
-			} else {
-				return nil, fmt.Errorf("station: channel %d slot %d is neither table nor data", ch, s)
+			u, err := unitAt(lay, ch, s)
+			if err != nil {
+				return nil, err
 			}
+			units++
+			tails += g.code(u.table).Tail()
+			s += u.n
+		}
+
+		c := &g.chs[ch]
+		c.physLen = logLen + tails
+		c.units = make([]fecUnit, 0, units)
+		c.log2phys = make([]int32, logLen)
+		c.logOf = make([]int32, 0, c.physLen)
+		c.unitOf = make([]int32, 0, c.physLen)
+		slots := make([]broadcast.Slot, 0, c.physLen)
+		prog := lay.Air.Channels[ch].Program
+		frames := 0 // parity frames of the units so far
+		for s := 0; s < logLen; {
+			u, _ := unitAt(lay, ch, s)
+			u.physStart, u.parity = len(slots), int32(frames)
 			code := g.code(u.table)
 			ui := int32(len(c.units))
 			kind := broadcast.KindData
@@ -168,7 +173,6 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 			frames += code.Tail()
 			s += u.n
 		}
-		c.physLen = len(slots)
 		chans[ch] = &broadcast.Channel{Program: broadcast.Program{Capacity: x.Cfg.Capacity, Slots: slots}}
 	}
 	air, err := broadcast.NewAir(lay.Air.SwitchSlots, chans...)
@@ -179,72 +183,131 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 	return g, nil
 }
 
-// buildParity encodes every parity frame of one channel into one arena:
-// frame f of the channel — the f-th in unit order, each unit's in tail
-// order — at bytes [f*stride, (f+1)*stride), stride being
-// wire.ParityHeaderSize + capacity. A unit's frames start at frame
-// u.parity. logical fills a run of the channel's logical packets from
-// a logical slot, appending the payload bytes it builds to the buffer
-// it is handed (ReadRunAt's contract).
-func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(dst []Packet, b []byte, log int) []byte) []byte {
+// unitAt is the unit starting at logical slot s of channel ch — a whole
+// index table or a whole object — in logical terms: its physical start
+// and parity frames are the geometry's to fill in.
+func unitAt(lay *dsi.Layout, ch, s int) (fecUnit, error) {
+	x := lay.X
+	u := fecUnit{logStart: s}
+	if pos, part, ok := lay.SlotTable(ch, s); ok {
+		if part != 0 {
+			return u, fmt.Errorf("station: channel %d slot %d starts mid-table", ch, s)
+		}
+		u.table, u.pos, u.obj, u.n = true, pos, -1, x.TablePackets
+	} else if pos, off, ok := lay.SlotData(ch, s); ok {
+		if off%x.ObjPackets != 0 {
+			return u, fmt.Errorf("station: channel %d slot %d starts mid-object", ch, s)
+		}
+		u.pos, u.obj, u.n = pos, off/x.ObjPackets, x.ObjPackets
+	} else {
+		return u, fmt.Errorf("station: channel %d slot %d is neither table nor data", ch, s)
+	}
+	return u, nil
+}
+
+// parityArena is one channel's parity frames in one []byte, frame f —
+// the f-th in unit order, each unit's in tail order — at bytes
+// [f*stride, (f+1)*stride), stride being wire.ParityHeaderSize +
+// capacity; a unit's frames start at frame u.parity. Nothing is encoded
+// up front: a unit's frames are encoded the first time a reader reaches
+// its tail (generation.ensure), and its ready bit, once set, says they
+// are final and never written again.
+type parityArena struct {
+	buf   []byte
+	ready []atomic.Uint64 // bit u%64 of word u/64: unit u's frames are final
+
+	// mu serializes the encodes; it guards the scratch below, which the
+	// first encode allocates for the widest unit, so later ones allocate
+	// nothing.
+	mu         sync.Mutex
+	syms       []byte   // member symbols, capacity bytes each
+	built      []byte   // payload bytes of the members' logical run
+	pkts       []Packet // the members' logical run
+	data, rows [][]byte // one group's member symbols and parity rows
+}
+
+// newParityArena is channel c's arena, nothing encoded yet.
+func newParityArena(c *fecChan, capacity int) parityArena {
+	frames := c.physLen - len(c.log2phys) // one frame per parity slot
+	return parityArena{
+		buf:   make([]byte, frames*(wire.ParityHeaderSize+capacity)),
+		ready: make([]atomic.Uint64, (len(c.units)+63)/64),
+	}
+}
+
+// isReady reports whether unit ui's frames are final.
+func (a *parityArena) isReady(ui int32) bool { return a.ready[ui/64].Load()&(1<<(ui%64)) != 0 }
+
+// ensure makes the parity frames of unit ui of channel ch final: a unit
+// whose ready bit is clear is encoded under its channel's lock, checked
+// again there, and its bit set after its bytes are written, so a reader
+// that sees the bit set reads final bytes.
+func (g *generation) ensure(ch int, ui int32) {
+	a := &g.parity[ch]
+	if a.isReady(ui) {
+		return
+	}
+	a.mu.Lock()
+	if !a.isReady(ui) {
+		g.encode(ch, ui)
+		a.ready[ui/64].Or(1 << (ui % 64))
+	}
+	a.mu.Unlock()
+}
+
+// encode writes the parity frames of unit ui of channel ch into the
+// channel's arena: its members are filled as one logical run into the
+// arena's scratch, zero-padded to symbols, and each group's rows are
+// computed straight into their frames. The caller holds the arena's
+// lock.
+func (g *generation) encode(ch int, ui int32) {
+	a, u, x := &g.parity[ch], &g.fec.chs[ch].units[ui], g.lay.X
+	code := g.fec.code(u.table)
+	capacity := x.Cfg.Capacity
 	stride := wire.ParityHeaderSize + capacity
-	frames := 0
-	for _, u := range c.units {
-		frames += unitCode(cfg, u.table).Tail()
+	if a.syms == nil {
+		widest := max(x.TablePackets, x.ObjPackets)
+		a.syms = make([]byte, widest*capacity)
+		a.built = make([]byte, 0, widest*capacity)
+		a.pkts = make([]Packet, widest)
+		a.data = make([][]byte, 0, widest)
+		a.rows = make([][]byte, 0, max(g.cfg.Table.Parity, g.cfg.Object.Parity))
 	}
-	out := make([]byte, frames*stride)
-	var arena, built []byte // member symbols and payloads of the unit at hand; nothing below retains them
-	var syms, data, rows [][]byte
-	var pkts []Packet
-	for _, u := range c.units {
-		code := unitCode(cfg, u.table)
-		if !code.Enabled() {
-			continue
+	// Member symbols: payloads zero-padded to capacity. Short and absent
+	// payloads (table tails, padding objects) pad to all-zero symbols,
+	// which the receiver reproduces from catalog geometry.
+	syms := a.syms[:u.n*capacity]
+	clear(syms)
+	g.fillLogical(a.pkts[:u.n], a.built[:0], 0, ch, u.logStart)
+	for i, p := range a.pkts[:u.n] {
+		copy(syms[i*capacity:], p.Payload)
+	}
+	for grp := 0; grp < code.Groups; grp++ {
+		members, k := code.GroupMembers(u.n, grp)
+		a.data = a.data[:0]
+		for i := grp; i < u.n; i += code.Groups {
+			a.data = append(a.data, syms[i*capacity:(i+1)*capacity])
 		}
-		// Member symbols: payloads zero-padded to capacity. Short and
-		// absent payloads (table tails, padding objects) pad to all-zero
-		// symbols, which the receiver reproduces from catalog geometry.
-		if len(arena) < u.n*capacity {
-			arena = make([]byte, u.n*capacity)
-			built = make([]byte, 0, u.n*capacity)
-			pkts = make([]Packet, u.n)
+		// Row j of the group is tail offset j*Groups+grp: its symbol is
+		// computed straight into that frame's symbol bytes.
+		a.rows = a.rows[:0]
+		for j := 0; j < code.Parity; j++ {
+			at := (int(u.parity) + j*code.Groups + grp) * stride
+			a.rows = append(a.rows, a.buf[at+wire.ParityHeaderSize:at+stride])
 		}
-		clear(arena[:u.n*capacity])
-		logical(pkts[:u.n], built, u.logStart)
-		syms = syms[:0]
-		for i := 0; i < u.n; i++ {
-			sym := arena[i*capacity : (i+1)*capacity]
-			copy(sym, pkts[i].Payload)
-			syms = append(syms, sym)
-		}
-		for grp := 0; grp < code.Groups; grp++ {
-			members, k := code.GroupMembers(u.n, grp)
-			data = data[:0]
-			for i := grp; i < u.n; i += code.Groups {
-				data = append(data, syms[i])
-			}
-			// Row j of the group is tail offset j*Groups+grp: its symbol
-			// is computed straight into that frame's symbol bytes.
-			rows = rows[:0]
-			for j := 0; j < code.Parity; j++ {
-				at := (int(u.parity) + j*code.Groups + grp) * stride
-				rows = append(rows, out[at+wire.ParityHeaderSize:at+stride])
-			}
-			wire.RSParityInto(rows, data)
-			for j, sym := range rows {
-				at := (int(u.parity) + j*code.Groups + grp) * stride
-				wire.PutParity(out[at:at+stride], wire.ParityHeader{
-					Unit:    uint32(u.logStart),
-					Group:   uint8(grp),
-					K:       uint8(k),
-					R:       uint8(code.Parity),
-					Index:   uint8(j),
-					Members: members,
-				}, sym)
-			}
+		wire.RSParityInto(a.rows, a.data)
+		for j, sym := range a.rows {
+			at := (int(u.parity) + j*code.Groups + grp) * stride
+			wire.PutParity(a.buf[at:at+stride], wire.ParityHeader{
+				Unit:    uint32(u.logStart),
+				Group:   uint8(grp),
+				K:       uint8(k),
+				R:       uint8(code.Parity),
+				Index:   uint8(j),
+				Members: members,
+			}, sym)
 		}
 	}
-	return out
 }
 
 // unitCode is the code protecting a table unit or an object unit.

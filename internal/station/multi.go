@@ -44,7 +44,8 @@ import (
 // It is safe for concurrent use: any number of readers call
 // ReadRunAt, DirectoryAt and FECDescAt while one control goroutine
 // stages and commits swaps. A read loads one immutable snapshot of what
-// is on air and takes no lock.
+// is on air and takes no lock, except that the first read of a unit's
+// parity tail encodes it under its channel's lock.
 type MultiTransmitter struct {
 	air atomic.Pointer[onAir]
 	// mu serializes the writers (StageFEC, Commit); readers never take it.
@@ -71,8 +72,11 @@ func (a *onAir) at(abs int64) *generation {
 	return a.cur
 }
 
-// generation is one layout under one code with everything it puts on
-// air encoded once; it is never modified after it is published.
+// generation is one layout under one code: its tables encoded once and,
+// when coded, one parity arena per channel whose units are encoded the
+// first time a reader reaches them. Nothing else of it is modified
+// after it is published, and a unit's parity bytes never change once
+// they are final.
 type generation struct {
 	lay     *dsi.Layout
 	cfg     wire.FECConfig
@@ -80,8 +84,8 @@ type generation struct {
 	clocks  []clock  // per channel
 	tables  [][]byte // per cycle position, in the layout's wire format
 
-	fec    *fecGeom // shared read-only (sharedFECGeom); nil when uncoded
-	parity [][]byte // per channel, its parity frames in one arena (buildParity); nil when uncoded
+	fec    *fecGeom      // shared read-only (sharedFECGeom); nil when uncoded
+	parity []parityArena // per channel, encoded on first read (ensure); nil when uncoded
 
 	dir  []byte // versioned directory announcing the generation; nil for layouts without one
 	desc []byte // versioned FEC descriptor; nil when none ships
@@ -109,8 +113,10 @@ func NewRebroadcaster(lay *dsi.Layout) (*MultiTransmitter, error) { return NewMu
 // NewMultiTransmitterFEC is NewMultiTransmitter with an erasure code
 // over every channel of the layout: each stream gains a parity tail
 // after every index table and every object, and Packet, CycleChannel
-// and ReadRunAt then run in the physical slot domain. The zero config
-// is the uncoded transmitter, which ships no FEC descriptor.
+// and ReadRunAt then run in the physical slot domain. It encodes no
+// parity: each unit's tail is encoded the first time it is read. The
+// zero config is the uncoded transmitter, which ships no FEC
+// descriptor.
 func NewMultiTransmitterFEC(lay *dsi.Layout, cfg wire.FECConfig) (*MultiTransmitter, error) {
 	g, err := newGeneration(lay, cfg)
 	if err != nil {
@@ -129,9 +135,10 @@ func NewMultiTransmitterFEC(lay *dsi.Layout, cfg wire.FECConfig) (*MultiTransmit
 	return t, nil
 }
 
-// newGeneration encodes the layout's tables and, under a code, its
-// physical geometry and every parity payload. Version, directory and
-// descriptor are the caller's to fill in before publishing.
+// newGeneration encodes the layout's tables and, under a code, takes
+// its physical geometry and allocates its parity arenas, encoding no
+// parity frame. Version, directory and descriptor are the caller's to
+// fill in before publishing.
 func newGeneration(lay *dsi.Layout, cfg wire.FECConfig) (*generation, error) {
 	if err := wire.CheckHeaderFits(lay.X.Cfg.Capacity, lay.X.Cfg.ObjectBytes); err != nil {
 		return nil, err
@@ -151,10 +158,9 @@ func newGeneration(lay *dsi.Layout, cfg wire.FECConfig) (*generation, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.parity = make([][]byte, lay.Channels())
+	g.parity = make([]parityArena, lay.Channels())
 	for ch := range g.parity {
-		g.parity[ch] = buildParity(&geo.chs[ch], cfg, lay.X.Cfg.Capacity,
-			func(dst []Packet, b []byte, log int) []byte { return g.fillLogical(dst, b, 0, ch, log) })
+		g.parity[ch] = newParityArena(&geo.chs[ch], lay.X.Cfg.Capacity)
 		g.clocks[ch].len = int64(geo.chs[ch].physLen)
 	}
 	g.fec = geo
@@ -322,8 +328,9 @@ func (t *MultiTransmitter) StageFEC(lay *dsi.Layout, cfg wire.FECConfig, now int
 	if now < 0 {
 		return 0, fmt.Errorf("station: negative stage time %d", now)
 	}
-	// The generation build is O(broadcast bytes); it runs outside the
-	// writer lock, and readers wait on neither.
+	// The generation build encodes the tables and derives the geometry,
+	// no parity; it runs outside the writer lock, and readers wait on
+	// neither.
 	g, err := newGeneration(lay, cfg)
 	if err != nil {
 		return 0, err
@@ -418,18 +425,21 @@ func (g *generation) fill(dst []Packet, b []byte, more, ch, slot int) []byte {
 			slot = 0
 		}
 		p := Packet{Ch: uint8(ch), Slot: uint32(slot), Ver: g.version}
-		u := &c.units[c.unitOf[slot]]
+		ui := c.unitOf[slot]
+		u := &c.units[ui]
 		var k int
 		switch m := slot - u.physStart; {
 		case m >= u.n:
 			// The unit's parity tail follows its members.
+			g.ensure(ch, ui)
 			end := u.physStart + u.n + g.fec.code(u.table).Tail()
 			k = min(len(dst)-i, end-slot)
 			p.Flags = flagParity
 			stride := wire.ParityHeaderSize + g.lay.X.Cfg.Capacity
 			at := (int(u.parity) + m - u.n) * stride
+			arena := g.parity[ch].buf
 			for j := range k {
-				p.Payload = g.parity[ch][at : at+stride : at+stride]
+				p.Payload = arena[at : at+stride : at+stride]
 				dst[i+j] = p
 				p.Slot++
 				at += stride

@@ -71,9 +71,10 @@ type PacketSource interface {
 	// fresh allocation sized for the rest of the run — nothing is ever
 	// written past cap(buf). Such payloads are valid until the reader
 	// next reuses any of buf's capacity. Bytes a source already holds
-	// immutable (pre-encoded tables and parity, diskstore.ImageSource's
-	// read-only mapping, diskstore.StreamSource) are returned as they
-	// are and never written again: a payload need not alias buf, and a
+	// immutable (pre-encoded tables, parity final from the read that
+	// first reached its unit, diskstore.ImageSource's read-only mapping,
+	// diskstore.StreamSource) are returned as they are and never written
+	// again: a payload need not alias buf, and a
 	// reader must not assume it does. Either way the reader must not
 	// write through a payload. A content payload is at most Capacity
 	// bytes; a parity frame adds wire.ParityHeaderSize — so a buffer of
