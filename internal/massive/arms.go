@@ -62,7 +62,7 @@ type Arm struct {
 
 	// Coded-arm state: the zero cfg marks a plain arm.
 	cfg wire.FECConfig
-	geo station.CodedChannel // physical slot maps (coded arms)
+	geo station.CodedChannel // physical slot geometry (coded arms)
 	src station.PacketSource // coded transmitter for the reference path
 
 	cycle int // slots probe positions scale against (physical on coded arms)

@@ -6,8 +6,9 @@
 // none of it affects an error-free replay's outcome. The flat receiver
 // implements the same dsi.Receiver contract with O(1) batched
 // arithmetic per operation over the shared immutable layout and the
-// coded slot maps: a table read is two integer additions, a doze is
-// one table lookup and a modular subtraction, and no per-client air,
+// coded channel's frame shape: a table read is two integer additions,
+// a doze is a logical-to-physical slot map (a few divisions over the
+// frame lengths) and a modular subtraction, and no per-client air,
 // program, or tuner state exists at all; the per-receiver state is
 // three integers and one cached table value.
 //
@@ -37,7 +38,8 @@ import (
 // exactly like station.WireReceiver's facade. On an error-free channel
 // a coded read never touches the parity tail — every unit read costs
 // its content packets and parity is dozed past — so the batched cost
-// model is the plain one with the two slot maps spliced in.
+// model is the plain one with the two slot maps of station.CodedChannel
+// spliced in.
 type flatFECReceiver struct {
 	lay      *dsi.Layout
 	x        *dsi.Index
@@ -77,7 +79,7 @@ func (r *flatFECReceiver) PhaseOf(int) int64   { return 0 }
 // Pos reports the logical cycle position; a radio sitting on a parity
 // slot reports the next content position, as the coded facade does.
 func (r *flatFECReceiver) Pos() int {
-	return int(r.geo.LogOf[r.now%r.physLen])
+	return r.geo.LogOf(int(r.now % r.physLen))
 }
 
 func (r *flatFECReceiver) Stats() broadcast.Stats {
@@ -98,7 +100,7 @@ func (r *flatFECReceiver) Tune(ch int) {
 // DozeUntilPos sleeps to the next physical occurrence of the logical
 // position, dozing past any parity in between.
 func (r *flatFECReceiver) DozeUntilPos(pos int) {
-	target := int64(r.geo.Log2Phys[pos])
+	target := int64(r.geo.Log2Phys(pos))
 	delta := (target - r.now) % r.physLen
 	if delta < 0 {
 		delta += r.physLen

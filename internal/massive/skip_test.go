@@ -26,7 +26,7 @@ func TestFlatSkipMatchesBruteForceStepping(t *testing.T) {
 			rx.Reset(probe, nil)
 			if arm.coded() {
 				phys := int64(arm.geo.PhysLen)
-				posAt = func(t int64) int { return int(arm.geo.LogOf[t%phys]) }
+				posAt = func(t int64) int { return arm.geo.LogOf(int(t % phys)) }
 				// Parity slots map forward to the next content position,
 				// so several physical slots can report the target; the
 				// doze lands on the content slot itself — the last slot

@@ -287,7 +287,7 @@ func TestHTTPReceiverFECBitIdentical(t *testing.T) {
 
 // TestCodedNetReceiversShareOneGeometry: clients that attach to one
 // coded station bootstrap one shared catalog layout, and their decoders
-// hold one slot geometry between them instead of a copy each.
+// hold one coded geometry between them instead of a copy each.
 func TestCodedNetReceiversShareOneGeometry(t *testing.T) {
 	const n, seed = 220, 1409
 	ds, _, lay := netTestBed(t, n, seed)
@@ -313,7 +313,9 @@ func TestCodedNetReceiversShareOneGeometry(t *testing.T) {
 	if geos[0] == nil {
 		t.Fatal("a coded catalog's receiver reports no coded geometry")
 	}
-	if &geos[0][0].LogOf[0] != &geos[1][0].LogOf[0] {
+	// A CodedChannel refers to its geometry's channel, so two compare
+	// equal only when they view one shared geometry.
+	if geos[0][0] != geos[1][0] {
 		t.Fatal("two receivers of one catalog decode under two geometries")
 	}
 }

@@ -39,21 +39,131 @@ type fecUnit struct {
 	obj       int   // object index within the frame; -1 for table units
 }
 
-// fecChan is the physical geometry of one channel.
+// fecChan is the physical geometry of one channel: its frame shape.
+// Every channel a code protects repeats one frame — the frame's index
+// table, its NO objects (padding objects included), or both — each unit
+// followed by its parity tail, so a unit, the unit covering a slot and
+// the maps between the two slot domains are arithmetic over these
+// constants, and nothing is kept per slot.
 type fecChan struct {
-	units    []fecUnit
-	log2phys []int32 // logical slot -> physical slot
-	logOf    []int32 // physical slot -> logical slot (parity maps to the next content slot)
-	unitOf   []int32 // physical slot -> unit index
-	physLen  int
+	table bool // whether the channel's frames carry their table
+	pos0  int  // cycle position of the channel's first frame
+
+	tp, op             int // table packets, object packets
+	tableTail, objTail int // parity slots after a table unit, after an object unit
+
+	perFrame            int // units per frame
+	logFrame, physFrame int // slots per frame, without and with parity
+	parityFrame         int // parity frames per frame
+
+	logLen, physLen int // slots per cycle, without and with parity
 }
+
+// units is the channel's unit count per cycle.
+func (c *fecChan) units() int { return c.logLen / c.logFrame * c.perFrame }
+
+// parityFrames is the channel's parity frame count per cycle.
+func (c *fecChan) parityFrames() int { return c.physLen - c.logLen }
+
+// unit is unit ui of the channel, units numbered in cycle order.
+func (c *fecChan) unit(ui int) fecUnit {
+	f := div(ui, c.perFrame)
+	k, p := ui-f*c.perFrame, f*c.physFrame // unit k of frame f
+	if c.table && k > 0 {
+		k--
+		p += c.tp + c.tableTail
+	}
+	_, u := c.covering(p + k*(c.op+c.objTail))
+	return u
+}
+
+// covering is the index of the unit whose members or parity tail
+// physical slot p carries, and the unit: in frame f, the frame's table
+// first, when the channel carries tables, then its objects. It builds
+// the unit itself, and unit goes through it, because fill calls it for
+// every run: a unit returned through one more call cost the coded
+// PacketAt about 30 ns a slot.
+func (c *fecChan) covering(p int) (ui int, u fecUnit) {
+	f := div(p, c.physFrame)
+	r := p - f*c.physFrame
+	ui = f * c.perFrame
+	u = fecUnit{
+		logStart:  f * c.logFrame,
+		physStart: f * c.physFrame,
+		parity:    int32(f * c.parityFrame),
+		pos:       c.pos0 + f,
+		obj:       -1,
+	}
+	if c.table {
+		if r < c.tp+c.tableTail {
+			u.table, u.n = true, c.tp
+			return ui, u
+		}
+		ui++
+		r -= c.tp + c.tableTail
+		u.logStart += c.tp
+		u.physStart += c.tp + c.tableTail
+		u.parity += int32(c.tableTail)
+	}
+	k := div(r, c.op+c.objTail)
+	ui += k
+	u.logStart += k * c.op
+	u.physStart += k * (c.op + c.objTail)
+	u.parity += int32(k * c.objTail)
+	u.n, u.obj = c.op, k
+	return ui, u
+}
+
+// physSlot is the physical slot carrying logical slot l.
+func (c *fecChan) physSlot(l int) int {
+	f := div(l, c.logFrame)
+	r, p := l-f*c.logFrame, f*c.physFrame
+	if c.table {
+		if r < c.tp {
+			return p + r
+		}
+		r -= c.tp
+		p += c.tp + c.tableTail
+	}
+	o := div(r, c.op)
+	return p + o*(c.op+c.objTail) + r - o*c.op
+}
+
+// logSlot is the logical slot physical slot p carries; a parity slot
+// maps to the next content slot, wrapping at the cycle end.
+func (c *fecChan) logSlot(p int) int {
+	f := div(p, c.physFrame)
+	r, l := p-f*c.physFrame, f*c.logFrame
+	if c.table && r < c.tp+c.tableTail {
+		l += min(r, c.tp)
+	} else {
+		if c.table {
+			l += c.tp
+			r -= c.tp + c.tableTail
+		}
+		span := c.op + c.objTail
+		o := div(r, span)
+		l += o*c.op + min(r-o*span, c.op)
+	}
+	if l == c.logLen {
+		return 0
+	}
+	return l
+}
+
+// div is n/d for the non-negative slot and unit counts of one cycle,
+// which fit in 32 bits (a Packet's Slot is a uint32): a 32-bit division
+// is the cheaper instruction, and the slot maps divide on every read.
+func div(n, d int) int { return int(uint32(n) / uint32(d)) }
 
 // fecGeom is the full physical geometry of a coded layout: derived
 // from the layout and the code alone, so transmitter and receiver
 // compute identical geometries from catalog knowledge. It is never
 // written after construction: one geometry per (layout, code) is shared
 // read-only by the transmitter and every receiver in the process
-// (sharedFECGeom).
+// (sharedFECGeom). Beside a few constants per channel it holds the
+// physical air program, one byte per slot, which the tuner's loss
+// draws step through.
 type fecGeom struct {
 	cfg wire.FECConfig
 	lay *dsi.Layout
@@ -107,12 +217,11 @@ func sharedFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 }
 
 // newFECGeom derives the physical geometry of a layout under a code.
-// Supported layouts are those with per-unit-contiguous channels: the
-// classic single channel and the split/sharded multi-channel layouts
-// (stripe channels can wrap a unit across the cycle seam, which would
-// split its parity tail). A first pass over each channel counts its
-// units and parity slots, so the unit list and the slot maps are each
-// allocated once, at their final length.
+// Supported layouts are those whose channels repeat one frame shape:
+// the classic single channel (table and objects) and the split/sharded
+// multi-channel layouts (tables on the index channel, objects on each
+// data channel). Stripe channels can wrap a unit across the cycle
+// seam, which would split its parity tail.
 func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 	x := lay.X
 	if err := cfg.Validate(x.TablePackets, x.ObjPackets); err != nil {
@@ -123,55 +232,52 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 	}
 	g := &fecGeom{cfg: cfg, lay: lay, chs: make([]fecChan, lay.Channels())}
 	chans := make([]*broadcast.Channel, lay.Channels())
+	split := lay.Channels() > 1 // tables on the index channel, objects on the others
 	for ch := range g.chs {
-		logLen := lay.ChanLen(ch)
-		units, tails := 0, 0
-		for s := 0; s < logLen; {
-			u, err := unitAt(lay, ch, s)
-			if err != nil {
-				return nil, err
-			}
-			units++
-			tails += g.code(u.table).Tail()
-			s += u.n
-		}
-
 		c := &g.chs[ch]
-		c.physLen = logLen + tails
-		c.units = make([]fecUnit, 0, units)
-		c.log2phys = make([]int32, logLen)
-		c.logOf = make([]int32, 0, c.physLen)
-		c.unitOf = make([]int32, 0, c.physLen)
-		slots := make([]broadcast.Slot, 0, c.physLen)
-		prog := lay.Air.Channels[ch].Program
-		frames := 0 // parity frames of the units so far
-		for s := 0; s < logLen; {
-			u, _ := unitAt(lay, ch, s)
-			u.physStart, u.parity = len(slots), int32(frames)
-			code := g.code(u.table)
-			ui := int32(len(c.units))
+		*c = fecChan{
+			table:     !split || ch == lay.StartCh,
+			tp:        x.TablePackets,
+			op:        x.ObjPackets,
+			tableTail: cfg.Table.Tail(),
+			objTail:   cfg.Object.Tail(),
+			logLen:    lay.ChanLen(ch),
+		}
+		var first bool // the channel's slot 0 carries what its frames start with
+		if c.table {
+			c.perFrame++
+			c.logFrame += c.tp
+			c.parityFrame += c.tableTail
+			c.pos0, _, first = lay.SlotTable(ch, 0)
+		}
+		if !split || ch != lay.StartCh {
+			c.perFrame += x.NO
+			c.logFrame += x.NO * c.op
+			c.parityFrame += x.NO * c.objTail
+			if !c.table {
+				c.pos0, _, first = lay.SlotData(ch, 0)
+			}
+		}
+		c.physFrame = c.logFrame + c.parityFrame
+		if !first || c.logLen == 0 || c.logLen%c.logFrame != 0 {
+			return nil, fmt.Errorf("station: channel %d is not a whole number of %d-slot frames", ch, c.logFrame)
+		}
+		c.physLen = c.logLen / c.logFrame * c.physFrame
+
+		// The physical program: each unit's members as the layout airs
+		// them, then its parity tail, of the unit's kind.
+		slots := make([]broadcast.Slot, c.physLen)
+		prog := lay.Air.Channels[ch].Program.Slots
+		for ui := range c.units() {
+			u := c.unit(ui)
+			at := u.physStart + copy(slots[u.physStart:], prog[u.logStart:u.logStart+u.n])
 			kind := broadcast.KindData
 			if u.table {
 				kind = broadcast.KindIndex
 			}
-			for i := 0; i < u.n; i++ {
-				c.log2phys[s+i] = int32(len(slots))
-				c.logOf = append(c.logOf, int32(s+i))
-				c.unitOf = append(c.unitOf, ui)
-				slots = append(slots, prog.At(s+i))
+			for i := range g.code(u.table).Tail() {
+				slots[at+i] = broadcast.Slot{Kind: kind}
 			}
-			nextLog := int32((s + u.n) % logLen)
-			for t := 0; t < code.Tail(); t++ {
-				// The parity tail interleaves like the members: row j of
-				// group g sits at tail offset j*Groups+g, so consecutive
-				// slots belong to distinct groups.
-				c.logOf = append(c.logOf, nextLog)
-				c.unitOf = append(c.unitOf, ui)
-				slots = append(slots, broadcast.Slot{Kind: kind})
-			}
-			c.units = append(c.units, u)
-			frames += code.Tail()
-			s += u.n
 		}
 		chans[ch] = &broadcast.Channel{Program: broadcast.Program{Capacity: x.Cfg.Capacity, Slots: slots}}
 	}
@@ -181,28 +287,6 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 	}
 	g.air = air
 	return g, nil
-}
-
-// unitAt is the unit starting at logical slot s of channel ch — a whole
-// index table or a whole object — in logical terms: its physical start
-// and parity frames are the geometry's to fill in.
-func unitAt(lay *dsi.Layout, ch, s int) (fecUnit, error) {
-	x := lay.X
-	u := fecUnit{logStart: s}
-	if pos, part, ok := lay.SlotTable(ch, s); ok {
-		if part != 0 {
-			return u, fmt.Errorf("station: channel %d slot %d starts mid-table", ch, s)
-		}
-		u.table, u.pos, u.obj, u.n = true, pos, -1, x.TablePackets
-	} else if pos, off, ok := lay.SlotData(ch, s); ok {
-		if off%x.ObjPackets != 0 {
-			return u, fmt.Errorf("station: channel %d slot %d starts mid-object", ch, s)
-		}
-		u.pos, u.obj, u.n = pos, off/x.ObjPackets, x.ObjPackets
-	} else {
-		return u, fmt.Errorf("station: channel %d slot %d is neither table nor data", ch, s)
-	}
-	return u, nil
 }
 
 // parityArena is one channel's parity frames in one []byte, frame f —
@@ -228,21 +312,20 @@ type parityArena struct {
 
 // newParityArena is channel c's arena, nothing encoded yet.
 func newParityArena(c *fecChan, capacity int) parityArena {
-	frames := c.physLen - len(c.log2phys) // one frame per parity slot
 	return parityArena{
-		buf:   make([]byte, frames*(wire.ParityHeaderSize+capacity)),
-		ready: make([]atomic.Uint64, (len(c.units)+63)/64),
+		buf:   make([]byte, c.parityFrames()*(wire.ParityHeaderSize+capacity)),
+		ready: make([]atomic.Uint64, (c.units()+63)/64),
 	}
 }
 
 // isReady reports whether unit ui's frames are final.
-func (a *parityArena) isReady(ui int32) bool { return a.ready[ui/64].Load()&(1<<(ui%64)) != 0 }
+func (a *parityArena) isReady(ui int) bool { return a.ready[ui/64].Load()&(1<<(ui%64)) != 0 }
 
 // ensure makes the parity frames of unit ui of channel ch final: a unit
 // whose ready bit is clear is encoded under its channel's lock, checked
 // again there, and its bit set after its bytes are written, so a reader
 // that sees the bit set reads final bytes.
-func (g *generation) ensure(ch int, ui int32) {
+func (g *generation) ensure(ch, ui int) {
 	a := &g.parity[ch]
 	if a.isReady(ui) {
 		return
@@ -260,8 +343,8 @@ func (g *generation) ensure(ch int, ui int32) {
 // arena's scratch, zero-padded to symbols, and each group's rows are
 // computed straight into their frames. The caller holds the arena's
 // lock.
-func (g *generation) encode(ch int, ui int32) {
-	a, u, x := &g.parity[ch], &g.fec.chs[ch].units[ui], g.lay.X
+func (g *generation) encode(ch, ui int) {
+	a, u, x := &g.parity[ch], g.fec.chs[ch].unit(ui), g.lay.X
 	code := g.fec.code(u.table)
 	capacity := x.Cfg.Capacity
 	stride := wire.ParityHeaderSize + capacity

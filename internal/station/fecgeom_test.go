@@ -9,24 +9,11 @@ import (
 	"dsi/internal/dsi"
 )
 
-// heapRetained is the live heap a value built by build holds once the
-// collector has run.
-func heapRetained(build func() any) int64 {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC() // and pooled garbage, which survives one collection
-	runtime.ReadMemStats(&before)
-	v := build()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(v)
-	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
-}
-
 // TestCodedGeometrySharedByEveryHolder: a coded transmitter and the
 // receivers over its layout and code hold one geometry, and a receiver
 // costs what it keeps beside it, a few hundred bytes of per-channel
-// decode state, not a copy of the slot maps.
+// decode state, not a copy of the physical program. The exported view
+// refers to the shared geometry's channels.
 func TestCodedGeometrySharedByEveryHolder(t *testing.T) {
 	_, _, lay := wireTestBed(t, 300, 557, quarterBounds)
 	tx, err := NewMultiTransmitterFEC(lay, wireLossyCode)
@@ -36,23 +23,26 @@ func TestCodedGeometrySharedByEveryHolder(t *testing.T) {
 	geo := tx.air.Load().cur.fec
 	for i := 0; i < 3; i++ {
 		var rx *WireReceiver
-		kept := heapRetained(func() any {
-			rx, err = NewFECReceiver(lay, 1, tx, wireLossyCode, 0, nil)
-			if err != nil {
+		kept := ownHeap(func() {
+			if rx, err = NewFECReceiver(lay, 1, tx, wireLossyCode, 0, nil); err != nil {
 				t.Fatal(err)
 			}
-			return rx
-		})
+		}).live
 		if rx.geo != geo {
 			t.Fatalf("receiver %d holds a geometry of its own", i)
 		}
+		if rx.air != geo.air {
+			t.Fatalf("receiver %d tunes a physical program of its own", i)
+		}
 		t.Logf("receiver %d retains %d B", i, kept)
 		if kept >= 4<<10 {
-			own := heapRetained(func() any { g, _ := newFECGeom(lay, wireLossyCode); return g })
+			var g *fecGeom
+			own := ownHeap(func() { g, _ = newFECGeom(lay, wireLossyCode) }).live
+			runtime.KeepAlive(g)
 			t.Errorf("receiver %d retains %d B, want under 4 KiB; a geometry is %d B", i, kept, own)
 		}
 	}
-	if c := tx.CodedGeometry(); &c[0].LogOf[0] != &geo.chs[0].logOf[0] {
+	if c := tx.CodedGeometry(); c[0].c != &geo.chs[0] {
 		t.Error("the transmitter's exported geometry is a copy")
 	}
 }
@@ -130,5 +120,36 @@ func TestConcurrentReceiversBuildOneGeometry(t *testing.T) {
 	}
 	if rxs[0].geo == tx.air.Load().cur.fec {
 		t.Fatal("receivers over their own catalog layout share the transmitter's geometry")
+	}
+}
+
+// TestCodedGeometryRetainsItsProgram: a geometry keeps its physical air
+// program, one byte a slot, and a fixed amount per channel — a few
+// hundred bytes of frame shape and channel state, and the program's
+// rounding up to its allocation size class or page — no table per
+// slot, and allocates nothing beyond what it keeps. The beds are the
+// massive testbed's coded arm and the wire_lossy shape; a geometry that
+// tabulates its slot maps (~15 B a slot) fails both.
+func TestCodedGeometryRetainsItsProgram(t *testing.T) {
+	const perChannel = 8 << 10
+	for _, bed := range []codedBed{massiveCodedBed(t), wireLossyBed(t)} {
+		var g *fecGeom
+		use := ownHeap(func() {
+			var err error
+			if g, err = newFECGeom(bed.lay, bed.cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		program := 0
+		for _, c := range g.air.Channels {
+			program += len(c.Slots)
+		}
+		budget := int64(program + perChannel*len(g.chs))
+		t.Logf("%s: %d physical slots on %d channels; the geometry allocates %d B and retains %d B, budget %d B",
+			bed.name, program, len(g.chs), use.bytes, use.live, budget)
+		if use.live > budget || use.bytes > budget {
+			t.Errorf("%s: the geometry allocates %d B and retains %d B, want at most its %d-B program and %d B a channel",
+				bed.name, use.bytes, use.live, program, perChannel)
+		}
 	}
 }

@@ -57,8 +57,8 @@ func TestFECGeomInvariants(t *testing.T) {
 			logLen := tc.lay.ChanLen(ch)
 			wantPhys := 0
 			nextLog := 0
-			for ui := range c.units {
-				u := &c.units[ui]
+			for ui := range c.units() {
+				u := c.unit(ui)
 				if u.logStart != nextLog {
 					t.Fatalf("%s ch%d unit %d starts at logical %d, want %d (units must tile)",
 						tc.name, ch, ui, u.logStart, nextLog)
@@ -74,19 +74,19 @@ func TestFECGeomInvariants(t *testing.T) {
 			if nextLog != logLen {
 				t.Fatalf("%s ch%d: units cover %d logical slots, cycle has %d", tc.name, ch, nextLog, logLen)
 			}
-			if c.physLen != wantPhys || len(c.logOf) != wantPhys || len(c.unitOf) != wantPhys {
-				t.Fatalf("%s ch%d: physLen %d, maps %d/%d, want %d",
-					tc.name, ch, c.physLen, len(c.logOf), len(c.unitOf), wantPhys)
+			if c.physLen != wantPhys || len(g.air.Channels[ch].Slots) != wantPhys {
+				t.Fatalf("%s ch%d: physLen %d, program %d, want %d",
+					tc.name, ch, c.physLen, len(g.air.Channels[ch].Slots), wantPhys)
 			}
 			for s := 0; s < logLen; s++ {
-				p := int(c.log2phys[s])
-				if u := &c.units[c.unitOf[p]]; c.logOf[p] != int32(s) || p-u.physStart >= u.n {
+				p := c.physSlot(s)
+				if _, u := c.covering(p); c.logSlot(p) != s || p-u.physStart >= u.n {
 					t.Fatalf("%s ch%d: logical %d -> physical %d -> logical %d (member %d of a %d-member unit)",
-						tc.name, ch, s, p, c.logOf[p], p-u.physStart, u.n)
+						tc.name, ch, s, p, c.logSlot(p), p-u.physStart, u.n)
 				}
 			}
 			for p := 0; p < c.physLen; p++ {
-				u := &c.units[c.unitOf[p]]
+				_, u := c.covering(p)
 				if off := p - u.physStart; off < 0 || off >= u.n+g.code(u.table).Tail() {
 					t.Fatalf("%s ch%d: physical %d lies outside its unit at %d (%d members, %d parity)",
 						tc.name, ch, p, u.physStart, u.n, g.code(u.table).Tail())
@@ -115,8 +115,8 @@ func TestFECTransmitterParityDecodes(t *testing.T) {
 	geo := mt.air.Load().cur.fec
 	for ch := 0; ch < lay.Channels(); ch++ {
 		c := &geo.chs[ch]
-		for ui := range c.units {
-			u := &c.units[ui]
+		for ui := range c.units() {
+			u := c.unit(ui)
 			code := geo.code(u.table)
 			run := make([]Packet, u.n+code.Tail())
 			mt.ReadRunAt(run, nil, ch, int64(u.physStart))
@@ -182,15 +182,10 @@ func TestCodedTransmitterRetainsParityBytesOnly(t *testing.T) {
 		Object: wire.FECCode{Groups: groups(x.ObjPackets), Parity: 1},
 	}
 	retained := func(build func() any) int64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.GC() // and pooled garbage, which survives one collection
-		runtime.ReadMemStats(&before)
-		v := build()
-		runtime.GC()
-		runtime.ReadMemStats(&after)
+		var v any
+		live := ownHeap(func() { v = build() }).live
 		runtime.KeepAlive(v)
-		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		return live
 	}
 	must := func(v any, err error) any {
 		if err != nil {
@@ -206,10 +201,7 @@ func TestCodedTransmitterRetainsParityBytesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := 0
-	for _, u := range geo.chs[0].units {
-		frames += geo.code(u.table).Tail()
-	}
+	frames := geo.chs[0].parityFrames()
 	want := int64(frames * (wire.ParityHeaderSize + x.Cfg.Capacity))
 	got := coded - plain - geom
 	t.Logf("%d parity frames: %d B retained for parity, %d B of frames; transmitter %d B coded, %d B plain, geometry %d B",

@@ -425,8 +425,7 @@ func (g *generation) fill(dst []Packet, b []byte, more, ch, slot int) []byte {
 			slot = 0
 		}
 		p := Packet{Ch: uint8(ch), Slot: uint32(slot), Ver: g.version}
-		ui := c.unitOf[slot]
-		u := &c.units[ui]
+		ui, u := c.covering(slot)
 		var k int
 		switch m := slot - u.physStart; {
 		case m >= u.n:

@@ -3,7 +3,6 @@ package station
 import (
 	"bytes"
 	"encoding/binary"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -135,8 +134,8 @@ func TestPacketAtAllocatesItsSlot(t *testing.T) {
 		t.Fatalf("cycle has %d table, %d parity, %d data slots", len(table), len(parity), len(data))
 	}
 	capacity := x.Cfg.Capacity
-	// The byte budgets are exact, so keep a collection cycle's own
-	// bookkeeping allocations out of the TotalAlloc deltas.
+	// The budgets are exact, so keep collections, and what they start,
+	// out of the measured sweeps.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	buf := make([]byte, 0, capacity)
 	for _, tc := range []struct {
@@ -171,14 +170,12 @@ func TestPacketAtAllocatesItsSlot(t *testing.T) {
 				}
 			}
 		}
-		if got, budget := testing.AllocsPerRun(3, sweep), float64(tc.allocs*len(tc.slots)); got > budget {
-			t.Errorf("%s slots: %.0f allocations over %d slots, budget %.0f", tc.kind, got, len(tc.slots), budget)
+		sweep() // warm
+		use := ownHeap(sweep)
+		if got, budget := use.allocs, int64(tc.allocs*len(tc.slots)); got > budget {
+			t.Errorf("%s slots: %d allocations over %d slots, budget %d", tc.kind, got, len(tc.slots), budget)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		sweep()
-		runtime.ReadMemStats(&after)
-		if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(tc.nbytes*len(tc.slots)); got > budget {
+		if got, budget := use.bytes, int64(tc.nbytes*len(tc.slots)); got > budget {
 			t.Errorf("%s slots: %d bytes allocated over %d slots, budget %d", tc.kind, got, len(tc.slots), budget)
 		}
 	}
@@ -197,8 +194,9 @@ func TestPacketAtAllocatesItsSlot(t *testing.T) {
 			tx.ReadRunAt(run, nil, s.ch, s.abs)
 		}
 	}
-	if got := testing.AllocsPerRun(3, runs); got != float64(len(starts)) {
-		t.Errorf("%d object runs into no buffer: %.0f allocations, want one a run", len(starts), got)
+	runs()
+	if got := ownHeap(runs).allocs; got != int64(len(starts)) {
+		t.Errorf("%d object runs into no buffer: %d allocations, want one a run", len(starts), got)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -23,7 +21,7 @@ import (
 // u.parity. logical fills a run of the channel's logical packets from
 // a logical slot, appending the payload bytes it builds to the buffer
 // it is handed (ReadRunAt's contract).
-func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(dst []Packet, b []byte, log int) []byte) []byte {
+func buildParity(c *tableChan, cfg wire.FECConfig, capacity int, logical func(dst []Packet, b []byte, log int) []byte) []byte {
 	stride := wire.ParityHeaderSize + capacity
 	frames := 0
 	for _, u := range c.units {
@@ -85,11 +83,15 @@ func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(dst 
 }
 
 // eagerParity is every channel's parity arena of g as the eager encoder
-// builds it.
-func eagerParity(g *generation) [][]byte {
-	out := make([][]byte, len(g.fec.chs))
+// builds it over the table-built geometry.
+func eagerParity(t *testing.T, g *generation) [][]byte {
+	o, err := newTableGeom(g.lay, g.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]byte, len(o.chs))
 	for ch := range out {
-		out[ch] = buildParity(&g.fec.chs[ch], g.cfg, g.lay.X.Cfg.Capacity,
+		out[ch] = buildParity(&o.chs[ch], g.cfg, g.lay.X.Cfg.Capacity,
 			func(dst []Packet, b []byte, log int) []byte { return g.fillLogical(dst, b, 0, ch, log) })
 	}
 	return out
@@ -109,7 +111,8 @@ type span struct {
 func tailRuns(rng *rand.Rand, g *generation, ch int, from int64) []span {
 	var out []span
 	c := &g.fec.chs[ch]
-	for _, u := range c.units {
+	for ui := range c.units() {
+		u := c.unit(ui)
 		tail := g.fec.code(u.table).Tail()
 		if tail == 0 {
 			continue
@@ -140,7 +143,7 @@ func checkParityRun(tx *MultiTransmitter, oracle map[*generation][][]byte, s spa
 		}
 		slot := g.rel(s.ch, abs)
 		c := &g.fec.chs[s.ch]
-		u := &c.units[c.unitOf[slot]]
+		_, u := c.covering(slot)
 		m := slot - u.physStart
 		if m < u.n {
 			if p.Flags&flagParity != 0 {
@@ -206,9 +209,9 @@ func TestParityOnFirstReadMatchesEager(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			tx := b.tx(t)
 			a := tx.air.Load()
-			oracle := map[*generation][][]byte{a.cur: eagerParity(a.cur)}
+			oracle := map[*generation][][]byte{a.cur: eagerParity(t, a.cur)}
 			if a.next != nil {
-				oracle[a.next] = eagerParity(a.next)
+				oracle[a.next] = eagerParity(t, a.next)
 			}
 			var wg sync.WaitGroup
 			errs := make([]error, 4)
@@ -259,12 +262,13 @@ func TestParityOnFirstReadMatchesEager(t *testing.T) {
 // the units that have a parity tail at all.
 func readyUnits(g *generation) (ready, coded int) {
 	for ch := range g.parity {
-		for ui, u := range g.fec.chs[ch].units {
-			if g.fec.code(u.table).Tail() == 0 {
+		c := &g.fec.chs[ch]
+		for ui := range c.units() {
+			if g.fec.code(c.unit(ui).table).Tail() == 0 {
 				continue
 			}
 			coded++
-			if g.parity[ch].isReady(int32(ui)) {
+			if g.parity[ch].isReady(ui) {
 				ready++
 			}
 		}
@@ -313,10 +317,10 @@ func TestStagedGenerationEncodesNothing(t *testing.T) {
 	for ch := range a.next.clocks {
 		// The run ends on the first unit's tail: it and only it is final.
 		c := &a.next.fec.chs[ch]
-		u := c.units[0]
+		u := c.unit(0)
 		tx.ReadRunAt(make([]Packet, u.n+1), nil, ch, a.next.clocks[ch].phase)
-		for ui := range c.units {
-			if got := a.next.parity[ch].isReady(int32(ui)); got != (ui == 0) {
+		for ui := range c.units() {
+			if got := a.next.parity[ch].isReady(ui); got != (ui == 0) {
 				t.Fatalf("channel %d unit %d: ready %v after a run through unit 0's tail", ch, ui, got)
 			}
 		}
@@ -341,10 +345,7 @@ func unready(g *generation) {
 
 // TestParityFirstReadAllocatesNothing: once a channel's arena has
 // encoded one unit, and so holds its scratch, encoding every other unit
-// of the channel on its first read allocates nothing. The sweep is
-// measured up to three times, every unit unready again each time, and
-// the best taken: an allocation the runtime makes in the background now
-// and then is not the encoder's.
+// of the channel on its first read allocates nothing.
 func TestParityFirstReadAllocatesNothing(t *testing.T) {
 	bed := wireLossyBed(t)
 	tx, err := NewMultiTransmitterFEC(bed.lay, bed.cfg)
@@ -355,7 +356,8 @@ func TestParityFirstReadAllocatesNothing(t *testing.T) {
 	dst := make([]Packet, 64)
 	var runs []span
 	for ch := range g.fec.chs {
-		for _, u := range g.fec.chs[ch].units {
+		for ui := range g.fec.chs[ch].units() {
+			u := g.fec.chs[ch].unit(ui)
 			runs = append(runs, span{ch, int64(u.physStart + u.n), g.fec.code(u.table).Tail()})
 		}
 	}
@@ -365,54 +367,16 @@ func TestParityFirstReadAllocatesNothing(t *testing.T) {
 	if ready, coded := readyUnits(g); ready != coded {
 		t.Fatalf("%d of %d units encoded after reading every tail", ready, coded)
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var best uint64
-	for try := 0; try < 3; try++ {
-		unready(g)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+	unready(g)
+	use := ownHeap(func() {
 		for _, s := range runs {
 			tx.ReadRunAt(dst[:s.n], nil, s.ch, s.abs)
 		}
-		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; try == 0 || n < best {
-			best = n
-		}
-		if best == 0 {
-			break
-		}
-	}
+	})
 	if ready, coded := readyUnits(g); ready != coded {
 		t.Fatalf("%d of %d units encoded again after reading every tail", ready, coded)
 	}
-	if best != 0 {
-		t.Errorf("encoding %d units on first read made %d allocations, want none", len(runs), best)
-	}
-}
-
-// TestCodedGeometryAllocatesItsSize: newFECGeom allocates each table
-// once at its final length, so what it allocates on the massive
-// testbed's coded arm is, within 2 %, what the geometry retains — no
-// garbage from tables grown by doubling.
-func TestCodedGeometryAllocatesItsSize(t *testing.T) {
-	bed := massiveCodedBed(t)
-	build := func() any {
-		g, err := newFECGeom(bed.lay, bed.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	kept := heapRetained(build)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	g := build()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(g)
-	alloc := int64(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("newFECGeom allocates %d B and retains %d B", alloc, kept)
-	if kept <= 0 || alloc > kept+kept/50 {
-		t.Errorf("newFECGeom allocates %d B for a geometry of %d B, want within 2 %%", alloc, kept)
+	if use.allocs != 0 {
+		t.Errorf("encoding %d units on first read made %d allocations, want none", len(runs), use.allocs)
 	}
 }

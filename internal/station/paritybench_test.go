@@ -86,7 +86,8 @@ func BenchmarkParityFirstRead(b *testing.B) {
 			g := tx.air.Load().cur
 			var tails []span
 			for ch := range g.fec.chs {
-				for _, u := range g.fec.chs[ch].units {
+				for ui := range g.fec.chs[ch].units() {
+					u := g.fec.chs[ch].unit(ui)
 					if tail := g.fec.code(u.table).Tail(); tail > 0 {
 						tails = append(tails, span{ch, int64(u.physStart + u.n), tail})
 					}

@@ -2,8 +2,6 @@ package station
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"dsi/internal/dataset"
@@ -14,13 +12,13 @@ import (
 
 // TestUncodedReceiverCarriesNoSlotMaps pins what the zero code costs a
 // receiver: nothing per slot. One type serves coded and uncoded
-// streams, and the coded half's slot maps (four int32 per slot plus a
-// physical air, ~28 B a slot) must not ride along when there is no
-// parity to map around — on the net_flood-shaped broadcast below
-// (2000 objects, order 8, four shard channels, ~34k slots a cycle) that
-// would be ~1 MB per receiver. The budget is what the separate plain
-// receiver type allocated here (7 allocations, 544 bytes) plus the
-// recovery half's idle fields in the struct.
+// streams, and the coded half's geometry (a physical air program, a
+// byte a slot) must not ride along when there is no parity to map
+// around — on the net_flood-shaped broadcast below (2000 objects, order
+// 8, four shard channels, ~34k slots a cycle) that would be ~34 KB per
+// receiver. The budget is what the separate plain receiver type
+// allocated here (7 allocations, 544 bytes) plus the recovery half's
+// idle fields in the struct.
 func TestUncodedReceiverCarriesNoSlotMaps(t *testing.T) {
 	ds := dataset.Uniform(2000, 8, 1)
 	x, err := dsi.Build(ds, dsi.Config{Capacity: 64, Segments: 1, ReserveMCPtr: true})
@@ -49,15 +47,12 @@ func TestUncodedReceiverCarriesNoSlotMaps(t *testing.T) {
 		}
 	}
 	const allocBudget, byteBudget = 7, 544 + 512
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if got := testing.AllocsPerRun(10, mint); got > allocBudget {
-		t.Errorf("NewWireReceiver: %.0f allocations, budget %d", got, allocBudget)
+	mint() // warm
+	use := ownHeap(mint)
+	if use.allocs > allocBudget {
+		t.Errorf("NewWireReceiver: %d allocations, budget %d", use.allocs, allocBudget)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	mint()
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
+	got := use.bytes
 	if got > byteBudget {
 		t.Errorf("NewWireReceiver: %d bytes over a %d-slot cycle, budget %d", got, lay.ProbeCycle(), byteBudget)
 	}

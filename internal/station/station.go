@@ -17,8 +17,9 @@
 // wire.ClassicTables; nothing in this package re-derives it.
 //
 // A coded layout's physical geometry (parity tails spliced into every
-// channel, and the slot maps between the two domains) follows from the
-// layout and the code alone, so it is built once per process: the
+// channel, and the slot maps between the two domains, arithmetic over
+// each channel's frame shape) follows from the layout and the code
+// alone, so it is built once per process: the
 // transmitter and every receiver of one layout under one code share one
 // read-only geometry, which lives as long as any of them holds it.
 //

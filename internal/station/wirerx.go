@@ -133,11 +133,11 @@ type WireReceiver struct {
 
 	// The code on air, and what follows from it. air is what the tuner
 	// runs on: the layout's own air for the zero code, the parity-bearing
-	// physical air otherwise. geo holds the logical/physical slot maps of
-	// a coded stream, shared read-only with every holder of the same
-	// layout and code (sharedFECGeom), and is nil for an uncoded one,
-	// whose two domains coincide — an uncoded receiver carries no
-	// per-slot state.
+	// physical air otherwise. geo is the frame shape a coded stream's
+	// logical/physical slot maps are computed from, shared read-only
+	// with every holder of the same layout and code (sharedFECGeom), and
+	// is nil for an uncoded one, whose two domains coincide — an uncoded
+	// receiver carries no per-slot state.
 	cfg         wire.FECConfig
 	geo         *fecGeom
 	air         *broadcast.Air
@@ -243,8 +243,8 @@ func NewFECReceiver(lay *dsi.Layout, version uint32, src PacketSource, cfg wire.
 }
 
 // streamGeom returns what a receiver of lay under code cfg runs on:
-// the slot maps (nil for the zero code, which has no parity to map
-// around) and the air its tuner steps through.
+// the coded geometry (nil for the zero code, which has no parity to
+// map around) and the air its tuner steps through.
 func streamGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, *broadcast.Air, error) {
 	if !cfg.Enabled() {
 		return nil, lay.Air, nil
@@ -329,7 +329,7 @@ func (r *WireReceiver) physOf(ch, log int) int {
 	if r.geo == nil {
 		return log
 	}
-	return int(r.geo.chs[ch].log2phys[log])
+	return r.geo.chs[ch].physSlot(log)
 }
 
 // Pos returns the logical cycle position on the current channel,
@@ -339,7 +339,7 @@ func (r *WireReceiver) Pos() int {
 	if r.geo == nil {
 		return r.tu.Pos()
 	}
-	return int(r.geo.chs[r.tu.Channel()].logOf[r.tu.Pos()])
+	return r.geo.chs[r.tu.Channel()].logSlot(r.tu.Pos())
 }
 
 // Channel returns the channel the radio is tuned to.
