@@ -102,6 +102,9 @@ func InfoFor(src station.PacketSource, meta wire.StationMeta) (ImageInfo, bool) 
 	return info, true
 }
 
+// imageRun is how many slots of a channel WriteImage reads at once.
+const imageRun = 256
+
 // WriteImage writes one full broadcast cycle of every channel of src
 // as a wire-cycle image. src must be static (directory version 1,
 // fixed cycles); parity slots of a coded source are imaged like any
@@ -124,34 +127,38 @@ func WriteImage(w io.Writer, src station.PacketSource, info ImageInfo) error {
 	if _, err := bw.Write(imageMagic[:]); err != nil {
 		return err
 	}
+	// The source is read imageRun slots at a time, each run's payloads
+	// built into buf, and a run's records go out in one write.
 	stride := 3 + slotBytes
-	rec := make([]byte, stride)
-	var pkt [1]station.Packet
+	recs := make([]byte, imageRun*stride)
+	pkts := make([]station.Packet, imageRun)
+	buf := make([]byte, 0, imageRun*slotBytes)
 	for ch, slots := range info.ChanSlots {
 		if slots <= 0 {
 			return fmt.Errorf("diskstore: channel %d has %d slots", ch, slots)
 		}
-		for slot := 0; slot < slots; slot++ {
-			clear(rec)
-			// A payload the source builds lands in the record itself; one it
-			// holds already is copied in below.
-			src.ReadRunAt(pkt[:], rec[3:3], ch, int64(slot))
-			p, ver := pkt[0], pkt[0].Ver
-			if ver != 1 {
-				return fmt.Errorf("diskstore: channel %d slot %d served directory version %d; images need a static source", ch, slot, ver)
+		for first := 0; first < slots; first += imageRun {
+			n := min(imageRun, slots-first)
+			src.ReadRunAt(pkts[:n], buf, ch, int64(first))
+			for i, p := range pkts[:n] {
+				slot := first + i
+				if p.Ver != 1 {
+					return fmt.Errorf("diskstore: channel %d slot %d served directory version %d; images need a static source", ch, slot, p.Ver)
+				}
+				if int(p.Slot) != slot || int(p.Ch) != ch {
+					return fmt.Errorf("diskstore: channel %d slot %d: source stamped packet (ch=%d, slot=%d)",
+						ch, slot, p.Ch, p.Slot)
+				}
+				if len(p.Payload) > slotBytes {
+					return fmt.Errorf("diskstore: channel %d slot %d: payload %dB exceeds slot width %d",
+						ch, slot, len(p.Payload), slotBytes)
+				}
+				rec := recs[i*stride : (i+1)*stride]
+				rec[0] = p.Flags
+				binary.LittleEndian.PutUint16(rec[1:3], uint16(len(p.Payload)))
+				clear(rec[3+copy(rec[3:], p.Payload):])
 			}
-			if int(p.Slot) != slot || int(p.Ch) != ch {
-				return fmt.Errorf("diskstore: channel %d slot %d: source stamped packet (ch=%d, slot=%d)",
-					ch, slot, p.Ch, p.Slot)
-			}
-			if len(p.Payload) > slotBytes {
-				return fmt.Errorf("diskstore: channel %d slot %d: payload %dB exceeds slot width %d",
-					ch, slot, len(p.Payload), slotBytes)
-			}
-			rec[0] = p.Flags
-			binary.LittleEndian.PutUint16(rec[1:3], uint16(len(p.Payload)))
-			copy(rec[3:], p.Payload)
-			if _, err := bw.Write(rec); err != nil {
+			if _, err := bw.Write(recs[:n*stride]); err != nil {
 				return err
 			}
 		}

@@ -29,10 +29,14 @@
 //   - The ring owns its bytes and a read copies out of it: per channel
 //     the ring is one flat store of fixed-width records, a header (abs,
 //     slot, version, length, flags) and the payload, the record for abs
-//     at index abs & (ring-1). An arriving frame is copied into its
-//     record (so the caller may reuse its read buffer, and a frame
+//     at index abs & (ring-1). An arriving frame is filed straight
+//     from its bytes: wire.ParseNetFrame validates its header once and
+//     the record's fields are read out of the wire.NetFrameView, so no
+//     decoded frame is copied on the way. The payload is copied into
+//     the record (so the caller may reuse its read buffer, and a frame
 //     nobody reads costs a memcpy and no allocation once its page of
-//     records exists), and ReadRunAt copies the records into the
+//     records exists); Offer files a frame's encoding the same way.
+//     ReadRunAt copies the records into the
 //     reader's buffer while it holds the lock, so ring eviction never
 //     invalidates a slice an upper layer still holds. A reader with a
 //     buffer of sufficient capacity allocates nothing; PacketAt, the
@@ -236,15 +240,27 @@ func (f *Feed) Live() int64 {
 	return f.highAll - 1
 }
 
-// Offer slots one decoded frame into the feed. Payload bytes are
-// copied, so the caller may reuse its read buffer.
+// Offer slots one frame into the feed: its encoding, filed as Consume
+// files it. Payload bytes are copied, so the caller may reuse its
+// buffer; a frame that does not encode to a valid one is garbage.
 func (f *Feed) Offer(fr wire.NetFrame) {
-	f.mu.Lock()
-	took := f.slot(fr)
-	if took && f.met != nil {
-		f.met.Frames.Inc()
+	// A frame of a packet's size is encoded on the stack.
+	b, err := wire.AppendNetFrame(make([]byte, 0, 256), fr)
+	if err == nil {
+		var v wire.NetFrameView
+		if v, err = wire.ParseNetFrame(b); err == nil {
+			f.mu.Lock()
+			took := f.slot(v)
+			if took && f.met != nil {
+				f.met.Frames.Inc()
+			}
+			f.unlockAndWake(took)
+			return
+		}
 	}
-	f.unlockAndWake(took)
+	if f.met != nil {
+		f.met.Garbage.Inc()
+	}
 }
 
 // Consume parses as many complete frames as buf holds, slotting each
@@ -257,21 +273,20 @@ func (f *Feed) Consume(buf []byte) (int, error) {
 	at, slotted := 0, 0
 	var err error
 	for at < len(buf) {
-		fr, n, derr := wire.DecodeNetFrame(buf[at:])
-		if derr == wire.ErrShortFrame {
-			break
-		}
-		if derr != nil {
-			if f.met != nil {
-				f.met.Garbage.Inc()
+		v, perr := wire.ParseNetFrame(buf[at:])
+		if perr != nil {
+			if perr != wire.ErrShortFrame {
+				if f.met != nil {
+					f.met.Garbage.Inc()
+				}
+				err = perr
 			}
-			err = derr
 			break
 		}
-		if f.slot(fr) {
+		if f.slot(v) {
 			slotted++
 		}
-		at += n
+		at += len(v)
 	}
 	if f.met != nil {
 		f.met.Frames.Add(int64(slotted))
@@ -280,25 +295,25 @@ func (f *Feed) Consume(buf []byte) (int, error) {
 	return at, err
 }
 
-// slot files one frame under f.mu and reports whether the feed took it:
-// a data frame for a channel the broadcast does not have, or wider than
-// any packet on air, is garbage, and a closed lossless feed takes
-// nothing.
-func (f *Feed) slot(fr wire.NetFrame) bool {
-	switch fr.Kind {
+// slot files one frame under f.mu, straight from its bytes, and reports
+// whether the feed took it: a data frame for a channel the broadcast does
+// not have, or wider than any packet on air, is garbage, and a closed
+// lossless feed takes nothing.
+func (f *Feed) slot(v wire.NetFrameView) bool {
+	switch v.Kind() {
 	case wire.NetDir:
-		if fr.Ver >= f.dirVer {
-			f.dir = adopt(f.dir, fr.Payload)
-			f.dirVer = fr.Ver
+		if ver := v.Ver(); ver >= f.dirVer {
+			f.dir = adopt(f.dir, v.Payload())
+			f.dirVer = ver
 		}
 	case wire.NetFECDesc:
-		if fr.Ver >= f.descVer {
-			f.desc = adopt(f.desc, fr.Payload)
-			f.descVer = fr.Ver
+		if ver := v.Ver(); ver >= f.descVer {
+			f.desc = adopt(f.desc, v.Payload())
+			f.descVer = ver
 		}
 	case wire.NetData:
-		ch := int(fr.Ch)
-		if ch >= f.nch || len(fr.Payload) > f.maxPayload {
+		ch, abs, payload := int(v.Ch()), v.Abs(), v.Payload()
+		if ch >= f.nch || len(payload) > f.maxPayload {
 			if f.met != nil {
 				f.met.Garbage.Inc()
 			}
@@ -306,9 +321,9 @@ func (f *Feed) slot(fr wire.NetFrame) bool {
 		}
 		if f.opt.Lossless {
 			if f.lastConsumed < 0 {
-				f.lastConsumed = fr.Abs
+				f.lastConsumed = abs
 			}
-			for !f.closed && fr.Abs >= f.lastConsumed+f.ring {
+			for !f.closed && abs >= f.lastConsumed+f.ring {
 				// The reader that will make room may be waiting on a
 				// frame slotted earlier under this same hold of the lock.
 				f.wake()
@@ -318,27 +333,27 @@ func (f *Feed) slot(fr wire.NetFrame) bool {
 				return false
 			}
 		}
-		if recHeader+len(fr.Payload) > f.stride {
-			f.widen(len(fr.Payload))
+		if recHeader+len(payload) > f.stride {
+			f.widen(len(payload))
 		}
-		pg, at := f.place(ch, fr.Abs)
+		pg, at := f.place(ch, abs)
 		if *pg == nil {
 			*pg = make([]byte, f.stride<<f.pageShift)
 		}
 		r := (*pg)[at : at+f.stride]
-		if int64(binary.LittleEndian.Uint64(r[recAbs:])) <= fr.Abs { // newer than the record's frame
-			binary.LittleEndian.PutUint64(r[recAbs:], uint64(fr.Abs+1))
-			binary.LittleEndian.PutUint32(r[recSlot:], fr.Slot)
-			binary.LittleEndian.PutUint32(r[recVer:], fr.Ver)
-			binary.LittleEndian.PutUint16(r[recLen:], uint16(len(fr.Payload)))
-			r[recFlags] = fr.Flags
-			copy(r[recHeader:], fr.Payload)
+		if int64(binary.LittleEndian.Uint64(r[recAbs:])) <= abs { // newer than the record's frame
+			binary.LittleEndian.PutUint64(r[recAbs:], uint64(abs+1))
+			binary.LittleEndian.PutUint32(r[recSlot:], v.Slot())
+			binary.LittleEndian.PutUint32(r[recVer:], v.Ver())
+			binary.LittleEndian.PutUint16(r[recLen:], uint16(len(payload)))
+			r[recFlags] = v.Flags()
+			copy(r[recHeader:], payload)
 		}
-		if fr.Abs+1 > f.high[ch] {
-			f.high[ch] = fr.Abs + 1
+		if abs+1 > f.high[ch] {
+			f.high[ch] = abs + 1
 		}
-		if fr.Abs+1 > f.highAll {
-			f.highAll = fr.Abs + 1
+		if abs+1 > f.highAll {
+			f.highAll = abs + 1
 		}
 	}
 	return true

@@ -676,10 +676,13 @@ func TestSeveredStreamReconnects(t *testing.T) {
 // station's stream through a feed whose LagSlack (64 slots) is smaller
 // than the station's flush (100 slots at 20 000 slots/s). The station
 // emits in air order, so no frame of a later slot can arrive ahead of
-// one the reader still waits for, and a loss-free link declares nothing
-// lost. (A flush emitted channel by channel runs the global clock a
-// whole flush ahead of the channels still to come, and their pending
-// slots are declared lost.)
+// one the reader still waits for, and a loss-free link loses no read
+// that starts while the clock is within LagSlack of its slot. (A flush
+// emitted channel by channel runs the global clock a whole flush ahead
+// of the channels still to come, and their pending slots are declared
+// lost.) A reader slowed down enough to fall further behind — the race
+// detector does it — is rightly served losses past the slack; those
+// reads prove nothing and are only counted.
 func TestSmallLagSlackOnALossFreeLink(t *testing.T) {
 	const n, seed = 200, 1951
 	ds, _, lay := netTestBed(t, n, seed)
@@ -705,23 +708,35 @@ func TestSmallLagSlackOnALossFreeLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := netrecv.Options{LagSlack: 64}
+	const lagSlack = 64
+	opt := netrecv.Options{LagSlack: lagSlack}
 
 	readAll := func(t *testing.T, feed *netrecv.Feed, from int64) {
 		t.Helper()
 		const slots = 6000 // 0.3 s of air
+		inSlack, behind := 0, 0
 		for abs := from; abs < from+slots; abs++ {
 			for ch := 0; ch < lay.Channels(); ch++ {
+				// The lag rule serves abs as lost once the clock is
+				// LagSlack past it; a read that starts short of that
+				// must get the slot.
+				live, lost := feed.Live(), feed.LostSlots()
 				got, ver := feed.PacketAt(ch, abs)
+				if live-abs >= lagSlack {
+					behind++
+				} else {
+					inSlack++
+					if feed.LostSlots() != lost {
+						t.Fatalf("channel %d slot %d served as lost on a loss-free link, the clock at %d when the read started", ch, abs, live)
+					}
+				}
 				want, _ := mt.PacketAt(ch, abs)
 				if ver != 0 && !reflect.DeepEqual(got, want) {
 					t.Fatalf("channel %d slot %d: stream differs from the source", ch, abs)
 				}
 			}
 		}
-		if lost := feed.LostSlots(); lost != 0 {
-			t.Fatalf("%d of %d packet reads served as lost on a loss-free link", lost, slots*lay.Channels())
-		}
+		t.Logf("%d reads started within LagSlack of the clock, %d further behind (%d served as lost)", inSlack, behind, feed.LostSlots())
 	}
 	t.Run("udp", func(t *testing.T) {
 		rx, err := netrecv.NewUDPReceiver(addr, -1, cat, opt)

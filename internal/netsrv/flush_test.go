@@ -298,7 +298,7 @@ func TestWarmFlushAllocatesNothing(t *testing.T) {
 	}
 	defer pc.Close()
 	// The emitter without its goroutines: the test plays both writers.
-	u := &udpEmitter{srv: srv, pc: pc, q: make(chan *flush, streamQueueDepth), subs: make(map[string]*udpSub)}
+	u := &udpEmitter{srv: srv, pc: pc, q: make(chan *flush, srv.depth), subs: make(map[string]*udpSub)}
 	srv.udpMet = obs.NewNetStationMetrics(srv.cfg.Registry, "udp", srv.nch)
 	srv.udp = u
 	u.join(sink.LocalAddr(), -1)

@@ -15,10 +15,21 @@ import (
 	"dsi/internal/obs"
 )
 
-// streamQueueDepth bounds how many flushes a lagging subscriber may
-// fall behind before whole batches are dropped (or, in Block mode, the
-// broadcast stalls).
+// streamQueueDepth bounds how many flushes a lagging subscriber of a
+// paced station may fall behind — 160 ms of air — before whole batches
+// are dropped (or, in Block mode, the broadcast stalls).
 const streamQueueDepth = 32
+
+const (
+	// flatOutSlots is the flush of a station with no pace, and
+	// maxQueuedSlots what one of its subscriber queues holds, in
+	// maxQueuedSlots/flatOutSlots flushes. A wide flush spreads the
+	// per-flush work (a Write, a chunk, a wake-up per subscriber) over
+	// many slots; the bound keeps what a stalled subscriber pins, and so
+	// the live heap of a back-pressured pipeline, small.
+	flatOutSlots   = 256
+	maxQueuedSlots = 2048
+)
 
 // streamConn is one live HTTP subscription: a bounded queue of flushes
 // the pacer publishes into and the writer goroutine drains, releasing
@@ -86,7 +97,7 @@ func (s *Server) parseCh(r *http.Request) (chanSet, error) {
 // FEC descriptor.
 func (s *Server) subscribe(chans chanSet) (*streamConn, func()) {
 	c := &streamConn{
-		q:     make(chan *flush, streamQueueDepth),
+		q:     make(chan *flush, s.depth),
 		done:  make(chan struct{}),
 		chans: chans,
 	}

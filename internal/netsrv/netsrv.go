@@ -112,6 +112,10 @@ type Server struct {
 	pkt []byte
 	run [1]station.Packet
 
+	// batch is the slots of one flush, and depth the flushes a
+	// subscriber queue holds (see flushShape).
+	batch, depth int
+
 	// free holds released flushes for buildFlush to fill again. What is
 	// in flight at once — a queue's worth, the flush being built and one
 	// under each writer — comes back in one burst when stalled
@@ -146,8 +150,9 @@ func New(cfg Config) (*Server, error) {
 		nch:   nch,
 		ctrl:  cfg.CtrlEvery,
 		conns: make(map[*streamConn]struct{}),
-		free:  make(chan *flush, 2*streamQueueDepth),
 	}
+	s.batch, s.depth = flushShape(cfg.SlotsPerSec)
+	s.free = make(chan *flush, 2*s.depth)
 	if cfg.Layout != nil {
 		s.pkt = make([]byte, 0, cfg.Layout.X.Cfg.Capacity+wire.ParityHeaderSize)
 	}
@@ -165,22 +170,29 @@ func (s *Server) hasConns() bool {
 	return len(s.conns) > 0
 }
 
-// Run drives the slot clock until the context is cancelled. It never
-// returns another error: transport failures affect individual
-// subscribers, not the broadcast.
+// flushShape returns the slots of one flush and the depth of a
+// subscriber queue for a station paced at rate slots a second. A paced
+// station flushes every 5 ms, rate/200 slots (1 to 4096), into queues of
+// streamQueueDepth. A flat-out one (rate <= 0) sends flatOutSlots at a
+// time into queues of maxQueuedSlots/flatOutSlots, so what a stalled
+// subscriber holds is bounded as before while every Write and every
+// wake-up of the pipeline carries four times the slots.
+func flushShape(rate int) (batch, depth int) {
+	if rate <= 0 {
+		return flatOutSlots, maxQueuedSlots / flatOutSlots
+	}
+	return min(max(rate/200, 1), 4096), streamQueueDepth
+}
+
+// Run drives the slot clock until the context is cancelled, one flush of
+// the station's batch at a time (see flushShape): on the rate's ticker
+// when paced, back to back when flat out. It never returns another
+// error: transport failures affect individual subscribers, not the
+// broadcast.
 func (s *Server) Run(ctx context.Context) error {
-	rate := s.cfg.SlotsPerSec
-	batchSlots := 64
 	var tick *time.Ticker
-	if rate > 0 {
-		batchSlots = rate / 200
-		if batchSlots < 1 {
-			batchSlots = 1
-		}
-		if batchSlots > 4096 {
-			batchSlots = 4096
-		}
-		tick = time.NewTicker(time.Duration(batchSlots) * time.Second / time.Duration(rate))
+	if rate := s.cfg.SlotsPerSec; rate > 0 {
+		tick = time.NewTicker(time.Duration(s.batch) * time.Second / time.Duration(rate))
 		defer tick.Stop()
 	}
 	for {
@@ -202,7 +214,7 @@ func (s *Server) Run(ctx context.Context) error {
 		if s.cfg.Tick != nil {
 			s.cfg.Tick(s.abs.Load())
 		}
-		fs := s.buildFlush(batchSlots)
+		fs := s.buildFlush(s.batch)
 		s.publish(ctx, fs)
 		if tick != nil {
 			select {

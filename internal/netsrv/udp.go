@@ -81,7 +81,7 @@ func (s *Server) ServeUDP(ctx context.Context, addr string) (string, error) {
 		srv:  s,
 		pc:   pc,
 		addr: pc.LocalAddr().String(),
-		q:    make(chan *flush, streamQueueDepth),
+		q:    make(chan *flush, s.depth),
 		subs: make(map[string]*udpSub),
 	}
 	if s.udpMet == nil {

@@ -8,7 +8,10 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -199,6 +202,12 @@ func FuzzDecodeFECDesc(f *testing.F) {
 	})
 }
 
+// FuzzDecodeNetFrame holds the one header parse, ParseNetFrame's view
+// and DecodeNetFrame over it, to a field-by-field decoder written out in
+// full (refDecodeNetFrame): both accept exactly the buffers it accepts,
+// consume as many bytes, read the same fields and refuse the rest with
+// the same error, so a valid prefix stays ErrShortFrame and garbage stays
+// malformed. An accepted frame re-encodes to the bytes it came from.
 func FuzzDecodeNetFrame(f *testing.F) {
 	good, _ := AppendNetFrame(nil, NetFrame{Kind: NetData, Flags: 1, Ch: 2, Slot: 40, Ver: 3, Abs: 1234, Payload: []byte("net payload")})
 	f.Add([]byte{})
@@ -211,20 +220,90 @@ func FuzzDecodeNetFrame(f *testing.F) {
 	badKind := append([]byte{}, good...)
 	badKind[2] = 0
 	f.Add(badKind)
+	f.Add(append(append([]byte{}, good...), good[:5]...)) // a frame and the head of the next
+	f.Add(badMagic[:1])
+	badKind = append([]byte{}, good...)
+	badKind[2] = NetFECDesc + 1
+	f.Add(badKind[:NetFrameHeader])
+	for _, abs := range []uint64{1 << 62, 1<<62 + 1} {
+		edge := append([]byte{}, good...)
+		binary.BigEndian.PutUint64(edge[14:], abs)
+		f.Add(edge)
+	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		fr, n, err := DecodeNetFrame(buf)
-		if err == nil {
-			if n < NetFrameHeader || n > len(buf) {
-				t.Fatalf("consumed %d of %d", n, len(buf))
-			}
-			// A decoded frame must re-encode to the bytes it came from.
-			re, err := AppendNetFrame(nil, fr)
-			if err != nil {
-				t.Fatalf("decoded frame does not re-encode: %v", err)
-			}
-			if string(re) != string(buf[:n]) {
-				t.Fatalf("re-encode mismatch")
+		want, wantN, wantErr := refDecodeNetFrame(buf)
+		v, err := ParseNetFrame(buf)
+		fr, n, derr := DecodeNetFrame(buf)
+		for name, got := range map[string]error{"ParseNetFrame": err, "DecodeNetFrame": derr} {
+			if (got == nil) != (wantErr == nil) || got != nil && got.Error() != wantErr.Error() ||
+				errors.Is(got, ErrShortFrame) != errors.Is(wantErr, ErrShortFrame) {
+				t.Fatalf("%s: error %v, the reference decoder %v", name, got, wantErr)
 			}
 		}
+		if wantErr != nil {
+			if v != nil || n != 0 {
+				t.Fatalf("a refused frame still gave a %d-byte view and %d bytes consumed", len(v), n)
+			}
+			return
+		}
+		if len(v) != wantN || n != wantN {
+			t.Fatalf("the view holds %d bytes and DecodeNetFrame consumed %d, the reference %d", len(v), n, wantN)
+		}
+		for _, got := range []NetFrame{v.Frame(), fr} {
+			if got.Kind != want.Kind || got.Flags != want.Flags || got.Ch != want.Ch || got.Slot != want.Slot ||
+				got.Ver != want.Ver || got.Abs != want.Abs || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("decoded %+v, the reference %+v", got, want)
+			}
+		}
+		if v.Kind() != want.Kind || v.Flags() != want.Flags || v.Ch() != want.Ch || v.Slot() != want.Slot ||
+			v.Ver() != want.Ver || v.Abs() != want.Abs || !bytes.Equal(v.Payload(), want.Payload) {
+			t.Fatalf("the view's accessors disagree with the reference %+v", want)
+		}
+		// A decoded frame must re-encode to the bytes it came from.
+		re, err := AppendNetFrame(nil, fr)
+		if err != nil {
+			t.Fatalf("decoded frame does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re, buf[:n]) {
+			t.Fatalf("re-encode mismatch")
+		}
 	})
+}
+
+// refDecodeNetFrame is the net frame decoder spelled out check by check,
+// in the order a stream reader meets the bytes: the oracle of the header
+// parse.
+func refDecodeNetFrame(buf []byte) (NetFrame, int, error) {
+	var f NetFrame
+	if len(buf) < 2 {
+		if len(buf) >= 1 && buf[0] != netMagic0 {
+			return f, 0, fmt.Errorf("wire: bad net frame magic %#02x", buf[0])
+		}
+		return f, 0, ErrShortFrame
+	}
+	if buf[0] != netMagic0 || buf[1] != netMagic1 {
+		return f, 0, fmt.Errorf("wire: bad net frame magic %#02x%02x", buf[0], buf[1])
+	}
+	if len(buf) < NetFrameHeader {
+		return f, 0, ErrShortFrame
+	}
+	f.Kind = buf[2]
+	if f.Kind < NetData || f.Kind > NetFECDesc {
+		return f, 0, fmt.Errorf("wire: net frame kind %d", f.Kind)
+	}
+	f.Flags = buf[3]
+	f.Ch = binary.BigEndian.Uint16(buf[4:])
+	f.Slot = binary.BigEndian.Uint32(buf[6:])
+	f.Ver = binary.BigEndian.Uint32(buf[10:])
+	abs := binary.BigEndian.Uint64(buf[14:])
+	if abs > 1<<62 {
+		return f, 0, fmt.Errorf("wire: net frame slot %d out of range", abs)
+	}
+	f.Abs = int64(abs)
+	plen := int(binary.BigEndian.Uint16(buf[22:]))
+	if len(buf) < NetFrameHeader+plen {
+		return f, 0, ErrShortFrame
+	}
+	f.Payload = buf[NetFrameHeader : NetFrameHeader+plen]
+	return f, NetFrameHeader + plen, nil
 }

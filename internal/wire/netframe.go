@@ -26,10 +26,10 @@
 // of one absolute slot, one per subscribed channel, control frames ahead
 // of them (loss granularity = one slot of each channel, the semantics
 // the per-channel FEC layer is designed for); HTTP streams concatenate
-// frames back to back. Either way a reader decodes frame after frame, so
-// DecodeNetFrame distinguishes "I need more bytes" (ErrShortFrame) from
-// "this is not a frame" (malformed — a stream desync the reader must
-// treat as fatal).
+// frames back to back. Either way a reader parses frame after frame, so
+// ParseNetFrame — the one header parse, which DecodeNetFrame wraps —
+// distinguishes "I need more bytes" (ErrShortFrame) from "this is not a
+// frame" (malformed — a stream desync the reader must treat as fatal).
 
 package wire
 
@@ -103,42 +103,90 @@ func AppendNetFrame(dst []byte, f NetFrame) ([]byte, error) {
 	return append(dst, f.Payload...), nil
 }
 
-// DecodeNetFrame decodes the frame at the head of buf, returning it and
-// the bytes consumed. The returned payload aliases buf — callers that
-// retain it beyond the buffer's lifetime must copy. ErrShortFrame means
-// the buffer holds a valid prefix of a frame (wait for more bytes); any
-// other error means buf does not start with a frame.
-func DecodeNetFrame(buf []byte) (NetFrame, int, error) {
-	var f NetFrame
+// NetFrameView is one whole net frame in its own bytes, as ParseNetFrame
+// returns it: the header is validated, and each accessor reads its field
+// straight out of the bytes, so a reader that files a frame field by field
+// copies nothing but what it keeps.
+type NetFrameView []byte
+
+// Kind is the frame kind: NetData, NetDir or NetFECDesc.
+func (v NetFrameView) Kind() byte { return v[2] }
+
+// Flags are the station packet flags (NetData); 0 for control frames.
+func (v NetFrameView) Flags() byte { return v[3] }
+
+// Ch is the broadcast channel (NetData); 0 for control frames.
+func (v NetFrameView) Ch() uint16 { return binary.BigEndian.Uint16(v[4:]) }
+
+// Slot is the per-channel cycle slot (NetData); 0 for control frames.
+func (v NetFrameView) Slot() uint32 { return binary.BigEndian.Uint32(v[6:]) }
+
+// Ver is the directory version governing the payload.
+func (v NetFrameView) Ver() uint32 { return binary.BigEndian.Uint32(v[10:]) }
+
+// Abs is the absolute slot of emission, at most 2^62.
+func (v NetFrameView) Abs() int64 { return int64(binary.BigEndian.Uint64(v[14:])) }
+
+// Payload is the frame's payload, aliasing the view's bytes.
+func (v NetFrameView) Payload() []byte { return v[NetFrameHeader:] }
+
+// Frame returns the frame the view holds; its payload aliases the view.
+func (v NetFrameView) Frame() NetFrame {
+	return NetFrame{
+		Kind: v.Kind(), Flags: v.Flags(), Ch: v.Ch(), Slot: v.Slot(),
+		Ver: v.Ver(), Abs: v.Abs(), Payload: v.Payload(),
+	}
+}
+
+// ParseNetFrame returns the frame at the head of buf as a view of buf's
+// bytes, exactly len(view) of them. ErrShortFrame means the buffer holds
+// a valid prefix of a frame (wait for more bytes); any other error means
+// buf does not start with a frame.
+func ParseNetFrame(buf []byte) (NetFrameView, error) {
+	if len(buf) >= NetFrameHeader && buf[0] == netMagic0 && buf[1] == netMagic1 &&
+		buf[2]-NetData <= NetFECDesc-NetData && binary.BigEndian.Uint64(buf[14:]) <= 1<<62 {
+		if n := NetFrameHeader + int(binary.BigEndian.Uint16(buf[22:])); n <= len(buf) {
+			return NetFrameView(buf[:n:n]), nil
+		}
+	}
+	return nil, netFrameError(buf)
+}
+
+// netFrameError says why buf does not start with a whole frame, for a
+// buf ParseNetFrame refused: the checks in the order a stream reader
+// meets them, so a valid prefix is short however it is cut.
+//
+//go:noinline
+func netFrameError(buf []byte) error {
 	if len(buf) < 2 {
 		if len(buf) >= 1 && buf[0] != netMagic0 {
-			return f, 0, fmt.Errorf("wire: bad net frame magic %#02x", buf[0])
+			return fmt.Errorf("wire: bad net frame magic %#02x", buf[0])
 		}
-		return f, 0, ErrShortFrame
+		return ErrShortFrame
 	}
 	if buf[0] != netMagic0 || buf[1] != netMagic1 {
-		return f, 0, fmt.Errorf("wire: bad net frame magic %#02x%02x", buf[0], buf[1])
+		return fmt.Errorf("wire: bad net frame magic %#02x%02x", buf[0], buf[1])
 	}
 	if len(buf) < NetFrameHeader {
-		return f, 0, ErrShortFrame
+		return ErrShortFrame
 	}
-	f.Kind = buf[2]
-	if f.Kind < NetData || f.Kind > NetFECDesc {
-		return f, 0, fmt.Errorf("wire: net frame kind %d", f.Kind)
+	if k := buf[2]; k < NetData || k > NetFECDesc {
+		return fmt.Errorf("wire: net frame kind %d", k)
 	}
-	f.Flags = buf[3]
-	f.Ch = binary.BigEndian.Uint16(buf[4:])
-	f.Slot = binary.BigEndian.Uint32(buf[6:])
-	f.Ver = binary.BigEndian.Uint32(buf[10:])
-	abs := binary.BigEndian.Uint64(buf[14:])
-	if abs > 1<<62 {
-		return f, 0, fmt.Errorf("wire: net frame slot %d out of range", abs)
+	if abs := binary.BigEndian.Uint64(buf[14:]); abs > 1<<62 {
+		return fmt.Errorf("wire: net frame slot %d out of range", abs)
 	}
-	f.Abs = int64(abs)
-	plen := int(binary.BigEndian.Uint16(buf[22:]))
-	if len(buf) < NetFrameHeader+plen {
-		return f, 0, ErrShortFrame
+	return ErrShortFrame // the payload runs past the buffer
+}
+
+// DecodeNetFrame decodes the frame at the head of buf, returning it and
+// the bytes consumed: ParseNetFrame's frame, copied out of its header.
+// The returned payload aliases buf — callers that retain it beyond the
+// buffer's lifetime must copy.
+func DecodeNetFrame(buf []byte) (NetFrame, int, error) {
+	v, err := ParseNetFrame(buf)
+	if err != nil {
+		return NetFrame{}, 0, err
 	}
-	f.Payload = buf[NetFrameHeader : NetFrameHeader+plen]
-	return f, NetFrameHeader + plen, nil
+	return v.Frame(), len(v), nil
 }
