@@ -20,7 +20,6 @@ package station
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"weak"
 
 	"dsi/internal/broadcast"
@@ -34,9 +33,8 @@ type fecUnit struct {
 	physStart int // first physical slot
 	n         int // content packets
 	table     bool
-	parity    int32 // index of the unit's first frame in its channel's parity arena
-	pos       int   // cycle position of the owning frame
-	obj       int   // object index within the frame; -1 for table units
+	pos       int // cycle position of the owning frame
+	obj       int // object index within the frame; -1 for table units
 }
 
 // fecChan is the physical geometry of one channel: its frame shape.
@@ -54,7 +52,6 @@ type fecChan struct {
 
 	perFrame            int // units per frame
 	logFrame, physFrame int // slots per frame, without and with parity
-	parityFrame         int // parity frames per frame
 
 	logLen, physLen int // slots per cycle, without and with parity
 }
@@ -90,7 +87,6 @@ func (c *fecChan) covering(p int) (ui int, u fecUnit) {
 	u = fecUnit{
 		logStart:  f * c.logFrame,
 		physStart: f * c.physFrame,
-		parity:    int32(f * c.parityFrame),
 		pos:       c.pos0 + f,
 		obj:       -1,
 	}
@@ -103,13 +99,11 @@ func (c *fecChan) covering(p int) (ui int, u fecUnit) {
 		r -= c.tp + c.tableTail
 		u.logStart += c.tp
 		u.physStart += c.tp + c.tableTail
-		u.parity += int32(c.tableTail)
 	}
 	k := div(r, c.op+c.objTail)
 	ui += k
 	u.logStart += k * c.op
 	u.physStart += k * (c.op + c.objTail)
-	u.parity += int32(k * c.objTail)
 	u.n, u.obj = c.op, k
 	return ui, u
 }
@@ -247,18 +241,17 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 		if c.table {
 			c.perFrame++
 			c.logFrame += c.tp
-			c.parityFrame += c.tableTail
+			c.physFrame += c.tp + c.tableTail
 			c.pos0, _, first = lay.SlotTable(ch, 0)
 		}
 		if !split || ch != lay.StartCh {
 			c.perFrame += x.NO
 			c.logFrame += x.NO * c.op
-			c.parityFrame += x.NO * c.objTail
+			c.physFrame += x.NO * (c.op + c.objTail)
 			if !c.table {
 				c.pos0, _, first = lay.SlotData(ch, 0)
 			}
 		}
-		c.physFrame = c.logFrame + c.parityFrame
 		if !first || c.logLen == 0 || c.logLen%c.logFrame != 0 {
 			return nil, fmt.Errorf("station: channel %d is not a whole number of %d-slot frames", ch, c.logFrame)
 		}
@@ -289,99 +282,108 @@ func newFECGeom(lay *dsi.Layout, cfg wire.FECConfig) (*fecGeom, error) {
 	return g, nil
 }
 
-// parityArena is one channel's parity frames in one []byte, frame f —
-// the f-th in unit order, each unit's in tail order — at bytes
-// [f*stride, (f+1)*stride), stride being wire.ParityHeaderSize +
-// capacity; a unit's frames start at frame u.parity. Nothing is encoded
-// up front: a unit's frames are encoded the first time a reader reaches
-// its tail (generation.ensure), and its ready bit, once set, says they
-// are final and never written again.
-type parityArena struct {
-	buf   []byte
-	ready []atomic.Uint64 // bit u%64 of word u/64: unit u's frames are final
-
-	// mu serializes the encodes; it guards the scratch below, which the
-	// first encode allocates for the widest unit, so later ones allocate
-	// nothing.
+// tailScratch is what one channel of a coded generation keeps for its
+// parity: nothing per unit, only the scratch the last tail encode used,
+// allocated by the first one for the widest unit and tail. Its frames
+// hold that tail — frame t at t*stride, stride being
+// wire.ParityHeaderSize + capacity — so consecutive reads of one tail
+// in short runs (a pacer's single slots) encode it once. mu guards all
+// of it.
+type tailScratch struct {
 	mu         sync.Mutex
-	syms       []byte   // member symbols, capacity bytes each
-	built      []byte   // payload bytes of the members' logical run
-	pkts       []Packet // the members' logical run
+	ui         int      // the unit whose tail frames holds, once frames is allocated
+	frames     []byte   // that tail's frames
+	syms       []byte   // member symbols that are not windows of a table: capacity bytes each
 	data, rows [][]byte // one group's member symbols and parity rows
 }
 
-// newParityArena is channel c's arena, nothing encoded yet.
-func newParityArena(c *fecChan, capacity int) parityArena {
-	return parityArena{
-		buf:   make([]byte, c.parityFrames()*(wire.ParityHeaderSize+capacity)),
-		ready: make([]atomic.Uint64, (c.units()+63)/64),
+// parityRun fills dst with frames t, t+1, … of the parity tail of unit
+// ui (u) of channel ch, framed from p, and returns b extended by them:
+// the channel's scratch encodes the tail unless it holds it already,
+// and the frames are copied out under its lock. They go after b's bytes
+// in b's capacity; when that is short, into one fresh allocation sized
+// for them and for the after slots of the run still to come, at a
+// parity frame each.
+func (g *generation) parityRun(dst []Packet, b []byte, after int, p Packet, ch, ui int, u fecUnit, t int) []byte {
+	stride := g.slotBytes
+	n := len(dst) * stride
+	if cap(b)-len(b) < n {
+		b = make([]byte, 0, n+after*stride)
 	}
+	at := len(b)
+	b = b[:at+n]
+	s := &g.tails[ch]
+	s.mu.Lock()
+	if s.frames == nil || s.ui != ui {
+		g.encodeTail(s, u)
+		s.ui = ui
+	}
+	copy(b[at:], s.frames[t*stride:])
+	s.mu.Unlock()
+	p.Flags = flagParity
+	for j := range dst {
+		lo := at + j*stride
+		p.Payload = b[lo : lo+stride : lo+stride]
+		dst[j] = p
+		p.Slot++
+	}
+	return b
 }
 
-// isReady reports whether unit ui's frames are final.
-func (a *parityArena) isReady(ui int) bool { return a.ready[ui/64].Load()&(1<<(ui%64)) != 0 }
-
-// ensure makes the parity frames of unit ui of channel ch final: a unit
-// whose ready bit is clear is encoded under its channel's lock, checked
-// again there, and its bit set after its bytes are written, so a reader
-// that sees the bit set reads final bytes.
-func (g *generation) ensure(ch, ui int) {
-	a := &g.parity[ch]
-	if a.isReady(ui) {
-		return
-	}
-	a.mu.Lock()
-	if !a.isReady(ui) {
-		g.encode(ch, ui)
-		a.ready[ui/64].Or(1 << (ui % 64))
-	}
-	a.mu.Unlock()
-}
-
-// encode writes the parity frames of unit ui of channel ch into the
-// channel's arena: its members are filled as one logical run into the
-// arena's scratch, zero-padded to symbols, and each group's rows are
-// computed straight into their frames. The caller holds the arena's
-// lock.
-func (g *generation) encode(ch, ui int) {
-	a, u, x := &g.parity[ch], g.fec.chs[ch].unit(ui), g.lay.X
+// encodeTail writes unit u's parity tail into s.frames, in tail order.
+// The member symbols are the unit's payloads zero-padded to capacity,
+// built without the logical run: a table unit's are windows of its
+// pre-encoded table, an object unit's windows of the object built by
+// one AppendObjectPart call into s.syms, and what is short of a whole
+// symbol (a table's or an object's last part, a padding object) is
+// padded in s.syms. Each group's rows are computed straight into their
+// frames. The caller holds s.mu.
+func (g *generation) encodeTail(s *tailScratch, u fecUnit) {
+	x := g.lay.X
+	capacity, stride := x.Cfg.Capacity, g.slotBytes
 	code := g.fec.code(u.table)
-	capacity := x.Cfg.Capacity
-	stride := wire.ParityHeaderSize + capacity
-	if a.syms == nil {
+	if s.frames == nil {
 		widest := max(x.TablePackets, x.ObjPackets)
-		a.syms = make([]byte, widest*capacity)
-		a.built = make([]byte, 0, widest*capacity)
-		a.pkts = make([]Packet, widest)
-		a.data = make([][]byte, 0, widest)
-		a.rows = make([][]byte, 0, max(g.cfg.Table.Parity, g.cfg.Object.Parity))
+		s.frames = make([]byte, max(g.cfg.Table.Tail(), g.cfg.Object.Tail())*stride)
+		s.syms = make([]byte, widest*capacity)
+		s.data = make([][]byte, 0, widest)
+		s.rows = make([][]byte, 0, max(g.cfg.Table.Parity, g.cfg.Object.Parity))
 	}
-	// Member symbols: payloads zero-padded to capacity. Short and absent
-	// payloads (table tails, padding objects) pad to all-zero symbols,
-	// which the receiver reproduces from catalog geometry.
-	syms := a.syms[:u.n*capacity]
-	clear(syms)
-	g.fillLogical(a.pkts[:u.n], a.built[:0], 0, ch, u.logStart)
-	for i, p := range a.pkts[:u.n] {
-		copy(syms[i*capacity:], p.Payload)
+	syms := s.syms[:u.n*capacity]
+	var src []byte // the members' payloads end to end
+	if u.table {
+		src = g.tables[u.pos]
+	} else if first, num := x.FrameObjects(x.PosToFrame(u.pos)); u.obj < num {
+		obj := &x.DS.Objects[first+u.obj]
+		src = AppendObjectPart(syms[:0], wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC}, obj.ID, x.Cfg.ObjectBytes, 0, x.Cfg.ObjectBytes)
 	}
+	// Short and absent payloads (table tails, padding objects) pad to
+	// all-zero symbols, which the receiver reproduces from catalog
+	// geometry.
+	src = src[:min(len(src), len(syms))]
+	whole := len(src) / capacity
+	clear(syms[whole*capacity+copy(syms[whole*capacity:], src[whole*capacity:]):])
 	for grp := 0; grp < code.Groups; grp++ {
 		members, k := code.GroupMembers(u.n, grp)
-		a.data = a.data[:0]
+		s.data = s.data[:0]
 		for i := grp; i < u.n; i += code.Groups {
-			a.data = append(a.data, syms[i*capacity:(i+1)*capacity])
+			from := syms
+			if i < whole {
+				from = src
+			}
+			s.data = append(s.data, from[i*capacity:(i+1)*capacity])
 		}
 		// Row j of the group is tail offset j*Groups+grp: its symbol is
 		// computed straight into that frame's symbol bytes.
-		a.rows = a.rows[:0]
+		s.rows = s.rows[:0]
 		for j := 0; j < code.Parity; j++ {
-			at := (int(u.parity) + j*code.Groups + grp) * stride
-			a.rows = append(a.rows, a.buf[at+wire.ParityHeaderSize:at+stride])
+			at := (j*code.Groups + grp) * stride
+			s.rows = append(s.rows, s.frames[at+wire.ParityHeaderSize:at+stride])
 		}
-		wire.RSParityInto(a.rows, a.data)
-		for j, sym := range a.rows {
-			at := (int(u.parity) + j*code.Groups + grp) * stride
-			wire.PutParity(a.buf[at:at+stride], wire.ParityHeader{
+		wire.RSParityInto(s.rows, s.data)
+		for j, sym := range s.rows {
+			at := (j*code.Groups + grp) * stride
+			wire.PutParity(s.frames[at:at+stride], wire.ParityHeader{
 				Unit:    uint32(u.logStart),
 				Group:   uint8(grp),
 				K:       uint8(k),

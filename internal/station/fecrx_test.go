@@ -2,10 +2,10 @@ package station
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"dsi/internal/broadcast"
 	"dsi/internal/dataset"
@@ -161,26 +161,20 @@ func TestFECTransmitterParityDecodes(t *testing.T) {
 	}
 }
 
-// TestCodedTransmitterRetainsParityBytesOnly pins what a coded
-// generation keeps for its parity on the massive testbed's coded arm
-// (10 000 objects at Hilbert order 8, 64-byte packets, 1 KiB objects,
-// one XOR row per group of up to four members): the heap a coded
-// transmitter retains beyond the uncoded one and its own slot geometry
-// is its parity frames' bytes — frames × (ParityHeaderSize + Capacity)
-// — to within 1 %, with no per-slot table or per-frame allocation
-// beside them.
-func TestCodedTransmitterRetainsParityBytesOnly(t *testing.T) {
-	ds := dataset.Uniform(10000, 8, 1)
-	x, err := dsi.Build(ds, dsi.Config{Capacity: 64, ObjectBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lay := x.SingleLayout()
-	groups := func(k int) int { return (k + 3) / 4 }
-	cfg := wire.FECConfig{
-		Table:  wire.FECCode{Groups: groups(x.TablePackets), Parity: 1},
-		Object: wire.FECCode{Groups: groups(x.ObjPackets), Parity: 1},
-	}
+// TestCodedTransmitterRetainsNoParity pins what a coded generation
+// keeps for its parity on the massive testbed's coded arm (10 000
+// objects at Hilbert order 8, 64-byte packets, 1 KiB objects, one XOR
+// row per group of up to four members): nothing but its channel's
+// scratch. A coded transmitter that has served a whole cycle, every
+// parity tail encoded, retains beyond the uncoded one and its slot
+// geometry no more than its scratch: its header, the widest unit's
+// member symbols and their slice headers, the widest tail's frames and
+// their row headers, with 1 KiB of slack (its FEC descriptor, its entry
+// in the geometry cache, size-class rounding) — where a cycle's parity
+// frames are 4.1 MB.
+func TestCodedTransmitterRetainsNoParity(t *testing.T) {
+	bed := massiveCodedBed(t)
+	lay, cfg, x := bed.lay, bed.cfg, bed.lay.X
 	retained := func(build func() any) int64 {
 		var v any
 		live := ownHeap(func() { v = build() }).live
@@ -193,7 +187,16 @@ func TestCodedTransmitterRetainsParityBytesOnly(t *testing.T) {
 		}
 		return v
 	}
-	coded := retained(func() any { return must(NewMultiTransmitterFEC(lay, cfg)) })
+	stride := wire.ParityHeaderSize + x.Cfg.Capacity
+	coded := retained(func() any {
+		tx := must(NewMultiTransmitterFEC(lay, cfg)).(*MultiTransmitter)
+		run := make([]Packet, 64)
+		buf := make([]byte, 0, len(run)*stride)
+		for s := 0; s < tx.ChanSlots(0); s += len(run) {
+			tx.ReadRunAt(run, buf, 0, int64(s))
+		}
+		return tx
+	})
 	plain := retained(func() any { return must(NewMultiTransmitter(lay)) })
 	geom := retained(func() any { return must(newFECGeom(lay, cfg)) })
 
@@ -201,13 +204,16 @@ func TestCodedTransmitterRetainsParityBytesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := geo.chs[0].parityFrames()
-	want := int64(frames * (wire.ParityHeaderSize + x.Cfg.Capacity))
+	cycle := int64(geo.chs[0].parityFrames() * stride)
+	widest, header := max(x.TablePackets, x.ObjPackets), int(unsafe.Sizeof([]byte(nil)))
+	scratch := int64(unsafe.Sizeof(tailScratch{})) +
+		int64(widest*(x.Cfg.Capacity+header)) +
+		int64(max(cfg.Table.Tail(), cfg.Object.Tail())*stride+max(cfg.Table.Parity, cfg.Object.Parity)*header)
 	got := coded - plain - geom
-	t.Logf("%d parity frames: %d B retained for parity, %d B of frames; transmitter %d B coded, %d B plain, geometry %d B",
-		frames, got, want, coded, plain, geom)
-	if frames == 0 || math.Abs(float64(got-want)) > 0.01*float64(want) {
-		t.Errorf("a coded transmitter retains %d B for %d parity frames, want %d B (±1 %%)", got, frames, want)
+	t.Logf("%d B retained for parity, scratch %d B, a cycle's parity frames %d B; transmitter %d B coded, %d B plain, geometry %d B",
+		got, scratch, cycle, coded, plain, geom)
+	if cycle == 0 || got > scratch+1024 {
+		t.Errorf("a coded transmitter retains %d B for its parity after a cycle, want at most its %d B scratch (+1 KiB); a cycle's parity is %d B", got, scratch, cycle)
 	}
 }
 

@@ -72,10 +72,9 @@ func newTableGeom(lay *dsi.Layout, cfg wire.FECConfig) (*tableGeom, error) {
 		c.unitOf = make([]int32, 0, c.physLen)
 		slots := make([]broadcast.Slot, 0, c.physLen)
 		prog := lay.Air.Channels[ch].Program
-		frames := 0 // parity frames of the units so far
 		for s := 0; s < logLen; {
 			u, _ := unitAt(lay, ch, s)
-			u.physStart, u.parity = len(slots), int32(frames)
+			u.physStart = len(slots)
 			code := g.code(u.table)
 			ui := int32(len(c.units))
 			kind := broadcast.KindData
@@ -98,7 +97,6 @@ func newTableGeom(lay *dsi.Layout, cfg wire.FECConfig) (*tableGeom, error) {
 				slots = append(slots, broadcast.Slot{Kind: kind})
 			}
 			c.units = append(c.units, u)
-			frames += code.Tail()
 			s += u.n
 		}
 		chans[ch] = &broadcast.Channel{Program: broadcast.Program{Capacity: x.Cfg.Capacity, Slots: slots}}
@@ -113,7 +111,7 @@ func newTableGeom(lay *dsi.Layout, cfg wire.FECConfig) (*tableGeom, error) {
 
 // unitAt is the unit starting at logical slot s of channel ch — a whole
 // index table or a whole object — in logical terms: its physical start
-// and parity frames are the geometry's to fill in.
+// is the geometry's to fill in.
 func unitAt(lay *dsi.Layout, ch, s int) (fecUnit, error) {
 	x := lay.X
 	u := fecUnit{logStart: s}
@@ -135,7 +133,7 @@ func unitAt(lay *dsi.Layout, ch, s int) (fecUnit, error) {
 
 // sameGeometry holds the arithmetic geometry g to the table-built
 // oracle o of the same layout and code: every unit, every logical and
-// physical slot of every channel, the parity arena's frame count and
+// physical slot of every channel, the channel's parity frame count and
 // the physical air program.
 func sameGeometry(g *fecGeom, o *tableGeom) error {
 	if len(g.chs) != len(o.chs) {

@@ -37,15 +37,16 @@ import (
 // across directory swaps. What a slot carries is asked of the
 // generation's layout (SlotTable/SlotData) per packet, or read from its
 // coded geometry's unit covering the slot: a generation keeps no
-// per-slot state beyond the encoded tables and, when coded, the geometry
-// it shares with the layout's receivers and one parity arena per
-// channel.
+// per-slot or per-unit state beyond the encoded tables and, when coded,
+// the geometry it shares with the layout's receivers. Parity is built
+// where it is read, as object bytes are: a run that reaches a unit's
+// parity tail encodes it into the reader's buffer.
 //
 // It is safe for concurrent use: any number of readers call
 // ReadRunAt, DirectoryAt and FECDescAt while one control goroutine
 // stages and commits swaps. A read loads one immutable snapshot of what
-// is on air and takes no lock, except that the first read of a unit's
-// parity tail encodes it under its channel's lock.
+// is on air and takes no lock, except that a parity tail is encoded
+// under its channel's lock, in scratch the channel owns.
 type MultiTransmitter struct {
 	air atomic.Pointer[onAir]
 	// mu serializes the writers (StageFEC, Commit); readers never take it.
@@ -73,19 +74,19 @@ func (a *onAir) at(abs int64) *generation {
 }
 
 // generation is one layout under one code: its tables encoded once and,
-// when coded, one parity arena per channel whose units are encoded the
-// first time a reader reaches them. Nothing else of it is modified
-// after it is published, and a unit's parity bytes never change once
-// they are final.
+// when coded, the geometry and per channel the scratch a parity tail is
+// encoded in. Nothing but that scratch is modified after it is
+// published.
 type generation struct {
-	lay     *dsi.Layout
-	cfg     wire.FECConfig
-	version uint32
-	clocks  []clock  // per channel
-	tables  [][]byte // per cycle position, in the layout's wire format
+	lay       *dsi.Layout
+	cfg       wire.FECConfig
+	version   uint32
+	clocks    []clock  // per channel
+	tables    [][]byte // per cycle position, in the layout's wire format
+	slotBytes int      // the widest payload on air: Capacity, plus ParityHeaderSize when coded
 
-	fec    *fecGeom      // shared read-only (sharedFECGeom); nil when uncoded
-	parity []parityArena // per channel, encoded on first read (ensure); nil when uncoded
+	fec   *fecGeom      // shared read-only (sharedFECGeom); nil when uncoded
+	tails []tailScratch // per channel, where parity is encoded (parityRun); nil when uncoded
 
 	dir  []byte // versioned directory announcing the generation; nil for layouts without one
 	desc []byte // versioned FEC descriptor; nil when none ships
@@ -114,8 +115,8 @@ func NewRebroadcaster(lay *dsi.Layout) (*MultiTransmitter, error) { return NewMu
 // over every channel of the layout: each stream gains a parity tail
 // after every index table and every object, and Packet, CycleChannel
 // and ReadRunAt then run in the physical slot domain. It encodes no
-// parity: each unit's tail is encoded the first time it is read. The
-// zero config is the uncoded transmitter, which ships no FEC
+// parity: each unit's tail is encoded whenever it is read. The zero
+// config is the uncoded transmitter, which ships no FEC
 // descriptor.
 func NewMultiTransmitterFEC(lay *dsi.Layout, cfg wire.FECConfig) (*MultiTransmitter, error) {
 	g, err := newGeneration(lay, cfg)
@@ -136,9 +137,8 @@ func NewMultiTransmitterFEC(lay *dsi.Layout, cfg wire.FECConfig) (*MultiTransmit
 }
 
 // newGeneration encodes the layout's tables and, under a code, takes
-// its physical geometry and allocates its parity arenas, encoding no
-// parity frame. Version, directory and descriptor are the caller's to
-// fill in before publishing.
+// its physical geometry, encoding no parity frame. Version, directory
+// and descriptor are the caller's to fill in before publishing.
 func newGeneration(lay *dsi.Layout, cfg wire.FECConfig) (*generation, error) {
 	if err := wire.CheckHeaderFits(lay.X.Cfg.Capacity, lay.X.Cfg.ObjectBytes); err != nil {
 		return nil, err
@@ -147,7 +147,10 @@ func newGeneration(lay *dsi.Layout, cfg wire.FECConfig) (*generation, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &generation{lay: lay, cfg: cfg, tables: tables, clocks: make([]clock, lay.Channels())}
+	g := &generation{
+		lay: lay, cfg: cfg, tables: tables,
+		clocks: make([]clock, lay.Channels()), slotBytes: lay.X.Cfg.Capacity,
+	}
 	for ch := range g.clocks {
 		g.clocks[ch].len = int64(lay.ChanLen(ch))
 	}
@@ -158,12 +161,11 @@ func newGeneration(lay *dsi.Layout, cfg wire.FECConfig) (*generation, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.parity = make([]parityArena, lay.Channels())
-	for ch := range g.parity {
-		g.parity[ch] = newParityArena(&geo.chs[ch], lay.X.Cfg.Capacity)
+	for ch := range g.clocks {
 		g.clocks[ch].len = int64(geo.chs[ch].physLen)
 	}
-	g.fec = geo
+	g.fec, g.tails = geo, make([]tailScratch, lay.Channels())
+	g.slotBytes += wire.ParityHeaderSize
 	return g, nil
 }
 
@@ -430,19 +432,8 @@ func (g *generation) fill(dst []Packet, b []byte, more, ch, slot int) []byte {
 		switch m := slot - u.physStart; {
 		case m >= u.n:
 			// The unit's parity tail follows its members.
-			g.ensure(ch, ui)
-			end := u.physStart + u.n + g.fec.code(u.table).Tail()
-			k = min(len(dst)-i, end-slot)
-			p.Flags = flagParity
-			stride := wire.ParityHeaderSize + g.lay.X.Cfg.Capacity
-			at := (int(u.parity) + m - u.n) * stride
-			arena := g.parity[ch].buf
-			for j := range k {
-				p.Payload = arena[at : at+stride : at+stride]
-				dst[i+j] = p
-				p.Slot++
-				at += stride
-			}
+			k = min(len(dst)-i, u.n+g.fec.code(u.table).Tail()-m)
+			b = g.parityRun(dst[i:i+k], b, len(dst)-i-k+more, p, ch, ui, u, m-u.n)
 		case u.table:
 			k = min(len(dst)-i, u.n-m)
 			g.tableRun(dst[i:i+k], p, u.pos, m)
@@ -517,7 +508,7 @@ func (g *generation) tableRun(dst []Packet, p Packet, pos, part int) {
 // payload is its packet's slice of it. The bytes go after b's in b's
 // capacity; when that is short, into one fresh allocation sized for
 // them and for the after slots of the run still to come, none of which
-// builds more than Capacity bytes.
+// builds more than slotBytes.
 func (g *generation) objectRun(dst []Packet, b []byte, after int, p Packet, pos, o, part int) []byte {
 	x := g.lay.X
 	first, num := x.FrameObjects(x.PosToFrame(pos))
@@ -534,7 +525,7 @@ func (g *generation) objectRun(dst []Packet, b []byte, after int, p Packet, pos,
 	from := part * capacity
 	to := min(from+len(dst)*capacity, size)
 	if cap(b)-len(b) < to-from {
-		b = make([]byte, 0, to-from+after*capacity)
+		b = make([]byte, 0, to-from+after*g.slotBytes)
 	}
 	at := len(b)
 	obj := &x.DS.Objects[first+o]

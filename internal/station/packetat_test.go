@@ -103,9 +103,11 @@ var wireLossyCode = wire.FECConfig{
 
 // TestPacketAtAllocatesItsSlot pins what a slot costs: through PacketAt
 // a data slot allocates its own payload — once, at most Capacity bytes —
-// and table and parity slots, served from the pre-encoded state,
-// allocate nothing; read into a buffer of the reader's, no slot of any
-// kind allocates; and a longer run into no buffer allocates once.
+// and so does a parity slot, a parity frame's bytes (ParityHeaderSize
+// more), while table slots, served from the pre-encoded tables,
+// allocate nothing; read into a buffer of the reader's — a parity slot
+// into one of a parity frame's room — no slot of any kind allocates; and
+// a longer run into no buffer allocates once.
 func TestPacketAtAllocatesItsSlot(t *testing.T) {
 	_, x, lay := wireTestBed(t, 300, 557, quarterBounds)
 	tx, err := NewMultiTransmitterFEC(lay, wireLossyCode)
@@ -137,7 +139,15 @@ func TestPacketAtAllocatesItsSlot(t *testing.T) {
 	// The budgets are exact, so keep collections, and what they start,
 	// out of the measured sweeps.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// A parity frame's allocation, rounded up to its size class as the
+	// profile counts it.
+	var frame []byte
+	frameBytes := int(ownHeap(func() { frame = make([]byte, capacity+wire.ParityHeaderSize) }).bytes)
+	if len(frame) == 0 || frameBytes < len(frame) {
+		t.Fatalf("a %d-byte frame measured %d bytes", len(frame), frameBytes)
+	}
 	buf := make([]byte, 0, capacity)
+	strideBuf := make([]byte, 0, capacity+wire.ParityHeaderSize)
 	for _, tc := range []struct {
 		kind           string
 		slots          []at
@@ -145,10 +155,10 @@ func TestPacketAtAllocatesItsSlot(t *testing.T) {
 		allocs, nbytes int // per-slot budget
 	}{
 		{"table", table, nil, 0, 0},
-		{"parity", parity, nil, 0, 0},
+		{"parity", parity, nil, 1, frameBytes},
 		{"data", data, nil, 1, capacity},
 		{"table into a buffer", table, buf, 0, 0},
-		{"parity into a buffer", parity, buf, 0, 0},
+		{"parity into a stride-sized buffer", parity, strideBuf, 0, 0},
 		{"data into a buffer", data, buf, 0, 0},
 	} {
 		var run [1]Packet

@@ -4,24 +4,26 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dsi/internal/dsi"
 	"dsi/internal/wire"
 )
 
 // The eager encoder the transmitter used before parity was encoded on
-// first read, kept verbatim as the oracle of the lazy one.
+// read, kept as the oracle of the encoder that builds each tail where
+// it is read.
 
-// buildParity encodes every parity frame of one channel into one arena:
-// frame f of the channel — the f-th in unit order, each unit's in tail
-// order — at bytes [f*stride, (f+1)*stride), stride being
-// wire.ParityHeaderSize + capacity. A unit's frames start at frame
-// u.parity. logical fills a run of the channel's logical packets from
-// a logical slot, appending the payload bytes it builds to the buffer
-// it is handed (ReadRunAt's contract).
-func buildParity(c *tableChan, cfg wire.FECConfig, capacity int, logical func(dst []Packet, b []byte, log int) []byte) []byte {
+// buildParity encodes every parity frame of one channel: tails[u] is
+// unit u's tail, its frames in tail order, each stride =
+// wire.ParityHeaderSize + capacity bytes; all of them are windows of one
+// arena, in unit order. logical fills a run of the channel's logical
+// packets from a logical slot, appending the payload bytes it builds to
+// the buffer it is handed (ReadRunAt's contract).
+func buildParity(c *tableChan, cfg wire.FECConfig, capacity int, logical func(dst []Packet, b []byte, log int) []byte) (tails [][]byte) {
 	stride := wire.ParityHeaderSize + capacity
 	frames := 0
 	for _, u := range c.units {
@@ -31,8 +33,10 @@ func buildParity(c *tableChan, cfg wire.FECConfig, capacity int, logical func(ds
 	var arena, built []byte // member symbols and payloads of the unit at hand; nothing below retains them
 	var syms, data, rows [][]byte
 	var pkts []Packet
+	first := 0 // the unit's first frame in out
 	for _, u := range c.units {
 		code := unitCode(cfg, u.table)
+		tails = append(tails, out[first*stride:(first+code.Tail())*stride])
 		if !code.Enabled() {
 			continue
 		}
@@ -62,12 +66,12 @@ func buildParity(c *tableChan, cfg wire.FECConfig, capacity int, logical func(ds
 			// is computed straight into that frame's symbol bytes.
 			rows = rows[:0]
 			for j := 0; j < code.Parity; j++ {
-				at := (int(u.parity) + j*code.Groups + grp) * stride
+				at := (first + j*code.Groups + grp) * stride
 				rows = append(rows, out[at+wire.ParityHeaderSize:at+stride])
 			}
 			wire.RSParityInto(rows, data)
 			for j, sym := range rows {
-				at := (int(u.parity) + j*code.Groups + grp) * stride
+				at := (first + j*code.Groups + grp) * stride
 				wire.PutParity(out[at:at+stride], wire.ParityHeader{
 					Unit:    uint32(u.logStart),
 					Group:   uint8(grp),
@@ -78,18 +82,19 @@ func buildParity(c *tableChan, cfg wire.FECConfig, capacity int, logical func(ds
 				}, sym)
 			}
 		}
+		first += code.Tail()
 	}
-	return out
+	return tails
 }
 
-// eagerParity is every channel's parity arena of g as the eager encoder
-// builds it over the table-built geometry.
-func eagerParity(t *testing.T, g *generation) [][]byte {
+// eagerParity is every channel's unit tails of g as the eager encoder
+// builds them over the table-built geometry: [channel][unit].
+func eagerParity(t testing.TB, g *generation) [][][]byte {
 	o, err := newTableGeom(g.lay, g.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([][]byte, len(o.chs))
+	out := make([][][]byte, len(o.chs))
 	for ch := range out {
 		out[ch] = buildParity(&o.chs[ch], g.cfg, g.lay.X.Cfg.Capacity,
 			func(dst []Packet, b []byte, log int) []byte { return g.fillLogical(dst, b, 0, ch, log) })
@@ -128,12 +133,25 @@ func tailRuns(rng *rand.Rand, g *generation, ch int, from int64) []span {
 	return out
 }
 
-// checkParityRun reads run s of tx and holds every parity slot it
-// serves to the oracle arena of the generation on air at that slot
+// readBufs are the buffers the parity tests read runs into, for a run
+// of n slots: none, Capacity bytes a slot (short of a parity frame, so
+// the source sizes a fresh buffer for the rest of the run) and a parity
+// frame's room a slot, the read a byte-level receiver makes.
+var readBufs = []struct {
+	name string
+	size func(n, capacity int) int // -1: no buffer
+}{
+	{"nil", func(int, int) int { return -1 }},
+	{"capacity-sized", func(n, capacity int) int { return n * capacity }},
+	{"stride-sized", func(n, capacity int) int { return n * (capacity + wire.ParityHeaderSize) }},
+}
+
+// checkParityRun reads run s of tx into buf and holds every parity slot
+// it serves to the oracle tail of the generation on air at that slot
 // (oracle is keyed by generation).
-func checkParityRun(tx *MultiTransmitter, oracle map[*generation][][]byte, s span, dst []Packet) error {
+func checkParityRun(tx *MultiTransmitter, oracle map[*generation][][][]byte, s span, dst []Packet, buf []byte) error {
 	dst = dst[:s.n]
-	tx.ReadRunAt(dst, nil, s.ch, s.abs)
+	tx.ReadRunAt(dst, buf, s.ch, s.abs)
 	a := tx.air.Load()
 	for i, p := range dst {
 		abs := s.abs + int64(i)
@@ -143,7 +161,7 @@ func checkParityRun(tx *MultiTransmitter, oracle map[*generation][][]byte, s spa
 		}
 		slot := g.rel(s.ch, abs)
 		c := &g.fec.chs[s.ch]
-		_, u := c.covering(slot)
+		ui, u := c.covering(slot)
 		m := slot - u.physStart
 		if m < u.n {
 			if p.Flags&flagParity != 0 {
@@ -152,25 +170,26 @@ func checkParityRun(tx *MultiTransmitter, oracle map[*generation][][]byte, s spa
 			continue
 		}
 		stride := wire.ParityHeaderSize + g.lay.X.Cfg.Capacity
-		at := (int(u.parity) + m - u.n) * stride
-		if p.Flags&flagParity == 0 || !bytes.Equal(p.Payload, oracle[g][s.ch][at:at+stride]) {
-			return fmt.Errorf("ch %d abs %d (version %d, unit at %d, tail offset %d): parity differs from the eager encoder's",
-				s.ch, abs, g.version, u.logStart, m-u.n)
+		at := (m - u.n) * stride
+		if p.Flags&flagParity == 0 || !bytes.Equal(p.Payload, oracle[g][s.ch][ui][at:at+stride]) {
+			return fmt.Errorf("ch %d abs %d (version %d, unit at %d, tail offset %d, %d-slot run into a %d-byte buffer): parity differs from the eager encoder's",
+				s.ch, abs, g.version, u.logStart, m-u.n, s.n, cap(buf))
 		}
 	}
 	return nil
 }
 
-// TestParityOnFirstReadMatchesEager: on a fresh transmitter, four
-// readers read every parity slot of a full cycle of every channel
-// through ReadRunAt at once, in shuffled runs that cut tails and start
-// on members, so first reads of one unit race; each read equals the
-// eager encoder's frame byte for byte. The beds: the massive testbed's
-// coded arm (XOR, one channel), the wire_lossy shape (four shard
-// channels, objects RS 4×2, tables 1×2), and an XOR→RS code swap
+// TestParityReadMatchesEager: four readers read every parity slot of a
+// full cycle of every channel through ReadRunAt at once, in shuffled
+// runs that cut tails and start on members, into no buffer, a
+// capacity-sized and a stride-sized one in turn, so the encodes of one
+// channel race and each reader's runs alternate units; each read equals
+// the eager encoder's frame byte for byte. The beds: the massive
+// testbed's coded arm (XOR, one channel), the wire_lossy shape (four
+// shard channels, objects RS 4×2, tables 1×2), and an XOR→RS code swap
 // staged by StageFEC, read over the last old cycle and the first new
 // one of every channel, and across every channel's seam.
-func TestParityOnFirstReadMatchesEager(t *testing.T) {
+func TestParityReadMatchesEager(t *testing.T) {
 	type bed struct {
 		name string
 		tx   func(t *testing.T) *MultiTransmitter
@@ -209,10 +228,11 @@ func TestParityOnFirstReadMatchesEager(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			tx := b.tx(t)
 			a := tx.air.Load()
-			oracle := map[*generation][][]byte{a.cur: eagerParity(t, a.cur)}
+			oracle := map[*generation][][][]byte{a.cur: eagerParity(t, a.cur)}
 			if a.next != nil {
 				oracle[a.next] = eagerParity(t, a.next)
 			}
+			capacity := a.cur.lay.X.Cfg.Capacity
 			var wg sync.WaitGroup
 			errs := make([]error, 4)
 			for w := range errs {
@@ -234,8 +254,12 @@ func TestParityOnFirstReadMatchesEager(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					dst := make([]Packet, 80)
-					for _, s := range runs {
-						if errs[w] = checkParityRun(tx, oracle, s, dst); errs[w] != nil {
+					for i, s := range runs {
+						var buf []byte
+						if size := readBufs[i%len(readBufs)].size(s.n, capacity); size >= 0 {
+							buf = make([]byte, 0, size)
+						}
+						if errs[w] = checkParityRun(tx, oracle, s, dst, buf); errs[w] != nil {
 							return
 						}
 					}
@@ -247,40 +271,116 @@ func TestParityOnFirstReadMatchesEager(t *testing.T) {
 					t.Fatalf("reader %d: %v", w, err)
 				}
 			}
-			for g := range oracle {
-				for ch := range g.parity {
-					if !bytes.Equal(g.parity[ch].buf, oracle[g][ch]) {
-						t.Fatalf("version %d channel %d: the arena differs from the eager encoder's after a full cycle", g.version, ch)
-					}
-				}
-			}
 		})
 	}
 }
 
-// readyUnits counts the units of g whose parity frames are final, and
-// the units that have a parity tail at all.
-func readyUnits(g *generation) (ready, coded int) {
-	for ch := range g.parity {
-		c := &g.fec.chs[ch]
-		for ui := range c.units() {
-			if g.fec.code(c.unit(ui).table).Tail() == 0 {
-				continue
-			}
-			coded++
-			if g.parity[ch].isReady(ui) {
-				ready++
+// FuzzParityRead reads a run from a random slot of a random unit — its
+// members or its parity tail, the tail cut anywhere, the run going on
+// into the units after it — into a buffer of random capacity cut from a
+// canary arena, and holds every parity frame to the eager encoder's and
+// every byte past the buffer's capacity to its canary. The beds: the
+// wire_lossy shape and a single channel under XOR.
+func FuzzParityRead(f *testing.F) {
+	_, x, shard := wireTestBed(f, 300, 557, quarterBounds)
+	var txs []*MultiTransmitter
+	oracle := map[*generation][][][]byte{}
+	for _, b := range []codedBed{{"wire_lossy", shard, wireLossyCode}, {"single-xor", x.SingleLayout(), xorCode()}} {
+		tx, err := NewMultiTransmitterFEC(b.lay, b.cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		g := tx.air.Load().cur
+		oracle[g] = eagerParity(f, g)
+		txs = append(txs, tx)
+	}
+	f.Add(uint8(0), uint8(0), uint32(0), uint8(0), uint8(2), uint16(0))
+	f.Add(uint8(0), uint8(1), uint32(7), uint8(20), uint8(3), uint16(246))
+	f.Add(uint8(1), uint8(0), uint32(12), uint8(17), uint8(40), uint16(1000))
+	f.Add(uint8(1), uint8(0), uint32(3), uint8(1), uint8(1), uint16(81))
+	f.Fuzz(func(t *testing.T, bed, ch uint8, unit uint32, from, n uint8, bufCap uint16) {
+		tx := txs[int(bed)%len(txs)]
+		g := tx.air.Load().cur
+		c := &g.fec.chs[int(ch)%len(g.fec.chs)]
+		u := c.unit(int(unit % uint32(c.units())))
+		start := u.physStart + int(from)%(u.n+g.fec.code(u.table).Tail())
+		s := span{int(ch) % len(g.fec.chs), int64(start), 1 + int(n)%64}
+		const guard = 64
+		size := int(bufCap) % (s.n*g.slotBytes + 1)
+		arena := bytes.Repeat([]byte{0xc3}, size+guard)
+		if err := checkParityRun(tx, oracle, s, make([]Packet, s.n), arena[:0:size]); err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range arena[size:] {
+			if b != 0xc3 {
+				t.Fatalf("%d-slot run into a %d-byte buffer wrote byte %d past it", s.n, size, i)
 			}
 		}
+	})
+}
+
+// TestSingleSlotReadsEncodeATailOnce: a channel's scratch keeps the
+// last tail it encoded, so reading one tail slot by slot encodes it
+// once. Scribbling over the scratch after the first slot shows the
+// later slots served from it; a read of another unit's tail, and then
+// of the first one's again, encodes each afresh and matches the oracle.
+func TestSingleSlotReadsEncodeATailOnce(t *testing.T) {
+	bed := wireLossyBed(t)
+	tx, err := NewMultiTransmitterFEC(bed.lay, bed.cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return ready, coded
+	g := tx.air.Load().cur
+	oracle := map[*generation][][][]byte{g: eagerParity(t, g)}
+	ch := bed.lay.StartCh + 1 // a data channel: object tails of 8 frames
+	c := &g.fec.chs[ch]
+	u0, u1 := c.unit(3), c.unit(4)
+	tail := g.fec.code(u0.table).Tail()
+	if tail < 2 {
+		t.Fatalf("a %d-frame tail", tail)
+	}
+	at0 := int64(u0.physStart + u0.n)
+	dst := make([]Packet, tail)
+	if err := checkParityRun(tx, oracle, span{ch, at0, 1}, dst, nil); err != nil {
+		t.Fatal(err)
+	}
+	s := &g.tails[ch]
+	s.mu.Lock()
+	for i := range s.frames {
+		s.frames[i] = 0xa5
+	}
+	s.mu.Unlock()
+	for i := 1; i < tail; i++ {
+		p, _ := tx.PacketAt(ch, at0+int64(i))
+		if len(p.Payload) == 0 || p.Payload[0] != 0xa5 {
+			t.Fatalf("tail slot %d of a tail just read was encoded again", i)
+		}
+	}
+	for _, s := range []span{{ch, int64(u1.physStart + u1.n), tail}, {ch, at0, tail}} {
+		if err := checkParityRun(tx, oracle, s, dst, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// scratchHeld reports, per channel of g, whether its scratch holds a
+// tail, and the unit it holds.
+func scratchHeld(g *generation) (held []bool, units []int) {
+	for ch := range g.tails {
+		s := &g.tails[ch]
+		s.mu.Lock()
+		held, units = append(held, s.frames != nil), append(units, s.ui)
+		s.mu.Unlock()
+	}
+	return held, units
 }
 
 // TestStagedGenerationEncodesNothing: StageFEC builds the staged
-// generation without encoding a parity frame. Reading the whole last old
-// cycle of every channel encodes the old generation's units and none of
-// the staged one's; a run past a channel's seam encodes the staged units
-// it reaches, and the first new cycle all of them.
+// generation without allocating a parity byte — it allocates what a
+// stage to the zero code does, plus a scratch header a channel — and
+// reading the whole last old cycle of every channel encodes into the
+// old generation's scratch only; a run past a channel's seam into the
+// first unit's tail encodes that unit into the staged channel's.
 func TestStagedGenerationEncodesNothing(t *testing.T) {
 	_, x, lay0 := wireTestBed(t, 300, 557, quarterBounds)
 	lay1, err := dsi.NewLayout(x, dsi.MultiConfig{
@@ -289,63 +389,69 @@ func TestStagedGenerationEncodesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := NewMultiTransmitterFEC(lay0, xorCode())
+	newTx := func() *MultiTransmitter {
+		tx, err := NewMultiTransmitterFEC(lay0, xorCode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	// Both stages find the staged geometry built, so neither counts it.
+	geo, err := sharedFECGeom(lay1, rsCode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ready, _ := readyUnits(tx.air.Load().cur); ready != 0 {
-		t.Fatalf("a fresh transmitter has %d units encoded", ready)
+	staged := func(tx *MultiTransmitter, cfg wire.FECConfig) int64 {
+		return ownHeap(func() {
+			if _, err := tx.StageFEC(lay1, cfg, 0); err != nil {
+				t.Fatal(err)
+			}
+		}).bytes
 	}
-	if _, err := tx.StageFEC(lay1, rsCode(), 0); err != nil {
-		t.Fatal(err)
+	tx, plain := newTx(), newTx()
+	if held, _ := scratchHeld(tx.air.Load().cur); slices.Contains(held, true) {
+		t.Fatalf("a fresh transmitter's scratch holds a tail: %v", held)
+	}
+	coded, uncoded := staged(tx, rsCode()), staged(plain, wire.FECConfig{})
+	frames := 0
+	for ch := range geo.chs {
+		frames += geo.chs[ch].parityFrames()
+	}
+	cycle := int64(frames * (wire.ParityHeaderSize + x.Cfg.Capacity))
+	bound := int64(lay1.Channels()) * int64(unsafe.Sizeof(tailScratch{})+64)
+	t.Logf("StageFEC allocated %d B coded, %d B to the zero code; a cycle's parity frames are %d B", coded, uncoded, cycle)
+	if coded-uncoded > bound {
+		t.Errorf("a coded stage allocated %d B more than an uncoded one, bound %d B (a cycle's parity is %d B)", coded-uncoded, bound, cycle)
 	}
 	a := tx.air.Load()
-	if ready, coded := readyUnits(a.next); ready != 0 || coded == 0 {
-		t.Fatalf("after StageFEC %d of %d staged units are encoded, want 0 of some", ready, coded)
+	if held, _ := scratchHeld(a.next); slices.Contains(held, true) {
+		t.Fatalf("after StageFEC the staged scratch holds a tail: %v", held)
 	}
 	for ch := range a.cur.clocks {
 		seam := a.next.clocks[ch].phase
 		n := a.cur.clocks[ch].len
 		tx.ReadRunAt(make([]Packet, n), nil, ch, seam-n)
 	}
-	if ready, coded := readyUnits(a.cur); ready != coded {
-		t.Fatalf("after its last cycle %d of %d old units are encoded, want all", ready, coded)
+	if held, _ := scratchHeld(a.cur); slices.Contains(held, false) {
+		t.Fatalf("after its last cycle the old scratch holds no tail on some channel: %v", held)
 	}
-	if ready, _ := readyUnits(a.next); ready != 0 {
-		t.Fatalf("reads before the seams encoded %d staged units", ready)
+	if held, _ := scratchHeld(a.next); slices.Contains(held, true) {
+		t.Fatalf("reads before the seams encoded into the staged scratch: %v", held)
 	}
 	for ch := range a.next.clocks {
-		// The run ends on the first unit's tail: it and only it is final.
-		c := &a.next.fec.chs[ch]
-		u := c.unit(0)
+		// The run ends on the first unit's tail.
+		u := a.next.fec.chs[ch].unit(0)
 		tx.ReadRunAt(make([]Packet, u.n+1), nil, ch, a.next.clocks[ch].phase)
-		for ui := range c.units() {
-			if got := a.next.parity[ch].isReady(ui); got != (ui == 0) {
-				t.Fatalf("channel %d unit %d: ready %v after a run through unit 0's tail", ch, ui, got)
-			}
-		}
 	}
-	for ch := range a.next.clocks {
-		tx.ReadRunAt(make([]Packet, a.next.clocks[ch].len), nil, ch, a.next.clocks[ch].phase)
-	}
-	if ready, coded := readyUnits(a.next); ready != coded {
-		t.Fatalf("after its first cycle %d of %d staged units are encoded, want all", ready, coded)
+	if held, units := scratchHeld(a.next); slices.Contains(held, false) || slices.ContainsFunc(units, func(ui int) bool { return ui != 0 }) {
+		t.Fatalf("after a run through unit 0's tail the staged scratch holds %v, units %v; want unit 0 everywhere", held, units)
 	}
 }
 
-// unready clears every ready bit of g, so the next read of each unit
-// encodes it again (into the same bytes).
-func unready(g *generation) {
-	for ch := range g.parity {
-		for w := range g.parity[ch].ready {
-			g.parity[ch].ready[w].Store(0)
-		}
-	}
-}
-
-// TestParityFirstReadAllocatesNothing: once a channel's arena has
-// encoded one unit, and so holds its scratch, encoding every other unit
-// of the channel on its first read allocates nothing.
+// TestParityFirstReadAllocatesNothing: once a channel's scratch has
+// encoded one tail, reading every tail of the channel — each run
+// another unit's, so each encodes — into a stride-sized buffer
+// allocates nothing.
 func TestParityFirstReadAllocatesNothing(t *testing.T) {
 	bed := wireLossyBed(t)
 	tx, err := NewMultiTransmitterFEC(bed.lay, bed.cfg)
@@ -354,6 +460,7 @@ func TestParityFirstReadAllocatesNothing(t *testing.T) {
 	}
 	g := tx.air.Load().cur
 	dst := make([]Packet, 64)
+	buf := make([]byte, 0, len(dst)*g.slotBytes)
 	var runs []span
 	for ch := range g.fec.chs {
 		for ui := range g.fec.chs[ch].units() {
@@ -361,22 +468,13 @@ func TestParityFirstReadAllocatesNothing(t *testing.T) {
 			runs = append(runs, span{ch, int64(u.physStart + u.n), g.fec.code(u.table).Tail()})
 		}
 	}
-	for _, s := range runs {
-		tx.ReadRunAt(dst[:s.n], nil, s.ch, s.abs) // every arena's scratch
-	}
-	if ready, coded := readyUnits(g); ready != coded {
-		t.Fatalf("%d of %d units encoded after reading every tail", ready, coded)
-	}
-	unready(g)
-	use := ownHeap(func() {
+	read := func() {
 		for _, s := range runs {
-			tx.ReadRunAt(dst[:s.n], nil, s.ch, s.abs)
+			tx.ReadRunAt(dst[:s.n], buf, s.ch, s.abs)
 		}
-	})
-	if ready, coded := readyUnits(g); ready != coded {
-		t.Fatalf("%d of %d units encoded again after reading every tail", ready, coded)
 	}
-	if use.allocs != 0 {
-		t.Errorf("encoding %d units on first read made %d allocations, want none", len(runs), use.allocs)
+	read() // every channel's scratch
+	if use := ownHeap(read); use.allocs != 0 {
+		t.Errorf("reading %d tails into a stride-sized buffer made %d allocations, want none", len(runs), use.allocs)
 	}
 }

@@ -71,44 +71,43 @@ func BenchmarkCodedTransmitterBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkParityFirstRead is what encoding a unit's parity on its first
-// read costs (ns/unit): every iteration clears the ready bits of a
-// transmitter whose arenas already hold their scratch, then reads every
-// parity tail of one cycle of every channel, each unit's as one run. It
-// allocates nothing.
-func BenchmarkParityFirstRead(b *testing.B) {
+// BenchmarkParityRead is what reading a parity tail costs (ns/unit):
+// every iteration reads every parity tail of one cycle of every
+// channel — those of table units only, then all of them — each unit's
+// as one run into a stride-sized buffer, so each run encodes its tail.
+// It allocates nothing.
+func BenchmarkParityRead(b *testing.B) {
 	for _, bed := range []codedBed{massiveCodedBed(b), wireLossyBed(b)} {
-		b.Run(bed.name, func(b *testing.B) {
-			tx, err := NewMultiTransmitterFEC(bed.lay, bed.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			g := tx.air.Load().cur
+		tx, err := NewMultiTransmitterFEC(bed.lay, bed.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := tx.air.Load().cur
+		for _, tables := range []bool{true, false} {
 			var tails []span
 			for ch := range g.fec.chs {
 				for ui := range g.fec.chs[ch].units() {
 					u := g.fec.chs[ch].unit(ui)
-					if tail := g.fec.code(u.table).Tail(); tail > 0 {
+					if tail := g.fec.code(u.table).Tail(); tail > 0 && (u.table || !tables) {
 						tails = append(tails, span{ch, int64(u.physStart + u.n), tail})
 					}
 				}
 			}
-			dst := make([]Packet, 64)
-			read := func() {
-				for _, s := range tails {
-					tx.ReadRunAt(dst[:s.n], nil, s.ch, s.abs)
+			name := bed.name + "/all"
+			if tables {
+				name = bed.name + "/table"
+			}
+			b.Run(name, func(b *testing.B) {
+				dst := make([]Packet, 64)
+				buf := make([]byte, 0, len(dst)*(bed.lay.X.Cfg.Capacity+wire.ParityHeaderSize))
+				b.ReportAllocs()
+				for b.Loop() {
+					for _, s := range tails {
+						tx.ReadRunAt(dst[:s.n], buf, s.ch, s.abs)
+					}
 				}
-			}
-			read() // every arena's scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				unready(g)
-				b.StartTimer()
-				read()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tails)), "ns/unit")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tails)), "ns/unit")
+			})
+		}
 	}
 }

@@ -65,20 +65,19 @@ type PacketSource interface {
 	// adopts.
 	//
 	// Who owns the payloads, and for how long: bytes a source must build
-	// (MultiTransmitter object parts) or copy out of storage it will
-	// overwrite (netrecv.Feed's ring) go into buf[:0]'s capacity, one
-	// payload after another, and when the capacity runs short into one
-	// fresh allocation sized for the rest of the run — nothing is ever
-	// written past cap(buf). Such payloads are valid until the reader
-	// next reuses any of buf's capacity. Bytes a source already holds
-	// immutable (pre-encoded tables, parity final from the read that
-	// first reached its unit, diskstore.ImageSource's read-only mapping,
-	// diskstore.StreamSource) are returned as they are and never written
-	// again: a payload need not alias buf, and a
-	// reader must not assume it does. Either way the reader must not
-	// write through a payload. A content payload is at most Capacity
-	// bytes; a parity frame adds wire.ParityHeaderSize — so a buffer of
-	// that much per slot always suffices.
+	// (MultiTransmitter object parts and parity frames) or copy out of
+	// storage it will overwrite (netrecv.Feed's ring) go into buf[:0]'s
+	// capacity, one payload after another, and when the capacity runs
+	// short into one fresh allocation sized for the rest of the run —
+	// nothing is ever written past cap(buf). Such payloads are valid
+	// until the reader next reuses any of buf's capacity. Bytes a source
+	// already holds immutable (pre-encoded tables,
+	// diskstore.ImageSource's read-only mapping, diskstore.StreamSource)
+	// are returned as they are and never written again: a payload need
+	// not alias buf, and a reader must not assume it does. Either way
+	// the reader must not write through a payload. A content payload is
+	// at most Capacity bytes; a parity frame adds wire.ParityHeaderSize
+	// — so a buffer of that much per slot always suffices.
 	//
 	// The source keeps no per-reader state and nothing of dst or buf:
 	// one source serves many readers concurrently, each with buffers of

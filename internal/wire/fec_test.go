@@ -187,6 +187,38 @@ func TestRSParityIntoMatchesRSParity(t *testing.T) {
 	}
 }
 
+// TestRSParityIsTheVandermondeSum holds every parity row to its
+// definition, Sum_i alpha^(i*j) * data_i, summed a byte at a time from
+// the log tables: rows 1 and 2 go by Horner's rule over words, the rest
+// through the product table, and symbol lengths that are no multiple of
+// a word take the byte-wise tail of both.
+func TestRSParityIsTheVandermondeSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	mul := func(a, b byte) byte {
+		if a == 0 || b == 0 {
+			return 0
+		}
+		return gfExp[int(gfLog[a])+int(gfLog[b])]
+	}
+	for _, k := range []int{1, 2, 3, 4, 7, 16} {
+		for _, symLen := range []int{0, 1, 7, 8, 13, 64, 82} {
+			data := randSymbols(rng, k, symLen)
+			got := RSParity(data, 8)
+			for j, row := range got {
+				for b := range symLen {
+					var want byte
+					for i, d := range data {
+						want ^= mul(gfExp[(i*j)%255], d[b])
+					}
+					if row[b] != want {
+						t.Fatalf("k=%d symLen=%d: row %d byte %d = %#x, want %#x", k, symLen, j, b, row[b], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // recoverCase is one erasure pattern of one code group: k data symbols
 // of symLen random bytes under r parity rows, members whose bit is set
 // in erase erased and parity rows whose bit is set in lost lost.

@@ -19,6 +19,7 @@ package wire
 
 import (
 	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -115,14 +116,54 @@ func RSParityInto(parity, data [][]byte) {
 		panic(fmt.Sprintf("wire: code group of %d data + %d parity exceeds GF(256)", len(data), len(parity)))
 	}
 	for j, p := range parity {
-		clear(p)
 		for i, d := range data {
 			if len(d) != len(p) {
 				panic(fmt.Sprintf("wire: symbol %d is %dB, group uses %dB", i, len(d), len(p)))
 			}
+		}
+		if (j == 1 || j == 2) && len(data) > 0 {
+			hornerRow(p, data, j)
+			continue
+		}
+		clear(p)
+		for i, d := range data {
 			mulAddInto(p, d, gfCoef(i, j))
 		}
 	}
+}
+
+// hornerRow writes parity row j = Sum_i (alpha^j)^i * data_i into p by
+// Horner's rule — p = alpha^j * p + data_i from the last column down —
+// so a row costs j multiplications by alpha a column instead of a
+// product-table lookup a byte, and those run eight bytes to a word
+// (mulAlpha64). It pays for rows 1 and 2, whose multiplier is one or
+// two doublings.
+func hornerRow(p []byte, data [][]byte, j int) {
+	copy(p, data[len(data)-1])
+	t := &gfMulTab[gfExp[j]]
+	for i := len(data) - 2; i >= 0; i-- {
+		d := data[i]
+		b := 0
+		for ; b+8 <= len(p); b += 8 {
+			v := mulAlpha64(binary.LittleEndian.Uint64(p[b:]))
+			if j == 2 {
+				v = mulAlpha64(v)
+			}
+			binary.LittleEndian.PutUint64(p[b:], v^binary.LittleEndian.Uint64(d[b:]))
+		}
+		for ; b < len(p); b++ {
+			p[b] = t[p[b]] ^ d[b]
+		}
+	}
+}
+
+// mulAlpha64 multiplies each of the eight field elements packed in v by
+// alpha: a left shift per byte, reduced by gfPoly in the bytes whose top
+// bit shifted out.
+func mulAlpha64(v uint64) uint64 {
+	const top = 0x8080808080808080
+	hi := v & top
+	return (v&^top)<<1 ^ (hi>>7)*gfPoly
 }
 
 // RSRecover reconstructs the erased data symbols of one code group in
