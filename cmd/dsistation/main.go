@@ -1,6 +1,6 @@
 // Command dsistation serves a DSI broadcast over real transports: the
 // wire byte cycles every receiver decodes stream out as
-// position-stamped net frames over HTTP chunked streams, UDP unicast
+// position-stamped net frames over bare HTTP streams, UDP unicast
 // subscriptions, and UDP multicast groups (one group per broadcast
 // channel). The daemon also serves the catalog document (/v1/meta)
 // clients bootstrap from, and the obs /metrics and /debug/pprof

@@ -2,7 +2,7 @@
 // process plays both roles: a netsrv station serves a 3-channel shard
 // broadcast on loopback (ephemeral HTTP and UDP ports), and network
 // clients bootstrap the catalog from /v1/meta, verify it by checksum,
-// attach over HTTP chunked streaming and UDP unicast, and answer
+// attach over a bare HTTP stream and UDP unicast, and answer
 // window and kNN queries from the live stream — the exact path
 // `dsistation` + `dsiquery -net` walk across processes (see
 // docs/OPERATIONS.md for the daemon guide). The station-side and

@@ -1,5 +1,5 @@
 // Package netrecv is the client side of the network station: receivers
-// that implement dsi.Receiver over a real transport (HTTP chunked
+// that implement dsi.Receiver over a real transport (bare HTTP
 // streams, UDP unicast subscriptions, UDP multicast groups) instead of
 // an in-process packet source.
 //
@@ -167,6 +167,18 @@ type Feed struct {
 	// waiting register again.
 	awaited int64
 
+	// timer is the feed's one deadline timer, and stop ends the goroutine
+	// that serves it (expiring waits for it); the first timed wait makes
+	// both and Close ends them. A blocked reader keeps its deadline to itself and, before it
+	// sleeps, makes sure the timer fires by then: armed is the deadline
+	// the timer is set for, the zero time once it has fired. Firing
+	// wakes every reader; each checks its own deadline, and those still
+	// waiting arm the timer again.
+	timer    *time.Timer
+	stop     chan struct{}
+	expiring sync.WaitGroup
+	armed    time.Time
+
 	dir     []byte
 	dirVer  uint32
 	desc    []byte
@@ -225,11 +237,17 @@ func (f *Feed) LostSlots() int64 {
 }
 
 // Close releases every waiter; pending and future reads serve losses.
+// It returns once the feed's timer has stopped.
 func (f *Feed) Close() {
 	f.mu.Lock()
+	if f.timer != nil && !f.closed {
+		f.timer.Stop()
+		close(f.stop)
+	}
 	f.closed = true
 	f.wakeAll()
 	f.mu.Unlock()
+	f.expiring.Wait()
 }
 
 // Live returns the absolute slot of the newest frame seen, or -1
@@ -411,6 +429,38 @@ func (f *Feed) wake() bool {
 	return true
 }
 
+// arm makes the timer fire by deadline, under f.mu.
+func (f *Feed) arm(deadline time.Time) {
+	if !f.armed.IsZero() && !deadline.Before(f.armed) {
+		return
+	}
+	f.armed = deadline
+	if f.timer == nil {
+		f.timer, f.stop = time.NewTimer(time.Until(deadline)), make(chan struct{})
+		f.expiring.Add(1)
+		go f.expire(f.timer.C, f.stop)
+		return
+	}
+	f.timer.Reset(time.Until(deadline))
+}
+
+// expire serves the timer until the feed closes: each firing wakes every
+// reader to check its deadline.
+func (f *Feed) expire(fired <-chan time.Time, stop <-chan struct{}) {
+	defer f.expiring.Done()
+	for {
+		select {
+		case <-fired:
+			f.mu.Lock()
+			f.armed = time.Time{}
+			f.wakeAll()
+			f.mu.Unlock()
+		case <-stop:
+			return
+		}
+	}
+}
+
 // unlockAndWake ends a transport's hold of the lock, waking the readers
 // its frames (if it slotted any) may have served. After a wake-up that
 // woke someone it yields: a stream that never runs dry never blocks,
@@ -465,16 +515,9 @@ func (f *Feed) serve(b []byte, more, ch int, abs int64) (station.Packet, []byte)
 			f.wakeAll() // a transport may be waiting for ring space
 		}
 	}
-	// The deadline's flag is shared with the timer's goroutine, so it
-	// lives on the heap; the first wait makes it, and a slot the ring
-	// serves at once allocates nothing.
-	var timedOut *bool
-	var tm *time.Timer
-	defer func() {
-		if tm != nil {
-			tm.Stop()
-		}
-	}()
+	// The read's deadline is set by its first wait: a slot the ring
+	// serves at once reads no clock.
+	var deadline time.Time
 	for {
 		var r []byte
 		var held int64 // abs+1 of the frame the record holds, 0 for none
@@ -500,11 +543,16 @@ func (f *Feed) serve(b []byte, more, ch int, abs int64) (station.Packet, []byte)
 		}
 		lost := f.closed ||
 			held > abs+1 // evicted: the window moved past
-		if !f.opt.Lossless {
-			lost = lost ||
-				f.high[ch] > abs+reorderSlack ||
-				f.highAll > abs+f.opt.LagSlack ||
-				(timedOut != nil && *timedOut)
+		if !lost && !f.opt.Lossless {
+			lost = f.high[ch] > abs+reorderSlack ||
+				f.highAll > abs+f.opt.LagSlack
+			if !lost {
+				if now := time.Now(); deadline.IsZero() {
+					deadline = now.Add(f.opt.WaitTimeout)
+				} else {
+					lost = !now.Before(deadline) // timed out
+				}
+			}
 		}
 		if lost {
 			f.lost++
@@ -513,15 +561,8 @@ func (f *Feed) serve(b []byte, more, ch int, abs int64) (station.Packet, []byte)
 			}
 			return station.Packet{}, b
 		}
-		if tm == nil && !f.opt.Lossless {
-			expired := new(bool)
-			timedOut = expired
-			tm = time.AfterFunc(f.opt.WaitTimeout, func() {
-				f.mu.Lock()
-				*expired = true
-				f.wakeAll()
-				f.mu.Unlock()
-			})
+		if !f.opt.Lossless {
+			f.arm(deadline)
 		}
 		if abs < f.awaited {
 			f.awaited = abs
@@ -561,18 +602,12 @@ func (f *Feed) WaitFEC(timeout time.Duration) (int64, bool) {
 func (f *Feed) waitFor(timeout time.Duration, ready func() bool) (int64, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var timedOut bool
-	tm := time.AfterFunc(timeout, func() {
-		f.mu.Lock()
-		timedOut = true
-		f.wakeAll()
-		f.mu.Unlock()
-	})
-	defer tm.Stop()
+	deadline := time.Now().Add(timeout)
 	for !ready() {
-		if f.closed || timedOut {
+		if f.closed || !time.Now().Before(deadline) {
 			return 0, false
 		}
+		f.arm(deadline)
 		f.awaited = -1 // any frame may be the one: below every clock
 		f.cond.Wait()
 	}

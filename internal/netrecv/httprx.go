@@ -1,9 +1,10 @@
-// The HTTP transport: a chunked binary stream of net frames
-// (/v1/stream). TCP makes a live stream lossless; a severed stream is
-// reconnected with exponential backoff, and the slots broadcast during
-// the gap surface as ordinary channel losses — the absolute slot clock
-// is global, so no re-anchoring is needed beyond what a directory swap
-// in the gap already triggers through the in-band control frames.
+// The HTTP transport: net frames back to back as the bare body of
+// /v1/stream, which the station ends by closing the connection. TCP
+// makes a live stream lossless; a severed stream is reconnected with
+// exponential backoff, and the slots broadcast during the gap surface
+// as ordinary channel losses — the absolute slot clock is global, so no
+// re-anchoring is needed beyond what a directory swap in the gap
+// already triggers through the in-band control frames.
 
 package netrecv
 
@@ -22,7 +23,7 @@ type HTTPReceiver struct {
 }
 
 // NewHTTPReceiver bootstraps (or reuses) a catalog and subscribes to
-// the station's chunked frame stream. cat may be nil to bootstrap from
+// the station's frame stream. cat may be nil to bootstrap from
 // baseURL/v1/meta.
 func NewHTTPReceiver(baseURL string, cat *Catalog, opt Options) (*HTTPReceiver, error) {
 	opt = opt.withDefaults()

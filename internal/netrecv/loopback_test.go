@@ -1,5 +1,5 @@
 // Loopback regression: the acceptance contract of the network layer.
-// Queries answered through a real transport (HTTP chunked stream, UDP
+// Queries answered through a real transport (bare HTTP stream, UDP
 // datagrams) over a loss-free loopback link must be bit-identical —
 // same result IDs, same slot-level cost stats — to the same queries
 // answered through the in-process WireReceiver over the

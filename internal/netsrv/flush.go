@@ -6,6 +6,7 @@ package netsrv
 
 import (
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"dsi/internal/obs"
@@ -71,23 +72,20 @@ func (fl *flush) start(i int) int {
 	return fl.frames[i-1].end
 }
 
-// add encodes one frame at the tail of the flush and indexes it under
-// ch (-1 for a control frame).
-func (fl *flush) add(f wire.NetFrame, ch int) error {
-	at := len(fl.buf)
-	buf, err := wire.AppendNetFrame(fl.buf, f)
-	if err != nil {
-		return err
-	}
-	fl.buf = buf
-	fl.frames = append(fl.frames, frameRef{end: len(buf), abs: f.Abs, ch: ch})
+// add encodes one frame in place at the tail of the flush and indexes
+// it under ch (-1 for a control frame). The frame is the server's own: a
+// valid kind, a slot at or past 0 and a payload a frame carries.
+func (fl *flush) add(f *wire.NetFrame, ch int) {
+	at, n := len(fl.buf), wire.NetFrameHeader+len(f.Payload)
+	fl.buf = slices.Grow(fl.buf, n)[:at+n]
+	wire.PutNetFrame(fl.buf[at:], f)
+	fl.frames = append(fl.frames, frameRef{end: at + n, abs: f.Abs, ch: ch})
 	if ch < 0 {
 		fl.ctrl++
-		fl.ctrlBytes += len(buf) - at
+		fl.ctrlBytes += n
 	} else {
-		fl.chBytes[ch] += len(buf) - at
+		fl.chBytes[ch] += n
 	}
-	return nil
 }
 
 // writeTo writes a subscription's frames in air order, one Write per

@@ -22,25 +22,21 @@ import (
 	"dsi/internal/wire"
 )
 
-// stampSource serves a payload that is a function of (ch, abs) alone and
-// allocates nothing: every byte of a frame can be checked against its
-// own position stamp.
+// stampSource serves a payload that is a function of (ch, abs) alone,
+// built into the reader's buffer as the PacketSource contract has it:
+// every byte of a frame can be checked against its own position stamp.
 type stampSource struct {
-	nch   int
-	dir   []byte
-	desc  []byte
-	cache [][]byte // per channel scratch, rewritten per call (netsrv copies at once)
+	nch, size int
+	dir       []byte
+	desc      []byte
 }
 
 // newStampSource serves nch channels of size-byte payloads, with
 // control frames on air when ctrl is set.
 func newStampSource(nch, size int, ctrl bool) *stampSource {
-	s := &stampSource{nch: nch}
+	s := &stampSource{nch: nch, size: size}
 	if ctrl {
 		s.dir, s.desc = []byte("directory"), []byte("descriptor")
-	}
-	for ch := 0; ch < nch; ch++ {
-		s.cache = append(s.cache, make([]byte, size))
 	}
 	return s
 }
@@ -59,12 +55,20 @@ func (s *stampSource) PacketAt(ch int, abs int64) (station.Packet, uint32) {
 	return p[0], p[0].Ver
 }
 
-// ReadRunAt stamps each slot into the channel's one scratch payload, so
-// it serves runs of one — all the server reads — and nothing longer.
-func (s *stampSource) ReadRunAt(dst []station.Packet, _ []byte, ch int, abs int64) {
+// ReadRunAt stamps each slot's payload into buf's capacity, one after
+// another, and when that runs short into one fresh allocation sized for
+// the rest of the run.
+func (s *stampSource) ReadRunAt(dst []station.Packet, buf []byte, ch int, abs int64) {
+	b := buf[:0]
 	for i := range dst {
-		stamp(s.cache[ch], ch, abs+int64(i))
-		dst[i] = station.Packet{Ch: uint8(ch), Slot: uint32((abs + int64(i)) % 1000), Ver: 1, Payload: s.cache[ch]}
+		if cap(b)-len(b) < s.size {
+			b = make([]byte, 0, (len(dst)-i)*s.size)
+		}
+		at := len(b)
+		b = b[:at+s.size]
+		p := b[at:len(b):len(b)]
+		stamp(p, ch, abs+int64(i))
+		dst[i] = station.Packet{Ch: uint8(ch), Slot: uint32((abs + int64(i)) % 1000), Ver: 1, Payload: p}
 	}
 }
 

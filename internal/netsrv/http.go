@@ -1,7 +1,8 @@
 // The HTTP transport: /v1/meta serves the catalog document and
-// /v1/stream serves the raw net-frame byte stream over chunked transfer
-// encoding. When a registry is configured the handler also carries
-// /metrics and /debug/pprof.
+// /v1/stream serves the raw net-frame byte stream as a bare body — no
+// transfer coding, no length, the frames themselves until the station
+// closes the connection. When a registry is configured the handler also
+// carries /metrics and /debug/pprof.
 
 package netsrv
 
@@ -24,7 +25,7 @@ const (
 	// flatOutSlots is the flush of a station with no pace, and
 	// maxQueuedSlots what one of its subscriber queues holds, in
 	// maxQueuedSlots/flatOutSlots flushes. A wide flush spreads the
-	// per-flush work (a Write, a chunk, a wake-up per subscriber) over
+	// per-flush work (a send and a wake-up per subscriber) over
 	// many slots; the bound keeps what a stalled subscriber pins, and so
 	// the live heap of a back-pressured pipeline, small.
 	flatOutSlots   = 256
@@ -143,6 +144,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer unsub()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Cache-Control", "no-store")
+	// The body is the frames as they are: net/http sends an identity
+	// response without the header, unchunked, and closes the connection
+	// when the handler returns. A subscription to every channel is then
+	// one send per flush, and the client reads frames with no chunk
+	// lines between them.
+	w.Header().Set("Transfer-Encoding", "identity")
 	w.WriteHeader(http.StatusOK)
 	for {
 		select {

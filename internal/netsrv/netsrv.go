@@ -1,7 +1,7 @@
 // Package netsrv is the transmit side of the broadcast station as a
 // network service: it walks a station.PacketSource on a paced absolute
 // slot clock and emits every packet as a position-stamped net frame
-// (wire.NetFrame) over real transports — HTTP chunked streams for
+// (wire.NetFrame) over real transports — bare HTTP streams for
 // firewall-friendly reliable delivery, UDP unicast with a datagram
 // subscribe protocol, and UDP multicast groups (one group per broadcast
 // channel) for the true shared-medium metaphor.
@@ -106,11 +106,13 @@ type Server struct {
 
 	pub []*streamConn // publish's subscriber snapshot, reused every flush
 
-	// pkt is what buildFlush has the source build each slot's payload
-	// into, and run the packet it reads, a run of one: add copies the
-	// payload into the flush before the next read.
-	pkt []byte
-	run [1]station.Packet
+	// runs[ch] is channel ch's packets of one flush, read in one run, and
+	// scratch[ch] the buffer the source builds their payloads into: for a
+	// transmitter, a flush of widest payloads, so no run allocates; nil
+	// for a source that serves bytes it holds. buildFlush lays every frame
+	// out from them before the next flush's runs are read.
+	runs    [][]station.Packet
+	scratch [][]byte
 
 	// batch is the slots of one flush, and depth the flushes a
 	// subscriber queue holds (see flushShape).
@@ -153,8 +155,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.batch, s.depth = flushShape(cfg.SlotsPerSec)
 	s.free = make(chan *flush, 2*s.depth)
-	if cfg.Layout != nil {
-		s.pkt = make([]byte, 0, cfg.Layout.X.Cfg.Capacity+wire.ParityHeaderSize)
+	slotBytes := 0 // what the source builds a slot's payload in, at most
+	if mt, ok := cfg.Source.(*station.MultiTransmitter); ok {
+		slotBytes = mt.Layout().X.Cfg.Capacity + wire.ParityHeaderSize
+	}
+	s.runs, s.scratch = make([][]station.Packet, nch), make([][]byte, nch)
+	for ch := range s.runs {
+		s.runs[ch] = make([]station.Packet, s.batch)
+		if slotBytes > 0 {
+			s.scratch[ch] = make([]byte, 0, s.batch*slotBytes)
+		}
 	}
 	s.httpMet = obs.NewNetStationMetrics(cfg.Registry, "http", s.nch)
 	return s, nil
@@ -228,31 +238,40 @@ func (s *Server) Run(ctx context.Context) error {
 
 // buildFlush encodes the next batchSlots slots in air order — each
 // slot's control frames at the cadence boundaries, then every channel's
-// packet — and advances the published clock.
+// packet — and advances the published clock. Each channel's packets are
+// read in one run, and each frame is encoded in place in the flush. A
+// payload wider than a frame carries goes out as the zero packet, which
+// every receiver counts as a lost slot, and is counted.
 func (s *Server) buildFlush(batchSlots int) *flush {
 	fl := s.newFlush()
 	abs := s.abs.Load()
-	for i := 0; i < batchSlots; i++ {
-		if abs%int64(s.ctrl) == 0 {
-			s.appendCtrl(fl, abs)
+	for ch, run := range s.runs {
+		if len(run) < batchSlots {
+			run = make([]station.Packet, batchSlots)
+			s.runs[ch] = run
 		}
-		for ch := 0; ch < s.nch; ch++ {
-			s.src.ReadRunAt(s.run[:], s.pkt, ch, abs)
-			pkt := &s.run[0]
-			err := fl.add(wire.NetFrame{
-				Kind: wire.NetData, Flags: pkt.Flags, Ch: uint16(ch),
-				Slot: pkt.Slot, Ver: pkt.Ver, Abs: abs, Payload: pkt.Payload,
-			}, ch)
-			if err != nil {
-				// Source payloads are bounded by the packet capacity;
-				// an encoding failure is a programming error.
-				panic(fmt.Sprintf("netsrv: slot %d channel %d: %v", abs, ch, err))
-			}
-		}
-		fl.slots++
-		abs++
-		s.abs.Store(abs)
+		s.src.ReadRunAt(run[:batchSlots], s.scratch[ch], ch, abs)
 	}
+	f := wire.NetFrame{Kind: wire.NetData}
+	for i := range batchSlots {
+		f.Abs = abs + int64(i)
+		if f.Abs%int64(s.ctrl) == 0 {
+			s.appendCtrl(fl, f.Abs)
+		}
+		for ch, run := range s.runs {
+			p := &run[i]
+			f.Flags, f.Ch, f.Slot, f.Ver, f.Payload = p.Flags, uint16(ch), p.Slot, p.Ver, p.Payload
+			if len(p.Payload) > wire.MaxNetPayload {
+				f.Flags, f.Slot, f.Ver, f.Payload = 0, 0, 0, nil
+				if m := s.httpMet; m != nil {
+					m.Oversized.Inc()
+				}
+			}
+			fl.add(&f, ch)
+		}
+	}
+	fl.slots = batchSlots
+	s.abs.Store(abs + int64(batchSlots))
 	return fl
 }
 
@@ -265,11 +284,11 @@ func (s *Server) buildFlush(batchSlots int) *flush {
 // transport it never sees the bump ahead of its code. An oversized
 // control payload is left out rather than sent truncated.
 func (s *Server) appendCtrl(fl *flush, abs int64) {
-	if desc, fver := s.src.FECDescAt(abs); desc != nil {
-		_ = fl.add(wire.NetFrame{Kind: wire.NetFECDesc, Ver: fver, Abs: abs, Payload: desc}, -1)
+	if desc, fver := s.src.FECDescAt(abs); desc != nil && len(desc) <= wire.MaxNetPayload {
+		fl.add(&wire.NetFrame{Kind: wire.NetFECDesc, Ver: fver, Abs: abs, Payload: desc}, -1)
 	}
-	if dir, dver := s.src.DirectoryAt(abs); dir != nil {
-		_ = fl.add(wire.NetFrame{Kind: wire.NetDir, Ver: dver, Abs: abs, Payload: dir}, -1)
+	if dir, dver := s.src.DirectoryAt(abs); dir != nil && len(dir) <= wire.MaxNetPayload {
+		fl.add(&wire.NetFrame{Kind: wire.NetDir, Ver: dver, Abs: abs, Payload: dir}, -1)
 	}
 }
 

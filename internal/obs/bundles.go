@@ -155,7 +155,11 @@ type NetStationMetrics struct {
 	Datagrams  *Counter // datagrams those frames went out in (0 on a stream transport)
 	Drops      *Counter // batches dropped on lagging consumers
 	SubsetSubs *Counter // subscriptions restricted to a channel subset (?ch=)
-	Bytes      []*Counter
+	// Oversized counts data payloads wider than a net frame carries, each
+	// sent as the zero packet instead. One flush feeds every transport,
+	// so the counter is the station's, shared by every transport's bundle.
+	Oversized *Counter
+	Bytes     []*Counter
 
 	reg *Registry
 }
@@ -174,6 +178,7 @@ func NewNetStationMetrics(reg *Registry, transport string, channels int) *NetSta
 		Datagrams:  reg.Counter("station_net_datagrams_total", "datagrams emitted (one slot of one subscription each), by transport", TransportLabel(transport)),
 		Drops:      reg.Counter("station_net_dropped_batches_total", "frame batches dropped on lagging consumers, by transport", TransportLabel(transport)),
 		SubsetSubs: reg.Counter("station_net_subset_subscriptions_total", "subscriptions restricted to a channel subset, by transport", TransportLabel(transport)),
+		Oversized:  reg.Counter("station_net_oversized_payloads_total", "data payloads too wide for a net frame, sent as the zero packet (a lost slot)"),
 		reg:        reg,
 	}
 	m.Bytes = make([]*Counter, channels)

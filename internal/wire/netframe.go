@@ -37,6 +37,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Net frame kinds.
@@ -89,18 +90,30 @@ func AppendNetFrame(dst []byte, f NetFrame) ([]byte, error) {
 	if len(f.Payload) > MaxNetPayload {
 		return dst, fmt.Errorf("wire: net frame payload %dB exceeds %dB", len(f.Payload), MaxNetPayload)
 	}
-	var hdr [NetFrameHeader]byte
-	hdr[0] = netMagic0
-	hdr[1] = netMagic1
-	hdr[2] = f.Kind
-	hdr[3] = f.Flags
-	binary.BigEndian.PutUint16(hdr[4:], f.Ch)
-	binary.BigEndian.PutUint32(hdr[6:], f.Slot)
-	binary.BigEndian.PutUint32(hdr[10:], f.Ver)
-	binary.BigEndian.PutUint64(hdr[14:], uint64(f.Abs))
-	binary.BigEndian.PutUint16(hdr[22:], uint16(len(f.Payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, f.Payload...), nil
+	at := len(dst)
+	dst = slices.Grow(dst, NetFrameHeader+len(f.Payload))[:at+NetFrameHeader+len(f.Payload)]
+	PutNetFrame(dst[at:], &f)
+	return dst, nil
+}
+
+// PutNetFrame encodes the frame in place at the head of dst, which must
+// hold NetFrameHeader+len(f.Payload) bytes: the header, then a copy of
+// the payload. It checks nothing — AppendNetFrame is the checked encoder
+// — so a writer laying frames out in a buffer of its own validates the
+// frame first: a kind, a slot at or past 0 and a payload of at most
+// MaxNetPayload bytes.
+func PutNetFrame(dst []byte, f *NetFrame) {
+	dst = dst[:NetFrameHeader+len(f.Payload)]
+	dst[0] = netMagic0
+	dst[1] = netMagic1
+	dst[2] = f.Kind
+	dst[3] = f.Flags
+	binary.BigEndian.PutUint16(dst[4:], f.Ch)
+	binary.BigEndian.PutUint32(dst[6:], f.Slot)
+	binary.BigEndian.PutUint32(dst[10:], f.Ver)
+	binary.BigEndian.PutUint64(dst[14:], uint64(f.Abs))
+	binary.BigEndian.PutUint16(dst[22:], uint16(len(f.Payload)))
+	copy(dst[NetFrameHeader:], f.Payload)
 }
 
 // NetFrameView is one whole net frame in its own bytes, as ParseNetFrame
