@@ -288,8 +288,41 @@ func (f *Feed) Offer(fr wire.NetFrame) {
 // must reconnect.
 func (f *Feed) Consume(buf []byte) (int, error) {
 	f.mu.Lock()
-	at, slotted := 0, 0
-	var err error
+	at, slotted, err := f.file(buf)
+	if f.met != nil {
+		f.met.Frames.Add(int64(slotted))
+	}
+	f.unlockAndWake(slotted > 0)
+	return at, err
+}
+
+// ConsumeDatagrams files a read's datagrams under one hold of the lock
+// and wakes the readers once: buf is a run of seg-byte datagrams, the
+// last of which may be shorter, or (seg <= 0) one datagram. Each
+// datagram is parsed on its own, so a malformed one is discarded alone
+// (counted as garbage) and the rest of the run still lands.
+func (f *Feed) ConsumeDatagrams(buf []byte, seg int) {
+	if seg <= 0 {
+		seg = len(buf)
+	}
+	f.mu.Lock()
+	slotted := 0
+	for len(buf) > 0 {
+		d := buf[:min(seg, len(buf))]
+		_, n, _ := f.file(d) // a malformed datagram is garbage, counted by file
+		slotted += n
+		buf = buf[len(d):]
+	}
+	if f.met != nil {
+		f.met.Frames.Add(int64(slotted))
+	}
+	f.unlockAndWake(slotted > 0)
+}
+
+// file slots the complete frames buf holds, under f.mu, and returns the
+// bytes parsed and the frames slotted. It stops at a short tail, or at
+// a malformed frame, which is counted as garbage and returned.
+func (f *Feed) file(buf []byte) (at, slotted int, err error) {
 	for at < len(buf) {
 		v, perr := wire.ParseNetFrame(buf[at:])
 		if perr != nil {
@@ -306,11 +339,7 @@ func (f *Feed) Consume(buf []byte) (int, error) {
 		}
 		at += len(v)
 	}
-	if f.met != nil {
-		f.met.Frames.Add(int64(slotted))
-	}
-	f.unlockAndWake(slotted > 0)
-	return at, err
+	return at, slotted, err
 }
 
 // slot files one frame under f.mu, straight from its bytes, and reports

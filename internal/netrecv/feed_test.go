@@ -5,7 +5,9 @@
 package netrecv_test
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -140,6 +142,33 @@ func TestFeedRejectsMalformedFrames(t *testing.T) {
 	feed.Offer(wire.NetFrame{Kind: wire.NetData, Ch: 7, Slot: 1, Ver: 1, Abs: 6, Payload: []byte("x")})
 	if live := feed.Live(); live != 5 {
 		t.Fatalf("out-of-range channel moved the clock to %d", live)
+	}
+}
+
+// TestFeedDatagramRunDiscardsAMalformedDatagramAlone: a read's run of
+// datagrams is filed datagram by datagram — a malformed one in the
+// middle is counted as garbage and the datagrams around it still land.
+func TestFeedDatagramRunDiscardsAMalformedDatagramAlone(t *testing.T) {
+	met := obs.NewNetReceiverMetrics(obs.NewRegistry(), "udp")
+	feed := netrecv.NewFeed(1, netrecv.Options{RingSlots: 64}, met)
+	datagram := func(abs int64) []byte {
+		b, err := wire.AppendNetFrame(nil, wire.NetFrame{Kind: wire.NetData, Slot: uint32(abs), Ver: 1, Abs: abs, Payload: []byte("abcd")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	bad := bytes.Repeat([]byte{0xde}, len(datagram(0)))
+	run := slices.Concat(datagram(1), bad, datagram(3), datagram(4)[:10]) // the last one shorter
+	feed.ConsumeDatagrams(run, len(bad))
+	feed.Close() // a slot not filed is served lost at once
+	for abs, want := range map[int64]uint32{1: 1, 2: 0, 3: 1, 4: 0} {
+		if _, ver := feed.PacketAt(0, abs); ver != want {
+			t.Errorf("slot %d served at version %d, want %d", abs, ver, want)
+		}
+	}
+	if f, g := met.Frames.Value(), met.Garbage.Value(); f != 2 || g != 1 {
+		t.Fatalf("%d frames and %d garbage counted, want 2 and 1", f, g)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -395,6 +396,33 @@ func TestUDPReceiverLoopback(t *testing.T) {
 	}
 	if clean == 0 {
 		t.Fatal("every UDP trial lost datagrams on loopback; nothing was verified")
+	}
+}
+
+// TestUDPReceiverRefusesABadChannel: a channel outside [-1, channels)
+// is an error, and the station's port hears nothing — no join that
+// would subscribe to a channel nobody asked for.
+func TestUDPReceiverRefusesABadChannel(t *testing.T) {
+	const n, seed = 200, 1501
+	ds, _, lay := netTestBed(t, n, seed)
+	cat, err := netrecv.BuildCatalog(metaFor(t, ds, n, seed, lay, wire.FECConfig{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer port.Close()
+	for _, ch := range []int{-2, lay.Channels(), lay.Channels() + 5} {
+		if rx, err := netrecv.NewUDPReceiver(port.LocalAddr().String(), ch, cat, netrecv.Options{}); err == nil {
+			rx.Close()
+			t.Fatalf("channel %d of %d: no error", ch, lay.Channels())
+		}
+	}
+	_ = port.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if k, _, err := port.ReadFrom(make([]byte, 256)); err == nil {
+		t.Fatalf("the station's port heard a %d-byte request", k)
 	}
 }
 

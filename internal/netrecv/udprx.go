@@ -11,6 +11,14 @@
 // slot to the decoder — exactly the loss model the FEC framing recovers
 // from, which is what makes UDP the honest transport for the broadcast
 // metaphor.
+//
+// The station sends a run of datagrams in one write where the kernel
+// segments (UDP_SEGMENT), and a receiver reads them back in one: its
+// sockets set UDP_GRO, so one read returns a run of equal-size
+// datagrams with their size in a control message, and the feed files
+// them under one hold of its lock (Feed.ConsumeDatagrams), each still
+// parsed on its own. Off Linux, or on a kernel without GRO, every read
+// is one datagram; what the feed holds is the same either way.
 
 package netrecv
 
@@ -41,8 +49,12 @@ type UDPReceiver struct {
 
 // NewUDPReceiver subscribes to the station's unicast datagram port
 // (the address a bootstrap catalog carries in Meta.UDP). ch selects a
-// single channel, or -1 for all of them.
+// single channel, or -1 for all of them; any other value is an error,
+// returned before anything is sent.
 func NewUDPReceiver(stationAddr string, ch int, cat *Catalog, opt Options) (*UDPReceiver, error) {
+	if nch := cat.Lay.Channels(); ch < -1 || ch >= nch {
+		return nil, fmt.Errorf("netrecv: udp channel %d out of range [-1, %d)", ch, nch)
+	}
 	opt = opt.withDefaults()
 	raddr, err := net.ResolveUDPAddr("udp", stationAddr)
 	if err != nil {
@@ -143,19 +155,20 @@ func NewMulticastReceiver(base string, cat *Catalog, opt Options) (*UDPReceiver,
 	return u, nil
 }
 
-// datagramLoop feeds every datagram until the socket closes. Each
-// datagram is self-contained (the station sends whole frames, one slot
-// per datagram), so a malformed one is discarded alone — datagram
-// streams cannot desync.
+// datagramLoop feeds every datagram until the socket closes, a run of
+// them per read where the kernel coalesces (GRO). Each datagram is
+// self-contained (the station sends whole frames, one slot per
+// datagram), so a malformed one is discarded alone — datagram streams
+// cannot desync.
 func (u *UDPReceiver) datagramLoop(conn *net.UDPConn) {
+	enableGRO(conn)
 	buf := make([]byte, wire.MaxNetPayload+wire.NetFrameHeader)
+	oob := make([]byte, groOOBSize)
 	for {
-		n, err := conn.Read(buf)
+		n, seg, err := readDatagrams(conn, buf, oob)
 		if err != nil {
 			return
 		}
-		if _, err := u.feed.Consume(buf[:n]); err != nil {
-			continue // counted as garbage by the feed
-		}
+		u.feed.ConsumeDatagrams(buf[:n], seg)
 	}
 }

@@ -152,8 +152,9 @@ func (fl *flush) datagram(set chanSet, i int, scratch []byte) ([]byte, int, []by
 }
 
 // book counts what a subscription to set was sent of the flush, in
-// dgrams datagrams (0 on a stream transport).
-func (fl *flush) book(m *obs.NetStationMetrics, set chanSet, dgrams int) {
+// dgrams datagrams and the writes they went out in (both 0 on a stream
+// transport).
+func (fl *flush) book(m *obs.NetStationMetrics, set chanSet, dgrams, writes int) {
 	if m == nil {
 		return
 	}
@@ -168,6 +169,7 @@ func (fl *flush) book(m *obs.NetStationMetrics, set chanSet, dgrams int) {
 	}
 	m.Frames.Add(int64(frames))
 	m.Datagrams.Add(int64(dgrams))
+	m.DatagramWrites.Add(int64(writes))
 }
 
 // newFlush returns an empty flush holding its caller's reference, on

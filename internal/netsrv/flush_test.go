@@ -178,6 +178,17 @@ func TestFlushDatagramCutting(t *testing.T) {
 	})
 }
 
+// listenUDP opens a loopback datagram socket for the test's lifetime.
+func listenUDP(t *testing.T) *net.UDPConn {
+	t.Helper()
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 // joinUDP subscribes a raw socket to the station's datagram port.
 func joinUDP(t *testing.T, addr string, ch int) *net.UDPConn {
 	t.Helper()
@@ -284,28 +295,20 @@ func TestDatagramsCarryOneSlotInAirOrder(t *testing.T) {
 // TestWarmFlushAllocatesNothing: building a flush on recycled storage —
 // every payload built by a real transmitter into the server's one packet
 // buffer — publishing it to an HTTP and a UDP subscriber and emitting it
-// to both allocates nothing once warm.
+// to both, the datagrams in segmented writes where the kernel offers
+// them, allocates nothing once warm.
 func TestWarmFlushAllocatesNothing(t *testing.T) {
 	src, lay := newTestSource(t)
 	srv, err := New(Config{Source: src, Layout: lay, CtrlEvery: 256, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
+	sink := listenUDP(t)
 	// The emitter without its goroutines: the test plays both writers.
-	u := &udpEmitter{srv: srv, pc: pc, q: make(chan *flush, srv.depth), subs: make(map[string]*udpSub)}
+	u := newUDPEmitter(srv, listenUDP(t))
 	srv.udpMet = obs.NewNetStationMetrics(srv.cfg.Registry, "udp", srv.nch)
 	srv.udp = u
-	u.join(sink.LocalAddr(), -1)
+	u.join(sink.LocalAddr().(*net.UDPAddr).AddrPort(), -1)
 	c, unsub := srv.subscribe(nil)
 	defer unsub()
 	srv.release(<-c.q) // the control snapshot
@@ -317,7 +320,7 @@ func TestWarmFlushAllocatesNothing(t *testing.T) {
 		if err := fl.writeTo(io.Discard, c.chans); err != nil {
 			t.Fatal(err)
 		}
-		fl.book(srv.httpMet, c.chans, 0)
+		fl.book(srv.httpMet, c.chans, 0, 0)
 		srv.release(fl)
 		u.emit(<-u.q)
 	}
@@ -332,6 +335,9 @@ func TestWarmFlushAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, step); n != 0 {
 		t.Fatalf("a warm flush allocates %.0f times, want 0", n)
+	}
+	if m := srv.udpMet; u.segment && m.DatagramWrites.Value() >= m.Datagrams.Value() {
+		t.Fatalf("%d datagrams in %d writes: the flushes were not segmented", m.Datagrams.Value(), m.DatagramWrites.Value())
 	}
 	if len(srv.free) != 1 {
 		t.Fatalf("%d flushes on the free list, want the one that cycles", len(srv.free))

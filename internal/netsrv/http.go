@@ -158,7 +158,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		case fl := <-c.q:
 			err := fl.writeTo(w, c.chans)
 			if err == nil {
-				fl.book(s.httpMet, c.chans, 0)
+				fl.book(s.httpMet, c.chans, 0, 0)
 			}
 			s.release(fl)
 			if err != nil {

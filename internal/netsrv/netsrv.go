@@ -18,9 +18,12 @@
 //     frames ahead of them, split only past dgramBudget bytes. A radio
 //     listens to one channel at a time and FEC units are per channel,
 //     so transport loss stays slot-granular — the loss model the FEC
-//     framing was built for. HTTP streams concatenate frames; TCP
-//     makes them lossless but a severed stream loses the gap between
-//     disconnect and reconnect.
+//     framing was built for. A run of such datagrams may leave in one
+//     segmented write (UDP_SEGMENT) and arrive in one coalesced read
+//     (UDP_GRO); the kernel cuts the run back into the same datagrams,
+//     so neither end changes what a datagram is. HTTP streams
+//     concatenate frames; TCP makes them lossless but a severed stream
+//     loses the gap between disconnect and reconnect.
 //   - The versioned shard directory and FEC descriptor ride in-band:
 //     at the head of every new subscription and every CtrlEvery slots
 //     thereafter, every subscription carries NetDir/NetFECDesc control

@@ -153,8 +153,15 @@ type NetStationMetrics struct {
 	Frames     *Counter // net frames emitted across all channels
 	CtrlFrames *Counter // in-band directory/FEC control frames emitted
 	Datagrams  *Counter // datagrams those frames went out in (0 on a stream transport)
-	Drops      *Counter // batches dropped on lagging consumers
-	SubsetSubs *Counter // subscriptions restricted to a channel subset (?ch=)
+	// DatagramWrites counts the writes the datagrams went out in: a
+	// segmented write carries a run of them, so datagrams ÷ writes is
+	// the segments per write, 1 where the kernel does not segment.
+	DatagramWrites *Counter
+	Drops          *Counter // batches dropped on lagging consumers
+	SubsetSubs     *Counter // subscriptions restricted to a channel subset (?ch=)
+	// BadRequests counts subscribe-protocol requests refused: an unknown
+	// verb, or a join with a bad channel or extra tokens.
+	BadRequests *Counter
 	// Oversized counts data payloads wider than a net frame carries, each
 	// sent as the zero packet instead. One flush feeds every transport,
 	// so the counter is the station's, shared by every transport's bundle.
@@ -172,14 +179,16 @@ func NewNetStationMetrics(reg *Registry, transport string, channels int) *NetSta
 		return nil
 	}
 	m := &NetStationMetrics{
-		Conns:      reg.Gauge("station_net_conns", "live subscriber connections, by transport", TransportLabel(transport)),
-		Frames:     reg.Counter("station_net_frames_total", "net frames emitted, by transport", TransportLabel(transport)),
-		CtrlFrames: reg.Counter("station_net_ctrl_frames_total", "in-band directory/FEC control frames emitted, by transport", TransportLabel(transport)),
-		Datagrams:  reg.Counter("station_net_datagrams_total", "datagrams emitted (one slot of one subscription each), by transport", TransportLabel(transport)),
-		Drops:      reg.Counter("station_net_dropped_batches_total", "frame batches dropped on lagging consumers, by transport", TransportLabel(transport)),
-		SubsetSubs: reg.Counter("station_net_subset_subscriptions_total", "subscriptions restricted to a channel subset, by transport", TransportLabel(transport)),
-		Oversized:  reg.Counter("station_net_oversized_payloads_total", "data payloads too wide for a net frame, sent as the zero packet (a lost slot)"),
-		reg:        reg,
+		Conns:          reg.Gauge("station_net_conns", "live subscriber connections, by transport", TransportLabel(transport)),
+		Frames:         reg.Counter("station_net_frames_total", "net frames emitted, by transport", TransportLabel(transport)),
+		CtrlFrames:     reg.Counter("station_net_ctrl_frames_total", "in-band directory/FEC control frames emitted, by transport", TransportLabel(transport)),
+		Datagrams:      reg.Counter("station_net_datagrams_total", "datagrams emitted (one slot of one subscription each), by transport", TransportLabel(transport)),
+		DatagramWrites: reg.Counter("station_net_datagram_writes_total", "writes the datagrams went out in (a segmented write carries several), by transport", TransportLabel(transport)),
+		Drops:          reg.Counter("station_net_dropped_batches_total", "frame batches dropped on lagging consumers, by transport", TransportLabel(transport)),
+		SubsetSubs:     reg.Counter("station_net_subset_subscriptions_total", "subscriptions restricted to a channel subset, by transport", TransportLabel(transport)),
+		BadRequests:    reg.Counter("station_net_bad_requests_total", "subscribe requests refused (unknown verb, bad channel, extra tokens), by transport", TransportLabel(transport)),
+		Oversized:      reg.Counter("station_net_oversized_payloads_total", "data payloads too wide for a net frame, sent as the zero packet (a lost slot)"),
+		reg:            reg,
 	}
 	m.Bytes = make([]*Counter, channels)
 	for ch := range m.Bytes {
