@@ -67,9 +67,7 @@ func main() {
 	// Train the initial plan on the pre-drift distribution.
 	prof := sched.NewProfile(x)
 	for _, w := range mkWindows(1, 4*queries, 0) {
-		if rect, ok := ds.Curve.ClampRect(w.MinX, w.MinY, w.MaxX, w.MaxY); ok {
-			prof.AddRanges(ds.Curve.AppendRangesFunc(nil, rect.Classify), 1)
-		}
+		prof.AddRanges(ds.Curve.AppendRanges(nil, w.MinX, w.MinY, w.MaxX, w.MaxY), 1)
 	}
 	plan, err := sched.Partition(prof, channels-1)
 	if err != nil {
@@ -132,9 +130,7 @@ func main() {
 		}
 		staticLat[phase] += run(cs, staticLay, i, w)
 
-		if rect, ok := ds.Curve.ClampRect(w.MinX, w.MinY, w.MaxX, w.MaxY); ok {
-			op.Observe(ds.Curve.AppendRangesFunc(nil, rect.Classify), 1)
-		}
+		op.Observe(ds.Curve.AppendRanges(nil, w.MinX, w.MinY, w.MaxX, w.MaxY), 1)
 		if (i+1)%checkEach == 0 && pendingLay == nil {
 			fresh, drift, trig, err := rp.Replan(op.Snapshot(snap), live, ratio)
 			if err != nil {

@@ -70,11 +70,7 @@ func main() {
 	// frames that can serve them.
 	prof := sched.NewProfile(x)
 	for _, w := range mkWindows(1, 4*queries) {
-		rect, ok := ds.Curve.ClampRect(w.MinX, w.MinY, w.MaxX, w.MaxY)
-		if !ok {
-			continue
-		}
-		prof.AddRanges(ds.Curve.AppendRangesFunc(nil, rect.Classify), 1)
+		prof.AddRanges(ds.Curve.AppendRanges(nil, w.MinX, w.MinY, w.MaxX, w.MaxY), 1)
 	}
 
 	// 2. Partition into channels-1 shards (one data channel each).

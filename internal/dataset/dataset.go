@@ -177,7 +177,9 @@ func Clustered(cfg ClusteredConfig) *Dataset {
 }
 
 func finish(c hilbert.Curve, objs []Object, name string) *Dataset {
-	sort.Slice(objs, func(i, j int) bool { return objs[i].HC < objs[j].HC })
+	// Objects of equal HC sit on one cell and differ only in the ID,
+	// assigned below, so an unstable sort still fixes every object.
+	slices.SortFunc(objs, func(a, b Object) int { return cmp.Compare(a.HC, b.HC) })
 	for i := range objs {
 		objs[i].ID = i
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dsi/internal/hilbert"
 	"dsi/internal/spatial"
 )
 
@@ -324,5 +325,28 @@ func TestHCKeysCached(t *testing.T) {
 	k2, v2 := ds.HCKeys()
 	if &k2[0] != &keys[0] || &v2[0] != &vals[0] {
 		t.Error("HCKeys recomputed instead of cached")
+	}
+}
+
+// TestFinishEqualHC sorts a dataset whose objects crowd onto a few
+// cells, in many orders, and holds finish to a sort.Slice oracle: the
+// same objects, IDs included, whichever order equal HC values land in.
+func TestFinishEqualHC(t *testing.T) {
+	c := hilbert.New(5)
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 20; trial++ {
+		objs := make([]Object, 300+rng.Intn(300))
+		for i := range objs {
+			p := spatial.Point{X: uint32(rng.Intn(4)), Y: uint32(rng.Intn(3))}
+			objs[i] = Object{ID: -1, P: p, HC: c.Encode(p.X, p.Y)}
+		}
+		want := slices.Clone(objs)
+		sort.Slice(want, func(i, j int) bool { return want[i].HC < want[j].HC })
+		for i := range want {
+			want[i].ID = i
+		}
+		if got := finish(c, objs, "crowded").Objects; !slices.Equal(got, want) {
+			t.Fatalf("trial %d: finish = %v, want %v", trial, got, want)
+		}
 	}
 }

@@ -45,10 +45,6 @@ type scratch struct {
 	// point or EEF cell); a kNN search disk is never decomposed.
 	targets []hilbert.Range
 
-	// win is the clamped window rectangle winRegion classifies against.
-	win       hilbert.RectRegion
-	winRegion hilbert.RegionFunc
-
 	knn knnScratch
 }
 
@@ -58,22 +54,10 @@ func (s *Session) constTargets(targets []hilbert.Range) {
 	s.kb.retarget(targets)
 }
 
-// windowTargets decomposes w (clamped to the grid) into HC ranges using
-// the reusable target buffer.
+// windowTargets decomposes w (intersected with the grid) into HC ranges
+// using the reusable target buffer.
 func (s *Session) windowTargets(w spatial.Rect) []hilbert.Range {
-	curve := s.x.DS.Curve
-	sc := &s.scr
-	rect, ok := curve.ClampRect(w.MinX, w.MinY, w.MaxX, w.MaxY)
-	if !ok {
-		return sc.targets[:0]
-	}
-	sc.win = rect
-	if sc.winRegion == nil {
-		sc.winRegion = func(x0, y0, x1, y1 uint32) hilbert.Region {
-			return s.scr.win.Classify(x0, y0, x1, y1)
-		}
-	}
-	return curve.AppendRangesFunc(sc.targets[:0], sc.winRegion)
+	return s.x.DS.Curve.AppendRanges(s.scr.targets[:0], w.MinX, w.MinY, w.MaxX, w.MaxY)
 }
 
 // Window executes a window query: it returns the IDs of all objects
@@ -94,10 +78,18 @@ func (s *Session) WindowAppend(dst []int, w spatial.Rect) ([]int, broadcast.Stat
 
 // Point executes a point query: it returns the ID of the object at
 // point p and whether one exists. Either way the client has certainty
-// when the query terminates.
+// when the query terminates. A point off the grid holds no object: like
+// an empty window, it targets nothing, so the probe is paid and the
+// answer is "not found".
 func (s *Session) Point(p spatial.Point) (id int, found bool, stats broadcast.Stats) {
 	s.prepare()
-	hc := s.x.DS.Curve.Encode(p.X, p.Y)
+	curve := s.x.DS.Curve
+	if p.X >= curve.Side() || p.Y >= curve.Side() {
+		s.constTargets(s.scr.targets[:0])
+		s.retrieveAll(s.probe(), nil, nil)
+		return 0, false, s.Stats()
+	}
+	hc := curve.Encode(p.X, p.Y)
 	s.constTargets(append(s.scr.targets[:0], hilbert.Range{Lo: hc, Hi: hc + 1}))
 	start := s.probe()
 	s.retrieveAll(start, nil, nil)

@@ -142,6 +142,60 @@ func TestPointQuery(t *testing.T) {
 	}
 }
 
+// TestQueriesOffTheGrid holds every query whose parameters reach past
+// the grid to brute force: windows past each edge, on the edge,
+// straddling one and inverted; points and kNN centres off the grid.
+func TestQueriesOffTheGrid(t *testing.T) {
+	ds := dataset.Uniform(2000, 6, 23)
+	x, err := Build(ds, Config{Segments: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const far = math.MaxUint32
+	windows := []spatial.Rect{
+		{MinX: 70, MinY: 0, MaxX: 90, MaxY: 63},    // past the right edge
+		{MinX: 0, MinY: 64, MaxX: 63, MaxY: 80},    // past the top edge
+		{MinX: 64, MinY: 64, MaxX: far, MaxY: far}, // past the corner
+		{MinX: 64, MinY: 10, MaxX: 64, MaxY: 20},   // on the side itself
+		{MinX: 50, MinY: 3, MaxX: 200, MaxY: 9},    // straddling the right edge
+		{MinX: 5, MinY: 60, MaxX: 12, MaxY: far},   // straddling the top edge
+		{MinX: 40, MinY: 40, MaxX: 99, MaxY: 99},   // straddling the corner
+		{MinX: 30, MinY: 5, MaxX: 10, MaxY: 20},    // inverted
+		{MinX: 80, MinY: 5, MaxX: 10, MaxY: 20},    // inverted, past the edge
+	}
+	for i, w := range windows {
+		c := openClient(x.single, int64(97*i), nil)
+		got, st := c.Window(w)
+		if want := ds.WindowBrute(w); !equalInts(got, want) {
+			t.Errorf("window %+v: got %v, want %v", w, got, want)
+		}
+		if st.LatencyPackets <= 0 {
+			t.Errorf("window %+v: the probe must still be paid", w)
+		}
+	}
+	for i, p := range []spatial.Point{{X: 64, Y: 5}, {X: 5, Y: 64}, {X: 300, Y: far}} {
+		c := openClient(x.single, int64(31*i), nil)
+		if id, found, st := c.Point(p); found || st.LatencyPackets <= 0 {
+			t.Errorf("Point(%v) = (%d, %v, %+v), want not found after a probe", p, id, found, st)
+		}
+		for _, strat := range []Strategy{Conservative, Aggressive} {
+			c := openClient(x.single, int64(31*i), nil)
+			got, _ := c.KNN(p, 4, strat)
+			want, _ := ds.KNNBrute(p, 4)
+			gd, wd := knnDistances(ds, p, got), knnDistances(ds, p, want)
+			if len(gd) != len(wd) {
+				t.Fatalf("%v kNN at %v: got %v, want %v", strat, p, got, want)
+			}
+			for j := range gd {
+				if gd[j] != wd[j] {
+					t.Errorf("%v kNN at %v: got %v, want %v", strat, p, got, want)
+					break
+				}
+			}
+		}
+	}
+}
+
 func knnDistances(ds *dataset.Dataset, q spatial.Point, ids []int) []float64 {
 	out := make([]float64, len(ids))
 	for i, id := range ids {

@@ -221,13 +221,8 @@ func driftPlan(b *driftBase, n int, ratio float64, initial int, step func(drift 
 			cur = pending // on air when the next query tunes in
 			pending = -1
 		}
-		rect, ok := curve.ClampRect(q.w.MinX, q.w.MinY, q.w.MaxX, q.w.MaxY)
-		if ok {
-			ranges = curve.AppendRangesFunc(ranges[:0], rect.Classify)
-			op.Observe(ranges, 1)
-		} else {
-			op.Observe(nil, 1)
-		}
+		ranges = curve.AppendRanges(ranges[:0], q.w.MinX, q.w.MinY, q.w.MaxX, q.w.MaxY)
+		op.Observe(ranges, 1)
 		if i+1 != nextCheck {
 			continue
 		}

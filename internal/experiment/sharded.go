@@ -6,6 +6,7 @@ import (
 
 	"dsi/internal/dataset"
 	"dsi/internal/dsi"
+	"dsi/internal/hilbert"
 	"dsi/internal/sched"
 	"dsi/internal/spatial"
 )
@@ -96,12 +97,9 @@ func (wl *Workload) zipfShiftWindows(theta, ratio float64, seedOffset int64, n, 
 func shardProfile(x *dsi.Index, train []windowQuery) *sched.Profile {
 	prof := sched.NewProfile(x)
 	curve := x.DS.Curve
+	var ranges []hilbert.Range
 	for _, q := range train {
-		rect, ok := curve.ClampRect(q.w.MinX, q.w.MinY, q.w.MaxX, q.w.MaxY)
-		if !ok {
-			continue
-		}
-		ranges := curve.AppendRangesFunc(nil, rect.Classify)
+		ranges = curve.AppendRanges(ranges[:0], q.w.MinX, q.w.MinY, q.w.MaxX, q.w.MaxY)
 		prof.AddRanges(ranges, 1)
 	}
 	return prof

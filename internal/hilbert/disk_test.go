@@ -11,21 +11,21 @@ import (
 
 // diskOracle is the reference the disk is held to: a block
 // classifier of the closed disk of squared radius r2 around (qx, qy),
-// run through the generic AppendRangesFunc.
+// run through the generic walk (appendRangesFunc).
 type diskOracle struct {
 	qx, qy, r2 float64
 }
 
-func (d *diskOracle) classify(x0, y0, x1, y1 uint32) Region {
+func (d *diskOracle) classify(x0, y0, x1, y1 uint32) region {
 	min := rectPointMinDist2(float64(x0), float64(y0), float64(x1), float64(y1), d.qx, d.qy)
 	if min > d.r2 {
-		return Outside
+		return regionOutside
 	}
 	max := rectPointMaxDist2(float64(x0), float64(y0), float64(x1), float64(y1), d.qx, d.qy)
 	if max <= d.r2 {
-		return Inside
+		return regionInside
 	}
-	return Partial
+	return regionPartial
 }
 
 // ranges is the reference decomposition. A NaN anywhere is at no
@@ -34,7 +34,7 @@ func (d *diskOracle) ranges(c Curve) []Range {
 	if d.qx != d.qx || d.qy != d.qy || d.r2 != d.r2 {
 		return nil
 	}
-	return c.AppendRangesFunc(nil, d.classify)
+	return c.appendRangesFunc(nil, d.classify)
 }
 
 // rectPointMinDist2 returns the squared distance from (qx,qy) to the

@@ -8,16 +8,15 @@
 // has HC value 2.
 //
 // The package also provides exact decompositions of query regions into
-// maximal contiguous HC ranges (Ranges and RangesFunc for rectangles
-// and caller-defined regions, RangesDisk for disks), which the DSI
-// window algorithm and the HCI baseline rely on, and Disk, a kNN search
-// disk the DSI client queries per stretch of the curve instead of
-// decomposing it.
+// maximal contiguous HC ranges (Ranges for rectangles, RangesDisk for
+// disks), which the DSI window algorithm and the HCI baseline rely on,
+// and Disk, a kNN search disk the DSI client queries per stretch of the
+// curve instead of decomposing it.
 package hilbert
 
 import (
 	"fmt"
-	"sync"
+	"math/bits"
 )
 
 // MaxOrder is the largest supported curve order. 2*MaxOrder bits of HC
@@ -146,40 +145,6 @@ func (r Range) Overlaps(o Range) bool { return r.Lo < o.Hi && o.Lo < r.Hi }
 
 func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
 
-// RegionFunc classifies an axis-aligned block of cells
-// [x0,x1] x [y0,y1] (inclusive bounds) against a query region.
-type RegionFunc func(x0, y0, x1, y1 uint32) Region
-
-// Region is the classification of a cell block against a query region.
-type Region int
-
-const (
-	// Outside means no cell of the block can satisfy the query region.
-	Outside Region = iota
-	// Inside means every cell of the block satisfies the query region.
-	Inside
-	// Partial means the block must be subdivided.
-	Partial
-)
-
-// RangesFunc decomposes the set of cells classified Inside by the region
-// function into maximal contiguous HC ranges, sorted ascending. The
-// classifier must be consistent: a block classified Inside (Outside) must
-// have all (no) cells inside. The decomposition subdivides quadrants,
-// so its cost is proportional to the region's perimeter in cells.
-func (c Curve) RangesFunc(region RegionFunc) []Range {
-	return c.AppendRangesFunc(nil, region)
-}
-
-// qblock is a pending block of the iterative quadrant subdivision: its
-// lower-left corner and side, plus the HC value of its first cell and
-// the curve orientation inside it.
-type qblock struct {
-	x0, y0, s uint32
-	lo        uint64
-	state     uint8
-}
-
 // quadOrder drives the curve-ordered subdivision. The 2D Hilbert curve
 // has four reachable orientations (identity, swap, point reflection,
 // and their composition — derived from the rotations in encodeScalar);
@@ -191,59 +156,6 @@ var quadOrder = [4][4]struct{ dx, dy, next uint8 }{
 	{{0, 0, 0}, {1, 0, 1}, {1, 1, 1}, {0, 1, 2}}, // swap
 	{{1, 1, 3}, {1, 0, 2}, {0, 0, 2}, {0, 1, 1}}, // invert both
 	{{1, 1, 2}, {0, 1, 3}, {0, 0, 3}, {1, 0, 0}}, // swap + invert
-}
-
-// stackPool recycles subdivision stacks across decompositions, so a
-// warm query path allocates nothing beyond growth of the caller's
-// destination buffer.
-var stackPool = sync.Pool{New: func() any {
-	s := make([]qblock, 0, 4*MaxOrder)
-	return &s
-}}
-
-// AppendRangesFunc is RangesFunc appending into dst (which may be nil
-// or a recycled buffer): the new ranges occupy dst[len(dst):], sorted
-// and merged; previously present elements are left untouched.
-//
-// The subdivision descends quadrants in curve-visit order (quadOrder),
-// so blocks surface with strictly increasing HC values: each block's
-// base is the parent's base plus its visit rank times the child area —
-// no per-block Encode — and adjacent blocks coalesce with a single
-// comparison instead of a sort-and-merge pass over the tail.
-func (c Curve) AppendRangesFunc(dst []Range, region RegionFunc) []Range {
-	base := len(dst)
-	sp := stackPool.Get().(*[]qblock)
-	stack := append((*sp)[:0], qblock{0, 0, c.Side(), 0, 0})
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		switch region(b.x0, b.y0, b.x0+b.s-1, b.y0+b.s-1) {
-		case Outside:
-		case Inside:
-			dst = appendRun(dst, base, b.lo, b.lo+uint64(b.s)*uint64(b.s))
-		default:
-			if b.s == 1 {
-				// A 1x1 block classified Partial is a classifier bug;
-				// treat as inside to stay conservative (never lose a
-				// cell).
-				dst = appendRun(dst, base, b.lo, b.lo+1)
-				continue
-			}
-			h := b.s >> 1
-			area := uint64(h) * uint64(h)
-			q := &quadOrder[b.state]
-			// Push in reverse visit order so pops follow the curve.
-			for r := 3; r >= 0; r-- {
-				stack = append(stack, qblock{
-					b.x0 + uint32(q[r].dx)*h, b.y0 + uint32(q[r].dy)*h, h,
-					b.lo + uint64(r)*area, q[r].next,
-				})
-			}
-		}
-	}
-	*sp = stack
-	stackPool.Put(sp)
-	return dst
 }
 
 // appendRun appends the half-open HC run [lo, hi) to dst, coalescing
@@ -259,60 +171,100 @@ func appendRun(dst []Range, base int, lo, hi uint64) []Range {
 }
 
 // Ranges decomposes the inclusive cell rectangle [x0,x1] x [y0,y1] into
-// maximal contiguous HC ranges, sorted ascending. Bounds are clamped to
-// the grid; an empty rectangle yields nil.
+// maximal contiguous HC ranges, sorted ascending. The rectangle is
+// intersected with the grid: a max corner past the grid's side stands
+// for its last row or column, and a rectangle that lies wholly past
+// the grid (its min corner at or past the side on either axis) or is
+// inverted is empty and yields nil.
 func (c Curve) Ranges(x0, y0, x1, y1 uint32) []Range {
 	return c.AppendRanges(nil, x0, y0, x1, y1)
 }
 
 // AppendRanges is Ranges appending into dst (which may be nil or a
-// recycled buffer).
+// recycled buffer): the new ranges occupy dst[len(dst):]; elements
+// already in dst are left untouched.
+//
+// The decomposition descends quadrants in curve-visit order
+// (quadOrder), so blocks surface with strictly increasing HC values:
+// each block's base is the parent's base plus its visit rank times the
+// child area — no per-block Encode — and adjacent blocks coalesce with
+// a single comparison instead of a sort-and-merge pass. Its cost
+// follows the rectangle's perimeter in cells.
 func (c Curve) AppendRanges(dst []Range, x0, y0, x1, y1 uint32) []Range {
-	rect, ok := c.ClampRect(x0, y0, x1, y1)
-	if !ok {
+	side := c.Side()
+	// A max corner past the grid moves onto its last row or column; a
+	// min corner past it then lies beyond the max one.
+	r := rect{x0, y0, min(x1, side-1), min(y1, side-1)}
+	if r.x1 < r.x0 || r.y1 < r.y0 {
 		return dst
 	}
-	return c.AppendRangesFunc(dst, rect.Classify)
+	return r.descend(dst, len(dst), 0, 0, side, 0, 0)
 }
 
-// RectRegion classifies cell blocks against the inclusive rectangle
-// [X0,X1] x [Y0,Y1]. A caller can hold one long-lived RegionFunc over
-// a RectRegion and re-parameterize the rectangle without allocating a
-// new closure per query.
-type RectRegion struct {
-	X0, Y0, X1, Y1 uint32
+// rect is a non-empty inclusive cell rectangle within the grid.
+type rect struct{ x0, y0, x1, y1 uint32 }
+
+// halves returns, as bit i for half i, which of the two halves of the
+// cells [a, a+2h) lie inside the rectangle's [lo, hi] on one axis, and
+// which meet it. The cells meet [lo, hi] as a whole, so the lower half
+// meets it when it reaches lo and the upper one when it starts by hi.
+func halves(a, h, lo, hi uint32) (in, meet uint8) {
+	m := a + h // first cell of the upper half
+	return b2u(a >= lo && m <= hi+1) | b2u(m >= lo && m+h <= hi+1)<<1, b2u(m > lo) | b2u(m <= hi)<<1
 }
 
-// Classify implements RegionFunc semantics for the rectangle.
-func (r *RectRegion) Classify(x0, y0, x1, y1 uint32) Region {
-	if x1 < r.X0 || x0 > r.X1 || y1 < r.Y0 || y0 > r.Y1 {
-		return Outside
+func b2u(c bool) uint8 {
+	if c {
+		return 1
 	}
-	if x0 >= r.X0 && x1 <= r.X1 && y0 >= r.Y0 && y1 <= r.Y1 {
-		return Inside
-	}
-	return Partial
+	return 0
 }
 
-// ClampRect clamps the inclusive rectangle to the grid, exactly as
-// Ranges does before decomposing. ok is false when the rectangle is
-// empty after clamping.
-func (c Curve) ClampRect(x0, y0, x1, y1 uint32) (RectRegion, bool) {
-	side := c.Side()
-	if x0 >= side {
-		x0 = side - 1
+// visitOrder turns the halves of a block's two axes into a mask over its
+// quadrants in curve-visit order: bit k is set when both halves of the
+// k-th quadrant the curve visits are set.
+func visitOrder(state, xb, yb uint8) uint8 {
+	pos := (xb | xb<<2) & ((yb&1)*3 | (yb>>1)*12) // bit dx + 2*dy
+	return visitMask[state][pos]
+}
+
+// visitMask[state][pos] reorders a mask over quadrant positions (bit
+// dx + 2*dy) into curve-visit order under the orientation state.
+var visitMask = func() (t [4][16]uint8) {
+	for st := range t {
+		for pos := range t[st] {
+			for k, q := range quadOrder[st] {
+				if pos>>(q.dx+2*q.dy)&1 == 1 {
+					t[st][pos] |= 1 << k
+				}
+			}
+		}
 	}
-	if y0 >= side {
-		y0 = side - 1
+	return t
+}()
+
+// descend appends the rectangle's runs within the block of side s >= 2
+// at (x0, y0), first cell lo, which meets the rectangle: the grid, or a
+// quadrant the rectangle cuts. It classifies the block's two x halves
+// and two y halves once; from those four answers each quadrant is
+// inside, outside or cut. The quadrants meeting the rectangle are taken
+// in curve order, runs merging into the tail dst[base:], and the cut
+// ones are descended. A quadrant of side 1 is one cell, never cut.
+func (r *rect) descend(dst []Range, base int, x0, y0, s uint32, lo uint64, state uint8) []Range {
+	h := s >> 1
+	xin, xmeet := halves(x0, h, r.x0, r.x1)
+	yin, ymeet := halves(y0, h, r.y0, r.y1)
+	in, meet := visitOrder(state, xin, yin), visitOrder(state, xmeet, ymeet)
+	area := uint64(h) * uint64(h)
+	for ; meet != 0; meet &= meet - 1 {
+		k := bits.TrailingZeros8(meet)
+		qlo := lo + uint64(k)*area
+		if in>>k&1 == 1 {
+			dst = appendRun(dst, base, qlo, qlo+area)
+			continue
+		}
+		q := &quadOrder[state][k]
+		dst = r.descend(dst, base, x0+uint32(q.dx)*h, y0+uint32(q.dy)*h, h, qlo, q.next)
 	}
-	if x1 >= side {
-		x1 = side - 1
-	}
-	if y1 >= side {
-		y1 = side - 1
-	}
-	if x1 < x0 || y1 < y0 {
-		return RectRegion{}, false
-	}
-	return RectRegion{X0: x0, Y0: y0, X1: x1, Y1: y1}, true
+	return dst
 }

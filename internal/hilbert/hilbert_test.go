@@ -1,7 +1,9 @@
 package hilbert
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +175,16 @@ func TestRangesExactSmall(t *testing.T) {
 		{0, 8, 15, 8}, // single row
 		{7, 0, 7, 15}, // single column
 		{14, 14, 15, 15},
+		// Past the grid: wholly past each edge, a min corner on the
+		// side itself, straddling an edge, inverted.
+		{20, 3, 30, 9},
+		{3, 20, 9, 30},
+		{16, 0, 16, 15},
+		{0, 16, 15, 16},
+		{16, 16, math.MaxUint32, math.MaxUint32},
+		{10, 12, 100, 13},
+		{2, 9, 4, math.MaxUint32},
+		{9, 3, 4, 8},
 	}
 	for _, tc := range cases {
 		rs := c.Ranges(tc[0], tc[1], tc[2], tc[3])
@@ -324,5 +336,108 @@ func TestRangesDiskMaximal(t *testing.T) {
 					qx, qy, r, rs[j-1], rs[j])
 			}
 		}
+	}
+}
+
+// checkRect holds AppendRanges of one rectangle to the generic walk
+// over the raw rectangle, and to brute force on small curves: the same
+// runs, sorted and maximal, appended after what dst held.
+func checkRect(t testing.TB, c Curve, x0, y0, x1, y1 uint32) {
+	t.Helper()
+	want := rectOracle{x0, y0, x1, y1}.ranges(c)
+	prefix := []Range{{Lo: 7, Hi: 9}}
+	got := c.AppendRanges(slices.Clone(prefix), x0, y0, x1, y1)
+	if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], want) {
+		t.Fatalf("order %d: AppendRanges(%d,%d,%d,%d) = %v, want %v after %v", c.Order(), x0, y0, x1, y1, got, want, prefix)
+	}
+	for i := 2; i < len(got); i++ {
+		if got[i].Lo <= got[i-1].Hi || got[i].Hi <= got[i].Lo {
+			t.Fatalf("order %d: AppendRanges(%d,%d,%d,%d): ranges %v and %v not sorted and maximal", c.Order(), x0, y0, x1, y1, got[i-1], got[i])
+		}
+	}
+	if c.Order() <= 6 && !sameSet(rangesCover(got[1:]), bruteRect(c, x0, y0, x1, y1)) {
+		t.Fatalf("order %d: AppendRanges(%d,%d,%d,%d) covers the wrong cells", c.Order(), x0, y0, x1, y1)
+	}
+}
+
+// TestRangesMatchOracleSmall runs every rectangle of orders 1 to 4,
+// corners up to two past the grid's side and at the largest coordinate
+// included, inverted ones too.
+func TestRangesMatchOracleSmall(t *testing.T) {
+	for order := uint(1); order <= 4; order++ {
+		c := New(order)
+		var coords []uint32
+		for v := uint32(0); v <= c.Side()+1; v++ {
+			coords = append(coords, v)
+		}
+		coords = append(coords, math.MaxUint32)
+		for _, x0 := range coords {
+			for _, y0 := range coords {
+				for _, x1 := range coords {
+					for _, y1 := range coords {
+						checkRect(t, c, x0, y0, x1, y1)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRangesMatchOracleLarge runs random rectangles on large curves:
+// windows of up to 48 cells a side anywhere (past the grid included),
+// and rectangles whose edges lie on a lattice of 16 blocks a side, so
+// the boundary, which both pay for block by block, stays short.
+func TestRangesMatchOracleLarge(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, order := range []uint{8, 16, 31} {
+		c := New(order)
+		side := uint64(c.Side())
+		coord := func(n uint64) uint32 { return uint32(rng.Int63n(int64(n))) }
+		for i := 0; i < 300; i++ {
+			x0, y0 := coord(side+side/8), coord(side+side/8)
+			checkRect(t, c, x0, y0, x0+coord(48), y0+coord(48))
+			step := uint32(side / 16)
+			x0, y0 = coord(17)*step, coord(17)*step
+			checkRect(t, c, x0, y0, x0+coord(10)*step-1, y0+coord(10)*step-1)
+		}
+	}
+}
+
+// FuzzRectRanges holds the rectangle descent to the generic walk over
+// arbitrary orders and corners, and to brute force up to order 6.
+// Above order 8 the max corner is drawn within 64 cells of the min
+// corner (either side of it), so the walk's cost stays bounded.
+func FuzzRectRanges(f *testing.F) {
+	f.Add(uint8(3), uint32(1), uint32(2), uint32(6), uint32(5))
+	f.Add(uint8(7), uint32(200), uint32(0), uint32(250), uint32(127))
+	f.Add(uint8(4), uint32(3), uint32(14), uint32(100), uint32(math.MaxUint32))
+	f.Add(uint8(30), uint32(1<<30), uint32(12345), uint32(77), uint32(5))
+	f.Add(uint8(5), uint32(9), uint32(9), uint32(2), uint32(20))
+	f.Fuzz(func(t *testing.T, order uint8, x0, y0, x1, y1 uint32) {
+		c := New(1 + uint(order)%MaxOrder)
+		if c.Order() > 8 {
+			x1, y1 = x0^(x1&63), y0^(y1&63)
+		}
+		checkRect(t, c, x0, y0, x1, y1)
+	})
+}
+
+// BenchmarkAppendRanges decomposes windows of a tenth of the grid's
+// side at random places on an order-8 curve into a warm buffer; ns/op
+// is per window.
+func BenchmarkAppendRanges(b *testing.B) {
+	c := New(8)
+	rng := rand.New(rand.NewSource(3))
+	ws := make([][4]uint32, 256)
+	for i := range ws {
+		x, y := uint32(rng.Intn(231)), uint32(rng.Intn(231))
+		ws[i] = [4]uint32{x, y, x + 25, y + 25}
+	}
+	var dst []Range
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := &ws[i%len(ws)]
+		dst = c.AppendRanges(dst[:0], w[0], w[1], w[2], w[3])
 	}
 }

@@ -66,20 +66,19 @@ func NewOnlineProfiler(x *dsi.Index, halfLife float64) *OnlineProfiler {
 func (op *OnlineProfiler) Queries() int64 { return op.n }
 
 // Observe absorbs one query: every earlier observation decays by one
-// decay step and weight w lands on the frames overlapping the query's
-// target ranges (its HC decomposition — exactly what Profile.AddRanges
-// charges). Cost is O(frames touched by the ranges).
+// decay step and weight w is charged for the query's target ranges
+// (its HC decomposition) exactly as Profile.AddRanges charges them:
+// once per range a frame can hold objects of. Cost is O(frames touched
+// by the ranges).
 func (op *OnlineProfiler) Observe(targets []hilbert.Range, w float64) {
 	op.tick()
-	for _, r := range targets {
-		chargeRange(op.x, op.freq, r.Lo, r.Hi, w*op.scale)
-	}
+	charge(op.x, op.freq, targets, w*op.scale)
 }
 
 // ObserveRange is Observe for a single pre-decomposed range.
 func (op *OnlineProfiler) ObserveRange(lo, hi uint64, w float64) {
 	op.tick()
-	chargeRange(op.x, op.freq, lo, hi, w*op.scale)
+	charge(op.x, op.freq, []hilbert.Range{{Lo: lo, Hi: hi}}, w*op.scale)
 }
 
 // tick advances the decay clock by one observation and renormalizes

@@ -24,7 +24,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"dsi/internal/dsi"
 	"dsi/internal/hilbert"
@@ -47,35 +46,80 @@ func NewProfile(x *dsi.Index) *Profile {
 // AddRange accumulates weight w on every frame that can hold objects
 // with HC values in [lo, hi): the frames a query for that range visits.
 func (p *Profile) AddRange(lo, hi uint64, w float64) {
-	chargeRange(p.X, p.Freq, lo, hi, w)
+	charge(p.X, p.Freq, []hilbert.Range{{Lo: lo, Hi: hi}}, w)
 }
 
-// chargeRange accumulates weight w on every frame of x that can hold
-// objects with HC values in [lo, hi) — the shared core of the offline
-// Profile and the decayed OnlineProfiler.
-func chargeRange(x *dsi.Index, freq []float64, lo, hi uint64, w float64) {
-	if lo >= hi || w == 0 {
+// AddRanges charges the target ranges (one query's HC decomposition)
+// as AddRange charges each: a frame gains w once per range it can hold
+// objects of, so a frame holding several of a window's ranges gains w
+// several times.
+func (p *Profile) AddRanges(targets []hilbert.Range, w float64) {
+	charge(p.X, p.Freq, targets, w)
+}
+
+// charge adds weight w, range by range, to every frame of x that can
+// hold objects with HC values in each target range — the shared core of
+// the offline Profile and the decayed OnlineProfiler. A range charges
+// the first frame whose successor starts at or above its Lo, up to the
+// last frame starting below its Hi. The >= (rather than >) keeps a
+// frame whose last objects duplicate the next frame's minimum HC == Lo
+// in the charged set; without duplicates it can at most charge one
+// extra boundary frame, which a frequency profile tolerates.
+//
+// One pass serves a query's ranges: they ascend, so each range's first
+// frame is searched from the previous range's, galloping forward. A
+// range starting below the one before it searches from frame 0 again.
+func charge(x *dsi.Index, freq []float64, targets []hilbert.Range, w float64) {
+	if w == 0 {
 		return
 	}
-	// First frame whose successor starts at or above lo, up to the last
-	// frame starting below hi. The >= (rather than >) keeps a frame
-	// whose last objects duplicate the next frame's minimum HC == lo in
-	// the charged set; without duplicates it can at most charge one
-	// extra boundary frame, which a frequency profile tolerates.
-	f := sort.Search(x.NF, func(f int) bool {
-		return f+1 >= x.NF || x.MinHC(f+1) >= lo
-	})
-	for ; f < x.NF && x.MinHC(f) < hi; f++ {
-		freq[f] += w
+	f, prev := 0, uint64(0)
+	for _, r := range targets {
+		if r.Lo >= r.Hi {
+			continue
+		}
+		if r.Lo < prev {
+			f = 0
+		}
+		prev = r.Lo
+		f = firstFrame(x, f, r.Lo)
+		for g := f; g < x.NF && x.MinHC(g) < r.Hi; g++ {
+			freq[g] += w
+		}
 	}
 }
 
-// AddRanges accumulates weight w on every frame overlapping any of the
-// target ranges (one query's HC decomposition).
-func (p *Profile) AddRanges(targets []hilbert.Range, w float64) {
-	for _, r := range targets {
-		p.AddRange(r.Lo, r.Hi, w)
+// firstFrame returns the first frame f >= from whose successor starts
+// at or above lo, or the last frame: the first where the successor
+// test holds, which it does from some frame on. It probes from+1,
+// from+3, from+7, ... until the test holds, then bisects the last gap.
+func firstFrame(x *dsi.Index, from int, lo uint64) int {
+	last := x.NF - 1
+	if from >= last || x.MinHC(from+1) >= lo {
+		return from
 	}
+	// The test fails at below and holds at above.
+	below, above := from, last
+	for step := 2; ; step *= 2 {
+		probe := from + step - 1
+		if probe >= last {
+			break
+		}
+		if x.MinHC(probe+1) >= lo {
+			above = probe
+			break
+		}
+		below = probe
+	}
+	for above-below > 1 {
+		m := int(uint(below+above) >> 1)
+		if x.MinHC(m+1) >= lo {
+			above = m
+		} else {
+			below = m
+		}
+	}
+	return above
 }
 
 // Total returns the accumulated weight across all frames.
