@@ -3,10 +3,13 @@
 // Hilbert-curve value, sorted in broadcast (HC) order.
 //
 // With -emit-image it instead runs the out-of-core pipeline: the
-// dataset streams through an external sort into a wire-cycle image
-// file — the exact transmitter byte stream, servable by
-// dsistation -image — holding at most -budget object records in heap
-// no matter how large -n is.
+// dataset streams through an external sort, which holds at most -budget
+// object records in heap, into a mapped object file, and the broadcast
+// built over it is written as a wire-cycle image file — the exact
+// transmitter byte stream, servable by dsistation -image. The index is
+// built in heap, at about 200 B a frame. A -real image is the default
+// REAL-like dataset, the only one clients rebuild from the image's
+// catalog document, so an -n or -order other than its own is refused.
 //
 // Usage:
 //
@@ -20,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 
 	"dsi/internal/dataset"
 	"dsi/internal/diskstore"
@@ -42,6 +46,12 @@ func main() {
 	flag.Parse()
 
 	if *emitImage != "" {
+		if *real {
+			if err := checkRealImageFlags(flag.CommandLine, *seed); err != nil {
+				fmt.Fprintf(os.Stderr, "dsigen: %v\n", err)
+				os.Exit(2)
+			}
+		}
 		if err := buildImage(*emitImage, *n, *order, *seed, *real,
 			dsi.Config{Capacity: *capacity, Segments: *segments, ObjectBytes: *objB},
 			*budget); err != nil {
@@ -86,4 +96,21 @@ func buildImage(path string, n int, order uint, seed int64, real bool, cfg dsi.C
 	fmt.Fprintf(os.Stderr, "dsigen: %s: %d objects, %d frames, %d slots/cycle, checksum %#x (%d spilled runs)\n",
 		path, stats.Geo.N, stats.Geo.NF, stats.Geo.CycleSlots(), stats.Checksum, stats.SpilledRuns)
 	return nil
+}
+
+// checkRealImageFlags refuses an -n or -order set in fs that differs
+// from the default REAL-like configuration: clients rebuild a "real"
+// image's dataset from dataset.DefaultRealConfig alone, so the image is
+// built at that configuration and any other size or order would be
+// ignored.
+func checkRealImageFlags(fs *flag.FlagSet, seed int64) error {
+	cfg := dataset.DefaultRealConfig(seed)
+	want := map[string]string{"n": strconv.Itoa(cfg.N), "order": strconv.FormatUint(uint64(cfg.Order), 10)}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if w, ok := want[f.Name]; ok && err == nil && f.Value.String() != w {
+			err = fmt.Errorf("-%s %s: a -real image is the default REAL-like dataset, whose -%s is %s", f.Name, f.Value, f.Name, w)
+		}
+	})
+	return err
 }

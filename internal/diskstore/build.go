@@ -1,22 +1,23 @@
 package diskstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"unsafe"
 
 	"dsi/internal/dataset"
 	"dsi/internal/dsi"
+	"dsi/internal/hilbert"
 	"dsi/internal/spatial"
 	"dsi/internal/station"
 	"dsi/internal/wire"
 )
 
-// objRec is one sorted-object-file record: the object's cell and HC
-// value, 16 bytes fixed. The object's ID is its record index (HC
-// rank), so it is not stored.
+// objRec is one record of the external sort: the object's cell and HC
+// value, 16 bytes fixed. The object's ID is its HC rank, assigned once
+// the sort is done, so it is not stored.
 type objRec struct {
 	X, Y uint32
 	HC   uint64
@@ -78,8 +79,8 @@ type BuildOptions struct {
 	// Budget is the maximum number of object records held in heap by
 	// the sort (16 bytes each); 0 selects DefaultBudget.
 	Budget int
-	// TmpDir hosts the sort spill runs and the temporary sorted
-	// object/frame files; empty uses the image's directory.
+	// TmpDir hosts the sort spill runs and the temporary sorted object
+	// file; empty uses the image's directory.
 	TmpDir string
 }
 
@@ -91,40 +92,84 @@ type BuildStats struct {
 }
 
 // BuildImage builds the wire-cycle image of the single-channel DSI
-// broadcast of ps under cfg, holding at most opt.Budget object records
-// in heap: points stream through the external sorter into a sorted
-// object file and a per-frame minHC file, which are then mmap'd and
-// replayed as the exact transmitter byte stream. The result is
-// byte-identical to WriteImage over station.NewMultiTransmitter(
-// dsi.Build(dataset, cfg).SingleLayout()) — regression-enforced —
-// without ever materializing the dataset, the index, or the cycle.
+// broadcast of ps under cfg. Points stream through the external sorter,
+// which holds at most opt.Budget object records in heap, into a sorted
+// object file. That file is mapped as the dataset's objects, and the
+// image is what station.NewMultiTransmitter over dsi.Build(dataset,
+// cfg).SingleLayout() transmits: the one cycle producer, so the image
+// is the in-memory build's by construction. The objects stay out of
+// heap; the index (dsi.Build's per-frame arrays and tables) and the
+// transmitter's encoded tables do not, at about 200 B a frame.
 //
 // Multi-channel and erasure-coded broadcasts are imaged from their
-// in-memory transmitters via WriteImage; the streaming path covers the
-// single-channel geometry, which is the one whose cycle outgrows RAM
-// first (one cycle carries every object).
+// in-memory transmitters via WriteImage.
 func BuildImage(imgPath string, ps PointStream, cfg dsi.Config, opt BuildOptions) (BuildStats, error) {
 	var stats BuildStats
 	if cfg.ReserveMCPtr {
 		return stats, fmt.Errorf("diskstore: the streaming build images single-channel broadcasts; ReserveMCPtr is multi-channel")
 	}
-	geo, cfg, err := dsi.PlanGeometry(ps.N, cfg)
+	_, planned, err := dsi.PlanGeometry(ps.N, cfg)
 	if err != nil {
 		return stats, err
 	}
-	if err := wire.CheckHeaderFits(cfg.Capacity, cfg.ObjectBytes); err != nil {
-		return stats, err // before the sort: the stream source would refuse it after
+	if err := wire.CheckHeaderFits(planned.Capacity, planned.ObjectBytes); err != nil {
+		return stats, err // before the sort: the transmitter would refuse it only after
 	}
-	stats.Geo = geo
 
 	tmp := opt.TmpDir
 	if tmp == "" {
 		tmp = filepath.Dir(imgPath)
 	}
-
-	sorter, err := NewSorter(tmp, objCodec, func(a, b objRec) bool { return a.HC < b.HC }, opt.Budget)
+	objPath := filepath.Join(tmp, filepath.Base(imgPath)+".objects.tmp")
+	defer os.Remove(objPath)
+	stats.Checksum, stats.SpilledRuns, err = spillSorted(ps, objPath, tmp, opt.Budget)
 	if err != nil {
 		return stats, err
+	}
+	objs, m, err := mapObjects(objPath, ps.N)
+	if err != nil {
+		return stats, err
+	}
+	defer m.close()
+
+	x, err := dsi.Build(&dataset.Dataset{Curve: hilbert.New(ps.Order), Objects: objs}, cfg)
+	if err != nil {
+		return stats, err
+	}
+	stats.Geo = x.Geometry
+	tx, err := station.NewMultiTransmitter(x.SingleLayout())
+	if err != nil {
+		return stats, err
+	}
+	info, _ := InfoFor(tx, wire.StationMeta{ // a fresh transmitter is static
+		Dataset: wire.StationDataset{
+			Kind: ps.Kind, N: ps.N, Order: ps.Order, Seed: ps.Seed, Sum: stats.Checksum,
+		},
+		Capacity: x.Cfg.Capacity, Segments: x.Cfg.Segments, ObjectBytes: x.Cfg.ObjectBytes,
+		Channels: 1, Scheduler: "single",
+	})
+	return stats, WriteImageFile(imgPath, tx, info)
+}
+
+// objectSize is the bytes of one dataset.Object in this process's
+// memory layout, the record of the sorted object file.
+const objectSize = int(unsafe.Sizeof(dataset.Object{}))
+
+// objectBytes views objects as their bytes in memory.
+func objectBytes(objs []dataset.Object) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(objs))), len(objs)*objectSize)
+}
+
+// spillSorted sorts ps's points into HC order, holding at most budget
+// records in heap (spill runs go to tmp), and writes them to objPath as
+// dataset.Objects whose IDs are their HC ranks. The file is raw memory:
+// it is read back only by mapObjects in the process that wrote it, so
+// byte order and padding cannot differ. It returns the dataset
+// checksum and the number of runs the sort spilled.
+func spillSorted(ps PointStream, objPath, tmp string, budget int) (sum uint64, spilled int, err error) {
+	sorter, err := NewSorter(tmp, objCodec, func(a, b objRec) bool { return a.HC < b.HC }, budget)
+	if err != nil {
+		return 0, 0, err
 	}
 	defer sorter.Close()
 	var addErr error
@@ -134,286 +179,69 @@ func BuildImage(imgPath string, ps PointStream, cfg dsi.Config, opt BuildOptions
 		}
 	})
 	if addErr != nil {
-		return stats, addErr
+		return 0, 0, addErr
 	}
 	if got := sorter.Len(); got != int64(ps.N) {
-		return stats, fmt.Errorf("diskstore: generator emitted %d objects, want %d", got, ps.N)
+		return 0, 0, fmt.Errorf("diskstore: generator emitted %d objects, want %d", got, ps.N)
 	}
 	st, err := sorter.Merge()
 	if err != nil {
-		return stats, err
+		return 0, 0, err
 	}
-	stats.SpilledRuns = sorter.Spilled()
 
-	objPath := filepath.Join(tmp, filepath.Base(imgPath)+".objects.tmp")
-	framesPath := filepath.Join(tmp, filepath.Base(imgPath)+".frames.tmp")
-	defer os.Remove(objPath)
-	defer os.Remove(framesPath)
-	sum, err := spillSorted(st, geo, ps.Order, objPath, framesPath)
+	f, err := os.Create(objPath)
 	if err != nil {
-		return stats, err
+		return 0, 0, err
 	}
-	stats.Checksum = sum
-	if err := sorter.Close(); err != nil {
-		return stats, err
-	}
-
-	src, err := OpenStreamSource(objPath, framesPath, geo, cfg)
-	if err != nil {
-		return stats, err
-	}
-	defer src.Close()
-
-	meta := wire.StationMeta{
-		Dataset: wire.StationDataset{
-			Kind: ps.Kind, N: ps.N, Order: ps.Order, Seed: ps.Seed, Sum: sum,
-		},
-		Capacity: cfg.Capacity, Segments: cfg.Segments, ObjectBytes: cfg.ObjectBytes,
-		Channels: 1, Scheduler: "single",
-	}
-	info := ImageInfo{Capacity: cfg.Capacity, ChanSlots: []int{geo.CycleSlots()}, Meta: meta}
-	return stats, WriteImageFile(imgPath, src, info)
-}
-
-func newBufWriter(f *os.File) *bufio.Writer { return bufio.NewWriterSize(f, runReadBuf) }
-
-// spillSorted drains the sorted stream into the object file (16-byte
-// records in HC order) and the frames file (8-byte minHC per frame),
-// computing the dataset checksum on the way past.
-func spillSorted(st *Stream[objRec], geo dsi.Geometry, order uint, objPath, framesPath string) (uint64, error) {
-	objF, err := os.Create(objPath)
-	if err != nil {
-		return 0, err
-	}
-	defer objF.Close()
-	framesF, err := os.Create(framesPath)
-	if err != nil {
-		return 0, err
-	}
-	defer framesF.Close()
-
-	ow := newBufWriter(objF)
-	fw := newBufWriter(framesF)
-	sum := dataset.NewChecksumBuilder(order)
-	var rec [objRecSize]byte
+	defer f.Close()
+	cs := dataset.NewChecksumBuilder(ps.Order)
+	buf := make([]dataset.Object, 0, runReadBuf/objectSize)
 	var prev uint64
-	rank := 0
-	for {
+	for rank := 0; ; rank++ {
 		v, ok := st.Next()
+		if !ok || len(buf) == cap(buf) {
+			if _, err := f.Write(objectBytes(buf)); err != nil {
+				return 0, 0, err
+			}
+			buf = buf[:0]
+		}
 		if !ok {
 			break
 		}
 		if rank > 0 && v.HC <= prev {
-			return 0, fmt.Errorf("diskstore: duplicate or unordered HC %d at rank %d", v.HC, rank)
+			return 0, 0, fmt.Errorf("diskstore: duplicate or unordered HC %d at rank %d", v.HC, rank)
 		}
 		prev = v.HC
-		sum.Add(spatial.Point{X: v.X, Y: v.Y})
-		objCodec.Put(rec[:], v)
-		if _, err := ow.Write(rec[:]); err != nil {
-			return 0, err
-		}
-		if rank%geo.NO == 0 {
-			var m [8]byte
-			binary.LittleEndian.PutUint64(m[:], v.HC)
-			if _, err := fw.Write(m[:]); err != nil {
-				return 0, err
-			}
-		}
-		rank++
+		p := spatial.Point{X: v.X, Y: v.Y}
+		cs.Add(p)
+		buf = append(buf, dataset.Object{ID: rank, P: p, HC: v.HC})
 	}
 	if err := st.Err(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	if rank != geo.N {
-		return 0, fmt.Errorf("diskstore: sorted stream carried %d objects, want %d", rank, geo.N)
+	if err := f.Close(); err != nil {
+		return 0, 0, err
 	}
-	if err := ow.Flush(); err != nil {
-		return 0, err
-	}
-	if err := fw.Flush(); err != nil {
-		return 0, err
-	}
-	if err := objF.Sync(); err != nil {
-		return 0, err
-	}
-	if err := framesF.Sync(); err != nil {
-		return 0, err
-	}
-	return sum.Sum(), nil
+	return cs.Sum(), sorter.Spilled(), sorter.Close()
 }
 
-// StreamSource replays the single-channel broadcast of a disk-resident
-// sorted dataset as a station.PacketSource: packet for packet what
-// station.MultiTransmitter emits over the in-memory build's
-// SingleLayout (regression-pinned), but backed by the mmap'd object and
-// frame files. It knows only a dsi.Geometry — no index, no layout — so
-// it keeps its own slot arithmetic and encodes the classic table format
-// a single channel airs directly. It is the byte producer behind
-// BuildImage; serving should use the image (ImageSource), whose packets
-// need no per-call encoding.
-type StreamSource struct {
-	geo dsi.Geometry
-	cfg dsi.Config
-	obj *mapping // objRec per object, HC order
-	min *mapping // uint64 minHC per frame
-
-	tabPos   int
-	tab      []byte
-	entries  []dsi.TableEntry
-	objIdx   int
-	objBytes []byte
-}
-
-// OpenStreamSource maps the sorted object and frame files of a
-// streaming build. geo and cfg must be the PlanGeometry results the
-// files were built under.
-func OpenStreamSource(objPath, framesPath string, geo dsi.Geometry, cfg dsi.Config) (*StreamSource, error) {
-	if err := wire.CheckHeaderFits(cfg.Capacity, cfg.ObjectBytes); err != nil {
-		return nil, err
-	}
-	obj, err := openMapping(objPath)
+// mapObjects maps the object file spillSorted wrote as the n objects it
+// holds. The slice is valid until the mapping is closed. A file that is
+// not exactly n >= 1 objects, or whose mapping is not aligned for them,
+// is refused.
+func mapObjects(path string, n int) ([]dataset.Object, *mapping, error) {
+	m, err := openMapping(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	min, err := openMapping(framesPath)
-	if err != nil {
-		obj.close()
-		return nil, err
+	if n <= 0 || len(m.data) != n*objectSize {
+		m.close()
+		return nil, nil, fmt.Errorf("diskstore: object file %s is %dB, want %d objects of %dB", path, len(m.data), n, objectSize)
 	}
-	if got, want := len(obj.data), geo.N*objRecSize; got != want {
-		obj.close()
-		min.close()
-		return nil, fmt.Errorf("diskstore: object file is %dB, geometry wants %dB", got, want)
+	p := unsafe.Pointer(&m.data[0])
+	if uintptr(p)%unsafe.Alignof(dataset.Object{}) != 0 {
+		m.close()
+		return nil, nil, fmt.Errorf("diskstore: object file %s is mapped unaligned", path)
 	}
-	if got, want := len(min.data), geo.NF*8; got != want {
-		obj.close()
-		min.close()
-		return nil, fmt.Errorf("diskstore: frames file is %dB, geometry wants %dB", got, want)
-	}
-	return &StreamSource{geo: geo, cfg: cfg, obj: obj, min: min, tabPos: -1, objIdx: -1}, nil
+	return unsafe.Slice((*dataset.Object)(p), n), m, nil
 }
-
-// Close unmaps the object and frame files.
-func (s *StreamSource) Close() error {
-	err := s.obj.close()
-	if e := s.min.close(); err == nil {
-		err = e
-	}
-	return err
-}
-
-func (s *StreamSource) minHC(f int) uint64 {
-	return binary.LittleEndian.Uint64(s.min.data[f*8:])
-}
-
-func (s *StreamSource) object(i int) objRec {
-	return objCodec.Get(s.obj.data[i*objRecSize:])
-}
-
-// CycleSlots returns the broadcast cycle length in packet slots.
-func (s *StreamSource) CycleSlots() int { return s.geo.CycleSlots() }
-
-// PacketAt implements station.PacketSource: the run of one.
-func (s *StreamSource) PacketAt(ch int, abs int64) (station.Packet, uint32) {
-	var p [1]station.Packet
-	s.ReadRunAt(p[:], nil, ch, abs)
-	return p[0], p[0].Ver
-}
-
-// ReadRunAt implements station.PacketSource; the slot arithmetic and
-// payload bytes mirror station.MultiTransmitter over a single-channel
-// layout exactly. Payloads are slices of the table encoding and object
-// payload the source caches, each replaced — never rewritten — when the
-// stream moves on, so no read needs the buffer. Any channel but 0 and a
-// slot before 0 are lost slots.
-func (s *StreamSource) ReadRunAt(dst []station.Packet, _ []byte, ch int, abs int64) {
-	if ch != 0 {
-		clear(dst)
-		return
-	}
-	dst, abs = station.LostBeforeZero(dst, abs)
-	cycle := s.geo.CycleSlots()
-	slot := int(abs % int64(cycle))
-	for i := range dst {
-		dst[i] = s.packet(slot)
-		if slot++; slot == cycle {
-			slot = 0
-		}
-	}
-}
-
-// packet is the packet at a slot of the cycle.
-func (s *StreamSource) packet(slot int) station.Packet {
-	g := &s.geo
-	pos := slot / g.FramePackets
-	within := slot % g.FramePackets
-	p := station.Packet{Slot: uint32(slot), Ver: 1}
-
-	if within < g.TablePackets {
-		p.Flags = station.FlagIndex
-		tab, err := s.tableAt(pos)
-		if err != nil {
-			panic(fmt.Sprintf("diskstore: position %d: %v", pos, err))
-		}
-		from := within * g.Capacity
-		if from < len(tab) {
-			to := from + g.Capacity
-			if to > len(tab) {
-				to = len(tab)
-			}
-			p.Payload = tab[from:to]
-		}
-		return p
-	}
-
-	o := (within - g.TablePackets) / g.ObjPackets
-	part := (within - g.TablePackets) % g.ObjPackets
-	first, num := g.FrameObjects(g.PosToFrame(pos))
-	if o >= num {
-		return p // padding slot of a partial last frame
-	}
-	id := first + o
-	if id != s.objIdx {
-		obj := s.object(id)
-		s.objBytes = station.ObjectPayload(
-			wire.ObjectHeader{X: obj.X, Y: obj.Y, HC: obj.HC}, id, s.cfg.ObjectBytes)
-		s.objIdx = id
-	}
-	payload := s.objBytes
-	from := part * g.Capacity
-	to := from + g.Capacity
-	if to > len(payload) {
-		to = len(payload)
-	}
-	if part == 0 {
-		p.Flags = station.FlagObjectStart
-	}
-	if from < len(payload) {
-		p.Payload = payload[from:to]
-	}
-	return p
-}
-
-// tableAt encodes (and caches) the index table of the frame at cycle
-// position pos, by the table rule dsi.Build precomputes its tables with.
-func (s *StreamSource) tableAt(pos int) ([]byte, error) {
-	if pos == s.tabPos {
-		return s.tab, nil
-	}
-	t := s.geo.MakeTable(pos, s.minHC, s.entries)
-	s.entries = t.Entries
-	tab, err := wire.EncodeTable(t, s.geo.NF)
-	if err != nil {
-		return nil, err
-	}
-	s.tab, s.tabPos = tab, pos
-	return tab, nil
-}
-
-// DirectoryAt implements station.PacketSource: a single-channel
-// broadcast ships no shard directory.
-func (s *StreamSource) DirectoryAt(int64) ([]byte, uint32) { return nil, 1 }
-
-// FECDescAt implements station.PacketSource: the streaming build is
-// uncoded.
-func (s *StreamSource) FECDescAt(int64) ([]byte, uint32) { return nil, 1 }

@@ -1,7 +1,8 @@
 // Package diskstore is the out-of-core storage layer: it builds
-// datasets, indexes, and broadcast images whose working set exceeds
-// RAM, holding no more than a configured budget of records in heap at
-// any point of the pipeline.
+// broadcast images of datasets that are never held in heap. The sort
+// holds no more than a configured budget of object records, and the
+// sorted objects are a mapped file; the index is built in heap, at
+// about 200 B a frame.
 //
 // Three layers compose:
 //
@@ -12,8 +13,9 @@
 //     pipeline needs (objects, keys, STR items).
 //   - The disk-backed build: BuildImage streams a generated dataset
 //     through the sorter into a sorted object file (the HC broadcast
-//     order) and replays it as the single-channel byte stream without
-//     materializing the object set or the index.
+//     order), maps it as the dataset's objects, and images what
+//     station.NewMultiTransmitter over dsi.Build's single-channel
+//     layout transmits — the one cycle producer.
 //   - The wire-cycle image (WriteImage / OpenImage):
 //     the exact transmitter byte stream of a broadcast, one
 //     fixed-stride record per slot, with a slot-offset footer. A
@@ -25,6 +27,6 @@
 //
 // Every disk-built artifact is regression-enforced bit-identical to
 // its in-memory counterpart: the image matches the transmitter's
-// packets on all layouts (FEC included), and the sorted object file
+// packets on all layouts (FEC included), and the mapped object file
 // matches dataset.Uniform/Clustered.
 package diskstore

@@ -2,8 +2,10 @@ package diskstore
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -44,28 +46,32 @@ func comparePackets(t *testing.T, want, got station.PacketSource, chanSlots []in
 	}
 }
 
-// TestStreamImageIdentity is the tentpole regression: the image built
-// out-of-core (external sort, sorted object file, geometry-only
-// streaming source) must be byte-identical to the image of the one
-// static transmitter over the in-memory build's SingleLayout — and its
-// packets identical to the transmitter's.
+// TestStreamImageIdentity: the image built out-of-core (external sort,
+// mapped sorted object file) must be byte-identical to the image of the
+// one static transmitter over the in-memory build's SingleLayout — and
+// its packets identical to the transmitter's.
 func TestStreamImageIdentity(t *testing.T) {
 	cases := []struct {
-		n        int
-		order    uint
+		ps       PointStream
 		capacity int
 		objBytes int
 		segments int
 		budget   int
 	}{
-		{n: 300, order: 7, capacity: 64, objBytes: 1024, segments: 1, budget: 37},   // spills many runs
-		{n: 500, order: 8, capacity: 128, objBytes: 256, segments: 1, budget: 0},    // in-memory fast path
-		{n: 400, order: 8, capacity: 64, objBytes: 1024, segments: 2, budget: 64},   // reorganized broadcast
-		{n: 257, order: 8, capacity: 512, objBytes: 1024, segments: 1, budget: 100}, // multi-object frames
+		{ps: UniformStream(300, 7, 42), capacity: 64, objBytes: 1024, segments: 1, budget: 37},   // spills many runs
+		{ps: UniformStream(500, 8, 42), capacity: 128, objBytes: 256, segments: 1, budget: 0},    // in-memory fast path
+		{ps: UniformStream(400, 8, 42), capacity: 64, objBytes: 1024, segments: 2, budget: 64},   // reorganized broadcast
+		{ps: UniformStream(257, 8, 42), capacity: 512, objBytes: 1024, segments: 1, budget: 100}, // multi-object frames
+		{ps: RealStream(7), capacity: 64, objBytes: 256, segments: 1, budget: 1000},              // clustered, spills
 	}
 	for _, tc := range cases {
+		name := fmt.Sprintf("%s n=%d capacity=%d objbytes=%d segments=%d budget=%d",
+			tc.ps.Kind, tc.ps.N, tc.capacity, tc.objBytes, tc.segments, tc.budget)
 		cfg := dsi.Config{Capacity: tc.capacity, Segments: tc.segments, ObjectBytes: tc.objBytes}
-		ds := dataset.Uniform(tc.n, tc.order, 42)
+		ds := dataset.Uniform(tc.ps.N, tc.ps.Order, tc.ps.Seed)
+		if tc.ps.Kind == "real" {
+			ds = dataset.Clustered(dataset.DefaultRealConfig(tc.ps.Seed))
+		}
 		x, err := dsi.Build(ds, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +81,9 @@ func TestStreamImageIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		meta := wire.StationMeta{
-			Dataset:  wire.StationDataset{Kind: "uniform", N: tc.n, Order: tc.order, Seed: 42, Sum: ds.Checksum()},
+			Dataset: wire.StationDataset{
+				Kind: tc.ps.Kind, N: tc.ps.N, Order: tc.ps.Order, Seed: tc.ps.Seed, Sum: ds.Checksum(),
+			},
 			Capacity: x.Cfg.Capacity, Segments: x.Cfg.Segments, ObjectBytes: x.Cfg.ObjectBytes,
 			Channels: 1, Scheduler: "single",
 		}
@@ -91,16 +99,15 @@ func TestStreamImageIdentity(t *testing.T) {
 		}
 
 		diskPath := filepath.Join(dir, "disk.img")
-		stats, err := BuildImage(diskPath, UniformStream(tc.n, tc.order, 42),
-			cfg, BuildOptions{Budget: tc.budget})
+		stats, err := BuildImage(diskPath, tc.ps, cfg, BuildOptions{Budget: tc.budget})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.Checksum != ds.Checksum() {
-			t.Fatalf("streaming checksum %#x != dataset checksum %#x", stats.Checksum, ds.Checksum())
+			t.Fatalf("%s: streaming checksum %#x != dataset checksum %#x", name, stats.Checksum, ds.Checksum())
 		}
-		if tc.budget > 0 && tc.n/tc.budget > 1 && stats.SpilledRuns < 2 {
-			t.Fatalf("budget %d over %d objects spilled only %d runs", tc.budget, tc.n, stats.SpilledRuns)
+		if tc.budget > 0 && tc.ps.N/tc.budget > 1 && stats.SpilledRuns < 2 {
+			t.Fatalf("%s: spilled only %d runs", name, stats.SpilledRuns)
 		}
 
 		memImg, err := os.ReadFile(memPath)
@@ -112,8 +119,8 @@ func TestStreamImageIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(memImg, diskImg) {
-			t.Fatalf("case %+v: disk-built image differs from in-memory image (%d vs %d bytes)",
-				tc, len(diskImg), len(memImg))
+			t.Fatalf("%s: disk-built image differs from in-memory image (%d vs %d bytes)",
+				name, len(diskImg), len(memImg))
 		}
 
 		src, err := OpenImage(diskPath)
@@ -350,58 +357,78 @@ func TestBuildRefusesHeaderlessObjects(t *testing.T) {
 		if left, _ := os.ReadDir(dir); len(left) != 0 {
 			t.Fatalf("%+v: refused build left %d files behind", cfg, len(left))
 		}
-		geo, planned, err := dsi.PlanGeometry(300, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenStreamSource(filepath.Join(dir, "none"), filepath.Join(dir, "none"), geo, planned); err == nil ||
-			!strings.Contains(err.Error(), "32-byte") {
-			t.Fatalf("%+v: OpenStreamSource error %v, want the header refusal", cfg, err)
-		}
 	}
 }
 
-// openTestStream runs the front half of BuildImage — sort, spill, open —
-// and returns the stream source the image would be written from.
-func openTestStream(t *testing.T, ps PointStream, cfg dsi.Config) *StreamSource {
-	t.Helper()
-	geo, cfg, err := dsi.PlanGeometry(ps.N, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestMappedObjectsMatchDataset: the object file a spilled sort writes,
+// mapped back, is the in-memory dataset's object slice — every ID, point
+// and HC value.
+func TestMappedObjectsMatchDataset(t *testing.T) {
 	dir := t.TempDir()
-	sorter, err := NewSorter(dir, objCodec, func(a, b objRec) bool { return a.HC < b.HC }, 0)
+	path := filepath.Join(dir, "objects")
+	ps := UniformStream(300, 7, 13)
+	sum, spilled, err := spillSorted(ps, path, dir, 37)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sorter.Close()
-	ps.Gen(func(p spatial.Point, hc uint64) {
-		if err := sorter.Add(objRec{X: p.X, Y: p.Y, HC: hc}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	st, err := sorter.Merge()
+	if spilled < 2 {
+		t.Fatalf("budget 37 over 300 objects spilled only %d runs", spilled)
+	}
+	objs, m, err := mapObjects(path, ps.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	objPath, framesPath := filepath.Join(dir, "objects"), filepath.Join(dir, "frames")
-	if _, err := spillSorted(st, geo, ps.Order, objPath, framesPath); err != nil {
-		t.Fatal(err)
+	defer m.close()
+	ds := dataset.Uniform(ps.N, ps.Order, ps.Seed)
+	if sum != ds.Checksum() {
+		t.Fatalf("spill checksum %#x != dataset checksum %#x", sum, ds.Checksum())
 	}
-	src, err := OpenStreamSource(objPath, framesPath, geo, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(objs, ds.Objects) {
+		t.Fatal("mapped objects differ from dataset.Uniform's")
 	}
-	t.Cleanup(func() { src.Close() })
-	return src
 }
 
-// TestReadRunAtMatchesPacketAt holds the two disk-backed sources to the
-// seam's run contract (stationtest.CheckRuns) over one full cycle of
-// every channel and a run across its end: the image of a coded sharded
-// broadcast, whose every payload is a slice of the read-only mapping, and
-// the stream source an out-of-core image is written from. Channels and
-// slots neither carries read as lost slots.
+// TestMapObjectsRefusesBadFiles: an object file of the wrong size is an
+// error, never a panic or a short slice.
+func TestMapObjectsRefusesBadFiles(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "objects")
+	const n = 50
+	if _, _, err := spillSorted(UniformStream(n, 6, 3), good, dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{
+		"truncated": img[:len(img)-5],
+		"one byte":  img[:1],
+		"empty":     nil,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := mapObjects(path, n); err == nil {
+			t.Errorf("%s file of %d bytes was mapped as %d objects", name, len(b), n)
+		}
+	}
+	if _, _, err := mapObjects(good, n+1); err == nil {
+		t.Errorf("file of %d objects was mapped as %d", n, n+1)
+	}
+	objs, m, err := mapObjects(good, n)
+	if err != nil || len(objs) != n {
+		t.Fatalf("pristine file: %d objects, error %v", len(objs), err)
+	}
+	m.close()
+}
+
+// TestReadRunAtMatchesPacketAt holds the image source to the seam's run
+// contract (stationtest.CheckRuns) over one full cycle of every channel
+// and a run across its end: the image of a coded sharded broadcast,
+// whose every payload is a slice of the read-only mapping. Channels and
+// slots it does not carry read as lost slots.
 func TestReadRunAtMatchesPacketAt(t *testing.T) {
 	x, err := dsi.Build(dataset.Uniform(300, 7, 13), dsi.Config{Capacity: 64, ReserveMCPtr: true})
 	if err != nil {
@@ -438,26 +465,15 @@ func TestReadRunAtMatchesPacketAt(t *testing.T) {
 		}
 	}
 
-	stream := openTestStream(t, UniformStream(300, 7, 13), dsi.Config{Capacity: 64})
-	if err := stationtest.CheckRuns(stream, 0, 0, int64(stream.CycleSlots()), lens...); err != nil {
-		t.Fatalf("stream source: %v", err)
+	for _, c := range []struct {
+		ch  int
+		abs int64
+	}{{img.Channels(), 0}, {img.Channels() + 4, 77}, {-1, 3}, {0, -20}} {
+		if err := stationtest.CheckLost(img, c.ch, c.abs, 20); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	for _, sc := range []struct {
-		name  string
-		src   station.PacketSource
-		chans int
-	}{{"image", img, img.Channels()}, {"stream", stream, 1}} {
-		for _, c := range []struct {
-			ch  int
-			abs int64
-		}{{sc.chans, 0}, {sc.chans + 4, 77}, {-1, 3}, {0, -20}} {
-			if err := stationtest.CheckLost(sc.src, c.ch, c.abs, 20); err != nil {
-				t.Fatalf("%s source: %v", sc.name, err)
-			}
-		}
-		if err := stationtest.CheckRun(sc.src, 0, -3, 20, 20*64); err != nil {
-			t.Fatalf("%s source: %v", sc.name, err)
-		}
+	if err := stationtest.CheckRun(img, 0, -3, 20, 20*64); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -155,9 +155,8 @@ func (c Config) entryWidth() int {
 // Geometry is the frame geometry of a DSI broadcast: everything the
 // sizing policy derives from (n, Config), with no reference to the
 // dataset's contents. It is a pure function of those inputs
-// (PlanGeometry), so the out-of-core build can size and address a
-// broadcast it never materializes — slot arithmetic, frame-to-object
-// mapping, and table shape all live here.
+// (PlanGeometry): slot arithmetic, frame-to-object mapping, and table
+// shape all live here.
 type Geometry struct {
 	// N is the object count the geometry was planned for; Capacity and
 	// Segments echo the planned Config.
@@ -219,9 +218,8 @@ type Index struct {
 
 // PlanGeometry sizes the broadcast for n objects under cfg, returning
 // the geometry plus the config with defaults applied. It is the pure
-// sizing half of Build: no dataset contents are consulted, so the
-// out-of-core image writer plans a 10^7-object broadcast without
-// materializing one object.
+// sizing half of Build: no dataset contents are consulted, so a caller
+// can check a configuration before it has the objects.
 func PlanGeometry(n int, cfg Config) (Geometry, Config, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(n); err != nil {
@@ -335,7 +333,7 @@ func Build(ds *dataset.Dataset, cfg Config) (*Index, error) {
 	x.tables = make([]Table, x.NF)
 	entries := make([]TableEntry, x.NF*x.E)
 	for pos := range x.tables {
-		x.tables[pos] = x.MakeTable(pos, x.MinHC, entries[pos*x.E:(pos+1)*x.E:(pos+1)*x.E])
+		x.tables[pos] = x.makeTable(pos, entries[pos*x.E:(pos+1)*x.E:(pos+1)*x.E])
 	}
 	x.single, err = stripeLayout(x, MultiConfig{Channels: 1})
 	if err != nil {
@@ -349,21 +347,18 @@ func Build(ds *dataset.Dataset, cfg Config) (*Index, error) {
 // layout option run on.
 func (x *Index) SingleLayout() *Layout { return x.single }
 
-// MakeTable returns the index table broadcast with the frame at cycle
+// makeTable returns the index table broadcast with the frame at cycle
 // position pos: the frame's own smallest HC value and E entries at
 // exponentially spaced distances 1, Base, Base², ... ahead, each naming
-// its target position and that frame's smallest HC value. minHC looks
-// up a frame's smallest HC value by frame id, and the entries are
-// appended to dst[:0]. It is the one definition of the table rule:
-// Build precomputes its tables with it, and the out-of-core image
-// writer, which never holds an Index, encodes from it.
-func (g *Geometry) MakeTable(pos int, minHC func(f int) uint64, dst []TableEntry) Table {
-	t := Table{Pos: pos, OwnHC: minHC(g.PosToFrame(pos)), Entries: dst[:0]}
+// its target position and that frame's smallest HC value. The entries
+// are appended to dst[:0].
+func (x *Index) makeTable(pos int, dst []TableEntry) Table {
+	t := Table{Pos: pos, OwnHC: x.minHC[x.PosToFrame(pos)], Entries: dst[:0]}
 	dist := 1
-	for i := 0; i < g.E; i++ {
-		tp := (pos + dist) % g.NF
-		t.Entries = append(t.Entries, TableEntry{TargetPos: tp, MinHC: minHC(g.PosToFrame(tp))})
-		dist *= g.Base
+	for i := 0; i < x.E; i++ {
+		tp := (pos + dist) % x.NF
+		t.Entries = append(t.Entries, TableEntry{TargetPos: tp, MinHC: x.minHC[x.PosToFrame(tp)]})
+		dist *= x.Base
 	}
 	return t
 }

@@ -15,7 +15,7 @@ import (
 
 // refObjectPayload is the whole-object construction every transmitter
 // used before payloads became range-addressed, kept as the oracle
-// AppendObjectPart and ObjectPayload are held to.
+// AppendObjectPart is held to.
 func refObjectPayload(h wire.ObjectHeader, id, size int) []byte {
 	buf := make([]byte, size)
 	copy(buf, wire.EncodeHeader(h))
@@ -37,8 +37,8 @@ func TestObjectPartMatchesPayload(t *testing.T) {
 	prefix := []byte("prefix")
 	for _, size := range []int{32, 33, 39, 40, 41, 64, 100, 256, 1000, 1024} {
 		want := refObjectPayload(h, id, size)
-		if got := ObjectPayload(h, id, size); !bytes.Equal(got, want) {
-			t.Fatalf("size %d: ObjectPayload departs from the reference", size)
+		if got := AppendObjectPart(nil, h, id, size, 0, size); !bytes.Equal(got, want) {
+			t.Fatalf("size %d: the whole object departs from the reference", size)
 		}
 		for _, capacity := range []int{1, 3, 7, 8, 13, 32, 33, 64, 100, 512, 2048} {
 			for from := 0; from < size; from += capacity {

@@ -124,10 +124,3 @@ func AppendObjectPart(dst []byte, h wire.ObjectHeader, id, size, from, to int) [
 	clear(out[at-from:])
 	return dst
 }
-
-// ObjectPayload returns the whole on-air payload of one data object:
-// the [0, size) case of AppendObjectPart, for producers that hold an
-// object across its packets (the diskstore stream source).
-func ObjectPayload(h wire.ObjectHeader, id, size int) []byte {
-	return AppendObjectPart(make([]byte, 0, size), h, id, size, 0, size)
-}

@@ -48,9 +48,8 @@ import (
 // receiver: the packets each channel transmits at absolute slots, each
 // tagged with the directory version governing it, and the versioned
 // shard directory and FEC descriptor on air. MultiTransmitter is the
-// producer; diskstore.ImageSource, diskstore.StreamSource and
-// netrecv.Feed serve the same bytes from a file, a streaming build and
-// the network.
+// producer; diskstore.ImageSource and netrecv.Feed serve the same
+// bytes from a file and from the network.
 type PacketSource interface {
 	// ReadRunAt fills dst[i] with the packet channel ch transmits at
 	// absolute slot abs+i, its Ver the directory version its encoding
@@ -72,12 +71,12 @@ type PacketSource interface {
 	// nothing is ever written past cap(buf). Such payloads are valid
 	// until the reader next reuses any of buf's capacity. Bytes a source
 	// already holds immutable (pre-encoded tables,
-	// diskstore.ImageSource's read-only mapping, diskstore.StreamSource)
-	// are returned as they are and never written again: a payload need
-	// not alias buf, and a reader must not assume it does. Either way
-	// the reader must not write through a payload. A content payload is
-	// at most Capacity bytes; a parity frame adds wire.ParityHeaderSize
-	// — so a buffer of that much per slot always suffices.
+	// diskstore.ImageSource's read-only mapping) are returned as they
+	// are and never written again: a payload need not alias buf, and a
+	// reader must not assume it does. Either way the reader must not
+	// write through a payload. A content payload is at most Capacity
+	// bytes; a parity frame adds wire.ParityHeaderSize — so a buffer of
+	// that much per slot always suffices.
 	//
 	// The source keeps no per-reader state and nothing of dst or buf:
 	// one source serves many readers concurrently, each with buffers of
