@@ -7,7 +7,7 @@
 // object records in heap, into a mapped object file, and the broadcast
 // built over it is written as a wire-cycle image file — the exact
 // transmitter byte stream, servable by dsistation -image. The index is
-// built in heap, at about 200 B a frame. A -real image is the default
+// built in heap, at about 50 B a frame. A -real image is the default
 // REAL-like dataset, the only one clients rebuild from the image's
 // catalog document, so an -n or -order other than its own is refused.
 //

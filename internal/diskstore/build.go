@@ -98,8 +98,9 @@ type BuildStats struct {
 // image is what station.NewMultiTransmitter over dsi.Build(dataset,
 // cfg).SingleLayout() transmits: the one cycle producer, so the image
 // is the in-memory build's by construction. The objects stay out of
-// heap; the index (dsi.Build's per-frame arrays and tables) and the
-// transmitter's encoded tables do not, at about 200 B a frame.
+// heap; the index (dsi.Build's per-frame minHC and cell coordinates and
+// its single-channel layout) does not, at about 50 B a frame: neither
+// the index nor the transmitter stores a table.
 //
 // Multi-channel and erasure-coded broadcasts are imaged from their
 // in-memory transmitters via WriteImage.

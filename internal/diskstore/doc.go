@@ -2,7 +2,8 @@
 // broadcast images of datasets that are never held in heap. The sort
 // holds no more than a configured budget of object records, and the
 // sorted objects are a mapped file; the index is built in heap, at
-// about 200 B a frame.
+// about 50 B a frame (no index table is stored: each is computed where
+// it is read).
 //
 // Three layers compose:
 //

@@ -490,8 +490,9 @@ type Session struct {
 	fresh     bool
 
 	// lastTable is the most recently received intact index table
-	// (pointing into the index's precomputed tables), used by the
-	// aggressive kNN hop rule. Nil until a table is received.
+	// (pointing at the receiver's scratch, which a failed read leaves
+	// intact), used by the aggressive kNN hop rule. Nil until a table
+	// is received.
 	lastTable *Table
 
 	// posHopOnly disables the arrival-time pricing of aggressive kNN

@@ -21,6 +21,7 @@ package dsi
 
 import (
 	"fmt"
+	"slices"
 
 	"dsi/internal/broadcast"
 	"dsi/internal/dataset"
@@ -181,10 +182,12 @@ type Geometry struct {
 	segStart []int
 }
 
-// Index is a built DSI broadcast: the frame sequence and its index
-// tables plus the static metadata ("catalog") that clients are assumed
-// to know a priori (dataset size, curve order, frame geometry, segment
-// split HC values). Where the frames go on air is a Layout's business.
+// Index is a built DSI broadcast: the frame sequence plus the static
+// metadata ("catalog") that clients are assumed to know a priori
+// (dataset size, curve order, frame geometry, segment split HC values).
+// It stores no index tables: each is a function of minHC and the
+// geometry (AppendTable), computed where it is read. Where the frames
+// go on air is a Layout's business.
 type Index struct {
 	DS  *dataset.Dataset
 	Cfg Config
@@ -208,12 +211,6 @@ type Index struct {
 	// Splits[j] = minHC[segStart[j]], the first HC value of broadcast
 	// segment j.
 	Splits []uint64
-
-	// tables[pos] is the index table broadcast with the frame at cycle
-	// position pos, precomputed at Build time (entry slices share one
-	// backing array) so per-query simulation reads tables instead of
-	// regenerating them. Treated as immutable.
-	tables []Table
 }
 
 // PlanGeometry sizes the broadcast for n objects under cfg, returning
@@ -330,11 +327,6 @@ func Build(ds *dataset.Dataset, cfg Config) (*Index, error) {
 		x.Splits[j] = x.minHC[x.segStart[j]]
 	}
 
-	x.tables = make([]Table, x.NF)
-	entries := make([]TableEntry, x.NF*x.E)
-	for pos := range x.tables {
-		x.tables[pos] = x.makeTable(pos, entries[pos*x.E:(pos+1)*x.E:(pos+1)*x.E])
-	}
 	x.single, err = stripeLayout(x, MultiConfig{Channels: 1})
 	if err != nil {
 		return nil, err
@@ -347,20 +339,42 @@ func Build(ds *dataset.Dataset, cfg Config) (*Index, error) {
 // layout option run on.
 func (x *Index) SingleLayout() *Layout { return x.single }
 
-// makeTable returns the index table broadcast with the frame at cycle
+// AppendTable returns the index table broadcast with the frame at cycle
 // position pos: the frame's own smallest HC value and E entries at
 // exponentially spaced distances 1, Base, Base², ... ahead, each naming
 // its target position and that frame's smallest HC value. The entries
-// are appended to dst[:0].
-func (x *Index) makeTable(pos int, dst []TableEntry) Table {
-	t := Table{Pos: pos, OwnHC: x.minHC[x.PosToFrame(pos)], Entries: dst[:0]}
-	dist := 1
-	for i := 0; i < x.E; i++ {
-		tp := (pos + dist) % x.NF
-		t.Entries = append(t.Entries, TableEntry{TargetPos: tp, MinHC: x.minHC[x.PosToFrame(tp)]})
-		dist *= x.Base
-	}
+// are appended to dst[:0], so a reader that passes back the previous
+// table's entries computes each table with E lookups and no allocation.
+// This simulates reception of the table's packets.
+func (x *Index) AppendTable(pos int, dst []TableEntry) Table {
+	t := Table{Entries: dst}
+	x.tableInto(&t, pos)
 	return t
+}
+
+// tableInto is AppendTable computing into t in place, its entries into
+// t.Entries[:0]: a receiver that keeps its table in a field reads it
+// this way, without copying a returned Table into the field.
+func (x *Index) tableInto(t *Table, pos int) {
+	minHC, base := x.minHC, x.Base
+	ents := slices.Grow(t.Entries[:0], x.E)[:x.E]
+	dist := 1
+	for i := range ents {
+		tp := x.Ahead(pos, dist)
+		ents[i] = TableEntry{TargetPos: tp, MinHC: minHC[x.PosToFrame(tp)]}
+		dist *= base
+	}
+	t.Pos, t.OwnHC, t.Entries = pos, minHC[x.PosToFrame(pos)], ents
+}
+
+// Ahead returns the cycle position dist frames after pos: (pos+dist)
+// mod NF, dividing only when the sum wraps the cycle — a table read
+// takes E of them, and most entries do not wrap.
+func (g *Geometry) Ahead(pos, dist int) int {
+	if p := pos + dist; p < g.NF {
+		return p
+	}
+	return (pos + dist) % g.NF
 }
 
 // entriesToCover returns the smallest E with base^E >= nf, at least 1:
@@ -484,12 +498,6 @@ type Table struct {
 	OwnHC   uint64 // smallest HC value of the carrying frame
 	Entries []TableEntry
 }
-
-// TableAt returns the index table broadcast with the frame at the given
-// cycle position. This simulates reception of the table's packets. The
-// returned table's entry slice is shared, precomputed state: callers
-// must not modify it.
-func (x *Index) TableAt(pos int) Table { return x.tables[pos] }
 
 // IndexOverheadBytes returns the total index bytes added per cycle.
 func (x *Index) IndexOverheadBytes() int64 {

@@ -217,7 +217,7 @@ func TestHCSegment(t *testing.T) {
 func TestTableAtMatchesLayout(t *testing.T) {
 	x := buildT(t, 64, 6, 7, Config{Segments: 2})
 	for pos := 0; pos < x.NF; pos++ {
-		tab := x.TableAt(pos)
+		tab := x.AppendTable(pos, nil)
 		if tab.OwnHC != x.MinHC(x.PosToFrame(pos)) {
 			t.Fatalf("pos %d: own HC mismatch", pos)
 		}

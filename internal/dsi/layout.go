@@ -428,12 +428,17 @@ func (l *Layout) FramesOn(ch int) int {
 // index*DataPackets (plus the table packets on layouts that keep the
 // table inline, and the channel's phase-stagger offset on staggered
 // stripe layouts — catalog geometry a receiver knows a priori).
+//
+// Both placements keep a channel's frames in position order, so the
+// index needs no slot: a split or sharded data channel carries the
+// contiguous positions from dataStart[ch] on, and stripe channel ch
+// carries positions ch, ch+N, ch+2N, ...
 func (l *Layout) DataFrameIndex(pos int) (ch, index int) {
 	ch = int(l.dataCh[pos])
 	if l.splitData() {
-		return ch, int(l.dataSlot[pos]) / l.DataPackets
+		return ch, pos - int(l.dataStart[ch])
 	}
-	return ch, l.deStagger(ch, int(l.tableSlot[pos])) / l.X.FramePackets
+	return ch, pos / l.Cfg.Channels
 }
 
 // SlotTable inverts the table placement: it returns the cycle position

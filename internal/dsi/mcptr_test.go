@@ -67,7 +67,7 @@ func TestReserveMCPtrDefaultBitIdentical(t *testing.T) {
 		}
 	}
 	for pos := 0; pos < plain.NF; pos++ {
-		a, b := plain.TableAt(pos), reserved.TableAt(pos)
+		a, b := plain.AppendTable(pos, nil), reserved.AppendTable(pos, nil)
 		if a.OwnHC != b.OwnHC || !reflect.DeepEqual(a.Entries, b.Entries) {
 			t.Fatalf("table %d changed", pos)
 		}

@@ -79,7 +79,7 @@ func TestPaperRunningExampleEEF(t *testing.T) {
 	if x.NF != 8 || x.E != 3 {
 		t.Fatalf("nF=%d E=%d, want 8/3 (the paper's running example)", x.NF, x.E)
 	}
-	tab := x.TableAt(0) // the frame of O6
+	tab := x.AppendTable(0, nil) // the frame of O6
 	wantHC := []uint64{11, 17, 32}
 	for i, e := range tab.Entries {
 		if e.MinHC != wantHC[i] {

@@ -8,8 +8,8 @@
 // ecosystem:
 //
 //   - SimReceiver (here) wraps the in-memory simulator fast path: it
-//     pays tuning and latency through a broadcast.Tuner and serves
-//     content from the index's precomputed tables and the dataset,
+//     pays tuning and latency through a broadcast.Tuner and computes
+//     content from the index (its AppendTable rule) and the dataset,
 //     bit-identical to the pre-Receiver client.
 //   - station.WireReceiver decodes the actual byte streams a
 //     transmitter puts on air (package wire formats), including the
@@ -95,12 +95,16 @@ type Receiver interface {
 // SimReceiver is the in-memory simulator receiver: costs are paid
 // through a broadcast.Tuner over the layout's air — one tuner for
 // every layout, the one-channel layout included — and content is
-// served from the index's precomputed tables and the dataset itself:
-// the fast path every experiment harness runs on. It is bit-identical
-// (results and cost metrics) to the pre-Receiver client.
+// computed from the index and read from the dataset itself: the fast
+// path every experiment harness runs on. It is bit-identical (results
+// and cost metrics) to the pre-Receiver client.
 type SimReceiver struct {
 	lay *Layout
 	tu  *broadcast.Tuner
+	// tab is the last table received intact, computed in place: a
+	// failed read leaves it alone, because the session keeps a pointer
+	// to it (the aggressive kNN hop rule reads the last intact table).
+	tab Table
 }
 
 // NewSimReceiver returns a simulator receiver tuned to the layout's
@@ -139,13 +143,15 @@ func (r *SimReceiver) DozeUntilPos(pos int) { r.tu.DozeUntilPos(pos) }
 func (r *SimReceiver) Next() (broadcast.Slot, bool) { return r.tu.Read() }
 
 // Table receives the TablePackets packets of position pos's index table
-// and serves the precomputed decoded table. ok is false when any packet
-// was corrupted; no knowledge is gained but the cost is paid.
+// and computes the decoded table into the receiver's own. ok is false
+// when any packet was corrupted; no knowledge is gained but the cost is
+// paid, and the previous table is left as it was.
 func (r *SimReceiver) Table(pos int) (*Table, bool) {
 	if !r.tu.ReadN(r.lay.X.TablePackets) {
 		return nil, false
 	}
-	return &r.lay.X.tables[pos], true
+	r.lay.X.tableInto(&r.tab, pos)
+	return &r.tab, true
 }
 
 // Header receives one header packet and serves the object's HC value

@@ -134,12 +134,14 @@ func BenchmarkEvalUnits(b *testing.B) {
 			}
 			kb.addFrameFact(f, hc)
 		}
+		var ents []TableEntry
 		for _, q := range queries {
 			kb.reset()
 			kb.retarget(q.targets)
 			evals += 2 * kb.nspan
 			for _, p := range q.tables {
-				t := x.TableAt(p)
+				t := x.AppendTable(p, ents)
+				ents = t.Entries
 				learn(x.PosToFrame(p), t.OwnHC)
 				for _, e := range t.Entries {
 					learn(x.PosToFrame(e.TargetPos), e.MinHC)

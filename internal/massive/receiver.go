@@ -6,11 +6,12 @@
 // none of it affects an error-free replay's outcome. The flat receiver
 // implements the same dsi.Receiver contract with O(1) batched
 // arithmetic per operation over the shared immutable layout and the
-// coded channel's frame shape: a table read is two integer additions,
-// a doze is a logical-to-physical slot map (a few divisions over the
-// frame lengths) and a modular subtraction, and no per-client air,
-// program, or tuner state exists at all; the per-receiver state is
-// three integers and one cached table value.
+// coded channel's frame shape: a table read is two integer additions
+// plus the table's E lookups (dsi.Index.AppendTable), a doze is a
+// logical-to-physical slot map (a few divisions over the frame lengths)
+// and a modular subtraction, and no per-client air, program, or tuner
+// state exists at all; the per-receiver state is three integers and
+// the table it last computed.
 //
 // The plain arms need no such thing: dsi.SimReceiver builds no bytes,
 // and broadcast.Tuner.ReadN makes its table and object reads the same
@@ -118,7 +119,7 @@ func (r *flatFECReceiver) Table(pos int) (*dsi.Table, bool) {
 	n := int64(r.x.TablePackets)
 	r.now += n
 	r.read += n
-	r.tab = r.x.TableAt(pos)
+	r.tab = r.x.AppendTable(pos, r.tab.Entries)
 	return &r.tab, true
 }
 

@@ -332,12 +332,12 @@ func (g *generation) parityRun(dst []Packet, b []byte, after int, p Packet, ch, 
 
 // encodeTail writes unit u's parity tail into s.frames, in tail order.
 // The member symbols are the unit's payloads zero-padded to capacity,
-// built without the logical run: a table unit's are windows of its
-// pre-encoded table, an object unit's windows of the object built by
-// one AppendObjectPart call into s.syms, and what is short of a whole
-// symbol (a table's or an object's last part, a padding object) is
-// padded in s.syms. Each group's rows are computed straight into their
-// frames. The caller holds s.mu.
+// built without the logical run into s.syms: a table unit's are windows
+// of the table one wire.AppendLayoutTable call computes, an object
+// unit's windows of the object one AppendObjectPart call builds, and
+// what is short of a whole symbol (a table's or an object's last part,
+// a padding object) is padded there. Each group's rows are computed
+// straight into their frames. The caller holds s.mu.
 func (g *generation) encodeTail(s *tailScratch, u fecUnit) {
 	x := g.lay.X
 	capacity, stride := x.Cfg.Capacity, g.slotBytes
@@ -352,7 +352,7 @@ func (g *generation) encodeTail(s *tailScratch, u fecUnit) {
 	syms := s.syms[:u.n*capacity]
 	var src []byte // the members' payloads end to end
 	if u.table {
-		src = g.tables[u.pos]
+		src = wire.AppendLayoutTable(syms[:0], g.lay, u.pos)
 	} else if first, num := x.FrameObjects(x.PosToFrame(u.pos)); u.obj < num {
 		obj := &x.DS.Objects[first+u.obj]
 		src = AppendObjectPart(syms[:0], wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC}, obj.ID, x.Cfg.ObjectBytes, 0, x.Cfg.ObjectBytes)

@@ -1,7 +1,7 @@
 // The cycle producer: the station side of the channel abstraction
-// layer. A MultiTransmitter materializes one byte stream per channel of
-// a dsi.Layout — index tables in the wire format the layout calls for
-// (wire.EncodeLayoutTables), object payloads on their data channels —
+// layer. A MultiTransmitter produces one byte stream per channel of a
+// dsi.Layout — index tables in the wire format the layout calls for
+// (wire.AppendLayoutTable), object payloads on their data channels —
 // and keeps the broadcast on air while its shard directory (and code)
 // is swapped for a freshly planned one. ScanMulti proves the streams are
 // self-describing by rebuilding the complete broadcast metadata from one
@@ -37,10 +37,10 @@ import (
 // across directory swaps. What a slot carries is asked of the
 // generation's layout (SlotTable/SlotData) per packet, or read from its
 // coded geometry's unit covering the slot: a generation keeps no
-// per-slot or per-unit state beyond the encoded tables and, when coded,
-// the geometry it shares with the layout's receivers. Parity is built
-// where it is read, as object bytes are: a run that reaches a unit's
-// parity tail encodes it into the reader's buffer.
+// per-position, per-slot or per-unit state beyond, when coded, the
+// geometry it shares with the layout's receivers. Every payload is
+// built where it is read: a run that reaches a table, an object or a
+// unit's parity tail encodes it into the reader's buffer.
 //
 // It is safe for concurrent use: any number of readers call
 // ReadRunAt, DirectoryAt and FECDescAt while one control goroutine
@@ -73,17 +73,15 @@ func (a *onAir) at(abs int64) *generation {
 	return a.cur
 }
 
-// generation is one layout under one code: its tables encoded once and,
-// when coded, the geometry and per channel the scratch a parity tail is
-// encoded in. Nothing but that scratch is modified after it is
-// published.
+// generation is one layout under one code: per channel its clock and,
+// when coded, the geometry and the scratch a parity tail is encoded in.
+// Nothing but that scratch is modified after it is published.
 type generation struct {
 	lay       *dsi.Layout
 	cfg       wire.FECConfig
 	version   uint32
-	clocks    []clock  // per channel
-	tables    [][]byte // per cycle position, in the layout's wire format
-	slotBytes int      // the widest payload on air: Capacity, plus ParityHeaderSize when coded
+	clocks    []clock // per channel
+	slotBytes int     // the widest payload on air: Capacity, plus ParityHeaderSize when coded
 
 	fec   *fecGeom      // shared read-only (sharedFECGeom); nil when uncoded
 	tails []tailScratch // per channel, where parity is encoded (parityRun); nil when uncoded
@@ -136,19 +134,19 @@ func NewMultiTransmitterFEC(lay *dsi.Layout, cfg wire.FECConfig) (*MultiTransmit
 	return t, nil
 }
 
-// newGeneration encodes the layout's tables and, under a code, takes
-// its physical geometry, encoding no parity frame. Version, directory
-// and descriptor are the caller's to fill in before publishing.
+// newGeneration checks that the layout's tables and object headers fit
+// their packets and, under a code, takes its physical geometry,
+// encoding no table and no parity frame. Version, directory and
+// descriptor are the caller's to fill in before publishing.
 func newGeneration(lay *dsi.Layout, cfg wire.FECConfig) (*generation, error) {
 	if err := wire.CheckHeaderFits(lay.X.Cfg.Capacity, lay.X.Cfg.ObjectBytes); err != nil {
 		return nil, err
 	}
-	tables, err := wire.EncodeLayoutTables(lay)
-	if err != nil {
+	if err := wire.CheckLayoutTables(lay); err != nil {
 		return nil, err
 	}
 	g := &generation{
-		lay: lay, cfg: cfg, tables: tables,
+		lay: lay, cfg: cfg,
 		clocks: make([]clock, lay.Channels()), slotBytes: lay.X.Cfg.Capacity,
 	}
 	for ch := range g.clocks {
@@ -330,9 +328,9 @@ func (t *MultiTransmitter) StageFEC(lay *dsi.Layout, cfg wire.FECConfig, now int
 	if now < 0 {
 		return 0, fmt.Errorf("station: negative stage time %d", now)
 	}
-	// The generation build encodes the tables and derives the geometry,
-	// no parity; it runs outside the writer lock, and readers wait on
-	// neither.
+	// The generation build checks the tables and derives the geometry,
+	// encoding nothing; it runs outside the writer lock, and readers
+	// wait on neither.
 	g, err := newGeneration(lay, cfg)
 	if err != nil {
 		return 0, err
@@ -436,7 +434,7 @@ func (g *generation) fill(dst []Packet, b []byte, more, ch, slot int) []byte {
 			b = g.parityRun(dst[i:i+k], b, len(dst)-i-k+more, p, ch, ui, u, m-u.n)
 		case u.table:
 			k = min(len(dst)-i, u.n-m)
-			g.tableRun(dst[i:i+k], p, u.pos, m)
+			b = g.tableRun(dst[i:i+k], b, len(dst)-i-k+more, p, u.pos, m)
 		default:
 			k = min(len(dst)-i, u.n-m)
 			b = g.objectRun(dst[i:i+k], b, len(dst)-i-k+more, p, u.pos, u.obj, m)
@@ -462,7 +460,7 @@ func (g *generation) fillLogical(dst []Packet, b []byte, more, ch, slot int) []b
 		var k int
 		if pos, part, ok := g.lay.SlotTable(ch, slot); ok {
 			k = min(left, x.TablePackets-part)
-			g.tableRun(dst[i:i+k], p, pos, part)
+			b = g.tableRun(dst[i:i+k], b, len(dst)-i-k+more, p, pos, part)
 		} else {
 			pos, off, _ := g.lay.SlotData(ch, slot)
 			part := off % x.ObjPackets
@@ -484,20 +482,33 @@ func (g *generation) packetAt(ch, slot int) Packet {
 }
 
 // tableRun fills dst with parts part, part+1, … of position pos's index
-// table, framed from p (channel, first slot, version): slices of the
-// pre-encoded table, empty past its end.
-func (g *generation) tableRun(dst []Packet, p Packet, pos, part int) {
-	p.Flags = flagIndex
-	tab := g.tables[pos]
+// table, framed from p (channel, first slot, version), and returns b
+// extended by their payloads: one wire.AppendLayoutTablePart call
+// computes the parts' byte range of the table, and each payload is its
+// packet's slice of it, empty past the table's end. The bytes go where
+// objectRun puts an object's: after b's in b's capacity, or into one
+// fresh allocation sized for them and for the after slots of the run.
+func (g *generation) tableRun(dst []Packet, b []byte, after int, p Packet, pos, part int) []byte {
 	capacity := g.lay.X.Cfg.Capacity
+	size := wire.LayoutTableSize(g.lay)
+	from := min(part*capacity, size)
+	to := min(from+len(dst)*capacity, size)
+	if cap(b)-len(b) < to-from {
+		b = make([]byte, 0, to-from+after*g.slotBytes)
+	}
+	at := len(b)
+	b = wire.AppendLayoutTablePart(b, g.lay, pos, from, to)
+	p.Flags = flagIndex
 	for j := range dst {
 		p.Payload = nil
-		if from := (part + j) * capacity; from < len(tab) {
-			p.Payload = tab[from:min(from+capacity, len(tab))]
+		if lo := at + j*capacity; lo < len(b) {
+			hi := min(lo+capacity, len(b))
+			p.Payload = b[lo:hi:hi]
 		}
 		dst[j] = p
 		p.Slot++
 	}
+	return b
 }
 
 // objectRun fills dst with parts part, part+1, … of the o-th object of

@@ -88,7 +88,7 @@ func TestMultiStreamIsSelfDescribing(t *testing.T) {
 				}
 			}
 			for i, e := range fi.Entries {
-				target := x.TableAt(pos).Entries[i]
+				target := x.AppendTable(pos, nil).Entries[i]
 				wantCh, wantIdx := lay.DataFrameIndex(target.TargetPos)
 				if int(e.Ch) != wantCh || int(e.Frame) != wantIdx || e.MinHC != target.MinHC {
 					t.Fatalf("%v x%d pos %d entry %d: %+v, want (%d,%d,%d)",

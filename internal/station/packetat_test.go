@@ -102,12 +102,12 @@ var wireLossyCode = wire.FECConfig{
 }
 
 // TestPacketAtAllocatesItsSlot pins what a slot costs: through PacketAt
-// a data slot allocates its own payload — once, at most Capacity bytes —
-// and so does a parity slot, a parity frame's bytes (ParityHeaderSize
-// more), while table slots, served from the pre-encoded tables,
-// allocate nothing; read into a buffer of the reader's — a parity slot
-// into one of a parity frame's room — no slot of any kind allocates; and
-// a longer run into no buffer allocates once.
+// a table or data slot allocates its own payload — once, at most
+// Capacity bytes, since no table is stored either — and so does a
+// parity slot, a parity frame's bytes (ParityHeaderSize more); read
+// into a buffer of the reader's — a parity slot into one of a parity
+// frame's room — no slot of any kind allocates; and a longer run into
+// no buffer allocates once.
 func TestPacketAtAllocatesItsSlot(t *testing.T) {
 	_, x, lay := wireTestBed(t, 300, 557, quarterBounds)
 	tx, err := NewMultiTransmitterFEC(lay, wireLossyCode)
@@ -154,7 +154,7 @@ func TestPacketAtAllocatesItsSlot(t *testing.T) {
 		buf            []byte
 		allocs, nbytes int // per-slot budget
 	}{
-		{"table", table, nil, 0, 0},
+		{"table", table, nil, 1, capacity},
 		{"parity", parity, nil, 1, frameBytes},
 		{"data", data, nil, 1, capacity},
 		{"table into a buffer", table, buf, 0, 0},

@@ -65,7 +65,7 @@ func TestShardStreamsSelfDescribing(t *testing.T) {
 			t.Fatalf("pos %d: %d headers, want %d", pos, len(fi.Headers), num)
 		}
 		for i, e := range fi.Entries {
-			target := x.TableAt(pos).Entries[i]
+			target := x.AppendTable(pos, nil).Entries[i]
 			wantCh, wantIdx := lay.DataFrameIndex(target.TargetPos)
 			if int(e.Ch) != wantCh || int(e.Frame) != wantIdx || e.MinHC != target.MinHC {
 				t.Fatalf("pos %d entry %d: %+v, want (%d,%d,%d)", pos, i, e, wantCh, wantIdx, target.MinHC)

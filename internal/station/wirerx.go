@@ -1,9 +1,9 @@
 // WireReceiver: the byte-level implementation of dsi.Receiver. Where
-// dsi.SimReceiver serves content from the simulator's precomputed
-// tables and the dataset, a WireReceiver receives the actual packets a
-// station puts on air and decodes their payloads with package wire —
-// index tables (classic and multi-channel formats), object headers,
-// and the versioned shard directory. Every reception cost is paid
+// dsi.SimReceiver computes content from the index and the dataset, a
+// WireReceiver receives the actual packets a station puts on air and
+// decodes their payloads with package wire — index tables (classic and
+// multi-channel formats), object headers, and the versioned shard
+// directory. Every reception cost is paid
 // through the same broadcast.Tuner the simulator uses, so loss applies
 // to real bytes: a corrupted or undecodable payload costs its tuning
 // packets and yields no knowledge, exactly like a lost packet in the
@@ -26,7 +26,7 @@
 // Over a static uncoded transmitter the wire path is bit-identical to
 // the simulator fast path: both read the same slots under the same
 // loss process, and a well-formed stream decodes to exactly the
-// precomputed content (regression-enforced by the wireloss
+// content the simulator computes (regression-enforced by the wireloss
 // experiment). The paths diverge only where bytes carry information
 // the simulator hands out for free: directory swaps cost directory
 // packets, stale or mid-transition channels serve payloads the
@@ -64,19 +64,19 @@ type PacketSource interface {
 	// adopts.
 	//
 	// Who owns the payloads, and for how long: bytes a source must build
-	// (MultiTransmitter object parts and parity frames) or copy out of
-	// storage it will overwrite (netrecv.Feed's ring) go into buf[:0]'s
-	// capacity, one payload after another, and when the capacity runs
-	// short into one fresh allocation sized for the rest of the run —
-	// nothing is ever written past cap(buf). Such payloads are valid
-	// until the reader next reuses any of buf's capacity. Bytes a source
-	// already holds immutable (pre-encoded tables,
-	// diskstore.ImageSource's read-only mapping) are returned as they
-	// are and never written again: a payload need not alias buf, and a
-	// reader must not assume it does. Either way the reader must not
-	// write through a payload. A content payload is at most Capacity
-	// bytes; a parity frame adds wire.ParityHeaderSize — so a buffer of
-	// that much per slot always suffices.
+	// (MultiTransmitter index tables, object parts and parity frames) or
+	// copy out of storage it will overwrite (netrecv.Feed's ring) go into
+	// buf[:0]'s capacity, one payload after another, and when the
+	// capacity runs short into one fresh allocation sized for the rest of
+	// the run — nothing is ever written past cap(buf). Such payloads are
+	// valid until the reader next reuses any of buf's capacity. Bytes a
+	// source already holds immutable (diskstore.ImageSource's read-only
+	// mapping) are returned as they are and never written again: a
+	// payload need not alias buf, and a reader must not assume it does.
+	// Either way the reader must not write through a payload. A content
+	// payload is at most Capacity bytes; a parity frame adds
+	// wire.ParityHeaderSize — so a buffer of that much per slot always
+	// suffices.
 	//
 	// The source keeps no per-reader state and nothing of dst or buf:
 	// one source serves many readers concurrently, each with buffers of

@@ -55,21 +55,21 @@ func TestTableMCRoundTrip(t *testing.T) {
 			if err != nil || appOwn != gotOwn || len(app) != 1+len(got) || app[0] != pre || !slices.Equal(app[1:], got) {
 				t.Fatalf("%v x%d pos %d: DecodeTableMCAppend = %v, %v, %v; DecodeTableMC = %v", mc.Scheduler, mc.Channels, pos, appOwn, app, err, got)
 			}
-			if gotOwn != x.TableAt(pos).OwnHC || len(got) != len(entries) {
+			if gotOwn != x.AppendTable(pos, nil).OwnHC || len(got) != len(entries) {
 				t.Fatalf("%v x%d pos %d: round trip mismatch", mc.Scheduler, mc.Channels, pos)
 			}
 			for i, e := range got {
 				if e != entries[i] {
 					t.Fatalf("entry %d: %+v != %+v", i, e, entries[i])
 				}
-				wantCh, wantIdx := lay.DataFrameIndex(x.TableAt(pos).Entries[i].TargetPos)
+				wantCh, wantIdx := lay.DataFrameIndex(x.AppendTable(pos, nil).Entries[i].TargetPos)
 				if int(e.Ch) != wantCh || int(e.Frame) != wantIdx {
 					t.Fatalf("entry %d points at (%d,%d), layout says (%d,%d)",
 						i, e.Ch, e.Frame, wantCh, wantIdx)
 				}
 			}
 		}
-		if _, err := EncodeLayoutTables(lay); err != nil {
+		if err := CheckLayoutTables(lay); err != nil {
 			t.Fatalf("%v x%d: %v", mc.Scheduler, mc.Channels, err)
 		}
 	}

@@ -59,12 +59,11 @@ func TestShardDirRoundTrip(t *testing.T) {
 	}
 	// The decoded geometry validates the layout's own tables.
 	framesOn := FramesOnDir(dir)
-	tables, err := EncodeLayoutTables(lay)
-	if err != nil {
+	if err := CheckLayoutTables(lay); err != nil {
 		t.Fatal(err)
 	}
-	for pos, tab := range tables {
-		if _, _, err := DecodeTableMC(tab[:MCTableSize(lay.X.E)], framesOn); err != nil {
+	for pos := 0; pos < lay.X.NF; pos++ {
+		if _, _, err := DecodeTableMC(AppendLayoutTable(nil, lay, pos), framesOn); err != nil {
 			t.Fatalf("position %d: table rejected by directory geometry: %v", pos, err)
 		}
 	}
@@ -155,10 +154,19 @@ func TestShardDirErrors(t *testing.T) {
 // TestReserveMCPtrLiftsTightBudget is the wire-side contract of the
 // dsi.Config.ReserveMCPtr build option: an index whose tables fill
 // their packet budget to within E bytes is rejected by
-// EncodeLayoutTables (the wider multi-channel pointers would overflow),
+// CheckLayoutTables (the wider multi-channel pointers would overflow),
 // and rebuilding with the reservation lifts the layout without touching
-// the narrow single-channel encoding.
+// the narrow single-channel encoding. The stored-table encoder the
+// check replaced agrees on every layout.
 func TestReserveMCPtrLiftsTightBudget(t *testing.T) {
+	check := func(lay *dsi.Layout) error {
+		t.Helper()
+		err := CheckLayoutTables(lay)
+		if _, oracleErr := oracleLayoutTables(lay); (err == nil) != (oracleErr == nil) {
+			t.Fatalf("CheckLayoutTables = %v, stored-table oracle %v", err, oracleErr)
+		}
+		return err
+	}
 	ds := dataset.Uniform(256, 7, 37)
 	tight := dsi.Config{Capacity: 32, Sizing: dsi.SizingUnitFactor}
 	x, err := dsi.Build(ds, tight)
@@ -166,7 +174,7 @@ func TestReserveMCPtrLiftsTightBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The plain build's own (narrow) tables fit...
-	if _, err := EncodeLayoutTables(x.SingleLayout()); err != nil {
+	if err := check(x.SingleLayout()); err != nil {
 		t.Fatalf("narrow tables rejected: %v", err)
 	}
 	lay, err := dsi.NewLayout(x, dsi.MultiConfig{Channels: 2, Scheduler: dsi.SchedSplit})
@@ -174,7 +182,7 @@ func TestReserveMCPtrLiftsTightBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ...but the multi-channel format overflows the budget.
-	if _, err := EncodeLayoutTables(lay); err == nil || !strings.Contains(err.Error(), "budget") {
+	if err := check(lay); err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("tight budget accepted for multi-channel tables: %v", err)
 	}
 
@@ -188,16 +196,12 @@ func TestReserveMCPtrLiftsTightBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tabs, err := EncodeLayoutTables(layr)
-	if err != nil {
+	if err := check(layr); err != nil {
 		t.Fatalf("reserved build still rejected: %v", err)
-	}
-	if len(tabs) != xr.NF {
-		t.Fatalf("%d tables, want %d", len(tabs), xr.NF)
 	}
 	// The reservation also keeps the narrow format valid (it only adds
 	// headroom).
-	if _, err := EncodeLayoutTables(xr.SingleLayout()); err != nil {
+	if err := check(xr.SingleLayout()); err != nil {
 		t.Fatalf("narrow tables rejected after reservation: %v", err)
 	}
 	// Sharded layouts go through the same budget check.
@@ -206,7 +210,7 @@ func TestReserveMCPtrLiftsTightBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EncodeLayoutTables(shardLay); err != nil {
+	if err := check(shardLay); err != nil {
 		t.Fatalf("sharded layout rejected after reservation: %v", err)
 	}
 }

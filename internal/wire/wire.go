@@ -11,6 +11,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"dsi/internal/broadcast"
 	"dsi/internal/dsi"
@@ -173,7 +174,7 @@ func MCTableSize(e int) int { return hcBytes + e*(hcBytes+MCPtrBytes) }
 // frame index) at which the described frame's data is broadcast. It
 // fails when the layout exceeds what the pointer width can address.
 func TableMC(lay *dsi.Layout, pos int) (ownHC uint64, entries []MCEntry, err error) {
-	t := lay.X.TableAt(pos)
+	t := lay.X.AppendTable(pos, nil)
 	entries = make([]MCEntry, len(t.Entries))
 	for i, e := range t.Entries {
 		ch, idx := lay.DataFrameIndex(e.TargetPos)
@@ -246,7 +247,7 @@ func DecodeTableMCAppend(buf []byte, framesOn []int, dst []MCEntry) (ownHC uint6
 // channel needs no channel ids, so its tables keep the paper's pointer
 // width and the N=1 broadcast stays the classic byte stream. This is
 // the only place the choice is made — the transmitter encodes through
-// EncodeLayoutTables, and every receiver asks here.
+// AppendLayoutTable, and every receiver asks here.
 func ClassicTables(lay *dsi.Layout) bool { return lay.Channels() == 1 }
 
 // LayoutTableSize returns the encoded size of each index table of the
@@ -258,40 +259,122 @@ func LayoutTableSize(lay *dsi.Layout) int {
 	return MCTableSize(lay.X.E)
 }
 
-// EncodeLayoutTables materializes every index table of a layout in the
-// format ClassicTables selects, verifying that each fits the frame
-// sizing's packet budget.
+// CheckLayoutTables reports whether the layout's index tables can go on
+// air in the format ClassicTables selects: a table must fit the frame
+// sizing's packet budget, and every pointer its field — a classic
+// forward distance 2 bytes, a multi-channel channel id 1 byte and
+// frame index 2 bytes. Every table has the same size, and every cycle
+// position is the distance-1 target of the table before it, so the
+// check is arithmetic over the geometry and the layout, with no table
+// built.
 //
 // dsi.Build sizes TablePackets for the classic entry width unless
 // Config.ReserveMCPtr is set, so an index whose tables fill their
 // packets to within E bytes of the budget cannot carry the 1-byte-wider
-// multi-channel pointers; this function then fails rather than
+// multi-channel pointers; the check then fails rather than let a table
 // overflow.
-func EncodeLayoutTables(lay *dsi.Layout) ([][]byte, error) {
+func CheckLayoutTables(lay *dsi.Layout) error {
 	x := lay.X
-	out := make([][]byte, x.NF)
 	budget := x.TablePackets * x.Cfg.Capacity
-	for pos := 0; pos < x.NF; pos++ {
-		buf, err := encodeLayoutTable(lay, pos)
-		if err != nil {
-			return nil, fmt.Errorf("wire: position %d: %w", pos, err)
-		}
-		if len(buf) > budget {
-			return nil, fmt.Errorf("wire: position %d: table %dB exceeds %d packet budget %dB",
-				pos, len(buf), x.TablePackets, budget)
-		}
-		out[pos] = buf
+	if size := LayoutTableSize(lay); size > budget {
+		return fmt.Errorf("wire: table %dB exceeds %d packet budget %dB", size, x.TablePackets, budget)
 	}
-	return out, nil
+	if ClassicTables(lay) {
+		// Entry i points Base^i frames ahead, which is Base^i reduced
+		// into (0, NF] once it wraps the cycle.
+		dist := 1
+		for i := 0; i < x.E; i++ {
+			if fwd := (dist-1)%x.NF + 1; fwd > 0xffff {
+				return fmt.Errorf("wire: entry %d distance %d exceeds the 2-byte pointer", i, fwd)
+			}
+			dist *= x.Base
+		}
+		return nil
+	}
+	// Every channel carries some frame's data except a split layout's
+	// index channel.
+	for ch := 0; ch < lay.Channels(); ch++ {
+		if ch == lay.StartCh && (lay.Sched == dsi.SchedSplit || lay.Sched == dsi.SchedShard) {
+			continue
+		}
+		if ch > 0xff {
+			return fmt.Errorf("wire: channel %d exceeds the 1-byte channel id", ch)
+		}
+		if idx := lay.FramesOn(ch) - 1; idx > 0xffff {
+			return fmt.Errorf("wire: channel %d frame index %d exceeds the 2-byte pointer", ch, idx)
+		}
+	}
+	return nil
 }
 
-func encodeLayoutTable(lay *dsi.Layout, pos int) ([]byte, error) {
-	if ClassicTables(lay) {
-		return EncodeTable(lay.X.TableAt(pos), lay.X.NF)
+// AppendLayoutTable appends the index table broadcast at cycle position
+// pos of the layout to dst, in the format ClassicTables selects, and
+// returns the extended slice. The bytes are computed from the frames'
+// minimum HC values and the layout's placement — the frame's own
+// minimum HC value, then one (HC value, pointer) entry per distance 1,
+// Base, Base², … ahead, as dsi.Index.AppendTable lists them — so no
+// table is stored anywhere. CheckLayoutTables must have accepted the
+// layout: pointers are not range-checked here.
+func AppendLayoutTable(dst []byte, lay *dsi.Layout, pos int) []byte {
+	return AppendLayoutTablePart(dst, lay, pos, 0, LayoutTableSize(lay))
+}
+
+// AppendLayoutTablePart appends bytes [from, to) of the table
+// AppendLayoutTable encodes, computing only the fields that range
+// touches: a reader of some of a table's packets builds their bytes and
+// no others. 0 <= from <= to <= LayoutTableSize(lay).
+func AppendLayoutTablePart(dst []byte, lay *dsi.Layout, pos, from, to int) []byte {
+	if from >= to {
+		return dst
 	}
-	own, entries, err := TableMC(lay, pos)
-	if err != nil {
-		return nil, err
+	x := lay.X
+	classic := ClassicTables(lay)
+	width := hcBytes + MCPtrBytes
+	if classic {
+		width = hcBytes + ptrBytes
 	}
-	return EncodeTableMC(own, entries), nil
+	// Table byte k goes to dst[n+k-from]. A field the range holds whole
+	// is written in place; one it cuts is built in f, and its cut copied.
+	n := len(dst)
+	dst = slices.Grow(dst, to-from)[:n+to-from]
+	var f [hcBytes + MCPtrBytes]byte
+	if from < hcBytes {
+		whole := from == 0 && to >= hcBytes
+		b := f[:hcBytes]
+		if whole {
+			b = dst[n : n+hcBytes]
+		}
+		putHC(b, x.MinHC(x.PosToFrame(pos)))
+		if !whole {
+			copy(dst[n:], f[from:min(to, hcBytes)])
+		}
+	}
+	dist := 1
+	for i, off := 0, hcBytes; i < x.E && off < to; i, off = i+1, off+width {
+		if off+width > from {
+			whole := off >= from && off+width <= to
+			b := f[:width]
+			if whole {
+				b = dst[n+off-from : n+off-from+width]
+			}
+			tp := x.Ahead(pos, dist)
+			putHC(b, x.MinHC(x.PosToFrame(tp)))
+			if classic {
+				fwd := tp - pos
+				if fwd <= 0 {
+					fwd += x.NF
+				}
+				binary.BigEndian.PutUint16(b[hcBytes:], uint16(fwd))
+			} else {
+				ch, idx := lay.DataFrameIndex(tp)
+				b[hcBytes] = uint8(ch)
+				binary.BigEndian.PutUint16(b[hcBytes+1:], uint16(idx))
+			}
+			if !whole {
+				copy(dst[n+max(off-from, 0):], f[max(from-off, 0):min(to-off, width)])
+			}
+		}
+		dist *= x.Base
+	}
+	return dst
 }

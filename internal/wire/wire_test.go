@@ -16,7 +16,7 @@ func TestTableRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pos := 0; pos < x.NF; pos++ {
-			want := x.TableAt(pos)
+			want := x.AppendTable(pos, nil)
 			buf, err := EncodeTable(want, x.NF)
 			if err != nil {
 				t.Fatalf("cfg %+v pos %d: %v", cfg, pos, err)
@@ -49,7 +49,7 @@ func TestTableSizeMatchesIndexAccounting(t *testing.T) {
 			t.Errorf("cfg %+v: wire size %d != index accounting %d",
 				cfg, TableSize(x.E), x.TableBytes())
 		}
-		buf, err := EncodeTable(x.TableAt(0), x.NF)
+		buf, err := EncodeTable(x.AppendTable(0, nil), x.NF)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,14 +71,12 @@ func TestEncodeLayoutTablesFitBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		lay := x.SingleLayout()
-		tables, err := EncodeLayoutTables(lay)
-		if err != nil {
+		if err := CheckLayoutTables(lay); err != nil {
 			t.Fatalf("cfg %+v: %v", cfg, err)
 		}
-		if len(tables) != x.NF {
-			t.Fatalf("cfg %+v: %d tables for %d frames", cfg, len(tables), x.NF)
-		}
-		for pos, tab := range tables {
+		var tab []byte
+		for pos := 0; pos < x.NF; pos++ {
+			tab = AppendLayoutTable(tab[:0], lay, pos)
 			if len(tab) != x.TableBytes() || len(tab) != LayoutTableSize(lay) {
 				t.Fatalf("cfg %+v pos %d: table %dB, accounting %dB, LayoutTableSize %dB",
 					cfg, pos, len(tab), x.TableBytes(), LayoutTableSize(lay))
